@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
@@ -209,9 +210,13 @@ int main() {
   // log gains a batch and a kRefresh lands. No round trip may fail.
   std::printf("refresh under load (4 clients, Unix socket):\n");
   std::remove(delta_log.c_str());
-  auto warm = LoadEngineSnapshot(base_snap, {}, &error);
-  if (!warm.has_value()) {
-    std::fprintf(stderr, "cannot reload base snapshot: %s\n", error.c_str());
+  auto catalog = std::make_shared<server::EngineCatalog>();
+  server::EngineSource source;
+  source.snapshot_path = base_snap;
+  source.delta_path = delta_log;
+  if (!catalog->Register("default", source, &error) ||
+      catalog->Acquire("", &error) == nullptr) {
+    std::fprintf(stderr, "cannot open base snapshot: %s\n", error.c_str());
     return 1;
   }
   constexpr int kClients = 4;
@@ -221,9 +226,7 @@ int main() {
   // multiplexes every connection over the pool, so the refresher gets
   // served promptly even with all workers oversubscribed.
   config.num_workers = 2;
-  config.delta_path = delta_log;
-  config.base_checksum = info->stored_checksum;
-  server::QueryServer server(*warm->engine, config);
+  server::QueryServer server(catalog, config);
   if (!server.Start(&error)) {
     std::fprintf(stderr, "cannot start server: %s\n", error.c_str());
     return 1;

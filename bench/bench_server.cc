@@ -145,7 +145,9 @@ int main() {
                        ".sock"))
                          .string();
   config.num_workers = num_clients;
-  server::QueryServer server(engine, config);
+  auto catalog = std::make_shared<server::EngineCatalog>();
+  catalog->AdoptEngine("default", engine);
+  server::QueryServer server(catalog, config);
   std::string error;
   if (!server.Start(&error)) {
     std::fprintf(stderr, "cannot start server: %s\n", error.c_str());
@@ -313,12 +315,19 @@ int main() {
                  error.c_str());
     return 1;
   }
+  auto rc_catalog = std::make_shared<server::EngineCatalog>();
+  server::EngineSource rc_source;
+  rc_source.snapshot_path = rc_snap;
+  rc_source.delta_path = rc_delta;
+  if (!rc_catalog->Register("default", rc_source, &error) ||
+      rc_catalog->Acquire("", &error) == nullptr) {
+    std::fprintf(stderr, "cannot open cache snapshot: %s\n", error.c_str());
+    return 1;
+  }
   server::ServerConfig rc_config;
   rc_config.unix_path = config.unix_path + ".rc";
   rc_config.num_workers = num_clients;
-  rc_config.delta_path = rc_delta;
-  rc_config.base_checksum = rc_info->stored_checksum;
-  server::QueryServer rc_server(engine, rc_config);
+  server::QueryServer rc_server(rc_catalog, rc_config);
   if (!rc_server.Start(&error)) {
     std::fprintf(stderr, "cannot start cache server: %s\n", error.c_str());
     return 1;
@@ -601,8 +610,8 @@ int main() {
           }
         });
       }
-      // The legacy rider: no envelope at all, served from the default
-      // tenant (t0, base+delta) like any pre-v2 client would be.
+      // The unscoped rider: no envelope at all, served from the default
+      // tenant (t0, base+delta).
       scoped.emplace_back([&] {
         server::QueryClient client;
         std::string cerr;

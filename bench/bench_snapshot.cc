@@ -33,14 +33,10 @@
 #include <optional>
 #include <string>
 
-#include <algorithm>
-
 #include "bench_common.h"
 #include "graph/graph_io.h"
 #include "query/pattern_parser.h"
-#include "reach/bfl_index.h"
 #include "storage/snapshot.h"
-#include "util/serde.h"
 
 using namespace rigpm;
 using namespace rigpm::bench;
@@ -57,36 +53,15 @@ double FileMb(const std::string& path) {
   return ec ? 0.0 : static_cast<double>(size) / (1024.0 * 1024.0);
 }
 
-// The v2 twin of SaveEngineSnapshot: identical payload structure, but run
-// containers are materialized as array/bitset (encode_runs=false) and the
-// header says version 2 — the exact bytes a pre-run-container build would
-// have written. The memory/latency frontier table compares against this.
-bool SaveEngineSnapshotV2(const GmEngine& engine, const std::string& path,
-                          std::string* error) {
-  const auto* bfl = dynamic_cast<const BflIndex*>(&engine.reach());
-  if (bfl == nullptr) {
-    *error = "engine is not BFL-backed";
-    return false;
-  }
-  ByteSink sink(/*pad_arrays=*/true, /*encode_runs=*/false);
-  engine.graph().Serialize(sink);
-  bfl->Serialize(sink);
-  return WriteSnapshotFile(path, SnapshotKind::kEngine, sink, error,
-                           /*version=*/2);
-}
-
 // What one forked warm-start child reports back through its pipe.
 struct WarmStartReport {
   int ok = 0;
   double load_ms = 0.0;
   double first_query_ms = 0.0;
-  double p50_query_ms = 0.0;  // median of kQueryReps repeats after the first
   uint64_t count = 0;
   long vm_hwm_kb = -1;  // peak RSS
   long vm_rss_kb = -1;  // RSS after load + first query
 };
-
-constexpr int kQueryReps = 9;
 
 // Runs one warm start in a fork so VmHWM measures just that load path, not
 // the cold build / other mode that already ran in this process.
@@ -120,12 +95,6 @@ WarmStartReport MeasureWarmStart(const std::string& snap_path,
         r.first_query_ms =
             TimeMs([&] { res = warm->engine->Evaluate(*q, opts); });
         r.count = res.num_occurrences;
-        double reps[kQueryReps];
-        for (int i = 0; i < kQueryReps; ++i) {
-          reps[i] = TimeMs([&] { res = warm->engine->Evaluate(*q, opts); });
-        }
-        std::sort(reps, reps + kQueryReps);
-        r.p50_query_ms = reps[kQueryReps / 2];
         r.vm_hwm_kb = ReadProcStatusKb("VmHWM");
         r.vm_rss_kb = ReadProcStatusKb("VmRSS");
         r.ok = 1;
@@ -256,82 +225,6 @@ int main() {
     }
   }
 
-  // --- Memory/latency frontier: v2 (array/bitset only) vs v3 (native run
-  // containers + lazy decode) snapshots of the same engine, each warm-started
-  // in its own fork under both IO modes. The v3 file must never be larger
-  // than its v2 twin (run encoding only replaces a container when strictly
-  // smaller), and under mmap the borrowed-encoded containers must show up as
-  // lower resident memory — a nonzero exit here fails bench-smoke CI.
-  const std::string snap_v2_path = TempPath("rigpm_bench_engine_v2.snap");
-  bool frontier_ok = true;
-  if (!SaveEngineSnapshotV2(*cold_engine, snap_v2_path, &error)) {
-    std::fprintf(stderr, "FAIL: v2 snapshot save failed: %s\n", error.c_str());
-    frontier_ok = false;
-  } else {
-    const double v2_mb = FileMb(snap_v2_path);
-    const double v3_mb = FileMb(snap_path);
-    std::printf("\nmemory/query frontier — snapshot v2 (pre-run-container "
-                "format) vs v3 (p50 over %d reps of the probe query):\n",
-                kQueryReps);
-    TablePrinter frontier({"format/mode", "file(MB)", "load(s)",
-                           "p50-query(s)", "count", "peakRSS(MB)", "RSS(MB)"});
-    struct Cell {
-      const char* name;
-      const std::string* path;
-      SnapshotIoMode mode;
-      WarmStartReport report;
-    };
-    Cell cells[] = {
-        {"v2 / read", &snap_v2_path, SnapshotIoMode::kRead, {}},
-        {"v2 / mmap", &snap_v2_path, SnapshotIoMode::kMmap, {}},
-        {"v3 / read", &snap_path, SnapshotIoMode::kRead, {}},
-        {"v3 / mmap", &snap_path, SnapshotIoMode::kMmap, {}},
-    };
-    for (Cell& c : cells) {
-      c.report = MeasureWarmStart(*c.path, c.mode, probe_pattern);
-      if (!c.report.ok) {
-        std::fprintf(stderr, "FAIL: %s warm start did not report\n", c.name);
-        frontier_ok = false;
-        continue;
-      }
-      char count_buf[32], file_buf[32];
-      std::snprintf(count_buf, sizeof(count_buf), "%llu",
-                    static_cast<unsigned long long>(c.report.count));
-      std::snprintf(file_buf, sizeof(file_buf), "%.1f",
-                    c.path == &snap_v2_path ? v2_mb : v3_mb);
-      frontier.AddRow({c.name, file_buf, FormatSeconds(c.report.load_ms),
-                       FormatSeconds(c.report.p50_query_ms), count_buf,
-                       FormatMb(c.report.vm_hwm_kb),
-                       FormatMb(c.report.vm_rss_kb)});
-      if (c.report.count != cells[0].report.count) {
-        std::fprintf(stderr,
-                     "FAIL: %s count %llu != v2/read count %llu\n", c.name,
-                     static_cast<unsigned long long>(c.report.count),
-                     static_cast<unsigned long long>(cells[0].report.count));
-        frontier_ok = false;
-      }
-    }
-    frontier.Print();
-    if (v3_mb > v2_mb) {
-      std::fprintf(stderr,
-                   "FAIL: v3 snapshot (%.2f MB) larger than v2 (%.2f MB)\n",
-                   v3_mb, v2_mb);
-      frontier_ok = false;
-    } else {
-      std::printf("snapshot bytes: v3 %.1f MB vs v2 %.1f MB (%.1f%% of v2)\n",
-                  v3_mb, v2_mb, v2_mb > 0 ? 100.0 * v3_mb / v2_mb : 0.0);
-    }
-    const WarmStartReport& v2m = cells[1].report;
-    const WarmStartReport& v3m = cells[3].report;
-    if (v2m.ok && v3m.ok && v2m.vm_rss_kb > 0 && v3m.vm_rss_kb > 0) {
-      std::printf("post-load RSS (mmap): v3 %s MB vs v2 %s MB (%+.1f MB)\n",
-                  FormatMb(v3m.vm_rss_kb).c_str(),
-                  FormatMb(v2m.vm_rss_kb).c_str(),
-                  (v3m.vm_rss_kb - v2m.vm_rss_kb) / 1024.0);
-    }
-  }
-  std::remove(snap_v2_path.c_str());
-
   // --- Equivalence spot check: same counts from both engines. Skipped at
   // large scales: with bs's 5-label alphabet the simulation/RIG cost of the
   // template queries explodes with graph size (hours of CPU, identically on
@@ -359,5 +252,5 @@ int main() {
     std::fprintf(stderr, "FAIL: warm engine diverged from cold engine\n");
     return 1;
   }
-  return modes_ok && frontier_ok ? 0 : 1;
+  return modes_ok ? 0 : 1;
 }

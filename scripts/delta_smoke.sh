@@ -4,9 +4,11 @@
 # kRefresh after each batch, diff every served count against a cold rebuild
 # of the merged graph (`rigpm_cli --load-snapshot ... --delta ...`), keep
 # clients querying THROUGH the refresh (no round trip may fail), and
-# require a clean shutdown. The daemon deliberately runs FEWER workers
-# (2) than concurrent clients (4): the event loop multiplexes, so the
-# old "size the pool above the client count" caveat must stay dead.
+# require a clean shutdown. Then restart a daemon on the same snapshot and
+# log: it must serve base + both records from its first query, before any
+# refresh. The daemon deliberately runs FEWER workers (2) than concurrent
+# clients (4): the event loop multiplexes, so the old "size the pool above
+# the client count" caveat must stay dead.
 #
 # usage: scripts/delta_smoke.sh BUILD_DIR
 set -eu
@@ -93,18 +95,35 @@ diff_served_vs_cold() {
 echo "== snapshot"
 "${BUILD_DIR}/rigpm_cli" snapshot --graph "${GRAPH}" --out "${SNAP}"
 
+# start_daemon LOG: a delta-armed daemon on the snapshot + log, up once it
+# answers a ping.
+start_daemon() {
+  "${BUILD_DIR}/rigpm_serve" --snapshot "${SNAP}" --delta "${DELTA}" \
+    --socket "${SOCK}" --workers 2 > "$1" 2>&1 &
+  SERVER_PID=$!
+  for _ in $(seq 1 50); do
+    if "${BUILD_DIR}/rigpm_cli" client --socket "${SOCK}" --ping \
+         >/dev/null 2>&1; then
+      break
+    fi
+    sleep 0.1
+  done
+  "${BUILD_DIR}/rigpm_cli" client --socket "${SOCK}" --ping
+}
+
+# stop_daemon LOG: remote shutdown, exit code 0, summary in the log.
+stop_daemon() {
+  "${BUILD_DIR}/rigpm_cli" client --socket "${SOCK}" --shutdown
+  code=0
+  wait "${SERVER_PID}" || code=$?
+  SERVER_PID=
+  [ "${code}" = "0" ] || { echo "FAIL: daemon exited ${code}" >&2; exit 1; }
+  grep -q "shutdown:" "$1" || {
+    echo "FAIL: no shutdown summary in daemon log" >&2; exit 1; }
+}
+
 echo "== start daemon (delta-armed)"
-"${BUILD_DIR}/rigpm_serve" --snapshot "${SNAP}" --delta "${DELTA}" \
-  --socket "${SOCK}" --workers 2 > "${WORK_DIR}/serve.log" 2>&1 &
-SERVER_PID=$!
-for _ in $(seq 1 50); do
-  if "${BUILD_DIR}/rigpm_cli" client --socket "${SOCK}" --ping \
-       >/dev/null 2>&1; then
-    break
-  fi
-  sleep 0.1
-done
-"${BUILD_DIR}/rigpm_cli" client --socket "${SOCK}" --ping
+start_daemon "${WORK_DIR}/serve.log"
 
 echo "== baseline counts (no delta yet)"
 diff_served_vs_cold "no-delta"
@@ -153,12 +172,16 @@ echo "== delta inspect"
 "${BUILD_DIR}/rigpm_cli" delta inspect --delta "${DELTA}"
 
 echo "== clean shutdown"
-"${BUILD_DIR}/rigpm_cli" client --socket "${SOCK}" --shutdown
-code=0
-wait "${SERVER_PID}" || code=$?
-SERVER_PID=
-[ "${code}" = "0" ] || { echo "FAIL: daemon exited ${code}" >&2; exit 1; }
-grep -q "shutdown:" "${WORK_DIR}/serve.log" || {
-  echo "FAIL: no shutdown summary in daemon log" >&2; exit 1; }
+stop_daemon "${WORK_DIR}/serve.log"
+
+echo "== restart on the same snapshot + log: base + 2 records, no refresh"
+start_daemon "${WORK_DIR}/serve2.log"
+diff_served_vs_cold "with-delta"
+out=$("${BUILD_DIR}/rigpm_cli" client --socket "${SOCK}" --refresh)
+echo "${out}"
+grep -q "refresh: 0 record(s)" <<<"${out}" || {
+  echo "FAIL: a restarted daemon must already serve the whole log" >&2
+  exit 1; }
+stop_daemon "${WORK_DIR}/serve2.log"
 
 echo "delta smoke: OK"

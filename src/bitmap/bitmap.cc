@@ -1055,41 +1055,20 @@ void Bitmap::RunOptimize() {
 // ---------------------------------------------------------------------------
 
 void Bitmap::Serialize(ByteSink& sink) const {
+  // No total-cardinality word: it would only repeat the per-container
+  // cardinalities (each validated on its own), and across the millions of
+  // tiny per-node bitmaps of a CSR graph those 8 bytes are several percent
+  // of the whole snapshot.
   sink.WriteU32(static_cast<uint32_t>(containers_.size()));
-  // Pre-v3 images carry a redundant per-bitmap cardinality word (the sum of
-  // the per-container cardinalities, each validated on its own). v3 drops
-  // it: across the millions of tiny per-node bitmaps of a CSR graph those 8
-  // bytes are several percent of the whole snapshot.
-  if (!sink.encode_runs()) sink.WriteU64(cardinality_);
   for (const Container& c : containers_) {
     sink.WriteU16(c.key);
-    if (c.kind == Container::Kind::kRun && !sink.encode_runs()) {
-      // Pre-v3 image: materialize the run container as the array/bitset
-      // block a v1/v2 decoder expects.
-      sink.WriteU8(static_cast<uint8_t>(c.cardinality <= kArrayCapacity
-                                            ? Container::Kind::kArray
-                                            : Container::Kind::kBitset));
-      sink.WriteU32(c.cardinality);
-      sink.PadTo8();
-      Container decoded = c;  // deep copy; c itself stays encoded
-      decoded.Decompress();
-      if (decoded.kind == Container::Kind::kArray) {
-        sink.WriteRaw(decoded.array.data(),
-                      decoded.array.size() * sizeof(uint16_t));
-      } else {
-        sink.WriteRaw(decoded.words.data(),
-                      decoded.words.size() * sizeof(uint64_t));
-      }
-      continue;
-    }
     sink.WriteU8(static_cast<uint8_t>(c.kind));
     sink.WriteU32(c.cardinality);
     if (c.kind == Container::Kind::kRun) {
       sink.WriteU16(static_cast<uint16_t>(c.NumRuns()));
     }
     // Padding before each payload block lets the zero-copy loader borrow a
-    // correctly aligned typed pointer straight into the snapshot mapping
-    // (format v2; a v1 sink emits nothing here).
+    // correctly aligned typed pointer straight into the snapshot mapping.
     sink.PadTo8();
     if (c.kind == Container::Kind::kBitset) {
       sink.WriteRaw(c.words.data(), c.words.size() * sizeof(uint64_t));
@@ -1102,11 +1081,6 @@ void Bitmap::Serialize(ByteSink& sink) const {
 Bitmap Bitmap::Deserialize(ByteSource& src) {
   Bitmap out;
   uint32_t num_containers = src.ReadU32();
-  // The pre-v3 layout has a redundant total-cardinality word here; the v3
-  // layout does not (the run_containers_allowed flag doubles as the layout
-  // switch — SnapshotReader sets it from the file header version).
-  const bool pre_v3 = !src.run_containers_allowed();
-  uint64_t total = pre_v3 ? src.ReadU64() : 0;
   if (!src.ok()) return Bitmap();
   out.containers_.reserve(num_containers);
   uint64_t seen = 0;
@@ -1148,10 +1122,6 @@ Bitmap Bitmap::Deserialize(ByteSource& src) {
         return Bitmap();
       }
     } else if (kind == static_cast<uint8_t>(Container::Kind::kRun)) {
-      if (!src.run_containers_allowed()) {
-        src.Fail("run container in pre-v3 snapshot");
-        return Bitmap();
-      }
       c.kind = Container::Kind::kRun;
       uint16_t num_runs = src.ReadU16();
       if (num_runs == 0 || num_runs > kMaxRunsPerContainer) {
@@ -1187,10 +1157,6 @@ Bitmap Bitmap::Deserialize(ByteSource& src) {
     if (!src.ok()) return Bitmap();
     seen += c.cardinality;
     out.containers_.push_back(std::move(c));
-  }
-  if (pre_v3 && seen != total) {
-    src.Fail("bitmap cardinality mismatch");
-    return Bitmap();
   }
   out.cardinality_ = seen;
   return out;

@@ -15,7 +15,7 @@ namespace rigpm {
 /// Per-kind container census of a bitmap (or a whole section of bitmaps):
 /// how many containers of each representation, how many still borrow their
 /// encoded payload from a snapshot mapping, and the encoded-vs-expanded
-/// byte footprint. `encoded_bytes` is the native payload size (what a v3
+/// byte footprint. `encoded_bytes` is the native payload size (what a
 /// snapshot stores and what a borrowed container costs in mapped bytes);
 /// `expanded_bytes` is what the same data would occupy fully decoded to
 /// array/bitset form — the saving lazy decode preserves until a mutating
@@ -71,7 +71,7 @@ struct BitmapContainerStats {
 ///    produce run output only where it falls out for free (run x run);
 ///    call RunOptimize() to re-compress a bitmap built by many operations.
 ///
-/// Zero-copy snapshots: a bitmap loaded from an mmap'd v3 snapshot keeps
+/// Zero-copy snapshots: a bitmap loaded from an mmap'd snapshot keeps
 /// its array and run payloads *encoded inside the mapping* — reads operate
 /// on the borrowed encoded form directly, and the first mutating touch of a
 /// container materializes a private decoded copy (util/owned_span.h). RSS
@@ -172,9 +172,7 @@ class Bitmap {
   /// is dumped as a single raw block in its native encoding, so
   /// (de)serialization is memcpy-bound rather than element-at-a-time (the
   /// property the RoaringBitmap design is built for). Run containers are
-  /// emitted natively when `sink.encode_runs()` (snapshot format v3) and
-  /// materialized as array/bitset blocks otherwise (v1/v2 images). Read
-  /// back with Deserialize.
+  /// emitted natively. Read back with Deserialize.
   void Serialize(ByteSink& sink) const;
 
   /// Decodes an image written by Serialize. On malformed input `src.ok()`

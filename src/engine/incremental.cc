@@ -104,12 +104,4 @@ std::optional<MatchDelta> IncrementalMatcher::ApplyOpsAndDiff(
   return delta;
 }
 
-std::optional<std::vector<Occurrence>> IncrementalMatcher::ApplyAndDiff(
-    const std::vector<std::pair<NodeId, NodeId>>& new_edges,
-    std::string* error) {
-  auto delta = ApplyOpsAndDiff(EdgesToOps(new_edges), error);
-  if (!delta.has_value()) return std::nullopt;
-  return std::move(delta->added);
-}
-
 }  // namespace rigpm

@@ -4,7 +4,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "engine/gm_engine.h"
@@ -78,17 +77,9 @@ class IncrementalMatcher {
   /// re-constructing; silently journaling such an op would poison the
   /// delta log with a record that can never replay against its base.) A
   /// journal append failure is also reported here, again with the batch
-  /// left unapplied — including the version refusal when the attached log
-  /// predates delete ops (kDeltaFormatOps).
+  /// left unapplied.
   std::optional<MatchDelta> ApplyOpsAndDiff(const std::vector<DeltaOp>& ops,
                                             std::string* error = nullptr);
-
-  /// Add-only convenience over ApplyOpsAndDiff: applies the edge batch and
-  /// returns only the occurrences it created (the removed side is empty by
-  /// monotonicity).
-  std::optional<std::vector<Occurrence>> ApplyAndDiff(
-      const std::vector<std::pair<NodeId, NodeId>>& new_edges,
-      std::string* error = nullptr);
 
  private:
   PatternQuery query_;

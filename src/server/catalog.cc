@@ -57,23 +57,19 @@ bool EngineCatalog::Register(const std::string& id, EngineSource source,
 }
 
 bool EngineCatalog::AdoptEngine(const std::string& id, const GmEngine& engine,
-                                EngineSource source, uint64_t base_checksum,
                                 std::string* error) {
   if (id.empty()) {
     SetError(error, "tenant id must not be empty");
     return false;
   }
   auto state = std::make_shared<EngineState>();
-  // Alias the caller's engine (which must outlive the catalog); refreshed
-  // successors own their graph + engine.
+  // Alias the caller's engine (which must outlive the catalog).
   state->engine =
       std::shared_ptr<const GmEngine>(std::shared_ptr<const GmEngine>(),
                                       &engine);
-  state->base_checksum = base_checksum;
   state->cache = MakeCache();
   auto entry = std::make_shared<Entry>();
   entry->id = id;
-  entry->source = std::move(source);
   entry->adopted = true;
   entry->state = std::move(state);
   std::lock_guard<std::mutex> lock(mu_);
@@ -189,14 +185,6 @@ std::shared_ptr<const EngineState> EngineCatalog::Open(Entry& e,
 
 bool EngineCatalog::ResolveEntryLineage(Entry& e, std::string* error) {
   if (e.lineage_resolved) return true;
-  if (e.source.snapshot_path.empty()) {
-    // Adopted without a snapshot identity: no head file to consult.
-    e.lineage.snapshot_path = e.source.snapshot_path;
-    e.lineage.delta_path = e.source.delta_path;
-    e.lineage.generation = 0;
-    e.lineage_resolved = true;
-    return true;
-  }
   Lineage lineage;
   std::string resolve_error;
   if (!ResolveLineage(e.source.snapshot_path, e.source.delta_path, &lineage,
@@ -360,9 +348,7 @@ CatalogRefreshResult EngineCatalog::RefreshLocked(Entry& e, bool fast_tail) {
     const uint64_t chain = old_state->applied_seqno == 0
                                ? tail.base_checksum()
                                : old_state->applied_chain;
-    if (tail.ok() &&
-        (old_state->base_checksum == 0 ||
-         tail.base_checksum() == old_state->base_checksum) &&
+    if (tail.ok() && tail.base_checksum() == old_state->base_checksum &&
         tail.SeekTo(old_state->applied_end_offset, old_state->applied_seqno,
                     chain)) {
       std::string fast_error;
@@ -393,8 +379,7 @@ CatalogRefreshResult EngineCatalog::RefreshLocked(Entry& e, bool fast_tail) {
       result.error = "cannot read delta log: " + reader.error();
       return result;
     }
-    if (old_state->base_checksum != 0 &&
-        reader.base_checksum() != old_state->base_checksum) {
+    if (reader.base_checksum() != old_state->base_checksum) {
       result.bad_request = true;
       result.error = "delta log is bound to a different base snapshot";
       return result;
@@ -438,7 +423,8 @@ CatalogRefreshResult EngineCatalog::RefreshLocked(Entry& e, bool fast_tail) {
   if (stats.records_applied == 0) {
     // Nothing new — but remember where the validated log ends so the next
     // poll's size comparison can answer without reading (this is what
-    // bootstraps adopted engines, whose end offset starts unknown).
+    // bootstraps a state opened from its bare base, whose end offset
+    // starts unknown).
     if (stats.end_offset != 0 &&
         stats.end_offset != old_state->applied_end_offset) {
       auto bumped = std::make_shared<EngineState>(*old_state);
@@ -492,12 +478,6 @@ CatalogCompactionResult EngineCatalog::CompactLocked(Entry& e) {
   std::string lineage_error;
   if (!ResolveEntryLineage(e, &lineage_error)) {
     result.error = lineage_error;
-    return result;
-  }
-  if (e.source.snapshot_path.empty()) {
-    result.error = "graph \"" + e.id +
-                   "\" was adopted without a snapshot path — no file to "
-                   "re-point";
     return result;
   }
   const Lineage old_lineage = e.lineage;
@@ -683,8 +663,7 @@ uint32_t EngineCatalog::RunMaintenance() {
         ++actions;
       }
     }
-    if (policy.auto_compact_ratio > 0 && have_log &&
-        !entry->source.snapshot_path.empty()) {
+    if (policy.auto_compact_ratio > 0 && have_log) {
       struct stat log_st{};
       struct stat base_st{};
       if (::stat(entry->lineage.delta_path.c_str(), &log_st) == 0 &&

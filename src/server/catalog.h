@@ -32,11 +32,11 @@ struct EngineState {
   /// truncated and rewritten with reused sequence numbers.
   uint64_t applied_chain = 0;
   /// Stored payload checksum of the base snapshot this engine descends
-  /// from (0 for adopted engines with no snapshot identity). Refreshes
-  /// reject a delta log bound to a different base.
+  /// from (0 for adopted engines, which have no snapshot and no log).
+  /// Refreshes reject a delta log bound to a different base.
   uint64_t base_checksum = 0;
   /// Byte offset just past the last applied log record (0 = unknown, e.g.
-  /// an adopted engine before its first refresh). The refresh poll's fast
+  /// a tenant a refresh opened from its bare base). The refresh poll's fast
   /// path: when the log's on-disk size equals this, the tenant is caught
   /// up without reading a byte, and when it is larger the reader seeks
   /// straight here and validates only the tail — never O(total log).
@@ -62,7 +62,9 @@ struct EngineSource {
   std::string delta_path;
   SnapshotIoMode io_mode = DefaultSnapshotIoMode();
   /// kRead by default: a live log can be tail-truncated in place by a
-  /// recovering writer, which would SIGBUS an mmap reader (server.h).
+  /// recovering DeltaWriter, and shrinking a file under a live mapping
+  /// raises SIGBUS in the reader — a slurped copy of a small log cannot
+  /// be yanked away mid-replay.
   SnapshotIoMode delta_io = SnapshotIoMode::kRead;
 };
 
@@ -160,7 +162,8 @@ class EngineCatalog {
  public:
   /// max_engines caps RESIDENT engines (0 = unlimited). Adopted engines
   /// are pinned residents: they have no source to reopen from and are
-  /// never evicted (nor do they count against the cap).
+  /// never evicted (nor do they count against the cap). Registered
+  /// tenants — the default one included — all count.
   explicit EngineCatalog(uint32_t max_engines = 0);
 
   EngineCatalog(const EngineCatalog&) = delete;
@@ -172,13 +175,12 @@ class EngineCatalog {
   bool Register(const std::string& id, EngineSource source,
                 std::string* error = nullptr);
 
-  /// Adds a tenant around a caller-owned engine (which must outlive the
-  /// catalog) — the single-tenant legacy path. `source.snapshot_path` stays
-  /// empty; a non-empty `source.delta_path` makes the tenant refreshable,
-  /// with `base_checksum` binding the log to the engine's base snapshot
-  /// (0 skips the check).
+  /// Adds a tenant around a caller-owned, in-memory engine (which must
+  /// outlive the catalog): `serve --graph FILE` and tests. It has no
+  /// source, so it is never refreshed, compacted, or evicted. Anything
+  /// backed by a snapshot (and optionally a delta log) goes through
+  /// Register, so every open of it replays the same base + log.
   bool AdoptEngine(const std::string& id, const GmEngine& engine,
-                   EngineSource source = {}, uint64_t base_checksum = 0,
                    std::string* error = nullptr);
 
   /// Resolves an id ("" = default tenant) to its served state, opening the
@@ -256,7 +258,7 @@ class EngineCatalog {
     return cache_bytes_.load(std::memory_order_relaxed);
   }
 
-  /// Id serving unaddressed (legacy) requests; "" while nothing is
+  /// Id serving unaddressed requests; "" while nothing is
   /// registered. The first registration sets it; SetDefault overrides.
   std::string default_id() const;
   bool SetDefault(const std::string& id);

@@ -315,7 +315,12 @@ std::optional<ServerCapabilities> QueryClient::Capabilities(
     SetError(error, "unexpected response type");
     return std::nullopt;
   }
-  return ParsePingResponse(src);
+  ServerCapabilities caps = ParsePingResponse(src);
+  if (!src.ok()) {
+    SetError(error, "malformed ping response: " + src.error());
+    return std::nullopt;
+  }
+  return caps;
 }
 
 std::optional<ListGraphsResponse> QueryClient::ListGraphs(std::string* error) {
@@ -326,7 +331,7 @@ std::optional<ListGraphsResponse> QueryClient::ListGraphs(std::string* error) {
   ByteSource src(payload.data(), payload.size());
   MessageType type = ReadMessageType(src);
   if (type == MessageType::kErrorResponse) {
-    // A pre-v2 daemon answers "unknown request type 8".
+    // Server-side rejections come back as an error frame.
     ListGraphsResponse resp;
     if (!DecodeErrorResponse(src, &resp.status, &resp.error)) {
       SetError(error, "malformed error response");

@@ -19,8 +19,8 @@ namespace rigpm::server {
 /// counter, and the graph the session addresses. SetGraph routes every
 /// query, pipelined query, and refresh at one of a multi-graph daemon's
 /// tenants (the kScopedRequest envelope); the default — no graph set —
-/// emits no envelope at all, which any daemon revision serves from its
-/// default graph. Ping/Stats/Shutdown are daemon-wide and never scoped.
+/// emits no envelope at all, which the daemon serves from its default
+/// graph. Ping/Stats/Shutdown are daemon-wide and never scoped.
 class QueryClient {
  public:
   QueryClient() = default;
@@ -43,8 +43,7 @@ class QueryClient {
   bool connected() const { return fd_ >= 0; }
 
   /// Addresses this session's queries and refreshes at the named graph of
-  /// a multi-graph daemon ("" = the daemon's default graph, and the only
-  /// setting a pre-v2 daemon understands — see Capabilities().scoped()).
+  /// a multi-graph daemon ("" = the daemon's default graph).
   void SetGraph(std::string graph_id) { graph_ = std::move(graph_id); }
   const std::string& graph() const { return graph_; }
 
@@ -88,9 +87,8 @@ class QueryClient {
   /// Liveness probe (also what scripts poll while the daemon starts up).
   bool Ping(std::string* error = nullptr);
 
-  /// Ping + feature detection: what the daemon advertised in its pong
-  /// tail. A bare pong (pre-v2 daemon) yields the revision-1 defaults, so
-  /// callers branch on the capability bits, never on errors.
+  /// Ping + feature detection: the revision and capability bits the daemon
+  /// advertised. Returns nullopt on transport failure or a malformed pong.
   std::optional<ServerCapabilities> Capabilities(std::string* error = nullptr);
 
   /// The daemon's graph catalog (kListGraphsRequest; needs

@@ -191,13 +191,10 @@ void StatsResponse::Serialize(ByteSink& sink) const {
   sink.WriteU64(occurrences_emitted);
   WriteF64(sink, latency_p50_ms);
   WriteF64(sink, latency_p99_ms);
-  // Appended last: a reader built before these fields existed still parses
-  // every earlier field correctly (the wire format carries no version).
   sink.WriteU64(refreshes);
   sink.WriteU64(dispatch_depth);
   WriteF64(sink, accept_p50_ms);
   WriteF64(sink, accept_p99_ms);
-  // Engine-catalog fields, appended by the multi-tenant core (revision 2).
   sink.WriteU64(graphs_registered);
   sink.WriteU64(graphs_resident);
   sink.WriteU64(catalog_hits);
@@ -205,9 +202,6 @@ void StatsResponse::Serialize(ByteSink& sink) const {
   sink.WriteU64(catalog_evictions);
   sink.WriteU32(static_cast<uint32_t>(tenants.size()));
   for (const GraphInfoWire& t : tenants) t.Serialize(sink);
-  // Result-cache + write-coalescing fields, appended after the tenant list
-  // (extending GraphInfoWire itself would desynchronize older readers
-  // mid-stream; a new appended section is merely absent for them).
   sink.WriteU64(cache_hits);
   sink.WriteU64(cache_misses);
   sink.WriteU64(cache_inserts);
@@ -236,65 +230,48 @@ StatsResponse StatsResponse::Deserialize(ByteSource& src) {
   s.occurrences_emitted = src.ReadU64();
   s.latency_p50_ms = ReadF64(src);
   s.latency_p99_ms = ReadF64(src);
-  // Appended after the original fields; absent from pre-refresh daemons.
-  // Tolerating the short payload keeps a new client's --stats working
-  // against a still-running old daemon (they are long-lived on purpose).
-  s.refreshes = src.remaining() >= sizeof(uint64_t) ? src.ReadU64() : 0;
-  // Event-loop fields, appended by the epoll core (one release later).
-  s.dispatch_depth = src.remaining() >= sizeof(uint64_t) ? src.ReadU64() : 0;
-  s.accept_p50_ms = src.remaining() >= sizeof(uint64_t) ? ReadF64(src) : 0.0;
-  s.accept_p99_ms = src.remaining() >= sizeof(uint64_t) ? ReadF64(src) : 0.0;
-  // Engine-catalog fields, appended by the multi-tenant core. The tenant
-  // list is guarded by its count field: a pre-catalog daemon's payload
-  // simply ends here and the list stays empty.
-  s.graphs_registered = src.remaining() >= sizeof(uint64_t) ? src.ReadU64() : 0;
-  s.graphs_resident = src.remaining() >= sizeof(uint64_t) ? src.ReadU64() : 0;
-  s.catalog_hits = src.remaining() >= sizeof(uint64_t) ? src.ReadU64() : 0;
-  s.catalog_misses = src.remaining() >= sizeof(uint64_t) ? src.ReadU64() : 0;
-  s.catalog_evictions = src.remaining() >= sizeof(uint64_t) ? src.ReadU64() : 0;
-  if (src.remaining() >= sizeof(uint32_t)) {
-    uint32_t num_tenants = src.ReadU32();
-    if (num_tenants > src.remaining() / sizeof(uint64_t)) {
-      src.Fail("tenant count exceeds response size");
-      return s;
-    }
-    s.tenants.resize(num_tenants);
-    for (GraphInfoWire& t : s.tenants) {
-      if (!src.ok()) break;
-      t = GraphInfoWire::Deserialize(src);
-    }
+  s.refreshes = src.ReadU64();
+  s.dispatch_depth = src.ReadU64();
+  s.accept_p50_ms = ReadF64(src);
+  s.accept_p99_ms = ReadF64(src);
+  s.graphs_registered = src.ReadU64();
+  s.graphs_resident = src.ReadU64();
+  s.catalog_hits = src.ReadU64();
+  s.catalog_misses = src.ReadU64();
+  s.catalog_evictions = src.ReadU64();
+  uint32_t num_tenants = src.ReadU32();
+  if (num_tenants > src.remaining() / sizeof(uint64_t)) {
+    src.Fail("tenant count exceeds response size");
+    return s;
   }
-  // Result-cache + write-coalescing fields, appended one release later.
-  s.cache_hits = src.remaining() >= sizeof(uint64_t) ? src.ReadU64() : 0;
-  s.cache_misses = src.remaining() >= sizeof(uint64_t) ? src.ReadU64() : 0;
-  s.cache_inserts = src.remaining() >= sizeof(uint64_t) ? src.ReadU64() : 0;
-  s.cache_evictions = src.remaining() >= sizeof(uint64_t) ? src.ReadU64() : 0;
-  s.cache_singleflight_waits =
-      src.remaining() >= sizeof(uint64_t) ? src.ReadU64() : 0;
-  s.cache_bytes_used = src.remaining() >= sizeof(uint64_t) ? src.ReadU64() : 0;
-  s.cache_entries = src.remaining() >= sizeof(uint64_t) ? src.ReadU64() : 0;
-  s.flushes = src.remaining() >= sizeof(uint64_t) ? src.ReadU64() : 0;
-  s.frames_flushed = src.remaining() >= sizeof(uint64_t) ? src.ReadU64() : 0;
-  if (src.remaining() >= sizeof(uint32_t)) {
-    uint32_t num_caches = src.ReadU32();
-    if (num_caches > src.remaining() / sizeof(uint64_t)) {
-      src.Fail("tenant cache count exceeds response size");
-      return s;
-    }
-    s.tenant_caches.resize(num_caches);
-    for (TenantCacheWire& t : s.tenant_caches) {
-      if (!src.ok()) break;
-      t = TenantCacheWire::Deserialize(src);
-    }
+  s.tenants.resize(num_tenants);
+  for (GraphInfoWire& t : s.tenants) {
+    if (!src.ok()) break;
+    t = GraphInfoWire::Deserialize(src);
   }
-  s.auto_refreshes =
-      src.remaining() >= sizeof(uint64_t) ? src.ReadU64() : 0;
-  s.auto_compactions =
-      src.remaining() >= sizeof(uint64_t) ? src.ReadU64() : 0;
-  s.maintenance_bytes_reclaimed =
-      src.remaining() >= sizeof(uint64_t) ? src.ReadU64() : 0;
-  s.deletes_applied =
-      src.remaining() >= sizeof(uint64_t) ? src.ReadU64() : 0;
+  s.cache_hits = src.ReadU64();
+  s.cache_misses = src.ReadU64();
+  s.cache_inserts = src.ReadU64();
+  s.cache_evictions = src.ReadU64();
+  s.cache_singleflight_waits = src.ReadU64();
+  s.cache_bytes_used = src.ReadU64();
+  s.cache_entries = src.ReadU64();
+  s.flushes = src.ReadU64();
+  s.frames_flushed = src.ReadU64();
+  uint32_t num_caches = src.ReadU32();
+  if (num_caches > src.remaining() / sizeof(uint64_t)) {
+    src.Fail("tenant cache count exceeds response size");
+    return s;
+  }
+  s.tenant_caches.resize(num_caches);
+  for (TenantCacheWire& t : s.tenant_caches) {
+    if (!src.ok()) break;
+    t = TenantCacheWire::Deserialize(src);
+  }
+  s.auto_refreshes = src.ReadU64();
+  s.auto_compactions = src.ReadU64();
+  s.maintenance_bytes_reclaimed = src.ReadU64();
+  s.deletes_applied = src.ReadU64();
   return s;
 }
 
@@ -510,11 +487,9 @@ ByteSink MakePingResponse(const ServerCapabilities& caps) {
 }
 
 ServerCapabilities ParsePingResponse(ByteSource& src) {
-  ServerCapabilities caps;  // revision-1 defaults for a bare pong
-  if (src.remaining() >= 2 * sizeof(uint32_t)) {
-    caps.revision = src.ReadU32();
-    caps.capabilities = src.ReadU32();
-  }
+  ServerCapabilities caps;
+  caps.revision = src.ReadU32();
+  caps.capabilities = src.ReadU32();
   return caps;
 }
 

@@ -35,17 +35,18 @@ namespace rigpm::server {
 ///   the actual request (kQueryRequest, kRefreshRequest, ...)
 /// Tagging stays outermost because the event loop peeks only the first u32
 /// of a frame for pipeline admission. An unaddressed (unscoped) request is
-/// served by the daemon's default graph, which is what keeps every pre-v2
-/// client working against a multi-graph daemon unchanged.
+/// served by the daemon's default graph.
+///
+/// Client and daemon are the same build, so every payload has exactly one
+/// layout: decoders read every field and a short payload is an error,
+/// never a sign of an older peer.
 
 inline constexpr uint32_t kDefaultMaxFrameBytes = 16u << 20;
 
-/// Protocol revision advertised in the kPingResponse tail. Revision 2 added
-/// the scoped envelope, graph listing, and the capability tail itself;
-/// revision-1 daemons answer a bare pong.
+/// Protocol revision advertised in the kPingResponse body.
 inline constexpr uint32_t kProtocolRevision = 2;
 
-/// Capability bits of the kPingResponse tail.
+/// Capability bits of the kPingResponse body.
 inline constexpr uint32_t kCapTagged = 1u << 0;      // pipelining envelope
 inline constexpr uint32_t kCapRefresh = 1u << 1;     // >=1 refreshable graph
 inline constexpr uint32_t kCapScoped = 1u << 2;      // graph-addressed requests
@@ -83,9 +84,8 @@ enum class MessageType : uint32_t {
 
   kQueryResponse = 101,
   kStatsResponse = 102,
-  /// Bare type from revision-1 daemons; revision 2 appends a tolerated-
-  /// if-absent tail (u32 protocol revision + u32 capability bits) so a
-  /// client can feature-detect instead of probing with error responses.
+  /// u32 protocol revision + u32 capability bits, so a client can
+  /// feature-detect instead of probing with error responses.
   kPingResponse = 103,
   kShutdownResponse = 104,
   kRefreshResponse = 105,
@@ -105,12 +105,10 @@ enum class StatusCode : uint32_t {
 
 const char* StatusCodeName(StatusCode s);
 
-/// What a daemon advertises in its kPingResponse tail. A bare pong (no
-/// tail) is a revision-1 daemon: tagged pipelining already existed there,
-/// so that one bit is assumed; everything newer is reported absent.
+/// What a daemon advertises in its kPingResponse.
 struct ServerCapabilities {
-  uint32_t revision = 1;
-  uint32_t capabilities = kCapTagged;
+  uint32_t revision = 0;
+  uint32_t capabilities = 0;
 
   bool tagged() const { return (capabilities & kCapTagged) != 0; }
   bool refresh() const { return (capabilities & kCapRefresh) != 0; }
@@ -173,7 +171,7 @@ struct QueryResponse {
   static QueryResponse Deserialize(ByteSource& src);
 };
 
-/// One catalog row, as listed by kListGraphsResponse and the stats tail.
+/// One catalog row, as listed by kListGraphsResponse and StatsResponse.
 struct GraphInfoWire {
   std::string id;
   bool resident = false;     // engine currently open in the daemon
@@ -185,11 +183,9 @@ struct GraphInfoWire {
   static GraphInfoWire Deserialize(ByteSource& src);
 };
 
-/// Per-tenant result-cache row of the stats tail: counters of the tenant's
+/// Per-tenant result-cache row of StatsResponse: counters of the tenant's
 /// CURRENT engine generation (the cache is generation-scoped, so a refresh
-/// resets them; see server/result_cache.h). Kept out of GraphInfoWire —
-/// extending that row mid-stream would break pre-cache readers of the
-/// tenant list, while a separate appended list is simply absent for them.
+/// resets them; see server/result_cache.h).
 struct TenantCacheWire {
   std::string id;
   uint64_t hits = 0;
@@ -216,14 +212,12 @@ struct StatsResponse {
   double latency_p50_ms = 0.0;
   double latency_p99_ms = 0.0;
 
-  // Event-loop health (appended at the wire tail; absent from daemons
-  // built before the epoll core and then reported as zero).
+  // Event-loop health.
   uint64_t dispatch_depth = 0;  // requests parsed but not yet on a worker
   double accept_p50_ms = 0.0;   // accept() to first response byte
   double accept_p99_ms = 0.0;
 
-  // Engine-catalog tail (revision 2; absent from older daemons and then
-  // reported as zero/empty). Single-tenant daemons report one tenant.
+  // Engine catalog. Single-tenant daemons report one tenant.
   uint64_t graphs_registered = 0;
   uint64_t graphs_resident = 0;
   uint64_t catalog_hits = 0;
@@ -231,9 +225,8 @@ struct StatsResponse {
   uint64_t catalog_evictions = 0;
   std::vector<GraphInfoWire> tenants;
 
-  // Result-cache + write-coalescing tail (appended after the tenant list;
-  // absent from older daemons and then reported as zero/empty). The cache_*
-  // totals sum every resident tenant's current-generation cache.
+  // Result cache and write coalescing. The cache_* totals sum every
+  // resident tenant's current-generation cache.
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   uint64_t cache_inserts = 0;
@@ -244,8 +237,8 @@ struct StatsResponse {
   uint64_t flushes = 0;         // sendmsg gather calls that moved bytes
   uint64_t frames_flushed = 0;  // whole response frames those calls retired
   std::vector<TenantCacheWire> tenant_caches;
-  // Maintenance counters (appended tail; zero when absent or the daemon
-  // runs without a maintenance thread/policy).
+  // Maintenance counters (zero when the daemon runs without a maintenance
+  // thread/policy).
   uint64_t auto_refreshes = 0;
   uint64_t auto_compactions = 0;
   uint64_t maintenance_bytes_reclaimed = 0;
@@ -338,11 +331,11 @@ ByteSink WrapScoped(const std::string& graph_id, const ByteSink& inner);
 /// at the inner payload's message type.
 std::string ReadScopedId(ByteSource& src);
 
-/// Builds a kPingResponse payload with the revision-2 capability tail.
+/// Builds a kPingResponse payload (revision + capability bits).
 ByteSink MakePingResponse(const ServerCapabilities& caps);
 
-/// Decodes a kPingResponse payload (the type already consumed). A bare
-/// pong yields the revision-1 defaults of ServerCapabilities.
+/// Decodes a kPingResponse payload (the type already consumed). A payload
+/// missing either field fails `src`.
 ServerCapabilities ParsePingResponse(ByteSource& src);
 
 }  // namespace rigpm::server

@@ -97,19 +97,6 @@ QueryServer::QueryServer(std::shared_ptr<EngineCatalog> catalog,
   if (config_.max_pipeline == 0) config_.max_pipeline = 1;
 }
 
-QueryServer::QueryServer(const GmEngine& engine, ServerConfig config)
-    : QueryServer(std::make_shared<EngineCatalog>(), std::move(config)) {
-  // Before AdoptEngine: the cache is attached when the state is built.
-  catalog_->set_cache_bytes(config_.cache_bytes);
-  // The adopted state aliases the caller's engine (which must outlive the
-  // server); refreshed states own their graph + engine.
-  EngineSource source;
-  source.delta_path = config_.delta_path;
-  source.delta_io = config_.delta_io;
-  catalog_->AdoptEngine("default", engine, std::move(source),
-                        config_.base_checksum);
-}
-
 QueryServer::~QueryServer() { Stop(); }
 
 std::string QueryServer::endpoint() const {
@@ -142,11 +129,6 @@ QueryServer::TenantSlot* QueryServer::SyncWorkerEngine(
     slot.ctx.emplace(slot.state->engine->MakeContext());
   }
   return &slot;
-}
-
-uint64_t QueryServer::applied_seqno() const {
-  std::shared_ptr<const EngineState> state = catalog_->Acquire("");
-  return state != nullptr ? state->applied_seqno : 0;
 }
 
 bool QueryServer::Start(std::string* error) {

@@ -17,7 +17,6 @@
 #include "engine/gm_engine.h"
 #include "server/catalog.h"
 #include "server/protocol.h"
-#include "storage/snapshot_io.h"
 
 namespace rigpm::server {
 
@@ -40,12 +39,6 @@ struct ServerConfig {
   /// regardless of what the request asks for.
   uint32_t max_return_tuples = 100000;
 
-  /// Per-tenant result-cache byte budget (server/result_cache.h); 0
-  /// disables caching. Applies to the legacy single-tenant constructor —
-  /// catalog-constructed servers configure the budget on the catalog
-  /// (set_cache_bytes) before registering tenants.
-  uint64_t cache_bytes = kDefaultResultCacheBytes;
-
   /// Honor kShutdownRequest frames (handy for scripted smoke tests; a
   /// deployment that only trusts signals can turn it off).
   bool allow_remote_shutdown = true;
@@ -65,28 +58,6 @@ struct ServerConfig {
   /// sockets cost only memory under the event loop, but a deployment can
   /// still bound them.
   uint32_t idle_timeout_ms = 0;
-
-  /// Delta-log refresh source (storage/delta_log.h) for the single-tenant
-  /// legacy constructor — it becomes the adopted tenant's EngineSource.
-  /// When set, a kRefreshRequest replays the log's new records over the
-  /// served graph and swaps the refreshed engine in without a restart.
-  /// Empty disables refresh (kRefreshRequest then draws an error
-  /// response). Catalog-constructed servers configure delta sources per
-  /// tenant in the catalog instead.
-  std::string delta_path;
-
-  /// Stored payload checksum of the base snapshot the engine was loaded
-  /// from (SnapshotInfo::stored_checksum). When nonzero, a refresh rejects
-  /// a delta log bound to a different base; 0 skips the check (engines not
-  /// loaded from a snapshot have no checksum to bind to).
-  uint64_t base_checksum = 0;
-
-  /// IO mode for reading the delta log on refresh. Defaults to the
-  /// streaming read (NOT the snapshot default of mmap): a recovering
-  /// DeltaWriter may ftruncate a torn tail concurrently, and shrinking a
-  /// file under a live mapping raises SIGBUS in the reader — a slurped
-  /// copy of a small log cannot be yanked away mid-replay.
-  SnapshotIoMode delta_io = SnapshotIoMode::kRead;
 
   /// Maintenance-thread poll period (catalog.h MaintenancePolicy); 0 = no
   /// thread. Each tick polls every refreshable resident tenant's log tail
@@ -134,10 +105,11 @@ struct ServerStats {
 ///
 /// Multi-tenancy: every request resolves a graph id — the kScopedRequest
 /// envelope names one explicitly; an unscoped request goes to the catalog's
-/// default tenant, which is how every pre-v2 client keeps working against a
-/// multi-graph daemon. Workers pin engines per tenant; the catalog opens
-/// sources lazily and (with a max_engines cap) evicts least-recently-used,
-/// never under an in-flight query.
+/// default tenant. Every served graph is a catalog tenant: a snapshot
+/// source registered with EngineCatalog::Register, or an in-memory engine
+/// handed over with EngineCatalog::AdoptEngine. Workers pin engines per
+/// tenant; the catalog opens sources lazily and (with a max_engines cap)
+/// evicts least-recently-used, never under an in-flight query.
 ///
 /// Threading: one event-loop thread owns every socket — it accepts, does
 /// non-blocking frame reassembly per connection (epoll, level-triggered
@@ -171,16 +143,10 @@ struct ServerStats {
 /// closes every connection, and joins all threads.
 class QueryServer {
  public:
-  /// Multi-tenant form: serves every graph registered in `catalog`
-  /// (non-null; register tenants before Start so clients never race the
-  /// catalog setup). The catalog may be shared with other readers.
+  /// Serves every graph registered in `catalog` (non-null; register
+  /// tenants before Start so clients never race the catalog setup). The
+  /// catalog may be shared with other readers.
   QueryServer(std::shared_ptr<EngineCatalog> catalog, ServerConfig config);
-
-  /// Single-tenant legacy form: adopts `engine` (which must outlive the
-  /// server) as the catalog's sole tenant, "default". When
-  /// config.delta_path is set, refreshes build *owned* successor engines
-  /// internally; the caller's engine only serves until the first refresh.
-  QueryServer(const GmEngine& engine, ServerConfig config);
   ~QueryServer();
 
   QueryServer(const QueryServer&) = delete;
@@ -213,10 +179,6 @@ class QueryServer {
   /// The catalog behind the daemon — register/inspect tenants through it.
   EngineCatalog& catalog() { return *catalog_; }
   const EngineCatalog& catalog() const { return *catalog_; }
-
-  /// Delta-log sequence number the default tenant's engine includes (0
-  /// before any refresh). Test/diagnostic hook.
-  uint64_t applied_seqno() const;
 
  private:
   /// A worker's pin on one tenant: the acquired state plus the EvalContext

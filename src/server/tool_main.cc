@@ -14,8 +14,6 @@
 #include "graph/graph_io.h"
 #include "server/client.h"
 #include "server/server.h"
-#include "storage/lineage.h"
-#include "storage/snapshot.h"
 
 namespace rigpm::server {
 
@@ -124,6 +122,7 @@ int ServeToolMain(int argc, char** argv, int first_arg) {
   std::string delta_path;
   std::vector<GraphSpec> tenants;
   uint32_t max_engines = 0;
+  uint64_t cache_bytes = kDefaultResultCacheBytes;
   int port = -1;
   SnapshotIoMode io_mode = DefaultSnapshotIoMode();
   ServerConfig config;
@@ -197,7 +196,7 @@ int ServeToolMain(int argc, char** argv, int first_arg) {
     } else if (std::strcmp(argv[i], "--cache-bytes") == 0) {
       if ((v = NeedValue(argc, argv, &i, "--cache-bytes")) == nullptr)
         return ServeUsage();
-      config.cache_bytes = std::strtoull(v, nullptr, 10);
+      cache_bytes = std::strtoull(v, nullptr, 10);
     } else if (std::strcmp(argv[i], "--maintenance-interval-ms") == 0) {
       if ((v = NeedValue(argc, argv, &i, "--maintenance-interval-ms")) ==
           nullptr)
@@ -252,65 +251,29 @@ int ServeToolMain(int argc, char** argv, int first_arg) {
   // EngineSource::delta_io stays on its kRead default: --snapshot-io
   // governs how the (immutable, rename-replaced) snapshots are loaded, but
   // delta logs are appended to and tail-truncated in place, where reading
-  // through a mapping could SIGBUS (server.h).
+  // through a mapping could SIGBUS (catalog.h).
 
-  // Load once; serve many. The snapshot path is the whole point: restart
-  // cost is one deserialization, not a parse + index rebuild — and in mmap
-  // mode (the default) the graph is served straight out of a read-only
-  // MAP_SHARED mapping, so N daemons on one snapshot share a single
-  // physical copy through the page cache.
+  // `--snapshot S [--delta D]` is the default tenant of the catalog like
+  // any other: registered first, so it serves unaddressed requests, and
+  // opened by the fail-fast Acquire below through the same lineage-aware
+  // base + full-log replay as every reopen. Restart cost is one
+  // deserialization, not a parse + index rebuild (a log holding records
+  // adds its replay and one rebuild) — and in mmap mode (the default) an
+  // unmodified graph is served straight out of a read-only MAP_SHARED
+  // mapping, so N daemons on one snapshot share a single physical copy
+  // through the page cache.
+  if (!snapshot_path.empty()) {
+    tenants.insert(tenants.begin(),
+                   GraphSpec{"default", snapshot_path, delta_path});
+  }
   std::string error;
   auto catalog = std::make_shared<EngineCatalog>(max_engines);
   // Before any engine opens: the result cache is attached per generation
   // at open/adopt/refresh time with the budget in force right then.
-  catalog->set_cache_bytes(config.cache_bytes);
-  WarmEngine warm;
+  catalog->set_cache_bytes(cache_bytes);
   std::optional<Graph> parsed_graph;
   std::optional<GmEngine> cold_engine;
-  if (!snapshot_path.empty()) {
-    // A previous compaction may have re-pointed the storage at a newer
-    // generation: resolve the lineage head and load what it names. The
-    // CONFIGURED paths stay in the EngineSource — they are the identity
-    // the head file itself is keyed by.
-    Lineage lineage;
-    lineage.snapshot_path = snapshot_path;
-    lineage.delta_path = delta_path;
-    if (!ResolveLineage(snapshot_path, delta_path, &lineage, &error)) {
-      std::fprintf(stderr, "cannot resolve storage lineage: %s\n",
-                   error.c_str());
-      return 1;
-    }
-    LoadOptions load_options;
-    load_options.io_mode = io_mode;
-    auto loaded =
-        LoadEngineSnapshot(lineage.snapshot_path, load_options, &error);
-    if (!loaded.has_value()) {
-      std::fprintf(stderr, "cannot load snapshot: %s\n", error.c_str());
-      return 1;
-    }
-    warm = std::move(*loaded);
-    std::printf("snapshot: %s (warm start via %s%s)\n",
-                lineage.snapshot_path.c_str(),
-                io_mode == SnapshotIoMode::kMmap ? "mmap" : "read",
-                lineage.generation > 0 ? ", compacted lineage" : "");
-    std::printf("graph: %s\n", warm.graph->Summary().c_str());
-    EngineSource source;
-    source.snapshot_path = snapshot_path;
-    source.delta_path = delta_path;
-    source.io_mode = io_mode;
-    if (!delta_path.empty()) {
-      // Bind refreshes to this exact base — the checksum of the bytes we
-      // actually LOADED, not a re-read of the path (which a concurrent
-      // compaction may have rename-replaced with a different snapshot).
-      std::printf("delta: %s (kRefresh enabled, generation %llu, "
-                  "base %016llx)\n",
-                  lineage.delta_path.c_str(),
-                  static_cast<unsigned long long>(lineage.generation),
-                  static_cast<unsigned long long>(warm.stored_checksum));
-    }
-    catalog->AdoptEngine("default", *warm.engine, std::move(source),
-                         warm.stored_checksum);
-  } else if (!graph_path.empty()) {
+  if (!graph_path.empty()) {
     parsed_graph = ReadGraphFile(graph_path, &error);
     if (!parsed_graph.has_value()) {
       std::fprintf(stderr, "cannot read graph: %s\n", error.c_str());
@@ -335,11 +298,18 @@ int ServeToolMain(int argc, char** argv, int first_arg) {
                 spec.snapshot.c_str(), spec.delta.empty() ? "" : " + delta ",
                 spec.delta.c_str());
   }
-  // Fail fast on a broken default source instead of handing every
-  // unaddressed client the same open error at query time.
-  if (catalog->Acquire("", &error) == nullptr) {
-    std::fprintf(stderr, "cannot open default graph: %s\n", error.c_str());
-    return 1;
+  {
+    // Fail fast on a broken default source instead of handing every
+    // unaddressed client the same open error at query time.
+    auto state = catalog->Acquire("", &error);
+    if (state == nullptr) {
+      std::fprintf(stderr, "cannot open default graph: %s\n", error.c_str());
+      return 1;
+    }
+    std::printf("default graph %s: %s (log position %llu)\n",
+                catalog->default_id().c_str(),
+                state->engine->graph().Summary().c_str(),
+                static_cast<unsigned long long>(state->applied_seqno));
   }
 
   QueryServer server(catalog, config);

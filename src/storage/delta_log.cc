@@ -61,10 +61,10 @@ bool SyncParentDir(const std::string& path, std::string* error) {
 }
 
 /// Serializes the delta file header into `sink`.
-void WriteFileHeader(ByteSink& sink, uint32_t format_version,
-                     uint64_t base_checksum, uint32_t base_num_nodes) {
+void WriteFileHeader(ByteSink& sink, uint64_t base_checksum,
+                     uint32_t base_num_nodes) {
   sink.WriteRaw(kMagic, sizeof(kMagic));
-  sink.WriteU32(format_version);
+  sink.WriteU32(kDeltaFormatOps);
   sink.WriteU32(static_cast<uint32_t>(SnapshotKind::kDelta));
   sink.WriteU64(base_checksum);
   sink.WriteU32(base_num_nodes);
@@ -73,9 +73,8 @@ void WriteFileHeader(ByteSink& sink, uint32_t format_version,
 
 /// Validates a delta file header in `data` (at least kFileHeaderBytes).
 /// Returns false with *error on anything but a well-formed delta header.
-bool ParseFileHeader(const uint8_t* data, uint32_t* format_version,
-                     uint64_t* base_checksum, uint32_t* base_num_nodes,
-                     std::string* error) {
+bool ParseFileHeader(const uint8_t* data, uint64_t* base_checksum,
+                     uint32_t* base_num_nodes, std::string* error) {
   if (std::memcmp(data, kMagic, sizeof(kMagic)) != 0) {
     SetError(error, "bad delta log magic (not a rigpm delta log)");
     return false;
@@ -84,19 +83,20 @@ bool ParseFileHeader(const uint8_t* data, uint32_t* format_version,
   uint32_t kind = 0;
   std::memcpy(&version, data + sizeof(kMagic), sizeof(version));
   std::memcpy(&kind, data + sizeof(kMagic) + sizeof(uint32_t), sizeof(kind));
-  if (version < kMinSnapshotVersion || version > kDeltaFormatOps) {
-    SetError(error,
-             "unsupported delta log version " + std::to_string(version) +
-                 " (this build supports up to " +
-                 std::to_string(kDeltaFormatOps) + ")");
-    return false;
-  }
+  // Kind before version: a snapshot shares this container head, and "not
+  // a delta log" is the useful diagnosis for one passed by mistake.
   if (kind != static_cast<uint32_t>(SnapshotKind::kDelta)) {
     SetError(error, "file has snapshot kind " + std::to_string(kind) +
                         ", not a delta log");
     return false;
   }
-  *format_version = version;
+  if (version != kDeltaFormatOps) {
+    SetError(error,
+             "unsupported delta log version " + std::to_string(version) +
+                 " (this build reads version " +
+                 std::to_string(kDeltaFormatOps) + " only)");
+    return false;
+  }
   std::memcpy(base_checksum, data + sizeof(kMagic) + 2 * sizeof(uint32_t),
               sizeof(*base_checksum));
   std::memcpy(base_num_nodes,
@@ -112,13 +112,10 @@ bool ParseFileHeader(const uint8_t* data, uint32_t* format_version,
 /// past end-of-file (a crashed append — Append writes each record with one
 /// pwrite, so a tear always leaves a strict prefix), false when the full
 /// record bytes are present but invalid (corruption of acknowledged data).
-/// `format_version` is the log's header version: it gates which record
-/// flags are legal. Pure validation — shared by writer recovery and reader
-/// iteration.
+/// Pure validation — shared by writer recovery and reader iteration.
 uint64_t ParseRecord(const uint8_t* data, uint64_t size, uint64_t offset,
-                     uint32_t format_version, uint64_t expected_base,
-                     uint64_t expected_seqno, uint64_t chain_seed,
-                     DeltaRecord* out, std::string* why,
+                     uint64_t expected_base, uint64_t expected_seqno,
+                     uint64_t chain_seed, DeltaRecord* out, std::string* why,
                      bool* torn_tail = nullptr) {
   if (torn_tail != nullptr) *torn_tail = false;
   if (size - offset < kRecordHeaderBytes) {
@@ -148,9 +145,7 @@ uint64_t ParseRecord(const uint8_t* data, uint64_t size, uint64_t offset,
                       std::to_string(expected_seqno) + ")");
     return 0;
   }
-  const uint32_t allowed_flags =
-      format_version >= kDeltaFormatOps ? kDeltaRecordHasOps : 0u;
-  if ((flags & ~allowed_flags) != 0) {
+  if ((flags & ~kDeltaRecordHasOps) != 0) {
     SetError(why, "record has unknown flags");
     return 0;
   }
@@ -247,12 +242,6 @@ std::unique_ptr<DeltaWriter> DeltaWriter::Open(const std::string& path,
                                                uint32_t base_num_nodes,
                                                std::string* error,
                                                DeltaWriterOptions options) {
-  if (options.format_version < kMinSnapshotVersion ||
-      options.format_version > kDeltaFormatOps) {
-    SetError(error, "unsupported delta log version " +
-                        std::to_string(options.format_version));
-    return nullptr;
-  }
   int fd = ::open(path.c_str(), O_RDWR | O_CREAT, 0644);
   if (fd < 0) {
     SetError(error, "cannot open " + path + ": " + std::strerror(errno));
@@ -275,7 +264,6 @@ std::unique_ptr<DeltaWriter> DeltaWriter::Open(const std::string& path,
   }
   writer->base_checksum_ = base_checksum;
   writer->chain_checksum_ = base_checksum;
-  writer->format_version_ = options.format_version;
   writer->options_ = options;
 
   // Read whatever is there: a fresh file gets a header; an existing log is
@@ -297,8 +285,7 @@ std::unique_ptr<DeltaWriter> DeltaWriter::Open(const std::string& path,
       return nullptr;
     }
     ByteSink header;
-    WriteFileHeader(header, options.format_version, base_checksum,
-                    base_num_nodes);
+    WriteFileHeader(header, base_checksum, base_num_nodes);
     if (::pwrite(fd, header.data().data(), header.size(), 0) !=
         static_cast<ssize_t>(header.size())) {
       SetError(error, "cannot initialize " + path + ": " +
@@ -332,23 +319,11 @@ std::unique_ptr<DeltaWriter> DeltaWriter::Open(const std::string& path,
     SetError(error, "cannot read " + path + ": " + std::strerror(errno));
     return nullptr;
   }
-  uint32_t file_version = 0;
   uint64_t file_base = 0;
   uint32_t file_num_nodes = 0;
-  if (!ParseFileHeader(bytes.data(), &file_version, &file_base,
-                       &file_num_nodes, error)) {
-    return nullptr;
-  }
-  // A clear version message, decided from the HEADER, before any chain
-  // validation: a writer built for version <= 3 must not misreport a
-  // version-4 log as a checksum failure (and must not append records the
-  // old format cannot express).
-  if (file_version > options.format_version) {
-    SetError(error, path + " is a format version " +
-                        std::to_string(file_version) +
-                        " delta log, but this writer supports up to "
-                        "version " + std::to_string(options.format_version) +
-                        " — upgrade the tool or recreate the log");
+  // The header (version included) is decided before any chain validation,
+  // so a foreign version reads as a version error, not a checksum failure.
+  if (!ParseFileHeader(bytes.data(), &file_base, &file_num_nodes, error)) {
     return nullptr;
   }
   if (file_base != base_checksum) {
@@ -364,17 +339,14 @@ std::unique_ptr<DeltaWriter> DeltaWriter::Open(const std::string& path,
     return nullptr;
   }
   writer->base_num_nodes_ = file_num_nodes;
-  // An existing log keeps its stamped version: appends must stay readable
-  // by every consumer the header already promises compatibility to.
-  writer->format_version_ = file_version;
   uint64_t offset = kFileHeaderBytes;
   while (offset < bytes.size()) {
     std::string why;
     bool torn_tail = false;
     uint64_t consumed =
-        ParseRecord(bytes.data(), bytes.size(), offset, file_version,
-                    base_checksum, writer->last_seqno_ + 1,
-                    writer->chain_checksum_, nullptr, &why, &torn_tail);
+        ParseRecord(bytes.data(), bytes.size(), offset, base_checksum,
+                    writer->last_seqno_ + 1, writer->chain_checksum_, nullptr,
+                    &why, &torn_tail);
     if (consumed == 0) {
       if (!torn_tail) {
         // Full record bytes are present but invalid: that is corruption of
@@ -425,17 +397,8 @@ bool DeltaWriter::AppendOps(std::span<const DeltaOp> ops,
   if (!ValidateOpEndpoints(ops, base_num_nodes_, error)) return false;
   bool has_delete = false;
   for (const DeltaOp& op : ops) has_delete |= op.kind == DeltaOpKind::kDelete;
-  if (has_delete && format_version_ < kDeltaFormatOps) {
-    SetError(error, "delta log has format version " +
-                        std::to_string(format_version_) +
-                        ", which cannot carry delete ops (version " +
-                        std::to_string(kDeltaFormatOps) +
-                        " required) — create a new log or compact to "
-                        "upgrade");
-    return false;
-  }
-  // Add-only batches use the flags == 0 encoding even in a version-4 log:
-  // byte-identical to the old format, and an op-kind byte per edge saved.
+  // Add-only batches use the flags == 0 encoding: an op-kind byte per edge
+  // saved.
   const uint32_t flags = has_delete ? kDeltaRecordHasOps : 0u;
   ByteSink record;
   record.WriteU64(base_checksum_);
@@ -528,8 +491,7 @@ DeltaReader::DeltaReader(const std::string& path, SnapshotIoMode mode) {
     error_ = "truncated delta log (smaller than header)";
     return;
   }
-  if (!ParseFileHeader(data_, &format_version_, &base_checksum_,
-                       &base_num_nodes_, &error_)) {
+  if (!ParseFileHeader(data_, &base_checksum_, &base_num_nodes_, &error_)) {
     return;
   }
   chain_checksum_ = base_checksum_;
@@ -540,9 +502,9 @@ bool DeltaReader::Next(DeltaRecord* out) {
   if (!ok() || truncated_) return false;
   if (offset_ >= size_) return false;  // clean end of log
   std::string why;
-  uint64_t consumed = ParseRecord(data_, size_, offset_, format_version_,
-                                  base_checksum_, last_seqno_ + 1,
-                                  chain_checksum_, out, &why, &tail_torn_);
+  uint64_t consumed =
+      ParseRecord(data_, size_, offset_, base_checksum_, last_seqno_ + 1,
+                  chain_checksum_, out, &why, &tail_torn_);
   if (consumed == 0) {
     truncated_ = true;
     tail_error_ = why;

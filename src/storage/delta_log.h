@@ -28,9 +28,7 @@ namespace rigpm {
 /// than one checksummed payload — an append must not have to rewrite a
 /// trailing footer):
 ///   8 bytes  magic "RIGPMSNP"
-///   u32      format version — kDeltaFormatAddOnly (3) and below are the
-///            original add-only format; kDeltaFormatOps (4) additionally
-///            allows records carrying per-edge add/delete ops
+///   u32      format version (kDeltaFormatOps)
 ///   u32      kind (SnapshotKind::kDelta)
 ///   u64      base checksum — the stored payload checksum of the base
 ///            snapshot file (SnapshotInfo::stored_checksum); binds the log
@@ -43,8 +41,9 @@ namespace rigpm {
 ///   u64      base checksum (repeated, so every record self-identifies)
 ///   u64      sequence number (1-based, consecutive)
 ///   u32      edge count
-///   u32      flags — 0, or kDeltaRecordHasOps (bit 0, version >= 4 only):
-///            the record carries a per-edge op-kind byte array
+///   u32      flags — 0 (every op is an add: the common case, a byte per
+///            edge smaller), or kDeltaRecordHasOps (bit 0): the record
+///            carries a per-edge op-kind byte array
 ///   u64      header checksum — Checksum64 over the four fields above,
 ///            seeded like the record checksum. It makes the edge count
 ///            trustworthy on its own, so a bit-flipped length that claims
@@ -59,12 +58,11 @@ namespace rigpm {
 ///            on the whole prefix, so reordered, spliced, or cross-wired
 ///            records fail validation, not just bit-flipped ones.
 ///
-/// Version compatibility: records with flags == 0 are byte-identical in
-/// every version, so a version-4 log full of add-only records differs from
-/// a version-3 log only in its header. An old build refuses a version-4
-/// header up front ("unsupported delta log version 4"), and a new build
-/// refuses to append delete ops into a version <= 3 log — both fail with a
-/// version message, never a misleading chain-checksum error.
+/// Versions: a log is written and read by the same build, so there is one
+/// format, kDeltaFormatOps. A header stamped with any other version is
+/// refused up front by both DeltaWriter::Open and DeltaReader ("unsupported
+/// delta log version N"), never reported as a misleading chain-checksum
+/// error.
 ///
 /// Durability: DeltaWriter::Append writes the record and fdatasync()s by
 /// default, so an acknowledged append survives a crash. A crash mid-append
@@ -73,10 +71,7 @@ namespace rigpm {
 ///
 /// All integers are host-endian, like every other rigpm persistence format.
 
-/// Highest delta format version without delete ops (the original format;
-/// versions 1..3 track the snapshot container versions they shipped with).
-inline constexpr uint32_t kDeltaFormatAddOnly = 3;
-/// Delta format v2: records may carry per-edge add/delete ops.
+/// The delta log format version this build reads and writes.
 inline constexpr uint32_t kDeltaFormatOps = 4;
 /// Record flag: the record body carries an op-kind byte per edge.
 inline constexpr uint32_t kDeltaRecordHasOps = 1u << 0;
@@ -106,8 +101,8 @@ struct DeltaOp {
 std::vector<DeltaOp> EdgesToOps(
     std::span<const std::pair<NodeId, NodeId>> edges);
 
-/// One replayable op batch. Records read from a version <= 3 log (or
-/// flags == 0 records of a version 4 log) come back with every op kAdd.
+/// One replayable op batch. Records with flags == 0 come back with every op
+/// kAdd.
 struct DeltaRecord {
   uint64_t seqno = 0;
   std::vector<DeltaOp> ops;
@@ -119,11 +114,6 @@ struct DeltaWriterOptions {
   /// fdatasync() after every record. Turn off only where losing the tail on
   /// a crash is acceptable (benchmarks).
   bool fsync_each_append = true;
-  /// Format version stamped on a log this writer CREATES, and the highest
-  /// version it will append to (an existing log keeps its own version; one
-  /// newer than this is refused with a version message). Pass
-  /// kDeltaFormatAddOnly to emulate a pre-ops build.
-  uint32_t format_version = kDeltaFormatOps;
 };
 
 /// Appends op-batch records to a delta log, creating the file (and its
@@ -167,11 +157,9 @@ class DeltaWriter {
   /// Appends one record holding `ops` and assigns it the next sequence
   /// number. Every endpoint must be < base_num_nodes() — a violating batch
   /// is rejected whole (the format layer's own enforcement that no record
-  /// can ever be unreplayable, on top of the callers' earlier checks). A
-  /// batch containing delete ops is refused with a version message when
-  /// the log's format version predates ops (format_version() <
-  /// kDeltaFormatOps). An empty batch is valid (and replayable) but
-  /// pointless; callers usually skip it.
+  /// can ever be unreplayable, on top of the callers' earlier checks). An
+  /// empty batch is valid (and replayable) but pointless; callers usually
+  /// skip it.
   bool AppendOps(std::span<const DeltaOp> ops, std::string* error);
 
   /// Add-only convenience over AppendOps.
@@ -187,8 +175,6 @@ class DeltaWriter {
   uint64_t base_checksum() const { return base_checksum_; }
   /// Node count of the base graph (from the header; the endpoint bound).
   uint32_t base_num_nodes() const { return base_num_nodes_; }
-  /// The log's format version (from its header, or the creation stamp).
-  uint32_t format_version() const { return format_version_; }
   /// Sequence number the next Append will stamp.
   uint64_t next_seqno() const { return last_seqno_ + 1; }
   /// Records in the log (== last stamped sequence number).
@@ -200,7 +186,6 @@ class DeltaWriter {
   int fd_ = -1;
   uint64_t base_checksum_ = 0;
   uint32_t base_num_nodes_ = 0;
-  uint32_t format_version_ = kDeltaFormatOps;
   uint64_t last_seqno_ = 0;
   uint64_t chain_checksum_ = 0;  // checksum of the last record (seed chain)
   /// A failed append whose rollback ALSO failed left unknown bytes at the
@@ -240,8 +225,6 @@ class DeltaReader {
   uint64_t base_checksum() const { return base_checksum_; }
   /// Node count of the base graph, from the header.
   uint32_t base_num_nodes() const { return base_num_nodes_; }
-  /// The log's format version, from the header.
-  uint32_t format_version() const { return format_version_; }
 
   /// Reads the next valid record into *out. Returns false at the end of
   /// the valid prefix — either a clean end of file, or a truncated/corrupt
@@ -297,7 +280,6 @@ class DeltaReader {
   std::vector<uint8_t> buffer_;          // read mode owns the bytes
   uint64_t base_checksum_ = 0;
   uint32_t base_num_nodes_ = 0;
-  uint32_t format_version_ = 0;
   uint64_t chain_checksum_ = 0;
   uint64_t last_seqno_ = 0;
   uint64_t records_read_ = 0;

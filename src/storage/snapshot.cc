@@ -64,11 +64,10 @@ bool ExtractHeader(const uint8_t* bytes, SnapshotHeader* out,
 bool ParseHeader(const uint8_t* bytes, SnapshotKind expected_kind,
                  SnapshotHeader* out, std::string* error) {
   if (!ExtractHeader(bytes, out, error)) return false;
-  if (out->version < kMinSnapshotVersion || out->version > kSnapshotVersion) {
+  if (out->version != kSnapshotVersion) {
     *error = "unsupported snapshot version " + std::to_string(out->version) +
-             " (this build reads versions " +
-             std::to_string(kMinSnapshotVersion) + ".." +
-             std::to_string(kSnapshotVersion) + ")";
+             " (this build reads version " + std::to_string(kSnapshotVersion) +
+             " only)";
     return false;
   }
   if (out->kind_value != static_cast<uint32_t>(expected_kind)) {
@@ -91,12 +90,7 @@ SnapshotIoMode DefaultSnapshotIoMode() {
 }
 
 bool WriteSnapshotFile(const std::string& path, SnapshotKind kind,
-                       const ByteSink& payload, std::string* error,
-                       uint32_t version) {
-  if (version < kMinSnapshotVersion || version > kSnapshotVersion) {
-    SetError(error, "cannot write snapshot version " + std::to_string(version));
-    return false;
-  }
+                       const ByteSink& payload, std::string* error) {
   // Write to a temp file and rename over the target: daemons may be serving
   // queries straight out of a MAP_SHARED mapping of `path`, and truncating
   // it in place would feed them half-written bytes (or SIGBUS them past a
@@ -109,6 +103,7 @@ bool WriteSnapshotFile(const std::string& path, SnapshotKind kind,
     SetError(error, "cannot open " + tmp_path + " for writing");
     return false;
   }
+  const uint32_t version = kSnapshotVersion;
   uint32_t kind_value = static_cast<uint32_t>(kind);
   uint64_t payload_size = payload.size();
   uint64_t checksum = Checksum64(payload.data().data(), payload.size());
@@ -157,8 +152,6 @@ std::optional<SnapshotInfo> InspectSnapshot(const std::string& path,
   info.version = fields.version;
   info.kind_value = fields.kind_value;
   info.payload_size = fields.payload_size;
-  info.aligned = info.version >= 2;
-  info.run_encoded = info.version >= 3;
   if (fields.kind_value == static_cast<uint32_t>(SnapshotKind::kDelta)) {
     // Delta logs reuse the container head but not its framing: the u64 slot
     // is the base snapshot checksum, the head is followed by an 8-byte
@@ -245,8 +238,6 @@ void SnapshotReader::InitFromMapping(SnapshotKind expected_kind) {
   // The sequential pass is done; what follows is decode + point queries.
   mapping_->AdviseRandom();
   source_.emplace(payload, payload_size_);
-  if (header.version < 2) source_->SetUnpadded();
-  if (header.version < 3) source_->DisallowRunContainers();
   // Deserialized objects retain the mapping via this token, so they outlive
   // the reader (and the mapping outlives them all).
   source_->EnableZeroCopy(mapping_);
@@ -347,8 +338,6 @@ void SnapshotReader::InitFromStream(const std::string& path,
   stored_checksum_ = stored_checksum;
   source_.emplace(seekable ? payload_raw_.get() : payload_buf_.data(),
                   payload_size_);
-  if (header.version < 2) source_->SetUnpadded();
-  if (header.version < 3) source_->DisallowRunContainers();
   // No zero copy: decode copies out of payload_buf_, which dies with the
   // reader.
 }

@@ -30,28 +30,22 @@ namespace rigpm {
 ///   payload  kind-specific body written via ByteSink
 ///   u64      Checksum64 of the payload
 ///
-/// Format v2 pads every bulk array inside the payload to an 8-byte boundary
+/// Every bulk array inside the payload is padded to an 8-byte boundary
 /// (relative to the payload start; the 24-byte header keeps payload offsets
 /// congruent to file offsets mod 8, and both the mmap base and the slurp
 /// buffer are at least 8-byte aligned). That is what lets the zero-copy
-/// loader hand out typed pointers straight into the mapping. v1 files (no
-/// padding) still load — their arrays are copied out instead.
+/// loader hand out typed pointers straight into the mapping.
 ///
-/// Format v3 additionally stores bitmap run containers in their native
-/// encoding (bitmap/bitmap.h): clustered chunks ship as (start, length)
-/// pairs instead of materialized arrays/bitsets. It also drops the
-/// redundant per-bitmap total-cardinality word (the per-container
-/// cardinalities it summed are each validated on their own) — across the
-/// millions of tiny per-node CSR bitmaps that word alone is several percent
-/// of a graph snapshot, so v3 files are strictly smaller than their v2
-/// twins even with no run containers at all. Combined with the
-/// v2 alignment contract, an mmap'd load keeps those encoded payloads
-/// *borrowed inside the mapping* and decodes them lazily on first mutating
-/// touch. v1/v2 files still load unchanged (they simply contain no run
-/// containers — the reader rejects a run container in a pre-v3 file as
-/// corruption), and `WriteSnapshotFile(..., version=2)` together with
-/// `ByteSink(/*pad_arrays=*/true, /*encode_runs=*/false)` reproduces a v2
-/// file for migration tooling and compat tests.
+/// Bitmap run containers are stored in their native encoding
+/// (bitmap/bitmap.h): clustered chunks ship as (start, length) pairs instead
+/// of materialized arrays/bitsets, and a bitmap carries no total-cardinality
+/// word (each container's cardinality is validated on its own). An mmap'd
+/// load keeps those encoded payloads *borrowed inside the mapping* and
+/// decodes them lazily on first mutating touch.
+///
+/// Snapshots are a warm-start cache written and read by the same build, so
+/// the reader knows exactly one layout: kSnapshotVersion. A file stamped
+/// with any other version is refused with "unsupported snapshot version".
 ///
 /// Readers reject bad magic, unknown versions, kind mismatches, payload
 /// sizes inconsistent with the file, truncation, and checksum mismatches —
@@ -59,9 +53,6 @@ namespace rigpm {
 /// partial structure.
 
 inline constexpr uint32_t kSnapshotVersion = 3;
-
-/// Oldest format version the reader still accepts (copy-out fallback).
-inline constexpr uint32_t kMinSnapshotVersion = 1;
 
 enum class SnapshotKind : uint32_t {
   kGraph = 1,          // Graph only
@@ -73,13 +64,10 @@ enum class SnapshotKind : uint32_t {
                        // a record sequence with per-record checksums
 };
 
-/// Frames `payload` with the header and CRC and writes it to `path`.
-/// `version` is the format version stamped into the header; pass
-/// kMinSnapshotVersion together with ByteSink(/*pad_arrays=*/false) to
-/// reproduce a v1 file (compat tests and migration tooling only).
+/// Frames `payload` with the header (stamped kSnapshotVersion) and
+/// checksum and writes it to `path`.
 bool WriteSnapshotFile(const std::string& path, SnapshotKind kind,
-                       const ByteSink& payload, std::string* error = nullptr,
-                       uint32_t version = kSnapshotVersion);
+                       const ByteSink& payload, std::string* error = nullptr);
 
 /// Header fields of a snapshot file, readable without touching the payload
 /// (`rigpm_cli snapshot --inspect`). For kind kDelta the header's u64 slot
@@ -92,12 +80,11 @@ struct SnapshotInfo {
   uint64_t payload_size = 0;
   uint64_t stored_checksum = 0;  // trailing footer, NOT re-verified here
   uint64_t file_size = 0;
-  bool aligned = false;  // version >= 2: arrays 8-byte padded (zero-copy OK)
-  bool run_encoded = false;  // version >= 3: may hold native run containers
 };
 
-/// Reads and validates only the container header + footer (magic, version
-/// range, size consistency). Never decodes or checksums the payload.
+/// Reads and validates only the container header + footer (magic, size
+/// consistency). Never decodes or checksums the payload, and reports the
+/// version even when this build cannot load it.
 std::optional<SnapshotInfo> InspectSnapshot(const std::string& path,
                                             std::string* error = nullptr);
 

@@ -54,21 +54,10 @@ class Checksum64Stream {
 
 /// Growable in-memory byte buffer that the Serialize() methods append to.
 /// The snapshot writer frames the finished buffer with a header and CRC.
-///
-/// `pad_arrays` controls whether WriteSpan/PadTo8 emit alignment padding
-/// (snapshot format v2). `encode_runs` controls whether Bitmap::Serialize
-/// may emit run containers in their native encoding (snapshot format v3);
-/// with it off, run containers are materialized as array/bitset blocks so
-/// the image stays readable by pre-v3 decoders. Both exist only so tests
-/// and migration tools can reproduce older layouts; leave them on
-/// everywhere else.
+/// There is one layout (storage/snapshot.h): bulk arrays are 8-byte padded
+/// and bitmap run containers are written natively.
 class ByteSink {
  public:
-  explicit ByteSink(bool pad_arrays = true, bool encode_runs = true)
-      : pad_arrays_(pad_arrays), encode_runs_(encode_runs) {}
-
-  bool encode_runs() const { return encode_runs_; }
-
   void WriteRaw(const void* data, size_t n) {
     if (n == 0) return;
     size_t old_size = buffer_.size();
@@ -97,13 +86,11 @@ class ByteSink {
     WriteRaw(v.data(), v.size() * sizeof(T));
   }
 
-  /// Zero-pads the buffer to the next 8-byte boundary (no-op when the sink
-  /// was built with pad_arrays = false). Offsets are relative to the buffer
-  /// start, which the snapshot container guarantees lands 8-byte aligned in
-  /// both the file mapping and the slurp buffer, so "aligned in the buffer"
-  /// means "aligned in memory" on the load side.
+  /// Zero-pads the buffer to the next 8-byte boundary. Offsets are
+  /// relative to the buffer start, which the snapshot container guarantees
+  /// lands 8-byte aligned in both the file mapping and the slurp buffer, so
+  /// "aligned in the buffer" means "aligned in memory" on the load side.
   void PadTo8() {
-    if (!pad_arrays_) return;
     static constexpr uint8_t kZeros[8] = {0};
     size_t pad = (8 - (buffer_.size() & 7)) & 7;
     WriteRaw(kZeros, pad);
@@ -111,8 +98,8 @@ class ByteSink {
 
   /// u64 element count, alignment padding, then the elements as one raw
   /// block. The padding is what lets the zero-copy loader hand out typed
-  /// pointers straight into the snapshot mapping (snapshot format v2);
-  /// mirror of ByteSource::ReadSpan.
+  /// pointers straight into the snapshot mapping; mirror of
+  /// ByteSource::ReadSpan.
   template <typename T>
   void WriteSpan(std::span<const T> v) {
     static_assert(std::is_trivially_copyable_v<T>);
@@ -126,8 +113,6 @@ class ByteSink {
 
  private:
   std::vector<uint8_t> buffer_;
-  bool pad_arrays_;
-  bool encode_runs_;
 };
 
 /// Bounded reader over an in-memory payload — either a buffer the snapshot
@@ -162,18 +147,6 @@ class ByteSource {
     zero_copy_ = true;
     storage_ = std::move(storage);
   }
-
-  /// Reads payloads written without alignment padding (snapshot format v1,
-  /// where ReadSpan always copies and never skips pad bytes).
-  void SetUnpadded() { padded_ = false; }
-
-  /// Switches Bitmap::Deserialize to the pre-v3 bitmap layout: the per-
-  /// bitmap redundant total-cardinality word is expected (v3 drops it), and
-  /// run containers are rejected — pre-v3 images never contain them, so one
-  /// appearing means the file is corrupt or mislabeled. The snapshot reader
-  /// calls this for version < 3 headers.
-  void DisallowRunContainers() { allow_runs_ = false; }
-  bool run_containers_allowed() const { return allow_runs_; }
 
   /// Null unless zero-copy mode is on.
   const std::shared_ptr<const void>& storage() const { return storage_; }
@@ -228,11 +201,9 @@ class ByteSource {
     return ReadRaw(out->data(), count * sizeof(T));
   }
 
-  /// Consumes the alignment padding WriteSpan/PadTo8 emitted (no-op after
-  /// SetUnpadded — v1 payloads carry none).
+  /// Consumes the alignment padding WriteSpan/PadTo8 emitted.
   bool SkipPad8() {
     if (!ok_) return false;
-    if (!padded_) return true;
     size_t pad = (8 - (static_cast<size_t>(cursor_ - base_) & 7)) & 7;
     if (pad > remaining_) {
       Fail("truncated snapshot payload");
@@ -246,8 +217,8 @@ class ByteSource {
   /// Reads `count` elements whose count was transmitted out of band (e.g.
   /// in a bitmap container header): skips alignment padding, then either
   /// borrows a typed pointer into the payload (zero-copy mode, pointer
-  /// suitably aligned — guaranteed for padded v2 payloads, checked at
-  /// runtime regardless) or copies into owned storage.
+  /// suitably aligned — guaranteed by the padding, checked at runtime
+  /// regardless) or copies into owned storage.
   template <typename T>
   bool ReadBlock(size_t count, OwnedOrBorrowedSpan<T>* out) {
     static_assert(std::is_trivially_copyable_v<T>);
@@ -293,8 +264,6 @@ class ByteSource {
   const uint8_t* cursor_;
   uint64_t remaining_;
   bool ok_ = true;
-  bool padded_ = true;
-  bool allow_runs_ = true;
   bool zero_copy_ = false;
   std::shared_ptr<const void> storage_;
   std::string error_;

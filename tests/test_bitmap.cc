@@ -279,45 +279,6 @@ TEST(BitmapRun, SerializeRoundTripsNativeRuns) {
   EXPECT_EQ(StatsOf(back).run_containers, StatsOf(b).run_containers);
 }
 
-TEST(BitmapRun, SerializeWithoutRunEncodingMaterializes) {
-  Bitmap b = Bitmap::FromRange(100000);
-  ByteSink sink(/*pad_arrays=*/true, /*encode_runs=*/false);
-  b.Serialize(sink);
-  ByteSource src(sink.data().data(), sink.size());
-  src.DisallowRunContainers();  // a pre-v3 reader must accept these bytes
-  Bitmap back = Bitmap::Deserialize(src);
-  EXPECT_TRUE(src.ok());
-  EXPECT_EQ(back, b);
-  EXPECT_EQ(StatsOf(back).run_containers, 0u);
-}
-
-TEST(BitmapRun, PreV3ReaderRejectsRunContainers) {
-  // A native-v3 byte stream fed to a pre-v3 reader desyncs immediately (the
-  // layouts differ) and must fail.
-  Bitmap b = Bitmap::FromRange(100000);
-  ByteSink sink;
-  b.Serialize(sink);
-  ByteSource src(sink.data().data(), sink.size());
-  src.DisallowRunContainers();
-  Bitmap back = Bitmap::Deserialize(src);
-  EXPECT_FALSE(src.ok());
-
-  // Hand-crafted pre-v3-layout stream whose container kind byte says run:
-  // the reader must reject it at the kind check, by name.
-  ByteSink crafted(/*pad_arrays=*/true, /*encode_runs=*/false);
-  crafted.WriteU32(1);      // one container
-  crafted.WriteU64(30000);  // pre-v3 total-cardinality word
-  crafted.WriteU16(0);      // key
-  crafted.WriteU8(2);       // kind byte 2 = run — illegal before v3
-  crafted.WriteU32(30000);  // cardinality
-  ByteSource crafted_src(crafted.data().data(), crafted.size());
-  crafted_src.DisallowRunContainers();
-  Bitmap crafted_back = Bitmap::Deserialize(crafted_src);
-  EXPECT_FALSE(crafted_src.ok());
-  EXPECT_NE(crafted_src.error().find("run container"), std::string::npos)
-      << crafted_src.error();
-}
-
 // ---------------------------------------------------------------------------
 // Property tests: every operation must agree with a std::set reference model
 // across sparse, dense, and clustered value distributions.

@@ -7,7 +7,7 @@
 // exercised in their *borrowed* form (serialized to a file, mmap'd back with
 // zero-copy enabled) so the lazy-decode read path and the owned path are
 // differentially equivalent too, under both snapshot IO modes. A final group
-// covers v2 -> v3 cross-version snapshot round trips.
+// covers snapshot round trips and the serialized size of run encoding.
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -420,11 +420,11 @@ TEST(BitmapDifferential, BorrowedContainersCostNoOwnedHeapUntilMutated) {
   ExpectMatches(borrowed, ref, "borrowed after mutation");
 }
 
-// ------------------------------------------- v2 -> v3 cross-version trips
+// ----------------------------------------------- snapshot-layout trips
 
-TEST(BitmapDifferential, CrossVersionGraphRoundTrips) {
-  // A graph written in the v2 format (no run containers) must load and
-  // re-save as v3 byte-identically in content, and vice versa, under both
+TEST(BitmapDifferential, GraphSnapshotRoundTrips) {
+  // A graph snapshot loads back bitmap-for-bitmap, and re-saving the loaded
+  // (possibly borrowed, lazily decoded) graph round-trips again, under both
   // IO modes. Generated graphs give CSR bitmaps of every container kind.
   GeneratorOptions gopts;
   gopts.num_nodes = 4000;
@@ -433,76 +433,54 @@ TEST(BitmapDifferential, CrossVersionGraphRoundTrips) {
   gopts.seed = 11;
   Graph g = GenerateErdosRenyi(gopts);
 
-  TempFile v2_file("rigpm_diff_v2"), v3_file("rigpm_diff_v3");
+  TempFile file("rigpm_diff_snap");
   std::string error;
-  // v2: pad arrays, no run containers, version-2 header.
-  ByteSink v2_sink(/*pad_arrays=*/true, /*encode_runs=*/false);
-  g.Serialize(v2_sink);
-  ASSERT_TRUE(WriteSnapshotFile(v2_file.path(), SnapshotKind::kGraph, v2_sink,
-                                &error, /*version=*/2))
-      << error;
-  ASSERT_TRUE(SaveGraphSnapshot(g, v3_file.path(), &error)) << error;
-
-  // v3 must not be larger than its v2 twin.
-  EXPECT_LE(std::filesystem::file_size(v3_file.path()),
-            std::filesystem::file_size(v2_file.path()));
+  ASSERT_TRUE(SaveGraphSnapshot(g, file.path(), &error)) << error;
 
   for (SnapshotIoMode mode : kBothModes) {
-    std::optional<Graph> from_v2 =
-        LoadGraphSnapshot(v2_file.path(), {.io_mode = mode}, &error);
-    ASSERT_TRUE(from_v2.has_value()) << error;
-    std::optional<Graph> from_v3 =
-        LoadGraphSnapshot(v3_file.path(), {.io_mode = mode}, &error);
-    ASSERT_TRUE(from_v3.has_value()) << error;
-
-    ASSERT_EQ(from_v2->NumNodes(), g.NumNodes());
-    ASSERT_EQ(from_v3->NumNodes(), g.NumNodes());
+    std::optional<Graph> loaded =
+        LoadGraphSnapshot(file.path(), {.io_mode = mode}, &error);
+    ASSERT_TRUE(loaded.has_value()) << error;
+    ASSERT_EQ(loaded->NumNodes(), g.NumNodes());
     for (NodeId v = 0; v < g.NumNodes(); ++v) {
-      EXPECT_EQ(from_v2->OutBitmap(v), g.OutBitmap(v));
-      EXPECT_EQ(from_v3->OutBitmap(v), g.OutBitmap(v));
-      EXPECT_EQ(from_v2->InBitmap(v), from_v3->InBitmap(v));
+      EXPECT_EQ(loaded->OutBitmap(v), g.OutBitmap(v));
+      EXPECT_EQ(loaded->InBitmap(v), g.InBitmap(v));
     }
     for (LabelId l = 0; l < g.NumLabels(); ++l) {
-      EXPECT_EQ(from_v2->LabelBitmap(l), from_v3->LabelBitmap(l));
+      EXPECT_EQ(loaded->LabelBitmap(l), g.LabelBitmap(l));
     }
 
-    // Migration loop: v2 -> load -> save (v3 default) -> load.
     TempFile resaved("rigpm_diff_resave");
-    ASSERT_TRUE(SaveGraphSnapshot(*from_v2, resaved.path(), &error)) << error;
-    std::optional<Graph> migrated =
+    ASSERT_TRUE(SaveGraphSnapshot(*loaded, resaved.path(), &error)) << error;
+    std::optional<Graph> again =
         LoadGraphSnapshot(resaved.path(), {.io_mode = mode}, &error);
-    ASSERT_TRUE(migrated.has_value()) << error;
+    ASSERT_TRUE(again.has_value()) << error;
     for (NodeId v = 0; v < g.NumNodes(); ++v) {
-      EXPECT_EQ(migrated->OutBitmap(v), g.OutBitmap(v));
+      EXPECT_EQ(again->OutBitmap(v), g.OutBitmap(v));
     }
   }
 }
 
-TEST(BitmapDifferential, BitmapLevelCrossVersionRoundTrips) {
-  // Every distribution survives serialize(encode_runs=false) -> reader with
-  // runs disallowed (the v2 pipeline) and native v3 serialization alike.
+TEST(BitmapDifferential, RunEncodingNeverGrowsTheImageAndRoundTrips) {
+  // Every distribution round-trips through Serialize/Deserialize, and
+  // RunOptimize only ever shrinks the serialized image: a container is
+  // re-encoded as runs only when that is strictly smaller.
   std::mt19937_64 rng(606);
   for (Dist d : kAllDists) {
     std::set<uint32_t> ref = Materialize(d, 0, 3, rng);
     Bitmap b = FromSet(ref);
+    ByteSink before;
+    b.Serialize(before);
     b.RunOptimize();
+    ByteSink after;
+    b.Serialize(after);
+    EXPECT_LE(after.size(), before.size()) << DistName(d);
 
-    ByteSink v2_sink(/*pad_arrays=*/true, /*encode_runs=*/false);
-    b.Serialize(v2_sink);
-    ByteSource v2_src(v2_sink.data().data(), v2_sink.size());
-    v2_src.DisallowRunContainers();
-    Bitmap from_v2 = Bitmap::Deserialize(v2_src);
-    EXPECT_TRUE(v2_src.ok()) << DistName(d) << ": " << v2_src.error();
-    ExpectMatches(from_v2, ref, std::string("v2 trip ") + DistName(d));
-
-    ByteSink v3_sink;
-    b.Serialize(v3_sink);
-    ByteSource v3_src(v3_sink.data().data(), v3_sink.size());
-    Bitmap from_v3 = Bitmap::Deserialize(v3_src);
-    EXPECT_TRUE(v3_src.ok()) << DistName(d) << ": " << v3_src.error();
-    ExpectMatches(from_v3, ref, std::string("v3 trip ") + DistName(d));
-    EXPECT_LE(v3_sink.size(), v2_sink.size()) << DistName(d);
-    EXPECT_EQ(from_v2, from_v3) << DistName(d);
+    ByteSource src(after.data().data(), after.size());
+    Bitmap back = Bitmap::Deserialize(src);
+    EXPECT_TRUE(src.ok()) << DistName(d) << ": " << src.error();
+    EXPECT_EQ(src.remaining(), 0u) << DistName(d);
+    ExpectMatches(back, ref, std::string("trip ") + DistName(d));
   }
 }
 

@@ -3,7 +3,7 @@
 // in-flight pins, per-tenant refresh — and the served behavior of one
 // daemon holding many graphs: scoped counts vs dedicated single-tenant
 // daemons, unknown-id rejection, eviction churn under --max-engines 1, and
-// old-client compatibility against a v2 daemon.
+// unscoped sessions landing on the default tenant.
 
 #include <unistd.h>
 
@@ -220,7 +220,7 @@ TEST_F(EngineCatalogTest, AdoptedEnginesArePinnedResidents) {
   GmEngine engine(graph);
   EngineCatalog catalog(/*max_engines=*/1);
   std::string error;
-  ASSERT_TRUE(catalog.AdoptEngine("default", engine, {}, 0, &error)) << error;
+  ASSERT_TRUE(catalog.AdoptEngine("default", engine, &error)) << error;
   ASSERT_TRUE(catalog.Register("beta", SourceFor(1), &error)) << error;
 
   // The adopted tenant neither counts against the cap nor gets evicted:
@@ -354,10 +354,12 @@ TEST_F(MultiTenantServerTest, ScopedCountsMatchDedicatedDaemons) {
   // must serve byte-identical counts to the scoped view of the shared one.
   for (int i = 0; i < 3; ++i) {
     GmEngine engine(t_[i].graph);
+    auto solo_catalog = std::make_shared<EngineCatalog>();
+    solo_catalog->AdoptEngine("default", engine);
     ServerConfig solo_cfg;
     solo_cfg.unix_path = UniquePath() + ".sock";
     solo_cfg.num_workers = 2;
-    QueryServer dedicated(engine, solo_cfg);
+    QueryServer dedicated(solo_catalog, solo_cfg);
     std::string error;
     ASSERT_TRUE(dedicated.Start(&error)) << error;
 
@@ -502,19 +504,19 @@ TEST_F(MultiTenantServerTest, RefreshIsIsolatedPerTenant) {
   EXPECT_TRUE(saw_beta);
 }
 
-TEST_F(MultiTenantServerTest, LegacyUnscopedClientsServeTheDefaultTenant) {
+TEST_F(MultiTenantServerTest, UnscopedClientsServeTheDefaultTenant) {
   StartServer(/*max_engines=*/0);
 
-  // A pre-v2 client never sends an envelope: its queries land on the
-  // default tenant (first registered), its ping just works.
-  QueryClient legacy = Connect();
-  EXPECT_EQ(ServedCount(legacy, kPaperPattern),
+  // A session with no graph set never sends an envelope: its queries land
+  // on the default tenant (first registered), its ping just works.
+  QueryClient unscoped = Connect();
+  EXPECT_EQ(ServedCount(unscoped, kPaperPattern),
             ColdCount(t_[0].graph, kPaperPattern));
   std::string error;
-  EXPECT_TRUE(legacy.Ping(&error)) << error;
+  EXPECT_TRUE(unscoped.Ping(&error)) << error;
 
-  // A v2 client feature-detects instead of guessing.
-  auto caps = legacy.Capabilities(&error);
+  // The client feature-detects instead of guessing.
+  auto caps = unscoped.Capabilities(&error);
   ASSERT_TRUE(caps.has_value()) << error;
   EXPECT_EQ(caps->revision, kProtocolRevision);
   EXPECT_TRUE(caps->tagged());
@@ -522,7 +524,7 @@ TEST_F(MultiTenantServerTest, LegacyUnscopedClientsServeTheDefaultTenant) {
   EXPECT_TRUE(caps->list_graphs());
   EXPECT_TRUE(caps->refresh());  // every tenant has a delta source
 
-  auto graphs = legacy.ListGraphs(&error);
+  auto graphs = unscoped.ListGraphs(&error);
   ASSERT_TRUE(graphs.has_value()) << error;
   EXPECT_EQ(graphs->status, StatusCode::kOk) << graphs->error;
   EXPECT_EQ(graphs->default_id, "alpha");

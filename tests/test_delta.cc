@@ -458,16 +458,16 @@ TEST(DeltaJournal, JournaledBatchesReplayToTheMatcherGraph) {
   IncrementalMatcher matcher(std::move(base), *q);
   matcher.AttachJournal(writer.get());
 
-  ASSERT_TRUE(matcher.ApplyAndDiff({{0, 3}, {0, 7}}).has_value());
+  ASSERT_TRUE(matcher.ApplyOpsAndDiff({{0, 3}, {0, 7}}).has_value());
   // Duplicates and already-present edges are deduped before journaling, so
   // the record holds exactly the edges that changed the graph.
-  ASSERT_TRUE(matcher.ApplyAndDiff({{6, 9}, {6, 9}, {0, 3}}).has_value());
+  ASSERT_TRUE(matcher.ApplyOpsAndDiff({{6, 9}, {6, 9}, {0, 3}}).has_value());
   // An all-duplicate batch changes nothing and journals nothing.
-  ASSERT_TRUE(matcher.ApplyAndDiff({{0, 3}}).has_value());
+  ASSERT_TRUE(matcher.ApplyOpsAndDiff({{0, 3}}).has_value());
   EXPECT_EQ(writer->record_count(), 2u);
 
   // A rejected batch journals nothing either.
-  EXPECT_FALSE(matcher.ApplyAndDiff({{0, 1234}}, &error).has_value());
+  EXPECT_FALSE(matcher.ApplyOpsAndDiff({{0, 1234}}, &error).has_value());
   EXPECT_EQ(writer->record_count(), 2u);
   writer.reset();
 
@@ -528,8 +528,8 @@ TEST(DeltaLifecycle, SnapshotDeltaReplayMatchesDirectRebuild) {
 }
 
 // ---------------------------------------------------------------------------
-// Format v2 (ops) coverage: delete ops round-trip, the version gates between
-// add-only and ops builds, and crash recovery repeated for flagged records.
+// Op records: delete ops round-trip, the single-version header gate, and
+// crash recovery repeated for flagged records.
 
 TEST_P(DeltaIoTest, OpsRecordRoundTripsAddsAndDeletes) {
   TempDir tmp;
@@ -539,7 +539,6 @@ TEST_P(DeltaIoTest, OpsRecordRoundTripsAddsAndDeletes) {
   std::string error;
   auto writer = DeltaWriter::Open(path, kBase, 10, &error);
   ASSERT_NE(writer, nullptr) << error;
-  EXPECT_EQ(writer->format_version(), kDeltaFormatOps);
   // Delete two edges the paper-example graph really has, add one new one.
   std::vector<DeltaOp> ops = {{0, 3, DeltaOpKind::kAdd},
                               {1, 3, DeltaOpKind::kDelete},
@@ -549,7 +548,6 @@ TEST_P(DeltaIoTest, OpsRecordRoundTripsAddsAndDeletes) {
 
   DeltaReader reader(path, GetParam());
   ASSERT_TRUE(reader.ok()) << reader.error();
-  EXPECT_EQ(reader.format_version(), kDeltaFormatOps);
   DeltaRecord rec;
   ASSERT_TRUE(reader.Next(&rec));
   EXPECT_EQ(rec.ops, ops);
@@ -622,77 +620,40 @@ TEST_P(DeltaIoTest, TornTailWithDeleteOpsReplaysTheValidPrefix) {
   EXPECT_EQ(SerializeGraph(*merged2), SerializeGraph(ApplyDeltaOps(base, all)));
 }
 
-TEST(DeltaVersion, DeleteOpsRefusedOnAddOnlyLogWithVersionMessage) {
-  TempDir tmp;
-  const std::string path = tmp.Path("g.delta");
-  std::string error;
-  DeltaWriterOptions v1;
-  v1.format_version = kDeltaFormatAddOnly;
-  auto writer = DeltaWriter::Open(path, kBase, 10, &error, v1);
-  ASSERT_NE(writer, nullptr) << error;
-  EXPECT_EQ(writer->format_version(), kDeltaFormatAddOnly);
-  // Adds still work on the old format, deletes fail with a VERSION message
-  // (not a checksum one), and the failed append leaves the log appendable.
-  ASSERT_TRUE(writer->Append({{0, 3}}, &error)) << error;
-  std::vector<DeltaOp> del = {{0, 1, DeltaOpKind::kDelete}};
-  EXPECT_FALSE(writer->AppendOps(del, &error));
-  EXPECT_NE(error.find("cannot carry delete ops"), std::string::npos) << error;
-  EXPECT_EQ(error.find("checksum"), std::string::npos) << error;
-  ASSERT_TRUE(writer->Append({{0, 7}}, &error)) << error;
-  EXPECT_EQ(writer->record_count(), 2u);
-}
-
-TEST(DeltaVersion, OldBuildRefusesNewLogWithVersionMessageNotChainError) {
-  // A v1-era build (emulated via format_version) opening a version-4 log
-  // must say "version", never report a checksum/chain failure.
-  TempDir tmp;
-  const std::string path = tmp.Path("g.delta");
-  std::string error;
-  auto writer = DeltaWriter::Open(path, kBase, 10, &error);
-  ASSERT_NE(writer, nullptr) << error;
-  ASSERT_TRUE(writer->AppendOps(
-      std::vector<DeltaOp>{{0, 1, DeltaOpKind::kDelete}}, &error))
-      << error;
-  writer.reset();
-
-  DeltaWriterOptions v1;
-  v1.format_version = kDeltaFormatAddOnly;
-  auto old_writer = DeltaWriter::Open(path, kBase, 0, &error, v1);
-  EXPECT_EQ(old_writer, nullptr);
-  EXPECT_NE(error.find("format version 4"), std::string::npos) << error;
-  EXPECT_NE(error.find("supports up to"), std::string::npos) << error;
-  EXPECT_EQ(error.find("checksum"), std::string::npos) << error;
-}
-
-TEST(DeltaVersion, NewBuildAppendsAddOnlyRecordsToOldLog) {
-  // The converse direction stays compatible: a new build may keep
-  // appending ADD-only records to a version-3 log (they are byte-identical
-  // across versions), and the log stays readable as version 3.
-  TempDir tmp;
-  const std::string path = tmp.Path("g.delta");
-  std::string error;
-  DeltaWriterOptions v1;
-  v1.format_version = kDeltaFormatAddOnly;
-  auto writer = DeltaWriter::Open(path, kBase, 10, &error, v1);
-  ASSERT_NE(writer, nullptr) << error;
-  ASSERT_TRUE(writer->Append({{0, 3}}, &error)) << error;
-  writer.reset();
-
-  auto new_writer = DeltaWriter::Open(path, kBase, 0, &error);
-  ASSERT_NE(new_writer, nullptr) << error;
-  EXPECT_EQ(new_writer->format_version(), kDeltaFormatAddOnly);
-  ASSERT_TRUE(new_writer->Append({{0, 7}}, &error)) << error;
-  new_writer.reset();
-
-  DeltaReader reader(path);
-  ASSERT_TRUE(reader.ok()) << reader.error();
-  EXPECT_EQ(reader.format_version(), kDeltaFormatAddOnly);
-  DeltaRecord rec;
-  ASSERT_TRUE(reader.Next(&rec));
-  ASSERT_TRUE(reader.Next(&rec));
-  EXPECT_EQ(rec.ops, (std::vector<DeltaOp>{{0, 7, DeltaOpKind::kAdd}}));
-  EXPECT_FALSE(reader.Next(&rec));
-  EXPECT_FALSE(reader.truncated());
+TEST(DeltaVersion, ForeignVersionIsRefusedWithVersionMessageNotChainError) {
+  // A log is written and read by the same build: a header stamped with the
+  // old add-only version 3 or a future 5 is refused by the writer and the
+  // reader alike, up front, with a version message — never reported as a
+  // checksum/chain failure of the records behind it.
+  for (uint32_t version : {3u, 5u}) {
+    TempDir tmp;
+    const std::string path = tmp.Path("g.delta");
+    std::string error;
+    {
+      auto writer = DeltaWriter::Open(path, kBase, 10, &error);
+      ASSERT_NE(writer, nullptr) << error;
+      ASSERT_TRUE(writer->Append({{0, 3}}, &error)) << error;
+    }
+    {
+      std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+      ASSERT_TRUE(f.is_open());
+      f.seekp(8);  // u32 version right after the 8-byte magic
+      f.write(reinterpret_cast<const char*>(&version), sizeof(version));
+    }
+    EXPECT_EQ(DeltaWriter::Open(path, kBase, 0, &error), nullptr) << version;
+    EXPECT_NE(error.find("unsupported delta log version"), std::string::npos)
+        << error;
+    EXPECT_EQ(error.find("checksum"), std::string::npos) << error;
+    for (SnapshotIoMode mode : {SnapshotIoMode::kRead, SnapshotIoMode::kMmap}) {
+      DeltaReader reader(path, mode);
+      EXPECT_FALSE(reader.ok()) << version;
+      EXPECT_NE(reader.error().find("unsupported delta log version"),
+                std::string::npos)
+          << reader.error();
+      EXPECT_EQ(reader.error().find("checksum"), std::string::npos)
+          << reader.error();
+    }
+  }
 }
 
 TEST_P(DeltaIoTest, SeekToResumesAndValidatesTheTail) {

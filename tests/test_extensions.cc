@@ -171,10 +171,10 @@ TEST(Incremental, ChildEdgeInsertionYieldsExactDelta) {
   ASSERT_TRUE(q.has_value());
   IncrementalMatcher matcher(std::move(g), *q);
   EXPECT_EQ(matcher.CurrentAnswer().size(), 1u);
-  auto delta = matcher.ApplyAndDiff({{1, 2}});
+  auto delta = matcher.ApplyOpsAndDiff({{1, 2}});
   ASSERT_TRUE(delta.has_value());
-  ASSERT_EQ(delta->size(), 1u);
-  EXPECT_EQ((*delta)[0], (Occurrence{1, 2}));
+  ASSERT_EQ(delta->added.size(), 1u);
+  EXPECT_EQ(delta->added[0], (Occurrence{1, 2}));
   EXPECT_EQ(matcher.CurrentAnswer().size(), 2u);
 }
 
@@ -186,10 +186,10 @@ TEST(Incremental, TransitiveReachabilityDelta) {
   ASSERT_TRUE(q.has_value());
   IncrementalMatcher matcher(std::move(g), *q);
   EXPECT_TRUE(matcher.CurrentAnswer().empty());
-  auto delta = matcher.ApplyAndDiff({{1, 2}});
+  auto delta = matcher.ApplyOpsAndDiff({{1, 2}});
   ASSERT_TRUE(delta.has_value());
-  ASSERT_EQ(delta->size(), 1u);
-  EXPECT_EQ((*delta)[0], (Occurrence{0, 2}));
+  ASSERT_EQ(delta->added.size(), 1u);
+  EXPECT_EQ(delta->added[0], (Occurrence{0, 2}));
 }
 
 TEST(Incremental, DeltaNeverRepeatsOldMatches) {
@@ -218,9 +218,10 @@ TEST(Incremental, DeltaNeverRepeatsOldMatches) {
   }
 
   IncrementalMatcher matcher(Graph::FromEdges(labels, edges), q);
-  auto delta = matcher.ApplyAndDiff(batch);
+  auto delta = matcher.ApplyOpsAndDiff(EdgesToOps(batch));
   ASSERT_TRUE(delta.has_value());
-  EXPECT_EQ(std::set<std::vector<NodeId>>(delta->begin(), delta->end()),
+  EXPECT_EQ(std::set<std::vector<NodeId>>(delta->added.begin(),
+                                          delta->added.end()),
             expected_delta);
 }
 
@@ -234,15 +235,15 @@ TEST(Incremental, RepeatedBatchLeavesGraphAndDeltaStable) {
   ASSERT_TRUE(q.has_value());
   IncrementalMatcher matcher(std::move(g), *q);
 
-  auto first = matcher.ApplyAndDiff({{1, 2}});
+  auto first = matcher.ApplyOpsAndDiff({{1, 2}});
   ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(first->size(), 1u);
+  EXPECT_EQ(first->added.size(), 1u);
   const uint64_t edges_after_first = matcher.current_graph().NumEdges();
   EXPECT_EQ(edges_after_first, 2u);
 
-  auto second = matcher.ApplyAndDiff({{1, 2}});
+  auto second = matcher.ApplyOpsAndDiff({{1, 2}});
   ASSERT_TRUE(second.has_value());
-  EXPECT_TRUE(second->empty());
+  EXPECT_TRUE(second->added.empty());
   EXPECT_EQ(matcher.current_graph().NumEdges(), edges_after_first);
   EXPECT_EQ(matcher.CurrentAnswer().size(), 2u);
 }
@@ -255,9 +256,9 @@ TEST(Incremental, DuplicateEdgesWithinOneBatchAreDeduped) {
   ASSERT_TRUE(q.has_value());
   IncrementalMatcher matcher(std::move(g), *q);
 
-  auto delta = matcher.ApplyAndDiff({{1, 2}, {1, 2}, {0, 2}, {1, 2}});
+  auto delta = matcher.ApplyOpsAndDiff({{1, 2}, {1, 2}, {0, 2}, {1, 2}});
   ASSERT_TRUE(delta.has_value());
-  EXPECT_EQ(delta->size(), 1u);
+  EXPECT_EQ(delta->added.size(), 1u);
   EXPECT_EQ(matcher.current_graph().NumEdges(), 2u);
   EXPECT_EQ(matcher.CurrentAnswer().size(), 2u);
 }
@@ -267,10 +268,11 @@ TEST(Incremental, OverlappingBatchesOnlyGrowByNewEdges) {
   auto q = ParsePattern("(a:0)->(b:1)");
   ASSERT_TRUE(q.has_value());
   IncrementalMatcher matcher(std::move(g), *q);
-  EXPECT_EQ(matcher.ApplyAndDiff({{1, 3}})->size(), 1u);
+  EXPECT_EQ(matcher.ApplyOpsAndDiff({{1, 3}})->added.size(), 1u);
   // Overlaps with both the original edge and the previous batch; only
   // {2, 3} is new.
-  EXPECT_EQ(matcher.ApplyAndDiff({{0, 3}, {1, 3}, {2, 3}})->size(), 1u);
+  EXPECT_EQ(matcher.ApplyOpsAndDiff({{0, 3}, {1, 3}, {2, 3}})->added.size(),
+            1u);
   EXPECT_EQ(matcher.current_graph().NumEdges(), 3u);
   EXPECT_EQ(matcher.CurrentAnswer().size(), 3u);
 }
@@ -285,15 +287,15 @@ TEST(Incremental, BatchWithNonexistentEndpointIsRejectedWhole) {
   ASSERT_TRUE(q.has_value());
   IncrementalMatcher matcher(std::move(g), *q);
   std::string error;
-  auto delta = matcher.ApplyAndDiff({{1, 2}, {1, 99}}, &error);
+  auto delta = matcher.ApplyOpsAndDiff({{1, 2}, {1, 99}}, &error);
   EXPECT_FALSE(delta.has_value());
   EXPECT_NE(error.find("99"), std::string::npos) << error;
   EXPECT_EQ(matcher.current_graph().NumEdges(), 1u);
   EXPECT_EQ(matcher.CurrentAnswer().size(), 1u);
   // The same batch without the offending edge applies normally afterwards.
-  auto retry = matcher.ApplyAndDiff({{1, 2}});
+  auto retry = matcher.ApplyOpsAndDiff({{1, 2}});
   ASSERT_TRUE(retry.has_value());
-  EXPECT_EQ(retry->size(), 1u);
+  EXPECT_EQ(retry->added.size(), 1u);
 }
 
 TEST(Incremental, SequenceOfBatches) {
@@ -308,10 +310,10 @@ TEST(Incremental, SequenceOfBatches) {
   IncrementalMatcher matcher(std::move(g), *q);
   uint64_t total = 0;
   for (NodeId v = 0; v + 1 < n; ++v) {
-    auto delta = matcher.ApplyAndDiff({{v, v + 1}});
+    auto delta = matcher.ApplyOpsAndDiff({{v, v + 1}});
     ASSERT_TRUE(delta.has_value());
-    EXPECT_EQ(delta->size(), v + 1u);  // every earlier node now reaches v+1
-    total += delta->size();
+    EXPECT_EQ(delta->added.size(), v + 1u);  // every earlier node reaches v+1
+    total += delta->added.size();
   }
   EXPECT_EQ(total, matcher.CurrentAnswer().size());
   EXPECT_EQ(total, static_cast<uint64_t>(n) * (n - 1) / 2);

@@ -366,14 +366,16 @@ class CacheRefreshTest : public ::testing::Test {
     auto info = InspectSnapshot(snap_path_, &error);
     ASSERT_TRUE(info.has_value()) << error;
     base_checksum_ = info->stored_checksum;
-    warm_ = LoadEngineSnapshot(snap_path_, {}, &error);
-    ASSERT_TRUE(warm_.has_value()) << error;
+    auto catalog = std::make_shared<EngineCatalog>();
+    EngineSource source;
+    source.snapshot_path = snap_path_;
+    source.delta_path = delta_path_;
+    ASSERT_TRUE(catalog->Register("default", source, &error)) << error;
+    ASSERT_NE(catalog->Acquire("", &error), nullptr) << error;
 
     config_.unix_path = UniqueSocketPath();
     config_.num_workers = 2;
-    config_.delta_path = delta_path_;
-    config_.base_checksum = base_checksum_;
-    server_ = std::make_unique<QueryServer>(*warm_->engine, config_);
+    server_ = std::make_unique<QueryServer>(catalog, config_);
     ASSERT_TRUE(server_->Start(&error)) << error;
   }
 
@@ -405,7 +407,6 @@ class CacheRefreshTest : public ::testing::Test {
   Graph base_graph_;
   std::string snap_path_, delta_path_;
   uint64_t base_checksum_ = 0;
-  std::optional<WarmEngine> warm_;
   ServerConfig config_;
   std::unique_ptr<QueryServer> server_;
 };
@@ -574,11 +575,13 @@ TEST_F(CacheRefreshTest, HammeredCacheSurvivesConcurrentRefreshes) {
 TEST(CacheDisabled, ZeroBudgetServesWithoutCaching) {
   Graph graph = PaperExample::MakeGraph();
   GmEngine engine(graph);
+  auto catalog = std::make_shared<EngineCatalog>();
+  catalog->set_cache_bytes(0);
+  catalog->AdoptEngine("default", engine);
   ServerConfig config;
   config.unix_path = UniqueSocketPath();
   config.num_workers = 2;
-  config.cache_bytes = 0;
-  QueryServer server(engine, config);
+  QueryServer server(catalog, config);
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
 

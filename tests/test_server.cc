@@ -53,9 +53,11 @@ class ServerTest : public ::testing::Test {
   void SetUp() override {
     graph_ = std::make_unique<Graph>(PaperExample::MakeGraph());
     engine_ = std::make_unique<GmEngine>(*graph_);
+    catalog_ = std::make_shared<EngineCatalog>();
+    catalog_->AdoptEngine("default", *engine_);
     config_.unix_path = UniqueSocketPath();
     config_.num_workers = 4;
-    server_ = std::make_unique<QueryServer>(*engine_, config_);
+    server_ = std::make_unique<QueryServer>(catalog_, config_);
     std::string error;
     ASSERT_TRUE(server_->Start(&error)) << error;
   }
@@ -78,6 +80,7 @@ class ServerTest : public ::testing::Test {
 
   std::unique_ptr<Graph> graph_;
   std::unique_ptr<GmEngine> engine_;
+  std::shared_ptr<EngineCatalog> catalog_;
   ServerConfig config_;
   std::unique_ptr<QueryServer> server_;
 };
@@ -147,6 +150,40 @@ TEST(ServerProtocol, TruncatedResponsePayloadFailsSoftly) {
     QueryResponse::Deserialize(src);
     EXPECT_FALSE(src.ok());
   }
+}
+
+TEST(ServerProtocol, ShortStatsAndPingPayloadsFailToDecode) {
+  // Client and daemon are one build: every field is always present, so a
+  // payload missing any of them is malformed, never an older daemon's.
+  StatsResponse stats;
+  stats.uptime_ms = 7;
+  stats.tenants.push_back({"default", true, true, 2, 9});
+  stats.tenant_caches.push_back({"default", 1, 2, 3, 4, 5, 6, 7});
+  stats.deletes_applied = 11;
+  ByteSink sink;
+  stats.Serialize(sink);
+  {
+    ByteSource src(sink.data().data(), sink.size());
+    ASSERT_EQ(ReadMessageType(src), MessageType::kStatsResponse);
+    StatsResponse back = StatsResponse::Deserialize(src);
+    ASSERT_TRUE(src.ok()) << src.error();
+    EXPECT_EQ(src.remaining(), 0u);
+    EXPECT_EQ(back.deletes_applied, 11u);
+    ASSERT_EQ(back.tenant_caches.size(), 1u);
+  }
+  for (size_t cut = 0; cut < sink.size(); ++cut) {
+    ByteSource src(sink.data().data(), cut);
+    ReadMessageType(src);
+    StatsResponse::Deserialize(src);
+    EXPECT_FALSE(src.ok()) << "prefix of " << cut << " bytes decoded";
+  }
+
+  ByteSink bare_pong;
+  bare_pong.WriteU32(static_cast<uint32_t>(MessageType::kPingResponse));
+  ByteSource src(bare_pong.data().data(), bare_pong.size());
+  ASSERT_EQ(ReadMessageType(src), MessageType::kPingResponse);
+  ParsePingResponse(src);
+  EXPECT_FALSE(src.ok());
 }
 
 // --------------------------------------------------------------- serving
@@ -249,7 +286,7 @@ TEST_F(ServerTest, HostileThreadCountIsClampedNotHonored) {
 
 TEST_F(ServerTest, SecondServerOnLiveSocketFailsInsteadOfHijacking) {
   {
-    QueryServer second(*engine_, config_);
+    QueryServer second(catalog_, config_);
     std::string error;
     EXPECT_FALSE(second.Start(&error));
     EXPECT_NE(error.find("already"), std::string::npos) << error;
@@ -271,7 +308,7 @@ TEST_F(ServerTest, NonSocketPathIsRefusedNotDeleted) {
   }
   ServerConfig config = config_;
   config.unix_path = path;
-  QueryServer server(*engine_, config);
+  QueryServer server(catalog_, config);
   std::string error;
   EXPECT_FALSE(server.Start(&error));
   EXPECT_NE(error.find("not a socket"), std::string::npos) << error;
@@ -356,13 +393,15 @@ TEST(ServerSnapshot, WarmServerMatchesColdEngine) {
   std::string snap_path = UniqueSocketPath() + ".snap";
   std::string error;
   ASSERT_TRUE(SaveEngineSnapshot(cold, snap_path, &error)) << error;
-  auto warm = LoadEngineSnapshot(snap_path, {}, &error);
-  ASSERT_TRUE(warm.has_value()) << error;
+  auto catalog = std::make_shared<EngineCatalog>();
+  EngineSource source;
+  source.snapshot_path = snap_path;
+  ASSERT_TRUE(catalog->Register("default", source, &error)) << error;
 
   ServerConfig config;
   config.unix_path = UniqueSocketPath();
   config.num_workers = 2;
-  QueryServer server(*warm->engine, config);
+  QueryServer server(catalog, config);
   ASSERT_TRUE(server.Start(&error)) << error;
 
   const std::vector<std::string> patterns = {
@@ -514,7 +553,7 @@ TEST_F(ServerTest, OversizeFrameIsRejectedAndConnectionClosed) {
   server_->Stop();
   config_.max_frame_bytes = 1024;
   config_.unix_path = UniqueSocketPath();
-  server_ = std::make_unique<QueryServer>(*engine_, config_);
+  server_ = std::make_unique<QueryServer>(catalog_, config_);
   std::string error;
   ASSERT_TRUE(server_->Start(&error)) << error;
 
@@ -542,7 +581,7 @@ TEST_F(ServerTest, OversizeResponseBecomesErrorNotCorruptFrame) {
   server_->Stop();
   config_.max_frame_bytes = 120;
   config_.unix_path = UniqueSocketPath();
-  server_ = std::make_unique<QueryServer>(*engine_, config_);
+  server_ = std::make_unique<QueryServer>(catalog_, config_);
   std::string error;
   ASSERT_TRUE(server_->Start(&error)) << error;
 
@@ -593,7 +632,7 @@ TEST_F(ServerTest, SlowLorisClientsDoNotOccupyWorkers) {
   server_->Stop();
   config_.num_workers = 1;
   config_.unix_path = UniqueSocketPath();
-  server_ = std::make_unique<QueryServer>(*engine_, config_);
+  server_ = std::make_unique<QueryServer>(catalog_, config_);
   std::string error;
   ASSERT_TRUE(server_->Start(&error)) << error;
 
@@ -649,7 +688,7 @@ TEST_F(ServerTest, ConnectionCapShedsExcessConnections) {
   server_->Stop();
   config_.max_connections = 3;
   config_.unix_path = UniqueSocketPath();
-  server_ = std::make_unique<QueryServer>(*engine_, config_);
+  server_ = std::make_unique<QueryServer>(catalog_, config_);
   std::string error;
   ASSERT_TRUE(server_->Start(&error)) << error;
 
@@ -687,7 +726,7 @@ TEST_F(ServerTest, IdleTimeoutReapsQuietConnections) {
   server_->Stop();
   config_.idle_timeout_ms = 100;
   config_.unix_path = UniqueSocketPath();
-  server_ = std::make_unique<QueryServer>(*engine_, config_);
+  server_ = std::make_unique<QueryServer>(catalog_, config_);
   std::string error;
   ASSERT_TRUE(server_->Start(&error)) << error;
 
@@ -801,8 +840,14 @@ class RefreshTest : public ::testing::Test {
     auto info = InspectSnapshot(snap_path_, &error);
     ASSERT_TRUE(info.has_value()) << error;
     base_checksum_ = info->stored_checksum;
-    warm_ = LoadEngineSnapshot(snap_path_, {}, &error);
-    ASSERT_TRUE(warm_.has_value()) << error;
+    // The daemon's `--snapshot S --delta D` shape: a registered default
+    // tenant, opened before serving starts.
+    auto catalog = std::make_shared<EngineCatalog>();
+    EngineSource source;
+    source.snapshot_path = snap_path_;
+    source.delta_path = delta_path_;
+    ASSERT_TRUE(catalog->Register("default", source, &error)) << error;
+    ASSERT_NE(catalog->Acquire("", &error), nullptr) << error;
 
     config_.unix_path = UniqueSocketPath();
     // FEWER workers than the 4 steady clients of the under-load test, plus
@@ -810,9 +855,7 @@ class RefreshTest : public ::testing::Test {
     // so clients > workers must serve fine (the old thread-per-connection
     // core starved the refresher under this sizing).
     config_.num_workers = 2;
-    config_.delta_path = delta_path_;
-    config_.base_checksum = base_checksum_;
-    server_ = std::make_unique<QueryServer>(*warm_->engine, config_);
+    server_ = std::make_unique<QueryServer>(catalog, config_);
     ASSERT_TRUE(server_->Start(&error)) << error;
   }
 
@@ -842,10 +885,15 @@ class RefreshTest : public ::testing::Test {
     return resp->results[0].num_occurrences;
   }
 
+  /// Log position the default tenant serves (List reads it without
+  /// touching the catalog's hit/LRU counters).
+  uint64_t AppliedSeqno() const {
+    return server_->catalog().List().front().applied_seqno;
+  }
+
   Graph base_graph_;
   std::string snap_path_, delta_path_;
   uint64_t base_checksum_ = 0;
-  std::optional<WarmEngine> warm_;
   ServerConfig config_;
   std::unique_ptr<QueryServer> server_;
 };
@@ -889,7 +937,7 @@ TEST_F(RefreshTest, RefreshMatchesColdRebuildOfBasePlusDelta) {
   ASSERT_TRUE(r1.has_value()) << error;
   ASSERT_EQ(r1->status, StatusCode::kOk) << r1->error;
   EXPECT_EQ(r1->records_applied, 1u);
-  EXPECT_EQ(server_->applied_seqno(), 1u);
+  EXPECT_EQ(AppliedSeqno(), 1u);
   {
     Graph merged = ApplyEdgesToGraph(base_graph_, batch1);
     GmEngine cold(merged);
@@ -967,7 +1015,7 @@ TEST_F(RefreshTest, RewrittenLogWithReusedSeqnosIsRejectedNotSkipped) {
   EXPECT_NE(r2->error.find("applied prefix"), std::string::npos)
       << r2->error;
   // Serving continues on the last good state.
-  EXPECT_EQ(server_->applied_seqno(), 1u);
+  EXPECT_EQ(AppliedSeqno(), 1u);
 }
 
 TEST_F(RefreshTest, RefreshUnderConcurrentClientsDropsNothing) {
@@ -1040,7 +1088,7 @@ TEST_F(RefreshTest, RefreshUnderConcurrentClientsDropsNothing) {
   QueryClient after;
   ASSERT_TRUE(after.ConnectUnix(config_.unix_path, &error)) << error;
   EXPECT_EQ(ServedCount(after, pattern), count2);
-  EXPECT_EQ(server_->applied_seqno(), 2u);
+  EXPECT_EQ(AppliedSeqno(), 2u);
 }
 
 }  // namespace

@@ -1,11 +1,11 @@
 // Persistence subsystem tests (storage/snapshot.h, util/serde.h): bitmap
 // and graph round trips, warm-start engine equivalence at several thread
 // counts and under both IO modes (zero-copy mmap and streaming read),
-// database round trips, v1-format compatibility, header inspection, FIFO
-// streaming fallback, and rejection of malformed input for both the binary
-// snapshot reader and the text graph reader. Every malformed-file check
-// runs under both IO modes — corrupt mapped files must be rejected before
-// any decode, exactly like corrupt slurped ones.
+// database round trips, header inspection, FIFO streaming fallback, and
+// rejection of malformed input for both the binary snapshot reader and the
+// text graph reader. Every malformed-file check runs under both IO modes —
+// corrupt mapped files must be rejected before any decode, exactly like
+// corrupt slurped ones.
 
 #include <fcntl.h>
 #include <sys/stat.h>
@@ -239,75 +239,6 @@ TEST(GraphSnapshot, MmapLoadedGraphOutlivesReaderAndDeletedFile) {
   EXPECT_EQ(before, moved.OutBitmap(0));
 }
 
-TEST(GraphSnapshot, V1FormatLoadsViaCopyFallback) {
-  // A v1 file has no alignment padding, so zero-copy borrowing is mostly
-  // impossible — the loader must still accept it (copying arrays out),
-  // under both IO modes.
-  Graph g = PaperExample::MakeGraph();
-  ByteSink v1_sink(/*pad_arrays=*/false, /*encode_runs=*/false);
-  g.Serialize(v1_sink);
-  TempFile file("graph_v1");
-  std::string error;
-  ASSERT_TRUE(WriteSnapshotFile(file.path(), SnapshotKind::kGraph, v1_sink,
-                                &error, kMinSnapshotVersion))
-      << error;
-  auto info = InspectSnapshot(file.path(), &error);
-  ASSERT_TRUE(info.has_value()) << error;
-  EXPECT_EQ(info->version, kMinSnapshotVersion);
-  EXPECT_FALSE(info->aligned);
-  for (SnapshotIoMode mode : kBothModes) {
-    auto loaded = LoadGraphSnapshot(file.path(), {.io_mode = mode}, &error);
-    ASSERT_TRUE(loaded.has_value()) << ModeName(mode) << ": " << error;
-    ExpectSameGraph(g, *loaded);
-  }
-}
-
-TEST(GraphSnapshot, V2FormatLoadsViaRunlessPath) {
-  // A v2 file is aligned but predates run containers. The writer twin is
-  // ByteSink(pad_arrays, encode_runs=false) + version 2; the reader must
-  // accept it under both IO modes and reject any run container it finds.
-  Graph g = PaperExample::MakeGraph();
-  ByteSink v2_sink(/*pad_arrays=*/true, /*encode_runs=*/false);
-  g.Serialize(v2_sink);
-  TempFile file("graph_v2");
-  std::string error;
-  ASSERT_TRUE(WriteSnapshotFile(file.path(), SnapshotKind::kGraph, v2_sink,
-                                &error, /*version=*/2))
-      << error;
-  auto info = InspectSnapshot(file.path(), &error);
-  ASSERT_TRUE(info.has_value()) << error;
-  EXPECT_EQ(info->version, 2u);
-  EXPECT_TRUE(info->aligned);
-  EXPECT_FALSE(info->run_encoded);
-  for (SnapshotIoMode mode : kBothModes) {
-    auto loaded = LoadGraphSnapshot(file.path(), {.io_mode = mode}, &error);
-    ASSERT_TRUE(loaded.has_value()) << ModeName(mode) << ": " << error;
-    ExpectSameGraph(g, *loaded);
-  }
-
-  // A native-v3 payload under a version-2 header is corruption, not data:
-  // write a graph that genuinely serializes run containers (one node
-  // adjacent to a long contiguous id range) under a v2 header and expect
-  // rejection. The pre-v3 reader desyncs on the dropped total-cardinality
-  // word before it even reaches a run container's kind byte, so the exact
-  // error varies — what is pinned is that the load must fail, both modes.
-  std::vector<std::pair<NodeId, NodeId>> edges;
-  for (NodeId v = 1; v < 20000; ++v) edges.push_back({0, v});
-  Graph runs_graph =
-      Graph::FromEdges(std::vector<LabelId>(20000, 0), std::move(edges));
-  ByteSink bad_sink(/*pad_arrays=*/true, /*encode_runs=*/true);
-  runs_graph.Serialize(bad_sink);
-  TempFile bad("graph_v2_bad");
-  ASSERT_TRUE(WriteSnapshotFile(bad.path(), SnapshotKind::kGraph, bad_sink,
-                                &error, /*version=*/2));
-  for (SnapshotIoMode mode : kBothModes) {
-    EXPECT_FALSE(
-        LoadGraphSnapshot(bad.path(), {.io_mode = mode}, &error).has_value())
-        << ModeName(mode);
-    EXPECT_FALSE(error.empty());
-  }
-}
-
 TEST(GraphSnapshot, MmapLoadKeepsContainersEncodedUntilMutation) {
   // The daemon RSS accounting contract: after an mmap load the graph's
   // bitmap payloads stay *encoded inside the mapping*, so OwnedHeapBytes
@@ -371,7 +302,6 @@ TEST(GraphSnapshot, InspectReportsHeaderWithoutDecoding) {
   ASSERT_TRUE(info.has_value()) << error;
   EXPECT_EQ(info->version, kSnapshotVersion);
   EXPECT_EQ(info->kind_value, static_cast<uint32_t>(SnapshotKind::kGraph));
-  EXPECT_TRUE(info->aligned);
   EXPECT_EQ(info->file_size, info->payload_size + 24 + 8);
 
   // Inspect must work even when the payload itself is garbage (that is the
@@ -640,9 +570,13 @@ TEST_F(MalformedSnapshotTest, BadMagicIsRejected) {
 }
 
 TEST_F(MalformedSnapshotTest, WrongVersionIsRejected) {
-  std::string corrupt = bytes_;
-  corrupt[8] = static_cast<char>(kSnapshotVersion + 7);
-  ExpectRejected(corrupt, "version");
+  // The reader knows one layout: the older versions 1 and 2 are as foreign
+  // as a future one.
+  for (uint32_t version : {1u, 2u, kSnapshotVersion + 7}) {
+    std::string corrupt = bytes_;
+    corrupt[8] = static_cast<char>(version);
+    ExpectRejected(corrupt, "unsupported snapshot version");
+  }
 }
 
 TEST_F(MalformedSnapshotTest, KindMismatchIsRejected) {

@@ -18,7 +18,7 @@
 //                     later runs warm-start from it via --load-snapshot.
 //                     With --inspect FILE, print the container header of an
 //                     existing snapshot (version, kind, payload size,
-//                     checksum, alignment) without decoding the payload
+//                     checksum) without decoding the payload
 //   delta             append-only edge updates over a base snapshot
 //                     (storage/delta_log.h):
 //                       append  --base S --delta D --edges FILE
@@ -324,13 +324,6 @@ int RunInspect(const std::string& path) {
               static_cast<unsigned long long>(info->file_size));
   std::printf("checksum:  %016llx (stored; not re-verified by inspect)\n",
               static_cast<unsigned long long>(info->stored_checksum));
-  std::printf("alignment: %s\n",
-              info->aligned ? "8-byte padded arrays (zero-copy mmap load)"
-                            : "unpadded v1 arrays (loads copy out)");
-  std::printf("runs:      %s\n",
-              info->run_encoded
-                  ? "native run containers (v3; lazy-decoded from mmap)"
-                  : "pre-v3 (array/bitset containers only)");
   TryInspectContainers(path, *info);
   return 0;
 }
@@ -375,16 +368,13 @@ int DeltaUsage() {
   std::fprintf(
       stderr,
       "usage: delta append  --base SNAP --delta FILE --edges FILE\n"
-      "                     [--format-version 3|4]\n"
       "       delta inspect --delta FILE\n"
       "       delta replay  --base SNAP --delta FILE [--out SNAP2]\n"
       "       (all verbs accept --snapshot-io mmap|read)\n"
       "  edge files: one op per line — 'src dst' or '+ src dst' adds the\n"
       "  edge, '- src dst' deletes it ('#' comments, blank lines skipped).\n"
-      "  Delete ops need a format-version 4 log (the default for new\n"
-      "  logs); --format-version 3 creates/append-checks the old add-only\n"
-      "  format. append follows the snapshot's compaction lineage\n"
-      "  (<SNAP>.head) when the daemon has compacted the pair.\n");
+      "  append follows the snapshot's compaction lineage (<SNAP>.head)\n"
+      "  when the daemon has compacted the pair.\n");
   return 2;
 }
 
@@ -471,7 +461,6 @@ int RunDelta(int argc, char** argv) {
   const std::string verb = argv[2];
   std::string base_path, delta_path, edges_path, out_path;
   SnapshotIoMode io_mode = DefaultSnapshotIoMode();
-  uint32_t format_version = kDeltaFormatOps;
   for (int i = 3; i < argc; ++i) {
     auto need_value = [&](const char* flag) -> const char* {
       if (i + 1 >= argc) {
@@ -497,15 +486,6 @@ int RunDelta(int argc, char** argv) {
       if ((v = need_value("--snapshot-io")) == nullptr) return DeltaUsage();
       if (!ParseSnapshotIoMode(v, &io_mode)) {
         std::fprintf(stderr, "--snapshot-io must be mmap or read\n");
-        return DeltaUsage();
-      }
-    } else if (std::strcmp(argv[i], "--format-version") == 0) {
-      if ((v = need_value("--format-version")) == nullptr) return DeltaUsage();
-      format_version = static_cast<uint32_t>(std::strtoul(v, nullptr, 10));
-      if (format_version != kDeltaFormatAddOnly &&
-          format_version != kDeltaFormatOps) {
-        std::fprintf(stderr, "--format-version must be %u or %u\n",
-                     kDeltaFormatAddOnly, kDeltaFormatOps);
         return DeltaUsage();
       }
     } else {
@@ -568,10 +548,8 @@ int RunDelta(int argc, char** argv) {
         }
         base_nodes = base->NumNodes();
       }
-      DeltaWriterOptions options;
-      options.format_version = format_version;
       auto writer = DeltaWriter::Open(lineage.delta_path, bind_checksum,
-                                      base_nodes, &error, options);
+                                      base_nodes, &error);
       if (writer == nullptr) {
         if (error.find("locked by another delta writer") !=
                 std::string::npos &&
@@ -626,11 +604,8 @@ int RunDelta(int argc, char** argv) {
                    reader.error().c_str());
       return 1;
     }
-    std::printf("delta log: %s (format version %u%s)\n", delta_path.c_str(),
-                reader.format_version(),
-                reader.format_version() >= kDeltaFormatOps
-                    ? ", add/delete ops"
-                    : ", add-only");
+    std::printf("delta log: %s (format version %u)\n", delta_path.c_str(),
+                kDeltaFormatOps);
     std::printf("base:      %016llx (stored checksum of the base snapshot), "
                 "%u node(s)\n",
                 static_cast<unsigned long long>(reader.base_checksum()),

@@ -10,7 +10,8 @@
 //   rigpm_serve --graph G.txt --port 7771
 //   rigpm_serve --snapshot G.snap --delta G.delta --socket /tmp/rigpm.sock
 //
-// With --delta, a client `--refresh` replays the delta log's new records
+// With --delta, the daemon serves base + the whole log from its first
+// query, and a client `--refresh` replays the log's new records
 // (storage/delta_log.h) and swaps the refreshed engine in live — no
 // restart, no dropped connections.
 //
