@@ -30,8 +30,8 @@
 // A fourth phase measures the multi-tenant catalog: the same daemon core
 // serving three distinct graphs from snapshots behind scoped sessions,
 // with an LRU cap below the tenant count (so every request may evict),
-// a delta-armed default tenant refreshed over the wire, and one legacy
-// unscoped client riding along. It reports per-tenant RPS plus the
+// a delta-armed default tenant refreshed over the wire, and one unscoped
+// client riding along. It reports per-tenant RPS plus the
 // catalog's hit/miss/evict counters, and every served count is verified
 // against per-tenant in-process evaluation.
 //
@@ -189,13 +189,13 @@ int main() {
   });
 
   // --- (c) C10K: the identical workload again, but every client pipelines
-  // its slice (kPipelineWindow tagged requests in flight per connection)
+  // its slice (kPipelineWindow requests in flight per connection)
   // while `idle_conns` connections sit parked on the daemon doing nothing
   // and a churn thread opens/closes short-lived connections throughout.
   const uint32_t idle_conns = IdleConnsFromEnv();
   double c10k_ms = 0.0;
   uint64_t churn_accepts = 0;
-  server::ServerStats c10k_stats{};
+  server::StatsResponse c10k_stats{};
   std::atomic<uint64_t> c10k_failures{0};
   std::atomic<uint64_t> c10k_mismatches{0};
   if (idle_conns > 0) {
@@ -400,7 +400,7 @@ int main() {
   std::vector<size_t> hot_picks(rc_texts.size() * 24);
   for (size_t& p : hot_picks) p = zipf(rc_rng);
   double rc_hot_ms = TimeMs([&] { rc_run(hot_picks, rc_direct); });
-  server::ServerStats rc_warm_stats = rc_server.Snapshot();
+  server::StatsResponse rc_warm_stats = rc_server.Snapshot();
 
   // Invalidation flood: append + kRefresh while clients keep drawing.
   // Counts may legally come from either generation; nothing may fail.
@@ -475,15 +475,15 @@ int main() {
     // NEW generation (a stale hit would still show an old count).
     rc_run(cold_picks, rc_direct2);
   }
-  server::ServerStats rc_stats = rc_server.Snapshot();
+  server::StatsResponse rc_stats = rc_server.Snapshot();
   rc_server.Stop();
   std::remove(rc_snap.c_str());
   std::remove(rc_delta.c_str());
 
   // --- (e) Multi-tenant catalog: three snapshot tenants behind one daemon,
   // an LRU cap of 2 (below the tenant count, so the scoped flood churns
-  // evictions), scoped clients pinned per tenant plus one legacy unscoped
-  // client on the default, and a per-tenant refresh over the wire.
+  // evictions), scoped clients pinned per tenant plus one unscoped client
+  // on the default, and a per-tenant refresh over the wire.
   const char* mt_env = std::getenv("RIGPM_MULTITENANT");
   const bool run_multitenant = mt_env == nullptr || std::strtol(
       mt_env, nullptr, 10) != 0;
@@ -610,7 +610,7 @@ int main() {
           }
         });
       }
-      // The unscoped rider: no envelope at all, served from the default
+      // The unscoped rider: an empty graph id, served from the default
       // tenant (t0, base+delta).
       scoped.emplace_back([&] {
         server::QueryClient client;
@@ -734,17 +734,17 @@ int main() {
     std::printf("cache speedup: %.1fx hit RPS over cold; warm pass: "
                 "%llu hit(s), %llu miss(es)\n",
                 rc_cold_rps > 0 ? rc_hot_rps / rc_cold_rps : 0.0,
-                static_cast<unsigned long long>(rc_warm_stats.cache.hits),
-                static_cast<unsigned long long>(rc_warm_stats.cache.misses));
+                static_cast<unsigned long long>(rc_warm_stats.cache_hits),
+                static_cast<unsigned long long>(rc_warm_stats.cache_misses));
     std::printf("live refresh: generation swapped mid-flood with %llu "
                 "failed round trip(s); final counts match the new graph "
                 "(%llu total hit(s), %llu miss(es), %llu entry(ies), "
                 "%.1f MB cached)\n",
                 static_cast<unsigned long long>(rc_refresh_failures.load()),
-                static_cast<unsigned long long>(rc_stats.cache.hits),
-                static_cast<unsigned long long>(rc_stats.cache.misses),
-                static_cast<unsigned long long>(rc_stats.cache.entries),
-                rc_stats.cache.bytes_used / (1024.0 * 1024.0));
+                static_cast<unsigned long long>(rc_stats.cache_hits),
+                static_cast<unsigned long long>(rc_stats.cache_misses),
+                static_cast<unsigned long long>(rc_stats.cache_entries),
+                rc_stats.cache_bytes_used / (1024.0 * 1024.0));
   }
 
   if (run_multitenant) {
@@ -752,7 +752,7 @@ int main() {
                 "%.3f s):\n", mt_ms / 1000.0);
     TablePrinter mt_table({"tenant", "queries", "RPS"});
     const char* mt_rows[4] = {"t0 (scoped, base+delta)", "t1 (scoped)",
-                              "t2 (scoped)", "legacy unscoped -> t0"};
+                              "t2 (scoped)", "unscoped -> t0"};
     const uint64_t mt_counts[4] = {mt_tenant_queries[0], mt_tenant_queries[1],
                                    mt_tenant_queries[2], mt_legacy_queries};
     for (int t = 0; t < 4; ++t) {

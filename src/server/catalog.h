@@ -241,8 +241,7 @@ class EngineCatalog {
   bool Has(const std::string& id) const;
 
   /// True when at least one tenant has a delta source — the server's
-  /// "workers must drop idle engine pins" volatility signal, and the ping
-  /// capability bit for refresh.
+  /// "workers must drop idle engine pins" volatility signal.
   bool any_refreshable() const;
 
   uint32_t max_engines() const { return max_engines_; }

@@ -19,39 +19,32 @@ void SetError(std::string* error, const std::string& msg) {
   if (error != nullptr) *error = msg;
 }
 
-/// Decodes an error-response payload into `status` + `message`. Returns
-/// false if the payload is not an error response.
-bool DecodeErrorResponse(ByteSource& src, StatusCode* status,
-                         std::string* message) {
-  *status = static_cast<StatusCode>(src.ReadU32());
-  *message = src.ReadString();
-  return src.ok();
+/// The response type and body after the echoed request id (Receive checked
+/// that the frame holds one).
+ByteSource BodyOf(const std::vector<uint8_t>& payload) {
+  return ByteSource(payload.data() + sizeof(uint64_t),
+                    payload.size() - sizeof(uint64_t));
 }
 
-/// Decodes a query (or error) response payload starting at its message
-/// type; shared by the blocking and pipelined paths.
-std::optional<QueryResponse> DecodeQueryPayload(ByteSource& src,
-                                                std::string* error) {
+/// Decodes a response of the `expected` type, or an error response into a
+/// T carrying its status and message: a server-side rejection is an
+/// answer, not a transport failure.
+template <typename T>
+std::optional<T> DecodeResponse(ByteSource& src, MessageType expected,
+                                const char* what, std::string* error) {
   MessageType type = ReadMessageType(src);
+  T resp;
   if (type == MessageType::kErrorResponse) {
-    QueryResponse resp;
-    StatusCode status;
-    std::string message;
-    if (!DecodeErrorResponse(src, &status, &message)) {
-      SetError(error, "malformed error response");
-      return std::nullopt;
-    }
-    resp.status = status;
-    resp.error = std::move(message);
-    return resp;
-  }
-  if (type != MessageType::kQueryResponse) {
+    resp.status = static_cast<StatusCode>(src.ReadU32());
+    resp.error = src.ReadString();
+  } else if (type == expected) {
+    resp = T::Deserialize(src);
+  } else {
     SetError(error, "unexpected response type");
     return std::nullopt;
   }
-  QueryResponse resp = QueryResponse::Deserialize(src);
   if (!src.ok()) {
-    SetError(error, "malformed query response: " + src.error());
+    SetError(error, std::string("malformed ") + what + ": " + src.error());
     return std::nullopt;
   }
   return resp;
@@ -117,94 +110,97 @@ bool QueryClient::ConnectTcp(const std::string& host, uint16_t port,
   return true;
 }
 
-bool QueryClient::ReadResponseFrame(std::vector<uint8_t>* payload,
-                                    std::string* error) {
-  FrameReadStatus st = ReadFrame(fd_, max_frame_bytes, payload, error);
-  if (st == FrameReadStatus::kOk) return true;
-  if (st == FrameReadStatus::kEof) {
-    SetError(error, "server closed the connection");
-  }
-  // EOF, oversize, or a socket error: the stream is dead or byte-
-  // desynchronized (an oversize response's payload is still unread), so
-  // reusing the connection would read garbage. Drop it; the caller can
-  // reconnect.
-  Close();
-  return false;
-}
-
-bool QueryClient::RoundTrip(const ByteSink& request,
-                            std::vector<uint8_t>* payload,
-                            std::string* error) {
-  if (fd_ < 0) {
-    SetError(error, "not connected");
-    return false;
-  }
-  if (!WriteFrame(fd_, request, error)) {
-    Close();
-    return false;
-  }
-  return ReadResponseFrame(payload, error);
-}
-
-ByteSink QueryClient::Addressed(const ByteSink& inner) const {
-  if (graph_.empty()) return inner;
-  return WrapScoped(graph_, inner);
-}
-
-std::optional<QueryResponse> QueryClient::Query(const QueryRequest& request,
-                                                std::string* error) {
-  ByteSink sink;
-  request.Serialize(sink);
-  std::vector<uint8_t> payload;
-  if (!RoundTrip(Addressed(sink), &payload, error)) return std::nullopt;
-
-  ByteSource src(payload.data(), payload.size());
-  return DecodeQueryPayload(src, error);
-}
-
-std::optional<uint64_t> QueryClient::SendTagged(const QueryRequest& request,
-                                                std::string* error) {
+std::optional<uint64_t> QueryClient::Send(MessageType type,
+                                          const QueryRequest* query,
+                                          std::string* error) {
   if (fd_ < 0) {
     SetError(error, "not connected");
     return std::nullopt;
   }
-  uint64_t id = next_request_id_++;
-  ByteSink inner;
-  request.Serialize(inner);
-  // Tagging outermost, addressing inside — the order the server's event
-  // loop peeks and the workers unwrap.
-  ByteSink frame =
-      WrapTagged(MessageType::kTaggedRequest, id, Addressed(inner));
-  if (!WriteFrame(fd_, frame, error)) {
+  static const std::string kDaemonWide;
+  const bool addressed = type == MessageType::kQueryRequest ||
+                         type == MessageType::kRefreshRequest;
+  const uint64_t id = next_request_id_++;
+  ByteSink sink;
+  WriteRequestHeader(sink, id, addressed ? graph_ : kDaemonWide);
+  if (query != nullptr) {
+    query->Serialize(sink);
+  } else {
+    sink.WriteU32(static_cast<uint32_t>(type));
+  }
+  if (!WriteFrame(fd_, sink, error)) {
     Close();
     return std::nullopt;
   }
   return id;
 }
 
-std::optional<QueryClient::TaggedQueryResponse> QueryClient::ReceiveTagged(
-    std::string* error) {
+std::optional<uint64_t> QueryClient::Receive(std::vector<uint8_t>* payload,
+                                             std::string* error) {
   if (fd_ < 0) {
     SetError(error, "not connected");
     return std::nullopt;
   }
+  FrameReadStatus st = ReadFrame(fd_, max_frame_bytes, payload, error);
+  if (st == FrameReadStatus::kOk && payload->size() >= sizeof(uint64_t)) {
+    ByteSource src(payload->data(), payload->size());
+    return src.ReadU64();
+  }
+  if (st == FrameReadStatus::kOk) {
+    SetError(error, "response too short for a request id");
+  } else if (st == FrameReadStatus::kEof) {
+    SetError(error, "server closed the connection");
+  }
+  // EOF, oversize, a short frame or a socket error: the stream is dead or
+  // byte-desynchronized (an oversize response's payload is still unread),
+  // so reusing the connection would read garbage. Drop it; the caller can
+  // reconnect.
+  Close();
+  return std::nullopt;
+}
+
+bool QueryClient::RoundTrip(MessageType type, const QueryRequest* query,
+                            std::vector<uint8_t>* payload,
+                            std::string* error) {
+  std::optional<uint64_t> sent = Send(type, query, error);
+  if (!sent.has_value()) return false;
+  std::optional<uint64_t> echoed = Receive(payload, error);
+  if (!echoed.has_value()) return false;
+  if (*echoed != *sent) {
+    SetError(error, "response id mismatch: sent " + std::to_string(*sent) +
+                        ", got " + std::to_string(*echoed));
+    Close();
+    return false;
+  }
+  return true;
+}
+
+std::optional<QueryResponse> QueryClient::Query(const QueryRequest& request,
+                                                std::string* error) {
   std::vector<uint8_t> payload;
-  if (!ReadResponseFrame(&payload, error)) return std::nullopt;
-  ByteSource src(payload.data(), payload.size());
-  if (ReadMessageType(src) != MessageType::kTaggedResponse) {
-    SetError(error, "expected a tagged response");
+  if (!RoundTrip(MessageType::kQueryRequest, &request, &payload, error)) {
     return std::nullopt;
   }
-  TaggedQueryResponse out;
-  out.request_id = ReadTaggedId(src);
-  if (!src.ok()) {
-    SetError(error, "malformed tagged response");
-    return std::nullopt;
-  }
-  auto resp = DecodeQueryPayload(src, error);
+  ByteSource src = BodyOf(payload);
+  return DecodeResponse<QueryResponse>(src, MessageType::kQueryResponse,
+                                       "query response", error);
+}
+
+std::optional<uint64_t> QueryClient::SendTagged(const QueryRequest& request,
+                                                std::string* error) {
+  return Send(MessageType::kQueryRequest, &request, error);
+}
+
+std::optional<QueryClient::TaggedQueryResponse> QueryClient::ReceiveTagged(
+    std::string* error) {
+  std::vector<uint8_t> payload;
+  std::optional<uint64_t> id = Receive(&payload, error);
+  if (!id.has_value()) return std::nullopt;
+  ByteSource src = BodyOf(payload);
+  auto resp = DecodeResponse<QueryResponse>(src, MessageType::kQueryResponse,
+                                            "query response", error);
   if (!resp.has_value()) return std::nullopt;
-  out.response = std::move(*resp);
-  return out;
+  return TaggedQueryResponse{*id, std::move(*resp)};
 }
 
 std::optional<std::vector<QueryResponse>> QueryClient::QueryPipelined(
@@ -245,12 +241,11 @@ std::optional<std::vector<QueryResponse>> QueryClient::QueryPipelined(
 }
 
 std::optional<StatsResponse> QueryClient::Stats(std::string* error) {
-  ByteSink sink;
-  sink.WriteU32(static_cast<uint32_t>(MessageType::kStatsRequest));
   std::vector<uint8_t> payload;
-  if (!RoundTrip(sink, &payload, error)) return std::nullopt;
-
-  ByteSource src(payload.data(), payload.size());
+  if (!RoundTrip(MessageType::kStatsRequest, nullptr, &payload, error)) {
+    return std::nullopt;
+  }
+  ByteSource src = BodyOf(payload);
   if (ReadMessageType(src) != MessageType::kStatsResponse) {
     SetError(error, "unexpected response type");
     return std::nullopt;
@@ -264,39 +259,21 @@ std::optional<StatsResponse> QueryClient::Stats(std::string* error) {
 }
 
 std::optional<RefreshResponse> QueryClient::Refresh(std::string* error) {
-  ByteSink sink;
-  sink.WriteU32(static_cast<uint32_t>(MessageType::kRefreshRequest));
   std::vector<uint8_t> payload;
-  if (!RoundTrip(Addressed(sink), &payload, error)) return std::nullopt;
-
-  ByteSource src(payload.data(), payload.size());
-  MessageType type = ReadMessageType(src);
-  if (type == MessageType::kErrorResponse) {
-    RefreshResponse resp;
-    if (!DecodeErrorResponse(src, &resp.status, &resp.error)) {
-      SetError(error, "malformed error response");
-      return std::nullopt;
-    }
-    return resp;
-  }
-  if (type != MessageType::kRefreshResponse) {
-    SetError(error, "unexpected response type");
+  if (!RoundTrip(MessageType::kRefreshRequest, nullptr, &payload, error)) {
     return std::nullopt;
   }
-  RefreshResponse resp = RefreshResponse::Deserialize(src);
-  if (!src.ok()) {
-    SetError(error, "malformed refresh response: " + src.error());
-    return std::nullopt;
-  }
-  return resp;
+  ByteSource src = BodyOf(payload);
+  return DecodeResponse<RefreshResponse>(src, MessageType::kRefreshResponse,
+                                         "refresh response", error);
 }
 
 bool QueryClient::Ping(std::string* error) {
-  ByteSink sink;
-  sink.WriteU32(static_cast<uint32_t>(MessageType::kPingRequest));
   std::vector<uint8_t> payload;
-  if (!RoundTrip(sink, &payload, error)) return false;
-  ByteSource src(payload.data(), payload.size());
+  if (!RoundTrip(MessageType::kPingRequest, nullptr, &payload, error)) {
+    return false;
+  }
+  ByteSource src = BodyOf(payload);
   if (ReadMessageType(src) != MessageType::kPingResponse) {
     SetError(error, "unexpected response type");
     return false;
@@ -304,66 +281,27 @@ bool QueryClient::Ping(std::string* error) {
   return true;
 }
 
-std::optional<ServerCapabilities> QueryClient::Capabilities(
-    std::string* error) {
-  ByteSink sink;
-  sink.WriteU32(static_cast<uint32_t>(MessageType::kPingRequest));
-  std::vector<uint8_t> payload;
-  if (!RoundTrip(sink, &payload, error)) return std::nullopt;
-  ByteSource src(payload.data(), payload.size());
-  if (ReadMessageType(src) != MessageType::kPingResponse) {
-    SetError(error, "unexpected response type");
-    return std::nullopt;
-  }
-  ServerCapabilities caps = ParsePingResponse(src);
-  if (!src.ok()) {
-    SetError(error, "malformed ping response: " + src.error());
-    return std::nullopt;
-  }
-  return caps;
-}
-
 std::optional<ListGraphsResponse> QueryClient::ListGraphs(std::string* error) {
-  ByteSink sink;
-  sink.WriteU32(static_cast<uint32_t>(MessageType::kListGraphsRequest));
   std::vector<uint8_t> payload;
-  if (!RoundTrip(sink, &payload, error)) return std::nullopt;
-  ByteSource src(payload.data(), payload.size());
-  MessageType type = ReadMessageType(src);
-  if (type == MessageType::kErrorResponse) {
-    // Server-side rejections come back as an error frame.
-    ListGraphsResponse resp;
-    if (!DecodeErrorResponse(src, &resp.status, &resp.error)) {
-      SetError(error, "malformed error response");
-      return std::nullopt;
-    }
-    return resp;
-  }
-  if (type != MessageType::kListGraphsResponse) {
-    SetError(error, "unexpected response type");
+  if (!RoundTrip(MessageType::kListGraphsRequest, nullptr, &payload, error)) {
     return std::nullopt;
   }
-  ListGraphsResponse resp = ListGraphsResponse::Deserialize(src);
-  if (!src.ok()) {
-    SetError(error, "malformed list-graphs response: " + src.error());
-    return std::nullopt;
-  }
-  return resp;
+  ByteSource src = BodyOf(payload);
+  return DecodeResponse<ListGraphsResponse>(
+      src, MessageType::kListGraphsResponse, "list-graphs response", error);
 }
 
 bool QueryClient::Shutdown(std::string* error) {
-  ByteSink sink;
-  sink.WriteU32(static_cast<uint32_t>(MessageType::kShutdownRequest));
   std::vector<uint8_t> payload;
-  if (!RoundTrip(sink, &payload, error)) return false;
-  ByteSource src(payload.data(), payload.size());
+  if (!RoundTrip(MessageType::kShutdownRequest, nullptr, &payload, error)) {
+    return false;
+  }
+  ByteSource src = BodyOf(payload);
   MessageType type = ReadMessageType(src);
   if (type == MessageType::kErrorResponse) {
-    StatusCode status;
-    std::string message;
-    if (DecodeErrorResponse(src, &status, &message)) {
-      SetError(error, message);
-    }
+    src.ReadU32();  // status
+    std::string message = src.ReadString();
+    if (src.ok()) SetError(error, message);
     return false;
   }
   return type == MessageType::kShutdownResponse;

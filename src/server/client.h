@@ -15,12 +15,14 @@ namespace rigpm::server {
 /// Thread contract: one thread per client (open several clients for
 /// concurrency — the server multiplexes all of them over its event loop).
 ///
-/// The client is the session: it owns the connection, the pipelining id
-/// counter, and the graph the session addresses. SetGraph routes every
-/// query, pipelined query, and refresh at one of a multi-graph daemon's
-/// tenants (the kScopedRequest envelope); the default — no graph set —
-/// emits no envelope at all, which the daemon serves from its default
-/// graph. Ping/Stats/Shutdown are daemon-wide and never scoped.
+/// The client is the session: it owns the connection, the request-id
+/// counter every request header draws from, and the graph the session
+/// addresses. SetGraph routes every query, pipelined query, and refresh at
+/// one of a multi-graph daemon's tenants; with no graph set the header
+/// carries "", which the daemon serves from its default graph.
+/// Ping/Stats/ListGraphs/Shutdown are daemon-wide and always carry "".
+/// A blocking round trip whose response echoes another id fails and
+/// closes the connection.
 class QueryClient {
  public:
   QueryClient() = default;
@@ -47,15 +49,16 @@ class QueryClient {
   void SetGraph(std::string graph_id) { graph_ = std::move(graph_id); }
   const std::string& graph() const { return graph_; }
 
-  /// One query round trip. Returns nullopt only on transport failure;
-  /// server-side rejections come back as a response with status != kOk.
+  /// One query round trip. Returns nullopt only on transport failure (or a
+  /// response echoing the wrong id); server-side rejections come back as a
+  /// response with status != kOk.
   std::optional<QueryResponse> Query(const QueryRequest& request,
                                      std::string* error = nullptr);
 
-  /// Pipelining: sends a kTaggedRequest query frame without waiting for
-  /// the response and returns the request id it was tagged with. Any
-  /// number may be in flight; collect each with ReceiveTagged (responses
-  /// arrive in the server's completion order, not send order).
+  /// Pipelining: sends a query frame without waiting for the response and
+  /// returns the request id its header carries. Any number may be in
+  /// flight; collect each with ReceiveTagged (responses arrive in the
+  /// server's completion order, not send order).
   std::optional<uint64_t> SendTagged(const QueryRequest& request,
                                      std::string* error = nullptr);
 
@@ -64,8 +67,8 @@ class QueryClient {
     QueryResponse response;
   };
 
-  /// Reads one tagged response frame, whichever in-flight request it
-  /// answers. Returns nullopt on transport failure or a non-tagged frame.
+  /// Reads one response frame, whichever in-flight request it answers.
+  /// Returns nullopt on transport failure or a malformed frame.
   std::optional<TaggedQueryResponse> ReceiveTagged(
       std::string* error = nullptr);
 
@@ -87,12 +90,7 @@ class QueryClient {
   /// Liveness probe (also what scripts poll while the daemon starts up).
   bool Ping(std::string* error = nullptr);
 
-  /// Ping + feature detection: the revision and capability bits the daemon
-  /// advertised. Returns nullopt on transport failure or a malformed pong.
-  std::optional<ServerCapabilities> Capabilities(std::string* error = nullptr);
-
-  /// The daemon's graph catalog (kListGraphsRequest; needs
-  /// Capabilities().list_graphs()).
+  /// The daemon's graph catalog (kListGraphsRequest).
   std::optional<ListGraphsResponse> ListGraphs(std::string* error = nullptr);
 
   /// Asks the server to shut down gracefully (needs the server's
@@ -106,17 +104,23 @@ class QueryClient {
   uint32_t max_frame_bytes = kDefaultMaxFrameBytes;
 
  private:
-  /// Sends `request` and reads one response frame into *payload.
-  bool RoundTrip(const ByteSink& request, std::vector<uint8_t>* payload,
-                 std::string* error);
+  /// Writes one request frame: the header (the next request id; the
+  /// session graph for query and refresh requests, "" otherwise), then
+  /// `query`'s type and body, or the bare `type` when `query` is null.
+  /// Returns the request id.
+  std::optional<uint64_t> Send(MessageType type, const QueryRequest* query,
+                               std::string* error);
 
-  /// Reads one response frame (closing the connection on failure, since
-  /// the stream is then desynchronized).
-  bool ReadResponseFrame(std::vector<uint8_t>* payload, std::string* error);
+  /// Reads one response frame into *payload and returns the id it echoes
+  /// (the type and body follow it). Closes the connection on failure,
+  /// since the stream is then desynchronized.
+  std::optional<uint64_t> Receive(std::vector<uint8_t>* payload,
+                                  std::string* error);
 
-  /// Applies the session's graph address: wraps `inner` in a scoped
-  /// envelope when a graph is set, passes it through untouched otherwise.
-  ByteSink Addressed(const ByteSink& inner) const;
+  /// One whole exchange: Send, then Receive; a response echoing any other
+  /// id fails and closes the connection.
+  bool RoundTrip(MessageType type, const QueryRequest* query,
+                 std::vector<uint8_t>* payload, std::string* error);
 
   int fd_ = -1;
   uint64_t next_request_id_ = 1;

@@ -1,6 +1,5 @@
 #include "server/protocol.h"
 
-#include <poll.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
 #include <unistd.h>
@@ -13,8 +12,6 @@
 namespace rigpm::server {
 
 namespace {
-
-constexpr int kPollSliceMs = 100;
 
 void WriteF64(ByteSink& sink, double v) {
   sink.WriteU64(std::bit_cast<uint64_t>(v));
@@ -30,24 +27,12 @@ bool ReadBool(ByteSource& src) { return src.ReadU8() != 0; }
 
 /// Reads exactly n bytes; distinguishes a clean EOF before the first byte
 /// (frame boundary) from a mid-buffer disconnect.
-FrameReadStatus ReadExact(int fd, uint8_t* buf, size_t n, std::string* error,
-                          const std::atomic<bool>* stop) {
+FrameReadStatus ReadExact(int fd, uint8_t* buf, size_t n, std::string* error) {
   size_t got = 0;
   while (got < n) {
-    if (stop != nullptr && stop->load(std::memory_order_relaxed)) {
-      return FrameReadStatus::kStopped;
-    }
-    pollfd pfd{fd, POLLIN, 0};
-    int ready = ::poll(&pfd, 1, kPollSliceMs);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      if (error != nullptr) *error = std::strerror(errno);
-      return FrameReadStatus::kError;
-    }
-    if (ready == 0) continue;  // timeout slice; re-check the stop flag
     ssize_t r = ::recv(fd, buf + got, n - got, 0);
     if (r < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
+      if (errno == EINTR) continue;
       if (error != nullptr) *error = std::strerror(errno);
       return FrameReadStatus::kError;
     }
@@ -74,6 +59,22 @@ const char* StatusCodeName(StatusCode s) {
   return "unknown";
 }
 
+// ---------------------------------------------------------- RequestHeader
+
+void WriteRequestHeader(ByteSink& sink, uint64_t request_id,
+                        const std::string& graph_id) {
+  sink.WriteU64(request_id);
+  sink.WriteString(graph_id);
+}
+
+RequestHeader ReadRequestHeader(ByteSource& src) {
+  RequestHeader header;
+  header.request_id = src.ReadU64();
+  header.graph_id = src.ReadString();
+  if (!src.ok()) return RequestHeader{};
+  return header;
+}
+
 // ----------------------------------------------------------- QueryRequest
 
 void QueryRequest::Serialize(ByteSink& sink) const {
@@ -83,10 +84,6 @@ void QueryRequest::Serialize(ByteSink& sink) const {
   sink.WriteString(template_name);
   sink.WriteU64(template_seed);
   sink.WriteU64(limit);
-  sink.WriteU32(num_threads);
-  WriteBool(sink, use_transitive_reduction);
-  WriteBool(sink, use_prefilter);
-  WriteBool(sink, use_double_simulation);
   sink.WriteU32(max_return_tuples);
 }
 
@@ -106,10 +103,6 @@ QueryRequest QueryRequest::Deserialize(ByteSource& src) {
   req.template_name = src.ReadString();
   req.template_seed = src.ReadU64();
   req.limit = src.ReadU64();
-  req.num_threads = src.ReadU32();
-  req.use_transitive_reduction = ReadBool(src);
-  req.use_prefilter = ReadBool(src);
-  req.use_double_simulation = ReadBool(src);
   req.max_return_tuples = src.ReadU32();
   return req;
 }
@@ -130,8 +123,6 @@ void QueryResponse::Serialize(ByteSink& sink) const {
   for (const QueryResultWire& r : results) {
     sink.WriteU64(r.num_occurrences);
     WriteBool(sink, r.hit_limit);
-    WriteF64(sink, r.matching_ms);
-    WriteF64(sink, r.enumerate_ms);
     sink.WriteU32(static_cast<uint32_t>(r.phase_timings.size()));
     for (const PhaseTimingWire& pt : r.phase_timings) {
       sink.WriteString(pt.name);
@@ -156,8 +147,6 @@ QueryResponse QueryResponse::Deserialize(ByteSource& src) {
     if (!src.ok()) break;
     r.num_occurrences = src.ReadU64();
     r.hit_limit = ReadBool(src);
-    r.matching_ms = ReadF64(src);
-    r.enumerate_ms = ReadF64(src);
     uint32_t num_phases = src.ReadU32();
     if (num_phases > src.remaining() / sizeof(uint64_t)) {
       src.Fail("phase count exceeds response size");
@@ -378,11 +367,9 @@ RefreshResponse RefreshResponse::Deserialize(ByteSource& src) {
 // ------------------------------------------------------------- frame I/O
 
 FrameReadStatus ReadFrame(int fd, uint32_t max_bytes,
-                          std::vector<uint8_t>* out, std::string* error,
-                          const std::atomic<bool>* stop) {
+                          std::vector<uint8_t>* out, std::string* error) {
   uint8_t len_bytes[sizeof(uint32_t)];
-  FrameReadStatus st =
-      ReadExact(fd, len_bytes, sizeof(len_bytes), error, stop);
+  FrameReadStatus st = ReadExact(fd, len_bytes, sizeof(len_bytes), error);
   if (st != FrameReadStatus::kOk) return st;
   uint32_t len = 0;
   std::memcpy(&len, len_bytes, sizeof(len));
@@ -394,7 +381,7 @@ FrameReadStatus ReadFrame(int fd, uint32_t max_bytes,
     return FrameReadStatus::kOversize;
   }
   out->resize(len);
-  return ReadExact(fd, out->data(), len, error, stop);
+  return ReadExact(fd, out->data(), len, error);
 }
 
 bool WriteFrame(int fd, const ByteSink& payload, std::string* error) {
@@ -449,48 +436,14 @@ MessageType ReadMessageType(ByteSource& src) {
   return static_cast<MessageType>(raw);
 }
 
-ByteSink MakeErrorResponse(StatusCode status, const std::string& message) {
+ByteSink MakeErrorResponse(uint64_t request_id, StatusCode status,
+                           const std::string& message) {
   ByteSink sink;
+  sink.WriteU64(request_id);
   sink.WriteU32(static_cast<uint32_t>(MessageType::kErrorResponse));
   sink.WriteU32(static_cast<uint32_t>(status));
   sink.WriteString(message);
   return sink;
-}
-
-ByteSink WrapTagged(MessageType envelope, uint64_t request_id,
-                    const ByteSink& inner) {
-  ByteSink sink;
-  sink.WriteU32(static_cast<uint32_t>(envelope));
-  sink.WriteU64(request_id);
-  sink.WriteRaw(inner.data().data(), inner.size());
-  return sink;
-}
-
-uint64_t ReadTaggedId(ByteSource& src) { return src.ReadU64(); }
-
-ByteSink WrapScoped(const std::string& graph_id, const ByteSink& inner) {
-  ByteSink sink;
-  sink.WriteU32(static_cast<uint32_t>(MessageType::kScopedRequest));
-  sink.WriteString(graph_id);
-  sink.WriteRaw(inner.data().data(), inner.size());
-  return sink;
-}
-
-std::string ReadScopedId(ByteSource& src) { return src.ReadString(); }
-
-ByteSink MakePingResponse(const ServerCapabilities& caps) {
-  ByteSink sink;
-  sink.WriteU32(static_cast<uint32_t>(MessageType::kPingResponse));
-  sink.WriteU32(caps.revision);
-  sink.WriteU32(caps.capabilities);
-  return sink;
-}
-
-ServerCapabilities ParsePingResponse(ByteSource& src) {
-  ServerCapabilities caps;
-  caps.revision = src.ReadU32();
-  caps.capabilities = src.ReadU32();
-  return caps;
 }
 
 }  // namespace rigpm::server

@@ -1,7 +1,6 @@
 #ifndef RIGPM_SERVER_PROTOCOL_H_
 #define RIGPM_SERVER_PROTOCOL_H_
 
-#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -19,38 +18,30 @@ namespace rigpm::server {
 /// serving IPC protocol, not an interchange format.
 ///
 /// Framing (both directions):
-///   u32      payload length in bytes (at most the frame cap; a payload too
-///            short to hold its message type draws an error response)
-///   payload  u32 message type, then the type-specific body
+///   u32      payload length in bytes (at most the frame cap)
+///   payload  request:  u64 request id, string graph id, u32 type, body
+///            response: u64 request id (echoed), u32 type, body
+///
+/// Every request carries the same header (WriteRequestHeader /
+/// ReadRequestHeader). The id is the client's to choose; the response to
+/// the request echoes it, and responses on one connection arrive in
+/// completion order, so a client with several requests in flight matches
+/// them by id. The graph id names the catalog tenant a query or refresh
+/// runs against; "" means the daemon's default graph, and daemon-wide
+/// requests (stats, ping, list-graphs, shutdown) ignore it.
 ///
 /// A connection carries any number of request/response pairs; the server
-/// answers every well-formed frame with exactly one response frame and
-/// answers malformed-but-framed requests with an error response. Only an
+/// answers every frame with exactly one response frame, and a frame too
+/// short for its header and type, an unknown type or a malformed body with
+/// an error response (id 0 when the header itself is unreadable). Only an
 /// oversized length prefix (which poisons the stream position) closes the
 /// connection.
-///
-/// Envelopes compose in a fixed order (outermost first):
-///   kTaggedRequest  — u64 request id, then the wrapped payload
-///   kScopedRequest  — graph-id string, then the wrapped payload
-///   the actual request (kQueryRequest, kRefreshRequest, ...)
-/// Tagging stays outermost because the event loop peeks only the first u32
-/// of a frame for pipeline admission. An unaddressed (unscoped) request is
-/// served by the daemon's default graph.
 ///
 /// Client and daemon are the same build, so every payload has exactly one
 /// layout: decoders read every field and a short payload is an error,
 /// never a sign of an older peer.
 
 inline constexpr uint32_t kDefaultMaxFrameBytes = 16u << 20;
-
-/// Protocol revision advertised in the kPingResponse body.
-inline constexpr uint32_t kProtocolRevision = 2;
-
-/// Capability bits of the kPingResponse body.
-inline constexpr uint32_t kCapTagged = 1u << 0;      // pipelining envelope
-inline constexpr uint32_t kCapRefresh = 1u << 1;     // >=1 refreshable graph
-inline constexpr uint32_t kCapScoped = 1u << 2;      // graph-addressed requests
-inline constexpr uint32_t kCapListGraphs = 1u << 3;  // kListGraphsRequest
 
 enum class MessageType : uint32_t {
   kQueryRequest = 1,
@@ -64,33 +55,15 @@ enum class MessageType : uint32_t {
   /// Empty body. Answered with kRefreshResponse (RefreshResponse below) or
   /// an error response when the daemon has no delta source configured.
   kRefreshRequest = 5,
-  /// Pipelining envelope: u64 request_id, then a complete inner request
-  /// payload (u32 inner type + body). A client may have many tagged frames
-  /// in flight on one connection; each is answered with a kTaggedResponse
-  /// carrying the same id, and responses may arrive in any order. Untagged
-  /// frames keep their PR-1 semantics: one at a time, answered in order,
-  /// with an untagged response (conceptually id 0).
-  kTaggedRequest = 6,
-  /// Tenant-addressing envelope: graph-id string, then a complete inner
-  /// request payload (u32 inner type + body). Routes the inner request to
-  /// the named catalog entry; an empty id means the default graph, same as
-  /// no envelope at all. Composes INSIDE kTaggedRequest (see above) and
-  /// never nests. The response carries no scoped envelope — it goes back
-  /// on the same connection, so the addressing is implicit.
-  kScopedRequest = 7,
   /// Asks for the daemon's graph catalog (ids, residency, refreshability,
   /// per-graph counters). Empty body; answered with kListGraphsResponse.
   kListGraphsRequest = 8,
 
   kQueryResponse = 101,
   kStatsResponse = 102,
-  /// u32 protocol revision + u32 capability bits, so a client can
-  /// feature-detect instead of probing with error responses.
-  kPingResponse = 103,
+  kPingResponse = 103,  // empty body
   kShutdownResponse = 104,
   kRefreshResponse = 105,
-  /// u64 request_id, then the complete inner response payload.
-  kTaggedResponse = 106,
   kListGraphsResponse = 107,
   kErrorResponse = 199,
 };
@@ -105,38 +78,38 @@ enum class StatusCode : uint32_t {
 
 const char* StatusCodeName(StatusCode s);
 
-/// What a daemon advertises in its kPingResponse.
-struct ServerCapabilities {
-  uint32_t revision = 0;
-  uint32_t capabilities = 0;
-
-  bool tagged() const { return (capabilities & kCapTagged) != 0; }
-  bool refresh() const { return (capabilities & kCapRefresh) != 0; }
-  bool scoped() const { return (capabilities & kCapScoped) != 0; }
-  bool list_graphs() const { return (capabilities & kCapListGraphs) != 0; }
+/// The fixed head of every request payload, ahead of its u32 type.
+struct RequestHeader {
+  uint64_t request_id = 0;  // echoed at the head of the response
+  std::string graph_id;     // catalog tenant; "" = the default graph
 };
 
+/// Appends the request header to `sink`; the u32 type and body follow.
+void WriteRequestHeader(ByteSink& sink, uint64_t request_id,
+                        const std::string& graph_id);
+
+/// Reads the request header. A payload too short for it fails `src` and
+/// yields the empty header (id 0).
+RequestHeader ReadRequestHeader(ByteSource& src);
+
 /// One pattern-matching request. Either `patterns` (inline syntax of
-/// query_parser.h; >1 entries are served as one EvaluateBatch call) or
+/// query_parser.h; evaluated one after another, in request order) or
 /// `template_name` (one of the paper's HQ0..HQ19, instantiated against the
-/// served graph's label alphabet with `template_seed`) must be set.
+/// served graph's label alphabet with `template_seed`) must be set. The
+/// daemon evaluates with default GmOptions plus `limit`.
 struct QueryRequest {
   std::vector<std::string> patterns;
   std::string template_name;
   uint64_t template_seed = 17;
-
-  // GmOptions subset (the serving-relevant knobs).
   uint64_t limit = std::numeric_limits<uint64_t>::max();
-  uint32_t num_threads = 1;
-  bool use_transitive_reduction = true;
-  bool use_prefilter = true;
-  bool use_double_simulation = true;
 
   /// Echo up to this many occurrence tuples back (single-query requests
   /// only); the server additionally enforces its own cap.
   uint32_t max_return_tuples = 0;
 
+  /// Writes the u32 type and the body.
   void Serialize(ByteSink& sink) const;
+  /// Reads the body (the type already consumed).
   static QueryRequest Deserialize(ByteSource& src);
 };
 
@@ -150,8 +123,6 @@ struct PhaseTimingWire {
 struct QueryResultWire {
   uint64_t num_occurrences = 0;
   bool hit_limit = false;
-  double matching_ms = 0.0;
-  double enumerate_ms = 0.0;
   std::vector<PhaseTimingWire> phase_timings;
 };
 
@@ -285,17 +256,14 @@ struct RefreshResponse {
 enum class FrameReadStatus : uint8_t {
   kOk,        // one whole frame in *out
   kEof,       // peer closed cleanly at a frame boundary
-  kStopped,   // *stop turned true while waiting
   kOversize,  // declared length exceeds max_bytes (stream is poisoned)
   kError,     // socket error or mid-frame disconnect
 };
 
-/// Reads one length-prefixed frame from `fd` into *out. Blocks, but polls in
-/// short slices so a stop flag (the server's shutdown signal) interrupts the
-/// wait between frames. Never allocates more than `max_bytes`.
+/// Reads one length-prefixed frame from the blocking socket `fd` into
+/// *out. Never allocates more than `max_bytes`.
 FrameReadStatus ReadFrame(int fd, uint32_t max_bytes,
-                          std::vector<uint8_t>* out, std::string* error,
-                          const std::atomic<bool>* stop = nullptr);
+                          std::vector<uint8_t>* out, std::string* error);
 
 /// Writes the length prefix and `payload` to `fd` (handles partial writes;
 /// suppresses SIGPIPE so a vanished peer is an error return, not a signal).
@@ -306,37 +274,9 @@ bool WriteFrame(int fd, const ByteSink& payload, std::string* error);
 /// Reads the leading u32 message type; on a short payload fails `src`.
 MessageType ReadMessageType(ByteSource& src);
 
-/// Builds an error-response payload (type + status + message).
-ByteSink MakeErrorResponse(StatusCode status, const std::string& message);
-
-/// Wraps a complete inner payload (u32 type + body) in a pipelining
-/// envelope: `envelope` type, u64 request id, inner bytes. `envelope` must
-/// be kTaggedRequest or kTaggedResponse.
-ByteSink WrapTagged(MessageType envelope, uint64_t request_id,
-                    const ByteSink& inner);
-
-/// Reads the u64 request id of a tagged envelope; call after
-/// ReadMessageType returned kTaggedRequest/kTaggedResponse. The source is
-/// then positioned at the inner payload's message type.
-uint64_t ReadTaggedId(ByteSource& src);
-
-/// Wraps a complete inner payload (u32 type + body) in a tenant-addressing
-/// envelope: kScopedRequest, graph-id string, inner bytes. Compose as
-/// WrapTagged(..., WrapScoped(id, inner)) when pipelining — tagging stays
-/// outermost.
-ByteSink WrapScoped(const std::string& graph_id, const ByteSink& inner);
-
-/// Reads the graph-id string of a scoped envelope; call after
-/// ReadMessageType returned kScopedRequest. The source is then positioned
-/// at the inner payload's message type.
-std::string ReadScopedId(ByteSource& src);
-
-/// Builds a kPingResponse payload (revision + capability bits).
-ByteSink MakePingResponse(const ServerCapabilities& caps);
-
-/// Decodes a kPingResponse payload (the type already consumed). A payload
-/// missing either field fails `src`.
-ServerCapabilities ParsePingResponse(ByteSource& src);
+/// Builds an error-response payload (request id + type + status + message).
+ByteSink MakeErrorResponse(uint64_t request_id, StatusCode status,
+                           const std::string& message);
 
 }  // namespace rigpm::server
 

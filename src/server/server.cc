@@ -15,7 +15,6 @@
 #include <cerrno>
 #include <cstring>
 #include <limits>
-#include <span>
 #include <utility>
 
 #include "query/pattern_parser.h"
@@ -77,14 +76,6 @@ std::vector<uint8_t> FrameBytes(const ByteSink& payload) {
   std::memcpy(framed.data() + sizeof(len), payload.data().data(),
               payload.size());
   return framed;
-}
-
-uint32_t PeekType(const std::vector<uint8_t>& bytes, size_t offset = 0) {
-  uint32_t type = 0;
-  if (bytes.size() >= offset + sizeof(type)) {
-    std::memcpy(&type, bytes.data() + offset, sizeof(type));
-  }
-  return type;
 }
 
 }  // namespace
@@ -277,7 +268,13 @@ void QueryServer::MaintenanceLoop() {
 }
 
 void QueryServer::RequestStop() {
-  stop_.store(true);
+  {
+    // Set under the mutexes the worker and maintenance waits test it with:
+    // a store between a waiter's predicate check and its block would lose
+    // the wakeup and leave Stop() joining a thread that never wakes.
+    std::scoped_lock lock(queue_mu_, maint_mu_);
+    stop_.store(true);
+  }
   queue_cv_.notify_all();
   maint_cv_.notify_all();
   WakeLoop();
@@ -375,8 +372,8 @@ void QueryServer::EventLoop() {
     if (accept_ready && !draining) AcceptNewConnections();
 
     // Worker completions: flush the fresh responses and re-arm (a finished
-    // untagged request may also unblock held frames → PumpDispatch inside
-    // SettleConnection).
+    // request may also unblock frames held back by the pipeline cap →
+    // PumpDispatch inside SettleConnection).
     std::vector<std::shared_ptr<Connection>> done;
     {
       std::lock_guard<std::mutex> lock(compl_mu_);
@@ -495,7 +492,7 @@ void QueryServer::ParseFrames(const std::shared_ptr<Connection>& conn) {
         ++errors_;
       }
       ByteSink err = MakeErrorResponse(
-          StatusCode::kBadRequest,
+          0, StatusCode::kBadRequest,
           "frame of " + std::to_string(len) + " bytes exceeds the limit of " +
               std::to_string(config_.max_frame_bytes));
       std::vector<uint8_t> framed = FrameBytes(err);
@@ -527,19 +524,10 @@ void QueryServer::ParseFrames(const std::shared_ptr<Connection>& conn) {
 void QueryServer::PumpDispatch(const std::shared_ptr<Connection>& conn) {
   if (stop_.load()) return;  // draining: never-dispatched frames are dropped
   while (!conn->ready.empty()) {
-    const std::vector<uint8_t>& front = conn->ready.front();
-    bool tagged = PeekType(front) ==
-                  static_cast<uint32_t>(MessageType::kTaggedRequest);
     {
       std::lock_guard<std::mutex> lock(conn->mu);
-      // Untagged requests keep their original strictly-in-order contract:
-      // one in flight, nothing overtakes it. Tagged requests fill the
-      // pipeline up to the cap.
-      if (conn->untagged_inflight) break;
-      if (!tagged && conn->inflight > 0) break;
-      if (tagged && conn->inflight >= config_.max_pipeline) break;
+      if (conn->inflight >= config_.max_pipeline) break;
       ++conn->inflight;
-      if (!tagged) conn->untagged_inflight = true;
     }
     inflight_total_.fetch_add(1);
     WorkItem item;
@@ -742,162 +730,102 @@ void QueryServer::WorkerLoop(size_t /*worker_index*/) {
 
 void QueryServer::ProcessItem(WorkItem item, WorkerEngine& we) {
   ByteSource src(item.frame.data(), item.frame.size());
-  MessageType type = ReadMessageType(src);
-  bool tagged = false;
-  uint64_t request_id = 0;
-  bool close_after = false;
+  const RequestHeader header = ReadRequestHeader(src);
+  const MessageType type = ReadMessageType(src);
   ByteSink response;
-  bool have_response = false;
+  response.WriteU64(header.request_id);
+  bool rejected = false;
+  auto reject = [&](StatusCode status, const std::string& message) {
+    response = MakeErrorResponse(header.request_id, status, message);
+    rejected = true;
+  };
+  bool close_after = false;
 
-  if (src.ok() && type == MessageType::kTaggedRequest) {
-    request_id = ReadTaggedId(src);
-    if (!src.ok()) {
-      // No id to echo — answer untagged, like any other malformed frame.
-      response = MakeErrorResponse(StatusCode::kBadRequest,
-                                   "tagged frame too short for a request id");
-      have_response = true;
-    } else {
-      tagged = true;
-      type = ReadMessageType(src);
-    }
-  }
-
-  // The tenant-addressing envelope sits inside any tagging (PumpDispatch
-  // peeks the outermost type for pipeline admission). An empty or absent
-  // id routes to the catalog's default tenant.
-  std::string graph_id;
-  if (!have_response && src.ok() && type == MessageType::kScopedRequest) {
-    graph_id = ReadScopedId(src);
-    if (!src.ok()) {
-      response = MakeErrorResponse(StatusCode::kBadRequest,
-                                   "scoped frame too short for a graph id");
-      have_response = true;
-    } else {
-      type = ReadMessageType(src);
-      if (src.ok() && type == MessageType::kScopedRequest) {
-        response = MakeErrorResponse(StatusCode::kBadRequest,
-                                     "scoped envelope cannot nest");
-        have_response = true;
-      } else if (src.ok() && type == MessageType::kTaggedRequest) {
-        response = MakeErrorResponse(StatusCode::kBadRequest,
-                                     "tagged envelope must be outermost");
-        have_response = true;
-      }
-    }
-  }
-
-  if (!have_response) {
-    if (!src.ok()) {
-      response = MakeErrorResponse(StatusCode::kBadRequest,
-                                   "frame too short for a message type");
-    } else {
-      switch (type) {
-        case MessageType::kQueryRequest: {
-          QueryRequest req = QueryRequest::Deserialize(src);
-          if (!src.ok() || src.remaining() != 0) {
-            response = MakeErrorResponse(
-                StatusCode::kBadRequest,
-                src.ok() ? "trailing bytes in query request" : src.error());
-          } else {
-            // Pick up any engine published by a refresh (or reopened after
-            // an eviction) since the last request; queries in flight
-            // elsewhere keep their own pins.
-            std::string sync_error;
-            bool bad_request = false;
-            TenantSlot* slot =
-                SyncWorkerEngine(we, graph_id, &sync_error, &bad_request);
-            if (slot == nullptr) {
-              response = MakeErrorResponse(bad_request
-                                               ? StatusCode::kBadRequest
-                                               : StatusCode::kInternalError,
-                                           sync_error);
-            } else {
-              auto t0 = std::chrono::steady_clock::now();
-              response = HandleQuery(req, graph_id, *slot);
-              RecordLatency(MsSince(t0));
-            }
-          }
+  if (!src.ok()) {
+    reject(StatusCode::kBadRequest,
+           "frame too short for a request header and type");
+  } else {
+    switch (type) {
+      case MessageType::kQueryRequest: {
+        QueryRequest req = QueryRequest::Deserialize(src);
+        if (!src.ok() || src.remaining() != 0) {
+          reject(StatusCode::kBadRequest,
+                 src.ok() ? "trailing bytes in query request" : src.error());
           break;
         }
-        case MessageType::kStatsRequest:
-          response = HandleStats();
-          break;
-        case MessageType::kPingRequest: {
-          ServerCapabilities caps;
-          caps.revision = kProtocolRevision;
-          caps.capabilities = kCapTagged | kCapScoped | kCapListGraphs |
-                              (catalog_->any_refreshable() ? kCapRefresh : 0u);
-          response = MakePingResponse(caps);
+        // Pick up any engine published by a refresh (or reopened after an
+        // eviction) since the last request; queries in flight elsewhere
+        // keep their own pins.
+        std::string sync_error;
+        bool bad_request = false;
+        TenantSlot* slot =
+            SyncWorkerEngine(we, header.graph_id, &sync_error, &bad_request);
+        if (slot == nullptr) {
+          reject(bad_request ? StatusCode::kBadRequest
+                             : StatusCode::kInternalError,
+                 sync_error);
           break;
         }
-        case MessageType::kRefreshRequest:
-          response = HandleRefresh(graph_id);
-          break;
-        case MessageType::kListGraphsRequest:
-          response = HandleListGraphs();
-          break;
-        case MessageType::kShutdownRequest:
-          if (config_.allow_remote_shutdown) {
-            response.WriteU32(
-                static_cast<uint32_t>(MessageType::kShutdownResponse));
-            close_after = true;
-            RequestStop();
-          } else {
-            response = MakeErrorResponse(StatusCode::kBadRequest,
-                                         "remote shutdown is disabled");
-          }
-          break;
-        default:
-          response = MakeErrorResponse(
-              StatusCode::kBadRequest,
-              "unknown request type " +
-                  std::to_string(static_cast<uint32_t>(type)));
-          break;
+        auto t0 = std::chrono::steady_clock::now();
+        HandleQuery(req, header.graph_id, *slot, response);
+        RecordLatency(MsSince(t0));
+        break;
       }
+      case MessageType::kStatsRequest:
+        Snapshot().Serialize(response);
+        break;
+      case MessageType::kPingRequest:
+        response.WriteU32(static_cast<uint32_t>(MessageType::kPingResponse));
+        break;
+      case MessageType::kRefreshRequest:
+        HandleRefresh(header.graph_id, response);
+        break;
+      case MessageType::kListGraphsRequest:
+        HandleListGraphs(response);
+        break;
+      case MessageType::kShutdownRequest:
+        if (config_.allow_remote_shutdown) {
+          response.WriteU32(
+              static_cast<uint32_t>(MessageType::kShutdownResponse));
+          close_after = true;
+          RequestStop();
+        } else {
+          reject(StatusCode::kBadRequest, "remote shutdown is disabled");
+        }
+        break;
+      default:
+        reject(StatusCode::kBadRequest,
+               "unknown request type " +
+                   std::to_string(static_cast<uint32_t>(type)));
+        break;
     }
   }
 
   // A frame the client would reject as oversize (and that a 4-byte length
   // prefix may not even represent): substitute a small error so the work
-  // is not silently dropped on the client side. The tagged envelope costs
-  // 12 bytes of the budget.
-  const size_t envelope_bytes =
-      tagged ? sizeof(uint32_t) + sizeof(uint64_t) : 0;
-  if (response.size() + envelope_bytes > config_.max_frame_bytes) {
-    response = MakeErrorResponse(
-        StatusCode::kInternalError,
-        "response of " + std::to_string(response.size()) +
-            " bytes exceeds the frame cap of " +
-            std::to_string(config_.max_frame_bytes));
+  // is not silently dropped on the client side.
+  if (response.size() > config_.max_frame_bytes) {
+    reject(StatusCode::kInternalError,
+           "response of " + std::to_string(response.size()) +
+               " bytes exceeds the frame cap of " +
+               std::to_string(config_.max_frame_bytes));
   }
   {
     // Count every protocol rejection the same way, whichever branch built
-    // it (query failures are counted inside HandleQuery). The peek looks
-    // at the INNER response type, before any envelope.
-    uint32_t resp_type = 0;
-    if (response.size() >= sizeof(resp_type)) {
-      std::memcpy(&resp_type, response.data().data(), sizeof(resp_type));
-    }
+    // it (query failures are counted inside HandleQuery).
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++requests_served_;
-    if (resp_type == static_cast<uint32_t>(MessageType::kErrorResponse)) {
-      ++errors_;
-    }
+    if (rejected) ++errors_;
   }
-  if (tagged) {
-    response = WrapTagged(MessageType::kTaggedResponse, request_id, response);
-  }
-  FinishRequest(item.conn, FrameBytes(response), /*was_untagged=*/!tagged,
-                close_after);
+  FinishRequest(item.conn, FrameBytes(response), close_after);
 }
 
 void QueryServer::FinishRequest(const std::shared_ptr<Connection>& conn,
                                 std::vector<uint8_t> framed_response,
-                                bool was_untagged, bool close_after) {
+                                bool close_after) {
   {
     std::lock_guard<std::mutex> lock(conn->mu);
     --conn->inflight;
-    if (was_untagged) conn->untagged_inflight = false;
     if (close_after) conn->close_after_flush = true;
     if (!conn->closed) {
       conn->wq_bytes += framed_response.size();
@@ -914,9 +842,9 @@ void QueryServer::FinishRequest(const std::shared_ptr<Connection>& conn,
 
 // -------------------------------------------------------------- handlers
 
-ByteSink QueryServer::HandleQuery(const QueryRequest& req,
-                                  const std::string& graph_id,
-                                  TenantSlot& slot) {
+void QueryServer::HandleQuery(const QueryRequest& req,
+                              const std::string& graph_id, TenantSlot& slot,
+                              ByteSink& out) {
   const GmEngine& engine = *slot.state->engine;
   EvalContext& ctx = *slot.ctx;
   // Generation-scoped: lives and dies with the pinned state, so a hit is
@@ -930,9 +858,7 @@ ByteSink QueryServer::HandleQuery(const QueryRequest& req,
     QueryResponse resp;
     resp.status = status;
     resp.error = msg;
-    ByteSink sink;
-    resp.Serialize(sink);
-    return sink;
+    resp.Serialize(out);
   };
 
   // Validate and parse. Template INSTANTIATION is deferred past the cache
@@ -973,15 +899,6 @@ ByteSink QueryServer::HandleQuery(const QueryRequest& req,
 
   GmOptions opts;
   opts.limit = req.limit;
-  // The thread count is client-controlled; clamp it to the hardware so a
-  // hostile request cannot make the enumeration spawn an unbounded number
-  // of std::threads (0 keeps its "hardware concurrency" meaning).
-  uint32_t hw = std::thread::hardware_concurrency();
-  if (hw == 0) hw = 2;
-  opts.num_threads = std::min(req.num_threads, hw);
-  opts.use_transitive_reduction = req.use_transitive_reduction;
-  opts.use_prefilter = req.use_prefilter;
-  opts.use_double_simulation = req.use_double_simulation;
 
   const uint32_t tuple_cap =
       std::min(req.max_return_tuples, config_.max_return_tuples);
@@ -994,16 +911,12 @@ ByteSink QueryServer::HandleQuery(const QueryRequest& req,
       occurrences_emitted_ += r->TotalOccurrences();
     }
     catalog_->CountQuery(graph_id, num_queries);
-    ByteSink sink;
-    r->Serialize(sink);
-    return sink;
+    r->Serialize(out);
   };
 
   // Cache key: exact canonical bytes (compared in full on every probe — a
   // digest collision could serve a wrong result, so no digest-only keys),
-  // plus the result-relevant options. num_threads is excluded: per-query
-  // results are identical at every thread count (the PR 1 equivalence the
-  // tests lock), so thread-count variants share one entry.
+  // plus the result-relevant options.
   std::string cache_key;
   if (cache != nullptr) {
     ByteSink kb;
@@ -1024,9 +937,6 @@ ByteSink QueryServer::HandleQuery(const QueryRequest& req,
       }
     }
     kb.WriteU64(req.limit);
-    kb.WriteU8(req.use_transitive_reduction ? 1 : 0);
-    kb.WriteU8(req.use_prefilter ? 1 : 0);
-    kb.WriteU8(req.use_double_simulation ? 1 : 0);
     kb.WriteU32(tuple_cap);
     cache_key.assign(reinterpret_cast<const char*>(kb.data().data()),
                      kb.size());
@@ -1044,16 +954,12 @@ ByteSink QueryServer::HandleQuery(const QueryRequest& req,
 
   auto evaluate = [&]() -> std::shared_ptr<const QueryResponse> {
     auto resp = std::make_shared<QueryResponse>();
-    std::vector<GmResult> results;
+    // Tuples are echoed for single-pattern requests only.
+    OccurrenceSink sink = nullptr;
     if (queries.size() == 1) {
-      // The serving hot path: the worker's own reusable context.
       resp->tuple_arity = queries[0].NumNodes();
-      std::mutex tuples_mu;  // parallel enumeration invokes the sink
-                             // concurrently
-      OccurrenceSink sink = nullptr;
       if (tuple_cap > 0) {
         sink = [&](const Occurrence& t) {
-          std::lock_guard<std::mutex> lock(tuples_mu);
           if (resp->tuples.size() / resp->tuple_arity <
               static_cast<size_t>(tuple_cap)) {
             resp->tuples.insert(resp->tuples.end(), t.begin(), t.end());
@@ -1061,20 +967,13 @@ ByteSink QueryServer::HandleQuery(const QueryRequest& req,
           return true;
         };
       }
-      results.push_back(engine.Evaluate(ctx, queries[0], opts, sink));
-    } else {
-      // Multi-pattern request: one EvaluateBatch call (its own worker pool
-      // and contexts; per-query results identical to sequential
-      // evaluation).
-      results = engine.EvaluateBatch(std::span<const PatternQuery>(queries),
-                                     opts, nullptr);
     }
-    for (const GmResult& r : results) {
+    // Every pattern runs in request order on the worker's own context.
+    for (const PatternQuery& q : queries) {
+      GmResult r = engine.Evaluate(ctx, q, opts, sink);
       QueryResultWire w;
       w.num_occurrences = r.num_occurrences;
       w.hit_limit = r.hit_limit;
-      w.matching_ms = r.MatchingMs();
-      w.enumerate_ms = r.enumerate_ms;
       w.phase_timings.reserve(r.phase_timings.size());
       for (const PhaseTiming& pt : r.phase_timings) {
         w.phase_timings.push_back(PhaseTimingWire{pt.name, pt.ms});
@@ -1086,13 +985,11 @@ ByteSink QueryServer::HandleQuery(const QueryRequest& req,
 
   // Miss path: singleflight — N concurrent identical cold queries (a full
   // pipeline of the same hot pattern) evaluate once and share the result.
-  std::shared_ptr<const QueryResponse> result =
-      cache != nullptr ? cache->GetOrCompute(cache_key, evaluate)
-                       : evaluate();
-  return serve(result);
+  serve(cache != nullptr ? cache->GetOrCompute(cache_key, evaluate)
+                         : evaluate());
 }
 
-ByteSink QueryServer::HandleRefresh(const std::string& graph_id) {
+void QueryServer::HandleRefresh(const std::string& graph_id, ByteSink& out) {
   // The replay/validate/swap pipeline (and its per-tenant serialization)
   // lives in the catalog; this wrapper only translates the result onto the
   // wire and into the serving counters.
@@ -1116,12 +1013,10 @@ ByteSink QueryServer::HandleRefresh(const std::string& graph_id) {
     ++refreshes_;
   }
   resp.refresh_ms = MsSince(t0);
-  ByteSink sink;
-  resp.Serialize(sink);
-  return sink;
+  resp.Serialize(out);
 }
 
-ByteSink QueryServer::HandleListGraphs() const {
+void QueryServer::HandleListGraphs(ByteSink& out) const {
   ListGraphsResponse resp;
   resp.default_id = catalog_->default_id();
   std::vector<TenantInfo> tenants = catalog_->List();
@@ -1130,60 +1025,7 @@ ByteSink QueryServer::HandleListGraphs() const {
     resp.graphs.push_back(GraphInfoWire{t.id, t.resident, t.refreshable,
                                         t.applied_seqno, t.queries});
   }
-  ByteSink sink;
-  resp.Serialize(sink);
-  return sink;
-}
-
-ByteSink QueryServer::HandleStats() const {
-  ServerStats stats = Snapshot();
-  StatsResponse resp;
-  resp.uptime_ms = static_cast<uint64_t>(stats.uptime_ms);
-  resp.connections_accepted = stats.connections_accepted;
-  resp.active_connections = stats.active_connections;
-  resp.requests_served = stats.requests_served;
-  resp.queries_served = stats.queries_served;
-  resp.errors = stats.errors;
-  resp.occurrences_emitted = stats.occurrences_emitted;
-  resp.refreshes = stats.refreshes;
-  resp.dispatch_depth = stats.dispatch_depth;
-  resp.latency_p50_ms = stats.latency_p50_ms;
-  resp.latency_p99_ms = stats.latency_p99_ms;
-  resp.accept_p50_ms = stats.accept_p50_ms;
-  resp.accept_p99_ms = stats.accept_p99_ms;
-  CatalogStats cstats = catalog_->Stats();
-  resp.graphs_registered = cstats.registered;
-  resp.graphs_resident = cstats.resident;
-  resp.catalog_hits = cstats.hits;
-  resp.catalog_misses = cstats.misses;
-  resp.catalog_evictions = cstats.evictions;
-  std::vector<TenantInfo> tenants = catalog_->List();
-  resp.tenants.reserve(tenants.size());
-  resp.tenant_caches.reserve(tenants.size());
-  for (const TenantInfo& t : tenants) {
-    resp.tenants.push_back(GraphInfoWire{t.id, t.resident, t.refreshable,
-                                         t.applied_seqno, t.queries});
-    resp.tenant_caches.push_back(TenantCacheWire{
-        t.id, t.cache.hits, t.cache.misses, t.cache.inserts,
-        t.cache.evictions, t.cache.singleflight_waits, t.cache.bytes_used,
-        t.cache.entries});
-  }
-  resp.cache_hits = stats.cache.hits;
-  resp.cache_misses = stats.cache.misses;
-  resp.cache_inserts = stats.cache.inserts;
-  resp.cache_evictions = stats.cache.evictions;
-  resp.cache_singleflight_waits = stats.cache.singleflight_waits;
-  resp.cache_bytes_used = stats.cache.bytes_used;
-  resp.cache_entries = stats.cache.entries;
-  resp.flushes = stats.flushes;
-  resp.frames_flushed = stats.frames_flushed;
-  resp.auto_refreshes = stats.auto_refreshes;
-  resp.auto_compactions = stats.auto_compactions;
-  resp.maintenance_bytes_reclaimed = stats.maintenance_bytes_reclaimed;
-  resp.deletes_applied = stats.deletes_applied;
-  ByteSink sink;
-  resp.Serialize(sink);
-  return sink;
+  resp.Serialize(out);
 }
 
 void QueryServer::RecordLatency(double ms) {
@@ -1200,31 +1042,47 @@ void QueryServer::RecordAcceptLatency(double ms) {
   if (accept_next_ == 0) accept_wrapped_ = true;
 }
 
-ServerStats QueryServer::Snapshot() const {
-  ServerStats stats;
+StatsResponse QueryServer::Snapshot() const {
+  StatsResponse stats;
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
     stats.dispatch_depth = dispatch_q_.size();
   }
-  // Cache totals: sum every resident tenant's current-generation cache
-  // (the catalog walk takes its own locks, so it stays outside stats_mu_).
-  for (const TenantInfo& t : catalog_->List()) {
-    stats.cache.hits += t.cache.hits;
-    stats.cache.misses += t.cache.misses;
-    stats.cache.inserts += t.cache.inserts;
-    stats.cache.evictions += t.cache.evictions;
-    stats.cache.singleflight_waits += t.cache.singleflight_waits;
-    stats.cache.bytes_used += t.cache.bytes_used;
-    stats.cache.entries += t.cache.entries;
+  // Catalog rows, plus cache totals summed over every resident tenant's
+  // current generation (the catalog walk takes its own locks, so it stays
+  // outside stats_mu_).
+  CatalogStats cstats = catalog_->Stats();
+  stats.graphs_registered = cstats.registered;
+  stats.graphs_resident = cstats.resident;
+  stats.catalog_hits = cstats.hits;
+  stats.catalog_misses = cstats.misses;
+  stats.catalog_evictions = cstats.evictions;
+  std::vector<TenantInfo> tenants = catalog_->List();
+  stats.tenants.reserve(tenants.size());
+  stats.tenant_caches.reserve(tenants.size());
+  for (const TenantInfo& t : tenants) {
+    stats.tenants.push_back(GraphInfoWire{t.id, t.resident, t.refreshable,
+                                          t.applied_seqno, t.queries});
+    stats.tenant_caches.push_back(TenantCacheWire{
+        t.id, t.cache.hits, t.cache.misses, t.cache.inserts,
+        t.cache.evictions, t.cache.singleflight_waits, t.cache.bytes_used,
+        t.cache.entries});
+    stats.cache_hits += t.cache.hits;
+    stats.cache_misses += t.cache.misses;
+    stats.cache_inserts += t.cache.inserts;
+    stats.cache_evictions += t.cache.evictions;
+    stats.cache_singleflight_waits += t.cache.singleflight_waits;
+    stats.cache_bytes_used += t.cache.bytes_used;
+    stats.cache_entries += t.cache.entries;
   }
-  {
-    MaintenanceStats maint = catalog_->maintenance_stats();
-    stats.auto_refreshes = maint.auto_refreshes;
-    stats.auto_compactions = maint.auto_compactions;
-    stats.maintenance_bytes_reclaimed = maint.bytes_reclaimed;
-    stats.deletes_applied = maint.deletes_applied;
-  }
+  MaintenanceStats maint = catalog_->maintenance_stats();
+  stats.auto_refreshes = maint.auto_refreshes;
+  stats.auto_compactions = maint.auto_compactions;
+  stats.maintenance_bytes_reclaimed = maint.bytes_reclaimed;
+  stats.deletes_applied = maint.deletes_applied;
+
   std::lock_guard<std::mutex> lock(stats_mu_);
+  stats.uptime_ms = static_cast<uint64_t>(MsSince(start_time_));
   stats.connections_accepted = connections_accepted_;
   stats.active_connections = active_connections_;
   stats.requests_served = requests_served_;
@@ -1234,7 +1092,6 @@ ServerStats QueryServer::Snapshot() const {
   stats.refreshes = refreshes_;
   stats.flushes = flushes_;
   stats.frames_flushed = frames_flushed_;
-  stats.uptime_ms = MsSince(start_time_);
   std::vector<double> samples(
       latency_ring_.begin(),
       latency_ring_.begin() +

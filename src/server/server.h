@@ -43,8 +43,8 @@ struct ServerConfig {
   /// deployment that only trusts signals can turn it off).
   bool allow_remote_shutdown = true;
 
-  /// Per-connection cap on tagged requests in flight at once; frames past
-  /// the cap wait in the connection's ready queue (the client is never
+  /// Per-connection cap on requests in flight at once; frames past the
+  /// cap wait in the connection's ready queue (the client is never
   /// errored, just back-pressured via paused reads).
   uint32_t max_pipeline = 64;
 
@@ -71,45 +71,18 @@ struct ServerConfig {
   double auto_compact_ratio = 0.0;
 };
 
-/// Point-in-time serving counters (also what a kStatsRequest returns).
-struct ServerStats {
-  uint64_t connections_accepted = 0;
-  uint64_t active_connections = 0;  // connections currently open
-  uint64_t requests_served = 0;
-  uint64_t queries_served = 0;
-  uint64_t errors = 0;
-  uint64_t occurrences_emitted = 0;
-  uint64_t refreshes = 0;
-  uint64_t dispatch_depth = 0;  // parsed requests waiting for a worker
-  uint64_t flushes = 0;         // sendmsg gather calls that moved bytes
-  uint64_t frames_flushed = 0;  // whole response frames those calls retired
-  /// Catalog maintenance counters (all zero without a maintenance thread).
-  uint64_t auto_refreshes = 0;
-  uint64_t auto_compactions = 0;
-  uint64_t maintenance_bytes_reclaimed = 0;
-  uint64_t deletes_applied = 0;
-  /// Result-cache totals summed over every resident tenant's current
-  /// generation (zero when caching is off).
-  ResultCacheStats cache;
-  double latency_p50_ms = 0.0;
-  double latency_p99_ms = 0.0;
-  double accept_p50_ms = 0.0;  // accept() to first response byte
-  double accept_p99_ms = 0.0;
-  double uptime_ms = 0.0;
-};
-
 /// The long-lived serving core the ROADMAP's daemon-mode item asks for: one
 /// process serves pattern queries over the frame protocol of
 /// server/protocol.h, from one or many graphs behind an EngineCatalog
 /// (server/catalog.h).
 ///
-/// Multi-tenancy: every request resolves a graph id — the kScopedRequest
-/// envelope names one explicitly; an unscoped request goes to the catalog's
-/// default tenant. Every served graph is a catalog tenant: a snapshot
-/// source registered with EngineCatalog::Register, or an in-memory engine
-/// handed over with EngineCatalog::AdoptEngine. Workers pin engines per
-/// tenant; the catalog opens sources lazily and (with a max_engines cap)
-/// evicts least-recently-used, never under an in-flight query.
+/// Multi-tenancy: every request header names a graph id, and an empty one
+/// goes to the catalog's default tenant. Every served graph is a catalog
+/// tenant: a snapshot source registered with EngineCatalog::Register, or an
+/// in-memory engine handed over with EngineCatalog::AdoptEngine. Workers
+/// pin engines per tenant; the catalog opens sources lazily and (with a
+/// max_engines cap) evicts least-recently-used, never under an in-flight
+/// query.
 ///
 /// Threading: one event-loop thread owns every socket — it accepts, does
 /// non-blocking frame reassembly per connection (epoll, level-triggered
@@ -117,16 +90,15 @@ struct ServerStats {
 /// Complete requests are handed to a fixed worker pool over a dispatch
 /// queue; each worker owns a reusable EvalContext (the same per-worker-
 /// scratch design as GmEngine::EvaluateBatch), so per-query results are
-/// identical to in-process evaluation; multi-pattern requests go through
-/// EvaluateBatch. Workers never touch sockets: a finished response is
-/// queued on its connection and the loop is woken over an eventfd, which
-/// keeps every fd single-writer and lets thousands of idle or slow
-/// connections coexist with a handful of workers.
+/// identical to in-process evaluation; a multi-pattern request evaluates
+/// its patterns one after another on that context. Workers never touch
+/// sockets: a finished response is queued on its connection and the loop
+/// is woken over an eventfd, which keeps every fd single-writer and lets
+/// thousands of idle or slow connections coexist with a handful of
+/// workers.
 ///
-/// Pipelining: a kTaggedRequest envelope carries a client-chosen request
-/// id; up to max_pipeline tagged requests per connection run concurrently
-/// and complete in any order. Untagged frames keep the original semantics
-/// — served one at a time, in order.
+/// Pipelining: up to max_pipeline requests per connection run concurrently
+/// and complete in any order; each response echoes its request's id.
 ///
 /// Live refresh: every served engine lives behind a shared_ptr<EngineState>
 /// that workers re-acquire per request (RCU-style). A kRefreshRequest
@@ -174,7 +146,8 @@ class QueryServer {
   /// Synchronous shutdown: RequestStop + drain + join. Idempotent.
   void Stop();
 
-  ServerStats Snapshot() const;
+  /// Point-in-time serving counters: exactly what a kStatsRequest returns.
+  StatsResponse Snapshot() const;
 
   /// The catalog behind the daemon — register/inspect tenants through it.
   EngineCatalog& catalog() { return *catalog_; }
@@ -220,8 +193,7 @@ class QueryServer {
                                           // prefix included)
     size_t wq_front_off = 0;              // sent bytes of wq.front()
     size_t wq_bytes = 0;
-    uint32_t inflight = 0;           // dispatched, not yet completed
-    bool untagged_inflight = false;  // serializes untagged requests
+    uint32_t inflight = 0;                // dispatched, not yet completed
     bool close_after_flush = false;
     bool closed = false;  // loop closed the fd; completions are dropped
   };
@@ -229,7 +201,7 @@ class QueryServer {
   /// One parsed request frame on its way to a worker.
   struct WorkItem {
     std::shared_ptr<Connection> conn;
-    std::vector<uint8_t> frame;  // payload (u32 type + body)
+    std::vector<uint8_t> frame;  // payload (header + u32 type + body)
   };
 
   void EventLoop();
@@ -259,8 +231,7 @@ class QueryServer {
   /// Worker side: evaluates one parsed frame and queues the response.
   void ProcessItem(WorkItem item, WorkerEngine& we);
   void FinishRequest(const std::shared_ptr<Connection>& conn,
-                     std::vector<uint8_t> framed_response, bool was_untagged,
-                     bool close_after);
+                     std::vector<uint8_t> framed_response, bool close_after);
   void WakeLoop();
 
   /// Resolves graph_id ("" = default) through the catalog into the
@@ -270,15 +241,16 @@ class QueryServer {
   TenantSlot* SyncWorkerEngine(WorkerEngine& we, const std::string& graph_id,
                                std::string* error, bool* bad_request);
 
-  /// Evaluates one query request on the tenant's pinned engine; returns
-  /// the response payload.
-  ByteSink HandleQuery(const QueryRequest& req, const std::string& graph_id,
-                       TenantSlot& slot);
-  ByteSink HandleStats() const;
+  // Handlers append the response type and body to `out`, which already
+  // holds the echoed request id.
+
+  /// Evaluates one query request on the tenant's pinned engine.
+  void HandleQuery(const QueryRequest& req, const std::string& graph_id,
+                   TenantSlot& slot, ByteSink& out);
   /// Replays the tenant's new delta records and swaps its engine
   /// (per-tenant serialized inside the catalog).
-  ByteSink HandleRefresh(const std::string& graph_id);
-  ByteSink HandleListGraphs() const;
+  void HandleRefresh(const std::string& graph_id, ByteSink& out);
+  void HandleListGraphs(ByteSink& out) const;
 
   void RecordLatency(double ms);
   void RecordAcceptLatency(double ms);

@@ -66,8 +66,8 @@ int ClientUsage() {
       "              (--pattern STR | --batch FILE | --template NAME\n"
       "               | --stats | --ping | --refresh | --shutdown\n"
       "               | --list-graphs | --idle-hold N [--hold-secs S])\n"
-      "              [--graph NAME] [--seed N] [--limit N] [--threads N]\n"
-      "              [--tuples N] [--print N] [--pipeline N] [--repeat N]\n"
+      "              [--graph NAME] [--seed N] [--limit N] [--tuples N]\n"
+      "              [--print N] [--pipeline N] [--repeat N]\n"
       "  --repeat re-issues the same query N times on one connection\n"
       "  (composes with --pipeline: N rounds of M pipelined copies) —\n"
       "  repeat-heavy traffic for exercising the server's result cache.\n");
@@ -335,7 +335,7 @@ int ServeToolMain(int argc, char** argv, int first_arg) {
   std::signal(SIGINT, SIG_DFL);
   std::signal(SIGTERM, SIG_DFL);
 
-  ServerStats stats = server.Snapshot();
+  StatsResponse stats = server.Snapshot();
   std::printf("shutdown: %llu request(s), %llu query(ies), %llu "
               "occurrence(s), %llu error(s) over %.1f s "
               "(p50 %.2f ms, p99 %.2f ms)\n",
@@ -397,10 +397,6 @@ int ClientToolMain(int argc, char** argv, int first_arg) {
       if ((v = NeedValue(argc, argv, &i, "--limit")) == nullptr)
         return ClientUsage();
       req.limit = std::strtoull(v, nullptr, 10);
-    } else if (std::strcmp(argv[i], "--threads") == 0) {
-      if ((v = NeedValue(argc, argv, &i, "--threads")) == nullptr)
-        return ClientUsage();
-      req.num_threads = static_cast<uint32_t>(std::strtoul(v, nullptr, 10));
     } else if (std::strcmp(argv[i], "--tuples") == 0) {
       if ((v = NeedValue(argc, argv, &i, "--tuples")) == nullptr)
         return ClientUsage();
@@ -517,16 +513,11 @@ int ClientToolMain(int argc, char** argv, int first_arg) {
   client.SetGraph(graph_id);
 
   if (want_ping) {
-    auto caps = client.Capabilities(&error);
-    if (!caps.has_value()) {
+    if (!client.Ping(&error)) {
       std::fprintf(stderr, "ping failed: %s\n", error.c_str());
       return 1;
     }
-    std::printf("pong (protocol revision %u%s%s%s%s)\n", caps->revision,
-                caps->tagged() ? ", tagged" : "",
-                caps->refresh() ? ", refresh" : "",
-                caps->scoped() ? ", scoped" : "",
-                caps->list_graphs() ? ", list-graphs" : "");
+    std::printf("pong\n");
   }
 
   if (want_list_graphs) {

@@ -373,8 +373,8 @@ TEST_F(MultiTenantServerTest, ScopedCountsMatchDedicatedDaemons) {
     dedicated.Stop();
   }
 
-  // Scoped pipelining: tagged-outside/scoped-inside frames for two tenants
-  // interleaved on two connections, all counts still per-tenant exact.
+  // Scoped pipelining: in-flight requests for two tenants on two
+  // connections, all counts still per-tenant exact.
   QueryClient a = Connect("alpha");
   QueryClient b = Connect("beta");
   QueryRequest req;
@@ -507,22 +507,13 @@ TEST_F(MultiTenantServerTest, RefreshIsIsolatedPerTenant) {
 TEST_F(MultiTenantServerTest, UnscopedClientsServeTheDefaultTenant) {
   StartServer(/*max_engines=*/0);
 
-  // A session with no graph set never sends an envelope: its queries land
+  // A session with no graph set sends an empty graph id: its queries land
   // on the default tenant (first registered), its ping just works.
   QueryClient unscoped = Connect();
   EXPECT_EQ(ServedCount(unscoped, kPaperPattern),
             ColdCount(t_[0].graph, kPaperPattern));
   std::string error;
   EXPECT_TRUE(unscoped.Ping(&error)) << error;
-
-  // The client feature-detects instead of guessing.
-  auto caps = unscoped.Capabilities(&error);
-  ASSERT_TRUE(caps.has_value()) << error;
-  EXPECT_EQ(caps->revision, kProtocolRevision);
-  EXPECT_TRUE(caps->tagged());
-  EXPECT_TRUE(caps->scoped());
-  EXPECT_TRUE(caps->list_graphs());
-  EXPECT_TRUE(caps->refresh());  // every tenant has a delta source
 
   auto graphs = unscoped.ListGraphs(&error);
   ASSERT_TRUE(graphs.has_value()) << error;
@@ -531,38 +522,33 @@ TEST_F(MultiTenantServerTest, UnscopedClientsServeTheDefaultTenant) {
   ASSERT_EQ(graphs->graphs.size(), 3u);
 }
 
-TEST_F(MultiTenantServerTest, MalformedEnvelopesAreRejectedInPlace) {
+TEST_F(MultiTenantServerTest, MalformedHeaderIsRejectedInPlace) {
   StartServer(/*max_engines=*/0);
   QueryClient client = Connect();
   QueryRequest req;
   req.patterns = {kPaperPattern};
-  ByteSink inner;
-  req.Serialize(inner);
+  ByteSink full;
+  WriteRequestHeader(full, 7, "alpha");
+  req.Serialize(full);
+  // The frame ends two bytes into the graph id, so its declared length
+  // runs past the frame end.
+  ByteSink cut;
+  cut.WriteRaw(full.data().data(), 2 * sizeof(uint64_t) + 2);
 
-  auto expect_error = [&](const ByteSink& frame, const std::string& needle) {
-    std::string error;
-    ASSERT_TRUE(WriteFrame(client.fd(), frame, &error)) << error;
-    std::vector<uint8_t> payload;
-    ASSERT_EQ(ReadFrame(client.fd(), kDefaultMaxFrameBytes, &payload, &error),
-              FrameReadStatus::kOk)
-        << error;
-    ByteSource src(payload.data(), payload.size());
-    ASSERT_EQ(ReadMessageType(src), MessageType::kErrorResponse);
-    EXPECT_EQ(static_cast<StatusCode>(src.ReadU32()),
-              StatusCode::kBadRequest);
-    std::string message = src.ReadString();
-    EXPECT_NE(message.find(needle), std::string::npos) << message;
-  };
+  std::string error;
+  ASSERT_TRUE(WriteFrame(client.fd(), cut, &error)) << error;
+  std::vector<uint8_t> payload;
+  ASSERT_EQ(ReadFrame(client.fd(), kDefaultMaxFrameBytes, &payload, &error),
+            FrameReadStatus::kOk)
+      << error;
+  ByteSource src(payload.data(), payload.size());
+  EXPECT_EQ(src.ReadU64(), 0u);  // no readable header, no id to echo
+  ASSERT_EQ(ReadMessageType(src), MessageType::kErrorResponse);
+  EXPECT_EQ(static_cast<StatusCode>(src.ReadU32()), StatusCode::kBadRequest);
+  std::string message = src.ReadString();
+  EXPECT_NE(message.find("request header"), std::string::npos) << message;
 
-  // Scoped may not nest, and tagging must stay outermost.
-  expect_error(WrapScoped("alpha", WrapScoped("beta", inner)),
-               "scoped envelope cannot nest");
-  expect_error(
-      WrapScoped("alpha",
-                 WrapTagged(MessageType::kTaggedRequest, 7, inner)),
-      "tagged envelope must be outermost");
-
-  // Both rejections left the stream framed: the session still serves.
+  // The rejection left the stream framed: the session still serves.
   EXPECT_EQ(ServedCount(client, kPaperPattern),
             ColdCount(t_[0].graph, kPaperPattern));
 }

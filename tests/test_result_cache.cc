@@ -433,9 +433,9 @@ TEST_F(CacheRefreshTest, RepeatedQueriesHitAndStayByteIdentical) {
     EXPECT_EQ(warm->tuples, cold->tuples);  // byte-identical echo
     EXPECT_EQ(warm->tuple_arity, cold->tuple_arity);
   }
-  ServerStats stats = server_->Snapshot();
-  EXPECT_EQ(stats.cache.misses, 1u);
-  EXPECT_GE(stats.cache.hits, 5u);
+  StatsResponse stats = server_->Snapshot();
+  EXPECT_EQ(stats.cache_misses, 1u);
+  EXPECT_GE(stats.cache_hits, 5u);
   EXPECT_EQ(stats.queries_served, 6u);  // hits still count as served
 }
 
@@ -453,9 +453,9 @@ TEST_F(CacheRefreshTest, PermutedRequestTextSharesOneCacheEntry) {
   ASSERT_EQ(r1->status, StatusCode::kOk);
   ASSERT_EQ(r2->status, StatusCode::kOk);
   EXPECT_EQ(r2->results[0].num_occurrences, r1->results[0].num_occurrences);
-  ServerStats stats = server_->Snapshot();
-  EXPECT_EQ(stats.cache.misses, 1u);
-  EXPECT_EQ(stats.cache.hits, 1u);
+  StatsResponse stats = server_->Snapshot();
+  EXPECT_EQ(stats.cache_misses, 1u);
+  EXPECT_EQ(stats.cache_hits, 1u);
 }
 
 TEST_F(CacheRefreshTest, RefreshInvalidatesWholesaleAndMatchesColdRebuild) {
@@ -467,7 +467,7 @@ TEST_F(CacheRefreshTest, RefreshInvalidatesWholesaleAndMatchesColdRebuild) {
   // Warm the cache on the base graph.
   const uint64_t before = ServedCount(client, pattern);
   EXPECT_EQ(ServedCount(client, pattern), before);
-  EXPECT_GE(server_->Snapshot().cache.hits, 1u);
+  EXPECT_GE(server_->Snapshot().cache_hits, 1u);
 
   // Change the answer underneath and refresh: the new generation's cache
   // starts empty, so the served count must equal a cold rebuild — a stale
@@ -489,9 +489,9 @@ TEST_F(CacheRefreshTest, RefreshInvalidatesWholesaleAndMatchesColdRebuild) {
 
   // The generation swap reset the per-tenant counters: the post-refresh
   // pair above is one fresh miss plus one fresh hit.
-  ServerStats stats = server_->Snapshot();
-  EXPECT_EQ(stats.cache.misses, 1u);
-  EXPECT_EQ(stats.cache.hits, 1u);
+  StatsResponse stats = server_->Snapshot();
+  EXPECT_EQ(stats.cache_misses, 1u);
+  EXPECT_EQ(stats.cache_hits, 1u);
 }
 
 TEST_F(CacheRefreshTest, HammeredCacheSurvivesConcurrentRefreshes) {
@@ -595,10 +595,10 @@ TEST(CacheDisabled, ZeroBudgetServesWithoutCaching) {
     ASSERT_EQ(resp->status, StatusCode::kOk);
     EXPECT_EQ(resp->results[0].num_occurrences, 4u);
   }
-  ServerStats stats = server.Snapshot();
-  EXPECT_EQ(stats.cache.hits, 0u);
-  EXPECT_EQ(stats.cache.misses, 0u);
-  EXPECT_EQ(stats.cache.entries, 0u);
+  StatsResponse stats = server.Snapshot();
+  EXPECT_EQ(stats.cache_hits, 0u);
+  EXPECT_EQ(stats.cache_misses, 0u);
+  EXPECT_EQ(stats.cache_entries, 0u);
   server.Stop();
 }
 

@@ -12,6 +12,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -90,24 +91,26 @@ class ServerTest : public ::testing::Test {
 TEST(ServerProtocol, QueryRequestRoundTrips) {
   QueryRequest req;
   req.patterns = {"(a:0)->(b:1)", "(a:0)=>(b:2)"};
+  req.template_name = "HQ3";
   req.template_seed = 99;
   req.limit = 12345;
-  req.num_threads = 3;
-  req.use_prefilter = false;
   req.max_return_tuples = 7;
 
   ByteSink sink;
+  WriteRequestHeader(sink, 42, "alpha");
   req.Serialize(sink);
   ByteSource src(sink.data().data(), sink.size());
+  RequestHeader header = ReadRequestHeader(src);
+  EXPECT_EQ(header.request_id, 42u);
+  EXPECT_EQ(header.graph_id, "alpha");
   EXPECT_EQ(ReadMessageType(src), MessageType::kQueryRequest);
   QueryRequest back = QueryRequest::Deserialize(src);
   ASSERT_TRUE(src.ok()) << src.error();
   EXPECT_EQ(src.remaining(), 0u);
   EXPECT_EQ(back.patterns, req.patterns);
+  EXPECT_EQ(back.template_name, req.template_name);
+  EXPECT_EQ(back.template_seed, req.template_seed);
   EXPECT_EQ(back.limit, req.limit);
-  EXPECT_EQ(back.num_threads, req.num_threads);
-  EXPECT_EQ(back.use_prefilter, false);
-  EXPECT_EQ(back.use_double_simulation, true);
   EXPECT_EQ(back.max_return_tuples, req.max_return_tuples);
 }
 
@@ -117,8 +120,6 @@ TEST(ServerProtocol, QueryResponseRoundTrips) {
   QueryResultWire r;
   r.num_occurrences = 42;
   r.hit_limit = true;
-  r.matching_ms = 1.5;
-  r.enumerate_ms = 2.5;
   r.phase_timings = {{"Reduce", 0.1}, {"Enumerate", 2.5}};
   resp.results.push_back(r);
   resp.tuple_arity = 2;
@@ -133,9 +134,9 @@ TEST(ServerProtocol, QueryResponseRoundTrips) {
   ASSERT_EQ(back.results.size(), 1u);
   EXPECT_EQ(back.results[0].num_occurrences, 42u);
   EXPECT_TRUE(back.results[0].hit_limit);
-  EXPECT_DOUBLE_EQ(back.results[0].enumerate_ms, 2.5);
   ASSERT_EQ(back.results[0].phase_timings.size(), 2u);
   EXPECT_EQ(back.results[0].phase_timings[1].name, "Enumerate");
+  EXPECT_DOUBLE_EQ(back.results[0].phase_timings[1].ms, 2.5);
   EXPECT_EQ(back.tuples, resp.tuples);
 }
 
@@ -152,7 +153,7 @@ TEST(ServerProtocol, TruncatedResponsePayloadFailsSoftly) {
   }
 }
 
-TEST(ServerProtocol, ShortStatsAndPingPayloadsFailToDecode) {
+TEST(ServerProtocol, ShortStatsPayloadsFailToDecode) {
   // Client and daemon are one build: every field is always present, so a
   // payload missing any of them is malformed, never an older daemon's.
   StatsResponse stats;
@@ -177,13 +178,6 @@ TEST(ServerProtocol, ShortStatsAndPingPayloadsFailToDecode) {
     StatsResponse::Deserialize(src);
     EXPECT_FALSE(src.ok()) << "prefix of " << cut << " bytes decoded";
   }
-
-  ByteSink bare_pong;
-  bare_pong.WriteU32(static_cast<uint32_t>(MessageType::kPingResponse));
-  ByteSource src(bare_pong.data().data(), bare_pong.size());
-  ASSERT_EQ(ReadMessageType(src), MessageType::kPingResponse);
-  ParsePingResponse(src);
-  EXPECT_FALSE(src.ok());
 }
 
 // --------------------------------------------------------------- serving
@@ -216,12 +210,11 @@ TEST_F(ServerTest, TupleEchoIsCappedByRequest) {
   EXPECT_EQ(resp->tuples.size(), 2u * 3u);
 }
 
-TEST_F(ServerTest, MultiPatternRequestUsesBatchAndKeepsOrder) {
+TEST_F(ServerTest, MultiPatternRequestKeepsOrder) {
   QueryRequest req;
   req.patterns = {"(a:0)->(b:1), (a)->(c:2), (b)=>(c)",  // the paper query: 4
                   "(a:0)->(b:1)",                        // every a->b edge
                   "(x:1)=>(y:2)"};                       // b reaches c
-  req.num_threads = 2;
   QueryClient client = Connect();
   std::string error;
   auto resp = client.Query(req, &error);
@@ -269,19 +262,6 @@ TEST_F(ServerTest, StatsCountServedQueries) {
   EXPECT_EQ(stats->errors, 0u);
   EXPECT_GE(stats->requests_served, 3u);
   EXPECT_GE(stats->latency_p99_ms, stats->latency_p50_ms);
-}
-
-TEST_F(ServerTest, HostileThreadCountIsClampedNotHonored) {
-  // num_threads is client-controlled; an absurd value must be clamped to
-  // the hardware, not spawn 4 billion enumeration threads (which would
-  // terminate the daemon with an uncaught std::system_error).
-  QueryRequest req = PaperRequest(0);
-  req.num_threads = std::numeric_limits<uint32_t>::max();
-  QueryClient client = Connect();
-  auto resp = client.Query(req);
-  ASSERT_TRUE(resp.has_value());
-  ASSERT_EQ(resp->status, StatusCode::kOk) << resp->error;
-  EXPECT_EQ(resp->results[0].num_occurrences, 4u);
 }
 
 TEST_F(ServerTest, SecondServerOnLiveSocketFailsInsteadOfHijacking) {
@@ -458,6 +438,14 @@ TEST_F(ServerTest, EmptyRequestIsRejected) {
   EXPECT_EQ(resp->status, StatusCode::kBadRequest);
 }
 
+/// A bodiless request payload, built with the protocol's own header writer.
+ByteSink RequestPayload(uint64_t id, MessageType type) {
+  ByteSink sink;
+  WriteRequestHeader(sink, id, "");
+  sink.WriteU32(static_cast<uint32_t>(type));
+  return sink;
+}
+
 // Speak raw bytes to exercise the framing errors a well-behaved client
 // never produces.
 class RawConnection {
@@ -487,9 +475,19 @@ class RawConnection {
               static_cast<ssize_t>(n));
   }
   void SendU32(uint32_t v) { Send(&v, sizeof(v)); }
-  /// Reads one response frame; returns the leading message type or nullopt
-  /// on EOF/error.
-  std::optional<MessageType> ReadResponseType() {
+  void SendFrame(const ByteSink& payload) {
+    std::string error;
+    ASSERT_TRUE(WriteFrame(fd_, payload, &error)) << error;
+  }
+
+  struct Response {
+    uint64_t id = 0;
+    MessageType type{};
+    StatusCode status{};  // error responses only
+  };
+  /// Reads one response frame: the echoed id and the message type (plus the
+  /// status of an error response); nullopt on EOF/error.
+  std::optional<Response> ReadResponse() {
     std::vector<uint8_t> payload;
     std::string error;
     if (ReadFrame(fd_, kDefaultMaxFrameBytes, &payload, &error) !=
@@ -497,8 +495,17 @@ class RawConnection {
       return std::nullopt;
     }
     ByteSource src(payload.data(), payload.size());
-    MessageType type = ReadMessageType(src);
-    return src.ok() ? std::optional<MessageType>(type) : std::nullopt;
+    Response r;
+    r.id = src.ReadU64();
+    r.type = ReadMessageType(src);
+    if (r.type == MessageType::kErrorResponse) {
+      r.status = static_cast<StatusCode>(src.ReadU32());
+    }
+    return src.ok() ? std::optional<Response>(r) : std::nullopt;
+  }
+  std::optional<MessageType> ReadResponseType() {
+    std::optional<Response> r = ReadResponse();
+    return r.has_value() ? std::optional<MessageType>(r->type) : std::nullopt;
   }
 
  private:
@@ -508,29 +515,28 @@ class RawConnection {
 TEST_F(ServerTest, UnknownRequestTypeGetsErrorResponse) {
   RawConnection raw(config_.unix_path);
   ASSERT_TRUE(raw.ok());
-  raw.SendU32(4);        // frame length: one u32
-  raw.SendU32(0xBEEF);   // not a MessageType
-  auto type = raw.ReadResponseType();
-  ASSERT_TRUE(type.has_value());
-  EXPECT_EQ(*type, MessageType::kErrorResponse);
+  raw.SendFrame(RequestPayload(5, static_cast<MessageType>(0xBEEF)));
+  auto resp = raw.ReadResponse();
+  ASSERT_TRUE(resp.has_value());
+  EXPECT_EQ(resp->id, 5u);
+  EXPECT_EQ(resp->type, MessageType::kErrorResponse);
 
   // The connection survives: a valid ping on the same socket still works.
-  ByteSink ping;
-  ping.WriteU32(static_cast<uint32_t>(MessageType::kPingRequest));
-  std::string error;
-  ASSERT_TRUE(WriteFrame(raw.fd(), ping, &error)) << error;
-  type = raw.ReadResponseType();
-  ASSERT_TRUE(type.has_value());
-  EXPECT_EQ(*type, MessageType::kPingResponse);
+  raw.SendFrame(RequestPayload(6, MessageType::kPingRequest));
+  resp = raw.ReadResponse();
+  ASSERT_TRUE(resp.has_value());
+  EXPECT_EQ(resp->id, 6u);
+  EXPECT_EQ(resp->type, MessageType::kPingResponse);
 }
 
 TEST_F(ServerTest, EmptyFrameGetsErrorResponse) {
   RawConnection raw(config_.unix_path);
   ASSERT_TRUE(raw.ok());
-  raw.SendU32(0);  // zero-length frame: no room for a message type
-  auto type = raw.ReadResponseType();
-  ASSERT_TRUE(type.has_value());
-  EXPECT_EQ(*type, MessageType::kErrorResponse);
+  raw.SendU32(0);  // zero-length frame: no room for a header
+  auto resp = raw.ReadResponse();
+  ASSERT_TRUE(resp.has_value());
+  EXPECT_EQ(resp->id, 0u);
+  EXPECT_EQ(resp->type, MessageType::kErrorResponse);
   // Protocol rejections land in the operator-facing error counter.
   EXPECT_EQ(server_->Snapshot().errors, 1u);
 }
@@ -540,12 +546,47 @@ TEST_F(ServerTest, MalformedRequestBodyGetsErrorResponse) {
   // the server reports kBadRequest instead of crashing.
   RawConnection raw(config_.unix_path);
   ASSERT_TRUE(raw.ok());
-  raw.SendU32(8);  // type + pattern count only; fields missing
-  raw.SendU32(static_cast<uint32_t>(MessageType::kQueryRequest));
-  raw.SendU32(1);
-  auto type = raw.ReadResponseType();
-  ASSERT_TRUE(type.has_value());
-  EXPECT_EQ(*type, MessageType::kErrorResponse);
+  ByteSink payload = RequestPayload(8, MessageType::kQueryRequest);
+  payload.WriteU32(1);  // pattern count only; fields missing
+  raw.SendFrame(payload);
+  auto resp = raw.ReadResponse();
+  ASSERT_TRUE(resp.has_value());
+  EXPECT_EQ(resp->id, 8u);
+  EXPECT_EQ(resp->type, MessageType::kErrorResponse);
+  EXPECT_EQ(resp->status, StatusCode::kBadRequest);
+}
+
+TEST_F(ServerTest, EveryTruncatedQueryFrameDrawsOneErrorInPlace) {
+  // Every proper prefix of a valid query payload (header + body), sent as
+  // a whole frame, is answered with exactly one kBadRequest: id 0 while the
+  // header itself is cut, the request's id once the header is whole.
+  QueryClient client = Connect();
+  ByteSink full;
+  WriteRequestHeader(full, 77, "default");
+  PaperRequest().Serialize(full);
+  const size_t header_bytes = 2 * sizeof(uint64_t) + std::strlen("default");
+  for (size_t cut = 0; cut < full.size(); ++cut) {
+    ByteSink prefix;
+    prefix.WriteRaw(full.data().data(), cut);
+    std::string error;
+    ASSERT_TRUE(WriteFrame(client.fd(), prefix, &error)) << error;
+    std::vector<uint8_t> payload;
+    ASSERT_EQ(ReadFrame(client.fd(), kDefaultMaxFrameBytes, &payload, &error),
+              FrameReadStatus::kOk)
+        << error;
+    ByteSource src(payload.data(), payload.size());
+    EXPECT_EQ(src.ReadU64(), cut >= header_bytes ? 77u : 0u) << cut;
+    EXPECT_EQ(ReadMessageType(src), MessageType::kErrorResponse) << cut;
+    EXPECT_EQ(static_cast<StatusCode>(src.ReadU32()), StatusCode::kBadRequest)
+        << cut;
+  }
+  // No extra answer is queued: the next round trip gets its own response.
+  std::string error;
+  auto resp = client.Query(PaperRequest(), &error);
+  ASSERT_TRUE(resp.has_value()) << error;
+  ASSERT_EQ(resp->status, StatusCode::kOk) << resp->error;
+  EXPECT_EQ(resp->results[0].num_occurrences, 4u);
+  EXPECT_EQ(server_->Snapshot().errors, full.size());
 }
 
 TEST_F(ServerTest, OversizeFrameIsRejectedAndConnectionClosed) {
@@ -574,10 +615,10 @@ TEST_F(ServerTest, OversizeFrameIsRejectedAndConnectionClosed) {
 }
 
 TEST_F(ServerTest, OversizeResponseBecomesErrorNotCorruptFrame) {
-  // Re-start with a frame cap the paper request (85 bytes) and a pong fit
-  // under but the query response (>= 141 bytes of result + echoed tuples)
-  // does not; the server must substitute a small error response rather
-  // than send a frame the client rejects as oversize.
+  // Re-start with a frame cap the paper request (94 bytes) and a pong fit
+  // under but the query response (phase timings + echoed tuples) does not;
+  // the server must substitute a small error response rather than send a
+  // frame the client rejects as oversize.
   server_->Stop();
   config_.max_frame_bytes = 120;
   config_.unix_path = UniqueSocketPath();
@@ -608,6 +649,7 @@ TEST_F(ServerTest, ClientDisconnectMidFrameDoesNotKillServer) {
     // Send a full valid query but disappear without reading the response.
     QueryClient client = Connect();
     ByteSink sink;
+    WriteRequestHeader(sink, 1, "");
     PaperRequest().Serialize(sink);
     std::string error;
     ASSERT_TRUE(WriteFrame(client.fd(), sink, &error)) << error;
@@ -661,27 +703,26 @@ TEST_F(ServerTest, SlowLorisClientsDoNotOccupyWorkers) {
             static_cast<uint64_t>(kLoris));
 }
 
-TEST_F(ServerTest, UntaggedRequestsAreAnsweredStrictlyInOrder) {
-  // An old client may write several untagged frames back-to-back; the
-  // responses must come back one per request, in request order (the
-  // pipelining envelope is what opts INTO reordering).
+TEST_F(ServerTest, BackToBackRequestsEachEchoTheirId) {
+  // A raw client may write several frames without waiting; one response
+  // comes back per request, in completion order, each carrying its id.
   RawConnection raw(config_.unix_path);
   ASSERT_TRUE(raw.ok());
-  std::string error;
-  ByteSink ping;
-  ping.WriteU32(static_cast<uint32_t>(MessageType::kPingRequest));
-  ByteSink stats;
-  stats.WriteU32(static_cast<uint32_t>(MessageType::kStatsRequest));
-  ASSERT_TRUE(WriteFrame(raw.fd(), ping, &error)) << error;
-  ASSERT_TRUE(WriteFrame(raw.fd(), stats, &error)) << error;
-  ASSERT_TRUE(WriteFrame(raw.fd(), ping, &error)) << error;
-  auto t1 = raw.ReadResponseType();
-  auto t2 = raw.ReadResponseType();
-  auto t3 = raw.ReadResponseType();
-  ASSERT_TRUE(t1.has_value() && t2.has_value() && t3.has_value());
-  EXPECT_EQ(*t1, MessageType::kPingResponse);
-  EXPECT_EQ(*t2, MessageType::kStatsResponse);
-  EXPECT_EQ(*t3, MessageType::kPingResponse);
+  raw.SendFrame(RequestPayload(1, MessageType::kPingRequest));
+  raw.SendFrame(RequestPayload(2, MessageType::kStatsRequest));
+  raw.SendFrame(RequestPayload(3, MessageType::kPingRequest));
+  std::map<uint64_t, MessageType> answers;
+  for (int i = 0; i < 3; ++i) {
+    auto resp = raw.ReadResponse();
+    ASSERT_TRUE(resp.has_value());
+    EXPECT_TRUE(answers.emplace(resp->id, resp->type).second)
+        << "repeated id " << resp->id;
+  }
+  const std::map<uint64_t, MessageType> expected = {
+      {1, MessageType::kPingResponse},
+      {2, MessageType::kStatsResponse},
+      {3, MessageType::kPingResponse}};
+  EXPECT_EQ(answers, expected);
 }
 
 TEST_F(ServerTest, ConnectionCapShedsExcessConnections) {
@@ -707,9 +748,8 @@ TEST_F(ServerTest, ConnectionCapShedsExcessConnections) {
   ASSERT_EQ(server_->Snapshot().active_connections, 3u);
   RawConnection over(config_.unix_path);
   ASSERT_TRUE(over.ok());
-  ByteSink ping;
-  ping.WriteU32(static_cast<uint32_t>(MessageType::kPingRequest));
-  WriteFrame(over.fd(), ping, nullptr);  // may race the server-side close
+  // The write may race the server-side close.
+  WriteFrame(over.fd(), RequestPayload(1, MessageType::kPingRequest), nullptr);
   EXPECT_FALSE(over.ReadResponseType().has_value());
 
   // Dropping one held connection frees a slot for the next client.
@@ -806,6 +846,47 @@ TEST_F(ServerTest, TaggedResponsesCarryTheirRequestId) {
     EXPECT_EQ(tagged->response.results[0].num_occurrences, 4u);
   }
   EXPECT_TRUE(sent.empty());
+}
+
+TEST(ServerClient, MismatchedResponseIdFailsAndDisconnects) {
+  // A peer that answers with another request's id: the blocking round trip
+  // must not hand that answer to the caller, and the stream is dropped.
+  const std::string path = UniqueSocketPath();
+  int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+  auto* bind_addr = reinterpret_cast<sockaddr*>(&addr);
+  ASSERT_EQ(::bind(listener, bind_addr, sizeof(addr)), 0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  QueryClient client;
+  std::string error;
+  ASSERT_TRUE(client.ConnectUnix(path, &error)) << error;
+
+  std::thread peer([listener] {
+    int fd = ::accept(listener, nullptr, nullptr);
+    if (fd < 0) return;
+    std::vector<uint8_t> payload;
+    if (ReadFrame(fd, kDefaultMaxFrameBytes, &payload, nullptr) ==
+        FrameReadStatus::kOk) {
+      ByteSource src(payload.data(), payload.size());
+      ByteSink reply;
+      reply.WriteU64(ReadRequestHeader(src).request_id + 1);
+      QueryResponse{}.Serialize(reply);
+      WriteFrame(fd, reply, nullptr);
+    }
+    ::close(fd);
+  });
+  QueryRequest req;
+  req.patterns = {"(a:0)->(b:1)"};
+  auto resp = client.Query(req, &error);
+  peer.join();
+  ::close(listener);
+  std::remove(path.c_str());
+  EXPECT_FALSE(resp.has_value());
+  EXPECT_NE(error.find("id mismatch"), std::string::npos) << error;
+  EXPECT_FALSE(client.connected());
 }
 
 // ---------------------------------------------------------- delta refresh

@@ -53,12 +53,11 @@
 //   --pattern STR     query in the inline syntax of pattern_parser.h
 //   --batch FILE      batch mode: one inline pattern per line ('#' comments
 //                     and blank lines skipped), served with EvaluateBatch
-//   --engine NAME     gm (default) | gm-par | jm | tm
-//   --order NAME      jo (default) | ri | bj           (gm engines)
-//   --threads N       worker count: enumeration workers for gm/gm-par,
-//                     batch workers for --batch (1 = sequential, 0 =
-//                     hardware concurrency; default 1, except gm-par
-//                     which keeps its historical default of 0)
+//   --engine NAME     gm (default) | jm | tm
+//   --order NAME      jo (default) | ri | bj           (gm engine)
+//   --threads N       worker count: enumeration workers for gm, batch
+//                     workers for --batch (1 = sequential, the default;
+//                     0 = hardware concurrency)
 //   --limit N         stop after N occurrences (default: all)
 //   --print N         print the first N occurrences (default 10)
 //   --stats           print per-phase statistics
@@ -79,11 +78,9 @@
 #include "baseline/jm_engine.h"
 #include "baseline/tm_engine.h"
 #include "engine/gm_engine.h"
-#include "enumerate/mjoin_parallel.h"
 #include "graph/graph_io.h"
 #include "query/pattern_parser.h"
 #include "query/query_io.h"
-#include "query/transitive_reduction.h"
 #include "server/tool_main.h"
 #include "storage/delta_log.h"
 #include "storage/lineage.h"
@@ -106,7 +103,6 @@ struct CliArgs {
   std::string engine = "gm";
   std::string order = "jo";
   uint32_t threads = 1;
-  bool threads_set = false;  // gm-par defaults to hardware when unset
   uint64_t limit = std::numeric_limits<uint64_t>::max();
   uint64_t print = 10;
   bool stats = false;
@@ -116,7 +112,7 @@ int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s (--graph FILE | --load-snapshot FILE)\n"
                "          (--query FILE | --pattern STR | --batch FILE)\n"
-               "          [--engine gm|gm-par|jm|tm] [--order jo|ri|bj]\n"
+               "          [--engine gm|jm|tm] [--order jo|ri|bj]\n"
                "          [--threads N] [--limit N] [--print N] [--stats]\n"
                "          [--snapshot-io mmap|read]\n"
                "       %s snapshot (--graph FILE --out FILE "
@@ -189,7 +185,6 @@ bool ParseArgs(int argc, char** argv, int first, CliArgs* out) {
       const char* v = need_value("--threads");
       if (v == nullptr) return false;
       out->threads = static_cast<uint32_t>(std::strtoul(v, nullptr, 10));
-      out->threads_set = true;
     } else if (std::strcmp(argv[i], "--limit") == 0) {
       const char* v = need_value("--limit");
       if (v == nullptr) return false;
@@ -900,7 +895,7 @@ int main(int argc, char** argv) {
     return true;
   };
 
-  if (args.engine == "gm" || args.engine == "gm-par") {
+  if (args.engine == "gm") {
     std::optional<GmEngine> cold_engine;
     if (warm.engine == nullptr) cold_engine.emplace(*graph);
     GmEngine& engine = warm.engine != nullptr ? *warm.engine : *cold_engine;
@@ -908,60 +903,32 @@ int main(int argc, char** argv) {
     opts.limit = args.limit;
     if (args.order == "ri") opts.order = OrderStrategy::kRI;
     if (args.order == "bj") opts.order = OrderStrategy::kBJ;
-    if (args.engine == "gm") {
-      opts.num_threads = args.threads;
-      OccurrenceSink gm_sink = sink;
-      std::mutex sink_mu;
-      if (opts.num_threads != 1) {
-        // Parallel enumeration calls the sink concurrently; serialize the
-        // printing.
-        gm_sink = [&](const Occurrence& t) {
-          std::lock_guard<std::mutex> lock(sink_mu);
-          return sink(t);
-        };
+    opts.num_threads = args.threads;
+    OccurrenceSink gm_sink = sink;
+    std::mutex sink_mu;
+    if (opts.num_threads != 1) {
+      // Parallel enumeration calls the sink concurrently; serialize the
+      // printing.
+      gm_sink = [&](const Occurrence& t) {
+        std::lock_guard<std::mutex> lock(sink_mu);
+        return sink(t);
+      };
+    }
+    GmResult r = engine.Evaluate(*query, opts, gm_sink);
+    std::printf("%llu occurrence(s)%s\n",
+                static_cast<unsigned long long>(r.num_occurrences),
+                r.hit_limit ? " (limit reached)" : "");
+    if (args.stats) {
+      std::printf("reach index build: %.2f ms\n", engine.reach_build_ms());
+      std::printf("pipeline:");
+      for (const PhaseTiming& pt : r.phase_timings) {
+        std::printf(" %s %.2f ms |", pt.name, pt.ms);
       }
-      GmResult r = engine.Evaluate(*query, opts, gm_sink);
-      std::printf("%llu occurrence(s)%s\n",
-                  static_cast<unsigned long long>(r.num_occurrences),
-                  r.hit_limit ? " (limit reached)" : "");
-      if (args.stats) {
-        std::printf("reach index build: %.2f ms\n", engine.reach_build_ms());
-        std::printf("pipeline:");
-        for (const PhaseTiming& pt : r.phase_timings) {
-          std::printf(" %s %.2f ms |", pt.name, pt.ms);
-        }
-        std::printf(" total %.2f ms\n", r.TotalMs());
-        std::printf("RIG: %llu nodes, %llu edges (%zu bytes)\n",
-                    static_cast<unsigned long long>(r.rig_nodes),
-                    static_cast<unsigned long long>(r.rig_edges),
-                    r.rig_memory_bytes);
-      }
-    } else {
-      // Parallel enumeration over a shared RIG.
-      GmResult rig_result;
-      PatternQuery reduced = QueryTransitiveReduction(*query);
-      Rig rig = engine.BuildRigOnly(*query, opts, &rig_result);
-      auto order = ComputeSearchOrder(reduced, rig, opts.order);
-      ParallelMJoinOptions popts;
-      popts.num_threads = args.threads_set ? args.threads : 0;
-      popts.limit = args.limit;
-      // The printing sink is not thread-safe; count only and reprint a few
-      // sequentially if requested.
-      MJoinStats stats;
-      uint64_t n = MJoinParallelCount(reduced, rig, order, popts, &stats);
-      std::printf("%llu occurrence(s) [parallel]\n",
-                  static_cast<unsigned long long>(n));
-      if (args.print > 0) {
-        MJoinOptions seq;
-        seq.limit = args.print;
-        auto few = MJoinCollect(reduced, rig, order, seq);
-        for (const auto& t : few) PrintOccurrence(t);
-      }
-      if (args.stats) {
-        std::printf("intersections=%llu candidates=%llu\n",
-                    static_cast<unsigned long long>(stats.intersections),
-                    static_cast<unsigned long long>(stats.candidates_scanned));
-      }
+      std::printf(" total %.2f ms\n", r.TotalMs());
+      std::printf("RIG: %llu nodes, %llu edges (%zu bytes)\n",
+                  static_cast<unsigned long long>(r.rig_nodes),
+                  static_cast<unsigned long long>(r.rig_edges),
+                  r.rig_memory_bytes);
     }
   } else if (args.engine == "jm" || args.engine == "tm") {
     auto reach = BuildReachabilityIndex(*graph, ReachKind::kBfl);
