@@ -1,5 +1,6 @@
 // Microbenchmarks (google-benchmark) for the compressed-bitmap substrate —
-// the operations Section 6 identifies as the hot path of BuildRIG and MJoin.
+// the operations Section 6 identifies as the hot path of BuildRIG and MJoin —
+// including one benchmark per pairing of the two container kinds.
 
 #include <benchmark/benchmark.h>
 
@@ -73,14 +74,11 @@ BENCHMARK(BM_BitmapOrMany)->Arg(4)->Arg(16)->Arg(64);
 //
 // Shaped inputs that settle into one specific container kind per 64K chunk,
 // so each benchmark pins one cell of the container-pair kernel matrix
-// (array / bitset / run x And / Or / AndNot / ForEach). 16 chunks each:
-//  * array  — ~3000 scattered values per chunk (sparse, stays array);
-//  * bitset — ~20000 scattered values per chunk (dense and unclustered:
-//             runs would cost ~4x the 8 KiB bitset);
-//  * run    — 40 clusters of 800 consecutive values per chunk (160 B of
-//             runs vs 8 KiB decoded).
+// (array / bitset x And / Or / AndNot / ForEach). 16 chunks each:
+//  * array  — ~3000 scattered values per chunk (<= 4096, so array);
+//  * bitset — ~20000 scattered values per chunk (> 4096, so bitset).
 
-enum class Shape { kArray, kBitset, kRun };
+enum class Shape { kArray, kBitset };
 
 rigpm::Bitmap ShapedBitmap(Shape shape, uint64_t seed) {
   constexpr uint32_t kChunks = 16;
@@ -95,14 +93,6 @@ rigpm::Bitmap ShapedBitmap(Shape shape, uint64_t seed) {
         break;
       case Shape::kBitset:
         for (int i = 0; i < 20000; ++i) values.push_back(base + dist(rng));
-        break;
-      case Shape::kRun:
-        for (int r = 0; r < 40; ++r) {
-          uint32_t start = dist(rng) % (0x10000 - 800);
-          for (uint32_t v = 0; v < 800; ++v) {
-            values.push_back(base + start + v);
-          }
-        }
         break;
     }
   }
@@ -136,20 +126,10 @@ void BM_ContainerPair(benchmark::State& state, Shape sa, Shape sb, PairOp op) {
                     Shape::kArray, op);                                     \
   BENCHMARK_CAPTURE(BM_ContainerPair, op_name##_array_bitset, Shape::kArray,\
                     Shape::kBitset, op);                                    \
-  BENCHMARK_CAPTURE(BM_ContainerPair, op_name##_array_run, Shape::kArray,   \
-                    Shape::kRun, op);                                       \
   BENCHMARK_CAPTURE(BM_ContainerPair, op_name##_bitset_array,               \
                     Shape::kBitset, Shape::kArray, op);                     \
   BENCHMARK_CAPTURE(BM_ContainerPair, op_name##_bitset_bitset,              \
-                    Shape::kBitset, Shape::kBitset, op);                    \
-  BENCHMARK_CAPTURE(BM_ContainerPair, op_name##_bitset_run, Shape::kBitset, \
-                    Shape::kRun, op);                                       \
-  BENCHMARK_CAPTURE(BM_ContainerPair, op_name##_run_array, Shape::kRun,     \
-                    Shape::kArray, op);                                     \
-  BENCHMARK_CAPTURE(BM_ContainerPair, op_name##_run_bitset, Shape::kRun,    \
-                    Shape::kBitset, op);                                    \
-  BENCHMARK_CAPTURE(BM_ContainerPair, op_name##_run_run, Shape::kRun,       \
-                    Shape::kRun, op)
+                    Shape::kBitset, Shape::kBitset, op)
 
 RIGPM_PAIR_BENCH(and, PairOp::kAnd);
 RIGPM_PAIR_BENCH(or, PairOp::kOr);
@@ -167,7 +147,6 @@ void BM_ContainerForEach(benchmark::State& state, Shape shape) {
 }
 BENCHMARK_CAPTURE(BM_ContainerForEach, array, Shape::kArray);
 BENCHMARK_CAPTURE(BM_ContainerForEach, bitset, Shape::kBitset);
-BENCHMARK_CAPTURE(BM_ContainerForEach, run, Shape::kRun);
 
 void BM_BitmapForEach(benchmark::State& state) {
   Bitmap b = RandomBitmap(1u << 20, 1u << 16, 5);

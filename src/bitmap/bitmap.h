@@ -14,68 +14,51 @@ namespace rigpm {
 
 /// Per-kind container census of a bitmap (or a whole section of bitmaps):
 /// how many containers of each representation, how many still borrow their
-/// encoded payload from a snapshot mapping, and the encoded-vs-expanded
-/// byte footprint. `encoded_bytes` is the native payload size (what a
-/// snapshot stores and what a borrowed container costs in mapped bytes);
-/// `expanded_bytes` is what the same data would occupy fully decoded to
-/// array/bitset form — the saving lazy decode preserves until a mutating
-/// touch. Used by `rigpm_cli snapshot --inspect` and the memory benches.
+/// payload from a snapshot mapping, and the payload bytes (what a snapshot
+/// stores and what a borrowed container costs in mapped bytes). Used by
+/// `rigpm_cli snapshot --inspect` and the memory benches.
 struct BitmapContainerStats {
   uint64_t array_containers = 0;
   uint64_t bitset_containers = 0;
-  uint64_t run_containers = 0;
   uint64_t borrowed_containers = 0;  // payload borrowed from a mapping
   uint64_t encoded_bytes = 0;
-  uint64_t expanded_bytes = 0;
 
   uint64_t TotalContainers() const {
-    return array_containers + bitset_containers + run_containers;
+    return array_containers + bitset_containers;
   }
   void Accumulate(const BitmapContainerStats& other) {
     array_containers += other.array_containers;
     bitset_containers += other.bitset_containers;
-    run_containers += other.run_containers;
     borrowed_containers += other.borrowed_containers;
     encoded_bytes += other.encoded_bytes;
-    expanded_bytes += other.expanded_bytes;
   }
 };
 
 /// A roaring-style compressed bitmap over 32-bit unsigned integers.
 ///
 /// The value space is partitioned into 2^16-element chunks keyed by the high
-/// 16 bits. Each populated chunk is stored in one of three representations,
-/// chosen per chunk by byte footprint — the container design of
-/// RoaringBitmap (Chambi et al., SPE 2016), which the paper uses to store
-/// candidate occurrence sets and adjacency lists (Section 6):
+/// 16 bits. Each populated chunk is stored in one of two representations —
+/// the container design of RoaringBitmap (Chambi et al., SPE 2016), which
+/// the paper uses to store candidate occurrence sets and adjacency lists
+/// (Section 6):
 ///  * array  — sorted uint16 low bits (sparse, <= kArrayCapacity values,
 ///             2 bytes/value);
-///  * bitset — 1024 64-bit words (dense, fixed 8 KiB);
-///  * run    — interleaved (start, length-1) uint16 pairs over maximal
-///             consecutive value runs (clustered, 4 bytes/run) — the
-///             representation CSR adjacency of generated graphs, label
-///             inverted lists of contiguously-labeled nodes, and
-///             transitive-closure rows collapse into.
+///  * bitset — 1024 64-bit words (dense, > kArrayCapacity values, fixed
+///             8 KiB).
 ///
-/// Representation heuristics:
-///  * construction (FromSorted / FromRange / Deserialize) and RunOptimize()
-///    pick the smallest encoding per chunk (run only when strictly smaller
-///    than both alternatives);
-///  * point mutation of an array/bitset keeps its kind (array promotes to
-///    bitset past kArrayCapacity, bitset demotes back when it shrinks
-///    under it); point mutation of a run container first decompresses it
-///    to array/bitset — runs are a build/load-time encoding, not an
-///    update-time one;
-///  * the binary set operations read every representation natively
-///    (container-vs-container kernels for all nine kind pairings) and
-///    produce run output only where it falls out for free (run x run);
-///    call RunOptimize() to re-compress a bitmap built by many operations.
+/// The kind follows from the cardinality alone: every constructor, kernel,
+/// point mutation and the decoder leave a container of <= kArrayCapacity
+/// values as an array and a larger one as a bitset (an array promotes when
+/// it grows past kArrayCapacity, a bitset demotes when it shrinks back to
+/// it). Equal cardinality therefore means equal kind, and the binary set
+/// operations need kernels for only three kind pairings: array x array,
+/// bitset x bitset and the mixed pair.
 ///
-/// Zero-copy snapshots: a bitmap loaded from an mmap'd snapshot keeps
-/// its array and run payloads *encoded inside the mapping* — reads operate
-/// on the borrowed encoded form directly, and the first mutating touch of a
-/// container materializes a private decoded copy (util/owned_span.h). RSS
-/// therefore tracks the compressed snapshot size, not the decoded size.
+/// Zero-copy snapshots: a bitmap loaded from an mmap'd snapshot keeps its
+/// container payloads *borrowed inside the mapping* — reads operate on the
+/// mapped bytes directly, and the first mutating touch of a container makes
+/// a private copy of its payload (copy-on-write, util/owned_span.h). RSS
+/// therefore tracks the snapshot size until the bitmap is mutated.
 ///
 /// The class provides the operations the RIG framework needs:
 ///  * point updates and membership,
@@ -87,17 +70,9 @@ struct BitmapContainerStats {
 ///    per-element iterators.
 class Bitmap {
  public:
-  /// Maximum number of values an array container holds before it is promoted
-  /// to a bitset container.
+  /// Maximum number of values an array container holds; a container with
+  /// more is a bitset.
   static constexpr uint32_t kArrayCapacity = 4096;
-
-  /// Serialized payload bytes of one run (start + length-1, two uint16s).
-  static constexpr uint32_t kBytesPerRun = 4;
-
-  /// Hard structural bound on runs per container (alternating bits); the
-  /// encoding heuristics never produce more than 2047 (8 KiB / 4 - 1), but
-  /// the deserializer validates against this bound.
-  static constexpr uint32_t kMaxRunsPerContainer = 32768;
 
   Bitmap() = default;
   Bitmap(std::initializer_list<uint32_t> values);
@@ -107,17 +82,13 @@ class Bitmap {
   Bitmap(Bitmap&&) noexcept = default;
   Bitmap& operator=(Bitmap&&) noexcept = default;
 
-  /// Builds a bitmap from a strictly increasing sequence of values, choosing
-  /// the best container representation per chunk. This is the fast path used
-  /// when converting CSR adjacency ranges.
+  /// Builds a bitmap from a strictly increasing sequence of values, one
+  /// container per chunk. This is the fast path used when converting CSR
+  /// adjacency ranges.
   static Bitmap FromSorted(std::span<const uint32_t> sorted_values);
 
   /// Builds a bitmap from an arbitrary (possibly duplicated) sequence.
   static Bitmap FromUnsorted(std::span<const uint32_t> values);
-
-  /// Builds the bitmap {0, 1, ..., n - 1} directly as run containers —
-  /// O(n / 2^16) time and memory, not O(n).
-  static Bitmap FromRange(uint32_t n);
 
   void Add(uint32_t value);
   void Remove(uint32_t value);
@@ -162,33 +133,26 @@ class Bitmap {
   bool operator==(const Bitmap& other) const;
   bool operator!=(const Bitmap& other) const { return !(*this == other); }
 
-  /// Re-encodes every container into its smallest representation (run
-  /// containers where 4*runs beats both the array and bitset footprint).
-  /// Cheap — one scan per container — and idempotent; call after building a
-  /// bitmap through many mutations/operations to reclaim memory.
-  void RunOptimize();
-
   /// Appends a binary image to `sink`, container-at-a-time: each container
-  /// is dumped as a single raw block in its native encoding, so
+  /// is dumped as a single raw block in its in-memory form, so
   /// (de)serialization is memcpy-bound rather than element-at-a-time (the
-  /// property the RoaringBitmap design is built for). Run containers are
-  /// emitted natively. Read back with Deserialize.
+  /// property the RoaringBitmap design is built for). Read back with
+  /// Deserialize.
   void Serialize(ByteSink& sink) const;
 
-  /// Decodes an image written by Serialize. On malformed input `src.ok()`
+  /// Decodes an image written by Serialize. On malformed input — including
+  /// a container whose kind does not match its cardinality — `src.ok()`
   /// turns false (with a description in `src.error()`) and the returned
   /// bitmap is empty. In zero-copy mode the container payloads borrow from
   /// the source's storage: whoever owns this bitmap must retain
-  /// `src.storage()` (Graph and friends do). Array and run containers stay
-  /// in their encoded on-disk form — reads work on that form directly, and
-  /// mutating a borrowed container transparently materializes a private
-  /// decoded copy first; copying a bitmap always deep-copies (preserving
-  /// each container's encoding).
+  /// `src.storage()` (Graph and friends do). Reads work on the borrowed
+  /// bytes directly, mutating a borrowed container first copies its payload,
+  /// and copying a bitmap always deep-copies.
   static Bitmap Deserialize(ByteSource& src);
 
   /// Approximate *owned* heap footprint in bytes (used by RIG size
   /// accounting and daemon RSS attribution). Borrowed container payloads —
-  /// encoded views into a shared snapshot mapping — are accounted to the
+  /// views into a shared snapshot mapping — are accounted to the
   /// mapping, not to this bitmap, so a freshly mmap-loaded bitmap reports
   /// only its container-index overhead.
   size_t MemoryBytes() const;
@@ -205,50 +169,30 @@ class Bitmap {
   // OwnedOrBorrowedSpan so a snapshot load can point them straight into the
   // file mapping instead of copying (util/owned_span.h).
   //
-  // kArray:  `array` holds `cardinality` sorted low-16-bit values.
-  // kBitset: `words` holds 1024 words.
-  // kRun:    `array` holds 2 * NumRuns() values, interleaved
-  //          (start, length-1) pairs in canonical form: sorted by start,
-  //          non-overlapping, non-adjacent (each start > previous end + 1),
-  //          every end <= 65535. Canonical form makes span equality
-  //          coincide with set equality.
+  // kArray:  `array` holds `cardinality` <= kArrayCapacity sorted low bits.
+  // kBitset: `words` holds 1024 words with `cardinality` > kArrayCapacity
+  //          bits set.
   struct Container {
-    enum class Kind : uint8_t { kArray, kBitset, kRun };
+    enum class Kind : uint8_t { kArray, kBitset };
 
     uint16_t key = 0;
     Kind kind = Kind::kArray;
     uint32_t cardinality = 0;
-    OwnedOrBorrowedSpan<uint16_t> array;  // kArray values or kRun pairs
+    OwnedOrBorrowedSpan<uint16_t> array;  // when kind == kArray
     OwnedOrBorrowedSpan<uint64_t> words;  // 1024 words, when kind == kBitset
 
     bool Contains(uint16_t low) const;
 
-    // Run accessors (kind == kRun). Ends are uint32 so a run ending at
-    // 65535 does not wrap.
-    size_t NumRuns() const { return array.size() / 2; }
-    uint32_t RunStart(size_t i) const { return array[2 * i]; }
-    uint32_t RunEnd(size_t i) const {
-      return static_cast<uint32_t>(array[2 * i]) + array[2 * i + 1];
-    }
-
-    // Representation changes. Decompress() decodes a run container to
-    // array/bitset (the mutation path); TryRunEncode() converts to run form
-    // when strictly smaller (the RunOptimize path).
+    // Kind changes that restore the invariant after the cardinality
+    // crossed kArrayCapacity: ToBitset() converts an array, and
+    // ToArrayIfSmall() converts a bitset that holds <= kArrayCapacity values.
     void ToBitset();
     void ToArrayIfSmall();
-    void Decompress();
-    void TryRunEncode();
   };
 
   // Returns the index of the container with `key`, or containers_.size().
   size_t FindContainer(uint16_t key) const;
   Container& GetOrCreateContainer(uint16_t key);
-
-  // Builds a container from canonical run pairs, choosing the smallest
-  // representation for the result.
-  static Container ContainerFromRuns(uint16_t key,
-                                     std::vector<uint16_t> run_pairs,
-                                     uint32_t cardinality);
 
   static Container AndContainers(const Container& a, const Container& b);
   static Container OrContainers(const Container& a, const Container& b);

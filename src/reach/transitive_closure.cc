@@ -13,11 +13,6 @@ TransitiveClosure::TransitiveClosure(const Graph& g) : cond_(g) {
       r.Add(d);
       r.OrWith(reach_[d]);
     }
-    // Closure rows over topological component ids are highly clustered
-    // (a component reaches dense id ranges of its descendants), so once a
-    // row is final, re-encoding it as run containers collapses most of the
-    // O(n^2/64) bitset footprint this structure is notorious for.
-    r.RunOptimize();
   }
 }
 

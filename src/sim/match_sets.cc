@@ -21,10 +21,8 @@ CandidateSets InitialMatchSets(const Graph& g, const PatternQuery& q) {
   for (QueryNodeId i = 0; i < q.NumNodes(); ++i) {
     LabelId label = q.Label(i);
     if (label < g.NumLabels()) {
-      // Deep copy preserving each container's encoding: a run-encoded label
-      // list (contiguously-labeled generated graphs) stays run-encoded, and
-      // a borrowed mmap'd payload becomes a private copy of the *encoded*
-      // bytes — never a decode.
+      // Deep copy, container by container: a borrowed mmap'd payload
+      // becomes a private copy of the same bytes.
       sets[i] = g.LabelBitmap(label);
     }  // else: label absent from the graph -> empty candidate set
   }

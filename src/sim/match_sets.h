@@ -52,11 +52,9 @@ struct SimStats {
 
 /// A candidate relation: one bitmap of data nodes per query node. Used for
 /// ms(q) (match sets), FB(q) (double simulation) and cos(q) (RIG node sets).
-/// The bitmaps are container-polymorphic (bitmap/bitmap.h): a candidate set
-/// seeded from a clustered label inverted list starts run-encoded and the
-/// pruning kernels (And/Or/AndNot) consume every container kind natively,
-/// so compression survives into the simulation fixpoint rather than being
-/// paid back on first use.
+/// The bitmaps are compressed (bitmap/bitmap.h): each 64K chunk is an array
+/// or a bitset by its cardinality, and the pruning kernels (And/Or/AndNot)
+/// take either kind as it is.
 using CandidateSets = std::vector<Bitmap>;
 
 /// True iff a path of 1..max_hops edges leads from u to v (depth-limited

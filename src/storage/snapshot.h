@@ -36,12 +36,12 @@ namespace rigpm {
 /// buffer are at least 8-byte aligned). That is what lets the zero-copy
 /// loader hand out typed pointers straight into the mapping.
 ///
-/// Bitmap run containers are stored in their native encoding
-/// (bitmap/bitmap.h): clustered chunks ship as (start, length) pairs instead
-/// of materialized arrays/bitsets, and a bitmap carries no total-cardinality
-/// word (each container's cardinality is validated on its own). An mmap'd
-/// load keeps those encoded payloads *borrowed inside the mapping* and
-/// decodes them lazily on first mutating touch.
+/// Each bitmap container (bitmap/bitmap.h) is stored as its array or
+/// bitset payload in one raw block, and a bitmap carries no
+/// total-cardinality word (each container's cardinality is validated on its
+/// own, and so is its kind against that cardinality). An mmap'd load keeps
+/// those payloads *borrowed inside the mapping* and copies one only on its
+/// first mutating touch.
 ///
 /// Snapshots are a warm-start cache written and read by the same build, so
 /// the reader knows exactly one layout: kSnapshotVersion. A file stamped
@@ -52,7 +52,8 @@ namespace rigpm {
 /// each with a descriptive error, never by crashing or silently returning a
 /// partial structure.
 
-inline constexpr uint32_t kSnapshotVersion = 3;
+/// Version 4: bitmaps hold array and bitset containers only.
+inline constexpr uint32_t kSnapshotVersion = 4;
 
 enum class SnapshotKind : uint32_t {
   kGraph = 1,          // Graph only

@@ -55,7 +55,7 @@ class Checksum64Stream {
 /// Growable in-memory byte buffer that the Serialize() methods append to.
 /// The snapshot writer frames the finished buffer with a header and CRC.
 /// There is one layout (storage/snapshot.h): bulk arrays are 8-byte padded
-/// and bitmap run containers are written natively.
+/// and each bitmap container is written as one raw block.
 class ByteSink {
  public:
   void WriteRaw(const void* data, size_t n) {

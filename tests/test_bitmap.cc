@@ -3,12 +3,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <random>
 #include <set>
 #include <vector>
 
 namespace rigpm {
 namespace {
+
+// {0, 1, ..., n - 1}.
+Bitmap Range(uint32_t n) {
+  std::vector<uint32_t> values(n);
+  std::iota(values.begin(), values.end(), 0u);
+  return Bitmap::FromSorted(values);
+}
 
 TEST(Bitmap, StartsEmpty) {
   Bitmap b;
@@ -54,15 +62,6 @@ TEST(Bitmap, FromUnsortedDeduplicates) {
   EXPECT_EQ(b.ToVector(), (std::vector<uint32_t>{1, 3, 5}));
 }
 
-TEST(Bitmap, FromRange) {
-  Bitmap b = Bitmap::FromRange(70000);  // spans two containers
-  EXPECT_EQ(b.Cardinality(), 70000u);
-  EXPECT_TRUE(b.Contains(0));
-  EXPECT_TRUE(b.Contains(69999));
-  EXPECT_FALSE(b.Contains(70000));
-  EXPECT_EQ(b.ContainerCount(), 2u);
-}
-
 TEST(Bitmap, ArrayPromotesToBitsetAndBack) {
   Bitmap b;
   for (uint32_t i = 0; i < Bitmap::kArrayCapacity + 10; ++i) b.Add(i * 2);
@@ -106,7 +105,7 @@ TEST(Bitmap, SubsetChecks) {
 }
 
 TEST(Bitmap, AndManyPicksSmallestFirst) {
-  Bitmap a = Bitmap::FromRange(1000);
+  Bitmap a = Range(1000);
   Bitmap b = {5, 10, 999, 2000};
   Bitmap c = {10, 999};
   std::vector<const Bitmap*> inputs = {&a, &b, &c};
@@ -145,138 +144,8 @@ TEST(Bitmap, EqualityAcrossRepresentations) {
 
 TEST(Bitmap, MemoryBytesGrowsWithContent) {
   Bitmap empty;
-  Bitmap loaded = Bitmap::FromRange(100000);
+  Bitmap loaded = Range(100000);
   EXPECT_GT(loaded.MemoryBytes(), empty.MemoryBytes());
-}
-
-// ---------------------------------------------------------------------------
-// Run containers.
-// ---------------------------------------------------------------------------
-
-BitmapContainerStats StatsOf(const Bitmap& b) {
-  BitmapContainerStats s;
-  b.AccumulateStats(&s);
-  return s;
-}
-
-TEST(BitmapRun, FromRangeProducesRunContainers) {
-  // A full range is one run per chunk — 4 bytes beats both array and bitset.
-  Bitmap b = Bitmap::FromRange(200000);
-  BitmapContainerStats s = StatsOf(b);
-  EXPECT_EQ(s.run_containers, b.ContainerCount());
-  EXPECT_EQ(s.array_containers, 0u);
-  EXPECT_EQ(s.bitset_containers, 0u);
-  EXPECT_EQ(b.Cardinality(), 200000u);
-  EXPECT_TRUE(b.Contains(0));
-  EXPECT_TRUE(b.Contains(199999));
-  EXPECT_FALSE(b.Contains(200000));
-}
-
-TEST(BitmapRun, FromSortedPicksRunForClusteredValues) {
-  // 8 runs of 1000: 32 B of runs vs 2000 B array vs 8192 B bitset.
-  std::vector<uint32_t> values;
-  for (uint32_t r = 0; r < 8; ++r) {
-    for (uint32_t i = 0; i < 1000; ++i) values.push_back(r * 5000 + i);
-  }
-  Bitmap b = Bitmap::FromSorted(values);
-  BitmapContainerStats s = StatsOf(b);
-  EXPECT_EQ(s.run_containers, 1u);
-  EXPECT_EQ(s.encoded_bytes, 8u * Bitmap::kBytesPerRun);
-  EXPECT_EQ(b.ToVector(), values);
-}
-
-TEST(BitmapRun, RunOptimizeCompressesClusteredBitset) {
-  Bitmap b;
-  for (uint32_t i = 10000; i < 40000; ++i) b.Add(i);  // dense -> bitset
-  EXPECT_EQ(StatsOf(b).bitset_containers, 1u);
-  b.RunOptimize();
-  BitmapContainerStats s = StatsOf(b);
-  EXPECT_EQ(s.run_containers, 1u);
-  EXPECT_EQ(s.encoded_bytes, Bitmap::kBytesPerRun);
-  EXPECT_EQ(b.Cardinality(), 30000u);
-  EXPECT_TRUE(b.Contains(10000));
-  EXPECT_TRUE(b.Contains(39999));
-  EXPECT_FALSE(b.Contains(9999));
-  EXPECT_FALSE(b.Contains(40000));
-}
-
-TEST(BitmapRun, RunOptimizeLeavesScatteredValuesAlone) {
-  Bitmap b;
-  for (uint32_t i = 0; i < 1000; ++i) b.Add(i * 61 % 65536);  // no adjacency
-  Bitmap before = b;
-  b.RunOptimize();
-  EXPECT_EQ(StatsOf(b).run_containers, 0u);
-  EXPECT_EQ(b, before);
-}
-
-TEST(BitmapRun, NoOpMutationsStayEncoded) {
-  Bitmap b = Bitmap::FromRange(30000);
-  b.RunOptimize();
-  ASSERT_EQ(StatsOf(b).run_containers, 1u);
-  b.Add(15000);    // already present
-  b.Remove(50000); // absent (same chunk, beyond the run)
-  EXPECT_EQ(StatsOf(b).run_containers, 1u);  // still encoded
-  b.Remove(15000);  // real mutation decompresses
-  EXPECT_EQ(StatsOf(b).run_containers, 0u);
-  EXPECT_EQ(b.Cardinality(), 29999u);
-}
-
-TEST(BitmapRun, EqualityAcrossRunAndDecodedForms) {
-  Bitmap run_form = Bitmap::FromRange(30000);
-  run_form.RunOptimize();
-  Bitmap decoded;
-  for (uint32_t i = 0; i < 30000; ++i) decoded.Add(i);
-  EXPECT_EQ(StatsOf(run_form).run_containers, 1u);
-  EXPECT_EQ(StatsOf(decoded).run_containers, 0u);
-  EXPECT_EQ(run_form, decoded);
-  EXPECT_EQ(decoded, run_form);
-  EXPECT_TRUE(run_form.IsSubsetOf(decoded));
-  EXPECT_TRUE(decoded.IsSubsetOf(run_form));
-}
-
-TEST(BitmapRun, KernelsConsumeRunOperands) {
-  // run x {array, bitset, run} through And/Or/AndNot/Intersects/Subset.
-  Bitmap run_a = Bitmap::FromRange(20000);          // [0, 20000)
-  Bitmap run_b;
-  for (uint32_t i = 10000; i < 30000; ++i) run_b.Add(i);
-  run_b.RunOptimize();                              // [10000, 30000)
-  Bitmap arr = {5, 15000, 25000, 100000};
-  Bitmap dense;
-  for (uint32_t i = 0; i < 30000; i += 2) dense.Add(i);
-
-  EXPECT_EQ(Bitmap::And(run_a, run_b).Cardinality(), 10000u);
-  EXPECT_EQ(Bitmap::Or(run_a, run_b).Cardinality(), 30000u);
-  EXPECT_EQ(Bitmap::AndNot(run_a, run_b).Cardinality(), 10000u);
-  EXPECT_EQ(Bitmap::And(run_a, arr).ToVector(),
-            (std::vector<uint32_t>{5, 15000}));
-  EXPECT_EQ(Bitmap::And(arr, run_a).ToVector(),
-            (std::vector<uint32_t>{5, 15000}));
-  EXPECT_EQ(Bitmap::AndNot(arr, run_a).ToVector(),
-            (std::vector<uint32_t>{25000, 100000}));
-  EXPECT_EQ(Bitmap::And(run_a, dense).Cardinality(), 10000u);
-  EXPECT_EQ(Bitmap::Or(run_a, dense).Cardinality(), 25000u);
-  EXPECT_EQ(Bitmap::AndNot(dense, run_a).Cardinality(), 5000u);
-  EXPECT_TRUE(run_a.Intersects(run_b));
-  EXPECT_TRUE(run_a.Intersects(arr));
-  EXPECT_TRUE(dense.Intersects(run_a));
-  EXPECT_FALSE(Bitmap({30001}).Intersects(run_b));
-  EXPECT_TRUE(Bitmap({3, 4, 19999}).IsSubsetOf(run_a));
-  EXPECT_FALSE(run_a.IsSubsetOf(run_b));
-  Bitmap whole = Bitmap::FromRange(40000);
-  whole.RunOptimize();
-  EXPECT_TRUE(run_b.IsSubsetOf(whole));
-  EXPECT_TRUE(dense.IsSubsetOf(whole));
-}
-
-TEST(BitmapRun, SerializeRoundTripsNativeRuns) {
-  Bitmap b = Bitmap::FromRange(100000);
-  ASSERT_GT(StatsOf(b).run_containers, 0u);
-  ByteSink sink;
-  b.Serialize(sink);
-  ByteSource src(sink.data().data(), sink.size());
-  Bitmap back = Bitmap::Deserialize(src);
-  EXPECT_EQ(back, b);
-  EXPECT_EQ(StatsOf(back).run_containers, StatsOf(b).run_containers);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
-// Randomized differential suite for the container-polymorphic bitmap
-// (bitmap/bitmap.h): every operation is checked against a std::set<uint32_t>
-// oracle across value distributions engineered to sit on the container-kind
-// boundaries — the array->bitset promotion edge at kArrayCapacity, the
-// run-vs-array and run-vs-bitset byte-cost thresholds, chunk edges (low bits
-// 0x0000/0xFFFF), and cross-kind operand pairings. Operands are additionally
-// exercised in their *borrowed* form (serialized to a file, mmap'd back with
-// zero-copy enabled) so the lazy-decode read path and the owned path are
-// differentially equivalent too, under both snapshot IO modes. A final group
-// covers snapshot round trips and the serialized size of run encoding.
+// Randomized differential suite for the compressed bitmap (bitmap/bitmap.h):
+// every operation is checked against a std::set<uint32_t> oracle across
+// value distributions engineered to sit on the container-kind boundary — the
+// array<->bitset edge at kArrayCapacity — plus clustered and chunk-edge (low
+// bits 0x0000/0xFFFF) shapes and cross-kind operand pairings. Every result is
+// also round-tripped through Serialize/Deserialize, whose decoder refuses a
+// container whose kind does not follow from its cardinality, so a kernel
+// that breaks that invariant fails here. Operands are additionally exercised
+// in their *borrowed* form (serialized to a file, mmap'd back with zero-copy
+// enabled) so the borrowed read path and the owned path are differentially
+// equivalent too, under both snapshot IO modes. A final group covers graph
+// snapshot round trips.
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -56,8 +58,8 @@ class TempFile {
 
 // ------------------------------------------------------ value generators
 
-// Distributions straddling every representation boundary. Values are the
-// low 16 bits; Materialize() places them into one or more chunks.
+// Distributions straddling the representation boundary. Values are the low
+// 16 bits; Materialize() places them into one or more chunks.
 enum class Dist {
   kEmpty,
   kSingleton,
@@ -66,18 +68,18 @@ enum class Dist {
   kArrayCapacity,     // exactly kArrayCapacity values (promotion edge)
   kArrayCapacityPlus, // kArrayCapacity + 1 (just past the edge)
   kDenseBitset,       // ~20000 scattered values
-  kFullChunk,         // all 65536 values (single run)
-  kFewLongRuns,       // 8 runs of ~2000 (deep in run territory)
-  kRunThreshold,      // runs of 2: 4*runs == 2*card, exactly NOT smaller
-  kRunJustUnder,      // runs of 3: 4*runs < 2*card, smallest as runs
-  kAlternatingBits,   // every other value: worst case for runs, dense
+  kFullChunk,         // all 65536 values
+  kFewLongRuns,       // 8 ranges of 2000 consecutive values (bitset)
+  kClusteredPairs,    // 100 pairs of consecutive values (array)
+  kClusteredTriples,  // 100 triples of consecutive values (array)
+  kAlternatingBits,   // every other value (dense bitset)
 };
 
 constexpr Dist kAllDists[] = {
     Dist::kEmpty,          Dist::kSingleton,     Dist::kChunkEdges,
     Dist::kSparseArray,    Dist::kArrayCapacity, Dist::kArrayCapacityPlus,
     Dist::kDenseBitset,    Dist::kFullChunk,     Dist::kFewLongRuns,
-    Dist::kRunThreshold,   Dist::kRunJustUnder,  Dist::kAlternatingBits,
+    Dist::kClusteredPairs, Dist::kClusteredTriples, Dist::kAlternatingBits,
 };
 
 const char* DistName(Dist d) {
@@ -91,8 +93,8 @@ const char* DistName(Dist d) {
     case Dist::kDenseBitset: return "dense_bitset";
     case Dist::kFullChunk: return "full_chunk";
     case Dist::kFewLongRuns: return "few_long_runs";
-    case Dist::kRunThreshold: return "run_threshold";
-    case Dist::kRunJustUnder: return "run_just_under";
+    case Dist::kClusteredPairs: return "clustered_pairs";
+    case Dist::kClusteredTriples: return "clustered_triples";
     case Dist::kAlternatingBits: return "alternating_bits";
   }
   return "?";
@@ -139,16 +141,13 @@ std::vector<uint16_t> LowBits(Dist d, std::mt19937_64& rng) {
         }
       }
       break;
-    case Dist::kRunThreshold:
-      // Runs of length 2 spaced apart: 4 bytes/run vs 4 bytes of array —
-      // run is NOT strictly smaller, so the encoder must keep the array.
+    case Dist::kClusteredPairs:
       for (uint32_t r = 0; r < 100; ++r) {
         out.insert(static_cast<uint16_t>(r * 100));
         out.insert(static_cast<uint16_t>(r * 100 + 1));
       }
       break;
-    case Dist::kRunJustUnder:
-      // Runs of length 3: 4 bytes/run vs 6 bytes of array — run wins.
+    case Dist::kClusteredTriples:
       for (uint32_t r = 0; r < 100; ++r) {
         out.insert(static_cast<uint16_t>(r * 100));
         out.insert(static_cast<uint16_t>(r * 100 + 1));
@@ -182,11 +181,25 @@ Bitmap FromSet(const std::set<uint32_t>& s) {
 
 // ------------------------------------------------------------ the oracle
 
+// Decodes the Serialize image of `b`. The decoder refuses a container whose
+// kind does not follow from its cardinality, so this also checks the kind
+// invariant of every container of `b`.
+Bitmap RoundTrip(const Bitmap& b, const std::string& what) {
+  ByteSink sink;
+  b.Serialize(sink);
+  ByteSource src(sink.data().data(), sink.size());
+  Bitmap back = Bitmap::Deserialize(src);
+  EXPECT_TRUE(src.ok()) << what << ": " << src.error();
+  EXPECT_EQ(src.remaining(), 0u) << what;
+  return back;
+}
+
 void ExpectMatches(const Bitmap& got, const std::set<uint32_t>& want,
                    const std::string& what) {
+  const std::vector<uint32_t> values(want.begin(), want.end());
   EXPECT_EQ(got.Cardinality(), want.size()) << what;
-  EXPECT_EQ(got.ToVector(), std::vector<uint32_t>(want.begin(), want.end()))
-      << what;
+  EXPECT_EQ(got.ToVector(), values) << what;
+  EXPECT_EQ(RoundTrip(got, what).ToVector(), values) << what << " (trip)";
 }
 
 // Runs the full operation matrix of one (a, b) pair against the oracle.
@@ -256,50 +269,41 @@ TEST(BitmapDifferential, AllDistributionPairings) {
   }
 }
 
-TEST(BitmapDifferential, RunOptimizedOperandsMatchOracle) {
-  std::mt19937_64 rng(7);
-  for (Dist da : {Dist::kFewLongRuns, Dist::kFullChunk, Dist::kRunJustUnder,
-                  Dist::kAlternatingBits, Dist::kDenseBitset}) {
-    for (Dist db : {Dist::kSparseArray, Dist::kFewLongRuns,
-                    Dist::kDenseBitset, Dist::kChunkEdges}) {
-      std::set<uint32_t> ra = Materialize(da, 0, 2, rng);
-      std::set<uint32_t> rb = Materialize(db, 0, 2, rng);
-      Bitmap a = FromSet(ra);
-      Bitmap b = FromSet(rb);
-      a.RunOptimize();
-      b.RunOptimize();
-      DifferentialCheck(a, b, ra, rb,
-                        std::string("runopt ") + DistName(da) + " x " +
-                            DistName(db));
-    }
-  }
-}
-
 // ------------------------------------------------- mutation at the edges
 
 TEST(BitmapDifferential, MutationSequenceAcrossPromotionEdges) {
   // Random add/remove walk whose cardinality repeatedly crosses
-  // kArrayCapacity, interleaved with RunOptimize so mutations also hit
-  // run-encoded containers. One chunk so every crossing is this container's.
+  // kArrayCapacity. One chunk so every crossing is this container's, and a
+  // round trip after every step, so a promotion or demotion that leaves the
+  // wrong kind fails at the step that made it.
   std::mt19937_64 rng(99);
   std::uniform_int_distribution<uint32_t> val(0, 0xFFFF);
   std::uniform_int_distribution<int> coin(0, 99);
   Bitmap b;
   std::set<uint32_t> ref;
-  // Bias phases: grow to ~1.5x capacity, shrink back, repeat.
+  // Biased phases: grow to 1.5x capacity, shrink to 0.5x, repeat. A removal
+  // takes the first present value at or after a random one, so shrinking
+  // phases do shrink.
   for (int phase = 0; phase < 4; ++phase) {
     const bool growing = phase % 2 == 0;
-    const uint32_t steps = Bitmap::kArrayCapacity * 3 / 2;
-    for (uint32_t i = 0; i < steps; ++i) {
+    const size_t target = growing ? Bitmap::kArrayCapacity * 3 / 2
+                                  : Bitmap::kArrayCapacity / 2;
+    auto reached = [&] {
+      return growing ? ref.size() >= target : ref.size() <= target;
+    };
+    for (uint32_t step = 0; !reached(); ++step) {
       uint32_t v = val(rng);
       if (coin(rng) < (growing ? 85 : 15)) {
         b.Add(v);
         ref.insert(v);
-      } else {
+      } else if (!ref.empty()) {
+        auto it = ref.lower_bound(v);
+        v = it == ref.end() ? *ref.begin() : *it;
         b.Remove(v);
         ref.erase(v);
       }
-      if (coin(rng) == 0) b.RunOptimize();
+      ASSERT_EQ(RoundTrip(b, "mutation step"), b)
+          << "phase " << phase << " step " << step;
     }
     EXPECT_EQ(b.Cardinality(), ref.size()) << "phase " << phase;
   }
@@ -311,31 +315,10 @@ TEST(BitmapDifferential, MutationSequenceAcrossPromotionEdges) {
   }
 }
 
-TEST(BitmapDifferential, MutatingRunContainersDecodesCorrectly) {
-  std::mt19937_64 rng(55);
-  for (Dist d : {Dist::kFewLongRuns, Dist::kFullChunk, Dist::kRunJustUnder}) {
-    std::set<uint32_t> ref = Materialize(d, 0, 1, rng);
-    Bitmap b = FromSet(ref);
-    b.RunOptimize();
-    std::uniform_int_distribution<uint32_t> val(0, 0xFFFF);
-    for (int i = 0; i < 2000; ++i) {
-      uint32_t v = val(rng);
-      if (i % 2 == 0) {
-        b.Add(v);
-        ref.insert(v);
-      } else {
-        b.Remove(v);
-        ref.erase(v);
-      }
-    }
-    ExpectMatches(b, ref, std::string("mutate-after-runopt ") + DistName(d));
-  }
-}
-
 // ------------------------------------------ borrowed (mmap'd) operands
 
 // Serializes `b`, writes the bytes to a file, maps it, and deserializes
-// with zero-copy enabled — the returned bitmap borrows its array/run
+// with zero-copy enabled — the returned bitmap borrows its container
 // payloads from the mapping. `keep_alive` holds the mapping.
 Bitmap BorrowedCopy(const Bitmap& b, const TempFile& file,
                     std::shared_ptr<MappedFile>* keep_alive) {
@@ -366,8 +349,6 @@ TEST(BitmapDifferential, BorrowedOperandsBehaveLikeOwned) {
       std::set<uint32_t> rb = Materialize(db, 1, 2, rng);
       Bitmap owned_a = FromSet(ra);
       Bitmap owned_b = FromSet(rb);
-      owned_a.RunOptimize();
-      owned_b.RunOptimize();
       TempFile fa("rigpm_diff_a"), fb("rigpm_diff_b");
       std::shared_ptr<MappedFile> ma, mb;
       Bitmap borrowed_a = BorrowedCopy(owned_a, fa, &ma);
@@ -384,14 +365,13 @@ TEST(BitmapDifferential, BorrowedOperandsBehaveLikeOwned) {
 }
 
 TEST(BitmapDifferential, BorrowedContainersCostNoOwnedHeapUntilMutated) {
-  // The lazy-decode accounting contract (daemon RSS): a bitmap whose
-  // array/run payloads borrow from a mapping owns only its container table;
-  // the first mutating touch of a container materializes a private copy and
+  // The copy-on-write accounting contract (daemon RSS): a bitmap whose
+  // payloads borrow from a mapping owns only its container table; the first
+  // mutating touch of a container makes a private copy of its payload and
   // the owned footprint grows.
   std::mt19937_64 rng(4242);
   std::set<uint32_t> ref = Materialize(Dist::kFullChunk, 0, 4, rng);
   Bitmap owned = FromSet(ref);
-  owned.RunOptimize();
   TempFile file("rigpm_diff_borrow");
   std::shared_ptr<MappedFile> mapping;
   Bitmap borrowed = BorrowedCopy(owned, file, &mapping);
@@ -400,18 +380,17 @@ TEST(BitmapDifferential, BorrowedContainersCostNoOwnedHeapUntilMutated) {
   borrowed.AccumulateStats(&s);
   EXPECT_EQ(s.borrowed_containers, borrowed.ContainerCount());
   const size_t before = borrowed.MemoryBytes();
-  // Borrowed encoded payloads are excluded from the owned footprint: four
-  // full-chunk run containers decode to 4 x 8 KiB, far above what the
-  // container table itself costs.
+  // Borrowed payloads are excluded from the owned footprint: four
+  // full-chunk bitsets are 4 x 8 KiB, far above what the container table
+  // itself costs.
   EXPECT_LT(before, 4096u);
 
-  // Reads do not decode.
+  // Reads do not copy.
   EXPECT_TRUE(borrowed.Contains(*ref.begin()));
   EXPECT_FALSE(borrowed.Contains(4u << 16));
-  borrowed.Add(100);           // already present: still no decode
   EXPECT_EQ(borrowed.MemoryBytes(), before);
 
-  borrowed.Remove(100);        // real mutation: private decoded copy
+  borrowed.Remove(100);        // mutation: private copy of one container
   ref.erase(100);
   BitmapContainerStats after_stats;
   borrowed.AccumulateStats(&after_stats);
@@ -424,8 +403,7 @@ TEST(BitmapDifferential, BorrowedContainersCostNoOwnedHeapUntilMutated) {
 
 TEST(BitmapDifferential, GraphSnapshotRoundTrips) {
   // A graph snapshot loads back bitmap-for-bitmap, and re-saving the loaded
-  // (possibly borrowed, lazily decoded) graph round-trips again, under both
-  // IO modes. Generated graphs give CSR bitmaps of every container kind.
+  // (possibly borrowed) graph round-trips again, under both IO modes.
   GeneratorOptions gopts;
   gopts.num_nodes = 4000;
   gopts.num_edges = 60000;
@@ -458,29 +436,6 @@ TEST(BitmapDifferential, GraphSnapshotRoundTrips) {
     for (NodeId v = 0; v < g.NumNodes(); ++v) {
       EXPECT_EQ(again->OutBitmap(v), g.OutBitmap(v));
     }
-  }
-}
-
-TEST(BitmapDifferential, RunEncodingNeverGrowsTheImageAndRoundTrips) {
-  // Every distribution round-trips through Serialize/Deserialize, and
-  // RunOptimize only ever shrinks the serialized image: a container is
-  // re-encoded as runs only when that is strictly smaller.
-  std::mt19937_64 rng(606);
-  for (Dist d : kAllDists) {
-    std::set<uint32_t> ref = Materialize(d, 0, 3, rng);
-    Bitmap b = FromSet(ref);
-    ByteSink before;
-    b.Serialize(before);
-    b.RunOptimize();
-    ByteSink after;
-    b.Serialize(after);
-    EXPECT_LE(after.size(), before.size()) << DistName(d);
-
-    ByteSource src(after.data().data(), after.size());
-    Bitmap back = Bitmap::Deserialize(src);
-    EXPECT_TRUE(src.ok()) << DistName(d) << ": " << src.error();
-    EXPECT_EQ(src.remaining(), 0u) << DistName(d);
-    ExpectMatches(back, ref, std::string("trip ") + DistName(d));
   }
 }
 

@@ -35,6 +35,7 @@
 #include "graphdb/graph_database.h"
 #include "query/query_generator.h"
 #include "reach/bfl_index.h"
+#include "storage/delta_log.h"
 #include "storage/snapshot.h"
 #include "test_util.h"
 #include "util/serde.h"
@@ -155,6 +156,60 @@ TEST(BitmapSerde, TruncatedPayloadFailsSoftly) {
     EXPECT_FALSE(src.ok());
     EXPECT_TRUE(out.Empty());
   }
+}
+
+// Decodes a hand-built bitmap image that must be refused: the decoder fails
+// softly, with `expect_substr` in its error and an empty result.
+void ExpectBitmapRefused(const ByteSink& sink, const char* expect_substr) {
+  ByteSource src(sink.data().data(), sink.size());
+  Bitmap out = Bitmap::Deserialize(src);
+  EXPECT_FALSE(src.ok());
+  EXPECT_NE(src.error().find(expect_substr), std::string::npos)
+      << src.error();
+  EXPECT_TRUE(out.Empty());
+}
+
+// One container header (u16 key, u8 kind, u32 cardinality) plus padding.
+void WriteContainerHeader(ByteSink& sink, uint8_t kind, uint32_t card) {
+  sink.WriteU16(0);
+  sink.WriteU8(kind);
+  sink.WriteU32(card);
+  sink.PadTo8();
+}
+
+TEST(BitmapSerde, OversizedContainerCountFailsSoftly) {
+  // A count is checked before anything is reserved for it: more than one
+  // container per 16-bit key, or more headers than the bytes left can hold.
+  for (uint32_t count : {0xFFFFFFFFu, 65537u}) {
+    ByteSink sink;
+    sink.WriteU32(count);
+    std::vector<uint8_t> headers(size_t{65537} * 7, 0);
+    sink.WriteRaw(headers.data(), headers.size());
+    ExpectBitmapRefused(sink, "container count");
+  }
+  ByteSink short_payload;
+  short_payload.WriteU32(2);
+  WriteContainerHeader(short_payload, 0, 1);
+  ExpectBitmapRefused(short_payload, "container count");
+}
+
+TEST(BitmapSerde, UnknownContainerKindIsRefused) {
+  ByteSink sink;
+  sink.WriteU32(1);
+  WriteContainerHeader(sink, 2, 1);
+  sink.WriteU16(7);
+  ExpectBitmapRefused(sink, "unknown bitmap container kind");
+}
+
+TEST(BitmapSerde, BitsetOfArraySizeIsRefused) {
+  // 4096 values fit an array, so a bitset holding them is non-canonical.
+  ByteSink sink;
+  sink.WriteU32(1);
+  WriteContainerHeader(sink, 1, Bitmap::kArrayCapacity);
+  std::vector<uint64_t> words(1024, 0);
+  std::fill(words.begin(), words.begin() + 64, ~uint64_t{0});
+  sink.WriteRaw(words.data(), words.size() * sizeof(uint64_t));
+  ExpectBitmapRefused(sink, "non-canonical");
 }
 
 // --------------------------------------------------------------- graphs
@@ -570,9 +625,9 @@ TEST_F(MalformedSnapshotTest, BadMagicIsRejected) {
 }
 
 TEST_F(MalformedSnapshotTest, WrongVersionIsRejected) {
-  // The reader knows one layout: the older versions 1 and 2 are as foreign
-  // as a future one.
-  for (uint32_t version : {1u, 2u, kSnapshotVersion + 7}) {
+  // The reader knows one layout: the older versions 1, 2 and 3 are as
+  // foreign as a future one.
+  for (uint32_t version : {1u, 2u, 3u, kSnapshotVersion + 7}) {
     std::string corrupt = bytes_;
     corrupt[8] = static_cast<char>(version);
     ExpectRejected(corrupt, "unsupported snapshot version");
@@ -580,13 +635,21 @@ TEST_F(MalformedSnapshotTest, WrongVersionIsRejected) {
 }
 
 TEST_F(MalformedSnapshotTest, KindMismatchIsRejected) {
-  // A graph snapshot is not an engine snapshot.
-  for (SnapshotIoMode mode : kBothModes) {
-    std::string error;
-    EXPECT_FALSE(
-        LoadEngineSnapshot(file_.path(), {.io_mode = mode}, &error)
-            .has_value());
-    EXPECT_NE(error.find("kind"), std::string::npos) << error;
+  // A graph snapshot is not an engine snapshot, and neither is a delta log.
+  // A delta log's header carries the same version number as a snapshot's,
+  // so the kind is what refuses it.
+  TempFile delta("malformed_delta");
+  std::string error;
+  auto writer = DeltaWriter::Open(delta.path(), 1, 10, &error);
+  ASSERT_NE(writer, nullptr) << error;
+  ASSERT_TRUE(writer->Append({{0, 3}}, &error)) << error;
+  writer.reset();
+  for (const std::string& path : {file_.path(), delta.path()}) {
+    for (SnapshotIoMode mode : kBothModes) {
+      EXPECT_FALSE(
+          LoadEngineSnapshot(path, {.io_mode = mode}, &error).has_value());
+      EXPECT_NE(error.find("kind"), std::string::npos) << error;
+    }
   }
 }
 

@@ -239,21 +239,19 @@ const char* SnapshotKindName(uint32_t kind_value) {
 }
 
 void PrintSectionStats(const char* name, const BitmapContainerStats& s) {
-  std::printf("  %-8s %5llu array  %5llu bitset  %5llu run  (%llu borrowed)"
-              "  encoded %llu B / decoded %llu B\n",
+  std::printf("  %-8s %5llu array  %5llu bitset  (%llu borrowed)"
+              "  payload %llu B\n",
               name, static_cast<unsigned long long>(s.array_containers),
               static_cast<unsigned long long>(s.bitset_containers),
-              static_cast<unsigned long long>(s.run_containers),
               static_cast<unsigned long long>(s.borrowed_containers),
-              static_cast<unsigned long long>(s.encoded_bytes),
-              static_cast<unsigned long long>(s.expanded_bytes));
+              static_cast<unsigned long long>(s.encoded_bytes));
 }
 
 // Deep view for graph-bearing snapshots: decode the graph part and report
-// the per-section bitmap container census (array/bitset/run counts and the
-// encoded-vs-decoded byte footprint that lazy decode preserves). Purely
-// additive diagnostics — a payload that fails to decode only prints a note,
-// because inspect's primary job is debugging files that do NOT load.
+// the per-section bitmap container census (array/bitset counts, how many
+// still borrow from the mapping, and their payload bytes). Purely additive
+// diagnostics — a payload that fails to decode only prints a note, because
+// inspect's primary job is debugging files that do NOT load.
 void TryInspectContainers(const std::string& path, const SnapshotInfo& info) {
   SnapshotKind kind = static_cast<SnapshotKind>(info.kind_value);
   if (kind != SnapshotKind::kGraph && kind != SnapshotKind::kEngine) return;
@@ -279,11 +277,6 @@ void TryInspectContainers(const std::string& path, const SnapshotInfo& info) {
   total.Accumulate(bwd);
   total.Accumulate(lab);
   PrintSectionStats("total", total);
-  if (total.expanded_bytes > 0) {
-    std::printf("  bitmap payload compression: %.1f%% of decoded size\n",
-                100.0 * static_cast<double>(total.encoded_bytes) /
-                    static_cast<double>(total.expanded_bytes));
-  }
 }
 
 // snapshot --inspect: header fields always (payload never needs to decode);
