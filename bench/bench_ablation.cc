@@ -2,20 +2,16 @@
 // paper's own figures):
 //  (a) early expansion termination on/off (the §4.5 interval-label cutoff),
 //  (b) simulation pass budget N = 1 / 3 (paper) / exact fixpoint,
-//  (c) batch BFS reachability pruning vs per-pair probes,
-//  (d) parallel MJoin speedup over the sequential enumerator.
+//  (c) batch BFS reachability pruning vs per-pair probes.
 
 #include "bench_common.h"
-#include "enumerate/mjoin_parallel.h"
-#include "order/search_order.h"
-#include "query/transitive_reduction.h"
 
 using namespace rigpm;
 using namespace rigpm::bench;
 
 int main() {
   PrintBenchHeader("Ablations — early termination / pass budget / batch "
-                   "reachability / parallel MJoin",
+                   "reachability",
                    "scale=" + std::to_string(DatasetScaleFromEnv()));
   Graph g = MakeDatasetByName("ep");
   std::printf("graph: %s\n", g.Summary().c_str());
@@ -83,33 +79,5 @@ int main() {
     table.Print();
   }
 
-  // --- (d) Parallel MJoin.
-  std::printf("\n-- (d) parallel MJoin speedup (enumeration only)\n");
-  {
-    TablePrinter table(
-        {"Query", "matches", "1 thread(s)", "2(s)", "4(s)", "8(s)"});
-    for (const auto& nq : queries) {
-      PatternQuery reduced = QueryTransitiveReduction(nq.query);
-      GmResult rr;
-      Rig rig = engine.BuildRigOnly(nq.query, GmOptions{}, &rr);
-      if (rig.AnyEmpty()) continue;
-      auto order = ComputeSearchOrder(reduced, rig, OrderStrategy::kJO);
-      std::vector<std::string> row = {nq.name};
-      uint64_t matches = 0;
-      for (uint32_t threads : {1u, 2u, 4u, 8u}) {
-        ParallelMJoinOptions popts;
-        popts.num_threads = threads;
-        popts.limit = MatchLimitFromEnv();
-        uint64_t n = 0;
-        double ms = TimeMs(
-            [&] { n = MJoinParallelCount(reduced, rig, order, popts); });
-        matches = n;
-        row.push_back(FormatSeconds(ms));
-      }
-      row.insert(row.begin() + 1, std::to_string(matches));
-      table.AddRow(std::move(row));
-    }
-    table.Print();
-  }
   return 0;
 }

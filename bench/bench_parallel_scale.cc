@@ -1,16 +1,9 @@
-// Parallel scaling of the staged pipeline (the Section 6 future-work sketch
-// made real): elapsed time and speedup vs worker count, on the fig11-scale
-// workload (DBLP subsets, H-queries).
-//
-// Two modes of parallelism are measured:
-//  * single-query — GmOptions::num_threads routes the Enumerate phase
-//    through the partitioned parallel MJoin (matching stays sequential, so
-//    the achievable speedup is bounded by the enumeration share, Amdahl);
-//  * batch — GmEngine::EvaluateBatch spreads independent queries across
-//    workers, one reusable EvalContext each (whole evaluations scale).
-//
-// Expected shape: >1.5x at 4 threads for both modes on enumeration-heavy
-// queries; batch mode scales closer to linearly because nothing is serial.
+// Parallel scaling across queries: GmEngine::EvaluateBatch spreads a batch
+// of independent queries over GmOptions::num_threads workers, one reusable
+// EvalContext each, on the fig11-scale workload (DBLP subsets, H-queries).
+// Elapsed time and speedup vs worker count. Each query evaluates
+// sequentially inside its worker, so nothing is serial across workers and
+// the speedup should approach the worker count up to the core count.
 
 #include <thread>
 
@@ -39,65 +32,36 @@ int main() {
   Graph g = MakeDatasetWithNodes(
       db, static_cast<uint32_t>(300'000 * scale));
   GmEngine engine(g);
-  const std::vector<uint32_t> thread_counts = {1, 2, 4, 8};
 
-  // --- Single-query enumeration scaling.
-  for (const std::string& qname : {"HQ8", "HQ12"}) {
-    auto queries =
-        TemplateWorkload(g, {qname}, QueryVariant::kHybrid, /*seed=*/17);
-    const PatternQuery& q = queries.front().query;
-
-    std::printf("\n-- %s, single query (parallel enumeration)\n",
-                qname.c_str());
-    TablePrinter table({"threads", "time(s)", "enumerate(s)", "speedup",
-                        "matches"});
-    double base_ms = 0.0;
-    for (uint32_t threads : thread_counts) {
-      GmOptions opts;
-      opts.limit = MatchLimitFromEnv();
-      opts.num_threads = threads;
-      GmResult r;
-      double ms = TimeMs([&] { r = engine.Evaluate(q, opts); });
-      if (threads == 1) base_ms = ms;
-      table.AddRow({std::to_string(threads), FormatSeconds(ms),
-                    FormatSeconds(r.enumerate_ms), Ratio(base_ms, ms),
-                    std::to_string(r.num_occurrences)});
-    }
-    table.Print();
+  // The representative template mix, every query independent, workers
+  // pulling from the shared batch queue.
+  auto named = TemplateWorkload(g, RepresentativeTemplateNames(),
+                                QueryVariant::kHybrid, /*seed=*/17);
+  std::vector<PatternQuery> batch;
+  for (const NamedQuery& nq : named) batch.push_back(nq.query);
+  // Replicate the mix so the batch comfortably outnumbers the workers.
+  const size_t base = batch.size();
+  for (int copy = 0; copy < 3; ++copy) {
+    for (size_t i = 0; i < base; ++i) batch.push_back(batch[i]);
   }
 
-  // --- Batch serving scaling: the representative template mix, every query
-  // independent, workers pulling from the shared batch queue.
-  {
-    auto named = TemplateWorkload(g, RepresentativeTemplateNames(),
-                                  QueryVariant::kHybrid, /*seed=*/17);
-    std::vector<PatternQuery> batch;
-    for (const NamedQuery& nq : named) batch.push_back(nq.query);
-    // Replicate the mix so the batch comfortably outnumbers the workers.
-    const size_t base = batch.size();
-    for (int copy = 0; copy < 3; ++copy) {
-      for (size_t i = 0; i < base; ++i) batch.push_back(batch[i]);
-    }
-
-    std::printf("\n-- batch of %zu queries (EvaluateBatch)\n", batch.size());
-    TablePrinter table(
-        {"threads", "wall(s)", "speedup", "queries/s", "matches"});
-    double base_ms = 0.0;
-    for (uint32_t threads : thread_counts) {
-      GmOptions opts;
-      opts.limit = MatchLimitFromEnv();
-      opts.num_threads = threads;
-      std::vector<GmResult> results;
-      double ms = TimeMs([&] { results = engine.EvaluateBatch(batch, opts); });
-      if (threads == 1) base_ms = ms;
-      uint64_t matches = 0;
-      for (const GmResult& r : results) matches += r.num_occurrences;
-      char qps[32];
-      std::snprintf(qps, sizeof(qps), "%.1f", batch.size() * 1000.0 / ms);
-      table.AddRow({std::to_string(threads), FormatSeconds(ms),
-                    Ratio(base_ms, ms), qps, std::to_string(matches)});
-    }
-    table.Print();
+  std::printf("\n-- batch of %zu queries (EvaluateBatch)\n", batch.size());
+  TablePrinter table({"threads", "wall(s)", "speedup", "queries/s", "matches"});
+  double base_ms = 0.0;
+  for (uint32_t threads : {1u, 2u, 4u, 8u}) {
+    GmOptions opts;
+    opts.limit = MatchLimitFromEnv();
+    opts.num_threads = threads;
+    std::vector<GmResult> results;
+    double ms = TimeMs([&] { results = engine.EvaluateBatch(batch, opts); });
+    if (threads == 1) base_ms = ms;
+    uint64_t matches = 0;
+    for (const GmResult& r : results) matches += r.num_occurrences;
+    char qps[32];
+    std::snprintf(qps, sizeof(qps), "%.1f", batch.size() * 1000.0 / ms);
+    table.AddRow({std::to_string(threads), FormatSeconds(ms),
+                  Ratio(base_ms, ms), qps, std::to_string(matches)});
   }
+  table.Print();
   return 0;
 }

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # End-to-end smoke of the query daemon: dump a snapshot, start rigpm_serve
 # on a Unix socket, run client queries against it, diff every count against
-# direct `rigpm_cli` evaluation of the same snapshot, and verify the daemon
-# shuts down cleanly (both via a client shutdown request and via SIGTERM).
+# direct `rigpm_cli` evaluation of the same snapshot, check --limit and the
+# flag usage errors, and verify the daemon shuts down cleanly (both via a
+# client shutdown request and via SIGTERM).
 #
 # usage: scripts/server_smoke.sh BUILD_DIR
 set -eu
@@ -98,6 +99,36 @@ for i in 1 2 3 4; do
   echo "concurrent client ${i}: ${n} occurrence(s)"
   [ "${n}" = "4" ] || { echo "FAIL: expected 4" >&2; exit 1; }
 done
+
+echo "== flags and limits"
+# --limit caps what a query emits, 0 included, served and direct alike. A
+# malformed numeric flag, and --threads without --batch, are usage errors
+# (exit 2) that name the flag.
+for limit in 0 2; do
+  served_n=$(count_of "$("${BUILD_DIR}/rigpm_cli" client --socket "${SOCK}" \
+               --pattern "${QUERIES[0]}" --limit "${limit}" --print 0)")
+  direct_n=$(count_of "$("${BUILD_DIR}/rigpm_cli" --load-snapshot "${SNAP}" \
+               --pattern "${QUERIES[0]}" --limit "${limit}" --print 0)")
+  echo "--limit ${limit}: served=${served_n} direct=${direct_n}"
+  if [ "${served_n}" != "${limit}" ] || [ "${direct_n}" != "${limit}" ]; then
+    echo "FAIL: expected ${limit} occurrence(s)" >&2
+    exit 1
+  fi
+done
+expect_usage_error() {  # FLAG-NAMED-IN-ERROR COMMAND...
+  local named=$1 code=0 err
+  shift
+  err=$("$@" 2>&1 >/dev/null) || code=$?
+  echo "$* -> exit ${code}"
+  if [ "${code}" != "2" ] || ! grep -q -- "${named}" <<<"${err}"; then
+    echo "FAIL: want exit 2 naming ${named}, got ${code}: ${err}" >&2
+    exit 1
+  fi
+}
+expect_usage_error --limit "${BUILD_DIR}/rigpm_cli" --load-snapshot "${SNAP}" \
+  --pattern "${QUERIES[0]}" --limit abc
+expect_usage_error --batch "${BUILD_DIR}/rigpm_cli" --load-snapshot "${SNAP}" \
+  --pattern "${QUERIES[0]}" --threads 4
 
 echo "== stats"
 "${BUILD_DIR}/rigpm_cli" client --socket "${SOCK}" --stats

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <mutex>
 #include <thread>
 #include <utility>
 
@@ -66,12 +65,6 @@ std::vector<GmResult> GmEngine::EvaluateBatch(
   std::vector<GmResult> results(queries.size());
   if (queries.empty()) return results;
 
-  // Inside a batch the parallelism is across queries; each query enumerates
-  // sequentially in its worker so per-query results match the sequential
-  // engine exactly (including limit clamping).
-  GmOptions per_query = opts;
-  per_query.num_threads = 1;
-
   const uint32_t workers = ResolveWorkerCount(opts.num_threads, queries.size());
   auto run_range = [&](EvalContext& ctx, std::atomic<size_t>& next) {
     for (size_t i = next.fetch_add(1, std::memory_order_relaxed);
@@ -83,7 +76,7 @@ std::vector<GmResult> GmEngine::EvaluateBatch(
           return sink(i, occ);
         };
       }
-      results[i] = Evaluate(ctx, queries[i], per_query, query_sink);
+      results[i] = Evaluate(ctx, queries[i], opts, query_sink);
     }
   };
 
@@ -110,21 +103,10 @@ std::vector<Occurrence> GmEngine::EvaluateCollect(const PatternQuery& query,
                                                   const GmOptions& opts,
                                                   GmResult* result) const {
   std::vector<Occurrence> out;
-  GmResult r;
-  if (opts.num_threads == 1) {
-    r = Evaluate(query, opts, [&out](const Occurrence& t) {
-      out.push_back(t);
-      return true;
-    });
-  } else {
-    // Parallel enumeration invokes the sink concurrently.
-    std::mutex mu;
-    r = Evaluate(query, opts, [&out, &mu](const Occurrence& t) {
-      std::lock_guard<std::mutex> lock(mu);
-      out.push_back(t);
-      return true;
-    });
-  }
+  GmResult r = Evaluate(query, opts, [&out](const Occurrence& t) {
+    out.push_back(t);
+    return true;
+  });
   if (result != nullptr) *result = std::move(r);
   return out;
 }

@@ -69,9 +69,8 @@ class GmEngine {
   }
 
   /// Evaluates `query`, streaming every occurrence into `sink` (may be
-  /// null to just count). Returns statistics; see GmResult. With
-  /// opts.num_threads != 1 the enumeration phase runs the parallel MJoin
-  /// and `sink` is invoked concurrently (it must then be thread-safe).
+  /// null to just count) on the calling thread. Returns statistics; see
+  /// GmResult.
   GmResult Evaluate(const PatternQuery& query, const GmOptions& opts = {},
                     const OccurrenceSink& sink = nullptr) const;
 
@@ -84,17 +83,16 @@ class GmEngine {
   /// Evaluates a batch of independent queries concurrently over the shared
   /// reachability index: opts.num_threads workers (0 = hardware, 1 =
   /// sequential), one reusable EvalContext each, pulling queries from the
-  /// batch work-queue. Each query's enumeration is sequential inside its
-  /// worker, so per-query results are bit-identical to Evaluate() with
-  /// num_threads = 1; only the cross-query schedule is concurrent. Returns
-  /// one GmResult per query, in input order.
+  /// batch work-queue. Each query runs Evaluate() inside its worker, so
+  /// per-query results are bit-identical to a sequential run; only the
+  /// cross-query schedule is concurrent. Returns one GmResult per query, in
+  /// input order.
   std::vector<GmResult> EvaluateBatch(
       std::span<const PatternQuery> queries, const GmOptions& opts = {},
       const BatchOccurrenceSink& sink = nullptr) const;
 
-  /// Convenience: materializes (up to opts.limit) occurrences. Safe with
-  /// opts.num_threads != 1 (collection is internally synchronized; tuple
-  /// order is then unspecified).
+  /// Convenience: materializes (up to opts.limit) occurrences, in
+  /// enumeration order.
   std::vector<Occurrence> EvaluateCollect(const PatternQuery& query,
                                           const GmOptions& opts = {},
                                           GmResult* result = nullptr) const;

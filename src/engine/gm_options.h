@@ -31,16 +31,14 @@ struct GmOptions {
   OrderStrategy order = OrderStrategy::kJO;
   bool early_termination = true;
 
-  /// Enumeration cap (the experiments stop at 1e7 matches).
+  /// Enumeration cap (the experiments stop at 1e7 matches); 0 enumerates
+  /// nothing.
   uint64_t limit = std::numeric_limits<uint64_t>::max();
 
-  /// Enumeration worker count (the parallel MJoin the paper sketches as
-  /// future work in Section 6). 1 = sequential (the default, identical to
-  /// the paper's engine); 0 = std::thread::hardware_concurrency(); N > 1 =
-  /// that many workers. With more than one worker the occurrence sink is
-  /// invoked concurrently and must be thread-safe; occurrence counts are
-  /// identical to the sequential run (clamped to `limit`), but the emission
-  /// order is unspecified.
+  /// GmEngine::EvaluateBatch worker count: 1 = sequential (the default),
+  /// 0 = std::thread::hardware_concurrency(), N > 1 = that many workers.
+  /// Evaluate and EvaluateCollect ignore it; every query enumerates
+  /// sequentially.
   uint32_t num_threads = 1;
 };
 

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "engine/eval_context.h"
-#include "enumerate/mjoin_parallel.h"
 #include "order/search_order.h"
 #include "query/transitive_reduction.h"
 #include "rig/rig_builder.h"
@@ -104,27 +103,16 @@ class OrderPhase : public Phase {
   }
 };
 
-// --- MJoin enumeration (Algorithm 5), sequential or — when the options ask
-// for more than one worker — the partitioned parallel MJoin of Section 6.
+// --- MJoin enumeration (Algorithm 5).
 class EnumeratePhase : public Phase {
  public:
   PhaseKind kind() const override { return PhaseKind::kEnumerate; }
   void Run(EvalContext&, PipelineState& s) const override {
     auto t0 = Clock::now();
-    if (s.opts.num_threads == 1) {
-      MJoinOptions mopts;
-      mopts.limit = s.opts.limit;
-      s.result.num_occurrences =
-          MJoin(s.reduced, *s.rig, s.result.order_used, s.sink, mopts,
-                &s.result.mjoin_stats);
-    } else {
-      ParallelMJoinOptions popts;
-      popts.num_threads = s.opts.num_threads;
-      popts.limit = s.opts.limit;
-      s.result.num_occurrences =
-          MJoinParallel(s.reduced, *s.rig, s.result.order_used, s.sink, popts,
-                        &s.result.mjoin_stats);
-    }
+    MJoinOptions mopts;
+    mopts.limit = s.opts.limit;
+    s.result.num_occurrences = MJoin(s.reduced, *s.rig, s.result.order_used,
+                                     s.sink, mopts, &s.result.mjoin_stats);
     s.result.enumerate_ms = MsSince(t0);
     s.result.hit_limit = s.result.num_occurrences >= s.opts.limit;
   }

@@ -23,7 +23,7 @@ class EvalContext;
 ///   Simulate  — double simulation refines the seeds into cos(q),
 ///   BuildRig  — expand cos(q) into RIG edges (Algorithm 4),
 ///   Order     — search-order selection over RIG statistics (Section 5.2),
-///   Enumerate — MJoin, sequential or parallel (Section 5 / Section 6).
+///   Enumerate — MJoin (Section 5).
 enum class PhaseKind : uint8_t {
   kReduce,
   kPrefilter,

@@ -41,8 +41,7 @@ class Enumerator {
   }
 
   uint64_t Run() {
-    if (q_.NumNodes() == 0) return 0;
-    Descend(0);
+    if (q_.NumNodes() != 0 && opts_.limit != 0) Descend(0);
     if (stats_ != nullptr) stats_->occurrences = produced_;
     return produced_;
   }
@@ -65,11 +64,8 @@ class Enumerator {
     // Multiway intersection: cos(q_i) ∩ all adjacency lists of the already
     // matched neighbors (lines 4-7 of Algorithm 5).
     std::vector<const Bitmap*> inputs;
-    inputs.reserve(constraints_[i].size() + 2);
+    inputs.reserve(constraints_[i].size() + 1);
     inputs.push_back(&rig_.Cos(qi));
-    if (i == 0 && opts_.root_restriction != nullptr) {
-      inputs.push_back(opts_.root_restriction);
-    }
     for (const EarlierConstraint& c : constraints_[i]) {
       NodeId matched = tuple_[order_[c.earlier_pos]];
       const Bitmap& adj = c.earlier_is_tail ? rig_.Forward(c.edge, matched)

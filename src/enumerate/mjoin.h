@@ -22,14 +22,9 @@ using Occurrence = std::vector<NodeId>;
 using OccurrenceSink = std::function<bool(const Occurrence&)>;
 
 struct MJoinOptions {
-  /// Stop after this many occurrences (the experiments cap at 1e7).
+  /// Emit at most this many occurrences (the experiments cap at 1e7); 0
+  /// emits none and never calls the sink.
   uint64_t limit = std::numeric_limits<uint64_t>::max();
-
-  /// When non-null, the candidates of the FIRST node in the search order are
-  /// additionally intersected with this set. This is the partitioning hook
-  /// the parallel enumerator uses (mjoin_parallel.h): splitting cos(q_1)
-  /// across workers partitions the whole search space without locks.
-  const Bitmap* root_restriction = nullptr;
 };
 
 struct MJoinStats {

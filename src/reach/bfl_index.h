@@ -84,9 +84,9 @@ class BflIndex : public ReachabilityIndex {
   std::shared_ptr<const void> storage_;
 
   // Scratch for the guided-DFS fallback. One engine's index is shared by
-  // every worker (EvaluateBatch, parallel GraphDatabase verify), so the
-  // rare queries the O(1) cuts cannot decide serialize on this mutex; the
-  // cut paths above stay lock-free.
+  // every worker (EvaluateBatch, the daemon's query workers), so the rare
+  // queries the O(1) cuts cannot decide serialize on this mutex; the cut
+  // paths above stay lock-free.
   mutable std::mutex scratch_mu_;
   mutable std::vector<uint32_t> visited_epoch_;
   mutable uint32_t epoch_ = 0;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <optional>
@@ -14,6 +13,7 @@
 #include "graph/graph_io.h"
 #include "server/client.h"
 #include "server/server.h"
+#include "util/numeric_flag.h"
 
 namespace rigpm::server {
 
@@ -123,7 +123,7 @@ int ServeToolMain(int argc, char** argv, int first_arg) {
   std::vector<GraphSpec> tenants;
   uint32_t max_engines = 0;
   uint64_t cache_bytes = kDefaultResultCacheBytes;
-  int port = -1;
+  std::optional<uint16_t> port;
   SnapshotIoMode io_mode = DefaultSnapshotIoMode();
   ServerConfig config;
   for (int i = first_arg; i < argc; ++i) {
@@ -161,7 +161,8 @@ int ServeToolMain(int argc, char** argv, int first_arg) {
     } else if (std::strcmp(argv[i], "--max-engines") == 0) {
       if ((v = NeedValue(argc, argv, &i, "--max-engines")) == nullptr)
         return ServeUsage();
-      max_engines = static_cast<uint32_t>(std::strtoul(v, nullptr, 10));
+      if (!ParseNumericFlag("--max-engines", v, &max_engines))
+        return ServeUsage();
     } else if (std::strcmp(argv[i], "--socket") == 0) {
       if ((v = NeedValue(argc, argv, &i, "--socket")) == nullptr)
         return ServeUsage();
@@ -171,46 +172,47 @@ int ServeToolMain(int argc, char** argv, int first_arg) {
         return ServeUsage();
       host = v;
     } else if (std::strcmp(argv[i], "--port") == 0) {
-      if ((v = NeedValue(argc, argv, &i, "--port")) == nullptr)
+      if ((v = NeedValue(argc, argv, &i, "--port")) == nullptr ||
+          !ParseNumericFlag("--port", v, &port.emplace()))
         return ServeUsage();
-      port = std::atoi(v);
     } else if (std::strcmp(argv[i], "--workers") == 0) {
       if ((v = NeedValue(argc, argv, &i, "--workers")) == nullptr)
         return ServeUsage();
-      config.num_workers = static_cast<uint32_t>(std::strtoul(v, nullptr, 10));
+      if (!ParseNumericFlag("--workers", v, &config.num_workers))
+        return ServeUsage();
     } else if (std::strcmp(argv[i], "--max-tuples") == 0) {
       if ((v = NeedValue(argc, argv, &i, "--max-tuples")) == nullptr)
         return ServeUsage();
-      config.max_return_tuples =
-          static_cast<uint32_t>(std::strtoul(v, nullptr, 10));
+      if (!ParseNumericFlag("--max-tuples", v, &config.max_return_tuples))
+        return ServeUsage();
     } else if (std::strcmp(argv[i], "--max-conns") == 0) {
       if ((v = NeedValue(argc, argv, &i, "--max-conns")) == nullptr)
         return ServeUsage();
-      config.max_connections =
-          static_cast<uint32_t>(std::strtoul(v, nullptr, 10));
+      if (!ParseNumericFlag("--max-conns", v, &config.max_connections))
+        return ServeUsage();
     } else if (std::strcmp(argv[i], "--idle-timeout-ms") == 0) {
       if ((v = NeedValue(argc, argv, &i, "--idle-timeout-ms")) == nullptr)
         return ServeUsage();
-      config.idle_timeout_ms =
-          static_cast<uint32_t>(std::strtoul(v, nullptr, 10));
+      if (!ParseNumericFlag("--idle-timeout-ms", v, &config.idle_timeout_ms))
+        return ServeUsage();
     } else if (std::strcmp(argv[i], "--cache-bytes") == 0) {
       if ((v = NeedValue(argc, argv, &i, "--cache-bytes")) == nullptr)
         return ServeUsage();
-      cache_bytes = std::strtoull(v, nullptr, 10);
+      if (!ParseNumericFlag("--cache-bytes", v, &cache_bytes))
+        return ServeUsage();
     } else if (std::strcmp(argv[i], "--maintenance-interval-ms") == 0) {
       if ((v = NeedValue(argc, argv, &i, "--maintenance-interval-ms")) ==
           nullptr)
         return ServeUsage();
-      config.maintenance_interval_ms =
-          static_cast<uint32_t>(std::strtoul(v, nullptr, 10));
+      if (!ParseNumericFlag("--maintenance-interval-ms", v,
+                            &config.maintenance_interval_ms))
+        return ServeUsage();
     } else if (std::strcmp(argv[i], "--auto-compact-ratio") == 0) {
       if ((v = NeedValue(argc, argv, &i, "--auto-compact-ratio")) == nullptr)
         return ServeUsage();
-      config.auto_compact_ratio = std::strtod(v, nullptr);
-      if (config.auto_compact_ratio < 0) {
-        std::fprintf(stderr, "--auto-compact-ratio must be >= 0\n");
+      if (!ParseNumericFlag("--auto-compact-ratio", v,
+                            &config.auto_compact_ratio))
         return ServeUsage();
-      }
     } else if (std::strcmp(argv[i], "--no-remote-shutdown") == 0) {
       config.allow_remote_shutdown = false;
     } else {
@@ -229,7 +231,7 @@ int ServeToolMain(int argc, char** argv, int first_arg) {
                  "NAME=SNAP[:DELTA]\n");
     return ServeUsage();
   }
-  if (socket_path.empty() && port < 0) {
+  if (socket_path.empty() && !port.has_value()) {
     std::fprintf(stderr, "serve needs --socket PATH or --port N\n");
     return ServeUsage();
   }
@@ -247,7 +249,7 @@ int ServeToolMain(int argc, char** argv, int first_arg) {
   }
   config.unix_path = socket_path;
   config.host = host;
-  config.port = static_cast<uint16_t>(port < 0 ? 0 : port);
+  config.port = port.value_or(0);
   // EngineSource::delta_io stays on its kRead default: --snapshot-io
   // governs how the (immutable, rename-replaced) snapshots are loaded, but
   // delta logs are appended to and tail-truncated in place, where reading
@@ -350,7 +352,7 @@ int ServeToolMain(int argc, char** argv, int first_arg) {
 
 int ClientToolMain(int argc, char** argv, int first_arg) {
   std::string socket_path, host = "127.0.0.1", batch_path, graph_id;
-  int port = -1;
+  std::optional<uint16_t> port;
   bool want_stats = false, want_ping = false, want_shutdown = false;
   bool want_refresh = false, want_list_graphs = false;
   uint64_t print = 10;
@@ -370,9 +372,9 @@ int ClientToolMain(int argc, char** argv, int first_arg) {
         return ClientUsage();
       host = v;
     } else if (std::strcmp(argv[i], "--port") == 0) {
-      if ((v = NeedValue(argc, argv, &i, "--port")) == nullptr)
+      if ((v = NeedValue(argc, argv, &i, "--port")) == nullptr ||
+          !ParseNumericFlag("--port", v, &port.emplace()))
         return ClientUsage();
-      port = std::atoi(v);
     } else if (std::strcmp(argv[i], "--graph") == 0) {
       if ((v = NeedValue(argc, argv, &i, "--graph")) == nullptr)
         return ClientUsage();
@@ -392,37 +394,40 @@ int ClientToolMain(int argc, char** argv, int first_arg) {
     } else if (std::strcmp(argv[i], "--seed") == 0) {
       if ((v = NeedValue(argc, argv, &i, "--seed")) == nullptr)
         return ClientUsage();
-      req.template_seed = std::strtoull(v, nullptr, 10);
+      if (!ParseNumericFlag("--seed", v, &req.template_seed))
+        return ClientUsage();
     } else if (std::strcmp(argv[i], "--limit") == 0) {
       if ((v = NeedValue(argc, argv, &i, "--limit")) == nullptr)
         return ClientUsage();
-      req.limit = std::strtoull(v, nullptr, 10);
+      if (!ParseNumericFlag("--limit", v, &req.limit)) return ClientUsage();
     } else if (std::strcmp(argv[i], "--tuples") == 0) {
       if ((v = NeedValue(argc, argv, &i, "--tuples")) == nullptr)
         return ClientUsage();
-      req.max_return_tuples =
-          static_cast<uint32_t>(std::strtoul(v, nullptr, 10));
+      if (!ParseNumericFlag("--tuples", v, &req.max_return_tuples))
+        return ClientUsage();
     } else if (std::strcmp(argv[i], "--print") == 0) {
       if ((v = NeedValue(argc, argv, &i, "--print")) == nullptr)
         return ClientUsage();
-      print = std::strtoull(v, nullptr, 10);
+      if (!ParseNumericFlag("--print", v, &print)) return ClientUsage();
     } else if (std::strcmp(argv[i], "--pipeline") == 0) {
       if ((v = NeedValue(argc, argv, &i, "--pipeline")) == nullptr)
         return ClientUsage();
-      pipeline = std::strtoull(v, nullptr, 10);
+      if (!ParseNumericFlag("--pipeline", v, &pipeline)) return ClientUsage();
     } else if (std::strcmp(argv[i], "--repeat") == 0) {
       if ((v = NeedValue(argc, argv, &i, "--repeat")) == nullptr)
         return ClientUsage();
-      repeat = std::strtoull(v, nullptr, 10);
+      if (!ParseNumericFlag("--repeat", v, &repeat)) return ClientUsage();
       if (repeat == 0) repeat = 1;
     } else if (std::strcmp(argv[i], "--idle-hold") == 0) {
       if ((v = NeedValue(argc, argv, &i, "--idle-hold")) == nullptr)
         return ClientUsage();
-      idle_hold = std::strtoull(v, nullptr, 10);
+      if (!ParseNumericFlag("--idle-hold", v, &idle_hold))
+        return ClientUsage();
     } else if (std::strcmp(argv[i], "--hold-secs") == 0) {
       if ((v = NeedValue(argc, argv, &i, "--hold-secs")) == nullptr)
         return ClientUsage();
-      hold_secs = std::strtoull(v, nullptr, 10);
+      if (!ParseNumericFlag("--hold-secs", v, &hold_secs))
+        return ClientUsage();
     } else if (std::strcmp(argv[i], "--stats") == 0) {
       want_stats = true;
     } else if (std::strcmp(argv[i], "--ping") == 0) {
@@ -438,7 +443,7 @@ int ClientToolMain(int argc, char** argv, int first_arg) {
       return ClientUsage();
     }
   }
-  if (socket_path.empty() && port < 0) {
+  if (socket_path.empty() && !port.has_value()) {
     std::fprintf(stderr, "client needs --socket PATH or --port N\n");
     return ClientUsage();
   }
@@ -479,8 +484,7 @@ int ClientToolMain(int argc, char** argv, int first_arg) {
     for (uint64_t i = 0; i < idle_hold; ++i) {
       QueryClient holder;
       bool ok = socket_path.empty()
-                    ? holder.ConnectTcp(host, static_cast<uint16_t>(port),
-                                        &error)
+                    ? holder.ConnectTcp(host, *port, &error)
                     : holder.ConnectUnix(socket_path, &error);
       if (!ok) {
         std::fprintf(stderr, "idle-hold connect %llu/%llu failed: %s\n",
@@ -503,8 +507,7 @@ int ClientToolMain(int argc, char** argv, int first_arg) {
   }
 
   bool connected = socket_path.empty()
-                       ? client.ConnectTcp(host, static_cast<uint16_t>(port),
-                                           &error)
+                       ? client.ConnectTcp(host, *port, &error)
                        : client.ConnectUnix(socket_path, &error);
   if (!connected) {
     std::fprintf(stderr, "cannot connect: %s\n", error.c_str());

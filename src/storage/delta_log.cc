@@ -536,15 +536,11 @@ bool DeltaReader::SeekTo(uint64_t offset, uint64_t last_seqno,
 
 // ------------------------------------------------------------- replaying
 
-void DedupeNewEdges(const Graph& g,
-                    std::vector<std::pair<NodeId, NodeId>>* edges) {
-  std::sort(edges->begin(), edges->end());
-  edges->erase(std::unique(edges->begin(), edges->end()), edges->end());
-  std::erase_if(*edges, [&](const std::pair<NodeId, NodeId>& e) {
-    return g.HasEdge(e.first, e.second);
-  });
-}
+namespace {
 
+// Reduces *ops to exactly the mutations that change `g`, sorted by
+// (src, dst): the last op per (src, dst) wins, then adds of edges `g`
+// already has and deletes of edges it lacks are dropped.
 void NormalizeDeltaOps(const Graph& g, std::vector<DeltaOp>* ops) {
   // Last op per (src, dst) wins: an add-then-delete in one batch nets to a
   // delete, and vice versa. Insertion order decides, so walk forward and
@@ -560,7 +556,7 @@ void NormalizeDeltaOps(const Graph& g, std::vector<DeltaOp>* ops) {
     const NodeId src = static_cast<NodeId>(key >> 32);
     const NodeId dst = static_cast<NodeId>(key & 0xffffffffu);
     // Drop no-ops against the graph: adding a present edge or deleting an
-    // absent one changes nothing, and journaling it would bloat the log.
+    // absent one changes nothing.
     const bool present = g.HasEdge(src, dst);
     if (kind == DeltaOpKind::kAdd ? present : !present) continue;
     out.push_back({src, dst, kind});
@@ -569,10 +565,11 @@ void NormalizeDeltaOps(const Graph& g, std::vector<DeltaOp>* ops) {
   *ops = std::move(out);
 }
 
-Graph ApplyDeltaOps(const Graph& g, std::span<const DeltaOp> ops,
-                    bool already_normalized) {
+}  // namespace
+
+Graph ApplyDeltaOps(const Graph& g, std::span<const DeltaOp> ops) {
   std::vector<DeltaOp> fresh(ops.begin(), ops.end());
-  if (!already_normalized) NormalizeDeltaOps(g, &fresh);
+  NormalizeDeltaOps(g, &fresh);
   std::vector<LabelId> labels(g.NumNodes());
   for (NodeId v = 0; v < g.NumNodes(); ++v) labels[v] = g.Label(v);
   std::vector<std::pair<NodeId, NodeId>> adds;
@@ -599,24 +596,8 @@ Graph ApplyDeltaOps(const Graph& g, std::span<const DeltaOp> ops,
 }
 
 Graph ApplyEdgesToGraph(const Graph& g,
-                        std::span<const std::pair<NodeId, NodeId>> new_edges,
-                        bool already_deduplicated) {
-  return ApplyDeltaOps(g, EdgesToOps(new_edges), already_deduplicated);
-}
-
-bool ValidateEdgeEndpoints(std::span<const std::pair<NodeId, NodeId>> edges,
-                           uint32_t num_nodes, std::string* error) {
-  for (const auto& [src, dst] : edges) {
-    if (src >= num_nodes || dst >= num_nodes) {
-      SetError(error, "edge (" + std::to_string(src) + ", " +
-                          std::to_string(dst) + ") references node " +
-                          std::to_string(std::max(src, dst)) +
-                          ", but the graph has only " +
-                          std::to_string(num_nodes) + " nodes");
-      return false;
-    }
-  }
-  return true;
+                        std::span<const std::pair<NodeId, NodeId>> new_edges) {
+  return ApplyDeltaOps(g, EdgesToOps(new_edges));
 }
 
 bool ValidateOpEndpoints(std::span<const DeltaOp> ops, uint32_t num_nodes,

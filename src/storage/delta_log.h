@@ -17,11 +17,12 @@
 namespace rigpm {
 
 /// Append-only edge-delta log over a base snapshot — the persistence layer
-/// for the incremental setting (engine/incremental.h). A served graph is
-/// refreshed by shipping `base.snap + graph.delta` instead of re-dumping
-/// and reloading the whole snapshot: updates land in the log as small
-/// checksummed records, and readers (rigpm_serve's kRefresh path, `rigpm_cli
-/// delta replay`) rebuild the current graph by replaying them over the base.
+/// for a changing graph. A served graph is refreshed by shipping
+/// `base.snap + graph.delta` instead of re-dumping and reloading the whole
+/// snapshot: updates land in the log as small checksummed records
+/// (DeltaWriter::AppendOps), and readers (rigpm_serve's kRefresh path,
+/// `rigpm_cli delta replay`) rebuild the current graph by replaying them
+/// over the base (CollectDeltaOps + ApplyDeltaOps).
 ///
 /// File layout (the 24-byte container head of storage/snapshot.h plus an
 /// 8-byte delta extension; the body is an unbounded record sequence rather
@@ -289,22 +290,19 @@ class DeltaReader {
   std::string error_;
 };
 
-/// Returns a copy of `g` with `ops` applied: delete ops remove existing
-/// edges, add ops insert new ones (the node set and labels are unchanged).
-/// Every endpoint must be < g.NumNodes(); the caller validates. This is
-/// the shared rebuild step of IncrementalMatcher, delta replay, and the
-/// daemon's refresh. Pass `already_normalized = true` when the caller has
-/// run NormalizeDeltaOps itself (IncrementalMatcher must, to journal
-/// exactly the ops that change the graph) to skip the second pass.
-Graph ApplyDeltaOps(const Graph& g, std::span<const DeltaOp> ops,
-                    bool already_normalized = false);
+/// Returns a copy of `g` with `ops` applied in batch order: for each
+/// (src, dst) the LAST op in the batch wins (add-then-delete of one edge is
+/// a delete, and vice versa), an add of a present edge and a delete of an
+/// absent one change nothing, and the node set and labels are unchanged.
+/// Every endpoint must be < g.NumNodes(); the caller validates
+/// (ValidateOpEndpoints). This is the one rebuild step of delta replay and
+/// the daemon's refresh.
+Graph ApplyDeltaOps(const Graph& g, std::span<const DeltaOp> ops);
 
-/// Add-only convenience over ApplyDeltaOps (`already_deduplicated` maps to
-/// `already_normalized`). Kept for the many add-only callers; deletions go
-/// through ApplyDeltaOps.
+/// Add-only convenience over ApplyDeltaOps, for callers that deal in plain
+/// edge batches.
 Graph ApplyEdgesToGraph(const Graph& g,
-                        std::span<const std::pair<NodeId, NodeId>> new_edges,
-                        bool already_deduplicated = false);
+                        std::span<const std::pair<NodeId, NodeId>> new_edges);
 
 struct ReplayStats {
   uint64_t records_applied = 0;
@@ -326,33 +324,13 @@ struct ReplayStats {
   uint64_t end_offset = 0;
 };
 
-/// Checks that every endpoint in `edges` names an existing node
+/// Checks that every endpoint in `ops` names an existing node
 /// (< num_nodes). False with a descriptive *error on the first violation —
 /// the shared enforcement of the format's core precondition (a journaled
-/// record must always replay against its base): IncrementalMatcher checks
-/// before journaling, `rigpm_cli delta append` before appending, and
-/// replay before applying.
-bool ValidateEdgeEndpoints(std::span<const std::pair<NodeId, NodeId>> edges,
-                           uint32_t num_nodes, std::string* error);
-
-/// Op-batch flavor of ValidateEdgeEndpoints.
+/// record must always replay against its base): DeltaWriter::AppendOps
+/// checks before appending, and replay (CollectDeltaOps) before applying.
 bool ValidateOpEndpoints(std::span<const DeltaOp> ops, uint32_t num_nodes,
                          std::string* error);
-
-/// Sorts *edges, drops in-batch duplicates, and drops edges `g` already
-/// has — the add-only special case of NormalizeDeltaOps, kept for callers
-/// that deal in plain edge batches.
-void DedupeNewEdges(const Graph& g,
-                    std::vector<std::pair<NodeId, NodeId>>* edges);
-
-/// Reduces *ops to exactly the mutations that change `g`: within the
-/// batch the LAST op per (src, dst) wins (add-then-delete of the same edge
-/// is a delete, and vice versa), then adds of edges `g` already has and
-/// deletes of edges it lacks are dropped. The result is sorted by
-/// (src, dst). This is the one definition of "the ops that actually change
-/// the graph", shared by journaling (IncrementalMatcher) and replay
-/// (ApplyDeltaOps) so the two can never diverge.
-void NormalizeDeltaOps(const Graph& g, std::vector<DeltaOp>* ops);
 
 /// Reads every record of `reader` with seqno > `after_seqno`, validating
 /// each endpoint against `num_nodes`, and appends their ops to *ops.
@@ -367,8 +345,9 @@ bool CollectDeltaOps(DeltaReader& reader, uint32_t num_nodes,
 /// Replays every record of `reader` with seqno > `after_seqno` over `base`
 /// and returns the merged graph. Fails (nullopt + *error) if any applied
 /// record references a node that does not exist in `base` — a journaled
-/// log never contains such a record (IncrementalMatcher validates before
-/// journaling), so hitting one means the log does not belong to this base.
+/// log never contains such a record (DeltaWriter::AppendOps validates
+/// before appending), so hitting one means the log does not belong to this
+/// base.
 /// A truncated tail is NOT an error here: the valid prefix is replayed and
 /// the caller can consult reader.truncated().
 std::optional<Graph> ReplayDelta(const Graph& base, DeltaReader& reader,

@@ -61,7 +61,7 @@ bool ExtractHeader(const uint8_t* bytes, SnapshotHeader* out,
 
 // ExtractHeader plus the validation loading requires: supported version,
 // expected kind.
-bool ParseHeader(const uint8_t* bytes, SnapshotKind expected_kind,
+bool ParseHeader(const uint8_t* bytes, SnapshotKind kind,
                  SnapshotHeader* out, std::string* error) {
   if (!ExtractHeader(bytes, out, error)) return false;
   if (out->version != kSnapshotVersion) {
@@ -70,10 +70,10 @@ bool ParseHeader(const uint8_t* bytes, SnapshotKind expected_kind,
              " only)";
     return false;
   }
-  if (out->kind_value != static_cast<uint32_t>(expected_kind)) {
+  if (out->kind_value != static_cast<uint32_t>(kind)) {
     *error = "snapshot kind mismatch (file has kind " +
              std::to_string(out->kind_value) + ", expected " +
-             std::to_string(static_cast<uint32_t>(expected_kind)) + ")";
+             std::to_string(static_cast<uint32_t>(kind)) + ")";
     return false;
   }
   return true;
@@ -192,24 +192,23 @@ std::optional<SnapshotInfo> InspectSnapshot(const std::string& path,
   return info;
 }
 
-SnapshotReader::SnapshotReader(const std::string& path,
-                               SnapshotKind expected_kind,
+SnapshotReader::SnapshotReader(const std::string& path, SnapshotKind kind,
                                SnapshotIoMode mode) {
   if (mode == SnapshotIoMode::kMmap) {
     std::string map_error;
     mapping_ = MappedFile::Open(path, &map_error);
     if (mapping_ != nullptr) {
-      InitFromMapping(expected_kind);
+      InitFromMapping(kind);
       return;
     }
     // Unmappable source (FIFO, special filesystem, ...): graceful fallback
     // to the streaming read below. A missing file fails there too, with a
     // proper error.
   }
-  InitFromStream(path, expected_kind);
+  InitFromStream(path, kind);
 }
 
-void SnapshotReader::InitFromMapping(SnapshotKind expected_kind) {
+void SnapshotReader::InitFromMapping(SnapshotKind kind) {
   const uint8_t* data = mapping_->data();
   const uint64_t file_size = mapping_->size();
   if (file_size < kHeaderBytes + sizeof(uint64_t)) {
@@ -217,7 +216,7 @@ void SnapshotReader::InitFromMapping(SnapshotKind expected_kind) {
     return;
   }
   SnapshotHeader header;
-  if (!ParseHeader(data, expected_kind, &header, &error_)) return;
+  if (!ParseHeader(data, kind, &header, &error_)) return;
   // The declared payload must fit exactly between the header and the
   // trailing checksum; this bounds every read before any byte is decoded.
   if (header.payload_size != file_size - kHeaderBytes - sizeof(uint64_t)) {
@@ -244,7 +243,7 @@ void SnapshotReader::InitFromMapping(SnapshotKind expected_kind) {
 }
 
 void SnapshotReader::InitFromStream(const std::string& path,
-                                    SnapshotKind expected_kind) {
+                                    SnapshotKind kind) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     error_ = "cannot open " + path;
@@ -257,7 +256,7 @@ void SnapshotReader::InitFromStream(const std::string& path,
     return;
   }
   SnapshotHeader header;
-  if (!ParseHeader(header_bytes, expected_kind, &header, &error_)) return;
+  if (!ParseHeader(header_bytes, kind, &header, &error_)) return;
 
   // Regular files know their size up front: cross-check the declared
   // payload size before reading (and reserve exactly once). Unseekable
@@ -366,22 +365,6 @@ bool SaveGraphSnapshot(const Graph& g, const std::string& path,
 
 namespace {
 
-/// The loader-side half of LoadOptions::expected_kind: a caller that
-/// asserted a kind must have routed the path to the loader that decodes it.
-bool CheckExpectedKind(const LoadOptions& options, SnapshotKind decodes,
-                       std::string* error) {
-  if (options.expected_kind == SnapshotKind{0} ||
-      options.expected_kind == decodes) {
-    return true;
-  }
-  SetError(error, "caller expects snapshot kind " +
-                      std::to_string(
-                          static_cast<uint32_t>(options.expected_kind)) +
-                      " but this loader decodes kind " +
-                      std::to_string(static_cast<uint32_t>(decodes)));
-  return false;
-}
-
 /// Shared delta-overlay step of the Load* entry points — one definition of
 /// "base + log", identical to the daemon's kRefresh replay. Returns false
 /// (with *error) on an unusable log. On success *merged holds the merged
@@ -436,9 +419,6 @@ bool OverlayDelta(const Graph& base, uint64_t base_checksum,
 std::optional<Graph> LoadGraphSnapshot(const std::string& path,
                                        const LoadOptions& options,
                                        std::string* error) {
-  if (!CheckExpectedKind(options, SnapshotKind::kGraph, error)) {
-    return std::nullopt;
-  }
   SnapshotReader reader(path, SnapshotKind::kGraph, options.io_mode);
   if (!reader.ok()) {
     SetError(error, reader.error());
@@ -480,9 +460,6 @@ bool SaveEngineSnapshot(const GmEngine& engine, const std::string& path,
 std::optional<WarmEngine> LoadEngineSnapshot(const std::string& path,
                                              const LoadOptions& options,
                                              std::string* error) {
-  if (!CheckExpectedKind(options, SnapshotKind::kEngine, error)) {
-    return std::nullopt;
-  }
   SnapshotReader reader(path, SnapshotKind::kEngine, options.io_mode);
   if (!reader.ok()) {
     SetError(error, reader.error());

@@ -55,14 +55,16 @@ namespace rigpm {
 /// Version 4: bitmaps hold array and bitset containers only.
 inline constexpr uint32_t kSnapshotVersion = 4;
 
+/// Value 3 is retired and must not be reused: files that older builds
+/// stamped with it hold a graph-collection payload no loader decodes, and
+/// every loader refuses them as a kind mismatch.
 enum class SnapshotKind : uint32_t {
-  kGraph = 1,          // Graph only
-  kEngine = 2,         // Graph + BFL index (+ condensation/intervals)
-  kGraphDatabase = 3,  // member graphs + names + feature vectors
-  kDelta = 4,          // append-only edge-delta log (storage/delta_log.h);
-                       // NOT a single-payload snapshot: the u64 header slot
-                       // holds the base snapshot's checksum, and the body is
-                       // a record sequence with per-record checksums
+  kGraph = 1,   // Graph only
+  kEngine = 2,  // Graph + BFL index (+ condensation/intervals)
+  kDelta = 4,   // append-only edge-delta log (storage/delta_log.h);
+                // NOT a single-payload snapshot: the u64 header slot holds
+                // the base snapshot's checksum, and the body is a record
+                // sequence with per-record checksums
 };
 
 /// Frames `payload` with the header (stamped kSnapshotVersion) and
@@ -103,7 +105,9 @@ std::optional<SnapshotInfo> InspectSnapshot(const std::string& path,
 /// the last such object goes away.
 class SnapshotReader {
  public:
-  SnapshotReader(const std::string& path, SnapshotKind expected_kind,
+  /// A file whose header names any kind but `kind` is refused ("snapshot
+  /// kind mismatch").
+  SnapshotReader(const std::string& path, SnapshotKind kind,
                  SnapshotIoMode mode = DefaultSnapshotIoMode());
 
   SnapshotReader(const SnapshotReader&) = delete;
@@ -129,8 +133,8 @@ class SnapshotReader {
   bool Finish();
 
  private:
-  void InitFromMapping(SnapshotKind expected_kind);
-  void InitFromStream(const std::string& path, SnapshotKind expected_kind);
+  void InitFromMapping(SnapshotKind kind);
+  void InitFromStream(const std::string& path, SnapshotKind kind);
 
   std::shared_ptr<MappedFile> mapping_;   // mmap mode
   std::unique_ptr<uint8_t[]> payload_raw_;  // read mode, size known up front

@@ -7,8 +7,6 @@
 
 namespace rigpm {
 
-enum class SnapshotKind : uint32_t;  // defined in storage/snapshot.h
-
 /// How SnapshotReader gets the payload into memory (split out of
 /// storage/snapshot.h so lightweight headers can take a mode parameter
 /// without pulling in the engine).
@@ -30,10 +28,9 @@ enum class SnapshotIoMode : uint8_t {
 SnapshotIoMode DefaultSnapshotIoMode();
 
 /// Options shared by every snapshot load entry point — LoadGraphSnapshot,
-/// LoadEngineSnapshot, GraphDatabase::Load, and the server's engine catalog
-/// — so the next knob lands in one struct instead of fanning another
-/// positional parameter across every signature (io_mode already did that
-/// once).
+/// LoadEngineSnapshot, and the server's engine catalog — so the next knob
+/// lands in one struct instead of fanning another positional parameter
+/// across every signature (io_mode already did that once).
 struct LoadOptions {
   /// How the payload gets into memory (kMmap = zero-copy default).
   SnapshotIoMode io_mode = DefaultSnapshotIoMode();
@@ -41,11 +38,10 @@ struct LoadOptions {
   /// When non-empty, replay this append-only delta log (storage/delta_log.h)
   /// over the loaded base and return the merged graph — for engine loads
   /// the reachability index is rebuilt over it, and the result matches what
-  /// a daemon serves after a kRefresh against the same log. Loads that
-  /// produce no single graph to overlay (GraphDatabase) reject a non-empty
-  /// value. A missing or zero-length log is a caught-up no-op; a torn tail
-  /// (crashed, never-acknowledged append) replays the valid prefix;
-  /// corruption of acknowledged records fails the load.
+  /// a daemon serves after a kRefresh against the same log. A missing or
+  /// zero-length log is a caught-up no-op; a torn tail (crashed,
+  /// never-acknowledged append) replays the valid prefix; corruption of
+  /// acknowledged records fails the load.
   std::string delta_path;
 
   /// IO mode for reading the delta log itself. Defaults to kRead — unlike
@@ -53,13 +49,6 @@ struct LoadOptions {
   /// tail-truncated in place by a recovering writer, which would SIGBUS a
   /// reader of the vanished pages (see DeltaReader).
   SnapshotIoMode delta_io = SnapshotIoMode::kRead;
-
-  /// When nonzero, assert the file's header kind equals this value — a
-  /// caller-routing check for paths that arrive from config or a CLI flag,
-  /// so handing (say) a database snapshot to an engine loader fails with a
-  /// kind mismatch up front instead of a decode error deep in a
-  /// deserializer. Zero (default) means "whatever the loader decodes".
-  SnapshotKind expected_kind = SnapshotKind{0};
 };
 
 /// Parses a --snapshot-io flag value ("mmap" or "read"). Returns false on

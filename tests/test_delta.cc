@@ -1,8 +1,7 @@
 // Delta-log persistence tests (storage/delta_log.h): record round trips,
 // the seeded checksum chain, crash recovery (torn tails replay their valid
-// prefix; the writer truncates them), base-binding enforcement, replay
-// equivalence with the in-memory IncrementalMatcher, and both snapshot IO
-// modes.
+// prefix; the writer truncates them), base-binding enforcement, and both
+// snapshot IO modes.
 
 #include <sys/stat.h>
 #include <unistd.h>
@@ -19,9 +18,7 @@
 
 #include <gtest/gtest.h>
 
-#include "engine/incremental.h"
 #include "graph/generators.h"
-#include "query/pattern_parser.h"
 #include "storage/delta_log.h"
 #include "storage/snapshot.h"
 #include "test_util.h"
@@ -440,44 +437,6 @@ TEST(DeltaReader, NonDeltaFileIsRejected) {
 
   DeltaReader missing(tmp.Path("nope.delta"));
   EXPECT_FALSE(missing.ok());
-}
-
-// ---------------------------------------------- journaled IncrementalMatcher
-
-TEST(DeltaJournal, JournaledBatchesReplayToTheMatcherGraph) {
-  TempDir tmp;
-  const std::string path = tmp.Path("g.delta");
-  Graph base = PaperExample::MakeGraph();
-  Graph base_copy = base;  // the matcher consumes its argument
-  auto q = ParsePattern("(a:0)->(b:1)");
-  ASSERT_TRUE(q.has_value());
-
-  std::string error;
-  auto writer = DeltaWriter::Open(path, kBase, 10, &error);
-  ASSERT_NE(writer, nullptr) << error;
-  IncrementalMatcher matcher(std::move(base), *q);
-  matcher.AttachJournal(writer.get());
-
-  ASSERT_TRUE(matcher.ApplyOpsAndDiff({{0, 3}, {0, 7}}).has_value());
-  // Duplicates and already-present edges are deduped before journaling, so
-  // the record holds exactly the edges that changed the graph.
-  ASSERT_TRUE(matcher.ApplyOpsAndDiff({{6, 9}, {6, 9}, {0, 3}}).has_value());
-  // An all-duplicate batch changes nothing and journals nothing.
-  ASSERT_TRUE(matcher.ApplyOpsAndDiff({{0, 3}}).has_value());
-  EXPECT_EQ(writer->record_count(), 2u);
-
-  // A rejected batch journals nothing either.
-  EXPECT_FALSE(matcher.ApplyOpsAndDiff({{0, 1234}}, &error).has_value());
-  EXPECT_EQ(writer->record_count(), 2u);
-  writer.reset();
-
-  DeltaReader reader(path);
-  ReplayStats stats;
-  auto merged = ReplayDelta(base_copy, reader, &error, &stats);
-  ASSERT_TRUE(merged.has_value()) << error;
-  EXPECT_EQ(stats.records_applied, 2u);
-  EXPECT_EQ(SerializeGraph(*merged),
-            SerializeGraph(matcher.current_graph()));
 }
 
 // ------------------------------------------------- snapshot-bound lifecycle

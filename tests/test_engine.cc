@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 
@@ -45,13 +46,30 @@ TEST(GmEngine, ReachIndexConfigurable) {
 }
 
 TEST(GmEngine, LimitReported) {
+  // The paper example has 4 occurrences; a limit never lets more through,
+  // and 0 lets none through without ever calling the sink.
   Graph g = PaperExample::MakeGraph();
   GmEngine engine(g);
-  GmOptions opts;
-  opts.limit = 3;
-  GmResult result = engine.Evaluate(PaperExample::MakeQuery(), opts);
-  EXPECT_EQ(result.num_occurrences, 3u);
-  EXPECT_TRUE(result.hit_limit);
+  for (uint64_t limit : {0u, 1u, 3u, 4u, 5u}) {
+    GmOptions opts;
+    opts.limit = limit;
+    uint64_t sunk = 0;
+    GmResult result = engine.Evaluate(PaperExample::MakeQuery(), opts,
+                                      [&sunk](const Occurrence&) {
+                                        ++sunk;
+                                        return true;
+                                      });
+    EXPECT_EQ(result.num_occurrences, std::min<uint64_t>(limit, 4))
+        << "limit " << limit;
+    EXPECT_EQ(sunk, result.num_occurrences) << "limit " << limit;
+    EXPECT_EQ(result.hit_limit, limit <= 4) << "limit " << limit;
+
+    std::vector<PatternQuery> batch(2, PaperExample::MakeQuery());
+    for (const GmResult& r : engine.EvaluateBatch(batch, opts)) {
+      EXPECT_EQ(r.num_occurrences, result.num_occurrences)
+          << "batch, limit " << limit;
+    }
+  }
 }
 
 TEST(GmEngine, EmptyRigShortcut) {

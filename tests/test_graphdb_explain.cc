@@ -1,101 +1,16 @@
-// Tests for the application layer: GraphDatabase (subgraph search over a
-// collection of small graphs), ExplainQuery, and Graph::MakeBidirected.
+// Tests for the application helpers: ExplainQuery and Graph::MakeBidirected.
 
 #include <gtest/gtest.h>
 
-#include "baseline/iso_engine.h"
 #include "engine/explain.h"
 #include "graph/generators.h"
-#include "graphdb/graph_database.h"
 #include "query/pattern_parser.h"
 #include "test_util.h"
 
 namespace rigpm {
 namespace {
 
-using ::rigpm::testing::BruteForceAnswer;
 using ::rigpm::testing::PaperExample;
-
-// --- GraphDatabase.
-
-class GraphDbFixture : public ::testing::Test {
- protected:
-  GraphDbFixture() {
-    // Member 0: a triangle-ish graph containing the 0->1->2 chain.
-    db_.Add(Graph::FromEdges({0, 1, 2}, {{0, 1}, {1, 2}, {0, 2}}), "chain");
-    // Member 1: the labels exist but no 0->1 edge.
-    db_.Add(Graph::FromEdges({0, 1, 2}, {{1, 0}, {1, 2}}), "reversed");
-    // Member 2: label 2 missing entirely.
-    db_.Add(Graph::FromEdges({0, 1, 1}, {{0, 1}, {1, 2}}), "no_label2");
-    // Member 3: the paper's example graph (contains lots of structure).
-    db_.Add(PaperExample::MakeGraph(), "paper");
-  }
-  GraphDatabase db_;
-};
-
-TEST_F(GraphDbFixture, AccessorsWork) {
-  EXPECT_EQ(db_.Size(), 4u);
-  EXPECT_EQ(db_.Name(0), "chain");
-  EXPECT_EQ(db_.MemberGraph(3).NumNodes(), 10u);
-}
-
-TEST_F(GraphDbFixture, LabelFilterPrunes) {
-  auto q = ParsePattern("(a:0)->(b:1)->(c:2)");
-  ASSERT_TRUE(q.has_value());
-  EXPECT_TRUE(db_.PassesFilter(0, *q));
-  EXPECT_FALSE(db_.PassesFilter(1, *q));   // no 0->1 labeled edge
-  EXPECT_FALSE(db_.PassesFilter(2, *q));   // label 2 missing
-}
-
-TEST_F(GraphDbFixture, HomomorphicSearchFindsContainingMembers) {
-  auto q = ParsePattern("(a:0)->(b:1)->(c:2)");
-  ASSERT_TRUE(q.has_value());
-  GraphDatabase::SearchStats stats;
-  auto hits = db_.Search(*q, {}, &stats);
-  // "chain" contains 0->1->2 directly; the paper graph contains the child
-  // chain a1 -> b0 -> c0 with the same label sequence.
-  EXPECT_EQ(hits, (std::vector<size_t>{0, 3}));
-  EXPECT_LE(stats.verified, db_.Size());
-}
-
-TEST_F(GraphDbFixture, DescendantEdgesSupported) {
-  auto q = ParsePattern("(a:0)=>(c:2)");
-  ASSERT_TRUE(q.has_value());
-  auto hits = db_.Search(*q);
-  // chain: 0 => 2 via 1 (and directly); paper graph: a's reach c's.
-  EXPECT_EQ(hits, (std::vector<size_t>{0, 3}));
-}
-
-TEST_F(GraphDbFixture, IsomorphicVsHomomorphicSemantics) {
-  // Two distinct label-0 parents of a common label-1 child.
-  GraphDatabase db;
-  db.Add(Graph::FromEdges({0, 1}, {{0, 1}}), "single_parent");
-  db.Add(Graph::FromEdges({0, 0, 1}, {{0, 2}, {1, 2}}), "two_parents");
-  auto q = ParsePattern("(a:0)->(c:1), (b:0)->(c)");
-  ASSERT_TRUE(q.has_value());
-  auto hom = db.Search(*q, {.isomorphic = false});
-  auto iso = db.Search(*q, {.isomorphic = true});
-  EXPECT_EQ(hom, (std::vector<size_t>{0, 1}));  // folding allowed
-  EXPECT_EQ(iso, (std::vector<size_t>{1}));     // needs two distinct parents
-}
-
-TEST_F(GraphDbFixture, SearchAgreesWithBruteForceOnRandomLibrary) {
-  GraphDatabase db;
-  std::vector<Graph> graphs;
-  for (uint64_t seed = 0; seed < 25; ++seed) {
-    graphs.push_back(GenerateErdosRenyi({.num_nodes = 12, .num_edges = 20,
-                                         .num_labels = 3, .seed = seed}));
-    db.Add(graphs.back());
-  }
-  auto q = ParsePattern("(a:0)->(b:1), (b)=>(c:2)");
-  ASSERT_TRUE(q.has_value());
-  auto hits = db.Search(*q);
-  std::vector<size_t> expected;
-  for (size_t i = 0; i < graphs.size(); ++i) {
-    if (!BruteForceAnswer(graphs[i], *q).empty()) expected.push_back(i);
-  }
-  EXPECT_EQ(hits, expected);
-}
 
 // --- ExplainQuery.
 

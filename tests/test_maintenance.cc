@@ -1,22 +1,23 @@
-// Delta-log maintenance tests (storage/lineage.h, server/catalog.h
-// Compact/RunMaintenance, engine/incremental.h deletions): the randomized
-// add/delete differential suite against a from-scratch oracle, lineage
-// head-pointer resolution and its crash window, compaction folding a log
-// into a new snapshot generation, and the background maintenance pass —
-// O(tail) refresh polls and policy-triggered auto-compaction.
+// Delta-log maintenance tests (storage/delta_log.h replay, storage/lineage.h,
+// server/catalog.h Compact/RunMaintenance): the randomized add/delete replay
+// suite against an independent edge-set model, lineage head-pointer
+// resolution and its crash window, compaction folding a log into a new
+// snapshot generation, and the background maintenance pass — O(tail)
+// refresh polls and policy-triggered auto-compaction.
 
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <random>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -25,7 +26,6 @@
 #include <gtest/gtest.h>
 
 #include "engine/gm_engine.h"
-#include "engine/incremental.h"
 #include "graph/generators.h"
 #include "query/pattern_parser.h"
 #include "server/catalog.h"
@@ -63,30 +63,22 @@ bool Exists(const std::string& path) {
   return ::stat(path.c_str(), &st) == 0;
 }
 
-std::vector<Occurrence> SortedAnswer(const GmEngine& engine,
-                                     const PatternQuery& q) {
-  std::vector<Occurrence> a = engine.EvaluateCollect(q);
-  std::sort(a.begin(), a.end());
-  return a;
-}
-
-/// Answer(after) \ Answer(before) — the oracle for MatchDelta sides.
-std::vector<Occurrence> AnswerDifference(std::vector<Occurrence> after,
-                                         std::vector<Occurrence> before) {
-  std::vector<Occurrence> diff;
-  std::set_difference(after.begin(), after.end(), before.begin(),
-                      before.end(), std::back_inserter(diff));
-  return diff;
+std::vector<uint8_t> GraphBytes(const Graph& g) {
+  ByteSink sink;
+  g.Serialize(sink);
+  return sink.data();
 }
 
 // ------------------------------------------ randomized differential suite
 
-/// The replay half runs under both IO modes — a maintenance refresh must
-/// rebuild the same graph whether the log is mapped or slurped.
-class IncrementalDiffTest : public ::testing::TestWithParam<SnapshotIoMode> {
-};
+/// Replay against an independent model: a plain edge set updated op by op
+/// in batch order, turned into a graph by Graph::FromEdges alone, so a
+/// defect in ApplyDeltaOps' normalization cannot hide in its own oracle.
+/// Runs under both IO modes — a maintenance refresh must rebuild the same
+/// graph whether the log is mapped or slurped.
+class ReplayDiffTest : public ::testing::TestWithParam<SnapshotIoMode> {};
 
-INSTANTIATE_TEST_SUITE_P(IoModes, IncrementalDiffTest,
+INSTANTIATE_TEST_SUITE_P(IoModes, ReplayDiffTest,
                          ::testing::Values(SnapshotIoMode::kMmap,
                                            SnapshotIoMode::kRead),
                          [](const auto& info) {
@@ -95,15 +87,16 @@ INSTANTIATE_TEST_SUITE_P(IoModes, IncrementalDiffTest,
                                       : "read";
                          });
 
-TEST_P(IncrementalDiffTest, RandomAddDeleteBatchesMatchFromScratchOracle) {
-  // The growth-only assumption is gone: random batches mixing inserts and
-  // deletions, each checked three ways against a from-scratch oracle —
-  // the current answer equals a cold engine's on the mutated graph, the
-  // reported added/removed sides equal the exact answer set differences,
-  // and the journaled log replays to the matcher's graph byte for byte.
+TEST_P(ReplayDiffTest, RandomAddDeleteBatchesMatchEdgeSetModel) {
   const std::string log_path = UniquePath() + ".delta";
-  Graph base = GeneratePowerLaw(
+  const Graph base = GeneratePowerLaw(
       {.num_nodes = 90, .num_edges = 300, .num_labels = 3, .seed = 17});
+  std::vector<LabelId> labels(base.NumNodes());
+  std::set<std::pair<NodeId, NodeId>> model;
+  for (NodeId v = 0; v < base.NumNodes(); ++v) {
+    labels[v] = base.Label(v);
+    for (NodeId w : base.OutNeighbors(v)) model.emplace(v, w);
+  }
   auto q = ParsePattern(kPattern);
   ASSERT_TRUE(q.has_value());
 
@@ -113,67 +106,79 @@ TEST_P(IncrementalDiffTest, RandomAddDeleteBatchesMatchFromScratchOracle) {
       DeltaWriter::Open(log_path, kBaseChecksum, base.NumNodes(), &error);
   ASSERT_NE(writer, nullptr) << error;
 
-  IncrementalMatcher matcher(base, *q);
-  matcher.AttachJournal(writer.get());
-  Graph oracle_graph = base;
-
   std::mt19937 rng(20260807);
   std::uniform_int_distribution<NodeId> node(0, base.NumNodes() - 1);
-  for (int round = 0; round < 12; ++round) {
-    std::vector<Occurrence> before =
-        SortedAnswer(GmEngine(oracle_graph), *q);
+  auto random_pair = [&] { return std::pair{node(rng), node(rng)}; };
+  auto present_pair = [&] {
+    return *std::next(model.begin(), rng() % model.size());
+  };
+  auto absent_pair = [&] {
+    std::pair<NodeId, NodeId> e = random_pair();
+    while (model.contains(e)) e = random_pair();
+    return e;
+  };
+  auto op = [](std::pair<NodeId, NodeId> e, DeltaOpKind kind) {
+    return DeltaOp{e.first, e.second, kind};
+  };
 
-    // A mixed batch: random candidate adds plus deletes sampled from the
-    // current edge set (so most rounds really remove something).
+  Graph current = base;
+  uint64_t answers_seen = 0;
+  constexpr int kRounds = 12;
+  for (int round = 0; round < kRounds; ++round) {
+    // Random adds and deletes, then in every batch: an add of a present
+    // edge, a delete of an absent one, a duplicated op, an add-then-delete
+    // of one edge and a delete-then-add of another.
     std::vector<DeltaOp> ops;
-    std::uniform_int_distribution<int> n_ops(1, 8);
-    for (int i = n_ops(rng); i > 0; --i) {
-      if (rng() % 2 == 0 && oracle_graph.NumEdges() > 0) {
-        NodeId u = node(rng);
-        for (int probe = 0; probe < 32 && oracle_graph.OutDegree(u) == 0;
-             ++probe) {
-          u = node(rng);
-        }
-        if (oracle_graph.OutDegree(u) > 0) {
-          auto nbrs = oracle_graph.OutNeighbors(u);
-          ops.push_back({u, nbrs[rng() % nbrs.size()],
-                         DeltaOpKind::kDelete});
-          continue;
-        }
-      }
-      ops.push_back({node(rng), node(rng), DeltaOpKind::kAdd});
+    for (int i = 1 + static_cast<int>(rng() % 8); i > 0; --i) {
+      ops.push_back(rng() % 2 == 0 ? op(present_pair(), DeltaOpKind::kDelete)
+                                   : op(random_pair(), DeltaOpKind::kAdd));
     }
+    ops.push_back(op(present_pair(), DeltaOpKind::kAdd));
+    ops.push_back(op(absent_pair(), DeltaOpKind::kDelete));
+    ops.push_back(ops[rng() % ops.size()]);
+    const std::pair<NodeId, NodeId> flip = random_pair();
+    ops.push_back(op(flip, DeltaOpKind::kAdd));
+    ops.push_back(op(flip, DeltaOpKind::kDelete));
+    const std::pair<NodeId, NodeId> flop = present_pair();
+    ops.push_back(op(flop, DeltaOpKind::kDelete));
+    ops.push_back(op(flop, DeltaOpKind::kAdd));
 
-    auto delta = matcher.ApplyOpsAndDiff(ops, &error);
-    ASSERT_TRUE(delta.has_value()) << error;
-    oracle_graph = ApplyDeltaOps(oracle_graph, ops);
+    for (const DeltaOp& o : ops) {
+      if (o.kind == DeltaOpKind::kAdd) {
+        model.emplace(o.src, o.dst);
+      } else {
+        model.erase({o.src, o.dst});
+      }
+    }
+    ASSERT_TRUE(writer->AppendOps(ops, &error)) << error;
 
-    std::vector<Occurrence> after = SortedAnswer(GmEngine(oracle_graph), *q);
-    EXPECT_EQ(SortedAnswer(GmEngine(matcher.current_graph()), *q), after)
+    Graph next = ApplyDeltaOps(current, ops);
+    const Graph model_graph =
+        Graph::FromEdges(labels, {model.begin(), model.end()});
+    EXPECT_EQ(GraphBytes(next), GraphBytes(model_graph)) << "round " << round;
+    EXPECT_EQ(next.NumEdges(), model.size()) << "round " << round;
+    std::vector<Occurrence> tuples = GmEngine(next).EvaluateCollect(*q);
+    std::set<Occurrence> answer(tuples.begin(), tuples.end());
+    EXPECT_EQ(answer.size(), tuples.size()) << "round " << round;
+    EXPECT_EQ(answer, ::rigpm::testing::BruteForceAnswer(model_graph, *q))
         << "round " << round;
-
-    std::sort(delta->added.begin(), delta->added.end());
-    std::sort(delta->removed.begin(), delta->removed.end());
-    EXPECT_EQ(delta->added, AnswerDifference(after, before))
-        << "round " << round;
-    EXPECT_EQ(delta->removed, AnswerDifference(before, after))
-        << "round " << round;
+    answers_seen += answer.size();
+    current = std::move(next);
   }
+  EXPECT_GT(answers_seen, 0u) << "the query never matched; nothing compared";
+  writer.reset();
 
-  // The write-ahead journal reconstructs the matcher's final graph.
+  // Replaying the raw log over the base lands on the model's graph too.
   DeltaReader reader(log_path, GetParam());
   ASSERT_TRUE(reader.ok()) << reader.error();
   ReplayStats stats;
   auto replayed = ReplayDelta(base, reader, &error, &stats);
   ASSERT_TRUE(replayed.has_value()) << error;
   EXPECT_FALSE(reader.truncated());
+  EXPECT_EQ(stats.records_applied, static_cast<uint64_t>(kRounds));
   EXPECT_GT(stats.delete_ops, 0u);
-  ByteSink a, b;
-  replayed->Serialize(a);
-  matcher.current_graph().Serialize(b);
-  EXPECT_EQ(a.data(), b.data());
-
-  writer.reset();
+  EXPECT_EQ(GraphBytes(*replayed),
+            GraphBytes(Graph::FromEdges(labels, {model.begin(), model.end()})));
   std::remove(log_path.c_str());
 }
 

@@ -1,6 +1,6 @@
 // Unit tests for the staged query pipeline: phase chain structure, per-phase
-// timing reporting, the empty-RIG shortcut, EvalContext reuse across
-// queries, and the parallel verify stage of GraphDatabase.
+// timing reporting, the empty-RIG shortcut, and EvalContext reuse across
+// queries.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 #include "engine/gm_engine.h"
 #include "engine/pipeline.h"
 #include "graph/generators.h"
-#include "graphdb/graph_database.h"
 #include "query/query_generator.h"
 #include "test_util.h"
 
@@ -99,29 +98,6 @@ TEST(EvalContext, BuildRigOnlyMatchesPipelineRigStats) {
   EXPECT_EQ(rig.TotalEdges(), full.rig_edges);
   EXPECT_EQ(rig_only.rig_nodes, full.rig_nodes);
   EXPECT_EQ(rig_only.rig_edges, full.rig_edges);
-}
-
-TEST(GraphDatabase, ParallelVerifyMatchesSequential) {
-  GraphDatabase db;
-  for (uint64_t seed = 0; seed < 12; ++seed) {
-    db.Add(GeneratePowerLaw({.num_nodes = 30, .num_edges = 80,
-                             .num_labels = 3, .seed = seed}),
-           "g" + std::to_string(seed));
-  }
-  PatternQuery q = GenerateRandomQuery({.num_nodes = 3, .num_edges = 3,
-                                        .num_labels = 3,
-                                        .variant = QueryVariant::kHybrid,
-                                        .seed = 77});
-  GraphDatabase::SearchOptions seq;
-  auto expected = db.Search(q, seq);
-  for (uint32_t threads : {0u, 2u, 4u, 8u}) {
-    GraphDatabase::SearchOptions par;
-    par.num_threads = threads;
-    GraphDatabase::SearchStats stats;
-    auto got = db.Search(q, par, &stats);
-    EXPECT_EQ(got, expected) << "threads=" << threads;
-    EXPECT_EQ(stats.verified, stats.candidates_after_filter);
-  }
 }
 
 }  // namespace

@@ -10,10 +10,8 @@
 #include <set>
 
 #include "engine/gm_engine.h"
-#include "enumerate/mjoin_parallel.h"
 #include "graph/generators.h"
 #include "query/query_generator.h"
-#include "query/transitive_reduction.h"
 #include "test_util.h"
 
 namespace rigpm {
@@ -120,9 +118,9 @@ TEST(RandomSweep, AllKnobCombinationsAgree) {
   EXPECT_EQ(reference, BruteForceAnswer(g, q));
 }
 
-// --- Parallel/sequential equivalence sweeps. The partitioned parallel
-// MJoin and the batch API must produce exactly the sequential answer for
-// every graph shape, query variant, order strategy, and worker count.
+// --- Batch/sequential equivalence sweeps. The batch API must produce
+// exactly the sequential answer for every graph shape, query variant and
+// worker count.
 
 std::vector<std::pair<Graph, PatternQuery>> SweepInstances() {
   std::vector<std::pair<Graph, PatternQuery>> instances;
@@ -143,47 +141,6 @@ std::vector<std::pair<Graph, PatternQuery>> SweepInstances() {
     instances.emplace_back(std::move(g), std::move(q));
   }
   return instances;
-}
-
-TEST(RandomSweep, ParallelEnumerationMatchesSequential) {
-  for (auto& [g, q] : SweepInstances()) {
-    GmEngine engine(g);
-    auto sequential = engine.EvaluateCollect(q);
-    std::set<Occurrence> expected(sequential.begin(), sequential.end());
-    for (uint32_t threads : {0u, 2u, 3u, 8u}) {
-      GmOptions opts;
-      opts.num_threads = threads;
-      GmResult result;
-      auto tuples = engine.EvaluateCollect(q, opts, &result);
-      std::set<Occurrence> got(tuples.begin(), tuples.end());
-      ASSERT_EQ(got.size(), tuples.size())
-          << "duplicates at threads=" << threads;
-      ASSERT_EQ(got, expected) << "threads=" << threads;
-      ASSERT_EQ(result.num_occurrences, expected.size())
-          << "threads=" << threads;
-    }
-  }
-}
-
-TEST(RandomSweep, MJoinParallelMatchesSequentialAcrossOrders) {
-  for (auto& [g, q] : SweepInstances()) {
-    GmEngine engine(g);
-    PatternQuery reduced = QueryTransitiveReduction(q);
-    GmResult rig_result;
-    Rig rig = engine.BuildRigOnly(q, GmOptions{}, &rig_result);
-    if (rig.AnyEmpty()) continue;
-    for (OrderStrategy strategy :
-         {OrderStrategy::kJO, OrderStrategy::kRI, OrderStrategy::kBJ}) {
-      auto order = ComputeSearchOrder(reduced, rig, strategy);
-      uint64_t sequential = MJoinCount(reduced, rig, order);
-      for (uint32_t threads : {2u, 5u}) {
-        ParallelMJoinOptions popts;
-        popts.num_threads = threads;
-        EXPECT_EQ(MJoinParallelCount(reduced, rig, order, popts), sequential)
-            << OrderStrategyName(strategy) << " threads=" << threads;
-      }
-    }
-  }
 }
 
 TEST(RandomSweep, EvaluateBatchMatchesSequential) {
@@ -233,24 +190,19 @@ TEST(RandomSweep, LimitClampedUnderConcurrency) {
   ASSERT_GT(full, 50u) << "workload too selective for a limit test";
 
   const uint64_t limit = full / 2;
-  for (uint32_t threads : {1u, 2u, 4u, 8u}) {
-    GmOptions opts;
-    opts.limit = limit;
-    opts.num_threads = threads;
-    std::atomic<uint64_t> sunk{0};
-    GmResult r = engine.Evaluate(q, opts, [&sunk](const Occurrence&) {
-      sunk.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    });
-    EXPECT_EQ(r.num_occurrences, limit) << "threads=" << threads;
-    EXPECT_TRUE(r.hit_limit) << "threads=" << threads;
-    EXPECT_LE(sunk.load(), limit) << "threads=" << threads;
-  }
+  GmOptions opts;
+  opts.limit = limit;
+  uint64_t sunk = 0;
+  GmResult sequential = engine.Evaluate(q, opts, [&sunk](const Occurrence&) {
+    ++sunk;
+    return true;
+  });
+  EXPECT_EQ(sequential.num_occurrences, limit);
+  EXPECT_TRUE(sequential.hit_limit);
+  EXPECT_EQ(sunk, limit);
 
   // The same clamp must hold for every query of a concurrent batch.
   std::vector<PatternQuery> batch(6, q);
-  GmOptions opts;
-  opts.limit = limit;
   opts.num_threads = 4;
   for (const GmResult& r : engine.EvaluateBatch(batch, opts)) {
     EXPECT_EQ(r.num_occurrences, limit);

@@ -115,6 +115,19 @@ TEST_F(RigFixture, MJoinLimitStopsEarly) {
   MJoinOptions opts;
   opts.limit = 2;
   EXPECT_EQ(MJoinCount(query_, rig, order, opts), 2u);
+  // Limit 0 emits nothing and never calls the sink.
+  opts.limit = 0;
+  uint64_t seen = 0;
+  MJoinStats stats;
+  EXPECT_EQ(MJoin(query_, rig, order,
+                  [&seen](const Occurrence&) {
+                    ++seen;
+                    return true;
+                  },
+                  opts, &stats),
+            0u);
+  EXPECT_EQ(seen, 0u);
+  EXPECT_EQ(stats.occurrences, 0u);
 }
 
 TEST_F(RigFixture, MJoinSinkCanAbort) {

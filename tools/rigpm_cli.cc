@@ -55,20 +55,17 @@
 //                     and blank lines skipped), served with EvaluateBatch
 //   --engine NAME     gm (default) | jm | tm
 //   --order NAME      jo (default) | ri | bj           (gm engine)
-//   --threads N       worker count: enumeration workers for gm, batch
-//                     workers for --batch (1 = sequential, the default;
-//                     0 = hardware concurrency)
-//   --limit N         stop after N occurrences (default: all)
+//   --threads N       --batch only: batch worker count (1 = sequential,
+//                     the default; 0 = hardware concurrency)
+//   --limit N         stop after N occurrences (default: all; 0 = none)
 //   --print N         print the first N occurrences (default 10)
 //   --stats           print per-phase statistics
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -85,6 +82,7 @@
 #include "storage/delta_log.h"
 #include "storage/lineage.h"
 #include "storage/snapshot.h"
+#include "util/numeric_flag.h"
 
 namespace {
 
@@ -102,7 +100,7 @@ struct CliArgs {
   std::string batch_path;
   std::string engine = "gm";
   std::string order = "jo";
-  uint32_t threads = 1;
+  std::optional<uint32_t> threads;  // --batch workers
   uint64_t limit = std::numeric_limits<uint64_t>::max();
   uint64_t print = 10;
   bool stats = false;
@@ -113,7 +111,8 @@ int Usage(const char* argv0) {
                "usage: %s (--graph FILE | --load-snapshot FILE)\n"
                "          (--query FILE | --pattern STR | --batch FILE)\n"
                "          [--engine gm|jm|tm] [--order jo|ri|bj]\n"
-               "          [--threads N] [--limit N] [--print N] [--stats]\n"
+               "          [--limit N] [--print N] [--stats]\n"
+               "          [--batch FILE --threads N]\n"
                "          [--snapshot-io mmap|read]\n"
                "       %s snapshot (--graph FILE --out FILE "
                "| --inspect FILE)\n"
@@ -184,15 +183,17 @@ bool ParseArgs(int argc, char** argv, int first, CliArgs* out) {
     } else if (std::strcmp(argv[i], "--threads") == 0) {
       const char* v = need_value("--threads");
       if (v == nullptr) return false;
-      out->threads = static_cast<uint32_t>(std::strtoul(v, nullptr, 10));
+      if (!ParseNumericFlag("--threads", v, &out->threads.emplace())) {
+        return false;
+      }
     } else if (std::strcmp(argv[i], "--limit") == 0) {
       const char* v = need_value("--limit");
       if (v == nullptr) return false;
-      out->limit = std::strtoull(v, nullptr, 10);
+      if (!ParseNumericFlag("--limit", v, &out->limit)) return false;
     } else if (std::strcmp(argv[i], "--print") == 0) {
       const char* v = need_value("--print");
       if (v == nullptr) return false;
-      out->print = std::strtoull(v, nullptr, 10);
+      if (!ParseNumericFlag("--print", v, &out->print)) return false;
     } else if (std::strcmp(argv[i], "--stats") == 0) {
       out->stats = true;
     } else {
@@ -209,6 +210,10 @@ bool HasEvalInputs(const CliArgs& args) {
   if (!args.graph_path.empty() && !args.snapshot_path.empty()) {
     std::fprintf(stderr,
                  "--graph and --load-snapshot are mutually exclusive\n");
+    return false;
+  }
+  if (args.threads.has_value() && args.batch_path.empty()) {
+    std::fprintf(stderr, "--threads applies to --batch only\n");
     return false;
   }
   return (!args.graph_path.empty() || !args.snapshot_path.empty()) &&
@@ -230,8 +235,6 @@ const char* SnapshotKindName(uint32_t kind_value) {
       return "graph";
     case SnapshotKind::kEngine:
       return "engine";
-    case SnapshotKind::kGraphDatabase:
-      return "graph-database";
     case SnapshotKind::kDelta:
       return "delta-log";
   }
@@ -755,7 +758,7 @@ int RunBatch(const Graph& graph, GmEngine* warm_engine, const CliArgs& args) {
   opts.limit = args.limit;
   if (args.order == "ri") opts.order = OrderStrategy::kRI;
   if (args.order == "bj") opts.order = OrderStrategy::kBJ;
-  opts.num_threads = args.threads;
+  opts.num_threads = args.threads.value_or(1);
 
   auto t0 = std::chrono::steady_clock::now();
   std::vector<GmResult> results = engine.EvaluateBatch(queries, opts);
@@ -896,18 +899,7 @@ int main(int argc, char** argv) {
     opts.limit = args.limit;
     if (args.order == "ri") opts.order = OrderStrategy::kRI;
     if (args.order == "bj") opts.order = OrderStrategy::kBJ;
-    opts.num_threads = args.threads;
-    OccurrenceSink gm_sink = sink;
-    std::mutex sink_mu;
-    if (opts.num_threads != 1) {
-      // Parallel enumeration calls the sink concurrently; serialize the
-      // printing.
-      gm_sink = [&](const Occurrence& t) {
-        std::lock_guard<std::mutex> lock(sink_mu);
-        return sink(t);
-      };
-    }
-    GmResult r = engine.Evaluate(*query, opts, gm_sink);
+    GmResult r = engine.Evaluate(*query, opts, sink);
     std::printf("%llu occurrence(s)%s\n",
                 static_cast<unsigned long long>(r.num_occurrences),
                 r.hit_limit ? " (limit reached)" : "");
