@@ -1,8 +1,8 @@
-// Ablation benches for the design choices DESIGN.md calls out (beyond the
-// paper's own figures):
+// Ablation benches for design choices beyond the paper's own figures:
 //  (a) early expansion termination on/off (the §4.5 interval-label cutoff),
 //  (b) simulation pass budget N = 1 / 3 (paper) / exact fixpoint,
-//  (c) batch BFS reachability pruning vs per-pair probes.
+//  (c) descendant-edge pruning by one sweep over the SCC condensation
+//      (SimOptions::batch_reachability) vs per-pair reachability probes.
 
 #include "bench_common.h"
 
@@ -60,12 +60,12 @@ int main() {
     table.Print();
   }
 
-  // --- (c) Batch BFS reachability pruning vs per-pair probes.
+  // --- (c) Condensation-sweep reachability pruning vs per-pair probes.
   std::printf(
-      "\n-- (c) descendant-edge pruning: batch BFS vs per-pair "
+      "\n-- (c) descendant-edge pruning: condensation sweep vs per-pair "
       "(matching time)\n");
   {
-    TablePrinter table({"Query", "batch(s)", "per-pair(s)"});
+    TablePrinter table({"Query", "sweep(s)", "per-pair(s)"});
     for (const auto& nq : queries) {
       GmOptions batch;
       batch.limit = 1;

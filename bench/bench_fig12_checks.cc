@@ -63,7 +63,8 @@ int main() {
         double ms = TimeMs([&] {
           SimOptions sopts;
           sopts.max_passes = 3;
-          ComputeDoubleSimulation(ctx, nq.query, alg, sopts);
+          ComputeDoubleSimulation(ctx, nq.query,
+                                  InitialMatchSets(g, nq.query), alg, sopts);
         });
         row.push_back(FormatSeconds(ms));
       }

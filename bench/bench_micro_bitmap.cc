@@ -56,20 +56,6 @@ void BM_BitmapAndMany(benchmark::State& state) {
 }
 BENCHMARK(BM_BitmapAndMany)->Arg(2)->Arg(4)->Arg(8);
 
-void BM_BitmapOrMany(benchmark::State& state) {
-  const uint32_t universe = 1u << 20;
-  std::vector<Bitmap> bitmaps;
-  for (int i = 0; i < state.range(0); ++i) {
-    bitmaps.push_back(RandomBitmap(universe, 1u << 12, 20 + i));
-  }
-  std::vector<const Bitmap*> ptrs;
-  for (auto& b : bitmaps) ptrs.push_back(&b);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Bitmap::OrMany(ptrs));
-  }
-}
-BENCHMARK(BM_BitmapOrMany)->Arg(4)->Arg(16)->Arg(64);
-
 // --- Per-container-type kernels ---------------------------------------------
 //
 // Shaped inputs that settle into one specific container kind per 64K chunk,

@@ -517,27 +517,6 @@ Bitmap Bitmap::AndMany(std::span<const Bitmap* const> inputs) {
   return result;
 }
 
-Bitmap Bitmap::OrMany(std::span<const Bitmap* const> inputs) {
-  if (inputs.empty()) return Bitmap();
-  // Balanced pairwise reduction keeps intermediate results small.
-  std::vector<Bitmap> level;
-  level.reserve((inputs.size() + 1) / 2);
-  for (size_t i = 0; i + 1 < inputs.size(); i += 2) {
-    level.push_back(Or(*inputs[i], *inputs[i + 1]));
-  }
-  if (inputs.size() % 2 == 1) level.push_back(*inputs.back());
-  while (level.size() > 1) {
-    std::vector<Bitmap> next;
-    next.reserve((level.size() + 1) / 2);
-    for (size_t i = 0; i + 1 < level.size(); i += 2) {
-      next.push_back(Or(level[i], level[i + 1]));
-    }
-    if (level.size() % 2 == 1) next.push_back(std::move(level.back()));
-    level = std::move(next);
-  }
-  return std::move(level.front());
-}
-
 // ---------------------------------------------------------------------------
 // Serialization
 // ---------------------------------------------------------------------------

@@ -64,7 +64,7 @@ struct BitmapContainerStats {
 ///  * point updates and membership,
 ///  * destructive and non-destructive AND / OR / ANDNOT,
 ///  * `Intersects` (existence-only AND, with early exit),
-///  * multiway AND/OR ("FastAggregation" in the RoaringBitmap API),
+///  * multiway AND ("FastAggregation" in the RoaringBitmap API),
 ///  * batch iteration (`ForEach`, `ToVector`) that decodes container-at-a-
 ///    time, mirroring the batch iterators the paper found 2-10x faster than
 ///    per-element iterators.
@@ -120,9 +120,6 @@ class Bitmap {
   /// running result shrinks as fast as possible; returns empty on empty
   /// input list. Mirrors RoaringBitmap's FastAggregation::and.
   static Bitmap AndMany(std::span<const Bitmap* const> inputs);
-
-  /// Multiway union (pairwise balanced reduction).
-  static Bitmap OrMany(std::span<const Bitmap* const> inputs);
 
   /// Invokes `fn(value)` for every element in increasing order.
   void ForEach(const std::function<void(uint32_t)>& fn) const;

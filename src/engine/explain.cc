@@ -29,20 +29,16 @@ std::string ExplainQuery(const GmEngine& engine, const PatternQuery& query,
     os << "reduction  : query is irreducible\n";
   }
 
-  // --- Filtering cascade: ms -> prefilter -> double simulation.
+  // --- Filtering cascade: ms -> prefilter -> double simulation. The FB(q)
+  // column is the engine's own cos(q): the node sets of the RIG it builds.
+  GmResult rig_result;
+  Rig rig = engine.BuildRigOnly(query, opts, &rig_result);
   MatchContext ctx(g, engine.reach());
   CandidateSets ms = InitialMatchSets(g, reduced);
   CandidateSets pre =
       opts.use_prefilter ? PreFilter(ctx, reduced, opts.sim) : ms;
-  CandidateSets fb = pre;
   if (opts.use_double_simulation) {
-    SimStats sim_stats;
-    CandidateSets sim = ComputeDoubleSimulation(ctx, reduced,
-                                                opts.sim_algorithm, opts.sim,
-                                                &sim_stats);
-    for (QueryNodeId v = 0; v < reduced.NumNodes(); ++v) {
-      fb[v] = Bitmap::And(sim[v], pre[v]);
-    }
+    const SimStats& sim_stats = rig_result.rig_stats.sim;
     os << "simulation : " << SimAlgorithmName(opts.sim_algorithm) << ", "
        << sim_stats.passes << " pass(es), " << sim_stats.pruned_nodes
        << " candidate(s) pruned\n";
@@ -51,12 +47,10 @@ std::string ExplainQuery(const GmEngine& engine, const PatternQuery& query,
   for (QueryNodeId v = 0; v < reduced.NumNodes(); ++v) {
     os << "             q" << v << " (label " << reduced.Label(v) << ")  "
        << ms[v].Cardinality() << "  " << pre[v].Cardinality() << "  "
-       << fb[v].Cardinality() << '\n';
+       << rig.Cos(v).Cardinality() << '\n';
   }
 
   // --- RIG.
-  GmResult rig_result;
-  Rig rig = engine.BuildRigOnly(query, opts, &rig_result);
   os << "RIG        : " << rig.TotalNodes() << " node(s), "
      << rig.TotalEdges() << " edge(s), " << rig.MemoryBytes() << " bytes\n";
   for (QueryEdgeId e = 0; e < reduced.NumEdges(); ++e) {

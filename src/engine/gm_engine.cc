@@ -24,19 +24,14 @@ GmEngine::GmEngine(const Graph& g, ReachKind reach) : graph_(g) {
   auto t0 = Clock::now();
   reach_ = BuildReachabilityIndex(g, reach);
   reach_build_ms_ = MsSince(t0);
-  condensation_ = std::make_unique<Condensation>(g);
-  intervals_ = std::make_unique<IntervalLabels>(g, *condensation_);
+  intervals_ = std::make_unique<IntervalLabels>(g, reach_->condensation());
   pipeline_ = QueryPipeline::StandardChain();
   matching_pipeline_ = QueryPipeline::MatchingChain();
 }
 
 GmEngine::GmEngine(const Graph& g, std::unique_ptr<ReachabilityIndex> reach,
-                   std::unique_ptr<Condensation> condensation,
                    std::unique_ptr<IntervalLabels> intervals)
-    : graph_(g),
-      reach_(std::move(reach)),
-      condensation_(std::move(condensation)),
-      intervals_(std::move(intervals)) {
+    : graph_(g), reach_(std::move(reach)), intervals_(std::move(intervals)) {
   pipeline_ = QueryPipeline::StandardChain();
   matching_pipeline_ = QueryPipeline::MatchingChain();
 }

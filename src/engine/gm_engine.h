@@ -13,7 +13,6 @@
 #include "engine/pipeline.h"
 #include "enumerate/mjoin.h"
 #include "graph/interval_labels.h"
-#include "graph/scc.h"
 #include "order/search_order.h"
 #include "query/pattern_query.h"
 #include "reach/reachability.h"
@@ -39,16 +38,15 @@ using BatchOccurrenceSink =
 class GmEngine {
  public:
   /// Builds the reachability index (`reach`, default BFL as in the paper)
-  /// and the DFS interval labels over `g`. The graph must outlive the
-  /// engine.
+  /// and the DFS interval labels over the index's condensation of `g`. The
+  /// graph must outlive the engine.
   explicit GmEngine(const Graph& g, ReachKind reach = ReachKind::kBfl);
 
-  /// Warm start: adopts a pre-built reachability index and derived
-  /// structures (typically deserialized from a snapshot,
-  /// storage/snapshot.h) instead of rebuilding them from `g`. Index
-  /// construction cost drops to zero; reach_build_ms() reports 0.
+  /// Warm start: adopts a pre-built reachability index and interval labels
+  /// (typically deserialized from a snapshot, storage/snapshot.h) instead
+  /// of rebuilding them from `g`. Index construction cost drops to zero;
+  /// reach_build_ms() reports 0.
   GmEngine(const Graph& g, std::unique_ptr<ReachabilityIndex> reach,
-           std::unique_ptr<Condensation> condensation,
            std::unique_ptr<IntervalLabels> intervals);
 
   GmEngine(const GmEngine&) = delete;
@@ -105,7 +103,6 @@ class GmEngine {
  private:
   const Graph& graph_;
   std::unique_ptr<ReachabilityIndex> reach_;
-  std::unique_ptr<Condensation> condensation_;
   std::unique_ptr<IntervalLabels> intervals_;
   double reach_build_ms_ = 0.0;
   QueryPipeline pipeline_;           // full chain, shared by all workers

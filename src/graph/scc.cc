@@ -140,8 +140,8 @@ Condensation Condensation::Deserialize(ByteSource& src) {
   if (c.cyclic_.size() != nc || c.comp_size_.size() != nc ||
       c.topo_order_.size() != nc ||
       c.dag_offsets_.size() != static_cast<uint64_t>(nc) + 1 ||
-      (nc > 0 && (c.dag_offsets_.front() != 0 ||
-                  c.dag_offsets_.back() != c.dag_targets_.size()))) {
+      c.dag_offsets_.front() != 0 ||
+      c.dag_offsets_.back() != c.dag_targets_.size()) {
     src.Fail("condensation snapshot structure is inconsistent");
     return Condensation();
   }
@@ -157,10 +157,19 @@ Condensation Condensation::Deserialize(ByteSource& src) {
       return Condensation();
     }
   }
-  for (uint32_t d : c.dag_targets_) {
-    if (d >= nc) {
-      src.Fail("condensation snapshot DAG target out of range");
-      return Condensation();
+  // Component ids must be a topological order: every reader (the BFL and
+  // BFS searches, the batch prunes' sweeps) relies on each DAG edge going to
+  // a larger id.
+  for (uint32_t comp = 0; comp < nc; ++comp) {
+    for (uint32_t d : c.Successors(comp)) {
+      if (d >= nc) {
+        src.Fail("condensation snapshot DAG target out of range");
+        return Condensation();
+      }
+      if (d <= comp) {
+        src.Fail("condensation snapshot DAG edge is not topological");
+        return Condensation();
+      }
     }
   }
   return c;

@@ -37,6 +37,7 @@ class Condensation {
   uint32_t ComponentSize(uint32_t comp) const { return comp_size_[comp]; }
 
   /// Successor components (deduplicated, sorted) in the condensation DAG.
+  /// Component ids are topological: every successor has a larger id.
   std::span<const uint32_t> Successors(uint32_t comp) const {
     return {dag_targets_.data() + dag_offsets_[comp],
             dag_targets_.data() + dag_offsets_[comp + 1]};
@@ -51,7 +52,8 @@ class Condensation {
   /// Deserialize without re-running Tarjan.
   void Serialize(ByteSink& sink) const;
 
-  /// Decodes an image written by Serialize. On malformed input `src.ok()`
+  /// Decodes an image written by Serialize. On malformed input — including
+  /// a DAG edge that does not go to a larger component id — `src.ok()`
   /// turns false and an empty condensation is returned.
   static Condensation Deserialize(ByteSource& src);
 

@@ -46,9 +46,10 @@ class BflIndex : public ReachabilityIndex {
   /// decide the query (no DFS needed).
   bool DecidedByCuts(NodeId u, NodeId v, bool* result) const;
 
-  /// The condensation / interval labels the index was built over. A warm
-  /// GmEngine reuses these instead of recomputing them from the graph.
-  const Condensation& condensation() const { return cond_; }
+  const Condensation& condensation() const override { return cond_; }
+
+  /// The interval labels the index was built over. A warm GmEngine reuses
+  /// them instead of recomputing them from the graph.
   const IntervalLabels& intervals() const { return intervals_; }
 
   /// Appends a binary image (condensation, interval labels, and the packed

@@ -24,6 +24,7 @@ class BfsReachability : public ReachabilityIndex {
   bool Reaches(NodeId u, NodeId v) const override;
   std::string Name() const override { return "BFS"; }
   size_t MemoryBytes() const override;
+  const Condensation& condensation() const override { return cond_; }
 
  private:
   Condensation cond_;

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "graph/graph.h"
+#include "graph/scc.h"
 
 namespace rigpm {
 
@@ -26,12 +27,21 @@ const char* ReachKindName(ReachKind kind);
 /// to query from concurrent workers: the fast paths are read-only, and the
 /// implementations that fall back to a search serialize their reusable
 /// scratch on an internal mutex.
+///
+/// Every implementation is built over the SCC condensation of the graph and
+/// exposes it, so the callers that need it — the batch descendant-edge
+/// prunes of sim/match_sets.h and the engine's interval labels — reuse it
+/// instead of running Tarjan again.
 class ReachabilityIndex {
  public:
   virtual ~ReachabilityIndex() = default;
 
   /// True iff u reaches v through at least one edge.
   virtual bool Reaches(NodeId u, NodeId v) const = 0;
+
+  /// The condensation the index was built over (read-only; component ids
+  /// are topological).
+  virtual const Condensation& condensation() const = 0;
 
   virtual std::string Name() const = 0;
 

@@ -22,6 +22,7 @@ class TransitiveClosure : public ReachabilityIndex {
   bool Reaches(NodeId u, NodeId v) const override;
   std::string Name() const override { return "TC"; }
   size_t MemoryBytes() const override;
+  const Condensation& condensation() const override { return cond_; }
 
   /// Set of data nodes reachable from `u` (>= 1 edge), materialized on the
   /// fly from the component closure. Used by the WCOJ baseline to run

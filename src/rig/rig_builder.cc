@@ -67,26 +67,13 @@ CandidateSets SelectRigNodes(const MatchContext& ctx, const PatternQuery& q,
                              const RigBuildOptions& opts,
                              RigBuildStats* stats) {
   auto t0 = std::chrono::steady_clock::now();
-  CandidateSets cos;
-  if (opts.skip_simulation) {
-    cos = std::move(initial);
-  } else {
-    // The simulation runs from the provided sets; sound because FB computed
-    // from any superset of os(q) still contains os(q).
-    CandidateSets fb = std::move(initial);
-    MatchContext sub_ctx(ctx.graph(), ctx.reach());
-    // Reuse the FBSim machinery but seed it with `fb` by intersecting the
-    // result of the chosen algorithm (which starts from ms(q)) with fb: for
-    // the common case fb == ms(q) this is exact; for pre-filtered seeds it
-    // only removes more redundant nodes.
-    SimStats* sim_stats = (stats != nullptr) ? &stats->sim : nullptr;
-    CandidateSets sim =
-        ComputeDoubleSimulation(sub_ctx, q, opts.sim_algorithm, opts.sim,
-                                sim_stats);
-    cos.resize(q.NumNodes());
-    for (QueryNodeId i = 0; i < q.NumNodes(); ++i) {
-      cos[i] = Bitmap::And(sim[i], fb[i]);
-    }
+  CandidateSets cos = std::move(initial);
+  if (!opts.skip_simulation) {
+    // The simulation starts from the given sets: sound because every prune
+    // keeps os(q) when run from any superset of it.
+    cos = ComputeDoubleSimulation(ctx, q, std::move(cos), opts.sim_algorithm,
+                                  opts.sim,
+                                  stats != nullptr ? &stats->sim : nullptr);
   }
   if (stats != nullptr) stats->select_ms = MsSince(t0);
   return cos;

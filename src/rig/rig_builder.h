@@ -43,10 +43,12 @@ struct RigBuildStats {
 };
 
 /// Procedure select of Algorithm 4 as a standalone stage: refines `initial`
-/// into the RIG node sets cos(q) by running double simulation and
-/// intersecting with the seeds (a no-op pass-through when
-/// opts.skip_simulation). Fills stats->sim and stats->select_ms. The staged
-/// query pipeline (engine/pipeline.h) runs this as its Simulate phase.
+/// into the RIG node sets cos(q) by running the double simulation from
+/// `initial` itself (a pass-through when opts.skip_simulation). `initial`
+/// must contain os(q): ms(q), or the pre-filtered sets the pipeline's
+/// Prefilter phase computes, which the simulation then does not re-prune.
+/// Fills stats->sim and stats->select_ms. The staged query pipeline
+/// (engine/pipeline.h) runs this as its Simulate phase.
 CandidateSets SelectRigNodes(const MatchContext& ctx, const PatternQuery& q,
                              CandidateSets initial,
                              const RigBuildOptions& opts = {},

@@ -1,5 +1,7 @@
 #include "sim/fbsim.h"
 
+#include <utility>
+
 #include "query/dag_decomposition.h"
 #include "sim/fbsim_bas.h"
 #include "sim/fbsim_dag.h"
@@ -19,9 +21,10 @@ const char* SimAlgorithmName(SimAlgorithm a) {
 }
 
 CandidateSets FBSim(const MatchContext& ctx, const PatternQuery& q,
-                    const SimOptions& opts, SimStats* stats) {
+                    CandidateSets seed, const SimOptions& opts,
+                    SimStats* stats) {
   DagDecomposition decomp = DecomposeDag(q);
-  CandidateSets fb = InitialMatchSets(ctx.graph(), q);
+  CandidateSets fb = std::move(seed);
 
   if (decomp.IsDagQuery()) {
     FBSimDagPasses(ctx, q, decomp.topo_order, decomp.dag_edges, &fb, opts,
@@ -51,6 +54,7 @@ CandidateSets FBSim(const MatchContext& ctx, const PatternQuery& q,
 
 CandidateSets ComputeDoubleSimulation(const MatchContext& ctx,
                                       const PatternQuery& q,
+                                      CandidateSets seed,
                                       SimAlgorithm algorithm, SimOptions opts,
                                       SimStats* stats) {
   switch (algorithm) {
@@ -59,18 +63,18 @@ CandidateSets ComputeDoubleSimulation(const MatchContext& ctx,
       opts.use_change_flags = false;
       opts.child_check = ChildCheckMode::kBitIter;
       opts.batch_reachability = false;
-      return FBSimBas(ctx, q, opts, stats);
+      return FBSimBas(ctx, q, std::move(seed), opts, stats);
     case SimAlgorithm::kDag:
       opts.use_change_flags = false;
       opts.child_check = ChildCheckMode::kBitIter;
       opts.batch_reachability = false;
-      return FBSim(ctx, q, opts, stats);
+      return FBSim(ctx, q, std::move(seed), opts, stats);
     case SimAlgorithm::kDagMap:
       // Tuned variant: change flags on; the child-check mode and batch
       // reachability settings are taken from `opts` (Fig. 12a compares the
       // check modes under this algorithm).
       opts.use_change_flags = true;
-      return FBSim(ctx, q, opts, stats);
+      return FBSim(ctx, q, std::move(seed), opts, stats);
   }
   return {};
 }

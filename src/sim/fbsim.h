@@ -21,14 +21,16 @@ const char* SimAlgorithmName(SimAlgorithm a);
 /// Algorithm 3, FBSim ("Dag+Δ"): decomposes a cyclic query into a DAG and a
 /// back-edge set, alternating FBSimDag passes on the DAG with FBSimBas-style
 /// sweeps on the back edges until the relation stabilizes. Falls back to
-/// plain FBSimDag for DAG queries.
+/// plain FBSimDag for DAG queries. Starts from `seed` (see FBSimBas).
 CandidateSets FBSim(const MatchContext& ctx, const PatternQuery& q,
-                    const SimOptions& opts = {}, SimStats* stats = nullptr);
+                    CandidateSets seed, const SimOptions& opts = {},
+                    SimStats* stats = nullptr);
 
 /// Dispatches on `algorithm`, applying the option overrides each named
-/// variant implies.
+/// variant implies. Every variant starts from `seed`.
 CandidateSets ComputeDoubleSimulation(const MatchContext& ctx,
                                       const PatternQuery& q,
+                                      CandidateSets seed,
                                       SimAlgorithm algorithm,
                                       SimOptions opts = {},
                                       SimStats* stats = nullptr);

@@ -1,5 +1,7 @@
 #include "sim/fbsim_bas.h"
 
+#include <utility>
+
 namespace rigpm {
 
 namespace {
@@ -31,8 +33,9 @@ bool BackwardSweep(const MatchContext& ctx, const PatternQuery& q,
 }  // namespace
 
 CandidateSets FBSimBas(const MatchContext& ctx, const PatternQuery& q,
-                       const SimOptions& opts, SimStats* stats) {
-  CandidateSets fb = InitialMatchSets(ctx.graph(), q);
+                       CandidateSets seed, const SimOptions& opts,
+                       SimStats* stats) {
+  CandidateSets fb = std::move(seed);
   int pass = 0;
   bool changed = true;
   while (changed && (opts.max_passes == 0 || pass < opts.max_passes)) {

@@ -1,6 +1,7 @@
 #include "sim/fbsim_dag.h"
 
 #include <cassert>
+#include <utility>
 
 namespace rigpm {
 
@@ -67,7 +68,8 @@ bool FBSimDagPasses(const MatchContext& ctx, const PatternQuery& q,
 }
 
 CandidateSets FBSimDag(const MatchContext& ctx, const PatternQuery& q,
-                       const SimOptions& opts, SimStats* stats) {
+                       CandidateSets seed, const SimOptions& opts,
+                       SimStats* stats) {
   std::vector<QueryNodeId> topo;
   [[maybe_unused]] bool is_dag = q.IsDag(&topo);
   assert(is_dag && "FBSimDag requires a DAG pattern query");
@@ -75,7 +77,7 @@ CandidateSets FBSimDag(const MatchContext& ctx, const PatternQuery& q,
   std::vector<QueryEdgeId> all_edges(q.NumEdges());
   for (QueryEdgeId e = 0; e < q.NumEdges(); ++e) all_edges[e] = e;
 
-  CandidateSets fb = InitialMatchSets(ctx.graph(), q);
+  CandidateSets fb = std::move(seed);
   FBSimDagPasses(ctx, q, topo, all_edges, &fb, opts, stats);
   return fb;
 }

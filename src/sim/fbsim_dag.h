@@ -15,9 +15,11 @@ namespace rigpm {
 ///  * backwardSim — a top-down traversal checking incoming edges.
 /// Converges in fewer passes than FBSimBas because after a bottom-up
 /// traversal every surviving node forward-simulates its query node within
-/// the pass (Theorem 4.1). Precondition: `q` is a DAG (checked).
+/// the pass (Theorem 4.1). Starts from `seed` (see FBSimBas).
+/// Precondition: `q` is a DAG (checked).
 CandidateSets FBSimDag(const MatchContext& ctx, const PatternQuery& q,
-                       const SimOptions& opts = {}, SimStats* stats = nullptr);
+                       CandidateSets seed, const SimOptions& opts = {},
+                       SimStats* stats = nullptr);
 
 /// In-place variant used as a phase by FBSim (Dag+Δ): runs forwardSim /
 /// backwardSim passes over the DAG part described by `topo_order` and the

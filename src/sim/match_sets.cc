@@ -81,60 +81,142 @@ bool BoundedReaches(const Graph& g, NodeId u, NodeId v, uint32_t max_hops) {
 
 namespace {
 
-// Per-pair existence probe: does u have a forward partner in dst along e?
-bool HasForwardPartner(const MatchContext& ctx, const QueryEdge& e, NodeId u,
-                       const std::vector<NodeId>& dst_nodes,
-                       ChildCheckMode mode, const Bitmap& dst_bitmap,
-                       SimStats* stats) {
+// Rebuilds `*set` from the members `keep` accepts; leaves it untouched when
+// every member stays.
+template <typename Keep>
+void FilterInPlace(Bitmap* set, Keep keep) {
+  std::vector<NodeId> survivors;
+  survivors.reserve(set->Cardinality());
+  set->ForEach([&](NodeId v) {
+    if (keep(v)) survivors.push_back(v);
+  });
+  if (survivors.size() != set->Cardinality()) {
+    *set = Bitmap::FromSorted(survivors);
+  }
+}
+
+// Batch child prune (kBitBat, Section 4.5): marks the CSR in-neighbours
+// (forward prune) or out-neighbours (backward prune) of every `fixed` node
+// in a |V|-entry array, then keeps the marked members of `*pruned`.
+void KeepChildNeighbours(const Graph& g, const Bitmap& fixed, bool forward,
+                         Bitmap* pruned) {
+  std::vector<uint8_t> marked(g.NumNodes(), 0);
+  fixed.ForEach([&](NodeId w) {
+    for (NodeId v : forward ? g.InNeighbors(w) : g.OutNeighbors(w)) {
+      marked[v] = 1;
+    }
+  });
+  FilterInPlace(pruned, [&](NodeId v) { return marked[v] != 0; });
+}
+
+// Batch prune of an unbounded descendant edge: one sweep over the
+// condensation instead of a BFS over the data graph. Component ids are
+// topological (every DAG edge goes to a larger id), and u ≺ v needs at least
+// one edge, so a node reaches itself only inside a cyclic component.
+//  * Forward (keep members that reach some `fixed` node): descending ids,
+//    linked[c] = (fixed[c] ∧ cyclic(c)) ∨ ∃ s ∈ Successors(c): fixed[s] ∨
+//    linked[s].
+//  * Backward (keep members reached from some `fixed` node): ascending ids,
+//    linked[s] = a fixed node of an earlier component reaches s; a member of
+//    c is kept iff linked[c] ∨ (fixed[c] ∧ cyclic(c)).
+void KeepReachRelated(const Condensation& cond, const Bitmap& fixed,
+                      bool forward, Bitmap* pruned) {
+  const uint32_t nc = cond.NumComponents();
+  std::vector<uint8_t> fixed_comp(nc, 0);
+  std::vector<uint8_t> linked(nc, 0);
+  uint32_t lo = nc, hi = 0;
+  fixed.ForEach([&](NodeId w) {
+    const uint32_t c = cond.Component(w);
+    fixed_comp[c] = 1;
+    lo = std::min(lo, c);
+    hi = std::max(hi, c);
+  });
+  if (forward) {
+    // Components after the last fixed one reach none.
+    for (uint32_t c = hi + 1; c-- > 0;) {
+      bool reaches = fixed_comp[c] && cond.IsCyclic(c);
+      for (uint32_t s : cond.Successors(c)) {
+        if (reaches) break;
+        reaches = fixed_comp[s] || linked[s];
+      }
+      linked[c] = reaches;
+    }
+    FilterInPlace(pruned,
+                  [&](NodeId v) { return linked[cond.Component(v)] != 0; });
+    return;
+  }
+  // Components before the first fixed one are reached by none.
+  for (uint32_t c = lo; c < nc; ++c) {
+    if (!fixed_comp[c] && !linked[c]) continue;
+    for (uint32_t s : cond.Successors(c)) linked[s] = 1;
+  }
+  FilterInPlace(pruned, [&](NodeId v) {
+    const uint32_t c = cond.Component(v);
+    return linked[c] || (fixed_comp[c] && cond.IsCyclic(c));
+  });
+}
+
+// Per-pair existence probe: does `v` have a partner among `fixed_nodes`
+// along e? `forward` = true asks for a forward partner (v on the e.from
+// side), false for a backward one (v on the e.to side).
+bool HasPartner(const MatchContext& ctx, const QueryEdge& e, NodeId v,
+                const std::vector<NodeId>& fixed_nodes, const Bitmap& fixed,
+                bool forward, ChildCheckMode mode, SimStats* stats) {
   const Graph& g = ctx.graph();
   if (e.kind == EdgeKind::kChild) {
     if (mode == ChildCheckMode::kBitIter) {
       if (stats != nullptr) ++stats->pair_checks;
-      return g.OutBitmap(u).Intersects(dst_bitmap);
+      return (forward ? g.OutBitmap(v) : g.InBitmap(v)).Intersects(fixed);
     }
-    // binSearch: probe each candidate against u's sorted adjacency array.
-    auto adj = g.OutNeighbors(u);
-    for (NodeId w : dst_nodes) {
+    // binSearch: probe each candidate against v's sorted adjacency array.
+    auto adj = forward ? g.OutNeighbors(v) : g.InNeighbors(v);
+    for (NodeId w : fixed_nodes) {
       if (stats != nullptr) ++stats->pair_checks;
       if (std::binary_search(adj.begin(), adj.end(), w)) return true;
     }
     return false;
   }
-  for (NodeId w : dst_nodes) {
+  for (NodeId w : fixed_nodes) {
     if (stats != nullptr) ++stats->pair_checks;
-    if (e.max_hops > 0 ? BoundedReaches(ctx.graph(), u, w, e.max_hops)
-                       : ctx.reach().Reaches(u, w)) {
+    if (forward ? ctx.EdgePairMatch(e, v, w) : ctx.EdgePairMatch(e, w, v)) {
       return true;
     }
   }
   return false;
 }
 
-bool HasBackwardPartner(const MatchContext& ctx, const QueryEdge& e, NodeId v,
-                        const std::vector<NodeId>& src_nodes,
-                        ChildCheckMode mode, const Bitmap& src_bitmap,
-                        SimStats* stats) {
-  const Graph& g = ctx.graph();
-  if (e.kind == EdgeKind::kChild) {
-    if (mode == ChildCheckMode::kBitIter) {
-      if (stats != nullptr) ++stats->pair_checks;
-      return g.InBitmap(v).Intersects(src_bitmap);
-    }
-    auto adj = g.InNeighbors(v);
-    for (NodeId u : src_nodes) {
-      if (stats != nullptr) ++stats->pair_checks;
-      if (std::binary_search(adj.begin(), adj.end(), u)) return true;
-    }
-    return false;
-  }
-  for (NodeId u : src_nodes) {
+// Shared body of ForwardPruneEdge (`forward` = true: `pruned` is the e.from
+// side, `fixed` the e.to side) and BackwardPruneEdge (the reverse).
+bool PruneEdgeSide(const MatchContext& ctx, const QueryEdge& e,
+                   const Bitmap& fixed, Bitmap* pruned, bool forward,
+                   const SimOptions& opts, SimStats* stats) {
+  const uint64_t before = pruned->Cardinality();
+  if (fixed.Empty()) {
+    pruned->Clear();
+  } else if (e.kind == EdgeKind::kChild &&
+             opts.child_check == ChildCheckMode::kBitBat) {
     if (stats != nullptr) ++stats->pair_checks;
-    if (e.max_hops > 0 ? BoundedReaches(ctx.graph(), u, v, e.max_hops)
-                       : ctx.reach().Reaches(u, v)) {
-      return true;
+    KeepChildNeighbours(ctx.graph(), fixed, forward, pruned);
+  } else if (e.kind == EdgeKind::kDescendant && opts.batch_reachability) {
+    if (stats != nullptr) ++stats->pair_checks;
+    if (e.max_hops > 0) {
+      // Hop counts do not survive condensation: hop-limited BFS.
+      pruned->AndWith(
+          forward ? NodesReaching(ctx.graph(), fixed, e.max_hops)
+                  : NodesReachableFrom(ctx.graph(), fixed, e.max_hops));
+    } else {
+      KeepReachRelated(ctx.reach().condensation(), fixed, forward, pruned);
     }
+  } else {
+    std::vector<NodeId> fixed_nodes = fixed.ToVector();
+    FilterInPlace(pruned, [&](NodeId v) {
+      return HasPartner(ctx, e, v, fixed_nodes, fixed, forward,
+                        opts.child_check, stats);
+    });
   }
-  return false;
+  const uint64_t after = pruned->Cardinality();
+  if (stats != nullptr) stats->pruned_nodes += before - after;
+  return after != before;
 }
 
 }  // namespace
@@ -142,70 +224,13 @@ bool HasBackwardPartner(const MatchContext& ctx, const QueryEdge& e, NodeId v,
 bool ForwardPruneEdge(const MatchContext& ctx, const QueryEdge& e, Bitmap* src,
                       const Bitmap& dst, const SimOptions& opts,
                       SimStats* stats) {
-  const Graph& g = ctx.graph();
-  const uint64_t before = src->Cardinality();
-  if (dst.Empty()) {
-    src->Clear();
-  } else if (e.kind == EdgeKind::kChild &&
-             opts.child_check == ChildCheckMode::kBitBat) {
-    // Batch: src nodes with a child in dst are exactly the union of the
-    // backward adjacency lists of dst, intersected with src (Section 4.5).
-    std::vector<const Bitmap*> lists;
-    lists.reserve(dst.Cardinality());
-    dst.ForEach([&](NodeId w) { lists.push_back(&g.InBitmap(w)); });
-    if (stats != nullptr) ++stats->pair_checks;
-    src->AndWith(Bitmap::OrMany(lists));
-  } else if (e.kind == EdgeKind::kDescendant && opts.batch_reachability) {
-    // Batch: nodes that reach some dst node, via one reverse BFS.
-    if (stats != nullptr) ++stats->pair_checks;
-    src->AndWith(NodesReaching(g, dst, e.max_hops));
-  } else {
-    std::vector<NodeId> dst_nodes = dst.ToVector();
-    std::vector<NodeId> survivors;
-    src->ForEach([&](NodeId u) {
-      if (HasForwardPartner(ctx, e, u, dst_nodes, opts.child_check, dst,
-                            stats)) {
-        survivors.push_back(u);
-      }
-    });
-    *src = Bitmap::FromSorted(survivors);
-  }
-  const uint64_t after = src->Cardinality();
-  if (stats != nullptr) stats->pruned_nodes += before - after;
-  return after != before;
+  return PruneEdgeSide(ctx, e, dst, src, /*forward=*/true, opts, stats);
 }
 
 bool BackwardPruneEdge(const MatchContext& ctx, const QueryEdge& e,
                        const Bitmap& src, Bitmap* dst, const SimOptions& opts,
                        SimStats* stats) {
-  const Graph& g = ctx.graph();
-  const uint64_t before = dst->Cardinality();
-  if (src.Empty()) {
-    dst->Clear();
-  } else if (e.kind == EdgeKind::kChild &&
-             opts.child_check == ChildCheckMode::kBitBat) {
-    std::vector<const Bitmap*> lists;
-    lists.reserve(src.Cardinality());
-    src.ForEach([&](NodeId u) { lists.push_back(&g.OutBitmap(u)); });
-    if (stats != nullptr) ++stats->pair_checks;
-    dst->AndWith(Bitmap::OrMany(lists));
-  } else if (e.kind == EdgeKind::kDescendant && opts.batch_reachability) {
-    if (stats != nullptr) ++stats->pair_checks;
-    dst->AndWith(NodesReachableFrom(g, src, e.max_hops));
-  } else {
-    std::vector<NodeId> src_nodes = src.ToVector();
-    std::vector<NodeId> survivors;
-    dst->ForEach([&](NodeId v) {
-      if (HasBackwardPartner(ctx, e, v, src_nodes, opts.child_check, src,
-                             stats)) {
-        survivors.push_back(v);
-      }
-    });
-    *dst = Bitmap::FromSorted(survivors);
-  }
-  const uint64_t after = dst->Cardinality();
-  if (stats != nullptr) stats->pruned_nodes += before - after;
-  return after != before;
+  return PruneEdgeSide(ctx, e, src, dst, /*forward=*/false, opts, stats);
 }
 
 }  // namespace rigpm

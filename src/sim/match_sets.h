@@ -15,8 +15,9 @@ namespace rigpm {
 /// simulation and RIG construction (Section 4.5, Fig. 12a):
 ///  * kBinSearch — binary-search candidate ids in sorted adjacency arrays,
 ///  * kBitIter   — per-node bitmap intersection with early exit,
-///  * kBitBat    — batch: one union-of-adjacency-lists ∩ candidate-set
-///                 operation removes all violating nodes of an edge at once.
+///  * kBitBat    — batch: one pass marks the CSR neighbours of the fixed
+///                 side in a |V|-entry array and drops every unmarked
+///                 candidate of the pruned side at once.
 enum class ChildCheckMode : uint8_t { kBinSearch, kBitIter, kBitBat };
 
 const char* ChildCheckModeName(ChildCheckMode m);
@@ -34,10 +35,11 @@ struct SimOptions {
   /// previous pass ("speedup convergence" flags of Section 4.5).
   bool use_change_flags = true;
 
-  /// Batch descendant-edge pruning with one multi-source BFS per edge per
-  /// pass instead of per-pair reachability probes. Exact either way; the
-  /// BFS variant is the tuned default (it plays the role the bit-batch
-  /// operation plays for child edges).
+  /// Batch descendant-edge pruning instead of per-pair reachability probes.
+  /// An unbounded edge is pruned by one sweep over the SCC condensation of
+  /// the reachability index, a bounded one (max_hops > 0) by one
+  /// hop-limited multi-source BFS. Exact either way; batch is the tuned
+  /// default (it plays the role kBitBat plays for child edges).
   bool batch_reachability = true;
 };
 
@@ -92,7 +94,9 @@ CandidateSets InitialMatchSets(const Graph& g, const PatternQuery& q);
 /// Prunes `src` (candidates of e.from) to the nodes that have at least one
 /// forward match in `dst` (candidates of e.to) along edge `e`. Returns true
 /// iff `src` changed. This is the single-edge building block all FB
-/// algorithms share.
+/// algorithms share. The batch modes (kBitBat, batch_reachability) allocate
+/// their scratch per call — |V| marks for a child edge, 2 x |C| bytes for
+/// an unbounded descendant edge — so a MatchContext stays shareable.
 bool ForwardPruneEdge(const MatchContext& ctx, const QueryEdge& e, Bitmap* src,
                       const Bitmap& dst, const SimOptions& opts,
                       SimStats* stats);
@@ -103,8 +107,10 @@ bool BackwardPruneEdge(const MatchContext& ctx, const QueryEdge& e,
                        SimStats* stats);
 
 /// Set of nodes that can reach some node of `targets` via >= 1 edge
-/// (reverse multi-source BFS). Exposed for tests and the RIG builder.
-/// `max_hops` = 0 means unbounded; otherwise paths of at most that length.
+/// (reverse multi-source BFS over the data graph). The batch prune of a
+/// bounded descendant edge uses it; for unbounded edges it is the tests'
+/// oracle for the condensation sweep. `max_hops` = 0 means unbounded;
+/// otherwise paths of at most that length.
 Bitmap NodesReaching(const Graph& g, const Bitmap& targets,
                      uint32_t max_hops = 0);
 

@@ -114,17 +114,6 @@ TEST(Bitmap, AndManyPicksSmallestFirst) {
   EXPECT_TRUE(Bitmap::AndMany({}).Empty());
 }
 
-TEST(Bitmap, OrManyBalancedReduction) {
-  Bitmap a = {1};
-  Bitmap b = {2};
-  Bitmap c = {3};
-  Bitmap d = {70000};
-  Bitmap e = {5};
-  std::vector<const Bitmap*> inputs = {&a, &b, &c, &d, &e};
-  EXPECT_EQ(Bitmap::OrMany(inputs).ToVector(),
-            (std::vector<uint32_t>{1, 2, 3, 5, 70000}));
-}
-
 TEST(Bitmap, ForEachVisitsInOrder) {
   Bitmap b = {9, 1, 70001, 70000};
   std::vector<uint32_t> seen;
@@ -243,13 +232,8 @@ TEST(BitmapProperty, MultiwayAgreesWithFolds) {
   for (auto& b : bitmaps) ptrs.push_back(&b);
 
   Bitmap and_fold = bitmaps[0];
-  Bitmap or_fold = bitmaps[0];
-  for (size_t i = 1; i < bitmaps.size(); ++i) {
-    and_fold.AndWith(bitmaps[i]);
-    or_fold.OrWith(bitmaps[i]);
-  }
+  for (size_t i = 1; i < bitmaps.size(); ++i) and_fold.AndWith(bitmaps[i]);
   EXPECT_EQ(Bitmap::AndMany(ptrs), and_fold);
-  EXPECT_EQ(Bitmap::OrMany(ptrs), or_fold);
   EXPECT_TRUE(and_fold.Contains(12345));
 }
 

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "engine/explain.h"
 #include "graph/generators.h"
 #include "query/pattern_parser.h"
+#include "query/query_generator.h"
 #include "test_util.h"
 
 namespace rigpm {
@@ -43,6 +46,36 @@ TEST(Explain, ReportsEmptyAnswerShortcut) {
   ASSERT_TRUE(q.has_value());
   std::string report = ExplainQuery(engine, *q);
   EXPECT_NE(report.find("EMPTY"), std::string::npos);
+}
+
+// The FB(q) column is the engine's own cos(q), not a re-run of the
+// simulation.
+TEST(Explain, FbColumnIsTheRigNodeSets) {
+  Graph g = GeneratePowerLaw({.num_nodes = 300, .num_edges = 900,
+                              .num_labels = 4, .seed = 21});
+  GmEngine engine(g);
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    PatternQuery q = GenerateRandomQuery({.num_nodes = 5, .num_edges = 6,
+                                          .num_labels = 4,
+                                          .variant = QueryVariant::kHybrid,
+                                          .seed = seed});
+    std::string report = ExplainQuery(engine, q);
+    GmResult result;
+    Rig rig = engine.BuildRigOnly(q, GmOptions{}, &result);
+    for (QueryNodeId v = 0; v < q.NumNodes(); ++v) {
+      const std::string row = "             q" + std::to_string(v) +
+                              " (label " + std::to_string(q.Label(v)) + ")  ";
+      size_t at = report.find(row);
+      ASSERT_NE(at, std::string::npos) << report;
+      std::istringstream cells(report.substr(at + row.size()));
+      uint64_t ms = 0, pre = 0, fb = 0;
+      cells >> ms >> pre >> fb;
+      EXPECT_EQ(fb, rig.Cos(v).Cardinality()) << "seed " << seed << "\n"
+                                              << report;
+      EXPECT_LE(fb, pre);
+      EXPECT_LE(pre, ms);
+    }
+  }
 }
 
 // --- MakeBidirected.

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <string>
+
 #include "graph/generators.h"
 #include "query/query_generator.h"
+#include "rig/rig_builder.h"
 #include "sim/fbsim_bas.h"
 #include "sim/fbsim_dag.h"
 #include "sim/prefilter.h"
@@ -60,7 +65,8 @@ TEST_F(SimFixture, Table1BackwardSimulation) {
 TEST_F(SimFixture, Table1DoubleSimulation) {
   for (SimAlgorithm alg :
        {SimAlgorithm::kBas, SimAlgorithm::kDag, SimAlgorithm::kDagMap}) {
-    CandidateSets fb = ComputeDoubleSimulation(ctx_, query_, alg);
+    CandidateSets fb = ComputeDoubleSimulation(
+        ctx_, query_, InitialMatchSets(graph_, query_), alg);
     EXPECT_EQ(Sorted(fb[0]), (std::vector<NodeId>{PaperExample::a1,
                                                   PaperExample::a2}))
         << SimAlgorithmName(alg);
@@ -81,7 +87,8 @@ TEST_F(SimFixture, AllChildCheckModesAgree) {
     SimOptions opts;
     opts.child_check = mode;
     opts.batch_reachability = (mode == ChildCheckMode::kBitBat);
-    CandidateSets fb = FBSimBas(ctx_, query_, opts);
+    CandidateSets fb =
+        FBSimBas(ctx_, query_, InitialMatchSets(graph_, query_), opts);
     EXPECT_EQ(Sorted(fb[1]), (std::vector<NodeId>{PaperExample::b0,
                                                   PaperExample::b2}))
         << ChildCheckModeName(mode);
@@ -90,7 +97,8 @@ TEST_F(SimFixture, AllChildCheckModesAgree) {
 
 TEST_F(SimFixture, StatsArePopulated) {
   SimStats stats;
-  FBSimBas(ctx_, query_, SimOptions{}, &stats);
+  FBSimBas(ctx_, query_, InitialMatchSets(graph_, query_), SimOptions{},
+           &stats);
   EXPECT_GE(stats.passes, 1);
   EXPECT_GT(stats.pair_checks, 0u);
   EXPECT_GT(stats.pruned_nodes, 0u);  // a0, b1, b3 are pruned
@@ -99,8 +107,10 @@ TEST_F(SimFixture, StatsArePopulated) {
 TEST_F(SimFixture, PassCapIsSoundApproximation) {
   SimOptions capped;
   capped.max_passes = 1;
-  CandidateSets approx = FBSimBas(ctx_, query_, capped);
-  CandidateSets exact = FBSimBas(ctx_, query_, SimOptions{});
+  CandidateSets approx =
+      FBSimBas(ctx_, query_, InitialMatchSets(graph_, query_), capped);
+  CandidateSets exact =
+      FBSimBas(ctx_, query_, InitialMatchSets(graph_, query_), SimOptions{});
   for (QueryNodeId v = 0; v < query_.NumNodes(); ++v) {
     EXPECT_TRUE(exact[v].IsSubsetOf(approx[v])) << v;
   }
@@ -117,7 +127,7 @@ TEST(Sim, EmptyAnswerDetected) {
   PatternQuery q = PatternQuery::FromParts(
       {0, 1, 2},
       {{0, 1, EdgeKind::kChild}, {1, 2, EdgeKind::kDescendant}});
-  CandidateSets fb = FBSim(ctx, q);
+  CandidateSets fb = FBSim(ctx, q, InitialMatchSets(g, q));
   for (const Bitmap& b : fb) EXPECT_TRUE(b.Empty());
 }
 
@@ -127,7 +137,7 @@ TEST(Sim, PreFilterWeakerThanDoubleSim) {
   MatchContext ctx(g, *reach);
   PatternQuery q = PaperExample::MakeQuery();
   CandidateSets pre = PreFilter(ctx, q);
-  CandidateSets fb = FBSimBas(ctx, q);
+  CandidateSets fb = FBSimBas(ctx, q, InitialMatchSets(g, q));
   for (QueryNodeId v = 0; v < q.NumNodes(); ++v) {
     EXPECT_TRUE(fb[v].IsSubsetOf(pre[v])) << v;
   }
@@ -150,6 +160,155 @@ TEST(Sim, BatchBfsHelpersMatchDefinition) {
   EXPECT_EQ(Sorted(reachable),
             (std::vector<NodeId>{PaperExample::b0, PaperExample::c0,
                                  PaperExample::c1, PaperExample::c2}));
+}
+
+// ---------------------------------------------------------------------------
+// Batch prune kernels: the CSR-mark child prune and the condensation sweep
+// must give exactly what the per-pair probes give.
+// ---------------------------------------------------------------------------
+
+// `g` plus a self-loop on every `every`-th node, so the condensation holds
+// cyclic singletons next to acyclic ones (and, in power-law graphs,
+// multi-node components).
+Graph WithSelfLoops(const Graph& g, uint32_t every) {
+  std::vector<LabelId> labels(g.NumNodes());
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  for (NodeId v = 0; v < g.NumNodes(); ++v) {
+    labels[v] = g.Label(v);
+    for (NodeId w : g.OutNeighbors(v)) edges.emplace_back(v, w);
+    if (v % every == 0) edges.emplace_back(v, v);
+  }
+  return Graph::FromEdges(std::move(labels), std::move(edges));
+}
+
+// Empty, one node, a random half of the nodes, or every node.
+Bitmap RandomSet(uint32_t n, int shape, std::mt19937_64& rng) {
+  std::vector<NodeId> nodes(n);
+  for (NodeId v = 0; v < n; ++v) nodes[v] = v;
+  std::shuffle(nodes.begin(), nodes.end(), rng);
+  const size_t size[] = {0, 1, n / 2, n};
+  nodes.resize(size[shape]);
+  return Bitmap::FromUnsorted(nodes);
+}
+
+struct PruneResult {
+  Bitmap src;
+  Bitmap dst;
+};
+
+// Forward-prunes a copy of `src` and backward-prunes a copy of `dst` along
+// a single edge 0 -> 1 of `kind`.
+PruneResult PruneBothSides(const MatchContext& ctx, EdgeKind kind,
+                           const Bitmap& src, const Bitmap& dst,
+                           const SimOptions& opts) {
+  QueryEdge e{.from = 0, .to = 1, .kind = kind};
+  PruneResult r{src, dst};
+  ForwardPruneEdge(ctx, e, &r.src, dst, opts, nullptr);
+  BackwardPruneEdge(ctx, e, src, &r.dst, opts, nullptr);
+  return r;
+}
+
+TEST(PruneKernels, BatchEqualsPerPairOnRandomGraphs) {
+  const SimOptions batch;  // kBitBat + batch_reachability: the defaults
+  SimOptions per_pair;
+  per_pair.child_check = ChildCheckMode::kBinSearch;
+  per_pair.batch_reachability = false;
+
+  bool saw_multi_node = false, saw_cyclic_single = false,
+       saw_acyclic_single = false;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    std::mt19937_64 rng(seed);
+    for (bool dag : {false, true}) {
+      const uint32_t n = std::uniform_int_distribution<uint32_t>(20, 200)(rng);
+      GeneratorOptions gopts{.num_nodes = n, .num_edges = 2ull * n,
+                             .num_labels = 3, .seed = seed};
+      Graph g = WithSelfLoops(
+          dag ? GenerateRandomDag(gopts) : GeneratePowerLaw(gopts), 7);
+      for (ReachKind kind : {ReachKind::kBfs, ReachKind::kTransitiveClosure,
+                             ReachKind::kBfl}) {
+        auto reach = BuildReachabilityIndex(g, kind);
+        MatchContext ctx(g, *reach);
+        const Condensation& cond = reach->condensation();
+        for (uint32_t c = 0; c < cond.NumComponents(); ++c) {
+          saw_multi_node |= cond.ComponentSize(c) > 1;
+          saw_cyclic_single |= cond.ComponentSize(c) == 1 && cond.IsCyclic(c);
+          saw_acyclic_single |= !cond.IsCyclic(c);
+        }
+        for (int src_shape = 0; src_shape < 4; ++src_shape) {
+          for (int dst_shape = 0; dst_shape < 4; ++dst_shape) {
+            Bitmap src = RandomSet(n, src_shape, rng);
+            Bitmap dst = RandomSet(n, dst_shape, rng);
+            const std::string where =
+                "seed " + std::to_string(seed) + (dag ? " dag " : " pl ") +
+                ReachKindName(kind) + " shapes " + std::to_string(src_shape) +
+                "/" + std::to_string(dst_shape);
+            for (EdgeKind ek : {EdgeKind::kChild, EdgeKind::kDescendant}) {
+              PruneResult fast = PruneBothSides(ctx, ek, src, dst, batch);
+              PruneResult slow = PruneBothSides(ctx, ek, src, dst, per_pair);
+              EXPECT_EQ(fast.src, slow.src) << where;
+              EXPECT_EQ(fast.dst, slow.dst) << where;
+              if (ek == EdgeKind::kDescendant) {
+                EXPECT_EQ(fast.src, Bitmap::And(src, NodesReaching(g, dst)))
+                    << where;
+                EXPECT_EQ(fast.dst,
+                          Bitmap::And(dst, NodesReachableFrom(g, src)))
+                    << where;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(saw_multi_node);
+  EXPECT_TRUE(saw_cyclic_single);
+  EXPECT_TRUE(saw_acyclic_single);
+}
+
+// u ≺ v needs at least one edge (Definition 2.2): a node reaches itself only
+// through a cycle.
+TEST(PruneKernels, SelfReachabilityNeedsACycle) {
+  // 0 -> 1: acyclic singletons. 2 -> 2: a self-loop. 3 <-> 4: a 2-cycle.
+  Graph g = Graph::FromEdges({0, 0, 0, 0, 0},
+                             {{0, 1}, {2, 2}, {3, 4}, {4, 3}});
+  const QueryEdge e{.from = 0, .to = 1, .kind = EdgeKind::kDescendant};
+  for (ReachKind kind : {ReachKind::kBfs, ReachKind::kTransitiveClosure,
+                         ReachKind::kBfl}) {
+    auto reach = BuildReachabilityIndex(g, kind);
+    MatchContext ctx(g, *reach);
+    for (const auto& [node, kept] : std::vector<std::pair<NodeId, bool>>{
+             {1, false}, {2, true}, {3, true}, {4, true}}) {
+      Bitmap src = {node};
+      Bitmap dst = {node};
+      ForwardPruneEdge(ctx, e, &src, Bitmap{node}, SimOptions{}, nullptr);
+      BackwardPruneEdge(ctx, e, Bitmap{node}, &dst, SimOptions{}, nullptr);
+      EXPECT_EQ(src.Contains(node), kept) << ReachKindName(kind) << node;
+      EXPECT_EQ(dst.Contains(node), kept) << ReachKindName(kind) << node;
+    }
+    // The 2-cycle keeps both of its nodes on both sides.
+    Bitmap pair = {3, 4};
+    Bitmap src = pair, dst = pair;
+    ForwardPruneEdge(ctx, e, &src, pair, SimOptions{}, nullptr);
+    BackwardPruneEdge(ctx, e, pair, &dst, SimOptions{}, nullptr);
+    EXPECT_EQ(src, pair) << ReachKindName(kind);
+    EXPECT_EQ(dst, pair) << ReachKindName(kind);
+  }
+}
+
+// The simulation starts from the sets it is given, not from ms(q): with c's
+// seed emptied, nothing can match a -> b -> c.
+TEST(Sim, SelectRigNodesStartsFromItsSeed) {
+  // a1 -> b1 -> c1.
+  Graph g = Graph::FromEdges({0, 1, 2}, {{0, 1}, {1, 2}});
+  auto reach = BuildReachabilityIndex(g, ReachKind::kBfl);
+  MatchContext ctx(g, *reach);
+  PatternQuery q = PatternQuery::FromParts(
+      {0, 1, 2}, {{0, 1, EdgeKind::kChild}, {1, 2, EdgeKind::kChild}});
+  CandidateSets seed = InitialMatchSets(g, q);
+  seed[2].Clear();
+  CandidateSets cos = SelectRigNodes(ctx, q, seed);
+  ASSERT_EQ(cos.size(), 3u);
+  for (const Bitmap& b : cos) EXPECT_TRUE(b.Empty()) << b.Cardinality();
 }
 
 // ---------------------------------------------------------------------------
@@ -182,10 +341,11 @@ TEST_P(SimPropertyTest, Invariants) {
                                         .variant = QueryVariant::kHybrid,
                                         .seed = p.seed * 7 + 1});
 
-  CandidateSets bas = FBSimBas(ctx, q);
-  CandidateSets dag = ComputeDoubleSimulation(ctx, q, SimAlgorithm::kDag);
-  CandidateSets tuned = ComputeDoubleSimulation(ctx, q, SimAlgorithm::kDagMap);
   CandidateSets ms = InitialMatchSets(g, q);
+  CandidateSets bas = FBSimBas(ctx, q, ms);
+  CandidateSets dag = ComputeDoubleSimulation(ctx, q, ms, SimAlgorithm::kDag);
+  CandidateSets tuned =
+      ComputeDoubleSimulation(ctx, q, ms, SimAlgorithm::kDagMap);
 
   // Occurrence sets from the brute-force answer.
   auto answer = BruteForceAnswer(g, q);
@@ -239,8 +399,8 @@ TEST(Sim, CyclicQueryDagDeltaAgreesWithBas) {
       {{0, 1, EdgeKind::kChild},
        {1, 2, EdgeKind::kDescendant},
        {2, 0, EdgeKind::kDescendant}});
-  CandidateSets bas = FBSimBas(ctx, q);
-  CandidateSets delta = FBSim(ctx, q);
+  CandidateSets bas = FBSimBas(ctx, q, InitialMatchSets(g, q));
+  CandidateSets delta = FBSim(ctx, q, InitialMatchSets(g, q));
   for (QueryNodeId v = 0; v < q.NumNodes(); ++v) {
     EXPECT_EQ(bas[v], delta[v]) << v;
   }

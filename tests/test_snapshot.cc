@@ -766,6 +766,32 @@ TEST(BflSnapshot, IntervalSizeMismatchIsRejected) {
       << src.error();
 }
 
+TEST(CondensationSnapshot, NonTopologicalDagEdgeIsRejected) {
+  // A hand-written two-component image whose only DAG edge does not go to a
+  // larger id (first backward, then a self edge). Every reachability reader
+  // prunes with "successors have larger ids", so the decoder must refuse it.
+  for (const auto& [from, to] : std::vector<std::pair<uint32_t, uint32_t>>{
+           {1, 0}, {0, 0}}) {
+    std::vector<uint64_t> offsets = {0, 0, 0};
+    for (uint32_t c = from + 1; c < offsets.size(); ++c) offsets[c] = 1;
+    ByteSink sink;
+    sink.WriteU32(2);  // components
+    sink.WriteSpan<uint32_t>(std::vector<uint32_t>{0, 1});  // node -> comp
+    sink.WriteSpan<uint8_t>(std::vector<uint8_t>{0, 0});    // cyclic
+    sink.WriteSpan<uint32_t>(std::vector<uint32_t>{1, 1});  // sizes
+    sink.WriteSpan<uint64_t>(offsets);
+    sink.WriteSpan<uint32_t>(std::vector<uint32_t>{to});  // DAG targets
+    sink.WriteSpan<uint32_t>(std::vector<uint32_t>{0, 1});  // topo order
+
+    ByteSource src(sink.data().data(), sink.size());
+    Condensation cond = Condensation::Deserialize(src);
+    EXPECT_FALSE(src.ok()) << from << " -> " << to;
+    EXPECT_NE(src.error().find("not topological"), std::string::npos)
+        << src.error();
+    EXPECT_EQ(cond.NumComponents(), 0u);
+  }
+}
+
 // --------------------------------------------------------- malformed text
 
 std::optional<Graph> ParseText(const std::string& text, std::string* error) {
