@@ -32,7 +32,8 @@ VariantRow RunVariant(const GmEngine& engine, const Graph& g,
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.3f%%", pct);
   return {buf,
-          FormatSeconds(r.prefilter_ms + r.rig_select_ms + r.rig_expand_ms),
+          FormatSeconds(r.PhaseMs("Prefilter") + r.PhaseMs("Simulate") +
+                        r.PhaseMs("BuildRig")),
           FormatSeconds(total_ms)};
 }
 

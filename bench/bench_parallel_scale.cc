@@ -1,6 +1,6 @@
 // Parallel scaling across queries: GmEngine::EvaluateBatch spreads a batch
-// of independent queries over GmOptions::num_threads workers, one reusable
-// EvalContext each, on the fig11-scale workload (DBLP subsets, H-queries).
+// of independent queries over GmOptions::num_threads workers, each calling
+// GmEngine::Evaluate, on the fig11-scale workload (DBLP subsets, H-queries).
 // Elapsed time and speedup vs worker count. Each query evaluates
 // sequentially inside its worker, so nothing is serial across workers and
 // the speedup should approach the worker count up to the core count.

@@ -78,7 +78,7 @@ int main() {
       "GM: %llu matches in %.2f ms (matching %.2f ms + enumeration %.2f ms); "
       "RIG %llu nodes / %llu edges\n",
       static_cast<unsigned long long>(stats.num_occurrences), stats.TotalMs(),
-      stats.MatchingMs(), stats.enumerate_ms,
+      stats.MatchingMs(), stats.PhaseMs("Enumerate"),
       static_cast<unsigned long long>(stats.rig_nodes),
       static_cast<unsigned long long>(stats.rig_edges));
 

@@ -104,6 +104,7 @@ int main() {
               "enumeration %.2f ms; empty-RIG shortcut: %s\n",
               static_cast<unsigned long long>(stats.num_occurrences),
               static_cast<unsigned long long>(opts.limit), stats.MatchingMs(),
-              stats.enumerate_ms, stats.empty_rig_shortcut ? "yes" : "no");
+              stats.PhaseMs("Enumerate"),
+              stats.empty_rig_shortcut ? "yes" : "no");
   return 0;
 }

@@ -63,7 +63,7 @@ int main() {
               static_cast<unsigned long long>(stats.num_occurrences),
               static_cast<unsigned long long>(stats.rig_nodes),
               static_cast<unsigned long long>(stats.rig_edges),
-              stats.MatchingMs(), stats.enumerate_ms);
+              stats.MatchingMs(), stats.PhaseMs("Enumerate"));
   for (const Occurrence& t : occurrences) {
     std::printf("  U=%u P=%u Q=%u T=%u\n", t[0], t[1], t[2], t[3]);
   }

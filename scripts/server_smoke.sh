@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # End-to-end smoke of the query daemon: dump a snapshot, start rigpm_serve
 # on a Unix socket, run client queries against it, diff every count against
-# direct `rigpm_cli` evaluation of the same snapshot, check --limit and the
-# flag usage errors, and verify the daemon shuts down cleanly (both via a
-# client shutdown request and via SIGTERM).
+# direct `rigpm_cli` evaluation of the same snapshot, check --limit, the
+# flag usage errors and an out-of-range pattern label (a parse error, served
+# and direct), and verify the daemon shuts down cleanly (both via a client
+# shutdown request and via SIGTERM).
 #
 # usage: scripts/server_smoke.sh BUILD_DIR
 set -eu
@@ -129,6 +130,35 @@ expect_usage_error --limit "${BUILD_DIR}/rigpm_cli" --load-snapshot "${SNAP}" \
   --pattern "${QUERIES[0]}" --limit abc
 expect_usage_error --batch "${BUILD_DIR}/rigpm_cli" --load-snapshot "${SNAP}" \
   --pattern "${QUERIES[0]}" --threads 4
+# A pattern number that does not fit 32 bits is a parse error, served and
+# direct alike: the client exits 1 with the daemon's parse error and the
+# daemon keeps serving; the CLI exits 1 with its own parse error.
+BIG_LABEL="(a:0)->(b:99999999999999999999999)"
+code=0
+err=$("${BUILD_DIR}/rigpm_cli" client --socket "${SOCK}" \
+        --pattern "${BIG_LABEL}" 2>&1 >/dev/null) || code=$?
+echo "served out-of-range label -> exit ${code}"
+if [ "${code}" != "1" ] || ! grep -q "label .* does not fit" <<<"${err}"; then
+  echo "FAIL: want exit 1 with the parse error, got ${code}: ${err}" >&2
+  exit 1
+fi
+served_n=$(count_of "$("${BUILD_DIR}/rigpm_cli" client --socket "${SOCK}" \
+             --pattern "${QUERIES[0]}" --print 0)")
+direct_n=$(count_of "$("${BUILD_DIR}/rigpm_cli" --load-snapshot "${SNAP}" \
+             --pattern "${QUERIES[0]}" --print 0)")
+echo "after the parse error: served=${served_n} direct=${direct_n}"
+if [ -z "${served_n}" ] || [ "${served_n}" != "${direct_n}" ]; then
+  echo "FAIL: daemon stopped serving after the parse error" >&2
+  exit 1
+fi
+code=0
+err=$("${BUILD_DIR}/rigpm_cli" --load-snapshot "${SNAP}" \
+        --pattern "${BIG_LABEL}" 2>&1 >/dev/null) || code=$?
+echo "direct out-of-range label -> exit ${code}"
+if [ "${code}" != "1" ] || ! grep -q "cannot parse query" <<<"${err}"; then
+  echo "FAIL: want exit 1 with \"cannot parse query\", got ${code}: ${err}" >&2
+  exit 1
+fi
 
 echo "== stats"
 "${BUILD_DIR}/rigpm_cli" client --socket "${SOCK}" --stats

@@ -5,6 +5,8 @@
 #include <thread>
 #include <utility>
 
+#include "query/transitive_reduction.h"
+#include "sim/prefilter.h"
 #include "util/concurrency.h"
 
 namespace rigpm {
@@ -18,6 +20,23 @@ double MsSince(Clock::time_point start) {
       .count();
 }
 
+/// Runs `phase` and books its wall-clock into r->phase_timings.
+template <typename Fn>
+void TimePhase(GmResult* r, const char* name, Fn&& phase) {
+  auto t0 = Clock::now();
+  phase();
+  r->phase_timings.push_back({name, MsSince(t0)});
+}
+
+RigBuildOptions RigOptionsFrom(const GmOptions& opts) {
+  RigBuildOptions rig_opts;
+  rig_opts.sim_algorithm = opts.sim_algorithm;
+  rig_opts.sim = opts.sim;
+  rig_opts.skip_simulation = !opts.use_double_simulation;
+  rig_opts.early_termination = opts.early_termination;
+  return rig_opts;
+}
+
 }  // namespace
 
 GmEngine::GmEngine(const Graph& g, ReachKind reach) : graph_(g) {
@@ -25,33 +44,77 @@ GmEngine::GmEngine(const Graph& g, ReachKind reach) : graph_(g) {
   reach_ = BuildReachabilityIndex(g, reach);
   reach_build_ms_ = MsSince(t0);
   intervals_ = std::make_unique<IntervalLabels>(g, reach_->condensation());
-  pipeline_ = QueryPipeline::StandardChain();
-  matching_pipeline_ = QueryPipeline::MatchingChain();
 }
 
 GmEngine::GmEngine(const Graph& g, std::unique_ptr<ReachabilityIndex> reach,
                    std::unique_ptr<IntervalLabels> intervals)
-    : graph_(g), reach_(std::move(reach)), intervals_(std::move(intervals)) {
-  pipeline_ = QueryPipeline::StandardChain();
-  matching_pipeline_ = QueryPipeline::MatchingChain();
-}
+    : graph_(g), reach_(std::move(reach)), intervals_(std::move(intervals)) {}
 
-GmResult GmEngine::Evaluate(EvalContext& ctx, const PatternQuery& query,
-                            const GmOptions& opts,
-                            const OccurrenceSink& sink) const {
-  PipelineState& state = ctx.state();
-  state.Reset(query, opts, sink);
-  pipeline_.Run(ctx, state);
-  ctx.NoteQuery(state.result);
-  // Moving the result out leaves state.result empty-but-valid; the next
-  // Reset() reinitializes it.
-  return std::move(state.result);
+GmResult GmEngine::Run(const PatternQuery& query, const GmOptions& opts,
+                       const OccurrenceSink& sink,
+                       std::optional<Rig>* rig_out) const {
+  GmResult r;
+  r.phase_timings.reserve(6);
+  const MatchContext ctx(graph_, *reach_);
+  const RigBuildOptions rig_opts = RigOptionsFrom(opts);
+
+  PatternQuery reduced;
+  TimePhase(&r, "Reduce", [&] {
+    reduced = opts.use_transitive_reduction ? QueryTransitiveReduction(query)
+                                            : query;
+    r.reduced_query_edges = reduced.NumEdges();
+  });
+
+  // Seed candidate sets: label match sets, optionally pre-filtered with one
+  // forward + one backward sweep [11, 63].
+  CandidateSets candidates;
+  TimePhase(&r, "Prefilter", [&] {
+    candidates = opts.use_prefilter ? PreFilter(ctx, reduced, opts.sim)
+                                    : InitialMatchSets(graph_, reduced);
+  });
+
+  // Procedure select of Algorithm 4: the double simulation refines the
+  // seeds into cos(q).
+  TimePhase(&r, "Simulate", [&] {
+    candidates = SelectRigNodes(ctx, reduced, std::move(candidates), rig_opts,
+                                &r.rig_stats);
+  });
+
+  // Procedure expand of Algorithm 4.
+  std::optional<Rig> rig;
+  TimePhase(&r, "BuildRig", [&] {
+    rig.emplace(ExpandRig(ctx, reduced, std::move(candidates), rig_opts,
+                          intervals_.get(), &r.rig_stats));
+    r.rig_nodes = rig->TotalNodes();
+    r.rig_edges = rig->TotalEdges();
+    r.rig_memory_bytes = rig->MemoryBytes();
+    // Empty RIG: the answer is provably empty; skip ordering + enumeration.
+    r.empty_rig_shortcut = rig->AnyEmpty();
+  });
+  if (rig_out != nullptr) {
+    *rig_out = std::move(rig);
+    return r;
+  }
+  if (r.empty_rig_shortcut) return r;
+
+  TimePhase(&r, "Order", [&] {
+    r.order_used = ComputeSearchOrder(reduced, *rig, opts.order,
+                                      &r.order_stats);
+  });
+
+  TimePhase(&r, "Enumerate", [&] {
+    MJoinOptions mopts;
+    mopts.limit = opts.limit;
+    r.num_occurrences = MJoin(reduced, *rig, r.order_used, sink, mopts,
+                              &r.mjoin_stats);
+    r.hit_limit = r.num_occurrences >= opts.limit;
+  });
+  return r;
 }
 
 GmResult GmEngine::Evaluate(const PatternQuery& query, const GmOptions& opts,
                             const OccurrenceSink& sink) const {
-  EvalContext ctx = MakeContext();
-  return Evaluate(ctx, query, opts, sink);
+  return Run(query, opts, sink, nullptr);
 }
 
 std::vector<GmResult> GmEngine::EvaluateBatch(
@@ -61,7 +124,8 @@ std::vector<GmResult> GmEngine::EvaluateBatch(
   if (queries.empty()) return results;
 
   const uint32_t workers = ResolveWorkerCount(opts.num_threads, queries.size());
-  auto run_range = [&](EvalContext& ctx, std::atomic<size_t>& next) {
+  std::atomic<size_t> next{0};
+  auto run_range = [&] {
     for (size_t i = next.fetch_add(1, std::memory_order_relaxed);
          i < queries.size();
          i = next.fetch_add(1, std::memory_order_relaxed)) {
@@ -71,25 +135,18 @@ std::vector<GmResult> GmEngine::EvaluateBatch(
           return sink(i, occ);
         };
       }
-      results[i] = Evaluate(ctx, queries[i], opts, query_sink);
+      results[i] = Evaluate(queries[i], opts, query_sink);
     }
   };
 
-  std::atomic<size_t> next{0};
   if (workers <= 1) {
-    EvalContext ctx = MakeContext();
-    run_range(ctx, next);
+    run_range();
     return results;
   }
 
   std::vector<std::thread> threads;
   threads.reserve(workers);
-  for (uint32_t t = 0; t < workers; ++t) {
-    threads.emplace_back([&] {
-      EvalContext ctx = MakeContext();
-      run_range(ctx, next);
-    });
-  }
+  for (uint32_t t = 0; t < workers; ++t) threads.emplace_back(run_range);
   for (std::thread& t : threads) t.join();
   return results;
 }
@@ -108,12 +165,10 @@ std::vector<Occurrence> GmEngine::EvaluateCollect(const PatternQuery& query,
 
 Rig GmEngine::BuildRigOnly(const PatternQuery& query, const GmOptions& opts,
                            GmResult* result) const {
-  EvalContext ctx = MakeContext();
-  PipelineState& state = ctx.state();
-  state.Reset(query, opts, nullptr);
-  matching_pipeline_.Run(ctx, state);
-  if (result != nullptr) *result = std::move(state.result);
-  return std::move(*state.rig);
+  std::optional<Rig> rig;
+  GmResult r = Run(query, opts, nullptr, &rig);
+  if (result != nullptr) *result = std::move(r);
+  return std::move(*rig);
 }
 
 }  // namespace rigpm

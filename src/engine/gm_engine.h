@@ -5,12 +5,11 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
-#include "engine/eval_context.h"
 #include "engine/gm_options.h"
-#include "engine/pipeline.h"
 #include "enumerate/mjoin.h"
 #include "graph/interval_labels.h"
 #include "order/search_order.h"
@@ -27,14 +26,21 @@ namespace rigpm {
 using BatchOccurrenceSink =
     std::function<bool(size_t query_index, const Occurrence& occurrence)>;
 
-/// The end-to-end GM graph pattern matching engine (Sections 3-6), built as
-/// a staged query pipeline: transitive reduction -> (pre-filter) -> double
-/// simulation -> RIG -> search order -> MJoin, with each stage an explicit
-/// Phase object (engine/pipeline.h). One engine instance amortizes the
-/// reachability index and interval labels across many queries on the same
-/// data graph; per-thread mutable state lives in EvalContexts, so a single
-/// engine serves concurrent queries (Evaluate from several threads, or
-/// EvaluateBatch) without locking.
+/// The end-to-end GM graph pattern matching engine (Sections 3-6). Every
+/// query runs the same six phases in order, each timed into
+/// GmResult::phase_timings:
+///   Reduce    — transitive reduction of the query (Section 3),
+///   Prefilter — seed candidate sets: ms(q) or the Chen/Zeng pre-filter,
+///   Simulate  — double simulation refines the seeds into cos(q),
+///   BuildRig  — expand cos(q) into RIG edges (Algorithm 4),
+///   Order     — search-order selection over RIG statistics (Section 5.2),
+///   Enumerate — MJoin (Section 5).
+/// An empty cos(q) proves the answer empty and stops after BuildRig. One
+/// engine instance amortizes the reachability index and interval labels
+/// across many queries on the same data graph; an evaluation keeps all of
+/// its mutable state on its own stack, so a single engine serves concurrent
+/// queries (Evaluate from several threads, or EvaluateBatch) without
+/// locking.
 class GmEngine {
  public:
   /// Builds the reachability index (`reach`, default BFL as in the paper)
@@ -57,34 +63,18 @@ class GmEngine {
   const IntervalLabels& intervals() const { return *intervals_; }
   double reach_build_ms() const { return reach_build_ms_; }
 
-  /// The shared phase chain queries run through (read-only introspection).
-  const QueryPipeline& pipeline() const { return pipeline_; }
-
-  /// Creates a worker context over this engine's shared read-only inputs.
-  /// Make one per thread; reuse it across queries.
-  EvalContext MakeContext() const {
-    return EvalContext(graph_, *reach_, intervals_.get());
-  }
-
   /// Evaluates `query`, streaming every occurrence into `sink` (may be
   /// null to just count) on the calling thread. Returns statistics; see
   /// GmResult.
   GmResult Evaluate(const PatternQuery& query, const GmOptions& opts = {},
                     const OccurrenceSink& sink = nullptr) const;
 
-  /// Same, but reusing the caller's per-thread context (its pipeline state
-  /// and serving stats). This is the hot-path entry point for serving.
-  GmResult Evaluate(EvalContext& ctx, const PatternQuery& query,
-                    const GmOptions& opts = {},
-                    const OccurrenceSink& sink = nullptr) const;
-
   /// Evaluates a batch of independent queries concurrently over the shared
   /// reachability index: opts.num_threads workers (0 = hardware, 1 =
-  /// sequential), one reusable EvalContext each, pulling queries from the
-  /// batch work-queue. Each query runs Evaluate() inside its worker, so
-  /// per-query results are bit-identical to a sequential run; only the
-  /// cross-query schedule is concurrent. Returns one GmResult per query, in
-  /// input order.
+  /// sequential) pulling queries from the batch work-queue. Each query
+  /// runs Evaluate() inside its worker, so per-query results are
+  /// bit-identical to a sequential run; only the cross-query schedule is
+  /// concurrent. Returns one GmResult per query, in input order.
   std::vector<GmResult> EvaluateBatch(
       std::span<const PatternQuery> queries, const GmOptions& opts = {},
       const BatchOccurrenceSink& sink = nullptr) const;
@@ -95,18 +85,21 @@ class GmEngine {
                                           const GmOptions& opts = {},
                                           GmResult* result = nullptr) const;
 
-  /// Builds the RIG for a query without enumerating (Fig. 13 measurements):
-  /// runs the matching chain only.
+  /// Builds the RIG for a query without enumerating (Fig. 13 measurements,
+  /// EXPLAIN): runs Reduce through BuildRig only.
   Rig BuildRigOnly(const PatternQuery& query, const GmOptions& opts,
                    GmResult* result) const;
 
  private:
+  /// The six phases, straight through. With `rig_out` set, stops after
+  /// BuildRig and moves the RIG there.
+  GmResult Run(const PatternQuery& query, const GmOptions& opts,
+               const OccurrenceSink& sink, std::optional<Rig>* rig_out) const;
+
   const Graph& graph_;
   std::unique_ptr<ReachabilityIndex> reach_;
   std::unique_ptr<IntervalLabels> intervals_;
   double reach_build_ms_ = 0.0;
-  QueryPipeline pipeline_;           // full chain, shared by all workers
-  QueryPipeline matching_pipeline_;  // Reduce..BuildRig, for BuildRigOnly
 };
 
 }  // namespace rigpm

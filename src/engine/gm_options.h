@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <string_view>
 #include <vector>
 
 #include "enumerate/mjoin.h"
@@ -42,8 +43,8 @@ struct GmOptions {
   uint32_t num_threads = 1;
 };
 
-/// Name/duration pair for one pipeline phase (engine/pipeline.h). The name
-/// points at a static string owned by the phase object.
+/// Name/duration pair for one GM phase. The name is a string literal, one
+/// of Reduce, Prefilter, Simulate, BuildRig, Order, Enumerate.
 struct PhaseTiming {
   const char* name = "";
   double ms = 0.0;
@@ -54,25 +55,27 @@ struct GmResult {
   uint64_t num_occurrences = 0;
   bool hit_limit = false;
 
-  // Phase timings (milliseconds). "matching" = reduction + filtering + RIG +
-  // ordering; "enumeration" = the MJoin run — the two components the paper's
-  // Metrics section reports.
-  double reduction_ms = 0.0;
-  double prefilter_ms = 0.0;
-  double rig_select_ms = 0.0;
-  double rig_expand_ms = 0.0;
-  double order_ms = 0.0;
-  double enumerate_ms = 0.0;
-  double MatchingMs() const {
-    return reduction_ms + prefilter_ms + rig_select_ms + rig_expand_ms +
-           order_ms;
-  }
-  double TotalMs() const { return MatchingMs() + enumerate_ms; }
-
-  /// Wall-clock per executed pipeline phase, in execution order (one entry
-  /// per Phase the QueryPipeline ran; phases skipped by the empty-RIG
-  /// shortcut are absent).
+  /// Wall-clock per executed phase, in execution order. Phases after
+  /// BuildRig are absent when the empty-RIG shortcut stopped the
+  /// evaluation, and BuildRigOnly never runs them.
   std::vector<PhaseTiming> phase_timings;
+
+  /// The named phase's time in ms; 0 when it did not run.
+  double PhaseMs(std::string_view name) const {
+    for (const PhaseTiming& pt : phase_timings) {
+      if (name == pt.name) return pt.ms;
+    }
+    return 0.0;
+  }
+  double TotalMs() const {
+    double total = 0.0;
+    for (const PhaseTiming& pt : phase_timings) total += pt.ms;
+    return total;
+  }
+  /// "Matching" = every phase before the MJoin run, "enumeration" =
+  /// PhaseMs("Enumerate"): the two components the paper's Metrics section
+  /// reports.
+  double MatchingMs() const { return TotalMs() - PhaseMs("Enumerate"); }
 
   uint64_t rig_nodes = 0;
   uint64_t rig_edges = 0;

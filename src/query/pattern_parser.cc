@@ -5,6 +5,8 @@
 #include <sstream>
 #include <vector>
 
+#include "util/numeric_flag.h"
+
 namespace rigpm {
 
 namespace {
@@ -74,13 +76,19 @@ class Parser {
     std::optional<LabelId> label;
     if (Consume(':')) {
       SkipSpace();
+      const size_t start = pos_;
       std::string digits;
       while (pos_ < text_.size() &&
              std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
         digits.push_back(text_[pos_++]);
       }
       if (digits.empty()) return Fail("expected numeric label");
-      label = static_cast<LabelId>(std::stoul(digits));
+      LabelId value = 0;
+      if (!ParseUnsigned(digits, &value)) {
+        pos_ = start;
+        return Fail("label " + digits + " does not fit in 32 bits");
+      }
+      label = value;
     }
     if (!Consume(')')) return Fail("expected ')'");
 
@@ -122,8 +130,12 @@ class Parser {
       if (p >= text_.size() || text_[p] != '>') {
         return Fail("expected '>' after '=N'");
       }
+      ++pos_;  // errors below name the offset of N
+      if (!ParseUnsigned(digits, max_hops)) {
+        return Fail("hop bound " + digits + " does not fit in 32 bits");
+      }
+      if (*max_hops == 0) return Fail("hop bound must be at least 1");
       *kind = EdgeKind::kDescendant;
-      *max_hops = static_cast<uint32_t>(std::stoul(digits));
       *reversed = false;
       pos_ = p + 1;
       return true;

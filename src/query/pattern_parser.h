@@ -16,11 +16,15 @@ namespace rigpm {
 ///   node     := '(' name [':' label] ')'
 ///   edge     := '->'            child (direct) edge
 ///            |  '=>'            descendant (reachability) edge
-///            |  '<-' | '<='     the same, right-to-left
+///            |  '=' N '>'       descendant edge along a path of at most N
+///                               edges (N >= 1)
+///            |  '<-' | '<='     child / descendant, right-to-left
 ///
 /// `name` binds a query node (re-using a name refers to the same node);
 /// `label` is a non-negative integer label id and must be given on the
-/// first occurrence of each name.
+/// first occurrence of each name. Both `label` and N must fit in 32 bits
+/// (at most 4294967295); a number that does not is a parse error naming
+/// its offset, never a silently wrapped value.
 ///
 /// Example — the paper's running example query (Fig. 2a):
 ///   (a:0)->(b:1), (a)->(c:2), (b)=>(c)

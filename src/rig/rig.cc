@@ -63,56 +63,4 @@ std::string Rig::Summary() const {
   return os.str();
 }
 
-void Rig::PruneIsolated(const PatternQuery& q) {
-  // A candidate vp in cos(p) that has no RIG edge for some incident query
-  // edge cannot appear in any occurrence; drop it and its remaining edges.
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (QueryNodeId p = 0; p < q.NumNodes(); ++p) {
-      std::vector<NodeId> to_remove;
-      cos_[p].ForEach([&](NodeId v) {
-        for (QueryEdgeId e : q.OutEdges(p)) {
-          if (Forward(e, v).Empty()) {
-            to_remove.push_back(v);
-            return;
-          }
-        }
-        for (QueryEdgeId e : q.InEdges(p)) {
-          if (Backward(e, v).Empty()) {
-            to_remove.push_back(v);
-            return;
-          }
-        }
-      });
-      if (to_remove.empty()) continue;
-      changed = true;
-      for (NodeId v : to_remove) {
-        cos_[p].Remove(v);
-        // Detach v's incident RIG edges.
-        for (QueryEdgeId e : q.OutEdges(p)) {
-          auto it = forward_[e].find(v);
-          if (it == forward_[e].end()) continue;
-          it->second.ForEach([&](NodeId w) {
-            auto bit = backward_[e].find(w);
-            if (bit != backward_[e].end()) bit->second.Remove(v);
-          });
-          edge_counts_[e] -= it->second.Cardinality();
-          forward_[e].erase(it);
-        }
-        for (QueryEdgeId e : q.InEdges(p)) {
-          auto it = backward_[e].find(v);
-          if (it == backward_[e].end()) continue;
-          it->second.ForEach([&](NodeId u) {
-            auto fit = forward_[e].find(u);
-            if (fit != forward_[e].end()) fit->second.Remove(v);
-          });
-          edge_counts_[e] -= it->second.Cardinality();
-          backward_[e].erase(it);
-        }
-      }
-    }
-  }
-}
-
 }  // namespace rigpm

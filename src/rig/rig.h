@@ -64,11 +64,6 @@ class Rig {
 
   std::string Summary() const;
 
-  /// Removes nodes from cos(q) that lost all incident RIG edges for some
-  /// incident query edge during expansion (cheap post-pass; keeps the RIG
-  /// small without affecting losslessness).
-  void PruneIsolated(const PatternQuery& q);
-
  private:
   using AdjacencyMap = std::unordered_map<NodeId, Bitmap>;
 

@@ -1,17 +1,10 @@
 #include "rig/rig_builder.h"
 
 #include <algorithm>
-#include <chrono>
 
 namespace rigpm {
 
 namespace {
-
-double MsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
 
 // Expands one query edge (Procedure expand): connects every vp in cos(p) to
 // its partners in cos(q).
@@ -66,7 +59,6 @@ CandidateSets SelectRigNodes(const MatchContext& ctx, const PatternQuery& q,
                              CandidateSets initial,
                              const RigBuildOptions& opts,
                              RigBuildStats* stats) {
-  auto t0 = std::chrono::steady_clock::now();
   CandidateSets cos = std::move(initial);
   if (!opts.skip_simulation) {
     // The simulation starts from the given sets: sound because every prune
@@ -75,7 +67,6 @@ CandidateSets SelectRigNodes(const MatchContext& ctx, const PatternQuery& q,
                                   opts.sim,
                                   stats != nullptr ? &stats->sim : nullptr);
   }
-  if (stats != nullptr) stats->select_ms = MsSince(t0);
   return cos;
 }
 
@@ -86,14 +77,11 @@ Rig ExpandRig(const MatchContext& ctx, const PatternQuery& q,
 
   // Expansion is skipped entirely when some cos(q) is empty: the answer is
   // empty (early termination, Section 4.3).
-  auto t1 = std::chrono::steady_clock::now();
   if (!rig.AnyEmpty()) {
     for (QueryEdgeId e = 0; e < q.NumEdges(); ++e) {
       ExpandEdge(ctx, q, e, intervals, opts.early_termination, &rig, stats);
     }
-    if (opts.prune_isolated) rig.PruneIsolated(q);
   }
-  if (stats != nullptr) stats->expand_ms = MsSince(t1);
   return rig;
 }
 

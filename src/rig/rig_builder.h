@@ -27,28 +27,20 @@ struct RigBuildOptions {
   /// cos(q) in ascending `begin` order, stop at the first vq with
   /// end(vp) < begin(vq) (Section 4.5; up to 30% expansion speedup).
   bool early_termination = true;
-
-  /// Drop candidates that end the expansion phase without a RIG edge on
-  /// some incident query edge. Off by default (matches the paper; MJoin
-  /// handles them through empty intersections).
-  bool prune_isolated = false;
 };
 
 struct RigBuildStats {
   SimStats sim;
   uint64_t expand_pair_checks = 0;  // candidate pairs probed in expansion
   uint64_t early_cutoffs = 0;       // scans stopped by the interval cutoff
-  double select_ms = 0.0;
-  double expand_ms = 0.0;
 };
 
 /// Procedure select of Algorithm 4 as a standalone stage: refines `initial`
 /// into the RIG node sets cos(q) by running the double simulation from
 /// `initial` itself (a pass-through when opts.skip_simulation). `initial`
-/// must contain os(q): ms(q), or the pre-filtered sets the pipeline's
-/// Prefilter phase computes, which the simulation then does not re-prune.
-/// Fills stats->sim and stats->select_ms. The staged query pipeline
-/// (engine/pipeline.h) runs this as its Simulate phase.
+/// must contain os(q): ms(q), or the pre-filtered sets GmEngine's Prefilter
+/// phase computes, which the simulation then does not re-prune. Fills
+/// stats->sim. GmEngine runs this as its Simulate phase.
 CandidateSets SelectRigNodes(const MatchContext& ctx, const PatternQuery& q,
                              CandidateSets initial,
                              const RigBuildOptions& opts = {},
@@ -57,7 +49,8 @@ CandidateSets SelectRigNodes(const MatchContext& ctx, const PatternQuery& q,
 /// Procedure expand of Algorithm 4 as a standalone stage: wraps the selected
 /// node sets into a Rig and materializes the RIG edges per query edge.
 /// Expansion is skipped when some cos(q) is empty (the answer is then
-/// provably empty). Fills stats->expand_* and stats->expand_ms.
+/// provably empty). Fills stats->expand_pair_checks and
+/// stats->early_cutoffs. GmEngine runs this as its BuildRig phase.
 Rig ExpandRig(const MatchContext& ctx, const PatternQuery& q,
               CandidateSets cos, const RigBuildOptions& opts = {},
               const IntervalLabels* intervals = nullptr,

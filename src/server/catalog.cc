@@ -733,14 +733,6 @@ bool EngineCatalog::Has(const std::string& id) const {
   return Find(id) != nullptr;
 }
 
-bool EngineCatalog::any_refreshable() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [id, entry] : entries_) {
-    if (!entry->source.delta_path.empty()) return true;
-  }
-  return false;
-}
-
 std::string EngineCatalog::default_id() const {
   std::lock_guard<std::mutex> lock(mu_);
   return default_id_;

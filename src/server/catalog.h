@@ -240,12 +240,6 @@ class EngineCatalog {
 
   bool Has(const std::string& id) const;
 
-  /// True when at least one tenant has a delta source — the server's
-  /// "workers must drop idle engine pins" volatility signal.
-  bool any_refreshable() const;
-
-  uint32_t max_engines() const { return max_engines_; }
-
   /// Per-tenant result-cache byte budget attached to engines opened (or
   /// refreshed) from now on; 0 disables caching for them. Configure before
   /// serving starts — already-resident generations keep the cache they

@@ -95,33 +95,6 @@ std::string QueryServer::endpoint() const {
   return config_.host + ":" + std::to_string(bound_port_);
 }
 
-QueryServer::TenantSlot* QueryServer::SyncWorkerEngine(
-    WorkerEngine& we, const std::string& graph_id, std::string* error,
-    bool* bad_request) {
-  std::shared_ptr<const EngineState> current =
-      catalog_->Acquire(graph_id, error);
-  if (current == nullptr) {
-    // An id the catalog has never heard of is the client's mistake; a
-    // registered source that fails to open is the server's.
-    const std::string& resolved =
-        graph_id.empty() ? catalog_->default_id() : graph_id;
-    *bad_request = !catalog_->Has(resolved);
-    return nullptr;
-  }
-  // Slots are keyed by the resolved id so "" and the default tenant's
-  // explicit name share one pin (and one warm context).
-  const std::string key = graph_id.empty() ? catalog_->default_id() : graph_id;
-  TenantSlot& slot = we.slots[key];
-  if (current != slot.state) {
-    // The context references the state's graph/index; drop it before the
-    // state so nothing dangles, then rebuild against the fresh engine.
-    slot.ctx.reset();
-    slot.state = std::move(current);
-    slot.ctx.emplace(slot.state->engine->MakeContext());
-  }
-  return &slot;
-}
-
 bool QueryServer::Start(std::string* error) {
   auto fail = [&](const std::string& msg) {
     if (error != nullptr) *error = msg;
@@ -231,10 +204,6 @@ bool QueryServer::Start(std::string* error) {
   stop_.store(false);
   running_.store(true);
   start_time_ = std::chrono::steady_clock::now();
-  // Refreshable tenants can be superseded, capped catalogs can evict —
-  // either way an idle worker pin would keep a dead engine resident.
-  engines_volatile_ =
-      catalog_->any_refreshable() || catalog_->max_engines() > 0;
 
   uint32_t workers = ResolveWorkerCount(config_.num_workers,
                                         std::numeric_limits<size_t>::max());
@@ -699,10 +668,8 @@ void QueryServer::CloseIdleConnections() {
 // --------------------------------------------------------------- workers
 
 void QueryServer::WorkerLoop(size_t /*worker_index*/) {
-  WorkerEngine we;
   while (true) {
     WorkItem item;
-    bool queue_empty;
     {
       std::unique_lock<std::mutex> lock(queue_mu_);
       queue_cv_.wait(lock,
@@ -714,21 +681,12 @@ void QueryServer::WorkerLoop(size_t /*worker_index*/) {
       }
       item = std::move(dispatch_q_.front());
       dispatch_q_.pop_front();
-      queue_empty = dispatch_q_.empty();
     }
-    ProcessItem(std::move(item), we);
-    if (engines_volatile_ || queue_empty) {
-      // Drop the engine pins between requests (refreshable or evicting
-      // catalogs) and whenever the worker goes idle: an idle pin would
-      // keep a superseded or evicted graph + index generation resident.
-      // Static unlimited catalogs under load keep the contexts warm
-      // instead.
-      we.slots.clear();
-    }
+    ProcessItem(std::move(item));
   }
 }
 
-void QueryServer::ProcessItem(WorkItem item, WorkerEngine& we) {
+void QueryServer::ProcessItem(WorkItem item) {
   ByteSource src(item.frame.data(), item.frame.size());
   const RequestHeader header = ReadRequestHeader(src);
   const MessageType type = ReadMessageType(src);
@@ -753,21 +711,25 @@ void QueryServer::ProcessItem(WorkItem item, WorkerEngine& we) {
                  src.ok() ? "trailing bytes in query request" : src.error());
           break;
         }
-        // Pick up any engine published by a refresh (or reopened after an
-        // eviction) since the last request; queries in flight elsewhere
-        // keep their own pins.
-        std::string sync_error;
-        bool bad_request = false;
-        TenantSlot* slot =
-            SyncWorkerEngine(we, header.graph_id, &sync_error, &bad_request);
-        if (slot == nullptr) {
-          reject(bad_request ? StatusCode::kBadRequest
-                             : StatusCode::kInternalError,
-                 sync_error);
+        // Pin the tenant's current engine (the one a refresh published
+        // last, or a reopen after an eviction) for this request only; the
+        // pin drops at the end of this block, before the response is
+        // queued, so an idle worker keeps no superseded engine alive.
+        std::string acquire_error;
+        std::shared_ptr<const EngineState> state =
+            catalog_->Acquire(header.graph_id, &acquire_error);
+        if (state == nullptr) {
+          // An id the catalog has never heard of is the client's mistake; a
+          // registered source that fails to open is the server's.
+          std::string resolved = header.graph_id;
+          if (resolved.empty()) resolved = catalog_->default_id();
+          reject(catalog_->Has(resolved) ? StatusCode::kInternalError
+                                         : StatusCode::kBadRequest,
+                 acquire_error);
           break;
         }
         auto t0 = std::chrono::steady_clock::now();
-        HandleQuery(req, header.graph_id, *slot, response);
+        HandleQuery(req, header.graph_id, *state, response);
         RecordLatency(MsSince(t0));
         break;
       }
@@ -843,13 +805,12 @@ void QueryServer::FinishRequest(const std::shared_ptr<Connection>& conn,
 // -------------------------------------------------------------- handlers
 
 void QueryServer::HandleQuery(const QueryRequest& req,
-                              const std::string& graph_id, TenantSlot& slot,
-                              ByteSink& out) {
-  const GmEngine& engine = *slot.state->engine;
-  EvalContext& ctx = *slot.ctx;
+                              const std::string& graph_id,
+                              const EngineState& state, ByteSink& out) {
+  const GmEngine& engine = *state.engine;
   // Generation-scoped: lives and dies with the pinned state, so a hit is
   // always consistent with the engine this request would have evaluated on.
-  const std::shared_ptr<ResultCache>& cache = slot.state->cache;
+  const std::shared_ptr<ResultCache>& cache = state.cache;
   auto respond_error = [&](StatusCode status, const std::string& msg) {
     {
       std::lock_guard<std::mutex> lock(stats_mu_);
@@ -968,9 +929,9 @@ void QueryServer::HandleQuery(const QueryRequest& req,
         };
       }
     }
-    // Every pattern runs in request order on the worker's own context.
+    // Every pattern runs in request order on this worker.
     for (const PatternQuery& q : queries) {
-      GmResult r = engine.Evaluate(ctx, q, opts, sink);
+      GmResult r = engine.Evaluate(q, opts, sink);
       QueryResultWire w;
       w.num_occurrences = r.num_occurrences;
       w.hit_limit = r.hit_limit;

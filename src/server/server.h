@@ -8,7 +8,6 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -79,23 +78,23 @@ struct ServerConfig {
 /// Multi-tenancy: every request header names a graph id, and an empty one
 /// goes to the catalog's default tenant. Every served graph is a catalog
 /// tenant: a snapshot source registered with EngineCatalog::Register, or an
-/// in-memory engine handed over with EngineCatalog::AdoptEngine. Workers
-/// pin engines per tenant; the catalog opens sources lazily and (with a
-/// max_engines cap) evicts least-recently-used, never under an in-flight
-/// query.
+/// in-memory engine handed over with EngineCatalog::AdoptEngine. A worker
+/// pins the addressed tenant's engine for one request; the catalog opens
+/// sources lazily and (with a max_engines cap) evicts least-recently-used,
+/// never under an in-flight query.
 ///
 /// Threading: one event-loop thread owns every socket — it accepts, does
 /// non-blocking frame reassembly per connection (epoll, level-triggered
 /// with EPOLLONESHOT re-arm), and flushes per-connection write queues.
 /// Complete requests are handed to a fixed worker pool over a dispatch
-/// queue; each worker owns a reusable EvalContext (the same per-worker-
-/// scratch design as GmEngine::EvaluateBatch), so per-query results are
-/// identical to in-process evaluation; a multi-pattern request evaluates
-/// its patterns one after another on that context. Workers never touch
-/// sockets: a finished response is queued on its connection and the loop
-/// is woken over an eventfd, which keeps every fd single-writer and lets
-/// thousands of idle or slow connections coexist with a handful of
-/// workers.
+/// queue. A worker calls GmEngine::Evaluate on the pinned engine, as
+/// EvaluateBatch's workers do, so per-query results are identical to
+/// in-process evaluation; a multi-pattern request evaluates its patterns
+/// one after another. It drops the pin before it queues the response, so
+/// an idle worker holds no engine. Workers never touch sockets: a finished
+/// response is queued on its connection and the loop is woken over an
+/// eventfd, which keeps every fd single-writer and lets thousands of idle
+/// or slow connections coexist with a handful of workers.
 ///
 /// Pipelining: up to max_pipeline requests per connection run concurrently
 /// and complete in any order; each response echoes its request's id.
@@ -154,21 +153,6 @@ class QueryServer {
   const EngineCatalog& catalog() const { return *catalog_; }
 
  private:
-  /// A worker's pin on one tenant: the acquired state plus the EvalContext
-  /// built against it. Sync re-acquires and rebuilds the context when the
-  /// catalog published a newer state (refresh) since the last request.
-  struct TenantSlot {
-    std::shared_ptr<const EngineState> state;
-    std::optional<EvalContext> ctx;
-  };
-
-  /// A worker's view of the served engines, one slot per tenant it has
-  /// touched. Cleared between requests on volatile catalogs (refreshable
-  /// or capped) so idle workers hold no superseded or evicted engines.
-  struct WorkerEngine {
-    std::unordered_map<std::string, TenantSlot> slots;
-  };
-
   /// Per-connection state machine. The event loop owns the fd and all
   /// read-side fields; `mu` guards only what workers also touch (the write
   /// queue and in-flight accounting).
@@ -229,24 +213,17 @@ class QueryServer {
   bool Drained();
 
   /// Worker side: evaluates one parsed frame and queues the response.
-  void ProcessItem(WorkItem item, WorkerEngine& we);
+  void ProcessItem(WorkItem item);
   void FinishRequest(const std::shared_ptr<Connection>& conn,
                      std::vector<uint8_t> framed_response, bool close_after);
   void WakeLoop();
 
-  /// Resolves graph_id ("" = default) through the catalog into the
-  /// worker's slot for that tenant, re-pinning when the published state
-  /// changed. Returns null with *error filled (and *bad_request set for an
-  /// unknown id) when the tenant cannot be served.
-  TenantSlot* SyncWorkerEngine(WorkerEngine& we, const std::string& graph_id,
-                               std::string* error, bool* bad_request);
-
   // Handlers append the response type and body to `out`, which already
   // holds the echoed request id.
 
-  /// Evaluates one query request on the tenant's pinned engine.
+  /// Evaluates one query request on the tenant's pinned engine state.
   void HandleQuery(const QueryRequest& req, const std::string& graph_id,
-                   TenantSlot& slot, ByteSink& out);
+                   const EngineState& state, ByteSink& out);
   /// Replays the tenant's new delta records and swaps its engine
   /// (per-tenant serialized inside the catalog).
   void HandleRefresh(const std::string& graph_id, ByteSink& out);
@@ -260,9 +237,6 @@ class QueryServer {
   /// The served engines. Workers acquire per request; refresh and eviction
   /// publish through it. Never null.
   std::shared_ptr<EngineCatalog> catalog_;
-  /// Snapshot of "can an engine be superseded or evicted" taken at Start;
-  /// tells workers to drop their pins between requests.
-  bool engines_volatile_ = false;
 
   int listen_fd_ = -1;
   int epoll_fd_ = -1;

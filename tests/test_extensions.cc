@@ -50,6 +50,28 @@ TEST(PatternParser, RejectsErrors) {
   EXPECT_FALSE(ParsePattern("(a:0)~>(b:1)", &error).has_value());  // bad edge
   EXPECT_FALSE(ParsePattern("(a:0)->", &error).has_value());
   EXPECT_FALSE(ParsePattern("(:0)->(b:1)", &error).has_value());  // no name
+
+  // Numbers that do not fit 32 bits are errors that name their offset.
+  const char* huge_label = "(a:0)->(b:99999999999999999999999)";
+  EXPECT_FALSE(ParsePattern(huge_label, &error).has_value());
+  EXPECT_NE(error.find("label"), std::string::npos) << error;
+  EXPECT_NE(error.find("offset 10"), std::string::npos) << error;
+  EXPECT_FALSE(ParsePattern("(a:0)->(b:4294967297)", &error).has_value());
+  EXPECT_NE(error.find("label"), std::string::npos) << error;
+  EXPECT_FALSE(ParsePattern("(a:0)=4294967296>(c:2)", &error).has_value());
+  EXPECT_NE(error.find("hop bound"), std::string::npos) << error;
+  EXPECT_NE(error.find("offset 6"), std::string::npos) << error;
+  // A path needs at least one edge; =0> must not mean "unbounded".
+  EXPECT_FALSE(ParsePattern("(a:0)=0>(c:2)", &error).has_value());
+  EXPECT_NE(error.find("hop bound"), std::string::npos) << error;
+
+  // The largest values that fit still parse.
+  auto max_label = ParsePattern("(a:4294967295)", &error);
+  ASSERT_TRUE(max_label.has_value()) << error;
+  EXPECT_EQ(max_label->Label(0), 4294967295u);
+  auto max_hops = ParsePattern("(a:0)=4294967295>(c:2)", &error);
+  ASSERT_TRUE(max_hops.has_value()) << error;
+  EXPECT_EQ(max_hops->Edge(0).max_hops, 4294967295u);
 }
 
 TEST(PatternParser, RoundTripThroughToString) {

@@ -171,22 +171,6 @@ TEST(Rig, EmptyCosShortCircuitsEverything) {
   EXPECT_EQ(MJoinCount(q, rig, order), 0u);
 }
 
-TEST(Rig, PruneIsolatedRemovesDeadCandidates) {
-  Graph g = PaperExample::MakeGraph();
-  auto reach = BuildReachabilityIndex(g, ReachKind::kBfl);
-  MatchContext ctx(g, *reach);
-  PatternQuery q = PaperExample::MakeQuery();
-  // Build the *match* RIG (no simulation): it contains candidates like a0
-  // that have no (A,B) edge; prune_isolated must remove them.
-  RigBuildOptions opts;
-  opts.skip_simulation = true;
-  opts.prune_isolated = true;
-  Rig rig = BuildRigFromMatchSets(ctx, q, opts);
-  EXPECT_FALSE(rig.Cos(0).Contains(PaperExample::a0));
-  EXPECT_FALSE(rig.Cos(1).Contains(PaperExample::b1));
-  EXPECT_FALSE(rig.Cos(1).Contains(PaperExample::b3));
-}
-
 // --- Search orders.
 
 TEST_F(RigFixture, OrdersArePermutationsWithConnectedPrefixes) {

@@ -190,7 +190,12 @@ TEST_F(ServerTest, SingleQueryMatchesInProcessEvaluation) {
   ASSERT_EQ(resp->status, StatusCode::kOk) << resp->error;
   ASSERT_EQ(resp->results.size(), 1u);
   EXPECT_EQ(resp->results[0].num_occurrences, 4u);
-  EXPECT_FALSE(resp->results[0].phase_timings.empty());
+  // The served phase names are GmEngine's six, in execution order.
+  std::string phases;
+  for (const PhaseTimingWire& pt : resp->results[0].phase_timings) {
+    phases += pt.name + " ";
+  }
+  EXPECT_EQ(phases, "Reduce Prefilter Simulate BuildRig Order Enumerate ");
 
   // The echoed tuples are the exact in-process answer set.
   ASSERT_EQ(resp->tuple_arity, 3u);
@@ -420,6 +425,19 @@ TEST_F(ServerTest, ParseErrorIsReportedNotFatal) {
   auto ok = client.Query(PaperRequest());
   ASSERT_TRUE(ok.has_value());
   EXPECT_EQ(ok->status, StatusCode::kOk);
+
+  // A label too large for 32 bits is a parse error too, and the connection
+  // keeps serving.
+  req.patterns = {"(a:0)->(b:99999999999999999999999)"};
+  auto big = client.Query(req);
+  ASSERT_TRUE(big.has_value());
+  EXPECT_EQ(big->status, StatusCode::kParseError);
+  EXPECT_NE(big->error.find("label"), std::string::npos) << big->error;
+  auto after = client.Query(PaperRequest());
+  ASSERT_TRUE(after.has_value());
+  ASSERT_EQ(after->status, StatusCode::kOk) << after->error;
+  ASSERT_EQ(after->results.size(), 1u);
+  EXPECT_EQ(after->results[0].num_occurrences, 4u);
 }
 
 TEST_F(ServerTest, UnknownTemplateIsRejected) {
@@ -1050,6 +1068,32 @@ TEST_F(RefreshTest, RefreshMatchesColdRebuildOfBasePlusDelta) {
   EXPECT_EQ(r3->status, StatusCode::kOk);
   EXPECT_EQ(r3->records_applied, 0u);
   EXPECT_EQ(server_->Snapshot().refreshes, 2u);
+}
+
+TEST_F(RefreshTest, IdleWorkersHoldNoSupersededEngine) {
+  // Workers pin a tenant's engine for one request and drop the pin before
+  // the response is queued. So once a refresh has published a successor
+  // and a query has been answered, nothing holds the old state: its last
+  // reference is gone by the time the client reads the answer, with no
+  // sleep or poll.
+  std::string error;
+  std::weak_ptr<const EngineState> old_state =
+      server_->catalog().Acquire("", &error);
+  ASSERT_FALSE(old_state.expired()) << error;
+
+  const std::string pattern = "(a:0)->(b:1)";
+  QueryClient client;
+  ASSERT_TRUE(client.ConnectUnix(config_.unix_path, &error)) << error;
+  const uint64_t before = ServedCount(client, pattern);
+
+  AppendBatch({{0, 3}, {0, 7}});
+  auto refreshed = client.Refresh(&error);
+  ASSERT_TRUE(refreshed.has_value()) << error;
+  ASSERT_EQ(refreshed->status, StatusCode::kOk) << refreshed->error;
+  ASSERT_EQ(refreshed->records_applied, 1u);
+  EXPECT_EQ(ServedCount(client, pattern), before + 1);  // the new 0->3
+
+  EXPECT_TRUE(old_state.expired());
 }
 
 TEST_F(RefreshTest, LogBoundToDifferentBaseIsRejected) {

@@ -776,7 +776,7 @@ int RunBatch(const Graph& graph, GmEngine* warm_engine, const CliArgs& args) {
                 results[i].hit_limit ? " (limit reached)" : "");
     if (args.stats) {
       std::printf("  [matching %.2f ms, enumerate %.2f ms]",
-                  results[i].MatchingMs(), results[i].enumerate_ms);
+                  results[i].MatchingMs(), results[i].PhaseMs("Enumerate"));
     }
     std::printf("\n");
   }
