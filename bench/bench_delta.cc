@@ -157,12 +157,13 @@ int main() {
   });
   std::optional<Graph> merged_b;
   double replay_ms = TimeMs([&] {
-    DeltaReader reader(delta_log);
-    merged_b = ReplayDelta(base, reader, &error);
-    if (!merged_b.has_value()) {
-      std::fprintf(stderr, "delta replay failed: %s\n", error.c_str());
+    DeltaRead read = ReadDeltaSince(delta_log, DefaultSnapshotIoMode(),
+                                    info->stored_checksum, base.NumNodes());
+    if (!read.ok) {
+      std::fprintf(stderr, "delta replay failed: %s\n", read.error.c_str());
       std::exit(1);
     }
+    merged_b = ApplyDeltaOps(base, read.ops);
   });
   std::optional<GmEngine> engine_b;
   double index_b_ms = TimeMs([&] { engine_b.emplace(*merged_b); });

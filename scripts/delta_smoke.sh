@@ -8,7 +8,10 @@
 # log: it must serve base + both records from its first query, before any
 # refresh. The daemon deliberately runs FEWER workers (2) than concurrent
 # clients (4): the event loop multiplexes, so the old "size the pool above
-# the client count" caveat must stay dead.
+# the client count" caveat must stay dead. Last, `delta replay --out` must
+# write a snapshot that serves what snapshot + log serve, and must refuse
+# a log with a flipped byte in an acknowledged record and a log bound to
+# another base.
 #
 # usage: scripts/delta_smoke.sh BUILD_DIR
 set -eu
@@ -183,5 +186,45 @@ grep -q "refresh: 0 record(s)" <<<"${out}" || {
   echo "FAIL: a restarted daemon must already serve the whole log" >&2
   exit 1; }
 stop_daemon "${WORK_DIR}/serve2.log"
+
+echo "== delta replay --out: the compacted snapshot serves base + log"
+SNAP2=${WORK_DIR}/compacted.snap
+"${BUILD_DIR}/rigpm_cli" delta replay --base "${SNAP}" --delta "${DELTA}" \
+  --out "${SNAP2}"
+for q in "${QUERIES[@]}"; do
+  compacted=$(count_of "$("${BUILD_DIR}/rigpm_cli" --load-snapshot \
+                "${SNAP2}" --pattern "${q}" --print 0)")
+  overlaid=$(count_of "$("${BUILD_DIR}/rigpm_cli" --load-snapshot \
+               "${SNAP}" --delta "${DELTA}" --pattern "${q}" --print 0)")
+  echo "query '${q}': compacted=${compacted} snapshot+delta=${overlaid}"
+  if [ "${compacted}" != "${overlaid}" ] || [ -z "${compacted}" ]; then
+    echo "FAIL: count mismatch" >&2
+    exit 1
+  fi
+done
+
+# expect_replay_refused BASE LOG WORD: `delta replay` exits 1 naming WORD.
+expect_replay_refused() {
+  code=0
+  out=$("${BUILD_DIR}/rigpm_cli" delta replay --base "$1" --delta "$2" \
+          2>&1) || code=$?
+  echo "${out}"
+  [ "${code}" = "1" ] || {
+    echo "FAIL: delta replay exited ${code}, expected 1" >&2; exit 1; }
+  grep -q "$3" <<<"${out}" || {
+    echo "FAIL: delta replay did not say '$3'" >&2; exit 1; }
+}
+
+echo "== delta replay refuses a flipped byte in an acknowledged record"
+# Record 1's edge list starts past the 32-byte file header and its own
+# 32-byte record header; record 2 follows, so the damage is no torn tail.
+cp "${DELTA}" "${WORK_DIR}/flipped.delta"
+byte=$(od -An -tu1 -j 64 -N1 "${WORK_DIR}/flipped.delta" | tr -d ' ')
+printf "$(printf '\\%03o' $(( byte ^ 0x5a )))" |
+  dd of="${WORK_DIR}/flipped.delta" bs=1 seek=64 conv=notrunc status=none
+expect_replay_refused "${SNAP}" "${WORK_DIR}/flipped.delta" "corrupt"
+
+echo "== delta replay refuses a log bound to another base"
+expect_replay_refused "${SNAP2}" "${DELTA}" "different base"
 
 echo "delta smoke: OK"

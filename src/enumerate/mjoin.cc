@@ -111,25 +111,4 @@ uint64_t MJoin(const PatternQuery& q, const Rig& rig,
   return e.Run();
 }
 
-std::vector<Occurrence> MJoinCollect(const PatternQuery& q, const Rig& rig,
-                                     std::span<const QueryNodeId> order,
-                                     const MJoinOptions& opts,
-                                     MJoinStats* stats) {
-  std::vector<Occurrence> out;
-  MJoin(
-      q, rig, order,
-      [&out](const Occurrence& t) {
-        out.push_back(t);
-        return true;
-      },
-      opts, stats);
-  return out;
-}
-
-uint64_t MJoinCount(const PatternQuery& q, const Rig& rig,
-                    std::span<const QueryNodeId> order,
-                    const MJoinOptions& opts, MJoinStats* stats) {
-  return MJoin(q, rig, order, nullptr, opts, stats);
-}
-
 }  // namespace rigpm

@@ -48,18 +48,6 @@ uint64_t MJoin(const PatternQuery& q, const Rig& rig,
                std::span<const QueryNodeId> order, const OccurrenceSink& sink,
                const MJoinOptions& opts = {}, MJoinStats* stats = nullptr);
 
-/// Convenience wrapper materializing the (possibly limited) answer.
-std::vector<Occurrence> MJoinCollect(const PatternQuery& q, const Rig& rig,
-                                     std::span<const QueryNodeId> order,
-                                     const MJoinOptions& opts = {},
-                                     MJoinStats* stats = nullptr);
-
-/// Counts occurrences without materializing them.
-uint64_t MJoinCount(const PatternQuery& q, const Rig& rig,
-                    std::span<const QueryNodeId> order,
-                    const MJoinOptions& opts = {},
-                    MJoinStats* stats = nullptr);
-
 }  // namespace rigpm
 
 #endif  // RIGPM_ENUMERATE_MJOIN_H_

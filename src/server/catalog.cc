@@ -131,56 +131,13 @@ std::shared_ptr<const EngineState> EngineCatalog::Acquire(
     hits_.fetch_add(1, std::memory_order_relaxed);
     return state;
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  std::shared_ptr<const EngineState> opened = Open(*entry, error);
-  if (opened == nullptr) return nullptr;
-  {
-    std::lock_guard<std::mutex> lock(entry->state_mu);
-    entry->state = opened;
+  std::shared_ptr<const EngineState> opened;
+  CatalogRefreshResult r = RefreshLocked(*entry, &opened);
+  if (!r.ok) {
+    SetError(error, r.error);
+    return nullptr;
   }
-  EnforceCap(entry.get());
   return opened;
-}
-
-std::shared_ptr<const EngineState> EngineCatalog::Open(Entry& e,
-                                                       std::string* error) {
-  if (e.adopted) {
-    // Adopted engines have no source to reopen from; they are pinned
-    // resident, so a null state here cannot happen in practice.
-    SetError(error, "tenant \"" + e.id + "\" has no snapshot to open");
-    return nullptr;
-  }
-  // A compaction may have re-pointed this tenant's storage at a newer
-  // generation: always open what the lineage head names, not the
-  // configured gen-0 paths.
-  std::string lineage_error;
-  if (!ResolveEntryLineage(e, &lineage_error)) {
-    SetError(error, lineage_error);
-    return nullptr;
-  }
-  // Replay the ENTIRE current log over the base: an open after eviction
-  // must serve base+log exactly as the pre-eviction engine did after its
-  // refreshes — never a stale base, never a partial prefix.
-  LoadOptions options;
-  options.io_mode = e.source.io_mode;
-  options.delta_path = e.lineage.delta_path;
-  options.delta_io = e.source.delta_io;
-  std::string load_error;
-  auto warm = LoadEngineSnapshot(e.lineage.snapshot_path, options, &load_error);
-  if (!warm.has_value()) {
-    SetError(error, "cannot open engine for graph \"" + e.id +
-                        "\": " + load_error);
-    return nullptr;
-  }
-  auto state = std::make_shared<EngineState>();
-  state->base_checksum = warm->stored_checksum;
-  state->applied_seqno = warm->applied_seqno;
-  state->applied_chain = warm->applied_chain;
-  state->applied_end_offset = warm->applied_end_offset;
-  state->graph = std::shared_ptr<const Graph>(std::move(warm->graph));
-  state->engine = std::shared_ptr<const GmEngine>(std::move(warm->engine));
-  state->cache = MakeCache();
-  return state;
 }
 
 bool EngineCatalog::ResolveEntryLineage(Entry& e, std::string* error) {
@@ -258,21 +215,20 @@ CatalogRefreshResult EngineCatalog::Refresh(const std::string& id) {
   return RefreshLocked(*entry);
 }
 
-CatalogRefreshResult EngineCatalog::RefreshLocked(Entry& e, bool fast_tail) {
+CatalogRefreshResult EngineCatalog::RefreshLocked(
+    Entry& e, std::shared_ptr<const EngineState>* serving) {
   CatalogRefreshResult result;
-  std::string lineage_error;
-  if (!ResolveEntryLineage(e, &lineage_error)) {
-    result.error = lineage_error;
-    return result;
-  }
-  const std::string delta_path = e.lineage.delta_path;
+  if (!ResolveEntryLineage(e, &result.error)) return result;
 
   std::shared_ptr<const EngineState> old_state = StateOf(e);
-  bool newly_opened = false;
-  if (old_state == nullptr) {
-    // Refresh of a non-resident tenant: open the BASE alone (a cheap
-    // prebuilt-index deserialize) and run the normal replay path below, so
-    // the response reports exactly what the log contributed.
+  const bool newly_opened = old_state == nullptr;
+  if (newly_opened) {
+    // A cold tenant opens one way: its BARE base (a cheap prebuilt-index
+    // deserialize; a compaction may have re-pointed the lineage at a newer
+    // generation), then the catch-up below over the ENTIRE current log —
+    // an open after eviction serves base + log exactly as the engine did
+    // before, and a refresh reports exactly what the log contributed.
+    misses_.fetch_add(1, std::memory_order_relaxed);
     LoadOptions options;
     options.io_mode = e.source.io_mode;
     std::string load_error;
@@ -288,171 +244,68 @@ CatalogRefreshResult EngineCatalog::RefreshLocked(Entry& e, bool fast_tail) {
     base->graph = std::shared_ptr<const Graph>(std::move(warm->graph));
     base->engine = std::shared_ptr<const GmEngine>(std::move(warm->engine));
     base->cache = MakeCache();
-    old_state = base;
-    newly_opened = true;
-    misses_.fetch_add(1, std::memory_order_relaxed);
+    old_state = std::move(base);
   }
   const Graph& old_graph = old_state->engine->graph();
 
-  auto publish = [&](std::shared_ptr<const EngineState> state) {
+  DeltaRead read;
+  read.ok = true;  // no log configured: the base is the whole graph
+  if (!e.lineage.delta_path.empty()) {
+    read = ReadDeltaSince(e.lineage.delta_path, e.source.delta_io,
+                          old_state->base_checksum, old_graph.NumNodes(),
+                          old_state->applied_seqno, old_state->applied_chain);
+  }
+  if (!read.ok) {
+    result.bad_request = read.mismatch;
+    result.error = read.error;
+    return result;
+  }
+  const ReplayStats& stats = read.stats;
+  std::shared_ptr<const EngineState> next = old_state;
+  if (stats.records_applied > 0) {
+    // The successor: merged graph + a fresh reachability index.
+    auto state = std::make_shared<EngineState>();
+    state->graph =
+        std::make_shared<const Graph>(ApplyDeltaOps(old_graph, read.ops));
+    state->engine = std::make_shared<const GmEngine>(*state->graph);
+    state->applied_seqno = stats.last_seqno;
+    state->applied_chain = stats.end_chain;
+    state->applied_end_offset = stats.end_offset;
+    state->base_checksum = old_state->base_checksum;
+    // A fresh EMPTY cache, never the old one: every entry of the outgoing
+    // generation answered on the pre-refresh graph.
+    state->cache = MakeCache();
+    // An open replays deletes a served graph already had applied before
+    // (an eviction, a restart); only a resident tenant's refresh counts.
+    if (!newly_opened) {
+      deletes_applied_.fetch_add(stats.delete_ops, std::memory_order_relaxed);
+    }
+    next = std::move(state);
+  } else if (stats.end_offset != 0 &&
+             stats.end_offset != old_state->applied_end_offset) {
+    // Nothing new — but remember where the validated log ends, so the next
+    // poll's size comparison answers without reading (this is what
+    // bootstraps a state opened from its bare base).
+    auto bumped = std::make_shared<EngineState>(*old_state);
+    bumped->applied_end_offset = stats.end_offset;
+    next = std::move(bumped);
+  }
+  if (next != old_state || newly_opened) {
     {
       std::lock_guard<std::mutex> lock(e.state_mu);
-      e.state = std::move(state);
+      e.state = next;
     }
     EnforceCap(&e);
-  };
-  auto caught_up = [&]() {
-    result.ok = true;
-    result.last_seqno = old_state->applied_seqno;
-    result.num_nodes = old_graph.NumNodes();
-    result.num_edges = old_graph.NumEdges();
-    if (newly_opened) publish(old_state);
-    return result;
-  };
-
-  // The log is created lazily by the first append; a refresh that beats it
-  // is a healthy caught-up state, not an error. A zero-length file is the
-  // same state one crashed step later.
-  struct stat st{};
-  if (::stat(delta_path.c_str(), &st) != 0) {
-    if (errno == ENOENT) return caught_up();
-  } else if (st.st_size == 0) {
-    return caught_up();
-  } else if (fast_tail && old_state->applied_end_offset != 0 &&
-             static_cast<uint64_t>(st.st_size) ==
-                 old_state->applied_end_offset) {
-    // The O(1) poll answer: the log ends exactly where the applied prefix
-    // does, so there is nothing new — without reading a byte of it. (A
-    // same-size in-place rewrite is invisible to this check by design;
-    // that is why only the background poll takes it — an explicit client
-    // kRefresh re-validates the whole chain and catches the rewrite.)
-    return caught_up();
   }
-
-  std::string replay_error;
-  ReplayStats stats;
-  std::vector<DeltaOp> ops;
-  bool collected = false;
-  bool tail_torn_fast = false;
-
-  // Fast path: seek straight past the applied prefix and parse only the
-  // tail — the maintenance poll must stay O(new records), not O(log).
-  // Sound because the first tail record's header checksum is seeded by the
-  // applied prefix's chain checksum: bytes at this offset that are not the
-  // true continuation of the prefix we applied cannot validate. ANY
-  // trouble here (failed seek, parse error, torn or corrupt tail) falls
-  // through to the full from-header scan, which tells a corrupt log from
-  // a rewritten one exactly.
-  if (fast_tail && old_state->applied_end_offset != 0) {
-    DeltaReader tail(delta_path, e.source.delta_io);
-    const uint64_t chain = old_state->applied_seqno == 0
-                               ? tail.base_checksum()
-                               : old_state->applied_chain;
-    if (tail.ok() && tail.base_checksum() == old_state->base_checksum &&
-        tail.SeekTo(old_state->applied_end_offset, old_state->applied_seqno,
-                    chain)) {
-      std::string fast_error;
-      ReplayStats fast_stats;
-      std::vector<DeltaOp> fast_ops;
-      if (CollectDeltaOps(tail, old_graph.NumNodes(),
-                          old_state->applied_seqno, &fast_ops, &fast_stats,
-                          &fast_error)) {
-        if (!tail.truncated()) {
-          ops = std::move(fast_ops);
-          stats = fast_stats;
-          collected = true;
-        } else if (tail.tail_torn() && fast_stats.records_applied > 0) {
-          // A benignly torn tail after validated new records: those
-          // records chained off the applied prefix, so they are genuine.
-          ops = std::move(fast_ops);
-          stats = fast_stats;
-          collected = true;
-          tail_torn_fast = true;
-        }
-      }
-    }
-  }
-
-  if (!collected) {
-    DeltaReader reader(delta_path, e.source.delta_io);
-    if (!reader.ok()) {
-      result.error = "cannot read delta log: " + reader.error();
-      return result;
-    }
-    if (reader.base_checksum() != old_state->base_checksum) {
-      result.bad_request = true;
-      result.error = "delta log is bound to a different base snapshot";
-      return result;
-    }
-    if (!CollectDeltaOps(reader, old_graph.NumNodes(),
-                         old_state->applied_seqno, &ops, &stats,
-                         &replay_error)) {
-      result.error = replay_error;
-      return result;
-    }
-    // Corruption check FIRST: a corrupt record inside the already-applied
-    // prefix also stops the reader before the resume point, and diagnosing
-    // that as "rewritten log" would send the operator chasing the wrong
-    // remediation.
-    if (reader.truncated() && !reader.tail_torn()) {
-      result.error = "delta log is corrupt after record " +
-                     std::to_string(reader.records_read()) + " (" +
-                     reader.tail_error() + ") — refresh refused";
-      return result;
-    }
-    // The applied prefix must still be the prefix we applied: a log that
-    // was truncated and rewritten with reused seqnos must not be resumed
-    // by number alone.
-    if (old_state->applied_seqno > 0 &&
-        stats.resume_chain != old_state->applied_chain) {
-      result.bad_request = true;
-      result.error =
-          "delta log no longer contains the applied prefix (rewritten or "
-          "replaced since the last refresh) — restart the daemon from the "
-          "base snapshot";
-      return result;
-    }
-    result.log_truncated = reader.truncated();
-  } else {
-    result.log_truncated = tail_torn_fast;
-  }
+  result.ok = true;
+  result.log_truncated = read.torn_tail;
   result.records_applied = stats.records_applied;
   result.edges_in_records = stats.edges_in_records;
   result.delete_ops = stats.delete_ops;
-
-  if (stats.records_applied == 0) {
-    // Nothing new — but remember where the validated log ends so the next
-    // poll's size comparison can answer without reading (this is what
-    // bootstraps a state opened from its bare base, whose end offset
-    // starts unknown).
-    if (stats.end_offset != 0 &&
-        stats.end_offset != old_state->applied_end_offset) {
-      auto bumped = std::make_shared<EngineState>(*old_state);
-      bumped->applied_end_offset = stats.end_offset;
-      publish(std::move(bumped));
-      newly_opened = false;  // just published
-    }
-    return caught_up();
-  }
-
-  // Build the successor state: merged graph + a fresh reachability index.
-  auto new_state = std::make_shared<EngineState>();
-  new_state->graph =
-      std::make_shared<const Graph>(ApplyDeltaOps(old_graph, ops));
-  new_state->engine = std::make_shared<const GmEngine>(*new_state->graph);
-  new_state->applied_seqno = stats.last_seqno;
-  new_state->applied_chain = stats.end_chain;
-  new_state->applied_end_offset = stats.end_offset;
-  new_state->base_checksum = old_state->base_checksum;
-  // A fresh EMPTY cache, never the old one: every entry of the outgoing
-  // generation answered on the pre-refresh graph.
-  new_state->cache = MakeCache();
-  deletes_applied_.fetch_add(stats.delete_ops, std::memory_order_relaxed);
-  result.ok = true;
-  result.last_seqno = stats.last_seqno;
-  result.num_nodes = new_state->graph->NumNodes();
-  result.num_edges = new_state->graph->NumEdges();
-  publish(std::move(new_state));
+  result.last_seqno = next->applied_seqno;
+  result.num_nodes = next->engine->graph().NumNodes();
+  result.num_edges = next->engine->graph().NumEdges();
+  if (serving != nullptr) *serving = std::move(next);
   return result;
 }
 
@@ -650,14 +503,16 @@ uint32_t EngineCatalog::RunMaintenance() {
     if (state == nullptr) continue;  // evicted while we waited
 
     // The O(1) poll: on-disk size vs applied end offset. Equal means
-    // caught up without reading a byte; on any difference the refresh
-    // core does the real (tail-seek) work and the exact diagnosis.
+    // caught up without reading a byte; any other size gets the refresh
+    // every other path takes, which re-validates the log from its header.
+    // (A same-size rewrite in place is invisible to this check; a client
+    // --refresh always reads the log and catches it.)
     struct stat st{};
     const bool have_log =
         ::stat(entry->lineage.delta_path.c_str(), &st) == 0 && st.st_size > 0;
     if (have_log &&
         static_cast<uint64_t>(st.st_size) != state->applied_end_offset) {
-      CatalogRefreshResult r = RefreshLocked(*entry, /*fast_tail=*/true);
+      CatalogRefreshResult r = RefreshLocked(*entry);
       if (r.ok && r.records_applied > 0) {
         auto_refreshes_.fetch_add(1, std::memory_order_relaxed);
         ++actions;
@@ -736,13 +591,6 @@ bool EngineCatalog::Has(const std::string& id) const {
 std::string EngineCatalog::default_id() const {
   std::lock_guard<std::mutex> lock(mu_);
   return default_id_;
-}
-
-bool EngineCatalog::SetDefault(const std::string& id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (entries_.find(id) == entries_.end()) return false;
-  default_id_ = id;
-  return true;
 }
 
 }  // namespace rigpm::server

@@ -35,11 +35,10 @@ struct EngineState {
   /// from (0 for adopted engines, which have no snapshot and no log).
   /// Refreshes reject a delta log bound to a different base.
   uint64_t base_checksum = 0;
-  /// Byte offset just past the last applied log record (0 = unknown, e.g.
-  /// a tenant a refresh opened from its bare base). The refresh poll's fast
-  /// path: when the log's on-disk size equals this, the tenant is caught
-  /// up without reading a byte, and when it is larger the reader seeks
-  /// straight here and validates only the tail — never O(total log).
+  /// Byte offset just past the last applied log record (0 while no log
+  /// exists). The maintenance poll compares the log's on-disk size with
+  /// it: equal means caught up without reading a byte, any other size
+  /// means a refresh.
   uint64_t applied_end_offset = 0;
   /// Query-result cache for THIS generation (null when caching is off).
   /// Living on the state means invalidation is the RCU swap itself: a
@@ -127,7 +126,8 @@ struct MaintenanceStats {
   uint64_t auto_refreshes = 0;    // background polls that applied records
   uint64_t auto_compactions = 0;  // compactions the policy triggered
   uint64_t bytes_reclaimed = 0;   // old generations' bytes unlinked
-  uint64_t deletes_applied = 0;   // delete ops applied by any refresh
+  uint64_t deletes_applied = 0;   // delete ops a refresh applied to a
+                                  // resident tenant (opens do not count)
 };
 
 /// What one compaction did.
@@ -191,10 +191,12 @@ class EngineCatalog {
                                              std::string* error = nullptr);
 
   /// Replays the tenant's delta log records past the applied prefix and
-  /// publishes the merged engine — PR 5's kRefresh, scoped to one tenant;
-  /// every other tenant's engine is untouched. A refresh of a non-resident
-  /// tenant opens the base snapshot first and then replays the whole log,
-  /// so its response reports exact record counts. Per-tenant serialized:
+  /// publishes the merged engine — kRefresh, scoped to one tenant; every
+  /// other tenant's engine is untouched. The log is re-validated from its
+  /// header (ReadDeltaSince), which is what refuses a log rewritten in
+  /// place. A refresh of a non-resident tenant opens it the way Acquire
+  /// does, bare base then the whole log, so its response reports exact
+  /// record counts. Per-tenant serialized:
   /// concurrent refreshes of the SAME tenant queue, the second finding the
   /// log already applied; refreshes of different tenants run concurrently.
   CatalogRefreshResult Refresh(const std::string& id);
@@ -223,11 +225,13 @@ class EngineCatalog {
   MaintenanceStats maintenance_stats() const;
 
   /// One background maintenance pass over every refreshable RESIDENT
-  /// tenant (cold tenants catch up in their lazy open): an O(1) log-size
-  /// poll per tenant, a tail refresh for the ones that grew, and — when
-  /// the policy's ratio trips — a compaction. Returns how many tenants it
-  /// acted on. The server's maintenance thread calls this every
-  /// `interval_ms`; tests call it directly for determinism.
+  /// tenant (cold tenants catch up in their lazy open): one stat() of the
+  /// log per tenant, a refresh for the ones whose size changed, and — when
+  /// the policy's ratio trips — a compaction. A refresh it refuses (wrong
+  /// base, rewritten or corrupt log) leaves the tenant serving what it
+  /// served. Returns how many tenants it acted on. The server's
+  /// maintenance thread calls this every `interval_ms`; tests call it
+  /// directly for determinism.
   uint32_t RunMaintenance();
 
   /// Attributes `n` served queries to the tenant ("" = default).
@@ -251,10 +255,9 @@ class EngineCatalog {
     return cache_bytes_.load(std::memory_order_relaxed);
   }
 
-  /// Id serving unaddressed requests; "" while nothing is
-  /// registered. The first registration sets it; SetDefault overrides.
+  /// Id serving unaddressed requests: the first registered (or adopted)
+  /// tenant; "" while nothing is registered.
   std::string default_id() const;
-  bool SetDefault(const std::string& id);
 
  private:
   struct Entry {
@@ -286,17 +289,16 @@ class EngineCatalog {
   std::shared_ptr<const EngineState> StateOf(const Entry& e) const;
   /// A fresh generation-scoped cache, or null when cache_bytes() is 0.
   std::shared_ptr<ResultCache> MakeCache() const;
-  /// Opens e.source (full delta replay included). Caller holds e.open_mu.
-  std::shared_ptr<const EngineState> Open(Entry& e, std::string* error);
   /// Resolves e.lineage from the head file on first use. Holds e.open_mu.
   bool ResolveEntryLineage(Entry& e, std::string* error);
-  /// Refresh/Compact cores; caller holds e.open_mu. With `fast_tail` (the
-  /// maintenance poll) the refresh trusts applied_end_offset: equal log
-  /// size means caught up, a larger log is read from the seek point only.
-  /// Without it (client kRefresh, compaction drain) the whole chain is
-  /// re-validated from the header, which is what detects a log that was
-  /// rewritten in place with reused seqnos.
-  CatalogRefreshResult RefreshLocked(Entry& e, bool fast_tail = false);
+  /// The one path from storage to a served state; caller holds e.open_mu.
+  /// A non-resident tenant first opens its bare base snapshot (counted as
+  /// a miss); then every log record past the applied prefix is read
+  /// (ReadDeltaSince) and applied, and the result published. Acquire's
+  /// open, Refresh, RunMaintenance and Compact's drain all call it. On
+  /// success *serving (when non-null) is the state the tenant now serves.
+  CatalogRefreshResult RefreshLocked(
+      Entry& e, std::shared_ptr<const EngineState>* serving = nullptr);
   CatalogCompactionResult CompactLocked(Entry& e);
   /// Evicts least-recently-used evictable residents until the cap holds;
   /// `keep` (the entry just touched) is never the victim.

@@ -19,9 +19,10 @@ enum class SimAlgorithm : uint8_t { kBas, kDag, kDagMap };
 const char* SimAlgorithmName(SimAlgorithm a);
 
 /// Algorithm 3, FBSim ("Dag+Δ"): decomposes a cyclic query into a DAG and a
-/// back-edge set, alternating FBSimDag passes on the DAG with FBSimBas-style
-/// sweeps on the back edges until the relation stabilizes. Falls back to
-/// plain FBSimDag for DAG queries. Starts from `seed` (see FBSimBas).
+/// back-edge set, alternating FBSimDagPasses on the DAG with FBSimBas-style
+/// sweeps on the back edges until the relation stabilizes. A DAG query gets
+/// FBSimDagPasses over the whole query alone. Starts from `seed` (see
+/// FBSimBas).
 CandidateSets FBSim(const MatchContext& ctx, const PatternQuery& q,
                     CandidateSets seed, const SimOptions& opts = {},
                     SimStats* stats = nullptr);

@@ -1,6 +1,5 @@
 #include "sim/fbsim_dag.h"
 
-#include <cassert>
 #include <utility>
 
 namespace rigpm {
@@ -65,21 +64,6 @@ bool FBSimDagPasses(const MatchContext& ctx, const PatternQuery& q,
   }
   if (stats != nullptr) stats->passes += pass;
   return changed_overall;
-}
-
-CandidateSets FBSimDag(const MatchContext& ctx, const PatternQuery& q,
-                       CandidateSets seed, const SimOptions& opts,
-                       SimStats* stats) {
-  std::vector<QueryNodeId> topo;
-  [[maybe_unused]] bool is_dag = q.IsDag(&topo);
-  assert(is_dag && "FBSimDag requires a DAG pattern query");
-
-  std::vector<QueryEdgeId> all_edges(q.NumEdges());
-  for (QueryEdgeId e = 0; e < q.NumEdges(); ++e) all_edges[e] = e;
-
-  CandidateSets fb = std::move(seed);
-  FBSimDagPasses(ctx, q, topo, all_edges, &fb, opts, stats);
-  return fb;
 }
 
 }  // namespace rigpm

@@ -8,13 +8,13 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <limits>
 #include <unordered_map>
 
 #include "storage/snapshot.h"
+#include "util/file_sync.h"
 #include "util/serde.h"
 
 namespace rigpm {
@@ -36,28 +36,6 @@ constexpr uint64_t kEdgeBytes = 2 * sizeof(NodeId);
 
 void SetError(std::string* error, const std::string& msg) {
   if (error != nullptr) *error = msg;
-}
-
-/// fsyncs the directory containing `path`, so a freshly created file's
-/// directory entry is durable — fdatasync(fd) alone persists the data but
-/// not the entry, and a crash could lose the whole "synced" file.
-bool SyncParentDir(const std::string& path, std::string* error) {
-  const std::filesystem::path parent =
-      std::filesystem::path(path).parent_path();
-  const std::string dir = parent.empty() ? std::string(".") : parent.string();
-  int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (dfd < 0) {
-    SetError(error, "cannot open directory " + dir + ": " +
-                        std::strerror(errno));
-    return false;
-  }
-  const bool ok = ::fsync(dfd) == 0;
-  if (!ok) {
-    SetError(error,
-             "cannot sync directory " + dir + ": " + std::strerror(errno));
-  }
-  ::close(dfd);
-  return ok;
 }
 
 /// Serializes the delta file header into `sink`.
@@ -517,23 +495,6 @@ bool DeltaReader::Next(DeltaRecord* out) {
   return true;
 }
 
-bool DeltaReader::SeekTo(uint64_t offset, uint64_t last_seqno,
-                         uint64_t chain_checksum) {
-  if (!ok()) return false;
-  // An offset past EOF means the log shrank (truncated and rewritten, or
-  // compacted away) — no byte range to resume into; the caller re-reads
-  // from the header for the real diagnosis.
-  if (offset < kFileHeaderBytes || offset > size_) return false;
-  offset_ = offset;
-  last_seqno_ = last_seqno;
-  chain_checksum_ = chain_checksum;
-  truncated_ = false;
-  tail_torn_ = false;
-  tail_error_.clear();
-  records_read_ = 0;
-  return true;
-}
-
 // ------------------------------------------------------------- replaying
 
 namespace {
@@ -623,14 +584,9 @@ bool CollectDeltaOps(DeltaReader& reader, uint32_t num_nodes,
     return false;
   }
   ReplayStats local;
-  // A reader SeekTo'd straight to the resume point never re-reads record
-  // after_seqno, so take the resume chain from its installed state; a
-  // fresh reader discovers it when the scan passes that record.
-  if (after_seqno == 0) {
-    local.resume_chain = reader.base_checksum();
-  } else if (reader.last_seqno() == after_seqno) {
-    local.resume_chain = reader.chain_checksum();
-  }
+  // The resume chain is the base checksum, or found when the scan passes
+  // record after_seqno.
+  if (after_seqno == 0) local.resume_chain = reader.base_checksum();
   local.end_chain = local.resume_chain;
   local.end_offset = reader.offset();
   DeltaRecord rec;
@@ -661,18 +617,53 @@ bool CollectDeltaOps(DeltaReader& reader, uint32_t num_nodes,
   return true;
 }
 
-std::optional<Graph> ReplayDelta(const Graph& base, DeltaReader& reader,
-                                 std::string* error, ReplayStats* stats,
-                                 uint64_t after_seqno) {
-  std::vector<DeltaOp> ops;
-  ReplayStats local;
-  if (!CollectDeltaOps(reader, base.NumNodes(), after_seqno, &ops, &local,
-                       error)) {
-    return std::nullopt;
+DeltaRead ReadDeltaSince(const std::string& path, SnapshotIoMode io,
+                         uint64_t base_checksum, uint32_t num_nodes,
+                         uint64_t since_seqno, uint64_t since_chain) {
+  DeltaRead read;
+  // The log is created lazily by the first append; reading before that (or
+  // after a crash between open(O_CREAT) and the header write) is a healthy
+  // caught-up state.
+  struct stat st{};
+  if (::stat(path.c_str(), &st) != 0 ? errno == ENOENT : st.st_size == 0) {
+    read.ok = true;
+    return read;
   }
-  if (stats != nullptr) *stats = local;
-  if (local.records_applied == 0) return base;  // copy of the base
-  return ApplyDeltaOps(base, ops);
+  DeltaReader reader(path, io);
+  if (!reader.ok()) {
+    read.error = "cannot read delta log: " + reader.error();
+    return read;
+  }
+  if (reader.base_checksum() != base_checksum) {
+    read.mismatch = true;
+    read.error = "delta log is bound to a different base snapshot";
+    return read;
+  }
+  if (!CollectDeltaOps(reader, num_nodes, since_seqno, &read.ops, &read.stats,
+                       &read.error)) {
+    return read;
+  }
+  // Corruption before the prefix check: a corrupt record inside the
+  // applied prefix also stops the scan short of the resume point, and
+  // calling that a rewritten log would send the operator after the wrong
+  // fix.
+  if (reader.truncated() && !reader.tail_torn()) {
+    read.error = "delta log is corrupt after record " +
+                 std::to_string(reader.records_read()) + " (" +
+                 reader.tail_error() +
+                 ") — refusing to serve a silently partial graph";
+    return read;
+  }
+  if (since_seqno > 0 && read.stats.resume_chain != since_chain) {
+    read.mismatch = true;
+    read.error =
+        "delta log no longer contains the applied prefix (rewritten or "
+        "replaced since it was applied) — reload from the base snapshot";
+    return read;
+  }
+  read.torn_tail = reader.truncated();
+  read.ok = true;
+  return read;
 }
 
 }  // namespace rigpm

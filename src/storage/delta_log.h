@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <initializer_list>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -20,9 +19,10 @@ namespace rigpm {
 /// for a changing graph. A served graph is refreshed by shipping
 /// `base.snap + graph.delta` instead of re-dumping and reloading the whole
 /// snapshot: updates land in the log as small checksummed records
-/// (DeltaWriter::AppendOps), and readers (rigpm_serve's kRefresh path,
-/// `rigpm_cli delta replay`) rebuild the current graph by replaying them
-/// over the base (CollectDeltaOps + ApplyDeltaOps).
+/// (DeltaWriter::AppendOps), and every reader (snapshot loads, the daemon's
+/// opens, refreshes and maintenance polls, `rigpm_cli delta replay`)
+/// rebuilds the current graph the same way: ReadDeltaSince, then
+/// ApplyDeltaOps over the base.
 ///
 /// File layout (the 24-byte container head of storage/snapshot.h plus an
 /// 8-byte delta extension; the body is an unbounded record sequence rather
@@ -77,8 +77,7 @@ inline constexpr uint32_t kDeltaFormatOps = 4;
 /// Record flag: the record body carries an op-kind byte per edge.
 inline constexpr uint32_t kDeltaRecordHasOps = 1u << 0;
 /// Size of the fixed file header preceding record 1 — the end offset of an
-/// empty (freshly created) log, and the smallest offset DeltaReader::SeekTo
-/// accepts.
+/// empty (freshly created) log.
 inline constexpr uint64_t kDeltaFileHeaderBytes = 32;
 
 enum class DeltaOpKind : uint8_t { kAdd = 0, kDelete = 1 };
@@ -197,10 +196,13 @@ class DeltaWriter {
 };
 
 /// Sequential reader over a delta log: validates the header, then hands out
-/// records one at a time, verifying the base-checksum binding, sequence
-/// numbering, and the seeded checksum chain as it goes. A truncated or
-/// corrupt tail ends iteration at the last valid record (`truncated()`
-/// reports it) — the valid prefix is always replayable.
+/// records one at a time from the first, verifying the base-checksum
+/// binding, sequence numbering, and the seeded checksum chain as it goes.
+/// It cannot start anywhere but the header: a reader that resumed mid-log
+/// could not tell a log rewritten in place from the one it had applied. A
+/// truncated or corrupt tail ends iteration at the last valid record
+/// (`truncated()` reports it). Readers that serve a graph go through
+/// ReadDeltaSince, which decides what such a tail means.
 ///
 /// IO: mmap mode maps the file read-only (MappedFile, the same mechanism
 /// SnapshotReader uses); read mode slurps it into private memory. Delta
@@ -246,10 +248,6 @@ class DeltaReader {
   /// Records successfully returned by Next() so far.
   uint64_t records_read() const { return records_read_; }
 
-  /// Sequence number of the last record Next() returned (0 before any),
-  /// or the resume seqno installed by SeekTo.
-  uint64_t last_seqno() const { return last_seqno_; }
-
   /// Checksum-chain value after the last record Next() returned (the base
   /// checksum before any). Two logs agree on a prefix iff they agree on
   /// this value at its end — consumers resuming "after seqno N" compare it
@@ -257,21 +255,8 @@ class DeltaReader {
   uint64_t chain_checksum() const { return chain_checksum_; }
 
   /// Byte offset of the next unread record (the header size on a fresh
-  /// reader). Together with chain_checksum() and the last seqno it names a
-  /// resume point for SeekTo.
+  /// reader).
   uint64_t offset() const { return offset_; }
-
-  /// Positions the reader at a previously recorded resume point — the
-  /// O(tail) refresh poll: instead of re-validating the whole chain from
-  /// the header, a caller that stored (offset, last_seqno, chain) when it
-  /// last applied the log resumes right there and pays only for new bytes.
-  /// The very next record is still fully validated against the seeded
-  /// chain, so a log that was truncated-and-rewritten underneath the
-  /// caller surfaces as a corrupt tail (the caller then falls back to a
-  /// full from-the-header read for an exact diagnosis). Returns false
-  /// (reader unusable for fast resume; construct a fresh one) when
-  /// `offset` is out of bounds — e.g. the log shrank.
-  bool SeekTo(uint64_t offset, uint64_t last_seqno, uint64_t chain_checksum);
 
  private:
   const uint8_t* data_ = nullptr;  // whole file
@@ -319,8 +304,8 @@ struct ReplayStats {
   /// nothing applied); store it alongside last_seqno for the next resume.
   uint64_t end_chain = 0;
   /// Byte offset just past the last applied record (the resume-point
-  /// offset when nothing applied). Store it with end_chain/last_seqno to
-  /// make the next poll O(tail) via DeltaReader::SeekTo.
+  /// offset when nothing applied). A poll that finds the log this size
+  /// knows nothing was appended without reading it.
   uint64_t end_offset = 0;
 };
 
@@ -335,25 +320,50 @@ bool ValidateOpEndpoints(std::span<const DeltaOp> ops, uint32_t num_nodes,
 /// Reads every record of `reader` with seqno > `after_seqno`, validating
 /// each endpoint against `num_nodes`, and appends their ops to *ops.
 /// False (with *error) on an out-of-range endpoint or an unreadable log.
-/// This is ReplayDelta without the graph rebuild — callers that may find
-/// nothing new (the daemon's caught-up refresh poll) use it to avoid
-/// materializing a merged graph just to discard it.
+/// This is the record walk under ReadDeltaSince: it checks neither the
+/// base binding nor the tail nor the applied prefix, so a graph that is
+/// served goes through ReadDeltaSince instead.
 bool CollectDeltaOps(DeltaReader& reader, uint32_t num_nodes,
                      uint64_t after_seqno, std::vector<DeltaOp>* ops,
                      ReplayStats* stats, std::string* error);
 
-/// Replays every record of `reader` with seqno > `after_seqno` over `base`
-/// and returns the merged graph. Fails (nullopt + *error) if any applied
-/// record references a node that does not exist in `base` — a journaled
-/// log never contains such a record (DeltaWriter::AppendOps validates
-/// before appending), so hitting one means the log does not belong to this
-/// base.
-/// A truncated tail is NOT an error here: the valid prefix is replayed and
-/// the caller can consult reader.truncated().
-std::optional<Graph> ReplayDelta(const Graph& base, DeltaReader& reader,
-                                 std::string* error,
-                                 ReplayStats* stats = nullptr,
-                                 uint64_t after_seqno = 0);
+/// What ReadDeltaSince found past its resume point.
+struct DeltaRead {
+  /// The log was accepted; `ops` and `stats` hold what it adds.
+  bool ok = false;
+  /// On refusal: the log does not continue the caller's graph. It is bound
+  /// to another base snapshot, or it no longer holds the applied prefix.
+  /// False when the log is unreadable, corrupt, or names a node the base
+  /// lacks.
+  bool mismatch = false;
+  /// The log ends in a torn, never-acknowledged append (a crash mid-write);
+  /// every record before it was read.
+  bool torn_tail = false;
+  std::string error;
+  std::vector<DeltaOp> ops;  // every op past the resume point, in log order
+  ReplayStats stats;
+};
+
+/// The one way from a delta log to a served graph: the snapshot loads'
+/// overlay, the daemon's opens, refreshes, maintenance polls and compaction
+/// drains, and `rigpm_cli delta replay` all call this and hand the ops to
+/// ApplyDeltaOps. Reads the log at `path` from its header and collects the
+/// ops of every record with seqno > `since_seqno`, each endpoint checked
+/// against `num_nodes`. `since_chain` is the chain checksum the caller
+/// stored for record `since_seqno` (ReplayStats::end_chain; unused when
+/// since_seqno is 0).
+///
+/// A missing or zero-length log (the first append creates it) is caught up:
+/// ok, with nothing read. Refused, with `mismatch` set: a log bound to
+/// another base than `base_checksum`, and one whose record since_seqno no
+/// longer carries since_chain (truncated and rewritten with reused seqnos).
+/// Refused without it: an unreadable log, an endpoint >= num_nodes, and a
+/// corrupt record anywhere — full-size bytes that fail validation are
+/// acknowledged data, and serving the prefix before them would drop it
+/// silently. A torn tail is no refusal; `torn_tail` reports it.
+DeltaRead ReadDeltaSince(const std::string& path, SnapshotIoMode io,
+                         uint64_t base_checksum, uint32_t num_nodes,
+                         uint64_t since_seqno = 0, uint64_t since_chain = 0);
 
 }  // namespace rigpm
 

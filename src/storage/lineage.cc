@@ -1,7 +1,5 @@
 #include "storage/lineage.h"
 
-#include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -11,6 +9,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "util/file_sync.h"
+
 namespace rigpm {
 
 namespace {
@@ -19,25 +19,6 @@ constexpr char kHeadMagicLine[] = "rigpm-lineage 1";
 
 void SetError(std::string* error, const std::string& msg) {
   if (error != nullptr) *error = msg;
-}
-
-bool SyncParentDir(const std::string& path, std::string* error) {
-  const std::filesystem::path parent =
-      std::filesystem::path(path).parent_path();
-  const std::string dir = parent.empty() ? std::string(".") : parent.string();
-  int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (dfd < 0) {
-    SetError(error,
-             "cannot open directory " + dir + ": " + std::strerror(errno));
-    return false;
-  }
-  const bool ok = ::fsync(dfd) == 0;
-  if (!ok) {
-    SetError(error,
-             "cannot sync directory " + dir + ": " + std::strerror(errno));
-  }
-  ::close(dfd);
-  return ok;
 }
 
 }  // namespace
@@ -126,14 +107,10 @@ bool PublishLineage(const std::string& snapshot_path, const Lineage& lineage,
   }
   // fsync the temp file's BYTES before the rename makes them reachable:
   // rename-then-crash must never expose an empty head.
-  int fd = ::open(tmp_path.c_str(), O_RDONLY);
-  if (fd < 0 || ::fsync(fd) != 0) {
-    SetError(error, "cannot sync " + tmp_path + ": " + std::strerror(errno));
-    if (fd >= 0) ::close(fd);
+  if (!SyncFile(tmp_path, error)) {
     std::remove(tmp_path.c_str());
     return false;
   }
-  ::close(fd);
   if (std::rename(tmp_path.c_str(), head_path.c_str()) != 0) {
     SetError(error, "cannot publish " + head_path + ": " +
                         std::strerror(errno));

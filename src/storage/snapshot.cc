@@ -1,10 +1,8 @@
 #include "storage/snapshot.h"
 
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -12,6 +10,7 @@
 
 #include "reach/bfl_index.h"
 #include "storage/delta_log.h"
+#include "util/file_sync.h"
 
 namespace rigpm {
 
@@ -121,12 +120,19 @@ bool WriteSnapshotFile(const std::string& path, SnapshotKind kind,
     std::remove(tmp_path.c_str());
     return false;
   }
+  // The bytes reach the disk before the rename makes them reachable, and
+  // the rename itself before the caller acts on it: compaction publishes a
+  // lineage head naming this file and unlinks the previous generation.
+  if (!SyncFile(tmp_path, error)) {
+    std::remove(tmp_path.c_str());
+    return false;
+  }
   if (std::rename(tmp_path.c_str(), path.c_str()) != 0) {
     SetError(error, "cannot rename " + tmp_path + " to " + path);
     std::remove(tmp_path.c_str());
     return false;
   }
-  return true;
+  return SyncParentDir(path, error);
 }
 
 std::optional<SnapshotInfo> InspectSnapshot(const std::string& path,
@@ -363,59 +369,6 @@ bool SaveGraphSnapshot(const Graph& g, const std::string& path,
   return WriteSnapshotFile(path, SnapshotKind::kGraph, sink, error);
 }
 
-namespace {
-
-/// Shared delta-overlay step of the Load* entry points — one definition of
-/// "base + log", identical to the daemon's kRefresh replay. Returns false
-/// (with *error) on an unusable log. On success *merged holds the merged
-/// graph when records actually applied, and stays empty in the caught-up
-/// states (missing log, zero-length log, fully-compacted-away log) so an
-/// mmap-backed base is never deep-copied just to be thrown away. *stats
-/// reports the resume position for a later incremental refresh.
-bool OverlayDelta(const Graph& base, uint64_t base_checksum,
-                  const LoadOptions& options, std::optional<Graph>* merged,
-                  ReplayStats* stats, std::string* error) {
-  merged->reset();
-  *stats = ReplayStats{};
-  // The log is created lazily by the first append; loading before that (or
-  // after a crash between open(O_CREAT) and the header write) is the same
-  // healthy caught-up state the daemon's refresh poll reports.
-  struct stat st{};
-  if (::stat(options.delta_path.c_str(), &st) != 0) {
-    if (errno == ENOENT) return true;
-  } else if (st.st_size == 0) {
-    return true;
-  }
-  DeltaReader reader(options.delta_path, options.delta_io);
-  if (!reader.ok()) {
-    SetError(error, "cannot read delta log: " + reader.error());
-    return false;
-  }
-  if (reader.base_checksum() != base_checksum) {
-    SetError(error, "delta log is bound to a different base snapshot");
-    return false;
-  }
-  std::vector<DeltaOp> ops;
-  if (!CollectDeltaOps(reader, base.NumNodes(), /*after_seqno=*/0, &ops,
-                       stats, error)) {
-    return false;
-  }
-  if (reader.truncated() && !reader.tail_torn()) {
-    // Corruption of acknowledged data — not the benign crashed-append tail.
-    // Serving the valid prefix would silently drop journaled updates.
-    SetError(error, "delta log is corrupt after record " +
-                        std::to_string(reader.records_read()) + " (" +
-                        reader.tail_error() +
-                        ") — refusing to load a silently partial graph");
-    return false;
-  }
-  if (stats->records_applied == 0) return true;  // caught up; keep the base
-  merged->emplace(ApplyDeltaOps(base, ops));
-  return true;
-}
-
-}  // namespace
-
 std::optional<Graph> LoadGraphSnapshot(const std::string& path,
                                        const LoadOptions& options,
                                        std::string* error) {
@@ -429,16 +382,16 @@ std::optional<Graph> LoadGraphSnapshot(const std::string& path,
     SetError(error, reader.error());
     return std::nullopt;
   }
-  if (!options.delta_path.empty()) {
-    std::optional<Graph> merged;
-    ReplayStats stats;
-    if (!OverlayDelta(g, reader.stored_checksum(), options, &merged, &stats,
-                      error)) {
-      return std::nullopt;
-    }
-    if (merged.has_value()) return std::move(*merged);
+  if (options.delta_path.empty()) return g;
+  DeltaRead read = ReadDeltaSince(options.delta_path, options.delta_io,
+                                  reader.stored_checksum(), g.NumNodes());
+  if (!read.ok) {
+    SetError(error, read.error);
+    return std::nullopt;
   }
-  return g;
+  // A caught-up log keeps the base, and with it an mmap load's zero copy.
+  if (read.stats.records_applied == 0) return g;
+  return ApplyDeltaOps(g, read.ops);
 }
 
 // ----------------------------------------------------------------- engines
@@ -484,24 +437,24 @@ std::optional<WarmEngine> LoadEngineSnapshot(const std::string& path,
   warm.engine = std::make_unique<GmEngine>(*warm.graph, std::move(bfl),
                                            std::move(intervals));
   warm.stored_checksum = reader.stored_checksum();
-  if (!options.delta_path.empty()) {
-    std::optional<Graph> merged;
-    ReplayStats stats;
-    if (!OverlayDelta(*warm.graph, warm.stored_checksum, options, &merged,
-                      &stats, error)) {
-      return std::nullopt;
-    }
-    if (merged.has_value()) {
-      warm.engine.reset();  // references the base graph; drop it first
-      warm.graph = std::make_unique<Graph>(std::move(*merged));
-      warm.engine = std::make_unique<GmEngine>(*warm.graph);
-      warm.applied_seqno = stats.last_seqno;
-      warm.applied_chain = stats.end_chain;
-    }
-    warm.applied_end_offset = stats.end_offset;
-    // An empty (or fully-compacted-away) log keeps the warm start warm:
-    // the snapshot's prebuilt index is already exactly right.
+  if (options.delta_path.empty()) return warm;
+  DeltaRead read =
+      ReadDeltaSince(options.delta_path, options.delta_io,
+                     warm.stored_checksum, warm.graph->NumNodes());
+  if (!read.ok) {
+    SetError(error, read.error);
+    return std::nullopt;
   }
+  warm.applied_end_offset = read.stats.end_offset;
+  // A caught-up log keeps the warm start warm: the snapshot's prebuilt
+  // index is already exactly right.
+  if (read.stats.records_applied == 0) return warm;
+  auto merged = std::make_unique<Graph>(ApplyDeltaOps(*warm.graph, read.ops));
+  warm.engine.reset();  // references the base graph; drop it first
+  warm.graph = std::move(merged);
+  warm.engine = std::make_unique<GmEngine>(*warm.graph);
+  warm.applied_seqno = read.stats.last_seqno;
+  warm.applied_chain = read.stats.end_chain;
   return warm;
 }
 

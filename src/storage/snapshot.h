@@ -151,9 +151,9 @@ bool SaveGraphSnapshot(const Graph& g, const std::string& path,
                        std::string* error = nullptr);
 
 /// Loads a graph snapshot per `options` (storage/snapshot_io.h). With
-/// options.delta_path set, the log's records are replayed over the base and
-/// the MERGED graph is returned (an owned copy — the overlay gives up the
-/// zero-copy borrow; an empty or missing log keeps it).
+/// options.delta_path set, the log is read by ReadDeltaSince and the MERGED
+/// graph is returned (an owned copy — the overlay gives up the zero-copy
+/// borrow; an empty or missing log keeps it).
 std::optional<Graph> LoadGraphSnapshot(const std::string& path,
                                        const LoadOptions& options = {},
                                        std::string* error = nullptr);
@@ -173,14 +173,13 @@ struct WarmEngine {
   /// Delta-overlay resume point (LoadOptions::delta_path): sequence number
   /// and chain checksum of the last log record replayed into this engine,
   /// both 0 when no overlay was requested or the log held nothing. A
-  /// refresher resuming this engine passes applied_seqno to
-  /// CollectDeltaOps and compares applied_chain against the log's
-  /// resume-point chain to detect a rewritten log (storage/delta_log.h).
+  /// refresher resuming this engine passes both to ReadDeltaSince, which
+  /// refuses a log rewritten since (storage/delta_log.h).
   uint64_t applied_seqno = 0;
   uint64_t applied_chain = 0;
   /// Byte offset just past the last replayed record (0 when no overlay was
-  /// requested or the log did not exist) — lets the refresher's poll seek
-  /// straight to the unread tail instead of re-validating the whole chain.
+  /// requested or the log did not exist): a poll that finds the log this
+  /// size knows it holds nothing new.
   uint64_t applied_end_offset = 0;
 };
 
@@ -193,9 +192,10 @@ bool SaveEngineSnapshot(const GmEngine& engine, const std::string& path,
 /// Restores a graph + engine pair without re-parsing text or rebuilding the
 /// index: the whole load is deserialization (and in mmap mode, mostly just
 /// establishing views into the mapping). With options.delta_path set, the
-/// log's records are replayed over the base and the index rebuilt over the
-/// merged graph — the cold-rebuild twin of the daemon's kRefresh path, so
-/// the two can never diverge on what "base + log" serves.
+/// log is read by ReadDeltaSince, its records are applied over the base and
+/// the index is rebuilt over the merged graph — the same reader and rebuild
+/// step as the daemon's open and kRefresh, so the two can never diverge on
+/// what "base + log" serves.
 std::optional<WarmEngine> LoadEngineSnapshot(const std::string& path,
                                              const LoadOptions& options = {},
                                              std::string* error = nullptr);

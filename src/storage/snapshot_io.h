@@ -38,10 +38,11 @@ struct LoadOptions {
   /// When non-empty, replay this append-only delta log (storage/delta_log.h)
   /// over the loaded base and return the merged graph — for engine loads
   /// the reachability index is rebuilt over it, and the result matches what
-  /// a daemon serves after a kRefresh against the same log. A missing or
-  /// zero-length log is a caught-up no-op; a torn tail (crashed,
-  /// never-acknowledged append) replays the valid prefix; corruption of
-  /// acknowledged records fails the load.
+  /// a daemon serves after a kRefresh against the same log. The log is read
+  /// by ReadDeltaSince: a missing or zero-length log is a caught-up no-op;
+  /// a torn tail (crashed, never-acknowledged append) replays the valid
+  /// prefix; a wrong base or corruption of acknowledged records fails the
+  /// load.
   std::string delta_path;
 
   /// IO mode for reading the delta log itself. Defaults to kRead — unlike

@@ -147,12 +147,6 @@ TEST_F(EngineCatalogTest, RegisterAcquireDefaultsAndErrors) {
 
   EXPECT_EQ(catalog.Acquire("nope", &error), nullptr);
   EXPECT_NE(error.find("unknown graph id"), std::string::npos) << error;
-
-  ASSERT_TRUE(catalog.SetDefault("beta"));
-  EXPECT_FALSE(catalog.SetDefault("nope"));
-  auto beta = catalog.Acquire("", &error);
-  ASSERT_NE(beta, nullptr) << error;
-  EXPECT_NE(beta->engine.get(), alpha->engine.get());
 }
 
 TEST_F(EngineCatalogTest, LazyOpensCountMissesThenHits) {

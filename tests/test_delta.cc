@@ -71,6 +71,20 @@ void FlipByte(const std::string& path, uint64_t offset) {
 
 constexpr uint64_t kBase = 0x1234abcd5678ef01ull;
 
+/// Replays every record of `reader` past `after_seqno` over `base`: the
+/// record walk and the rebuild step alone, so the reader's own view of the
+/// tail stays observable.
+std::optional<Graph> Replay(const Graph& base, DeltaReader& reader,
+                            std::string* error, ReplayStats* stats = nullptr,
+                            uint64_t after_seqno = 0) {
+  std::vector<DeltaOp> ops;
+  if (!CollectDeltaOps(reader, base.NumNodes(), after_seqno, &ops, stats,
+                       error)) {
+    return std::nullopt;
+  }
+  return ApplyDeltaOps(base, ops);
+}
+
 /// Round-trip and rejection tests run under both IO modes — replay must be
 /// identical whether the log is mapped or slurped.
 class DeltaIoTest : public ::testing::TestWithParam<SnapshotIoMode> {};
@@ -102,7 +116,7 @@ TEST_P(DeltaIoTest, WriteThenReplayEqualsInMemoryGraph) {
   ASSERT_TRUE(reader.ok()) << reader.error();
   EXPECT_EQ(reader.base_checksum(), kBase);
   ReplayStats stats;
-  auto merged = ReplayDelta(base, reader, &error, &stats);
+  auto merged = Replay(base, reader, &error, &stats);
   ASSERT_TRUE(merged.has_value()) << error;
   EXPECT_EQ(stats.records_applied, 2u);
   EXPECT_EQ(stats.edges_in_records, 3u);
@@ -129,8 +143,7 @@ TEST_P(DeltaIoTest, ReplayAfterSeqnoSkipsOldRecords) {
 
   DeltaReader reader(path, GetParam());
   ReplayStats stats;
-  auto merged = ReplayDelta(base, reader, &error, &stats,
-                            /*after_seqno=*/2);
+  auto merged = Replay(base, reader, &error, &stats, /*after_seqno=*/2);
   ASSERT_TRUE(merged.has_value()) << error;
   EXPECT_EQ(stats.records_applied, 1u);
   EXPECT_EQ(stats.last_seqno, 3u);
@@ -150,7 +163,7 @@ TEST_P(DeltaIoTest, EmptyLogReplaysToTheBase) {
   DeltaReader reader(path, GetParam());
   ASSERT_TRUE(reader.ok()) << reader.error();
   ReplayStats stats;
-  auto merged = ReplayDelta(base, reader, &error, &stats);
+  auto merged = Replay(base, reader, &error, &stats);
   ASSERT_TRUE(merged.has_value()) << error;
   EXPECT_EQ(stats.records_applied, 0u);
   EXPECT_EQ(SerializeGraph(*merged), SerializeGraph(base));
@@ -182,10 +195,10 @@ TEST_P(DeltaIoTest, MidRecordTruncationReplaysTheValidPrefix) {
   EXPECT_TRUE(reader.tail_torn());  // a tear, not corruption
   EXPECT_FALSE(reader.tail_error().empty());
 
-  // ReplayDelta applies record 1 and reports the truncation via the reader.
+  // Replay applies record 1 and reports the truncation via the reader.
   DeltaReader replay_reader(path, GetParam());
   ReplayStats stats;
-  auto merged = ReplayDelta(base, replay_reader, &error, &stats);
+  auto merged = Replay(base, replay_reader, &error, &stats);
   ASSERT_TRUE(merged.has_value()) << error;
   EXPECT_EQ(stats.records_applied, 1u);
   EXPECT_TRUE(replay_reader.truncated());
@@ -284,7 +297,7 @@ TEST_P(DeltaIoTest, OutOfRangeEndpointFailsReplayHard) {
   DeltaReader reader(path, GetParam());
   EXPECT_EQ(reader.base_num_nodes(), 200u);
   ReplayStats stats;
-  auto merged = ReplayDelta(base, reader, &error, &stats);
+  auto merged = Replay(base, reader, &error, &stats);
   EXPECT_FALSE(merged.has_value());
   EXPECT_NE(error.find("log does not match this base"), std::string::npos)
       << error;
@@ -471,7 +484,7 @@ TEST(DeltaLifecycle, SnapshotDeltaReplayMatchesDirectRebuild) {
   DeltaReader reader(log);
   ASSERT_TRUE(reader.ok()) << reader.error();
   EXPECT_EQ(reader.base_checksum(), info->stored_checksum);
-  auto merged = ReplayDelta(*warm->graph, reader, &error);
+  auto merged = Replay(*warm->graph, reader, &error);
   ASSERT_TRUE(merged.has_value()) << error;
 
   std::vector<std::pair<NodeId, NodeId>> all = batch1;
@@ -516,7 +529,7 @@ TEST_P(DeltaIoTest, OpsRecordRoundTripsAddsAndDeletes) {
 
   DeltaReader replay_reader(path, GetParam());
   ReplayStats stats;
-  auto merged = ReplayDelta(base, replay_reader, &error, &stats);
+  auto merged = Replay(base, replay_reader, &error, &stats);
   ASSERT_TRUE(merged.has_value()) << error;
   EXPECT_EQ(stats.delete_ops, 2u);
   Graph expected = ApplyDeltaOps(base, ops);
@@ -549,7 +562,7 @@ TEST_P(DeltaIoTest, TornTailWithDeleteOpsReplaysTheValidPrefix) {
   DeltaReader reader(path, GetParam());
   ASSERT_TRUE(reader.ok()) << reader.error();
   ReplayStats stats;
-  auto merged = ReplayDelta(base, reader, &error, &stats);
+  auto merged = Replay(base, reader, &error, &stats);
   ASSERT_TRUE(merged.has_value()) << error;
   EXPECT_EQ(stats.records_applied, 1u);
   EXPECT_EQ(stats.delete_ops, 1u);
@@ -570,7 +583,7 @@ TEST_P(DeltaIoTest, TornTailWithDeleteOpsReplaysTheValidPrefix) {
 
   DeltaReader reader2(path, GetParam());
   ASSERT_TRUE(reader2.ok()) << reader2.error();
-  auto merged2 = ReplayDelta(base, reader2, &error, &stats);
+  auto merged2 = Replay(base, reader2, &error, &stats);
   ASSERT_TRUE(merged2.has_value()) << error;
   EXPECT_EQ(stats.records_applied, 2u);
   EXPECT_FALSE(reader2.truncated());
@@ -613,68 +626,6 @@ TEST(DeltaVersion, ForeignVersionIsRefusedWithVersionMessageNotChainError) {
           << reader.error();
     }
   }
-}
-
-TEST_P(DeltaIoTest, SeekToResumesAndValidatesTheTail) {
-  // The O(tail) poll contract: a caller that stored (end_offset, seqno,
-  // end_chain) resumes there and reads only new records; a bogus resume
-  // point is refused up front.
-  TempDir tmp;
-  const std::string path = tmp.Path("g.delta");
-  std::string error;
-  auto writer = DeltaWriter::Open(path, kBase, 10, &error);
-  ASSERT_NE(writer, nullptr) << error;
-  ASSERT_TRUE(writer->AppendOps(
-      std::vector<DeltaOp>{{0, 3, DeltaOpKind::kAdd}}, &error));
-  ASSERT_TRUE(writer->AppendOps(
-      std::vector<DeltaOp>{{0, 1, DeltaOpKind::kDelete}}, &error));
-
-  DeltaReader full(path, GetParam());
-  ASSERT_TRUE(full.ok()) << full.error();
-  std::vector<DeltaOp> all_ops;
-  ReplayStats full_stats;
-  ASSERT_TRUE(CollectDeltaOps(full, 10, 0, &all_ops, &full_stats, &error))
-      << error;
-  EXPECT_EQ(full_stats.records_applied, 2u);
-  EXPECT_EQ(full_stats.end_offset, FileSize(path));
-
-  // Append one more record, then resume exactly past the applied prefix.
-  ASSERT_TRUE(writer->AppendOps(
-      std::vector<DeltaOp>{{6, 9, DeltaOpKind::kAdd}}, &error));
-  DeltaReader tail(path, GetParam());
-  ASSERT_TRUE(tail.ok()) << tail.error();
-  ASSERT_TRUE(tail.SeekTo(full_stats.end_offset, full_stats.last_seqno,
-                          full_stats.end_chain));
-  std::vector<DeltaOp> tail_ops;
-  ReplayStats tail_stats;
-  ASSERT_TRUE(CollectDeltaOps(tail, 10, full_stats.last_seqno, &tail_ops,
-                              &tail_stats, &error))
-      << error;
-  EXPECT_EQ(tail_stats.records_applied, 1u);
-  EXPECT_EQ(tail_ops, (std::vector<DeltaOp>{{6, 9, DeltaOpKind::kAdd}}));
-  EXPECT_EQ(tail_stats.end_offset, FileSize(path));
-  EXPECT_FALSE(tail.truncated());
-
-  // Out-of-bounds resume points are rejected: before the header, or past
-  // the end of the file (e.g. the log shrank underneath the caller).
-  DeltaReader bad(path, GetParam());
-  ASSERT_TRUE(bad.ok());
-  EXPECT_FALSE(bad.SeekTo(kDeltaFileHeaderBytes - 1, 0, kBase));
-  DeltaReader bad2(path, GetParam());
-  ASSERT_TRUE(bad2.ok());
-  EXPECT_FALSE(bad2.SeekTo(FileSize(path) + 1, 3, tail_stats.end_chain));
-
-  // A WRONG chain value at a plausible offset surfaces as a corrupt tail,
-  // not silently-wrong data: the next record's checksum is seeded by the
-  // chain, so validation fails.
-  DeltaReader wrong(path, GetParam());
-  ASSERT_TRUE(wrong.ok());
-  ASSERT_TRUE(wrong.SeekTo(full_stats.end_offset, full_stats.last_seqno,
-                           full_stats.end_chain ^ 0xdeadbeefull));
-  DeltaRecord rec;
-  EXPECT_FALSE(wrong.Next(&rec));
-  EXPECT_TRUE(wrong.truncated());
-  EXPECT_FALSE(wrong.tail_torn());
 }
 
 }  // namespace

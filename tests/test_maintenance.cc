@@ -1,9 +1,10 @@
 // Delta-log maintenance tests (storage/delta_log.h replay, storage/lineage.h,
 // server/catalog.h Compact/RunMaintenance): the randomized add/delete replay
-// suite against an independent edge-set model, lineage head-pointer
-// resolution and its crash window, compaction folding a log into a new
-// snapshot generation, and the background maintenance pass — O(tail)
-// refresh polls and policy-triggered auto-compaction.
+// suite against an independent edge-set model — every entry from base + log
+// to a served graph included — lineage head-pointer resolution and its
+// crash window, compaction folding a log into a new snapshot generation,
+// and the background maintenance pass: stat() polls, the refreshes they
+// refuse, and policy-triggered auto-compaction.
 
 #include <sys/stat.h>
 #include <unistd.h>
@@ -71,63 +72,37 @@ std::vector<uint8_t> GraphBytes(const Graph& g) {
 
 // ------------------------------------------ randomized differential suite
 
-/// Replay against an independent model: a plain edge set updated op by op
-/// in batch order, turned into a graph by Graph::FromEdges alone, so a
-/// defect in ApplyDeltaOps' normalization cannot hide in its own oracle.
-/// Runs under both IO modes — a maintenance refresh must rebuild the same
-/// graph whether the log is mapped or slurped.
-class ReplayDiffTest : public ::testing::TestWithParam<SnapshotIoMode> {};
-
-INSTANTIATE_TEST_SUITE_P(IoModes, ReplayDiffTest,
-                         ::testing::Values(SnapshotIoMode::kMmap,
-                                           SnapshotIoMode::kRead),
-                         [](const auto& info) {
-                           return info.param == SnapshotIoMode::kMmap
-                                      ? "mmap"
-                                      : "read";
-                         });
-
-TEST_P(ReplayDiffTest, RandomAddDeleteBatchesMatchEdgeSetModel) {
-  const std::string log_path = UniquePath() + ".delta";
-  const Graph base = GeneratePowerLaw(
-      {.num_nodes = 90, .num_edges = 300, .num_labels = 3, .seed = 17});
-  std::vector<LabelId> labels(base.NumNodes());
-  std::set<std::pair<NodeId, NodeId>> model;
-  for (NodeId v = 0; v < base.NumNodes(); ++v) {
-    labels[v] = base.Label(v);
-    for (NodeId w : base.OutNeighbors(v)) model.emplace(v, w);
+/// An independent model of a delta-logged graph: a plain edge set updated
+/// op by op in batch order, turned into a graph by Graph::FromEdges alone,
+/// so a defect in ApplyDeltaOps' normalization cannot hide in its own
+/// oracle.
+class EdgeSetModel {
+ public:
+  explicit EdgeSetModel(const Graph& base)
+      : labels_(base.NumNodes()), node_(0, base.NumNodes() - 1) {
+    for (NodeId v = 0; v < base.NumNodes(); ++v) {
+      labels_[v] = base.Label(v);
+      for (NodeId w : base.OutNeighbors(v)) edges_.emplace(v, w);
+    }
   }
-  auto q = ParsePattern(kPattern);
-  ASSERT_TRUE(q.has_value());
 
-  constexpr uint64_t kBaseChecksum = 0xfeedface12345678ull;
-  std::string error;
-  auto writer =
-      DeltaWriter::Open(log_path, kBaseChecksum, base.NumNodes(), &error);
-  ASSERT_NE(writer, nullptr) << error;
-
-  std::mt19937 rng(20260807);
-  std::uniform_int_distribution<NodeId> node(0, base.NumNodes() - 1);
-  auto random_pair = [&] { return std::pair{node(rng), node(rng)}; };
-  auto present_pair = [&] {
-    return *std::next(model.begin(), rng() % model.size());
-  };
-  auto absent_pair = [&] {
-    std::pair<NodeId, NodeId> e = random_pair();
-    while (model.contains(e)) e = random_pair();
-    return e;
-  };
-  auto op = [](std::pair<NodeId, NodeId> e, DeltaOpKind kind) {
-    return DeltaOp{e.first, e.second, kind};
-  };
-
-  Graph current = base;
-  uint64_t answers_seen = 0;
-  constexpr int kRounds = 12;
-  for (int round = 0; round < kRounds; ++round) {
-    // Random adds and deletes, then in every batch: an add of a present
-    // edge, a delete of an absent one, a duplicated op, an add-then-delete
-    // of one edge and a delete-then-add of another.
+  /// Draws a batch and applies it to the model: random adds and deletes,
+  /// then an add of a present edge, a delete of an absent one, a
+  /// duplicated op, an add-then-delete of one edge and a delete-then-add
+  /// of another.
+  std::vector<DeltaOp> RandomBatch(std::mt19937& rng) {
+    auto random_pair = [&] { return std::pair{node_(rng), node_(rng)}; };
+    auto present_pair = [&] {
+      return *std::next(edges_.begin(), rng() % edges_.size());
+    };
+    auto absent_pair = [&] {
+      std::pair<NodeId, NodeId> e = random_pair();
+      while (edges_.contains(e)) e = random_pair();
+      return e;
+    };
+    auto op = [](std::pair<NodeId, NodeId> e, DeltaOpKind kind) {
+      return DeltaOp{e.first, e.second, kind};
+    };
     std::vector<DeltaOp> ops;
     for (int i = 1 + static_cast<int>(rng() % 8); i > 0; --i) {
       ops.push_back(rng() % 2 == 0 ? op(present_pair(), DeltaOpKind::kDelete)
@@ -145,18 +120,68 @@ TEST_P(ReplayDiffTest, RandomAddDeleteBatchesMatchEdgeSetModel) {
 
     for (const DeltaOp& o : ops) {
       if (o.kind == DeltaOpKind::kAdd) {
-        model.emplace(o.src, o.dst);
+        edges_.emplace(o.src, o.dst);
       } else {
-        model.erase({o.src, o.dst});
+        edges_.erase({o.src, o.dst});
       }
     }
+    return ops;
+  }
+
+  Graph ToGraph() const {
+    return Graph::FromEdges(labels_, {edges_.begin(), edges_.end()});
+  }
+  size_t NumEdges() const { return edges_.size(); }
+
+ private:
+  std::vector<LabelId> labels_;
+  std::set<std::pair<NodeId, NodeId>> edges_;
+  std::uniform_int_distribution<NodeId> node_;
+};
+
+Graph DiffBaseGraph() {
+  return GeneratePowerLaw(
+      {.num_nodes = 90, .num_edges = 300, .num_labels = 3, .seed = 17});
+}
+
+/// Replay against the edge-set model, under both IO modes — every reader
+/// must rebuild the same graph whether the log is mapped or slurped.
+class ReplayDiffTest : public ::testing::TestWithParam<SnapshotIoMode> {};
+
+INSTANTIATE_TEST_SUITE_P(IoModes, ReplayDiffTest,
+                         ::testing::Values(SnapshotIoMode::kMmap,
+                                           SnapshotIoMode::kRead),
+                         [](const auto& info) {
+                           return info.param == SnapshotIoMode::kMmap
+                                      ? "mmap"
+                                      : "read";
+                         });
+
+TEST_P(ReplayDiffTest, RandomAddDeleteBatchesMatchEdgeSetModel) {
+  const std::string log_path = UniquePath() + ".delta";
+  const Graph base = DiffBaseGraph();
+  EdgeSetModel model(base);
+  auto q = ParsePattern(kPattern);
+  ASSERT_TRUE(q.has_value());
+
+  constexpr uint64_t kBaseChecksum = 0xfeedface12345678ull;
+  std::string error;
+  auto writer =
+      DeltaWriter::Open(log_path, kBaseChecksum, base.NumNodes(), &error);
+  ASSERT_NE(writer, nullptr) << error;
+
+  std::mt19937 rng(20260807);
+  Graph current = base;
+  uint64_t answers_seen = 0;
+  constexpr int kRounds = 12;
+  for (int round = 0; round < kRounds; ++round) {
+    const std::vector<DeltaOp> ops = model.RandomBatch(rng);
     ASSERT_TRUE(writer->AppendOps(ops, &error)) << error;
 
     Graph next = ApplyDeltaOps(current, ops);
-    const Graph model_graph =
-        Graph::FromEdges(labels, {model.begin(), model.end()});
+    const Graph model_graph = model.ToGraph();
     EXPECT_EQ(GraphBytes(next), GraphBytes(model_graph)) << "round " << round;
-    EXPECT_EQ(next.NumEdges(), model.size()) << "round " << round;
+    EXPECT_EQ(next.NumEdges(), model.NumEdges()) << "round " << round;
     std::vector<Occurrence> tuples = GmEngine(next).EvaluateCollect(*q);
     std::set<Occurrence> answer(tuples.begin(), tuples.end());
     EXPECT_EQ(answer.size(), tuples.size()) << "round " << round;
@@ -169,17 +194,192 @@ TEST_P(ReplayDiffTest, RandomAddDeleteBatchesMatchEdgeSetModel) {
   writer.reset();
 
   // Replaying the raw log over the base lands on the model's graph too.
-  DeltaReader reader(log_path, GetParam());
-  ASSERT_TRUE(reader.ok()) << reader.error();
-  ReplayStats stats;
-  auto replayed = ReplayDelta(base, reader, &error, &stats);
-  ASSERT_TRUE(replayed.has_value()) << error;
-  EXPECT_FALSE(reader.truncated());
-  EXPECT_EQ(stats.records_applied, static_cast<uint64_t>(kRounds));
-  EXPECT_GT(stats.delete_ops, 0u);
-  EXPECT_EQ(GraphBytes(*replayed),
-            GraphBytes(Graph::FromEdges(labels, {model.begin(), model.end()})));
+  DeltaRead read =
+      ReadDeltaSince(log_path, GetParam(), kBaseChecksum, base.NumNodes());
+  ASSERT_TRUE(read.ok) << read.error;
+  EXPECT_FALSE(read.torn_tail);
+  EXPECT_EQ(read.stats.records_applied, static_cast<uint64_t>(kRounds));
+  EXPECT_GT(read.stats.delete_ops, 0u);
+  EXPECT_EQ(GraphBytes(ApplyDeltaOps(base, read.ops)),
+            GraphBytes(model.ToGraph()));
   std::remove(log_path.c_str());
+}
+
+/// What one entry from storage to a served graph produced.
+struct Served {
+  std::vector<uint8_t> graph_bytes;
+  std::set<Occurrence> answer;
+  uint64_t applied_seqno = 0;
+  uint64_t applied_chain = 0;
+  uint64_t applied_end_offset = 0;
+};
+
+Served ServedBy(const GmEngine& engine, const PatternQuery& q) {
+  Served served;
+  served.graph_bytes = GraphBytes(engine.graph());
+  std::vector<Occurrence> tuples = engine.EvaluateCollect(q);
+  served.answer = {tuples.begin(), tuples.end()};
+  return served;
+}
+
+Served ServedBy(const EngineState& state, const PatternQuery& q) {
+  Served served = ServedBy(*state.engine, q);
+  served.applied_seqno = state.applied_seqno;
+  served.applied_chain = state.applied_chain;
+  served.applied_end_offset = state.applied_end_offset;
+  return served;
+}
+
+TEST_P(ReplayDiffTest, EveryEntryServesTheModelFromOneResumePoint) {
+  // Six entries turn base + log into a served graph: the LoadEngineSnapshot
+  // overlay, a cold Acquire, a Refresh of a cold tenant, a Refresh of a
+  // resident one, a maintenance pass and a compaction. Over random
+  // add/delete logs, some ending in a torn append, each must serve the
+  // model's graph and answers, and all but the compaction (which starts a
+  // fresh log) must publish the same resume point.
+  const SnapshotIoMode mode = GetParam();
+  const Graph base = DiffBaseGraph();
+  auto q = ParsePattern(kPattern);
+  ASSERT_TRUE(q.has_value());
+  std::mt19937 rng(20261018);
+  constexpr int kTrials = 6;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const std::string snap = UniquePath() + ".snap";
+    const std::string delta = UniquePath() + ".delta";
+    std::string error;
+    {
+      GmEngine cold(base);
+      ASSERT_TRUE(SaveEngineSnapshot(cold, snap, &error)) << error;
+    }
+    auto info = InspectSnapshot(snap, &error);
+    ASSERT_TRUE(info.has_value()) << error;
+    EngineSource source;
+    source.snapshot_path = snap;
+    source.delta_path = delta;
+    source.io_mode = mode;
+    source.delta_io = mode;
+
+    // Resident before the log exists.
+    EngineCatalog resident;
+    EngineCatalog maintained;
+    for (EngineCatalog* catalog : {&resident, &maintained}) {
+      ASSERT_TRUE(catalog->Register("g", source, &error)) << error;
+      ASSERT_NE(catalog->Acquire("g", &error), nullptr) << error;
+    }
+
+    EdgeSetModel model(base);
+    const uint64_t records = rng() % 6;
+    const bool torn = trial % 2 == 1;
+    auto writer = DeltaWriter::Open(delta, info->stored_checksum,
+                                    base.NumNodes(), &error);
+    ASSERT_NE(writer, nullptr) << error;
+    for (uint64_t r = 0; r < records; ++r) {
+      ASSERT_TRUE(writer->AppendOps(model.RandomBatch(rng), &error)) << error;
+    }
+    const uint64_t valid_end = FileSize(delta);
+    if (torn) {
+      // A crashed append: a strict prefix of one more record.
+      EdgeSetModel discarded = model;
+      ASSERT_TRUE(writer->AppendOps(discarded.RandomBatch(rng), &error))
+          << error;
+      const uint64_t full_end = FileSize(delta);
+      const uint64_t cut = valid_end + 1 + rng() % (full_end - valid_end - 1);
+      ASSERT_EQ(::truncate(delta.c_str(), static_cast<off_t>(cut)), 0);
+    }
+    writer.reset();
+    const Graph model_graph = model.ToGraph();
+    Served want;
+    want.graph_bytes = GraphBytes(model_graph);
+    want.answer = ::rigpm::testing::BruteForceAnswer(model_graph, *q);
+
+    std::vector<std::pair<std::string, Served>> entries;
+    {
+      auto warm = LoadEngineSnapshot(
+          snap, {.io_mode = mode, .delta_path = delta, .delta_io = mode},
+          &error);
+      ASSERT_TRUE(warm.has_value()) << error;
+      Served served = ServedBy(*warm->engine, *q);
+      served.applied_seqno = warm->applied_seqno;
+      served.applied_chain = warm->applied_chain;
+      served.applied_end_offset = warm->applied_end_offset;
+      entries.emplace_back("LoadEngineSnapshot", std::move(served));
+    }
+    {
+      EngineCatalog cold;
+      ASSERT_TRUE(cold.Register("g", source, &error)) << error;
+      auto state = cold.Acquire("g", &error);
+      ASSERT_NE(state, nullptr) << error;
+      entries.emplace_back("cold Acquire", ServedBy(*state, *q));
+      // An open replays deletes; only a resident tenant's refresh counts.
+      EXPECT_EQ(cold.maintenance_stats().deletes_applied, 0u);
+    }
+    {
+      EngineCatalog cold;
+      ASSERT_TRUE(cold.Register("g", source, &error)) << error;
+      CatalogRefreshResult r = cold.Refresh("g");
+      ASSERT_TRUE(r.ok) << r.error;
+      EXPECT_EQ(r.records_applied, records);
+      EXPECT_EQ(r.log_truncated, torn);
+      auto state = cold.Acquire("g", &error);
+      ASSERT_NE(state, nullptr) << error;
+      entries.emplace_back("cold Refresh", ServedBy(*state, *q));
+      EXPECT_EQ(cold.maintenance_stats().deletes_applied, 0u);
+    }
+    {
+      CatalogRefreshResult r = resident.Refresh("g");
+      ASSERT_TRUE(r.ok) << r.error;
+      EXPECT_EQ(r.records_applied, records);
+      auto state = resident.Acquire("g", &error);
+      ASSERT_NE(state, nullptr) << error;
+      entries.emplace_back("resident Refresh", ServedBy(*state, *q));
+      // Every random batch carries delete ops.
+      EXPECT_EQ(resident.maintenance_stats().deletes_applied > 0, records > 0);
+    }
+    {
+      EXPECT_EQ(maintained.RunMaintenance(), records > 0 ? 1u : 0u);
+      auto state = maintained.Acquire("g", &error);
+      ASSERT_NE(state, nullptr) << error;
+      entries.emplace_back("RunMaintenance", ServedBy(*state, *q));
+      EXPECT_EQ(maintained.maintenance_stats().deletes_applied,
+                resident.maintenance_stats().deletes_applied);
+    }
+    for (const auto& [name, served] : entries) {
+      SCOPED_TRACE(name);
+      EXPECT_EQ(served.graph_bytes, want.graph_bytes);
+      EXPECT_EQ(served.answer, want.answer);
+      EXPECT_EQ(served.applied_seqno, records);
+      EXPECT_EQ(served.applied_chain, entries[0].second.applied_chain);
+      EXPECT_EQ(served.applied_end_offset, valid_end);
+    }
+    EXPECT_EQ(entries[0].second.applied_chain != 0, records > 0);
+
+    {
+      EngineCatalog compacting;
+      ASSERT_TRUE(compacting.Register("g", source, &error)) << error;
+      CatalogCompactionResult c = compacting.Compact("g");
+      ASSERT_TRUE(c.ok) << c.error;
+      ASSERT_FALSE(c.skipped);
+      auto state = compacting.Acquire("g", &error);
+      ASSERT_NE(state, nullptr) << error;
+      Served served = ServedBy(*state, *q);
+      EXPECT_EQ(served.graph_bytes, want.graph_bytes);
+      EXPECT_EQ(served.answer, want.answer);
+      EXPECT_EQ(served.applied_seqno, 0u);
+      EXPECT_EQ(served.applied_end_offset, kDeltaFileHeaderBytes);
+      // The new generation alone serves the same graph.
+      EngineCatalog reopened;
+      ASSERT_TRUE(reopened.Register("g", source, &error)) << error;
+      auto again = reopened.Acquire("g", &error);
+      ASSERT_NE(again, nullptr) << error;
+      EXPECT_EQ(GraphBytes(again->engine->graph()), want.graph_bytes);
+      std::remove(c.snapshot_path.c_str());
+      std::remove(c.delta_path.c_str());
+    }
+    std::remove(LineageHeadPath(snap).c_str());
+    std::remove(snap.c_str());
+    std::remove(delta.c_str());
+  }
 }
 
 // ------------------------------------------------------- lineage pointers
@@ -476,6 +676,76 @@ TEST_F(MaintenanceTest, RunMaintenanceAppliesNewRecordsWithoutClientRefresh) {
   EXPECT_EQ(state->applied_end_offset, FileSize(delta_path_));
   EXPECT_EQ(catalog.RunMaintenance(), 0u);
   EXPECT_EQ(catalog.maintenance_stats().auto_refreshes, 1u);
+}
+
+TEST_F(MaintenanceTest, RunMaintenanceRefusesALogRewrittenWithReusedSeqnos) {
+  // The log is replaced by another one against the same base: seqnos 1..3
+  // again, other edges, and longer than the applied prefix was. Resuming
+  // by seqno would apply record 3 on top of the wrong 1 and 2.
+  EngineCatalog catalog;
+  ASSERT_TRUE(catalog.Register("g", Source()));
+  AppendOps({{0, 40, DeltaOpKind::kAdd}});
+  AppendOps({FirstDeleteOrAdd(5)});
+  const uint64_t want = OracleCount();
+  ASSERT_EQ(ServedCount(catalog), want);  // resident, both records applied
+  std::string error;
+  auto before = catalog.Acquire("g", &error);
+  ASSERT_NE(before, nullptr) << error;
+  const uint64_t applied_end = FileSize(delta_path_);
+  ASSERT_EQ(before->applied_end_offset, applied_end);
+
+  std::remove(delta_path_.c_str());
+  {
+    auto writer = DeltaWriter::Open(delta_path_, checksum_,
+                                    graph_.NumNodes(), &error);
+    ASSERT_NE(writer, nullptr) << error;
+    for (NodeId u : {1u, 2u, 3u}) {
+      ASSERT_TRUE(writer->AppendOps(
+          std::vector<DeltaOp>{{u, 41, DeltaOpKind::kAdd}}, &error))
+          << error;
+    }
+  }
+  ASSERT_GT(FileSize(delta_path_), applied_end);
+
+  EXPECT_EQ(catalog.RunMaintenance(), 0u);
+  EXPECT_EQ(catalog.maintenance_stats().auto_refreshes, 0u);
+  EXPECT_EQ(catalog.Acquire("g", &error), before);
+  EXPECT_EQ(ServedCount(catalog), want);
+}
+
+TEST_F(MaintenanceTest, RunMaintenanceRefusesACorruptNewRecord) {
+  EngineCatalog catalog;
+  ASSERT_TRUE(catalog.Register("g", Source()));
+  AppendOps({{0, 40, DeltaOpKind::kAdd}});
+  const uint64_t want = OracleCount();
+  ASSERT_EQ(ServedCount(catalog), want);  // resident, record 1 applied
+  std::string error;
+  auto before = catalog.Acquire("g", &error);
+  ASSERT_NE(before, nullptr) << error;
+
+  // Record 2 arrives intact, record 3 with one flipped byte in its edge
+  // list (past its 32-byte record header): full-size bytes that fail their
+  // checksum. Applying record 2 alone would serve a graph that silently
+  // lacks acknowledged record 3.
+  AppendOps({{1, 41, DeltaOpKind::kAdd}});
+  const uint64_t corrupt_at = FileSize(delta_path_) + 32;
+  AppendOps({{2, 42, DeltaOpKind::kAdd}, {3, 43, DeltaOpKind::kAdd}});
+  {
+    std::fstream f(delta_path_,
+                   std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f.is_open());
+    f.seekg(static_cast<std::streamoff>(corrupt_at));
+    char b = 0;
+    f.read(&b, 1);
+    b = static_cast<char>(b ^ 0x5a);
+    f.seekp(static_cast<std::streamoff>(corrupt_at));
+    f.write(&b, 1);
+  }
+
+  EXPECT_EQ(catalog.RunMaintenance(), 0u);
+  EXPECT_EQ(catalog.maintenance_stats().auto_refreshes, 0u);
+  EXPECT_EQ(catalog.Acquire("g", &error), before);
+  EXPECT_EQ(ServedCount(catalog), want);
 }
 
 TEST_F(MaintenanceTest, RunMaintenanceAutoCompactsWhenTheRatioTrips) {

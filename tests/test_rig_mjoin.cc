@@ -15,6 +15,14 @@ namespace {
 using ::rigpm::testing::BruteForceAnswer;
 using ::rigpm::testing::PaperExample;
 
+/// An MJoin sink that appends every occurrence to *out.
+OccurrenceSink CollectInto(std::vector<Occurrence>* out) {
+  return [out](const Occurrence& t) {
+    out->push_back(t);
+    return true;
+  };
+}
+
 class RigFixture : public ::testing::Test {
  protected:
   RigFixture()
@@ -88,7 +96,8 @@ TEST_F(RigFixture, MJoinProducesPaperAnswer) {
   std::vector<QueryNodeId> order =
       ComputeSearchOrder(query_, rig, OrderStrategy::kJO);
   MJoinStats stats;
-  auto tuples = MJoinCollect(query_, rig, order, MJoinOptions{}, &stats);
+  std::vector<Occurrence> tuples;
+  MJoin(query_, rig, order, CollectInto(&tuples), MJoinOptions{}, &stats);
   std::set<std::vector<NodeId>> got(tuples.begin(), tuples.end());
   EXPECT_EQ(got, PaperExample::ExpectedAnswer());
   EXPECT_EQ(stats.occurrences, 4u);
@@ -101,7 +110,8 @@ TEST_F(RigFixture, MJoinAnswerIndependentOfOrderStrategy) {
   for (OrderStrategy s :
        {OrderStrategy::kJO, OrderStrategy::kRI, OrderStrategy::kBJ}) {
     auto order = ComputeSearchOrder(query_, rig, s);
-    auto tuples = MJoinCollect(query_, rig, order);
+    std::vector<Occurrence> tuples;
+    MJoin(query_, rig, order, CollectInto(&tuples));
     EXPECT_EQ(std::set<std::vector<NodeId>>(tuples.begin(), tuples.end()),
               expected)
         << OrderStrategyName(s);
@@ -114,7 +124,7 @@ TEST_F(RigFixture, MJoinLimitStopsEarly) {
       ComputeSearchOrder(query_, rig, OrderStrategy::kJO);
   MJoinOptions opts;
   opts.limit = 2;
-  EXPECT_EQ(MJoinCount(query_, rig, order, opts), 2u);
+  EXPECT_EQ(MJoin(query_, rig, order, nullptr, opts), 2u);
   // Limit 0 emits nothing and never calls the sink.
   opts.limit = 0;
   uint64_t seen = 0;
@@ -168,7 +178,7 @@ TEST(Rig, EmptyCosShortCircuitsEverything) {
   EXPECT_EQ(rig.TotalEdges(), 0u);
   EXPECT_EQ(stats.expand_pair_checks, 0u);  // expansion was skipped
   std::vector<QueryNodeId> order = {0, 1};
-  EXPECT_EQ(MJoinCount(q, rig, order), 0u);
+  EXPECT_EQ(MJoin(q, rig, order, nullptr), 0u);
 }
 
 // --- Search orders.
@@ -261,7 +271,8 @@ TEST_P(RigMJoinPropertyTest, MatchesBruteForce) {
                                         .seed = p.seed * 31 + 5});
   Rig rig = BuildRigFromMatchSets(ctx, q, RigBuildOptions{}, &intervals);
   auto order = ComputeSearchOrder(q, rig, OrderStrategy::kJO);
-  auto tuples = MJoinCollect(q, rig, order);
+  std::vector<Occurrence> tuples;
+  MJoin(q, rig, order, CollectInto(&tuples));
   std::set<std::vector<NodeId>> got(tuples.begin(), tuples.end());
   EXPECT_EQ(got.size(), tuples.size()) << "MJoin produced duplicates";
   EXPECT_EQ(got, BruteForceAnswer(g, q));

@@ -648,55 +648,31 @@ int RunDelta(int argc, char** argv) {
       std::fprintf(stderr, "cannot load base: %s\n", error.c_str());
       return 1;
     }
-    DeltaReader reader(delta_path, io_mode);
-    if (!reader.ok()) {
-      std::fprintf(stderr, "cannot read delta log: %s\n",
-                   reader.error().c_str());
+    // The same reader every load and refresh uses: a wrong base and
+    // corruption of acknowledged records are refused — producing output
+    // (or worse, a compacted snapshot the operator then treats as
+    // complete) from the valid prefix would silently lose the rest.
+    DeltaRead read = ReadDeltaSince(delta_path, io_mode, base_checksum,
+                                    base->NumNodes());
+    if (!read.ok) {
+      std::fprintf(stderr, "replay refused: %s\n", read.error.c_str());
       return 1;
     }
-    if (reader.base_checksum() != base_checksum) {
-      std::fprintf(stderr,
-                   "delta log is bound to base %016llx, but %s has "
-                   "checksum %016llx\n",
-                   static_cast<unsigned long long>(reader.base_checksum()),
-                   base_path.c_str(),
-                   static_cast<unsigned long long>(base_checksum));
-      return 1;
-    }
-    ReplayStats stats;
-    auto merged = ReplayDelta(*base, reader, &error, &stats);
-    if (!merged.has_value()) {
-      std::fprintf(stderr, "replay failed: %s\n", error.c_str());
-      return 1;
-    }
-    if (reader.truncated() && !reader.tail_torn()) {
-      // Mid-log corruption of acknowledged data: the valid prefix is NOT
-      // everything that was journaled. Producing output (or worse, a
-      // compacted snapshot the operator then treats as complete) would
-      // silently lose the rest — refuse.
-      std::fprintf(stderr,
-                   "replay refused: %s is corrupt after record %llu (%s); "
-                   "acknowledged records past that point cannot be "
-                   "recovered from this file\n",
-                   delta_path.c_str(),
-                   static_cast<unsigned long long>(reader.records_read()),
-                   reader.tail_error().c_str());
-      return 1;
-    }
+    const ReplayStats& stats = read.stats;
+    const Graph merged = ApplyDeltaOps(*base, read.ops);
     std::printf("base:   %s\n", base->Summary().c_str());
     std::printf("replay: %llu record(s), %llu op(s) (%llu delete(s))%s\n",
                 static_cast<unsigned long long>(stats.records_applied),
                 static_cast<unsigned long long>(stats.edges_in_records),
                 static_cast<unsigned long long>(stats.delete_ops),
-                reader.truncated()
-                    ? " (torn, never-acknowledged tail skipped)"
-                    : "");
-    std::printf("merged: %s\n", merged->Summary().c_str());
+                read.torn_tail ? " (torn, never-acknowledged tail skipped)"
+                               : "");
+    std::printf("merged: %s\n", merged.Summary().c_str());
     if (!out_path.empty()) {
       // Compaction-by-resnapshot: the merged graph becomes a new base with
       // its own checksum; existing delta logs do NOT apply to it — start a
       // fresh log bound to the new snapshot.
-      GmEngine engine(*merged);
+      GmEngine engine(merged);
       if (!SaveEngineSnapshot(engine, out_path, &error)) {
         std::fprintf(stderr, "cannot write snapshot: %s\n", error.c_str());
         return 1;
