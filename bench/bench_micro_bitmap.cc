@@ -32,16 +32,6 @@ void BM_BitmapAnd(benchmark::State& state) {
 }
 BENCHMARK(BM_BitmapAnd)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 18);
 
-void BM_BitmapIntersectsEarlyExit(benchmark::State& state) {
-  const uint32_t universe = 1u << 20;
-  Bitmap a = RandomBitmap(universe, static_cast<uint32_t>(state.range(0)), 3);
-  Bitmap b = RandomBitmap(universe, static_cast<uint32_t>(state.range(0)), 4);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(a.Intersects(b));
-  }
-}
-BENCHMARK(BM_BitmapIntersectsEarlyExit)->Arg(1 << 10)->Arg(1 << 16);
-
 void BM_BitmapAndMany(benchmark::State& state) {
   const uint32_t universe = 1u << 20;
   std::vector<Bitmap> bitmaps;

@@ -102,7 +102,7 @@ echo "== snapshot"
 "${BUILD_DIR}/rigpm_cli" snapshot --graph "${GRAPH}" --out "${SNAP}"
 
 echo "== start daemon (2 workers, delta-armed)"
-"${BUILD_DIR}/rigpm_serve" --snapshot "${SNAP}" --delta "${DELTA}" \
+"${BUILD_DIR}/rigpm_cli" serve --snapshot "${SNAP}" --delta "${DELTA}" \
   --socket "${SOCK}" --workers 2 > "${WORK_DIR}/serve.log" 2>&1 &
 SERVER_PID=$!
 for _ in $(seq 1 50); do

@@ -67,7 +67,7 @@ cache_stat() {
 }
 
 serve() {
-  "${BUILD_DIR}/rigpm_serve" --snapshot "${SNAP}" --delta "${DELTA}" \
+  "${BUILD_DIR}/rigpm_cli" serve --snapshot "${SNAP}" --delta "${DELTA}" \
     --socket "${SOCK}" --workers 2 "$@" > "${WORK_DIR}/serve.log" 2>&1 &
   SERVER_PID=$!
   for _ in $(seq 1 50); do

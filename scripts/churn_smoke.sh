@@ -75,7 +75,7 @@ echo "== snapshot"
 "${BUILD_DIR}/rigpm_cli" snapshot --graph "${GRAPH}" --out "${SNAP}"
 
 echo "== start daemon (maintenance thread: 50ms poll, compact at 5%)"
-"${BUILD_DIR}/rigpm_serve" --snapshot "${SNAP}" --delta "${DELTA}" \
+"${BUILD_DIR}/rigpm_cli" serve --snapshot "${SNAP}" --delta "${DELTA}" \
   --socket "${SOCK}" --workers 2 \
   --maintenance-interval-ms 50 --auto-compact-ratio 0.05 \
   > "${WORK_DIR}/serve.log" 2>&1 &

@@ -101,7 +101,7 @@ echo "== snapshot"
 # start_daemon LOG: a delta-armed daemon on the snapshot + log, up once it
 # answers a ping.
 start_daemon() {
-  "${BUILD_DIR}/rigpm_serve" --snapshot "${SNAP}" --delta "${DELTA}" \
+  "${BUILD_DIR}/rigpm_cli" serve --snapshot "${SNAP}" --delta "${DELTA}" \
     --socket "${SOCK}" --workers 2 > "$1" 2>&1 &
   SERVER_PID=$!
   for _ in $(seq 1 50); do

@@ -24,7 +24,6 @@ trap 'kill "${SERVER_PID:-}" 2>/dev/null || true; rm -rf "${WORK_DIR}"' EXIT
 
 SOCK=${WORK_DIR}/rigpm.sock
 CLI=${BUILD_DIR}/rigpm_cli
-SERVE=${BUILD_DIR}/rigpm_serve
 
 # Tenant alpha: the paper's running example graph (Fig. 2).
 cat > "${WORK_DIR}/alpha.txt" <<'EOF'
@@ -109,7 +108,7 @@ EOF
   --delta "${WORK_DIR}/beta.delta" --edges "${WORK_DIR}/beta_batch.txt"
 
 echo "== start ONE daemon with three graphs, cap 2"
-"${SERVE}" \
+"${CLI}" serve \
   --graph "alpha=${WORK_DIR}/alpha.snap:${WORK_DIR}/alpha.delta" \
   --graph "beta=${WORK_DIR}/beta.snap:${WORK_DIR}/beta.delta" \
   --graph "gamma=${WORK_DIR}/gamma.snap" \

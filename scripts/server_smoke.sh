@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# End-to-end smoke of the query daemon: dump a snapshot, start rigpm_serve
-# on a Unix socket, run client queries against it, diff every count against
-# direct `rigpm_cli` evaluation of the same snapshot, check --limit, the
-# flag usage errors and an out-of-range pattern label (a parse error, served
-# and direct), and verify the daemon shuts down cleanly (both via a client
-# shutdown request and via SIGTERM).
+# End-to-end smoke of the query daemon: dump a snapshot, start
+# `rigpm_cli serve` on a Unix socket, run client queries against it, diff
+# every count against direct `rigpm_cli` evaluation of the same snapshot,
+# check --limit, the flag usage errors and an out-of-range pattern label (a
+# parse error, served and direct), and verify the daemon shuts down cleanly
+# (both via a client shutdown request and via SIGTERM).
 #
 # usage: scripts/server_smoke.sh BUILD_DIR
 set -eu
@@ -57,7 +57,7 @@ echo "== snapshot"
 "${BUILD_DIR}/rigpm_cli" snapshot --graph "${GRAPH}" --out "${SNAP}"
 
 echo "== start daemon"
-"${BUILD_DIR}/rigpm_serve" --snapshot "${SNAP}" --socket "${SOCK}" \
+"${BUILD_DIR}/rigpm_cli" serve --snapshot "${SNAP}" --socket "${SOCK}" \
   --workers 4 > "${WORK_DIR}/serve.log" 2>&1 &
 SERVER_PID=$!
 
@@ -177,10 +177,10 @@ echo "== two daemons, one snapshot (shared mmap)"
 # MAP_SHARED and share one physical copy of the graph. Both must answer
 # every query with identical counts.
 SOCK_B=${WORK_DIR}/rigpm_b.sock
-"${BUILD_DIR}/rigpm_serve" --snapshot "${SNAP}" --socket "${SOCK}" \
+"${BUILD_DIR}/rigpm_cli" serve --snapshot "${SNAP}" --socket "${SOCK}" \
   --snapshot-io mmap --workers 2 > "${WORK_DIR}/serve_a.log" 2>&1 &
 SERVER_PID=$!
-"${BUILD_DIR}/rigpm_serve" --snapshot "${SNAP}" --socket "${SOCK_B}" \
+"${BUILD_DIR}/rigpm_cli" serve --snapshot "${SNAP}" --socket "${SOCK_B}" \
   --snapshot-io mmap --workers 2 > "${WORK_DIR}/serve_b.log" 2>&1 &
 SERVER_PID_B=$!
 for s in "${SOCK}" "${SOCK_B}"; do
@@ -222,7 +222,7 @@ SERVER_PID=
 [ "${code}" = "0" ] || { echo "FAIL: daemon A exited ${code}" >&2; exit 1; }
 
 echo "== clean shutdown via SIGTERM"
-"${BUILD_DIR}/rigpm_serve" --snapshot "${SNAP}" --socket "${SOCK}" \
+"${BUILD_DIR}/rigpm_cli" serve --snapshot "${SNAP}" --socket "${SOCK}" \
   --workers 2 > "${WORK_DIR}/serve2.log" 2>&1 &
 SERVER_PID=$!
 for _ in $(seq 1 50); do

@@ -20,8 +20,9 @@ EvalStatus BuildEdgeRelations(const MatchContext& ctx, const PatternQuery& q,
     if (edge.kind == EdgeKind::kChild) {
       src.ForEach([&](NodeId u) {
         if (overflow) return;
-        Bitmap partners = Bitmap::And(g.OutBitmap(u), dst);
-        partners.ForEach([&](NodeId v) { rel.pairs.emplace_back(u, v); });
+        for (NodeId v : g.OutNeighbors(u)) {
+          if (dst.Contains(v)) rel.pairs.emplace_back(u, v);
+        }
         if (total + rel.pairs.size() > max_total_pairs) overflow = true;
       });
     } else {

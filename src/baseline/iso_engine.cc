@@ -141,30 +141,32 @@ IsoResult IsoEvaluate(const Graph& g, const PatternQuery& q,
       return false;
     }
     QueryNodeId qi = order[i];
-    std::vector<const Bitmap*> inputs = {&candidates[qi]};
+    // The candidates of qi adjacent to every matched neighbour: the in-rows
+    // of matched children and the out-rows of matched parents.
+    std::vector<std::span<const NodeId>> rows;
     for (QueryEdgeId e : q.OutEdges(qi)) {
       QueryNodeId other = q.Edge(e).to;
       if (tuple[other] != kInvalidNode) {
-        inputs.push_back(&g.InBitmap(tuple[other]));
+        rows.push_back(g.InNeighbors(tuple[other]));
       }
     }
     for (QueryEdgeId e : q.InEdges(qi)) {
       QueryNodeId other = q.Edge(e).from;
       if (tuple[other] != kInvalidNode) {
-        inputs.push_back(&g.OutBitmap(tuple[other]));
+        rows.push_back(g.OutNeighbors(tuple[other]));
       }
     }
-    Bitmap cosi = Bitmap::AndMany(inputs);
+    const Bitmap* cand = &candidates[qi];
     bool keep_going = true;
-    cosi.ForEach([&](NodeId v) {
-      if (!keep_going) return;
+    for (NodeId v : IntersectRows(rows, {&cand, 1})) {
       // Injectivity: the one-to-one constraint of isomorphic matching.
-      if (std::find(used.begin(), used.end(), v) != used.end()) return;
+      if (std::find(used.begin(), used.end(), v) != used.end()) continue;
       tuple[qi] = v;
       used.push_back(v);
       keep_going = descend(i + 1);
       used.pop_back();
-    });
+      if (!keep_going) break;
+    }
     tuple[qi] = kInvalidNode;
     return keep_going;
   };

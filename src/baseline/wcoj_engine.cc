@@ -177,29 +177,28 @@ WcojResult WcojEngine::Evaluate(const PatternQuery& q, const WcojOptions& opts,
     QueryNodeId qi = order[i];
     LabelId label = q.Label(qi);
     if (label >= graph_.NumLabels()) return true;
-    std::vector<const Bitmap*> inputs;
-    inputs.push_back(&graph_.LabelBitmap(label));
+    // Child constraints contribute the matched node's adjacency row,
+    // descendant ones its closure bitmap.
+    std::vector<std::span<const NodeId>> rows;
+    std::vector<const Bitmap*> sets = {&graph_.LabelBitmap(label)};
     for (const Constraint& c : constraints[i]) {
       const QueryEdge& edge = q.Edge(c.edge);
       NodeId matched = tuple[order[c.earlier_pos]];
-      const Bitmap* adj;
       if (edge.kind == EdgeKind::kChild) {
-        adj = c.earlier_is_tail ? &graph_.OutBitmap(matched)
-                                : &graph_.InBitmap(matched);
+        rows.push_back(c.earlier_is_tail ? graph_.OutNeighbors(matched)
+                                         : graph_.InNeighbors(matched));
       } else {
-        adj = c.earlier_is_tail ? &closure_fwd_[matched]
-                                : &closure_bwd_[matched];
+        sets.push_back(c.earlier_is_tail ? &closure_fwd_[matched]
+                                         : &closure_bwd_[matched]);
       }
-      inputs.push_back(adj);
     }
     ++result.intersections;
-    Bitmap cosi = Bitmap::AndMany(inputs);
     bool keep_going = true;
-    cosi.ForEach([&](NodeId v) {
-      if (!keep_going) return;
+    for (NodeId v : IntersectRows(rows, sets)) {
       tuple[qi] = v;
       keep_going = descend(i + 1);
-    });
+      if (!keep_going) break;
+    }
     tuple[qi] = kInvalidNode;
     return keep_going;
   };

@@ -99,13 +99,6 @@ Bitmap Bitmap::FromSorted(std::span<const uint32_t> sorted_values) {
   return result;
 }
 
-Bitmap Bitmap::FromUnsorted(std::span<const uint32_t> values) {
-  std::vector<uint32_t> sorted(values.begin(), values.end());
-  std::sort(sorted.begin(), sorted.end());
-  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-  return FromSorted(sorted);
-}
-
 // ---------------------------------------------------------------------------
 // Point operations
 // ---------------------------------------------------------------------------
@@ -189,19 +182,6 @@ bool Bitmap::Contains(uint32_t value) const {
 void Bitmap::Clear() {
   containers_.clear();
   cardinality_ = 0;
-}
-
-uint32_t Bitmap::First() const {
-  assert(!Empty());
-  const Container& c = containers_.front();
-  if (c.kind == Container::Kind::kArray) return Combine(c.key, c.array.front());
-  for (uint32_t w = 0; w < kWordsPerBitset; ++w) {
-    if (c.words[w] != 0) {
-      return Combine(c.key, static_cast<uint16_t>(
-                                (w << 6) | std::countr_zero(c.words[w])));
-    }
-  }
-  return 0;  // unreachable given cardinality > 0
 }
 
 // ---------------------------------------------------------------------------
@@ -348,88 +328,9 @@ Bitmap::Container Bitmap::AndNotContainers(const Container& a,
   return out;
 }
 
-bool Bitmap::ContainersIntersect(const Container& a, const Container& b) {
-  using Kind = Container::Kind;
-  if (a.kind == Kind::kArray && b.kind == Kind::kArray) {
-    size_t i = 0, j = 0;
-    while (i < a.array.size() && j < b.array.size()) {
-      if (a.array[i] < b.array[j]) {
-        ++i;
-      } else if (a.array[i] > b.array[j]) {
-        ++j;
-      } else {
-        return true;
-      }
-    }
-    return false;
-  }
-  if (a.kind == Kind::kBitset && b.kind == Kind::kBitset) {
-    for (uint32_t w = 0; w < kWordsPerBitset; ++w) {
-      if (a.words[w] & b.words[w]) return true;
-    }
-    return false;
-  }
-  const Container& arr = (a.kind == Kind::kArray) ? a : b;
-  const Container& bits = (a.kind == Kind::kArray) ? b : a;
-  for (uint16_t low : arr.array) {
-    if ((bits.words[low >> 6] >> (low & 63)) & 1) return true;
-  }
-  return false;
-}
-
-bool Bitmap::ContainerSubset(const Container& a, const Container& b) {
-  if (a.cardinality > b.cardinality) return false;
-  if (a.kind == Container::Kind::kArray) {
-    for (uint16_t low : a.array) {
-      if (!b.Contains(low)) return false;
-    }
-    return true;
-  }
-  // a is a bitset, so b, holding at least as many values, is one too.
-  for (uint32_t w = 0; w < kWordsPerBitset; ++w) {
-    if (a.words[w] & ~b.words[w]) return false;
-  }
-  return true;
-}
-
 // ---------------------------------------------------------------------------
 // Bitmap-level set algebra
 // ---------------------------------------------------------------------------
-
-bool Bitmap::Intersects(const Bitmap& other) const {
-  size_t i = 0, j = 0;
-  while (i < containers_.size() && j < other.containers_.size()) {
-    uint16_t ka = containers_[i].key;
-    uint16_t kb = other.containers_[j].key;
-    if (ka < kb) {
-      ++i;
-    } else if (ka > kb) {
-      ++j;
-    } else {
-      if (ContainersIntersect(containers_[i], other.containers_[j])) {
-        return true;
-      }
-      ++i;
-      ++j;
-    }
-  }
-  return false;
-}
-
-bool Bitmap::IsSubsetOf(const Bitmap& other) const {
-  if (cardinality_ > other.cardinality_) return false;
-  size_t j = 0;
-  for (const Container& c : containers_) {
-    while (j < other.containers_.size() && other.containers_[j].key < c.key) {
-      ++j;
-    }
-    if (j == other.containers_.size() || other.containers_[j].key != c.key) {
-      return false;
-    }
-    if (!ContainerSubset(c, other.containers_[j])) return false;
-  }
-  return true;
-}
 
 Bitmap Bitmap::And(const Bitmap& a, const Bitmap& b) {
   Bitmap out;
@@ -523,9 +424,7 @@ Bitmap Bitmap::AndMany(std::span<const Bitmap* const> inputs) {
 
 void Bitmap::Serialize(ByteSink& sink) const {
   // No total-cardinality word: it would only repeat the per-container
-  // cardinalities (each validated on its own), and across the millions of
-  // tiny per-node bitmaps of a CSR graph those 8 bytes are several percent
-  // of the whole snapshot.
+  // cardinalities, each validated on its own.
   sink.WriteU32(static_cast<uint32_t>(containers_.size()));
   for (const Container& c : containers_) {
     sink.WriteU16(c.key);

@@ -12,11 +12,11 @@
 
 namespace rigpm {
 
-/// Per-kind container census of a bitmap (or a whole section of bitmaps):
-/// how many containers of each representation, how many still borrow their
-/// payload from a snapshot mapping, and the payload bytes (what a snapshot
-/// stores and what a borrowed container costs in mapped bytes). Used by
-/// `rigpm_cli snapshot --inspect` and the memory benches.
+/// Per-kind container census of one or more bitmaps (Bitmap::AccumulateStats
+/// adds one bitmap's): how many containers of each representation, how many
+/// still borrow their payload from a snapshot mapping, and the payload bytes
+/// (what a snapshot stores and what a borrowed container costs in mapped
+/// bytes). Used by `rigpm_cli snapshot --inspect` and the tests.
 struct BitmapContainerStats {
   uint64_t array_containers = 0;
   uint64_t bitset_containers = 0;
@@ -26,12 +26,6 @@ struct BitmapContainerStats {
   uint64_t TotalContainers() const {
     return array_containers + bitset_containers;
   }
-  void Accumulate(const BitmapContainerStats& other) {
-    array_containers += other.array_containers;
-    bitset_containers += other.bitset_containers;
-    borrowed_containers += other.borrowed_containers;
-    encoded_bytes += other.encoded_bytes;
-  }
 };
 
 /// A roaring-style compressed bitmap over 32-bit unsigned integers.
@@ -39,8 +33,10 @@ struct BitmapContainerStats {
 /// The value space is partitioned into 2^16-element chunks keyed by the high
 /// 16 bits. Each populated chunk is stored in one of two representations —
 /// the container design of RoaringBitmap (Chambi et al., SPE 2016), which
-/// the paper uses to store candidate occurrence sets and adjacency lists
-/// (Section 6):
+/// the paper uses to store candidate occurrence sets and the RIG's
+/// per-query-edge adjacency (Section 6). The data graph's adjacency stays in
+/// sorted CSR rows (graph/graph.h); only its label inverted lists are also
+/// bitmaps.
 ///  * array  — sorted uint16 low bits (sparse, <= kArrayCapacity values,
 ///             2 bytes/value);
 ///  * bitset — 1024 64-bit words (dense, > kArrayCapacity values, fixed
@@ -63,7 +59,6 @@ struct BitmapContainerStats {
 /// The class provides the operations the RIG framework needs:
 ///  * point updates and membership,
 ///  * destructive and non-destructive AND / OR / ANDNOT,
-///  * `Intersects` (existence-only AND, with early exit),
 ///  * multiway AND ("FastAggregation" in the RoaringBitmap API),
 ///  * batch iteration (`ForEach`, `ToVector`) that decodes container-at-a-
 ///    time, mirroring the batch iterators the paper found 2-10x faster than
@@ -83,12 +78,9 @@ class Bitmap {
   Bitmap& operator=(Bitmap&&) noexcept = default;
 
   /// Builds a bitmap from a strictly increasing sequence of values, one
-  /// container per chunk. This is the fast path used when converting CSR
-  /// adjacency ranges.
+  /// container per chunk. This is the fast path used when converting sorted
+  /// node lists (label inverted lists, filtered candidates).
   static Bitmap FromSorted(std::span<const uint32_t> sorted_values);
-
-  /// Builds a bitmap from an arbitrary (possibly duplicated) sequence.
-  static Bitmap FromUnsorted(std::span<const uint32_t> values);
 
   void Add(uint32_t value);
   void Remove(uint32_t value);
@@ -97,16 +89,6 @@ class Bitmap {
   uint64_t Cardinality() const { return cardinality_; }
   bool Empty() const { return cardinality_ == 0; }
   void Clear();
-
-  /// Smallest element. Precondition: !Empty().
-  uint32_t First() const;
-
-  /// True iff the two bitmaps share at least one element. Exits on the first
-  /// hit, so this is much cheaper than materializing the intersection.
-  bool Intersects(const Bitmap& other) const;
-
-  /// True iff every element of this bitmap is contained in `other`.
-  bool IsSubsetOf(const Bitmap& other) const;
 
   void AndWith(const Bitmap& other);
   void OrWith(const Bitmap& other);
@@ -194,8 +176,6 @@ class Bitmap {
   static Container AndContainers(const Container& a, const Container& b);
   static Container OrContainers(const Container& a, const Container& b);
   static Container AndNotContainers(const Container& a, const Container& b);
-  static bool ContainersIntersect(const Container& a, const Container& b);
-  static bool ContainerSubset(const Container& a, const Container& b);
 
   std::vector<Container> containers_;  // sorted by key
   uint64_t cardinality_ = 0;

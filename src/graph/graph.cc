@@ -47,14 +47,12 @@ Graph Graph::FromEdges(std::vector<LabelId> labels,
               bwd_targets.begin() + static_cast<ptrdiff_t>(bwd_offsets[v + 1]));
   }
 
-  g.BuildDerivedStructures();
+  g.BuildLabelLists();
   return g;
 }
 
-void Graph::BuildDerivedStructures() {
+void Graph::BuildLabelLists() {
   const uint32_t n = NumNodes();
-
-  // Label inverted lists.
   std::vector<uint64_t>& label_offsets = label_offsets_.Mutable();
   std::vector<NodeId>& label_nodes = label_nodes_.Mutable();
   label_offsets.assign(num_labels_ + 1, 0);
@@ -66,13 +64,6 @@ void Graph::BuildDerivedStructures() {
   std::vector<uint64_t> pos(label_offsets.begin(), label_offsets.end() - 1);
   for (NodeId v = 0; v < n; ++v) label_nodes[pos[labels_[v]]++] = v;
 
-  // Bitmap forms of adjacency and inverted lists.
-  fwd_bitmaps_.resize(n);
-  bwd_bitmaps_.resize(n);
-  for (NodeId v = 0; v < n; ++v) {
-    fwd_bitmaps_[v] = Bitmap::FromSorted(OutNeighbors(v));
-    bwd_bitmaps_[v] = Bitmap::FromSorted(InNeighbors(v));
-  }
   label_bitmaps_.resize(num_labels_);
   for (LabelId a = 0; a < num_labels_; ++a) {
     label_bitmaps_[a] = Bitmap::FromSorted(LabelNodes(a));
@@ -101,8 +92,6 @@ void Graph::Serialize(ByteSink& sink) const {
   sink.WriteSpan<NodeId>(bwd_targets_);
   sink.WriteSpan<uint64_t>(label_offsets_);
   sink.WriteSpan<NodeId>(label_nodes_);
-  for (const Bitmap& b : fwd_bitmaps_) b.Serialize(sink);
-  for (const Bitmap& b : bwd_bitmaps_) b.Serialize(sink);
   for (const Bitmap& b : label_bitmaps_) b.Serialize(sink);
 }
 
@@ -166,15 +155,10 @@ Graph Graph::Deserialize(ByteSource& src) {
       return Graph();
     }
   }
-  auto read_bitmaps = [&src](size_t count, std::vector<Bitmap>* out) {
-    out->resize(count);
-    for (size_t i = 0; i < count && src.ok(); ++i) {
-      (*out)[i] = Bitmap::Deserialize(src);
-    }
-  };
-  read_bitmaps(n, &g.fwd_bitmaps_);
-  read_bitmaps(n, &g.bwd_bitmaps_);
-  read_bitmaps(g.num_labels_, &g.label_bitmaps_);
+  g.label_bitmaps_.resize(g.num_labels_);
+  for (size_t a = 0; a < g.num_labels_ && src.ok(); ++a) {
+    g.label_bitmaps_[a] = Bitmap::Deserialize(src);
+  }
   if (!src.ok()) return Graph();
   return g;
 }
@@ -185,28 +169,8 @@ size_t Graph::OwnedHeapBytes() const {
                  bwd_targets_.OwnedHeapBytes() +
                  label_offsets_.OwnedHeapBytes() +
                  label_nodes_.OwnedHeapBytes();
-  for (const Bitmap& b : fwd_bitmaps_) bytes += b.MemoryBytes();
-  for (const Bitmap& b : bwd_bitmaps_) bytes += b.MemoryBytes();
   for (const Bitmap& b : label_bitmaps_) bytes += b.MemoryBytes();
   return bytes;
-}
-
-BitmapContainerStats Graph::SectionStats(BitmapSection section) const {
-  const std::vector<Bitmap>* bitmaps = nullptr;
-  switch (section) {
-    case BitmapSection::kForward:
-      bitmaps = &fwd_bitmaps_;
-      break;
-    case BitmapSection::kBackward:
-      bitmaps = &bwd_bitmaps_;
-      break;
-    case BitmapSection::kLabels:
-      bitmaps = &label_bitmaps_;
-      break;
-  }
-  BitmapContainerStats stats;
-  for (const Bitmap& b : *bitmaps) b.AccumulateStats(&stats);
-  return stats;
 }
 
 Graph Graph::MakeBidirected(const Graph& g) {
@@ -220,6 +184,27 @@ Graph Graph::MakeBidirected(const Graph& g) {
     }
   }
   return FromEdges(std::move(labels), std::move(edges));
+}
+
+std::vector<NodeId> IntersectRows(std::span<const std::span<const NodeId>> rows,
+                                  std::span<const Bitmap* const> sets) {
+  if (rows.empty()) return Bitmap::AndMany(sets).ToVector();
+  const auto shortest = std::min_element(
+      rows.begin(), rows.end(),
+      [](const auto& a, const auto& b) { return a.size() < b.size(); });
+  std::vector<NodeId> out;
+  for (NodeId v : *shortest) {
+    auto in_row = [v](std::span<const NodeId> row) {
+      return std::binary_search(row.begin(), row.end(), v);
+    };
+    if (std::all_of(rows.begin(), shortest, in_row) &&
+        std::all_of(shortest + 1, rows.end(), in_row) &&
+        std::all_of(sets.begin(), sets.end(),
+                    [v](const Bitmap* set) { return set->Contains(v); })) {
+      out.push_back(v);
+    }
+  }
+  return out;
 }
 
 std::string Graph::Summary() const {

@@ -21,12 +21,13 @@ constexpr NodeId kInvalidNode = static_cast<NodeId>(-1);
 
 /// An immutable directed node-labeled data graph in CSR form (Definition 2.1).
 ///
-/// Both directions of the adjacency are materialized: forward lists (`adjf`
-/// in the paper) and backward lists (`adjb`). Per-node adjacency is also
-/// available as compressed bitmaps, which is what `BuildRIG`, double
-/// simulation's batch checks, and MJoin intersect against (Sections 4.5, 5).
-/// Label inverted lists `I_a` (Section 2) are exposed both as sorted vectors
-/// and as bitmaps.
+/// Both directions of the adjacency are materialized as sorted CSR rows:
+/// forward lists (`adjf` in the paper) and backward lists (`adjb`). The rows
+/// are the graph's only adjacency form; `BuildRIG`, the simulation's child
+/// checks and the baseline engines all walk them (Sections 4.5, 5). The
+/// bitmaps MJoin intersects are the RIG's, built per query. Label inverted
+/// lists `I_a` (Section 2) are exposed both as sorted vectors and as
+/// bitmaps: there is one per label, not one per node.
 ///
 /// Construct via `GraphBuilder` (graph_builder.h) or the generators.
 class Graph {
@@ -65,11 +66,6 @@ class Graph {
   /// True iff (u, v) is an edge. O(log OutDegree(u)).
   bool HasEdge(NodeId u, NodeId v) const;
 
-  /// Forward adjacency of `v` as a compressed bitmap.
-  const Bitmap& OutBitmap(NodeId v) const { return fwd_bitmaps_[v]; }
-  /// Backward adjacency of `v` as a compressed bitmap.
-  const Bitmap& InBitmap(NodeId v) const { return bwd_bitmaps_[v]; }
-
   /// Inverted list I_a: all nodes labeled `a`, sorted.
   std::span<const NodeId> LabelNodes(LabelId a) const {
     return {label_nodes_.data() + label_offsets_[a],
@@ -93,27 +89,26 @@ class Graph {
   /// Human-readable one-line summary (|V|, |E|, |L|, d_avg).
   std::string Summary() const;
 
-  /// Appends a binary image of the whole graph — CSR arrays, label inverted
-  /// lists, and the derived bitmaps — to `sink` (storage/snapshot.h frames
-  /// it into a snapshot file). Loading is pure I/O: nothing is recomputed.
+  /// Appends a binary image of the whole graph — labels, both CSR
+  /// directions, and the label inverted lists as sorted arrays and as
+  /// bitmaps — to `sink` (storage/snapshot.h frames it into a snapshot
+  /// file). Loading is pure I/O: nothing is recomputed.
   void Serialize(ByteSink& sink) const;
 
   /// Decodes an image written by Serialize. On malformed input `src.ok()`
   /// turns false and an empty graph is returned. In zero-copy mode the CSR
-  /// arrays, label lists, and bitmap container payloads borrow directly
-  /// from the source's backing storage; the graph retains the storage
-  /// ownership token (`src.storage()`), so it stays valid for its whole
-  /// lifetime and through moves. Copies deep-copy into private storage.
+  /// arrays, label lists, and label-bitmap container payloads borrow
+  /// directly from the source's backing storage; the graph retains the
+  /// storage ownership token (`src.storage()`), so it stays valid for its
+  /// whole lifetime and through moves. Copies deep-copy into private
+  /// storage.
   static Graph Deserialize(ByteSource& src);
 
   /// Heap bytes owned by this graph. Borrowed snapshot-mapping storage is
-  /// excluded — it is shared between every process mapping the snapshot.
+  /// excluded — it is shared between every process mapping the snapshot —
+  /// so an mmap-loaded graph owns only its label bitmaps' container tables,
+  /// which grow with the label count, not with |V|.
   size_t OwnedHeapBytes() const;
-
-  /// Container census of one bitmap section (`rigpm_cli snapshot --inspect`
-  /// and the memory benches).
-  enum class BitmapSection { kForward, kBackward, kLabels };
-  BitmapContainerStats SectionStats(BitmapSection section) const;
 
   /// Returns a copy with every edge also present in the reverse direction —
   /// the "store each edge in both directions" transformation the paper uses
@@ -124,7 +119,7 @@ class Graph {
  private:
   friend class GraphBuilder;
 
-  void BuildDerivedStructures();
+  void BuildLabelLists();
 
   // Owned vectors when built in-process; borrowed views into the snapshot
   // mapping when loaded zero-copy (storage_ keeps the mapping alive).
@@ -139,14 +134,20 @@ class Graph {
   OwnedOrBorrowedSpan<uint64_t> label_offsets_;  // size NumLabels()+1
   OwnedOrBorrowedSpan<NodeId> label_nodes_;
 
-  std::vector<Bitmap> fwd_bitmaps_;
-  std::vector<Bitmap> bwd_bitmaps_;
   std::vector<Bitmap> label_bitmaps_;
 
   // Ownership token for borrowed storage (null for built graphs); e.g. the
   // shared_ptr<MappedFile> of the snapshot the graph was loaded from.
   std::shared_ptr<const void> storage_;
 };
+
+/// The nodes present in every row of `rows` (sorted adjacency rows such as
+/// OutNeighbors) and in every bitmap of `sets`, ascending. Walks the
+/// shortest row, binary-searching the other rows and probing the bitmaps;
+/// with no row it is Bitmap::AndMany(sets). The ISO and WCOJ baselines
+/// extend a partial match with it.
+std::vector<NodeId> IntersectRows(std::span<const std::span<const NodeId>> rows,
+                                  std::span<const Bitmap* const> sets);
 
 }  // namespace rigpm
 

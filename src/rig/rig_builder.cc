@@ -18,12 +18,13 @@ void ExpandEdge(const MatchContext& ctx, const PatternQuery& q, QueryEdgeId e,
   if (src.Empty() || dst.Empty()) return;
 
   if (edge.kind == EdgeKind::kChild) {
-    // Direct connectivity as one set intersection per source node:
-    // adjf(vp) ∩ cos(q) (Section 4.5).
+    // Direct connectivity, adjf(vp) ∩ cos(q) per source node (Section
+    // 4.5): walk vp's sorted row and keep the nodes of cos(q).
     src.ForEach([&](NodeId vp) {
       if (stats != nullptr) ++stats->expand_pair_checks;
-      Bitmap partners = Bitmap::And(g.OutBitmap(vp), dst);
-      partners.ForEach([&](NodeId vq) { rig->AddEdge(e, vp, vq); });
+      for (NodeId vq : g.OutNeighbors(vp)) {
+        if (dst.Contains(vq)) rig->AddEdge(e, vp, vq);
+      }
     });
     return;
   }

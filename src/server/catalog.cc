@@ -437,6 +437,8 @@ CatalogCompactionResult EngineCatalog::CompactLocked(Entry& e) {
   // configured gen-0 base snapshot is the operator's file and is never
   // unlinked; the head pointer is what routes around it.
   e.lineage = next;
+  e.polled_log_size = 0;
+  e.polled_log_refused = false;
   auto new_state = std::make_shared<EngineState>(*state);
   new_state->base_checksum = info->stored_checksum;
   new_state->applied_seqno = 0;
@@ -476,6 +478,7 @@ MaintenanceStats EngineCatalog::maintenance_stats() const {
   stats.auto_compactions = auto_compactions_.load(std::memory_order_relaxed);
   stats.bytes_reclaimed = bytes_reclaimed_.load(std::memory_order_relaxed);
   stats.deletes_applied = deletes_applied_.load(std::memory_order_relaxed);
+  stats.failures = maintenance_failures_.load(std::memory_order_relaxed);
   return stats;
 }
 
@@ -488,6 +491,9 @@ uint32_t EngineCatalog::RunMaintenance() {
     for (const auto& [id, entry] : entries_) entries.push_back(entry);
   }
   uint32_t actions = 0;
+  auto count_failure = [this] {
+    maintenance_failures_.fetch_add(1, std::memory_order_relaxed);
+  };
   for (const auto& entry : entries) {
     if (entry->source.delta_path.empty()) continue;
     {
@@ -498,27 +504,40 @@ uint32_t EngineCatalog::RunMaintenance() {
     }
     std::lock_guard<std::mutex> open_lock(entry->open_mu);
     std::string error;
-    if (!ResolveEntryLineage(*entry, &error)) continue;
+    if (!ResolveEntryLineage(*entry, &error)) {
+      count_failure();
+      continue;
+    }
     std::shared_ptr<const EngineState> state = StateOf(*entry);
     if (state == nullptr) continue;  // evicted while we waited
 
-    // The O(1) poll: on-disk size vs applied end offset. Equal means
-    // caught up without reading a byte; any other size gets the refresh
-    // every other path takes, which re-validates the log from its header.
-    // (A same-size rewrite in place is invisible to this check; a client
-    // --refresh always reads the log and catches it.)
+    // The O(1) poll: on-disk size vs applied end offset and vs the size an
+    // earlier pass read. Equal to the first means caught up; equal to the
+    // second means nothing changed since a pass read it (a refused log, or
+    // one ending in a torn append), so neither is read again. Any other
+    // size gets the refresh every other path takes, which re-validates the
+    // log from its header. (A same-size rewrite in place is invisible to
+    // this check; a client --refresh always reads the log and catches it.)
     struct stat st{};
     const bool have_log =
         ::stat(entry->lineage.delta_path.c_str(), &st) == 0 && st.st_size > 0;
-    if (have_log &&
-        static_cast<uint64_t>(st.st_size) != state->applied_end_offset) {
+    const uint64_t log_size = have_log ? static_cast<uint64_t>(st.st_size) : 0;
+    if (have_log && log_size != state->applied_end_offset &&
+        log_size != entry->polled_log_size) {
       CatalogRefreshResult r = RefreshLocked(*entry);
-      if (r.ok && r.records_applied > 0) {
+      entry->polled_log_size = log_size;
+      entry->polled_log_refused = !r.ok;
+      if (!r.ok) {
+        count_failure();
+      } else if (r.records_applied > 0) {
         auto_refreshes_.fetch_add(1, std::memory_order_relaxed);
         ++actions;
       }
     }
-    if (policy.auto_compact_ratio > 0 && have_log) {
+    // A compaction's drain would only meet the refusal again.
+    const bool refused =
+        entry->polled_log_refused && log_size == entry->polled_log_size;
+    if (policy.auto_compact_ratio > 0 && have_log && !refused) {
       struct stat log_st{};
       struct stat base_st{};
       if (::stat(entry->lineage.delta_path.c_str(), &log_st) == 0 &&
@@ -527,7 +546,9 @@ uint32_t EngineCatalog::RunMaintenance() {
               policy.auto_compact_ratio *
                   static_cast<double>(base_st.st_size)) {
         CatalogCompactionResult c = CompactLocked(*entry);
-        if (c.ok && !c.skipped) {
+        if (!c.ok) {
+          count_failure();
+        } else if (!c.skipped) {
           auto_compactions_.fetch_add(1, std::memory_order_relaxed);
           ++actions;
         }

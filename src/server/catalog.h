@@ -128,6 +128,8 @@ struct MaintenanceStats {
   uint64_t bytes_reclaimed = 0;   // old generations' bytes unlinked
   uint64_t deletes_applied = 0;   // delete ops a refresh applied to a
                                   // resident tenant (opens do not count)
+  uint64_t failures = 0;  // poll actions that failed: a refused refresh, a
+                          // failed lineage resolve, a failed compaction
 };
 
 /// What one compaction did.
@@ -226,12 +228,15 @@ class EngineCatalog {
 
   /// One background maintenance pass over every refreshable RESIDENT
   /// tenant (cold tenants catch up in their lazy open): one stat() of the
-  /// log per tenant, a refresh for the ones whose size changed, and — when
-  /// the policy's ratio trips — a compaction. A refresh it refuses (wrong
-  /// base, rewritten or corrupt log) leaves the tenant serving what it
-  /// served. Returns how many tenants it acted on. The server's
-  /// maintenance thread calls this every `interval_ms`; tests call it
-  /// directly for determinism.
+  /// log per tenant, a refresh for the ones whose size is new — neither the
+  /// applied end offset nor the size an earlier pass read — and, when the
+  /// policy's ratio trips, a compaction. A refresh it refuses (wrong base,
+  /// rewritten or corrupt log) leaves the tenant serving what it served and
+  /// is counted in MaintenanceStats::failures; the log is not read again
+  /// until its size changes, and no compaction drains it meanwhile.
+  /// Returns how many tenants it acted on. The server's maintenance thread
+  /// calls this every `interval_ms`; tests call it directly for
+  /// determinism.
   uint32_t RunMaintenance();
 
   /// Attributes `n` served queries to the tenant ("" = default).
@@ -281,6 +286,11 @@ class EngineCatalog {
     /// compactor of a live tenant; external appenders follow the head).
     Lineage lineage;
     bool lineage_resolved = false;
+
+    /// The size of the current lineage's log when a maintenance pass last
+    /// read it, and whether that read was refused; guarded by open_mu.
+    uint64_t polled_log_size = 0;
+    bool polled_log_refused = false;
   };
 
   /// "" resolves to the default id. Bumps the LRU clock on hit.
@@ -321,6 +331,7 @@ class EngineCatalog {
   std::atomic<uint64_t> auto_compactions_{0};
   std::atomic<uint64_t> bytes_reclaimed_{0};
   std::atomic<uint64_t> deletes_applied_{0};
+  std::atomic<uint64_t> maintenance_failures_{0};
 };
 
 }  // namespace rigpm::server

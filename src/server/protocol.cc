@@ -206,6 +206,7 @@ void StatsResponse::Serialize(ByteSink& sink) const {
   sink.WriteU64(auto_compactions);
   sink.WriteU64(maintenance_bytes_reclaimed);
   sink.WriteU64(deletes_applied);
+  sink.WriteU64(maintenance_failures);
 }
 
 StatsResponse StatsResponse::Deserialize(ByteSource& src) {
@@ -261,6 +262,7 @@ StatsResponse StatsResponse::Deserialize(ByteSource& src) {
   s.auto_compactions = src.ReadU64();
   s.maintenance_bytes_reclaimed = src.ReadU64();
   s.deletes_applied = src.ReadU64();
+  s.maintenance_failures = src.ReadU64();
   return s;
 }
 

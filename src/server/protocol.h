@@ -214,6 +214,7 @@ struct StatsResponse {
   uint64_t auto_compactions = 0;
   uint64_t maintenance_bytes_reclaimed = 0;
   uint64_t deletes_applied = 0;
+  uint64_t maintenance_failures = 0;
 
   void Serialize(ByteSink& sink) const;
   static StatsResponse Deserialize(ByteSource& src);

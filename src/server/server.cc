@@ -1041,6 +1041,7 @@ StatsResponse QueryServer::Snapshot() const {
   stats.auto_compactions = maint.auto_compactions;
   stats.maintenance_bytes_reclaimed = maint.bytes_reclaimed;
   stats.deletes_applied = maint.deletes_applied;
+  stats.maintenance_failures = maint.failures;
 
   std::lock_guard<std::mutex> lock(stats_mu_);
   stats.uptime_ms = static_cast<uint64_t>(MsSince(start_time_));

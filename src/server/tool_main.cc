@@ -117,7 +117,7 @@ void PrintTuples(const QueryResponse& resp, uint64_t max_print) {
 
 }  // namespace
 
-int ServeToolMain(int argc, char** argv, int first_arg) {
+int ServeToolMain(int argc, char** argv) {
   std::string snapshot_path, graph_path, socket_path, host = "127.0.0.1";
   std::string delta_path;
   std::vector<GraphSpec> tenants;
@@ -126,7 +126,7 @@ int ServeToolMain(int argc, char** argv, int first_arg) {
   std::optional<uint16_t> port;
   SnapshotIoMode io_mode = DefaultSnapshotIoMode();
   ServerConfig config;
-  for (int i = first_arg; i < argc; ++i) {
+  for (int i = 2; i < argc; ++i) {
     const char* v;
     if (std::strcmp(argv[i], "--snapshot") == 0) {
       if ((v = NeedValue(argc, argv, &i, "--snapshot")) == nullptr)
@@ -350,7 +350,7 @@ int ServeToolMain(int argc, char** argv, int first_arg) {
   return 0;
 }
 
-int ClientToolMain(int argc, char** argv, int first_arg) {
+int ClientToolMain(int argc, char** argv) {
   std::string socket_path, host = "127.0.0.1", batch_path, graph_id;
   std::optional<uint16_t> port;
   bool want_stats = false, want_ping = false, want_shutdown = false;
@@ -361,7 +361,7 @@ int ClientToolMain(int argc, char** argv, int first_arg) {
   uint64_t idle_hold = 0;
   uint64_t hold_secs = 600;
   QueryRequest req;
-  for (int i = first_arg; i < argc; ++i) {
+  for (int i = 2; i < argc; ++i) {
     const char* v;
     if (std::strcmp(argv[i], "--socket") == 0) {
       if ((v = NeedValue(argc, argv, &i, "--socket")) == nullptr)
@@ -658,12 +658,14 @@ int ClientToolMain(int argc, char** argv, int first_arg) {
     std::printf("refreshes: %llu\n",
                 static_cast<unsigned long long>(stats->refreshes));
     std::printf("maintenance: %llu auto-refresh(es), %llu compaction(s), "
-                "%llu byte(s) reclaimed, %llu delete(s) applied\n",
+                "%llu byte(s) reclaimed, %llu delete(s) applied, "
+                "%llu failure(s)\n",
                 static_cast<unsigned long long>(stats->auto_refreshes),
                 static_cast<unsigned long long>(stats->auto_compactions),
                 static_cast<unsigned long long>(
                     stats->maintenance_bytes_reclaimed),
-                static_cast<unsigned long long>(stats->deletes_applied));
+                static_cast<unsigned long long>(stats->deletes_applied),
+                static_cast<unsigned long long>(stats->maintenance_failures));
     std::printf("latency: p50 %.2f ms, p99 %.2f ms\n", stats->latency_p50_ms,
                 stats->latency_p99_ms);
     std::printf("dispatch depth: %llu\n",

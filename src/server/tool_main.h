@@ -3,20 +3,18 @@
 
 namespace rigpm::server {
 
-/// Entry points shared by the standalone `rigpm_serve` daemon and the
-/// `rigpm_cli serve` / `rigpm_cli client` subcommands, so both surfaces
-/// parse the same flags and behave identically. `first_arg` is the index of
-/// the first flag in argv (1 for the daemon, 2 after a subcommand word).
+/// The `rigpm_cli serve` and `rigpm_cli client` subcommands: argv[1] is the
+/// subcommand word, and the flags start at argv[2].
 
 /// Loads an engine (snapshot or text graph), serves until SIGINT/SIGTERM or
 /// a remote shutdown request, prints final serving stats. Returns a process
 /// exit code.
-int ServeToolMain(int argc, char** argv, int first_arg);
+int ServeToolMain(int argc, char** argv);
 
 /// One-shot client: connects, issues the requested operation(s), prints
 /// results in the CLI's "N occurrence(s)" format. Returns a process exit
 /// code.
-int ClientToolMain(int argc, char** argv, int first_arg);
+int ClientToolMain(int argc, char** argv);
 
 }  // namespace rigpm::server
 

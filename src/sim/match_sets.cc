@@ -164,12 +164,14 @@ bool HasPartner(const MatchContext& ctx, const QueryEdge& e, NodeId v,
                 bool forward, ChildCheckMode mode, SimStats* stats) {
   const Graph& g = ctx.graph();
   if (e.kind == EdgeKind::kChild) {
+    auto adj = forward ? g.OutNeighbors(v) : g.InNeighbors(v);
     if (mode == ChildCheckMode::kBitIter) {
+      // bitIter: walk v's row, stopping at the first candidate.
       if (stats != nullptr) ++stats->pair_checks;
-      return (forward ? g.OutBitmap(v) : g.InBitmap(v)).Intersects(fixed);
+      return std::any_of(adj.begin(), adj.end(),
+                         [&fixed](NodeId w) { return fixed.Contains(w); });
     }
     // binSearch: probe each candidate against v's sorted adjacency array.
-    auto adj = forward ? g.OutNeighbors(v) : g.InNeighbors(v);
     for (NodeId w : fixed_nodes) {
       if (stats != nullptr) ++stats->pair_checks;
       if (std::binary_search(adj.begin(), adj.end(), w)) return true;

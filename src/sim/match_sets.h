@@ -13,8 +13,10 @@ namespace rigpm {
 
 /// How child-edge (direct connectivity) constraints are checked during
 /// simulation and RIG construction (Section 4.5, Fig. 12a):
-///  * kBinSearch — binary-search candidate ids in sorted adjacency arrays,
-///  * kBitIter   — per-node bitmap intersection with early exit,
+///  * kBinSearch — binary-search each candidate id in the node's sorted
+///                 adjacency row,
+///  * kBitIter   — walk the node's sorted adjacency row and probe the
+///                 candidate bitmap, stopping at the first hit,
 ///  * kBitBat    — batch: one pass marks the CSR neighbours of the fixed
 ///                 side in a |V|-entry array and drops every unmarked
 ///                 candidate of the pruned side at once.

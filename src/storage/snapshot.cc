@@ -58,21 +58,22 @@ bool ExtractHeader(const uint8_t* bytes, SnapshotHeader* out,
   return true;
 }
 
-// ExtractHeader plus the validation loading requires: supported version,
-// expected kind.
+// ExtractHeader plus the validation loading requires: expected kind,
+// supported version. Kind first: a delta log shares this header with its
+// own version number, and "wrong kind" is the useful diagnosis for it.
 bool ParseHeader(const uint8_t* bytes, SnapshotKind kind,
                  SnapshotHeader* out, std::string* error) {
   if (!ExtractHeader(bytes, out, error)) return false;
-  if (out->version != kSnapshotVersion) {
-    *error = "unsupported snapshot version " + std::to_string(out->version) +
-             " (this build reads version " + std::to_string(kSnapshotVersion) +
-             " only)";
-    return false;
-  }
   if (out->kind_value != static_cast<uint32_t>(kind)) {
     *error = "snapshot kind mismatch (file has kind " +
              std::to_string(out->kind_value) + ", expected " +
              std::to_string(static_cast<uint32_t>(kind)) + ")";
+    return false;
+  }
+  if (out->version != kSnapshotVersion) {
+    *error = "unsupported snapshot version " + std::to_string(out->version) +
+             " (this build reads version " + std::to_string(kSnapshotVersion) +
+             " only)";
     return false;
   }
   return true;

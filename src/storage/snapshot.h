@@ -36,24 +36,29 @@ namespace rigpm {
 /// buffer are at least 8-byte aligned). That is what lets the zero-copy
 /// loader hand out typed pointers straight into the mapping.
 ///
-/// Each bitmap container (bitmap/bitmap.h) is stored as its array or
-/// bitset payload in one raw block, and a bitmap carries no
-/// total-cardinality word (each container's cardinality is validated on its
-/// own, and so is its kind against that cardinality). An mmap'd load keeps
-/// those payloads *borrowed inside the mapping* and copies one only on its
-/// first mutating touch.
+/// A graph image (Graph::Serialize) holds the labels, both CSR directions
+/// and the label inverted lists, the last also as bitmaps. Each bitmap
+/// container (bitmap/bitmap.h) is stored as its array or bitset payload in
+/// one raw block, and a bitmap carries no total-cardinality word (each
+/// container's cardinality is validated on its own, and so is its kind
+/// against that cardinality). An mmap'd load keeps those payloads
+/// *borrowed inside the mapping* and copies one only on its first mutating
+/// touch.
 ///
 /// Snapshots are a warm-start cache written and read by the same build, so
-/// the reader knows exactly one layout: kSnapshotVersion. A file stamped
-/// with any other version is refused with "unsupported snapshot version".
+/// the reader knows exactly one layout: kSnapshotVersion. A file of the
+/// expected kind stamped with any other version is refused with
+/// "unsupported snapshot version"; the kind is checked first, so a delta
+/// log (which carries its own version) reads as a kind mismatch.
 ///
 /// Readers reject bad magic, unknown versions, kind mismatches, payload
 /// sizes inconsistent with the file, truncation, and checksum mismatches —
 /// each with a descriptive error, never by crashing or silently returning a
 /// partial structure.
 
-/// Version 4: bitmaps hold array and bitset containers only.
-inline constexpr uint32_t kSnapshotVersion = 4;
+/// Version 5: the graph image holds its adjacency as CSR rows only (no
+/// per-node bitmaps); bitmaps hold array and bitset containers only.
+inline constexpr uint32_t kSnapshotVersion = 5;
 
 /// Value 3 is retired and must not be reused: files that older builds
 /// stamped with it hold a graph-collection payload no loader decodes, and

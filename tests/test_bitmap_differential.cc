@@ -226,13 +226,7 @@ void DifferentialCheck(const Bitmap& a, const Bitmap& b,
                   return r;
                 }(),
                 tag + " andnot_rev");
-  EXPECT_EQ(a.Intersects(b), !and_ref.empty()) << tag;
-  EXPECT_EQ(b.Intersects(a), !and_ref.empty()) << tag;
-  EXPECT_EQ(a.IsSubsetOf(b),
-            std::includes(rb.begin(), rb.end(), ra.begin(), ra.end()))
-      << tag;
   EXPECT_EQ(a == b, ra == rb) << tag;
-  if (!ra.empty()) EXPECT_EQ(a.First(), *ra.begin()) << tag;
 
   // In-place forms agree with the static ones.
   Bitmap c = a;
@@ -402,8 +396,9 @@ TEST(BitmapDifferential, BorrowedContainersCostNoOwnedHeapUntilMutated) {
 // ----------------------------------------------- snapshot-layout trips
 
 TEST(BitmapDifferential, GraphSnapshotRoundTrips) {
-  // A graph snapshot loads back bitmap-for-bitmap, and re-saving the loaded
-  // (possibly borrowed) graph round-trips again, under both IO modes.
+  // A graph snapshot loads back row-for-row and label-bitmap-for-bitmap,
+  // and re-saving the loaded (possibly borrowed) graph round-trips again,
+  // under both IO modes.
   GeneratorOptions gopts;
   gopts.num_nodes = 4000;
   gopts.num_edges = 60000;
@@ -421,8 +416,10 @@ TEST(BitmapDifferential, GraphSnapshotRoundTrips) {
     ASSERT_TRUE(loaded.has_value()) << error;
     ASSERT_EQ(loaded->NumNodes(), g.NumNodes());
     for (NodeId v = 0; v < g.NumNodes(); ++v) {
-      EXPECT_EQ(loaded->OutBitmap(v), g.OutBitmap(v));
-      EXPECT_EQ(loaded->InBitmap(v), g.InBitmap(v));
+      EXPECT_TRUE(std::ranges::equal(loaded->OutNeighbors(v),
+                                     g.OutNeighbors(v)));
+      EXPECT_TRUE(std::ranges::equal(loaded->InNeighbors(v),
+                                     g.InNeighbors(v)));
     }
     for (LabelId l = 0; l < g.NumLabels(); ++l) {
       EXPECT_EQ(loaded->LabelBitmap(l), g.LabelBitmap(l));
@@ -434,7 +431,8 @@ TEST(BitmapDifferential, GraphSnapshotRoundTrips) {
         LoadGraphSnapshot(resaved.path(), {.io_mode = mode}, &error);
     ASSERT_TRUE(again.has_value()) << error;
     for (NodeId v = 0; v < g.NumNodes(); ++v) {
-      EXPECT_EQ(again->OutBitmap(v), g.OutBitmap(v));
+      EXPECT_TRUE(std::ranges::equal(again->OutNeighbors(v),
+                                     g.OutNeighbors(v)));
     }
   }
 }

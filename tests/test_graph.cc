@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <random>
 #include <sstream>
 
@@ -62,17 +64,24 @@ TEST(Graph, InvertedLists) {
   EXPECT_FALSE(g.LabelBitmap(1).Contains(1));
 }
 
-TEST(Graph, BitmapAdjacencyMatchesCsr) {
+TEST(Graph, CsrRowsAreSortedAndMirrorEachOther) {
+  // Every reader binary-searches or merges the rows, so each must be
+  // strictly increasing, and the backward rows must hold exactly the
+  // forward edges reversed.
   Graph g = GenerateErdosRenyi({.num_nodes = 200, .num_edges = 1000,
                                 .num_labels = 5, .seed = 3});
+  uint64_t in_total = 0;
   for (NodeId v = 0; v < g.NumNodes(); ++v) {
-    auto neigh = g.OutNeighbors(v);
-    EXPECT_EQ(g.OutBitmap(v).ToVector(),
-              std::vector<NodeId>(neigh.begin(), neigh.end()));
+    auto out = g.OutNeighbors(v);
     auto in = g.InNeighbors(v);
-    EXPECT_EQ(g.InBitmap(v).ToVector(),
-              std::vector<NodeId>(in.begin(), in.end()));
+    EXPECT_TRUE(std::adjacent_find(out.begin(), out.end(),
+                                   std::greater_equal<NodeId>()) == out.end());
+    EXPECT_TRUE(std::adjacent_find(in.begin(), in.end(),
+                                   std::greater_equal<NodeId>()) == in.end());
+    for (NodeId u : in) EXPECT_TRUE(g.HasEdge(u, v)) << u << "->" << v;
+    in_total += in.size();
   }
+  EXPECT_EQ(in_total, g.NumEdges());
 }
 
 TEST(GraphBuilder, BuildsIncrementally) {

@@ -476,6 +476,22 @@ class MaintenanceTest : public ::testing::Test {
     all_ops_.insert(all_ops_.end(), ops.begin(), ops.end());
   }
 
+  /// AppendOps, then flips one byte of the new record's edge list (past its
+  /// 32-byte record header): full-size bytes that fail their checksum.
+  void AppendCorruptRecord(const std::vector<DeltaOp>& ops) {
+    const uint64_t corrupt_at = FileSize(delta_path_) + 32;
+    AppendOps(ops);
+    std::fstream f(delta_path_,
+                   std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f.is_open());
+    f.seekg(static_cast<std::streamoff>(corrupt_at));
+    char b = 0;
+    f.read(&b, 1);
+    b = static_cast<char>(b ^ 0x5a);
+    f.seekp(static_cast<std::streamoff>(corrupt_at));
+    f.write(&b, 1);
+  }
+
   /// A delete of node u's first outgoing edge, or a throwaway add when u
   /// happens to have none in the generated graph.
   DeltaOp FirstDeleteOrAdd(NodeId u) const {
@@ -723,28 +739,53 @@ TEST_F(MaintenanceTest, RunMaintenanceRefusesACorruptNewRecord) {
   auto before = catalog.Acquire("g", &error);
   ASSERT_NE(before, nullptr) << error;
 
-  // Record 2 arrives intact, record 3 with one flipped byte in its edge
-  // list (past its 32-byte record header): full-size bytes that fail their
-  // checksum. Applying record 2 alone would serve a graph that silently
-  // lacks acknowledged record 3.
+  // Record 2 arrives intact, record 3 corrupt. Applying record 2 alone
+  // would serve a graph that silently lacks acknowledged record 3.
   AppendOps({{1, 41, DeltaOpKind::kAdd}});
-  const uint64_t corrupt_at = FileSize(delta_path_) + 32;
-  AppendOps({{2, 42, DeltaOpKind::kAdd}, {3, 43, DeltaOpKind::kAdd}});
-  {
-    std::fstream f(delta_path_,
-                   std::ios::in | std::ios::out | std::ios::binary);
-    ASSERT_TRUE(f.is_open());
-    f.seekg(static_cast<std::streamoff>(corrupt_at));
-    char b = 0;
-    f.read(&b, 1);
-    b = static_cast<char>(b ^ 0x5a);
-    f.seekp(static_cast<std::streamoff>(corrupt_at));
-    f.write(&b, 1);
-  }
+  AppendCorruptRecord({{2, 42, DeltaOpKind::kAdd}, {3, 43, DeltaOpKind::kAdd}});
 
   EXPECT_EQ(catalog.RunMaintenance(), 0u);
   EXPECT_EQ(catalog.maintenance_stats().auto_refreshes, 0u);
+  EXPECT_EQ(catalog.maintenance_stats().failures, 1u);
   EXPECT_EQ(catalog.Acquire("g", &error), before);
+  EXPECT_EQ(ServedCount(catalog), want);
+
+  // The unchanged log is not read again, so the refusal is not counted
+  // again. Bytes appended to it make the next pass read it, and refuse it.
+  EXPECT_EQ(catalog.RunMaintenance(), 0u);
+  EXPECT_EQ(catalog.maintenance_stats().failures, 1u);
+  {
+    std::ofstream f(delta_path_, std::ios::binary | std::ios::app);
+    f.write("torn", 4);
+  }
+  EXPECT_EQ(catalog.RunMaintenance(), 0u);
+  EXPECT_EQ(catalog.maintenance_stats().failures, 2u);
+  EXPECT_EQ(catalog.maintenance_stats().auto_refreshes, 0u);
+  EXPECT_EQ(catalog.Acquire("g", &error), before);
+}
+
+TEST_F(MaintenanceTest, RunMaintenanceDoesNotCompactARefusedLog) {
+  // With compaction armed, a refused log is not drained either: the drain
+  // would meet the same refusal on every pass.
+  EngineCatalog catalog;
+  catalog.SetMaintenancePolicy(
+      {.auto_compact_ratio = 0.0001, .interval_ms = 1});
+  ASSERT_TRUE(catalog.Register("g", Source()));
+  AppendOps({{0, 40, DeltaOpKind::kAdd}});
+  const uint64_t want = OracleCount();
+  ASSERT_EQ(ServedCount(catalog), want);  // resident, record 1 applied
+  AppendCorruptRecord({{1, 41, DeltaOpKind::kAdd}});
+
+  EXPECT_EQ(catalog.RunMaintenance(), 0u);
+  EXPECT_EQ(catalog.RunMaintenance(), 0u);
+  MaintenanceStats ms = catalog.maintenance_stats();
+  EXPECT_EQ(ms.failures, 1u);
+  EXPECT_EQ(ms.auto_compactions, 0u);
+  Lineage lineage;
+  std::string error;
+  ASSERT_TRUE(ResolveLineage(snap_path_, delta_path_, &lineage, &error))
+      << error;
+  EXPECT_EQ(lineage.generation, 0u);
   EXPECT_EQ(ServedCount(catalog), want);
 }
 

@@ -278,6 +278,63 @@ TEST_P(RigMJoinPropertyTest, MatchesBruteForce) {
   EXPECT_EQ(got, BruteForceAnswer(g, q));
 }
 
+TEST_P(RigMJoinPropertyTest, RigEdgesAreExactlyTheMatchingPairs) {
+  // For every query edge e = (p, q) and every vp in cos(p), Forward(e, vp)
+  // holds exactly the vq in cos(q) that e's pair test accepts: the row walk
+  // for child edges, the index or the hop-limited BFS for descendant ones,
+  // with and without the interval cutoff, from simulated and from bare
+  // match sets.
+  const EndToEndCase& p = GetParam();
+  GeneratorOptions gopts{.num_nodes = 50, .num_edges = 170, .num_labels = 4,
+                         .seed = p.seed};
+  Graph g = p.dag_data ? GenerateRandomDag(gopts) : GeneratePowerLaw(gopts);
+  auto reach = BuildReachabilityIndex(g, ReachKind::kBfl);
+  MatchContext ctx(g, *reach);
+  Condensation cond(g);
+  IntervalLabels intervals(g, cond);
+
+  PatternQuery base = GenerateRandomQuery({.num_nodes = p.q_nodes,
+                                           .num_edges = p.q_edges,
+                                           .num_labels = 4,
+                                           .variant = QueryVariant::kHybrid,
+                                           .seed = p.seed * 31 + 5});
+  // Every other descendant edge is bounded to 2 hops.
+  std::vector<QueryEdge> edges = base.Edges();
+  bool bound = true;
+  for (QueryEdge& edge : edges) {
+    if (edge.kind != EdgeKind::kDescendant) continue;
+    if (bound) edge.max_hops = 2;
+    bound = !bound;
+  }
+  PatternQuery q = PatternQuery::FromParts(base.Labels(), edges);
+
+  uint64_t checked = 0;
+  for (bool skip_simulation : {false, true}) {
+    for (bool early_termination : {false, true}) {
+      RigBuildOptions opts;
+      opts.skip_simulation = skip_simulation;
+      opts.early_termination = early_termination;
+      Rig rig = BuildRigFromMatchSets(ctx, q, opts, &intervals);
+      if (rig.AnyEmpty()) continue;  // expansion is skipped altogether
+      for (QueryEdgeId e = 0; e < q.NumEdges(); ++e) {
+        const QueryEdge& edge = q.Edge(e);
+        rig.Cos(edge.from).ForEach([&](NodeId vp) {
+          Bitmap want;
+          rig.Cos(edge.to).ForEach([&](NodeId vq) {
+            if (ctx.EdgePairMatch(edge, vp, vq)) want.Add(vq);
+          });
+          EXPECT_EQ(rig.Forward(e, vp), want)
+              << "edge " << e << " vp " << vp
+              << (skip_simulation ? " match sets" : " simulated")
+              << (early_termination ? " cutoff" : " no cutoff");
+          ++checked;
+        });
+      }
+    }
+  }
+  EXPECT_GT(checked, 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Cases, RigMJoinPropertyTest,
     ::testing::Values(EndToEndCase{"tree4", 1, 4, 3, true},

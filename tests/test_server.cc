@@ -161,6 +161,7 @@ TEST(ServerProtocol, ShortStatsPayloadsFailToDecode) {
   stats.tenants.push_back({"default", true, true, 2, 9});
   stats.tenant_caches.push_back({"default", 1, 2, 3, 4, 5, 6, 7});
   stats.deletes_applied = 11;
+  stats.maintenance_failures = 13;
   ByteSink sink;
   stats.Serialize(sink);
   {
@@ -170,6 +171,7 @@ TEST(ServerProtocol, ShortStatsPayloadsFailToDecode) {
     ASSERT_TRUE(src.ok()) << src.error();
     EXPECT_EQ(src.remaining(), 0u);
     EXPECT_EQ(back.deletes_applied, 11u);
+    EXPECT_EQ(back.maintenance_failures, 13u);
     ASSERT_EQ(back.tenant_caches.size(), 1u);
   }
   for (size_t cut = 0; cut < sink.size(); ++cut) {

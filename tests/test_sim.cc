@@ -22,6 +22,10 @@ using ::rigpm::testing::PaperExample;
 
 std::vector<NodeId> Sorted(const Bitmap& b) { return b.ToVector(); }
 
+bool IsSubset(const Bitmap& a, const Bitmap& b) {
+  return Bitmap::AndNot(a, b).Empty();
+}
+
 class SimFixture : public ::testing::Test {
  protected:
   SimFixture()
@@ -112,7 +116,7 @@ TEST_F(SimFixture, PassCapIsSoundApproximation) {
   CandidateSets exact =
       FBSimBas(ctx_, query_, InitialMatchSets(graph_, query_), SimOptions{});
   for (QueryNodeId v = 0; v < query_.NumNodes(); ++v) {
-    EXPECT_TRUE(exact[v].IsSubsetOf(approx[v])) << v;
+    EXPECT_TRUE(IsSubset(exact[v], approx[v])) << v;
   }
 }
 
@@ -139,7 +143,7 @@ TEST(Sim, PreFilterWeakerThanDoubleSim) {
   CandidateSets pre = PreFilter(ctx, q);
   CandidateSets fb = FBSimBas(ctx, q, InitialMatchSets(g, q));
   for (QueryNodeId v = 0; v < q.NumNodes(); ++v) {
-    EXPECT_TRUE(fb[v].IsSubsetOf(pre[v])) << v;
+    EXPECT_TRUE(IsSubset(fb[v], pre[v])) << v;
   }
 }
 
@@ -188,7 +192,8 @@ Bitmap RandomSet(uint32_t n, int shape, std::mt19937_64& rng) {
   std::shuffle(nodes.begin(), nodes.end(), rng);
   const size_t size[] = {0, 1, n / 2, n};
   nodes.resize(size[shape]);
-  return Bitmap::FromUnsorted(nodes);
+  std::sort(nodes.begin(), nodes.end());
+  return Bitmap::FromSorted(nodes);
 }
 
 struct PruneResult {
@@ -357,8 +362,8 @@ TEST_P(SimPropertyTest, Invariants) {
   for (QueryNodeId v = 0; v < q.NumNodes(); ++v) {
     EXPECT_EQ(bas[v], dag[v]) << "node " << v;
     EXPECT_EQ(bas[v], tuned[v]) << "node " << v;
-    EXPECT_TRUE(os[v].IsSubsetOf(bas[v])) << "os ⊄ FB at node " << v;
-    EXPECT_TRUE(bas[v].IsSubsetOf(ms[v])) << "FB ⊄ ms at node " << v;
+    EXPECT_TRUE(IsSubset(os[v], bas[v])) << "os ⊄ FB at node " << v;
+    EXPECT_TRUE(IsSubset(bas[v], ms[v])) << "FB ⊄ ms at node " << v;
   }
 
   // Fixpoint: re-running any prune pass changes nothing.

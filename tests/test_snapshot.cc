@@ -223,11 +223,12 @@ void ExpectSameGraph(const Graph& a, const Graph& b) {
     for (uint32_t i = 0; i < a.OutDegree(v); ++i) {
       EXPECT_EQ(a.OutNeighbors(v)[i], b.OutNeighbors(v)[i]);
     }
-    // Bitmap contents must be byte-identical, not just equivalent.
-    EXPECT_EQ(a.OutBitmap(v), b.OutBitmap(v));
-    EXPECT_EQ(a.InBitmap(v), b.InBitmap(v));
+    for (uint32_t i = 0; i < a.InDegree(v); ++i) {
+      EXPECT_EQ(a.InNeighbors(v)[i], b.InNeighbors(v)[i]);
+    }
   }
   for (LabelId l = 0; l < a.NumLabels(); ++l) {
+    // Bitmap contents must be byte-identical, not just equivalent.
     EXPECT_EQ(a.LabelBitmap(l), b.LabelBitmap(l));
   }
 }
@@ -284,20 +285,30 @@ TEST(GraphSnapshot, MmapLoadedGraphOutlivesReaderAndDeletedFile) {
 
   // Copies deep-copy: mutating a copied bitmap must not touch the original
   // (which may be a borrowed view of the mapping).
-  Bitmap copy = moved.OutBitmap(0);
+  Bitmap copy = moved.LabelBitmap(0);
   Bitmap before = copy;
   copy.Add(31);
-  copy.Remove(6);
-  EXPECT_NE(copy, moved.OutBitmap(0));
-  EXPECT_EQ(before, moved.OutBitmap(0));
+  copy.Remove(0);
+  EXPECT_NE(copy, moved.LabelBitmap(0));
+  EXPECT_EQ(before, moved.LabelBitmap(0));
+}
+
+// The container census of every label bitmap of `g`.
+BitmapContainerStats LabelBitmapStats(const Graph& g) {
+  BitmapContainerStats stats;
+  for (LabelId a = 0; a < g.NumLabels(); ++a) {
+    g.LabelBitmap(a).AccumulateStats(&stats);
+  }
+  return stats;
 }
 
 TEST(GraphSnapshot, MmapLoadKeepsContainersEncodedUntilMutation) {
-  // The daemon RSS accounting contract: after an mmap load the graph's
-  // bitmap payloads stay *encoded inside the mapping*, so OwnedHeapBytes
-  // must be far below the decoded footprint, borrowed container counts must
-  // equal total container counts, and reads must not change either. This is
-  // what makes resident memory track compressed snapshot size in serving.
+  // The daemon RSS accounting contract: after an mmap load the graph's CSR
+  // arrays and label-bitmap payloads stay *inside the mapping*, so
+  // OwnedHeapBytes must be far below the decoded footprint, borrowed
+  // container counts must equal total container counts, and reads must not
+  // change either. This is what makes resident memory track snapshot size
+  // in serving.
   GeneratorOptions opts;
   opts.num_nodes = 3000;
   opts.num_edges = 40000;
@@ -315,35 +326,62 @@ TEST(GraphSnapshot, MmapLoadKeepsContainersEncodedUntilMutation) {
       file.path(), {.io_mode = SnapshotIoMode::kRead}, &error);
   ASSERT_TRUE(slurped.has_value()) << error;
 
-  BitmapContainerStats mapped_stats;
-  for (auto section : {Graph::BitmapSection::kForward,
-                       Graph::BitmapSection::kBackward,
-                       Graph::BitmapSection::kLabels}) {
-    mapped_stats.Accumulate(mapped->SectionStats(section));
-  }
+  const BitmapContainerStats mapped_stats = LabelBitmapStats(*mapped);
   EXPECT_GT(mapped_stats.TotalContainers(), 0u);
   EXPECT_EQ(mapped_stats.borrowed_containers, mapped_stats.TotalContainers());
 
-  // Owned heap: the mapped graph holds container tables but no payloads;
-  // the slurped graph owns everything it decoded.
+  // Owned heap: the mapped graph holds label-bitmap container tables but no
+  // arrays or payloads; the slurped graph owns everything it decoded.
   EXPECT_LT(mapped->OwnedHeapBytes(), slurped->OwnedHeapBytes());
 
   // Reads leave the accounting untouched.
   const size_t before = mapped->OwnedHeapBytes();
   uint64_t sum = 0;
   for (NodeId v = 0; v < mapped->NumNodes(); v += 7) {
-    mapped->OutBitmap(v).ForEach([&sum](uint32_t w) { sum += w; });
+    for (NodeId w : mapped->OutNeighbors(v)) sum += w;
+  }
+  for (LabelId a = 0; a < mapped->NumLabels(); ++a) {
+    mapped->LabelBitmap(a).ForEach([&sum](uint32_t w) { sum += w; });
   }
   ASSERT_GT(sum, 0u);
   EXPECT_EQ(mapped->OwnedHeapBytes(), before);
+  EXPECT_EQ(LabelBitmapStats(*mapped).borrowed_containers,
+            mapped_stats.borrowed_containers);
+}
 
-  BitmapContainerStats after;
-  for (auto section : {Graph::BitmapSection::kForward,
-                       Graph::BitmapSection::kBackward,
-                       Graph::BitmapSection::kLabels}) {
-    after.Accumulate(mapped->SectionStats(section));
+// Heap owned by an mmap load of a 4-label random graph of `nodes` nodes and
+// 8 edges per node; nullopt (with a test failure) if it does not load.
+std::optional<size_t> MappedGraphHeapBytes(uint32_t nodes) {
+  GeneratorOptions opts;
+  opts.num_nodes = nodes;
+  opts.num_edges = uint64_t{nodes} * 8;
+  opts.num_labels = 4;
+  opts.seed = 9;
+  Graph g = GenerateErdosRenyi(opts);
+  TempFile file("graph_heap");
+  std::string error;
+  if (!SaveGraphSnapshot(g, file.path(), &error)) {
+    ADD_FAILURE() << error;
+    return std::nullopt;
   }
-  EXPECT_EQ(after.borrowed_containers, mapped_stats.borrowed_containers);
+  auto mapped = LoadGraphSnapshot(
+      file.path(), {.io_mode = SnapshotIoMode::kMmap}, &error);
+  if (!mapped.has_value()) {
+    ADD_FAILURE() << error;
+    return std::nullopt;
+  }
+  return mapped->OwnedHeapBytes();
+}
+
+TEST(GraphSnapshot, MmapLoadedHeapDoesNotGrowWithNodeCount) {
+  // A mapped graph borrows its CSR rows, label lists and label-bitmap
+  // payloads; it owns only the label bitmaps' container tables, which the
+  // label count sizes. Ten times the nodes over the same labels (all ids in
+  // one 2^16 chunk) must cost no more heap.
+  const std::optional<size_t> small = MappedGraphHeapBytes(3000);
+  const std::optional<size_t> large = MappedGraphHeapBytes(30000);
+  ASSERT_TRUE(small.has_value() && large.has_value());
+  EXPECT_LE(*large, *small);
 }
 
 TEST(GraphSnapshot, InspectReportsHeaderWithoutDecoding) {
@@ -571,9 +609,9 @@ TEST_F(MalformedSnapshotTest, BadMagicIsRejected) {
 }
 
 TEST_F(MalformedSnapshotTest, WrongVersionIsRejected) {
-  // The reader knows one layout: the older versions 1, 2 and 3 are as
-  // foreign as a future one.
-  for (uint32_t version : {1u, 2u, 3u, kSnapshotVersion + 7}) {
+  // The reader knows one layout: the older versions 1 to 4 are as foreign
+  // as a future one.
+  for (uint32_t version : {1u, 2u, 3u, 4u, kSnapshotVersion + 7}) {
     std::string corrupt = bytes_;
     corrupt[8] = static_cast<char>(version);
     ExpectRejected(corrupt, "unsupported snapshot version");
@@ -582,8 +620,8 @@ TEST_F(MalformedSnapshotTest, WrongVersionIsRejected) {
 
 TEST_F(MalformedSnapshotTest, KindMismatchIsRejected) {
   // A graph snapshot is not an engine snapshot, and neither is a delta log.
-  // A delta log's header carries the same version number as a snapshot's,
-  // so the kind is what refuses it.
+  // A delta log's header carries its own version number; the kind is
+  // checked first, so it is refused as a kind mismatch.
   TempFile delta("malformed_delta");
   std::string error;
   auto writer = DeltaWriter::Open(delta.path(), 1, 10, &error);

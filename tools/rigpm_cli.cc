@@ -30,9 +30,8 @@
 //                               rebuild base+delta; with --out, write the
 //                               merged engine snapshot (compaction — the new
 //                               snapshot starts a fresh delta lineage)
-//   serve             run the query daemon in-process (same flags as the
-//                     standalone rigpm_serve binary; server/tool_main.h);
-//                     --delta FILE arms the kRefresh live-refresh path
+//   serve             run the query daemon (server/tool_main.h); --delta
+//                     FILE arms the kRefresh live-refresh path
 //   client            talk to a running daemon: queries, stats, ping,
 //                     refresh, shutdown (server/tool_main.h)
 //
@@ -241,17 +240,8 @@ const char* SnapshotKindName(uint32_t kind_value) {
   return "unknown";
 }
 
-void PrintSectionStats(const char* name, const BitmapContainerStats& s) {
-  std::printf("  %-8s %5llu array  %5llu bitset  (%llu borrowed)"
-              "  payload %llu B\n",
-              name, static_cast<unsigned long long>(s.array_containers),
-              static_cast<unsigned long long>(s.bitset_containers),
-              static_cast<unsigned long long>(s.borrowed_containers),
-              static_cast<unsigned long long>(s.encoded_bytes));
-}
-
 // Deep view for graph-bearing snapshots: decode the graph part and report
-// the per-section bitmap container census (array/bitset counts, how many
+// the container census of its label bitmaps (array/bitset counts, how many
 // still borrow from the mapping, and their payload bytes). Purely additive
 // diagnostics — a payload that fails to decode only prints a note, because
 // inspect's primary job is debugging files that do NOT load.
@@ -269,17 +259,17 @@ void TryInspectContainers(const std::string& path, const SnapshotInfo& info) {
                 reader.source().error().c_str());
     return;
   }
-  BitmapContainerStats fwd = g.SectionStats(Graph::BitmapSection::kForward);
-  BitmapContainerStats bwd = g.SectionStats(Graph::BitmapSection::kBackward);
-  BitmapContainerStats lab = g.SectionStats(Graph::BitmapSection::kLabels);
-  std::printf("containers (graph part):\n");
-  PrintSectionStats("fwd", fwd);
-  PrintSectionStats("bwd", bwd);
-  PrintSectionStats("labels", lab);
-  BitmapContainerStats total = fwd;
-  total.Accumulate(bwd);
-  total.Accumulate(lab);
-  PrintSectionStats("total", total);
+  BitmapContainerStats s;
+  for (LabelId a = 0; a < g.NumLabels(); ++a) {
+    g.LabelBitmap(a).AccumulateStats(&s);
+  }
+  std::printf("containers (graph part):\n"
+              "  labels   %5llu array  %5llu bitset  (%llu borrowed)"
+              "  payload %llu B\n",
+              static_cast<unsigned long long>(s.array_containers),
+              static_cast<unsigned long long>(s.bitset_containers),
+              static_cast<unsigned long long>(s.borrowed_containers),
+              static_cast<unsigned long long>(s.encoded_bytes));
 }
 
 // snapshot --inspect: header fields always (payload never needs to decode);
@@ -775,10 +765,10 @@ int main(int argc, char** argv) {
     return RunDelta(argc, argv);
   }
   if (argc > 1 && std::strcmp(argv[1], "serve") == 0) {
-    return server::ServeToolMain(argc, argv, 2);
+    return server::ServeToolMain(argc, argv);
   }
   if (argc > 1 && std::strcmp(argv[1], "client") == 0) {
-    return server::ClientToolMain(argc, argv, 2);
+    return server::ClientToolMain(argc, argv);
   }
   if (!ParseArgs(argc, argv, 1, &args) || !HasEvalInputs(args)) {
     return Usage(argv[0]);
