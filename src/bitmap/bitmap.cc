@@ -17,10 +17,6 @@ uint16_t LowBits(uint32_t value) {
   return static_cast<uint16_t>(value & 0xFFFF);
 }
 
-uint32_t Combine(uint16_t key, uint16_t low) {
-  return (static_cast<uint32_t>(key) << 16) | low;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -404,18 +400,64 @@ void Bitmap::AndWith(const Bitmap& other) { *this = And(*this, other); }
 void Bitmap::OrWith(const Bitmap& other) { *this = Or(*this, other); }
 void Bitmap::AndNotWith(const Bitmap& other) { *this = AndNot(*this, other); }
 
-Bitmap Bitmap::AndMany(std::span<const Bitmap* const> inputs) {
-  if (inputs.empty()) return Bitmap();
-  std::vector<const Bitmap*> sorted(inputs.begin(), inputs.end());
-  std::sort(sorted.begin(), sorted.end(),
-            [](const Bitmap* a, const Bitmap* b) {
-              return a->Cardinality() < b->Cardinality();
-            });
-  Bitmap result = *sorted[0];
-  for (size_t i = 1; i < sorted.size() && !result.Empty(); ++i) {
-    result.AndWith(*sorted[i]);
+void Bitmap::FilterByContainer(const Container& c, size_t begin,
+                               std::vector<uint32_t>* out) {
+  uint32_t* const first = out->data() + begin;
+  uint32_t* const last = out->data() + out->size();
+  uint32_t* kept = first;
+  if (c.kind == Container::Kind::kBitset) {
+    const uint64_t* words = c.words.data();
+    for (const uint32_t* v = first; v != last; ++v) {
+      const uint16_t low = LowBits(*v);
+      if ((words[low >> 6] >> (low & 63)) & 1) *kept++ = *v;
+    }
+  } else {
+    // Both sides ascend: a merge walk, or galloping through `c` when it is
+    // much longer than the range (as IntersectArrays does).
+    const uint16_t* probe = c.array.begin();
+    const uint16_t* const probe_end = c.array.end();
+    const bool gallop = static_cast<size_t>(probe_end - probe) >
+                        32 * static_cast<size_t>(last - first);
+    for (const uint32_t* v = first; v != last && probe != probe_end; ++v) {
+      const uint16_t low = LowBits(*v);
+      if (gallop) {
+        probe = std::lower_bound(probe, probe_end, low);
+      } else {
+        while (probe != probe_end && *probe < low) ++probe;
+      }
+      if (probe != probe_end && *probe == low) *kept++ = *v;
+    }
   }
-  return result;
+  out->resize(static_cast<size_t>(kept - out->data()));
+}
+
+void Bitmap::AndManyInto(std::span<const Bitmap* const> inputs,
+                         std::vector<uint32_t>* out) {
+  out->clear();
+  if (inputs.empty()) return;
+  const Bitmap* smallest = *std::min_element(
+      inputs.begin(), inputs.end(), [](const Bitmap* a, const Bitmap* b) {
+        return a->Cardinality() < b->Cardinality();
+      });
+  auto append = [out](uint32_t value) {
+    out->push_back(value);
+    return true;
+  };
+  for (const Container& c : smallest->containers_) {
+    const size_t begin = out->size();
+    VisitContainer(c, append);
+    // The smallest input, however often it is listed, filters nothing.
+    for (const Bitmap* other : inputs) {
+      if (other == smallest) continue;
+      const size_t idx = other->FindContainer(c.key);
+      if (idx == other->containers_.size()) {
+        out->resize(begin);
+        break;
+      }
+      FilterByContainer(other->containers_[idx], begin, out);
+      if (out->size() == begin) break;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -512,23 +554,6 @@ Bitmap Bitmap::Deserialize(ByteSource& src) {
 // ---------------------------------------------------------------------------
 // Iteration and comparison
 // ---------------------------------------------------------------------------
-
-void Bitmap::ForEach(const std::function<void(uint32_t)>& fn) const {
-  for (const Container& c : containers_) {
-    if (c.kind == Container::Kind::kArray) {
-      for (uint16_t low : c.array) fn(Combine(c.key, low));
-      continue;
-    }
-    for (uint32_t w = 0; w < kWordsPerBitset; ++w) {
-      uint64_t word = c.words[w];
-      while (word != 0) {
-        int bit = std::countr_zero(word);
-        fn(Combine(c.key, static_cast<uint16_t>((w << 6) | bit)));
-        word &= word - 1;
-      }
-    }
-  }
-}
 
 std::vector<uint32_t> Bitmap::ToVector() const {
   std::vector<uint32_t> out;

@@ -1,10 +1,11 @@
 #ifndef RIGPM_BITMAP_BITMAP_H_
 #define RIGPM_BITMAP_BITMAP_H_
 
+#include <bit>
 #include <cstdint>
-#include <functional>
 #include <initializer_list>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "util/owned_span.h"
@@ -59,7 +60,9 @@ struct BitmapContainerStats {
 /// The class provides the operations the RIG framework needs:
 ///  * point updates and membership,
 ///  * destructive and non-destructive AND / OR / ANDNOT,
-///  * multiway AND ("FastAggregation" in the RoaringBitmap API),
+///  * multiway AND into a caller-owned sorted vector (`AndManyInto`, the
+///    intersection behind each MJoin step: "FastAggregation" in the
+///    RoaringBitmap API, without an intermediate bitmap),
 ///  * batch iteration (`ForEach`, `ToVector`) that decodes container-at-a-
 ///    time, mirroring the batch iterators the paper found 2-10x faster than
 ///    per-element iterators.
@@ -98,13 +101,20 @@ class Bitmap {
   static Bitmap Or(const Bitmap& a, const Bitmap& b);
   static Bitmap AndNot(const Bitmap& a, const Bitmap& b);
 
-  /// Multiway intersection. Inputs are intersected smallest-first so the
-  /// running result shrinks as fast as possible; returns empty on empty
-  /// input list. Mirrors RoaringBitmap's FastAggregation::and.
-  static Bitmap AndMany(std::span<const Bitmap* const> inputs);
+  /// Multiway intersection: replaces `*out` with the values present in
+  /// every input, ascending (empty for an empty input list). The input of
+  /// least cardinality leads: each of its containers is decoded into `*out`
+  /// and the other inputs, in the given order, filter that range in place,
+  /// so passing them smallest-first shrinks it fastest. Makes no heap
+  /// allocation once `*out` has the capacity for the smallest input.
+  static void AndManyInto(std::span<const Bitmap* const> inputs,
+                          std::vector<uint32_t>* out);
 
-  /// Invokes `fn(value)` for every element in increasing order.
-  void ForEach(const std::function<void(uint32_t)>& fn) const;
+  /// Invokes `fn(value)` for every element in increasing order. `fn` may
+  /// return bool: false stops the walk, and ForEach then returns false; it
+  /// returns true when every element was visited.
+  template <typename Fn>
+  bool ForEach(Fn&& fn) const;
 
   /// Decodes the whole bitmap into a sorted vector.
   std::vector<uint32_t> ToVector() const;
@@ -173,13 +183,58 @@ class Bitmap {
   size_t FindContainer(uint16_t key) const;
   Container& GetOrCreateContainer(uint16_t key);
 
+  // Calls `visit(value)` for the values of `c` in increasing order until it
+  // returns false; returns false iff it did.
+  template <typename Visit>
+  static bool VisitContainer(const Container& c, Visit& visit);
+
   static Container AndContainers(const Container& a, const Container& b);
+  // Keeps the values of (*out)[begin..] — one chunk's, ascending — that `c`
+  // (the container of the same chunk) holds.
+  static void FilterByContainer(const Container& c, size_t begin,
+                                std::vector<uint32_t>* out);
   static Container OrContainers(const Container& a, const Container& b);
   static Container AndNotContainers(const Container& a, const Container& b);
 
   std::vector<Container> containers_;  // sorted by key
   uint64_t cardinality_ = 0;
 };
+
+template <typename Visit>
+bool Bitmap::VisitContainer(const Container& c, Visit& visit) {
+  const uint32_t high = uint32_t{c.key} << 16;
+  if (c.kind == Container::Kind::kArray) {
+    for (uint16_t low : c.array) {
+      if (!visit(high | low)) return false;
+    }
+    return true;
+  }
+  const uint64_t* words = c.words.data();
+  const size_t num_words = c.words.size();
+  for (uint32_t w = 0; w < num_words; ++w) {
+    for (uint64_t word = words[w]; word != 0; word &= word - 1) {
+      const uint32_t bit = static_cast<uint32_t>(std::countr_zero(word));
+      if (!visit(high | (w << 6) | bit)) return false;
+    }
+  }
+  return true;
+}
+
+template <typename Fn>
+bool Bitmap::ForEach(Fn&& fn) const {
+  auto visit = [&fn](uint32_t value) -> bool {
+    if constexpr (std::is_void_v<std::invoke_result_t<Fn&, uint32_t>>) {
+      fn(value);
+      return true;
+    } else {
+      return static_cast<bool>(fn(value));
+    }
+  };
+  for (const Container& c : containers_) {
+    if (!VisitContainer(c, visit)) return false;
+  }
+  return true;
+}
 
 }  // namespace rigpm
 

@@ -1,5 +1,6 @@
 #include "enumerate/mjoin.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace rigpm {
@@ -13,6 +14,15 @@ struct EarlierConstraint {
   QueryEdgeId edge = 0;
   uint32_t earlier_pos = 0;
   bool earlier_is_tail = false;  // true: edge = (q_earlier -> q_i)
+};
+
+// What one search step keeps from visit to visit, so that a step makes no
+// heap allocation once its vectors have grown to the sizes it needs.
+struct StepBuffers {
+  // The matched neighbours' rows that are not all of cos(q_i).
+  std::vector<const Bitmap*> rows;
+  // Their intersection, when two or more rows are left.
+  std::vector<NodeId> candidates;
 };
 
 class Enumerator {
@@ -37,6 +47,10 @@ class Enumerator {
         constraints_[pf].push_back({e, pt, /*earlier_is_tail=*/false});
       }
     }
+    steps_.resize(order.size());
+    for (uint32_t i = 0; i < order.size(); ++i) {
+      steps_[i].rows.reserve(constraints_[i].size());
+    }
     tuple_.assign(q.NumNodes(), kInvalidNode);
   }
 
@@ -51,37 +65,68 @@ class Enumerator {
   // Returns false when the enumeration must stop (limit hit / sink said no).
   bool Descend(uint32_t i) {
     if (i == order_.size()) {
+      // Only a run with a sink gets here; a sinkless last step counts.
       ++produced_;
-      if (sink_ && !sink_(tuple_)) return false;
+      if (!sink_(tuple_)) return false;
       return produced_ < opts_.limit;
     }
     if (stats_ != nullptr) {
       stats_->max_depth_reached =
           std::max<uint64_t>(stats_->max_depth_reached, i + 1);
+      ++stats_->intersections;
     }
 
-    QueryNodeId qi = order_[i];
-    // Multiway intersection: cos(q_i) ∩ all adjacency lists of the already
-    // matched neighbors (lines 4-7 of Algorithm 5).
-    std::vector<const Bitmap*> inputs;
-    inputs.reserve(constraints_[i].size() + 1);
-    inputs.push_back(&rig_.Cos(qi));
+    // cos_i = cos(q_i) ∩ the rows of the already matched neighbours (lines
+    // 4-7 of Algorithm 5). Every row is a subset of cos(q_i) (rig.h), so a
+    // row as large as cos(q_i) is cos(q_i), and cos(q_i) itself is needed
+    // only when no other row is left.
+    const QueryNodeId qi = order_[i];
+    const Bitmap& cos = rig_.Cos(qi);
+    StepBuffers& step = steps_[i];
+    step.rows.clear();
     for (const EarlierConstraint& c : constraints_[i]) {
       NodeId matched = tuple_[order_[c.earlier_pos]];
-      const Bitmap& adj = c.earlier_is_tail ? rig_.Forward(c.edge, matched)
+      const Bitmap& row = c.earlier_is_tail ? rig_.Forward(c.edge, matched)
                                             : rig_.Backward(c.edge, matched);
-      inputs.push_back(&adj);
+      if (row.Empty()) return true;
+      if (row.Cardinality() != cos.Cardinality()) step.rows.push_back(&row);
     }
-    if (stats_ != nullptr) ++stats_->intersections;
-    Bitmap cosi = Bitmap::AndMany(inputs);
+    const Bitmap* single = nullptr;  // the one set left, walked in place
+    if (step.rows.size() <= 1) {
+      single = step.rows.empty() ? &cos : step.rows.front();
+    } else {
+      std::sort(step.rows.begin(), step.rows.end(),
+                [](const Bitmap* a, const Bitmap* b) {
+                  return a->Cardinality() < b->Cardinality();
+                });
+      Bitmap::AndManyInto(step.rows, &step.candidates);
+    }
 
-    bool keep_going = true;
-    cosi.ForEach([&](NodeId v) {
-      if (!keep_going) return;
+    if (!sink_ && i + 1 == order_.size()) {
+      // Nobody sees the occurrences: each candidate completes one, so the
+      // last step counts them up to the limit instead of visiting them.
+      const uint64_t found =
+          single != nullptr ? single->Cardinality() : step.candidates.size();
+      const uint64_t taken = std::min(found, opts_.limit - produced_);
+      produced_ += taken;
+      if (stats_ != nullptr) stats_->candidates_scanned += taken;
+      return produced_ < opts_.limit;
+    }
+
+    auto visit = [&](NodeId v) {
       if (stats_ != nullptr) ++stats_->candidates_scanned;
       tuple_[qi] = v;
-      keep_going = Descend(i + 1);
-    });
+      return Descend(i + 1);
+    };
+    bool keep_going = true;
+    if (single != nullptr) {
+      keep_going = single->ForEach(visit);
+    } else {
+      for (NodeId v : step.candidates) {
+        keep_going = visit(v);
+        if (!keep_going) break;
+      }
+    }
     tuple_[qi] = kInvalidNode;
     return keep_going;
   }
@@ -94,6 +139,7 @@ class Enumerator {
   MJoinStats* stats_;
 
   std::vector<std::vector<EarlierConstraint>> constraints_;
+  std::vector<StepBuffers> steps_;  // one per search step
   Occurrence tuple_;
   uint64_t produced_ = 0;
 };

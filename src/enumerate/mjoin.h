@@ -29,8 +29,9 @@ struct MJoinOptions {
 
 struct MJoinStats {
   uint64_t occurrences = 0;        // tuples emitted
-  uint64_t intersections = 0;      // multiway-intersection operations
-  uint64_t candidates_scanned = 0; // nodes iterated across all cos_i sets
+  uint64_t intersections = 0;      // search steps, one cos_i each
+  uint64_t candidates_scanned = 0; // nodes of the cos_i sets taken, visited
+                                   // or (sinkless last step) counted
   uint64_t max_depth_reached = 0;
 };
 
@@ -40,6 +41,20 @@ struct MJoinStats {
 /// computed as one multiway bitmap intersection; the recursion therefore
 /// never materializes partial join results (space O(n * MaxCos),
 /// Theorem 5.1).
+///
+/// Every RIG row is a subset of the cos set it points into (rig.h), so a
+/// step intersects only its matched neighbours' rows: a row as large as
+/// cos(q_i) is cos(q_i) and is left out, an empty row ends the step,
+/// cos(q_i) is walked only when no row is left, and a single row is walked
+/// in place. Two or more rows go smallest-first through
+/// Bitmap::AndManyInto into a vector the step reuses, so a search step
+/// makes no heap allocation once its buffers have grown. Every step visits
+/// its candidates in ascending node id.
+///
+/// With a null sink nobody sees the tuples, so the last step adds
+/// min(|cos_n|, limit - produced) to the count instead of visiting each
+/// candidate; the count, the stats and whether the limit was hit are the
+/// same as with a sink that accepts everything.
 ///
 /// Returns the number of occurrences emitted. `order` must be a permutation
 /// of the query nodes; connected prefixes (as produced by ComputeSearchOrder)

@@ -188,11 +188,14 @@ Graph Graph::MakeBidirected(const Graph& g) {
 
 std::vector<NodeId> IntersectRows(std::span<const std::span<const NodeId>> rows,
                                   std::span<const Bitmap* const> sets) {
-  if (rows.empty()) return Bitmap::AndMany(sets).ToVector();
+  std::vector<NodeId> out;
+  if (rows.empty()) {
+    Bitmap::AndManyInto(sets, &out);
+    return out;
+  }
   const auto shortest = std::min_element(
       rows.begin(), rows.end(),
       [](const auto& a, const auto& b) { return a.size() < b.size(); });
-  std::vector<NodeId> out;
   for (NodeId v : *shortest) {
     auto in_row = [v](std::span<const NodeId> row) {
       return std::binary_search(row.begin(), row.end(), v);

@@ -24,6 +24,13 @@ namespace rigpm {
 /// Invariant (Proposition 4.1): for every homomorphism h of Q and every
 /// query edge (p, q), the pair (h(p), h(q)) is an edge of the RIG, i.e. the
 /// RIG losslessly encodes the query answer search space.
+///
+/// Invariant (rows within cos): every edge of e = (p, q) joins cos(p) to
+/// cos(q), because expansion only pairs nodes of cos(p) x cos(q). So
+/// Forward(e, vp) ⊆ cos(q) and Backward(e, vq) ⊆ cos(p), and a row with
+/// |cos(q)| (resp. |cos(p)|) members is that whole set. MJoin relies on
+/// this to leave full rows out of its intersections and to use a row in
+/// place of cos(q_i).
 class Rig {
  public:
   /// Creates an edgeless RIG with the given candidate node sets (one per
@@ -37,7 +44,8 @@ class Rig {
   /// cos(q): candidate occurrence set of query node `q`.
   const Bitmap& Cos(QueryNodeId q) const { return cos_[q]; }
 
-  /// Adds the RIG edge (vp, vq) for query edge index `e`.
+  /// Adds the RIG edge (vp, vq) for query edge index `e` = (p, q); `vp`
+  /// must be in cos(p) and `vq` in cos(q).
   void AddEdge(QueryEdgeId e, NodeId vp, NodeId vq);
 
   /// Forward adjacency of `vp` along query edge `e`; empty bitmap when none.

@@ -210,7 +210,13 @@ bool PruneEdgeSide(const MatchContext& ctx, const QueryEdge& e,
       KeepReachRelated(ctx.reach().condensation(), fixed, forward, pruned);
     }
   } else {
-    std::vector<NodeId> fixed_nodes = fixed.ToVector();
+    // binSearch and the per-pair descendant probes walk `fixed` as a
+    // vector; bitIter probes the bitmap and needs none.
+    std::vector<NodeId> fixed_nodes;
+    if (e.kind == EdgeKind::kDescendant ||
+        opts.child_check == ChildCheckMode::kBinSearch) {
+      fixed_nodes = fixed.ToVector();
+    }
     FilterInPlace(pruned, [&](NodeId v) {
       return HasPartner(ctx, e, v, fixed_nodes, fixed, forward,
                         opts.child_check, stats);

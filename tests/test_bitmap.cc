@@ -80,21 +80,50 @@ TEST(Bitmap, AndOrAndNotBasic) {
             (std::vector<uint32_t>{1, 100000}));
 }
 
-TEST(Bitmap, AndManyPicksSmallestFirst) {
+TEST(Bitmap, AndManyIntoIntersectsEveryInput) {
   Bitmap a = Range(1000);
   Bitmap b = {5, 10, 999, 2000};
   Bitmap c = {10, 999};
   std::vector<const Bitmap*> inputs = {&a, &b, &c};
-  EXPECT_EQ(Bitmap::AndMany(inputs).ToVector(),
-            (std::vector<uint32_t>{10, 999}));
-  EXPECT_TRUE(Bitmap::AndMany({}).Empty());
+  std::vector<uint32_t> out;
+  Bitmap::AndManyInto(inputs, &out);
+  EXPECT_EQ(out, (std::vector<uint32_t>{10, 999}));
+  Bitmap::AndManyInto({}, &out);
+  EXPECT_TRUE(out.empty());
+  // A chunk missing from one input drops the smallest input's values there.
+  Bitmap d = {10, 70000};
+  Bitmap e = {10, 999, 70000, 70001};
+  Bitmap f = {10, 999};
+  std::vector<const Bitmap*> chunks = {&d, &e, &f};
+  Bitmap::AndManyInto(chunks, &out);
+  EXPECT_EQ(out, (std::vector<uint32_t>{10}));
 }
 
 TEST(Bitmap, ForEachVisitsInOrder) {
   Bitmap b = {9, 1, 70001, 70000};
   std::vector<uint32_t> seen;
-  b.ForEach([&seen](uint32_t v) { seen.push_back(v); });
+  EXPECT_TRUE(b.ForEach([&seen](uint32_t v) { seen.push_back(v); }));
   EXPECT_EQ(seen, (std::vector<uint32_t>{1, 9, 70000, 70001}));
+}
+
+TEST(Bitmap, ForEachStopsWhenTheVisitorReturnsFalse) {
+  Bitmap b = {9, 1, 70001, 70000};
+  b.Add(200000);
+  std::vector<uint32_t> seen;
+  EXPECT_FALSE(b.ForEach([&seen](uint32_t v) {
+    seen.push_back(v);
+    return v < 70000;
+  }));
+  EXPECT_EQ(seen, (std::vector<uint32_t>{1, 9, 70000}));
+  // A bitset container stops mid-word as well.
+  Bitmap dense = Range(10000);
+  uint32_t visited = 0;
+  EXPECT_FALSE(dense.ForEach([&visited](uint32_t v) {
+    ++visited;
+    return v != 4100;
+  }));
+  EXPECT_EQ(visited, 4101u);
+  EXPECT_TRUE(dense.ForEach([](uint32_t) { return true; }));
 }
 
 TEST(Bitmap, EqualityAcrossRepresentations) {
@@ -200,14 +229,16 @@ TEST(BitmapProperty, MultiwayAgreesWithFolds) {
   std::vector<Bitmap> bitmaps(6);
   for (auto& b : bitmaps) {
     for (int i = 0; i < 3000; ++i) b.Add(dist(rng));
-    b.Add(12345);  // common element so AndMany is non-empty
+    b.Add(12345);  // common element so the intersection is non-empty
   }
   std::vector<const Bitmap*> ptrs;
   for (auto& b : bitmaps) ptrs.push_back(&b);
 
   Bitmap and_fold = bitmaps[0];
   for (size_t i = 1; i < bitmaps.size(); ++i) and_fold.AndWith(bitmaps[i]);
-  EXPECT_EQ(Bitmap::AndMany(ptrs), and_fold);
+  std::vector<uint32_t> out;
+  Bitmap::AndManyInto(ptrs, &out);
+  EXPECT_EQ(out, and_fold.ToVector());
   EXPECT_TRUE(and_fold.Contains(12345));
 }
 

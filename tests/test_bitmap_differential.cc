@@ -239,6 +239,17 @@ void DifferentialCheck(const Bitmap& a, const Bitmap& b,
   c.AndNotWith(b);
   ExpectMatches(c, andnot_ref, tag + " andnotwith");
 
+  // The multiway form agrees too, whichever operand drives and however
+  // often one is listed; its output vector is replaced, not appended to.
+  const std::vector<uint32_t> and_values(and_ref.begin(), and_ref.end());
+  std::vector<uint32_t> out = {7};
+  const Bitmap* ab[] = {&a, &b};
+  Bitmap::AndManyInto(ab, &out);
+  EXPECT_EQ(out, and_values) << tag << " and_many";
+  const Bitmap* baa[] = {&b, &a, &a};
+  Bitmap::AndManyInto(baa, &out);
+  EXPECT_EQ(out, and_values) << tag << " and_many_rev";
+
   // ForEach visits exactly the oracle's values in order.
   std::vector<uint32_t> seen;
   a.ForEach([&seen](uint32_t v) { seen.push_back(v); });

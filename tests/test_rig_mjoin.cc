@@ -1,13 +1,38 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cstdlib>
+#include <limits>
+#include <new>
+#include <numeric>
+#include <optional>
 #include <set>
+#include <span>
+#include <string>
 
 #include "enumerate/mjoin.h"
 #include "graph/generators.h"
 #include "order/search_order.h"
+#include "query/pattern_parser.h"
 #include "query/query_generator.h"
 #include "rig/rig_builder.h"
 #include "test_util.h"
+
+// Every global operator new of this binary is counted, so that a test can
+// bound the allocations one call makes. libstdc++'s array and nothrow forms
+// call these two, and its array and nothrow deletes call this delete.
+namespace {
+std::atomic<uint64_t> g_operator_news{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_operator_news.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace rigpm {
 namespace {
@@ -181,6 +206,43 @@ TEST(Rig, EmptyCosShortCircuitsEverything) {
   EXPECT_EQ(MJoin(q, rig, order, nullptr), 0u);
 }
 
+// Algorithm 5 builds no intermediate result, and neither does a search
+// step: once its rows and candidate vectors have grown, a step allocates
+// nothing. One MJoin over a dense graph takes >= 10,000 steps, with a sink
+// and without, and stays under 64 allocations per query node, a bound a
+// single allocation per step would break.
+TEST(MJoin, WarmSearchStepsAllocateNothing) {
+  Graph g = GeneratePowerLaw(
+      {.num_nodes = 300, .num_edges = 3000, .num_labels = 3, .seed = 11});
+  auto reach = BuildReachabilityIndex(g, ReachKind::kBfl);
+  MatchContext ctx(g, *reach);
+  std::optional<PatternQuery> q =
+      ParsePattern("(a:0)->(b:1), (b)->(c:2), (a)=>(c), (c)=>(d:0), (b)=>(d)");
+  ASSERT_TRUE(q.has_value());
+  Rig rig = BuildRigFromMatchSets(ctx, *q, RigBuildOptions{});
+  auto order = ComputeSearchOrder(*q, rig, OrderStrategy::kJO);
+  const uint64_t bound = 64 * uint64_t{q->NumNodes()};
+
+  uint64_t seen = 0;
+  const OccurrenceSink sink = [&seen](const Occurrence&) {
+    ++seen;
+    return true;
+  };
+  for (bool with_sink : {true, false}) {
+    MJoinStats stats;
+    const uint64_t before = g_operator_news.load();
+    const uint64_t found = MJoin(*q, rig, order, with_sink ? sink : nullptr,
+                                 MJoinOptions{}, &stats);
+    const uint64_t news = g_operator_news.load() - before;
+    EXPECT_GE(stats.intersections, 10000u) << "sink " << with_sink;
+    EXPECT_GT(found, 0u);
+    EXPECT_LT(news, bound) << "sink " << with_sink << ": " << news
+                           << " allocations over " << stats.intersections
+                           << " search steps";
+  }
+  EXPECT_GT(seen, 0u);
+}
+
 // --- Search orders.
 
 TEST_F(RigFixture, OrdersArePermutationsWithConnectedPrefixes) {
@@ -250,11 +312,17 @@ struct EndToEndCase {
   uint32_t q_nodes;
   uint32_t q_edges;
   bool dag_data;
+  // Some row of the case's RIGs is as large as the cos set it points into.
+  bool has_full_row = true;
 };
 
 class RigMJoinPropertyTest : public ::testing::TestWithParam<EndToEndCase> {};
 
 TEST_P(RigMJoinPropertyTest, MatchesBruteForce) {
+  // On the simulated RIG and on the bare match-set RIG (which keeps nodes
+  // without partners, so some of its rows are empty), MJoin with a sink and
+  // without one returns the brute-force answer: in full, under limits
+  // around its size, and along every permutation of the query nodes.
   const EndToEndCase& p = GetParam();
   GeneratorOptions gopts{.num_nodes = 50, .num_edges = 170, .num_labels = 4,
                          .seed = p.seed};
@@ -269,18 +337,93 @@ TEST_P(RigMJoinPropertyTest, MatchesBruteForce) {
                                         .num_labels = 4,
                                         .variant = QueryVariant::kHybrid,
                                         .seed = p.seed * 31 + 5});
-  Rig rig = BuildRigFromMatchSets(ctx, q, RigBuildOptions{}, &intervals);
-  auto order = ComputeSearchOrder(q, rig, OrderStrategy::kJO);
-  std::vector<Occurrence> tuples;
-  MJoin(q, rig, order, CollectInto(&tuples));
-  std::set<std::vector<NodeId>> got(tuples.begin(), tuples.end());
-  EXPECT_EQ(got.size(), tuples.size()) << "MJoin produced duplicates";
-  EXPECT_EQ(got, BruteForceAnswer(g, q));
+  const std::set<std::vector<NodeId>> want = BruteForceAnswer(g, q);
+  const uint64_t n = want.size();
+
+  // Runs MJoin along `order` with a collecting sink and with a null sink.
+  // Both must return min(limit, n) occurrences and the same stats; the sink
+  // must see distinct answers, all of them when limit >= n.
+  auto check = [&](const Rig& rig, std::span<const QueryNodeId> order,
+                   uint64_t limit, const std::string& what) {
+    MJoinOptions opts;
+    opts.limit = limit;
+    std::vector<Occurrence> tuples;
+    MJoinStats sink_stats;
+    MJoinStats count_stats;
+    const uint64_t expected = std::min(limit, n);
+    EXPECT_EQ(MJoin(q, rig, order, CollectInto(&tuples), opts, &sink_stats),
+              expected)
+        << what;
+    EXPECT_EQ(MJoin(q, rig, order, nullptr, opts, &count_stats), expected)
+        << what;
+    std::set<std::vector<NodeId>> got(tuples.begin(), tuples.end());
+    EXPECT_EQ(got.size(), tuples.size()) << what << ": duplicates";
+    if (limit >= n) {
+      EXPECT_EQ(got, want) << what;
+    } else {
+      EXPECT_TRUE(std::includes(want.begin(), want.end(), got.begin(),
+                                got.end()))
+          << what;
+    }
+    // Counting the last step instead of visiting it changes no statistic.
+    EXPECT_EQ(count_stats.occurrences, sink_stats.occurrences) << what;
+    EXPECT_EQ(count_stats.intersections, sink_stats.intersections) << what;
+    EXPECT_EQ(count_stats.candidates_scanned, sink_stats.candidates_scanned)
+        << what;
+    EXPECT_EQ(count_stats.max_depth_reached, sink_stats.max_depth_reached)
+        << what;
+  };
+
+  bool saw_full_row = false;
+  bool saw_empty_row = false;
+  for (bool skip_simulation : {false, true}) {
+    RigBuildOptions opts;
+    opts.skip_simulation = skip_simulation;
+    Rig rig = BuildRigFromMatchSets(ctx, q, opts, &intervals);
+    const std::string rig_name =
+        skip_simulation ? "match-set RIG" : "simulated RIG";
+    if (!rig.AnyEmpty()) {
+      for (QueryEdgeId e = 0; e < q.NumEdges(); ++e) {
+        const QueryEdge& edge = q.Edge(e);
+        auto census = [&](const Bitmap& row, const Bitmap& cos) {
+          saw_full_row |= row.Cardinality() == cos.Cardinality();
+          saw_empty_row |= row.Empty();
+        };
+        rig.Cos(edge.from).ForEach([&](NodeId vp) {
+          census(rig.Forward(e, vp), rig.Cos(edge.to));
+        });
+        rig.Cos(edge.to).ForEach([&](NodeId vq) {
+          census(rig.Backward(e, vq), rig.Cos(edge.from));
+        });
+      }
+    }
+
+    auto order = ComputeSearchOrder(q, rig, OrderStrategy::kJO);
+    for (uint64_t limit : {uint64_t{1}, n - 1, n, n + 1,
+                           std::numeric_limits<uint64_t>::max()}) {
+      check(rig, order, limit,
+            rig_name + ", JO order, limit " + std::to_string(limit));
+    }
+    std::vector<QueryNodeId> perm(q.NumNodes());
+    std::iota(perm.begin(), perm.end(), 0);
+    do {
+      std::string name = rig_name + ", order";
+      for (QueryNodeId u : perm) name += " " + std::to_string(u);
+      check(rig, perm, std::numeric_limits<uint64_t>::max(), name);
+    } while (std::next_permutation(perm.begin(), perm.end()));
+  }
+  // Each row is read by the permutations that start with its edge's two
+  // ends, so both shortcuts ran: a full row is left out of the
+  // intersection, an empty one ends the step.
+  EXPECT_EQ(saw_full_row, p.has_full_row);
+  EXPECT_TRUE(saw_empty_row);
 }
 
 TEST_P(RigMJoinPropertyTest, RigEdgesAreExactlyTheMatchingPairs) {
   // For every query edge e = (p, q) and every vp in cos(p), Forward(e, vp)
-  // holds exactly the vq in cos(q) that e's pair test accepts: the row walk
+  // holds exactly the vq in cos(q) that e's pair test accepts, and for
+  // every vq in cos(q), Backward(e, vq) exactly the vp in cos(p) (so both
+  // rows lie within cos, as MJoin assumes): the row walk
   // for child edges, the index or the hop-limited BFS for descendant ones,
   // with and without the interval cutoff, from simulated and from bare
   // match sets.
@@ -329,6 +472,17 @@ TEST_P(RigMJoinPropertyTest, RigEdgesAreExactlyTheMatchingPairs) {
               << (early_termination ? " cutoff" : " no cutoff");
           ++checked;
         });
+        rig.Cos(edge.to).ForEach([&](NodeId vq) {
+          Bitmap want;
+          rig.Cos(edge.from).ForEach([&](NodeId vp) {
+            if (ctx.EdgePairMatch(edge, vp, vq)) want.Add(vp);
+          });
+          EXPECT_EQ(rig.Backward(e, vq), want)
+              << "edge " << e << " vq " << vq
+              << (skip_simulation ? " match sets" : " simulated")
+              << (early_termination ? " cutoff" : " no cutoff");
+          ++checked;
+        });
       }
     }
   }
@@ -342,7 +496,8 @@ INSTANTIATE_TEST_SUITE_P(
                       EndToEndCase{"five_dense", 3, 5, 8, false},
                       EndToEndCase{"six_sparse", 4, 6, 6, true},
                       EndToEndCase{"clique4", 5, 4, 6, false},
-                      EndToEndCase{"seven", 6, 7, 9, true},
+                      EndToEndCase{"seven", 6, 7, 9, true,
+                                   /*has_full_row=*/false},
                       EndToEndCase{"another", 7, 5, 6, false},
                       EndToEndCase{"eighth", 8, 6, 9, false}),
     [](const ::testing::TestParamInfo<EndToEndCase>& info) {
