@@ -1,5 +1,7 @@
 #include "bench_util/harness.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -31,7 +33,11 @@ std::string FormatSeconds(double ms) {
   char buf[32];
   double s = ms / 1000.0;
   if (s < 0.01) {
-    std::snprintf(buf, sizeof(buf), "%.4f", s);
+    // Three significant digits (0.000123): a fixed four decimals would
+    // leave a sub-millisecond cell one digit, or none.
+    int decimals =
+        s > 0.0 ? 2 - static_cast<int>(std::floor(std::log10(s))) : 4;
+    std::snprintf(buf, sizeof(buf), "%.*f", std::clamp(decimals, 4, 9), s);
   } else if (s < 10) {
     std::snprintf(buf, sizeof(buf), "%.3f", s);
   } else {

@@ -18,8 +18,9 @@ double TimeMs(const std::function<void()>& fn);
 uint64_t MatchLimitFromEnv();
 double TimeoutMsFromEnv();
 
-/// Formats a duration like the paper's tables: seconds with 2-3 significant
-/// digits, or the status marker ("TO", "OM", "NA") when not ok.
+/// Formats a duration like the paper's tables, in seconds: three
+/// significant digits under 10 ms (0.000123), three decimals under 10 s,
+/// one above.
 std::string FormatSeconds(double ms);
 
 /// Prints the standard bench banner (dataset summary, scale, limits).

@@ -122,6 +122,11 @@ bool PatternQuery::IsUndirectedAcyclic() const {
 }
 
 std::vector<uint8_t> PatternQuery::CanonicalEncoding() const {
+  return *CanonicalEncodingWithin(kMaxCanonicalPerms);
+}
+
+std::optional<std::vector<uint8_t>> PatternQuery::CanonicalEncodingWithin(
+    uint64_t max_orderings) const {
   const uint32_t n = NumNodes();
   // Child edges ignore max_hops (pattern_query.h); normalize it out so two
   // declarations differing only in a meaningless bound still collide.
@@ -223,6 +228,7 @@ std::vector<uint8_t> PatternQuery::CanonicalEncoding() const {
     i = j;
   }
   if (groups.empty() || !bounded) return encode(order);
+  if (perms > max_orderings) return std::nullopt;
 
   std::vector<uint8_t> best = encode(order);
   while (true) {

@@ -2,6 +2,7 @@
 #define RIGPM_QUERY_PATTERN_QUERY_H_
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -114,6 +115,14 @@ class PatternQuery {
   /// construction order: such twins may fail to collide (a cache miss),
   /// never the reverse.
   std::vector<uint8_t> CanonicalEncoding() const;
+
+  /// CanonicalEncoding() when its tie-break tries at most `max_orderings`
+  /// orderings, else nullopt, so a caller that must stay fast (the server's
+  /// event loop) can leave a highly symmetric pattern to a thread that
+  /// affords the whole search. A pattern past kMaxCanonicalPerms takes
+  /// the construction-order fallback and is always returned.
+  std::optional<std::vector<uint8_t>> CanonicalEncodingWithin(
+      uint64_t max_orderings) const;
 
   /// 64-bit digest of CanonicalEncoding() — the order-insensitive pattern
   /// fingerprint the server's result cache keys on.

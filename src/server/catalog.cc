@@ -105,6 +105,13 @@ std::shared_ptr<const EngineState> EngineCatalog::StateOf(
   return e.state;
 }
 
+std::shared_ptr<const EngineState> EngineCatalog::PinIfResident(
+    const Entry& e) {
+  std::shared_ptr<const EngineState> state = StateOf(e);
+  if (state != nullptr) hits_.fetch_add(1, std::memory_order_relaxed);
+  return state;
+}
+
 std::shared_ptr<ResultCache> EngineCatalog::MakeCache() const {
   uint64_t bytes = cache_bytes();
   if (bytes == 0) return nullptr;
@@ -119,18 +126,12 @@ std::shared_ptr<const EngineState> EngineCatalog::Acquire(
                         "\"");
     return nullptr;
   }
-  if (auto state = StateOf(*entry)) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return state;
-  }
+  if (auto state = PinIfResident(*entry)) return state;
   // Cold (or evicted) tenant: open under the entry's open_mu so concurrent
   // first requests load the snapshot once, while requests for OTHER
   // tenants proceed untouched (no catalog-wide lock is held here).
   std::lock_guard<std::mutex> open_lock(entry->open_mu);
-  if (auto state = StateOf(*entry)) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return state;
-  }
+  if (auto state = PinIfResident(*entry)) return state;
   std::shared_ptr<const EngineState> opened;
   CatalogRefreshResult r = RefreshLocked(*entry, &opened);
   if (!r.ok) {
@@ -138,6 +139,22 @@ std::shared_ptr<const EngineState> EngineCatalog::Acquire(
     return nullptr;
   }
   return opened;
+}
+
+std::shared_ptr<const EngineState> EngineCatalog::PinResident(
+    const std::string& id) {
+  std::shared_ptr<Entry> entry = FindAndTouch(id);
+  return entry == nullptr ? nullptr : PinIfResident(*entry);
+}
+
+bool EngineCatalog::ReleaseIfPublished(
+    const std::string& id, std::shared_ptr<const EngineState>* pin) {
+  std::shared_ptr<Entry> entry = Find(id);
+  if (entry == nullptr) return false;
+  std::lock_guard<std::mutex> lock(entry->state_mu);
+  if (entry->state != *pin) return false;
+  pin->reset();
+  return true;
 }
 
 bool EngineCatalog::ResolveEntryLineage(Entry& e, std::string* error) {

@@ -192,6 +192,22 @@ class EngineCatalog {
   std::shared_ptr<const EngineState> Acquire(const std::string& id,
                                              std::string* error = nullptr);
 
+  /// Acquire for a thread that must never open a source (the server's
+  /// event loop): pins the tenant's served state only when it is resident,
+  /// counted as a catalog hit. Null, with nothing counted, for an unknown
+  /// id and for a tenant that is not open; the caller hands those to
+  /// Acquire.
+  std::shared_ptr<const EngineState> PinResident(const std::string& id);
+
+  /// Drops `*pin` only when that cannot free the state: the tenant still
+  /// publishes it, checked and dropped under the lock every swap of the
+  /// published state takes, so the catalog's own reference outlives the
+  /// drop. Returns false and leaves `*pin` as it was once a refresh,
+  /// compaction or eviction has replaced the state; the pin may then be
+  /// its last reference.
+  bool ReleaseIfPublished(const std::string& id,
+                          std::shared_ptr<const EngineState>* pin);
+
   /// Replays the tenant's delta log records past the applied prefix and
   /// publishes the merged engine — kRefresh, scoped to one tenant; every
   /// other tenant's engine is untouched. The log is re-validated from its
@@ -297,6 +313,8 @@ class EngineCatalog {
   std::shared_ptr<Entry> FindAndTouch(const std::string& id);
   std::shared_ptr<Entry> Find(const std::string& id) const;
   std::shared_ptr<const EngineState> StateOf(const Entry& e) const;
+  /// StateOf that counts a catalog hit when the tenant is resident.
+  std::shared_ptr<const EngineState> PinIfResident(const Entry& e);
   /// A fresh generation-scoped cache, or null when cache_bytes() is 0.
   std::shared_ptr<ResultCache> MakeCache() const;
   /// Resolves e.lineage from the head file on first use. Holds e.open_mu.

@@ -36,7 +36,7 @@ struct ResultCacheStats {
 /// swap itself, with no epoch counter for a hit to race against.
 ///
 /// Keys are exact canonical byte strings (PatternQuery::CanonicalEncoding
-/// plus the result-relevant options; see QueryServer::HandleQuery), never
+/// plus the result-relevant options; see CacheKey in server.cc), never
 /// bare hashes: a hash collision here would silently serve the wrong
 /// result, so the full key is compared on every probe. Values are shared
 /// immutable responses — a hit hands back the same QueryResponse object
@@ -58,10 +58,10 @@ class ResultCache {
   ResultCache& operator=(const ResultCache&) = delete;
 
   /// Probe without computing: returns the cached value (counting a hit and
-  /// bumping LRU recency) or null. Does NOT count a miss — use it where the
-  /// caller wants to skip work that GetOrCompute's compute callback would
-  /// need (e.g. template instantiation) and will follow up with
-  /// GetOrCompute on the same key when cold.
+  /// bumping LRU recency) or null. Never blocks on a flight and does NOT
+  /// count a miss — the server's event loop answers hits with it and hands
+  /// a miss to a worker, which follows up with GetOrCompute on the same
+  /// key.
   Value Lookup(const std::string& key);
 
   /// The cache transaction: a hit returns the cached value; a miss runs

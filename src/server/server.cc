@@ -15,6 +15,7 @@
 #include <cerrno>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <utility>
 
 #include "query/pattern_parser.h"
@@ -37,6 +38,14 @@ constexpr size_t kMaxReadPerEvent = 256 * 1024;
 /// Shutdown drain bound: in-flight requests get this long to finish and
 /// flush before remaining connections are cut.
 constexpr double kDrainCapMs = 5000.0;
+/// The loop's share of preparing a request stays in the microseconds:
+/// request frames over kMaxLoopFrameBytes are decoded on a worker (a long
+/// pattern's parse and refinement grow with its size), and so is the key of
+/// a pattern whose canonical tie-break needs more than
+/// kMaxLoopKeyOrderings orderings (8 interchangeable nodes take 40320,
+/// about 10 ms).
+constexpr size_t kMaxLoopFrameBytes = 1024;
+constexpr uint64_t kMaxLoopKeyOrderings = 24;
 
 double MsSince(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(
@@ -76,6 +85,40 @@ std::vector<uint8_t> FrameBytes(const ByteSink& payload) {
   std::memcpy(framed.data() + sizeof(len), payload.data().data(),
               payload.size());
   return framed;
+}
+
+/// The result-cache key: exact canonical bytes (compared in full on every
+/// probe — a digest collision could serve a wrong result, so no
+/// digest-only keys), plus the result-relevant options. A template's key
+/// needs only its name and seed, so a template hit skips instantiation.
+/// Empty when a pattern's canonical tie-break needs more than
+/// `max_orderings` orderings; a real key is never empty.
+std::string CacheKey(const QueryRequest& req,
+                     const std::vector<PatternQuery>& parsed,
+                     uint32_t tuple_cap, uint64_t max_orderings) {
+  ByteSink kb;
+  if (!req.template_name.empty()) {
+    kb.WriteU8('T');
+    kb.WriteString(req.template_name);
+    kb.WriteU64(req.template_seed);
+  } else {
+    // Per-pattern canonical encodings, concatenated in REQUEST order: a
+    // batch response carries one result row per request position, so
+    // batch order is result-relevant even though each pattern's own
+    // encoding is declaration-order-insensitive.
+    kb.WriteU8('P');
+    for (const PatternQuery& q : parsed) {
+      std::optional<std::vector<uint8_t>> enc =
+          q.CanonicalEncodingWithin(max_orderings);
+      if (!enc.has_value()) return {};
+      kb.WriteU64(enc->size());
+      kb.WriteRaw(enc->data(), enc->size());
+    }
+  }
+  kb.WriteU64(req.limit);
+  kb.WriteU32(tuple_cap);
+  return std::string(reinterpret_cast<const char*>(kb.data().data()),
+                     kb.size());
 }
 
 }  // namespace
@@ -209,7 +252,7 @@ bool QueryServer::Start(std::string* error) {
                                         std::numeric_limits<size_t>::max());
   workers_.reserve(workers);
   for (uint32_t i = 0; i < workers; ++i) {
-    workers_.emplace_back(&QueryServer::WorkerLoop, this, i);
+    workers_.emplace_back(&QueryServer::WorkerLoop, this);
   }
   loop_thread_ = std::thread(&QueryServer::EventLoop, this);
   if (config_.maintenance_interval_ms > 0) {
@@ -496,19 +539,48 @@ void QueryServer::PumpDispatch(const std::shared_ptr<Connection>& conn) {
     {
       std::lock_guard<std::mutex> lock(conn->mu);
       if (conn->inflight >= config_.max_pipeline) break;
+    }
+    Request r;
+    r.conn = conn;
+    r.frame = std::move(conn->ready.front());
+    conn->ready.pop_front();
+    const auto t0 = std::chrono::steady_clock::now();
+    const bool answered = Prepare(r, /*on_loop=*/true);
+    r.busy_ms += MsSince(t0);
+    if (answered) {
+      AnswerOnLoop(std::move(r));
+      continue;
+    }
+    {
+      std::lock_guard<std::mutex> lock(conn->mu);
       ++conn->inflight;
     }
     inflight_total_.fetch_add(1);
-    WorkItem item;
-    item.conn = conn;
-    item.frame = std::move(conn->ready.front());
-    conn->ready.pop_front();
     {
       std::lock_guard<std::mutex> lock(queue_mu_);
-      dispatch_q_.push_back(std::move(item));
+      dispatch_q_.push_back(std::move(r));
     }
     queue_cv_.notify_one();
   }
+}
+
+void QueryServer::AnswerOnLoop(Request r) {
+  // The loop must not free an engine: a pin the catalog no longer
+  // publishes may be the state's last, so a worker drops it.
+  if (r.state != nullptr &&
+      !catalog_->ReleaseIfPublished(r.header.graph_id, &r.state)) {
+    Request retired;
+    retired.state = std::move(r.state);
+    {
+      std::lock_guard<std::mutex> lock(queue_mu_);
+      dispatch_q_.push_back(std::move(retired));
+    }
+    queue_cv_.notify_one();
+  }
+  std::vector<uint8_t> framed = Book(r);
+  std::lock_guard<std::mutex> lock(r.conn->mu);
+  r.conn->wq_bytes += framed.size();
+  r.conn->wq.push_back(std::move(framed));
 }
 
 bool QueryServer::FlushWrites(const std::shared_ptr<Connection>& conn) {
@@ -586,11 +658,12 @@ bool QueryServer::SettleConnection(const std::shared_ptr<Connection>& conn) {
     CloseConnection(conn);
     return false;
   }
+  // Dispatch first: what the loop answers in place leaves in this flush.
+  PumpDispatch(conn);
   if (!FlushWrites(conn)) {
     CloseConnection(conn);
     return false;
   }
-  PumpDispatch(conn);
   bool quiesced;
   {
     std::lock_guard<std::mutex> lock(conn->mu);
@@ -667,9 +740,9 @@ void QueryServer::CloseIdleConnections() {
 
 // --------------------------------------------------------------- workers
 
-void QueryServer::WorkerLoop(size_t /*worker_index*/) {
+void QueryServer::WorkerLoop() {
   while (true) {
-    WorkItem item;
+    Request r;
     {
       std::unique_lock<std::mutex> lock(queue_mu_);
       queue_cv_.wait(lock,
@@ -679,107 +752,55 @@ void QueryServer::WorkerLoop(size_t /*worker_index*/) {
         // an owner; this worker is done.
         return;
       }
-      item = std::move(dispatch_q_.front());
+      r = std::move(dispatch_q_.front());
       dispatch_q_.pop_front();
     }
-    ProcessItem(std::move(item));
+    // A request without a connection only carries a pin the loop retired;
+    // it is dropped here, off the loop.
+    if (r.conn != nullptr) ProcessRequest(std::move(r));
   }
 }
 
-void QueryServer::ProcessItem(WorkItem item) {
-  ByteSource src(item.frame.data(), item.frame.size());
-  const RequestHeader header = ReadRequestHeader(src);
-  const MessageType type = ReadMessageType(src);
-  ByteSink response;
-  response.WriteU64(header.request_id);
-  bool rejected = false;
-  auto reject = [&](StatusCode status, const std::string& message) {
-    response = MakeErrorResponse(header.request_id, status, message);
-    rejected = true;
-  };
-  bool close_after = false;
-
-  if (!src.ok()) {
-    reject(StatusCode::kBadRequest,
-           "frame too short for a request header and type");
-  } else {
-    switch (type) {
-      case MessageType::kQueryRequest: {
-        QueryRequest req = QueryRequest::Deserialize(src);
-        if (!src.ok() || src.remaining() != 0) {
-          reject(StatusCode::kBadRequest,
-                 src.ok() ? "trailing bytes in query request" : src.error());
-          break;
-        }
-        // Pin the tenant's current engine (the one a refresh published
-        // last, or a reopen after an eviction) for this request only; the
-        // pin drops at the end of this block, before the response is
-        // queued, so an idle worker keeps no superseded engine alive.
-        std::string acquire_error;
-        std::shared_ptr<const EngineState> state =
-            catalog_->Acquire(header.graph_id, &acquire_error);
-        if (state == nullptr) {
-          // An id the catalog has never heard of is the client's mistake; a
-          // registered source that fails to open is the server's.
-          std::string resolved = header.graph_id;
-          if (resolved.empty()) resolved = catalog_->default_id();
-          reject(catalog_->Has(resolved) ? StatusCode::kInternalError
-                                         : StatusCode::kBadRequest,
-                 acquire_error);
-          break;
-        }
-        auto t0 = std::chrono::steady_clock::now();
-        HandleQuery(req, header.graph_id, *state, response);
-        RecordLatency(MsSince(t0));
-        break;
-      }
-      case MessageType::kStatsRequest:
-        Snapshot().Serialize(response);
-        break;
-      case MessageType::kPingRequest:
-        response.WriteU32(static_cast<uint32_t>(MessageType::kPingResponse));
-        break;
-      case MessageType::kRefreshRequest:
-        HandleRefresh(header.graph_id, response);
-        break;
-      case MessageType::kListGraphsRequest:
-        HandleListGraphs(response);
-        break;
-      case MessageType::kShutdownRequest:
-        if (config_.allow_remote_shutdown) {
-          response.WriteU32(
-              static_cast<uint32_t>(MessageType::kShutdownResponse));
-          close_after = true;
-          RequestStop();
-        } else {
-          reject(StatusCode::kBadRequest, "remote shutdown is disabled");
-        }
-        break;
-      default:
-        reject(StatusCode::kBadRequest,
-               "unknown request type " +
-                   std::to_string(static_cast<uint32_t>(type)));
-        break;
+void QueryServer::ProcessRequest(Request r) {
+  const auto t0 = std::chrono::steady_clock::now();
+  if (!Prepare(r, /*on_loop=*/false)) {
+    if (r.type == MessageType::kQueryRequest) {
+      Evaluate(r);
+    } else {
+      HandleAdmin(r);
     }
   }
+  r.busy_ms += MsSince(t0);
+  // Drop the pin before the response is queued, so an idle worker keeps no
+  // superseded engine alive.
+  r.state.reset();
+  std::vector<uint8_t> framed = Book(r);
+  FinishRequest(r.conn, std::move(framed), r.close_after);
+}
 
+std::vector<uint8_t> QueryServer::Book(Request& r) {
   // A frame the client would reject as oversize (and that a 4-byte length
   // prefix may not even represent): substitute a small error so the work
   // is not silently dropped on the client side.
-  if (response.size() > config_.max_frame_bytes) {
-    reject(StatusCode::kInternalError,
-           "response of " + std::to_string(response.size()) +
+  if (r.response.size() > config_.max_frame_bytes) {
+    Reject(r, StatusCode::kInternalError,
+           "response of " + std::to_string(r.response.size()) +
                " bytes exceeds the frame cap of " +
                std::to_string(config_.max_frame_bytes));
   }
   {
-    // Count every protocol rejection the same way, whichever branch built
-    // it (query failures are counted inside HandleQuery).
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++requests_served_;
-    if (rejected) ++errors_;
+    if (r.failed) ++errors_;
+    queries_served_ += r.queries;
+    occurrences_emitted_ += r.occurrences;
+    if (r.decoded && r.type == MessageType::kQueryRequest) {
+      latency_ring_[latency_next_] = r.busy_ms;
+      latency_next_ = (latency_next_ + 1) % latency_ring_.size();
+      if (latency_next_ == 0) latency_wrapped_ = true;
+    }
   }
-  FinishRequest(item.conn, FrameBytes(response), close_after);
+  return FrameBytes(r.response);
 }
 
 void QueryServer::FinishRequest(const std::shared_ptr<Connection>& conn,
@@ -802,127 +823,162 @@ void QueryServer::FinishRequest(const std::shared_ptr<Connection>& conn,
   WakeLoop();
 }
 
-// -------------------------------------------------------------- handlers
+// -------------------------------------------------------------- requests
 
-void QueryServer::HandleQuery(const QueryRequest& req,
-                              const std::string& graph_id,
-                              const EngineState& state, ByteSink& out) {
-  const GmEngine& engine = *state.engine;
-  // Generation-scoped: lives and dies with the pinned state, so a hit is
-  // always consistent with the engine this request would have evaluated on.
-  const std::shared_ptr<ResultCache>& cache = state.cache;
-  auto respond_error = [&](StatusCode status, const std::string& msg) {
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++errors_;
+void QueryServer::Reject(Request& r, StatusCode status,
+                         const std::string& message) {
+  r.response = MakeErrorResponse(r.header.request_id, status, message);
+  r.failed = true;
+}
+
+void QueryServer::FailQuery(Request& r, StatusCode status,
+                            const std::string& message) {
+  QueryResponse resp;
+  resp.status = status;
+  resp.error = message;
+  resp.Serialize(r.response);
+  r.failed = true;
+}
+
+bool QueryServer::Prepare(Request& r, bool on_loop) {
+  if (!r.decoded) {
+    if (on_loop && r.frame.size() > kMaxLoopFrameBytes) return false;
+    if (Decode(r)) return true;
+  }
+  if (r.type != MessageType::kQueryRequest) return false;
+
+  // Pin the tenant's current engine (the one a refresh published last, or
+  // a reopen after an eviction) for this request only.
+  if (r.state == nullptr && on_loop) {
+    r.state = catalog_->PinResident(r.header.graph_id);
+    if (r.state == nullptr) return false;  // a worker opens or rejects it
+  }
+  if (r.state == nullptr) {
+    std::string error;
+    r.state = catalog_->Acquire(r.header.graph_id, &error);
+    if (r.state == nullptr) {
+      // An id the catalog has never heard of is the client's mistake; a
+      // registered source that fails to open is the server's.
+      std::string resolved = r.header.graph_id;
+      if (resolved.empty()) resolved = catalog_->default_id();
+      Reject(r,
+             catalog_->Has(resolved) ? StatusCode::kInternalError
+                                     : StatusCode::kBadRequest,
+             error);
+      return true;
     }
-    QueryResponse resp;
-    resp.status = status;
-    resp.error = msg;
-    resp.Serialize(out);
-  };
+  }
+  // Generation-scoped: the cache lives and dies with the pinned state, so
+  // a hit is always consistent with the engine this request would have
+  // evaluated on. A key already built means the loop probed and missed.
+  if (r.state->cache == nullptr || !r.cache_key.empty()) return false;
+  const uint64_t max_orderings =
+      on_loop ? kMaxLoopKeyOrderings : PatternQuery::kMaxCanonicalPerms;
+  r.cache_key = CacheKey(r.query, r.parsed, r.tuple_cap, max_orderings);
+  if (r.cache_key.empty()) return false;  // too costly to key on the loop
+  if (auto hit = r.state->cache->Lookup(r.cache_key)) {
+    Serve(r, *hit);
+    return true;
+  }
+  return false;
+}
 
-  // Validate and parse. Template INSTANTIATION is deferred past the cache
-  // probe: a template request's key needs only the name and seed, so the
-  // hot template hit path skips instantiation along with evaluation.
-  const bool is_template = !req.template_name.empty();
-  std::vector<PatternQuery> queries;
-  if (is_template) {
+bool QueryServer::Decode(Request& r) {
+  r.decoded = true;
+  ByteSource src(r.frame.data(), r.frame.size());
+  r.header = ReadRequestHeader(src);
+  r.type = ReadMessageType(src);
+  r.response.WriteU64(r.header.request_id);
+  if (!src.ok()) {
+    Reject(r, StatusCode::kBadRequest,
+           "frame too short for a request header and type");
+    return true;
+  }
+  switch (r.type) {
+    case MessageType::kQueryRequest:
+      break;
+    case MessageType::kPingRequest:
+      r.response.WriteU32(static_cast<uint32_t>(MessageType::kPingResponse));
+      return true;
+    case MessageType::kStatsRequest:
+    case MessageType::kRefreshRequest:
+    case MessageType::kListGraphsRequest:
+    case MessageType::kShutdownRequest:
+      return false;
+    default:
+      Reject(r, StatusCode::kBadRequest,
+             "unknown request type " +
+                 std::to_string(static_cast<uint32_t>(r.type)));
+      return true;
+  }
+  r.query = QueryRequest::Deserialize(src);
+  if (!src.ok() || src.remaining() != 0) {
+    Reject(r, StatusCode::kBadRequest,
+           src.ok() ? "trailing bytes in query request" : src.error());
+    return true;
+  }
+
+  // Validate and parse. A template is instantiated only on a miss
+  // (Evaluate): its key needs just the name and seed.
+  const QueryRequest& req = r.query;
+  if (!req.template_name.empty()) {
     if (!req.patterns.empty()) {
-      return respond_error(StatusCode::kBadRequest,
-                           "request has both patterns and a template");
+      FailQuery(r, StatusCode::kBadRequest,
+                "request has both patterns and a template");
+      return true;
     }
     if (!KnownTemplateName(req.template_name)) {
-      return respond_error(StatusCode::kParseError,
-                           "unknown query template " + req.template_name);
+      FailQuery(r, StatusCode::kParseError,
+                "unknown query template " + req.template_name);
+      return true;
     }
   } else {
     if (req.patterns.empty()) {
-      return respond_error(StatusCode::kBadRequest,
-                           "request has neither patterns nor a template");
+      FailQuery(r, StatusCode::kBadRequest,
+                "request has neither patterns nor a template");
+      return true;
     }
     std::string parse_error;
     for (const std::string& text : req.patterns) {
       auto q = ParsePattern(text, &parse_error);
       if (!q.has_value()) {
-        return respond_error(StatusCode::kParseError,
-                             "cannot parse pattern '" + text +
-                                 "': " + parse_error);
+        FailQuery(r, StatusCode::kParseError,
+                  "cannot parse pattern '" + text + "': " + parse_error);
+        return true;
       }
       if (!q->IsConnected()) {
-        return respond_error(StatusCode::kParseError,
-                             "pattern '" + text + "' must be connected");
+        FailQuery(r, StatusCode::kParseError,
+                  "pattern '" + text + "' must be connected");
+        return true;
       }
-      queries.push_back(std::move(*q));
+      r.parsed.push_back(std::move(*q));
     }
   }
-  const uint64_t num_queries = is_template ? 1 : queries.size();
+  r.tuple_cap = std::min(req.max_return_tuples, config_.max_return_tuples);
+  return false;
+}
 
+void QueryServer::Evaluate(Request& r) {
+  const GmEngine& engine = *r.state->engine;
+  const QueryRequest& req = r.query;
+  if (!req.template_name.empty()) {
+    r.parsed.push_back(InstantiateTemplate(TemplateByName(req.template_name),
+                                           QueryVariant::kHybrid,
+                                           engine.graph().NumLabels(),
+                                           req.template_seed));
+  }
   GmOptions opts;
   opts.limit = req.limit;
-
-  const uint32_t tuple_cap =
-      std::min(req.max_return_tuples, config_.max_return_tuples);
-
-  // Books a served response (hit or cold) and puts it on the wire.
-  auto serve = [&](const std::shared_ptr<const QueryResponse>& r) {
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      queries_served_ += num_queries;
-      occurrences_emitted_ += r->TotalOccurrences();
-    }
-    catalog_->CountQuery(graph_id, num_queries);
-    r->Serialize(out);
-  };
-
-  // Cache key: exact canonical bytes (compared in full on every probe — a
-  // digest collision could serve a wrong result, so no digest-only keys),
-  // plus the result-relevant options.
-  std::string cache_key;
-  if (cache != nullptr) {
-    ByteSink kb;
-    if (is_template) {
-      kb.WriteU8('T');
-      kb.WriteString(req.template_name);
-      kb.WriteU64(req.template_seed);
-    } else {
-      // Per-pattern canonical encodings, concatenated in REQUEST order: a
-      // batch response carries one result row per request position, so
-      // batch order is result-relevant even though each pattern's own
-      // encoding is declaration-order-insensitive.
-      kb.WriteU8('P');
-      for (const PatternQuery& q : queries) {
-        std::vector<uint8_t> enc = q.CanonicalEncoding();
-        kb.WriteU64(enc.size());
-        kb.WriteRaw(enc.data(), enc.size());
-      }
-    }
-    kb.WriteU64(req.limit);
-    kb.WriteU32(tuple_cap);
-    cache_key.assign(reinterpret_cast<const char*>(kb.data().data()),
-                     kb.size());
-    if (is_template) {
-      if (auto hit = cache->Lookup(cache_key)) return serve(hit);
-    }
-  }
-
-  if (is_template) {
-    queries.push_back(InstantiateTemplate(TemplateByName(req.template_name),
-                                          QueryVariant::kHybrid,
-                                          engine.graph().NumLabels(),
-                                          req.template_seed));
-  }
-
   auto evaluate = [&]() -> std::shared_ptr<const QueryResponse> {
     auto resp = std::make_shared<QueryResponse>();
     // Tuples are echoed for single-pattern requests only.
     OccurrenceSink sink = nullptr;
-    if (queries.size() == 1) {
-      resp->tuple_arity = queries[0].NumNodes();
-      if (tuple_cap > 0) {
+    if (r.parsed.size() == 1) {
+      resp->tuple_arity = r.parsed[0].NumNodes();
+      if (r.tuple_cap > 0) {
         sink = [&](const Occurrence& t) {
           if (resp->tuples.size() / resp->tuple_arity <
-              static_cast<size_t>(tuple_cap)) {
+              static_cast<size_t>(r.tuple_cap)) {
             resp->tuples.insert(resp->tuples.end(), t.begin(), t.end());
           }
           return true;
@@ -930,13 +986,13 @@ void QueryServer::HandleQuery(const QueryRequest& req,
       }
     }
     // Every pattern runs in request order on this worker.
-    for (const PatternQuery& q : queries) {
-      GmResult r = engine.Evaluate(q, opts, sink);
+    for (const PatternQuery& q : r.parsed) {
+      GmResult g = engine.Evaluate(q, opts, sink);
       QueryResultWire w;
-      w.num_occurrences = r.num_occurrences;
-      w.hit_limit = r.hit_limit;
-      w.phase_timings.reserve(r.phase_timings.size());
-      for (const PhaseTiming& pt : r.phase_timings) {
+      w.num_occurrences = g.num_occurrences;
+      w.hit_limit = g.hit_limit;
+      w.phase_timings.reserve(g.phase_timings.size());
+      for (const PhaseTiming& pt : g.phase_timings) {
         w.phase_timings.push_back(PhaseTimingWire{pt.name, pt.ms});
       }
       resp->results.push_back(std::move(w));
@@ -944,10 +1000,51 @@ void QueryServer::HandleQuery(const QueryRequest& req,
     return resp;
   };
 
-  // Miss path: singleflight — N concurrent identical cold queries (a full
-  // pipeline of the same hot pattern) evaluate once and share the result.
-  serve(cache != nullptr ? cache->GetOrCompute(cache_key, evaluate)
-                         : evaluate());
+  // Singleflight: N concurrent identical cold queries (a full pipeline of
+  // the same hot pattern) evaluate once and share the result.
+  const std::shared_ptr<ResultCache>& cache = r.state->cache;
+  std::shared_ptr<const QueryResponse> resp =
+      cache != nullptr ? cache->GetOrCompute(r.cache_key, evaluate)
+                       : evaluate();
+  if (resp == nullptr) {
+    // The flight this request joined failed; nothing was cached.
+    FailQuery(r, StatusCode::kInternalError, "evaluation failed");
+    return;
+  }
+  Serve(r, *resp);
+}
+
+void QueryServer::Serve(Request& r, const QueryResponse& resp) {
+  r.queries = r.query.template_name.empty() ? r.query.patterns.size() : 1;
+  r.occurrences = resp.TotalOccurrences();
+  catalog_->CountQuery(r.header.graph_id, r.queries);
+  resp.Serialize(r.response);
+}
+
+void QueryServer::HandleAdmin(Request& r) {
+  switch (r.type) {
+    case MessageType::kStatsRequest:
+      Snapshot().Serialize(r.response);
+      break;
+    case MessageType::kRefreshRequest:
+      HandleRefresh(r.header.graph_id, r.response);
+      break;
+    case MessageType::kListGraphsRequest:
+      HandleListGraphs(r.response);
+      break;
+    case MessageType::kShutdownRequest:
+      if (config_.allow_remote_shutdown) {
+        r.response.WriteU32(
+            static_cast<uint32_t>(MessageType::kShutdownResponse));
+        r.close_after = true;
+        RequestStop();
+      } else {
+        Reject(r, StatusCode::kBadRequest, "remote shutdown is disabled");
+      }
+      break;
+    default:
+      break;  // Decode answers every other type
+  }
 }
 
 void QueryServer::HandleRefresh(const std::string& graph_id, ByteSink& out) {
@@ -987,13 +1084,6 @@ void QueryServer::HandleListGraphs(ByteSink& out) const {
                                         t.applied_seqno, t.queries});
   }
   resp.Serialize(out);
-}
-
-void QueryServer::RecordLatency(double ms) {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  latency_ring_[latency_next_] = ms;
-  latency_next_ = (latency_next_ + 1) % latency_ring_.size();
-  if (latency_next_ == 0) latency_wrapped_ = true;
 }
 
 void QueryServer::RecordAcceptLatency(double ms) {

@@ -27,9 +27,9 @@ struct ServerConfig {
   std::string host = "127.0.0.1";
   uint16_t port = 0;
 
-  /// Worker pool size (0 = hardware concurrency). Workers evaluate parsed
-  /// requests; they never own a connection, so any number of clients can
-  /// share a small pool.
+  /// Worker pool size (0 = hardware concurrency). Workers evaluate cache
+  /// misses and run admin requests; they never own a connection, so any
+  /// number of clients can share a small pool.
   uint32_t num_workers = 4;
 
   uint32_t max_frame_bytes = kDefaultMaxFrameBytes;
@@ -42,8 +42,8 @@ struct ServerConfig {
   /// deployment that only trusts signals can turn it off).
   bool allow_remote_shutdown = true;
 
-  /// Per-connection cap on requests in flight at once; frames past the
-  /// cap wait in the connection's ready queue (the client is never
+  /// Per-connection cap on requests with the workers at once; frames past
+  /// the cap wait in the connection's ready queue (the client is never
   /// errored, just back-pressured via paused reads).
   uint32_t max_pipeline = 64;
 
@@ -78,35 +78,52 @@ struct ServerConfig {
 /// Multi-tenancy: every request header names a graph id, and an empty one
 /// goes to the catalog's default tenant. Every served graph is a catalog
 /// tenant: a snapshot source registered with EngineCatalog::Register, or an
-/// in-memory engine handed over with EngineCatalog::AdoptEngine. A worker
-/// pins the addressed tenant's engine for one request; the catalog opens
-/// sources lazily and (with a max_engines cap) evicts least-recently-used,
-/// never under an in-flight query.
+/// in-memory engine handed over with EngineCatalog::AdoptEngine. Each query
+/// pins the addressed tenant's engine for its own duration; the catalog
+/// opens sources lazily and (with a max_engines cap) evicts
+/// least-recently-used, never under an in-flight query.
 ///
 /// Threading: one event-loop thread owns every socket — it accepts, does
 /// non-blocking frame reassembly per connection (epoll, level-triggered
 /// with EPOLLONESHOT re-arm), and flushes per-connection write queues.
-/// Complete requests are handed to a fixed worker pool over a dispatch
-/// queue. A worker calls GmEngine::Evaluate on the pinned engine, as
-/// EvaluateBatch's workers do, so per-query results are identical to
-/// in-process evaluation; a multi-pattern request evaluates its patterns
-/// one after another. It drops the pin before it queues the response, so
-/// an idle worker holds no engine. Workers never touch sockets: a finished
-/// response is queued on its connection and the loop is woken over an
-/// eventfd, which keeps every fd single-writer and lets thousands of idle
-/// or slow connections coexist with a handful of workers.
+/// The loop also prepares each complete request: it decodes and validates
+/// it, parses its patterns, pins the tenant if it is resident
+/// (EngineCatalog::PinResident), builds the cache key and probes the
+/// tenant's result cache. A cache hit, a ping and a request rejected while
+/// decoding are answered in place and leave in the same loop pass; they
+/// never wait for a worker. A fixed worker pool, fed over a dispatch
+/// queue, gets the rest:
+///   - a cache miss, with its parsed patterns, key and pin, to evaluate;
+///   - stats, refresh, list-graphs and shutdown requests;
+///   - a query for a tenant that is not resident, a frame over
+///     kMaxLoopFrameBytes (1 KiB), and a pattern whose canonical cache
+///     key needs more than a few tie-break orderings; the worker runs the
+///     same preparation from where the loop stopped, opening the tenant
+///     if it must.
+/// The loop never opens a tenant, evaluates, or waits on a singleflight
+/// flight, and it never drops a pin that may be an engine's last: it
+/// releases a pin only while the catalog still publishes that state, and
+/// hands any other to a worker. A worker calls GmEngine::Evaluate on the
+/// pinned engine, as EvaluateBatch's workers do, so per-query results are
+/// identical to in-process evaluation; a multi-pattern request evaluates
+/// its patterns one after another. It drops the pin before it queues the
+/// response, so an idle worker holds no engine. Workers never touch
+/// sockets: a finished response is queued on its connection and the loop
+/// is woken over an eventfd, which keeps every fd single-writer and lets
+/// thousands of idle or slow connections coexist with a handful of
+/// workers.
 ///
-/// Pipelining: up to max_pipeline requests per connection run concurrently
-/// and complete in any order; each response echoes its request's id.
+/// Pipelining: up to max_pipeline requests per connection are with the
+/// workers at once; they complete in any order, and answers the loop gives
+/// in place can overtake them. Each response echoes its request's id.
 ///
 /// Live refresh: every served engine lives behind a shared_ptr<EngineState>
-/// that workers re-acquire per request (RCU-style). A kRefreshRequest
-/// replays the addressed tenant's delta log records, rebuilds the
-/// reachability index over the merged graph, and publishes the new state —
-/// per tenant, every other graph untouched; queries already running keep
-/// their reference to the old engine until they finish, so nothing blocks
-/// and no connection drops. The old state is freed when its last in-flight
-/// query completes.
+/// that each request pins anew (RCU-style). A kRefreshRequest replays the
+/// addressed tenant's delta log records, rebuilds the reachability index
+/// over the merged graph, and publishes the new state — per tenant, every
+/// other graph untouched; queries already running keep their reference to
+/// the old engine until they finish, so nothing blocks and no connection
+/// drops. The old state is freed when its last in-flight query completes.
 ///
 /// Shutdown: Stop() (or a kShutdownRequest, or the daemon's SIGINT/SIGTERM
 /// handler calling RequestStop()) stops accepting, lets dispatched requests
@@ -164,7 +181,7 @@ class QueryServer {
     // --- event-loop-only (no lock) ---
     std::vector<uint8_t> rbuf;  // unparsed bytes; rpos = consumed prefix
     size_t rpos = 0;
-    std::deque<std::vector<uint8_t>> ready;  // parsed frames, not dispatched
+    std::deque<std::vector<uint8_t>> ready;  // whole frames, not prepared
     bool first_byte_recorded = false;
     bool in_epoll = false;
     bool poisoned = false;  // oversize length prefix; stop reading/parsing
@@ -182,14 +199,41 @@ class QueryServer {
     bool closed = false;  // loop closed the fd; completions are dropped
   };
 
-  /// One parsed request frame on its way to a worker.
-  struct WorkItem {
-    std::shared_ptr<Connection> conn;
-    std::vector<uint8_t> frame;  // payload (header + u32 type + body)
+  /// One request frame on its way through the daemon. Prepare runs its
+  /// first steps in order: decode and validate, parse, pin the tenant, key
+  /// and probe the cache. The event loop runs them as far as it may, and a
+  /// worker resumes where the loop stopped; each step's output stays in its
+  /// field, so no step runs twice. Evaluate, on a worker, is the last step
+  /// of a cache miss.
+  struct Request {
+    std::shared_ptr<Connection> conn;  // null: only a pin to drop
+    std::vector<uint8_t> frame;        // payload (header + u32 type + body)
+
+    // --- filled by Prepare ---
+    bool decoded = false;
+    RequestHeader header;
+    MessageType type = MessageType::kQueryRequest;
+    QueryRequest query;                // body of a kQueryRequest
+    std::vector<PatternQuery> parsed;  // its patterns, in request order
+    uint32_t tuple_cap = 0;            // tuples echoed, server cap applied
+    /// The tenant's pinned state. Dropped before the answer is queued, so
+    /// an idle worker holds no engine; the loop hands a pin that may be the
+    /// state's last to a worker instead of dropping it.
+    std::shared_ptr<const EngineState> state;
+    std::string cache_key;
+
+    // --- the answer ---
+    ByteSink response;         // echoed id, then u32 type and body
+    bool failed = false;       // counted in StatsResponse::errors
+    bool close_after = false;  // shutdown ACK: close once flushed
+    uint64_t queries = 0;      // queries served and their occurrences
+    uint64_t occurrences = 0;
+    /// Loop and worker time, queue wait excluded: a query's latency sample.
+    double busy_ms = 0.0;
   };
 
   void EventLoop();
-  void WorkerLoop(size_t worker_index);
+  void WorkerLoop();
   /// Maintenance thread body: RunMaintenance() on the catalog every
   /// config_.maintenance_interval_ms until stop (cv-interruptible sleep).
   void MaintenanceLoop();
@@ -203,33 +247,58 @@ class QueryServer {
   /// false when the connection must close (error, or drained after
   /// close_after_flush).
   bool FlushWrites(const std::shared_ptr<Connection>& conn);
-  /// Post-event/post-completion settling: flush, dispatch newly unblocked
-  /// frames, reap a quiesced connection, re-arm epoll interest. Returns
-  /// false when the connection was closed.
+  /// Post-event/post-completion settling: dispatch newly unblocked frames
+  /// (answering in place what the loop can), flush, reap a quiesced
+  /// connection, re-arm epoll interest. Returns false when the connection
+  /// was closed.
   bool SettleConnection(const std::shared_ptr<Connection>& conn);
   void UpdateInterest(const std::shared_ptr<Connection>& conn);
   void CloseConnection(const std::shared_ptr<Connection>& conn);
   void CloseIdleConnections();
   bool Drained();
 
-  /// Worker side: evaluates one parsed frame and queues the response.
-  void ProcessItem(WorkItem item);
+  /// Runs `r`'s steps short of evaluation until it is answered (true) or
+  /// what is left needs a worker (false): a cache miss to evaluate, or a
+  /// stats, refresh, list or shutdown request. With `on_loop` it also stops
+  /// before decoding a frame over kMaxLoopFrameBytes, before pinning a
+  /// tenant that is not resident and before a key whose canonical
+  /// tie-break exceeds kMaxLoopKeyOrderings; on a worker it opens that
+  /// tenant. It never waits on a singleflight flight.
+  bool Prepare(Request& r, bool on_loop);
+  /// Prepare's first step: header, type and body, then a query's
+  /// validation and parse. Returns true when that answered the request (a
+  /// malformed frame, an unknown type, a ping, an invalid query).
+  bool Decode(Request& r);
+  /// Last step of a cache miss, on a worker: evaluates the pinned engine
+  /// under the cache's singleflight.
+  void Evaluate(Request& r);
+  /// Puts a served query response into `r`'s answer and counts it.
+  void Serve(Request& r, const QueryResponse& resp);
+  /// Answers `r` with an error response (the protocol's rejections).
+  static void Reject(Request& r, StatusCode status,
+                     const std::string& message);
+  /// Answers `r` with a failed QueryResponse (an invalid query).
+  static void FailQuery(Request& r, StatusCode status,
+                        const std::string& message);
+  /// The worker-only requests: stats, refresh, list and shutdown.
+  void HandleAdmin(Request& r);
+  /// Worker side: finishes `r` and queues its answer.
+  void ProcessRequest(Request r);
+  /// Loop side of a request Prepare answered: queues the answer for this
+  /// pass's flush and releases the pin without freeing an engine.
+  void AnswerOnLoop(Request r);
+  /// Counts an answered request (substituting an error for a response over
+  /// the frame cap) and returns its framed bytes.
+  std::vector<uint8_t> Book(Request& r);
   void FinishRequest(const std::shared_ptr<Connection>& conn,
                      std::vector<uint8_t> framed_response, bool close_after);
   void WakeLoop();
 
-  // Handlers append the response type and body to `out`, which already
-  // holds the echoed request id.
-
-  /// Evaluates one query request on the tenant's pinned engine state.
-  void HandleQuery(const QueryRequest& req, const std::string& graph_id,
-                   const EngineState& state, ByteSink& out);
   /// Replays the tenant's new delta records and swaps its engine
   /// (per-tenant serialized inside the catalog).
   void HandleRefresh(const std::string& graph_id, ByteSink& out);
   void HandleListGraphs(ByteSink& out) const;
 
-  void RecordLatency(double ms);
   void RecordAcceptLatency(double ms);
 
   ServerConfig config_;
@@ -261,10 +330,10 @@ class QueryServer {
   // stats_mu_ instead of touching this map.
   std::unordered_map<int, std::shared_ptr<Connection>> conns_;
 
-  // Parsed requests waiting for a worker.
+  // Requests waiting for a worker.
   mutable std::mutex queue_mu_;
   std::condition_variable queue_cv_;
-  std::deque<WorkItem> dispatch_q_;
+  std::deque<Request> dispatch_q_;
 
   // Connections with fresh completions, for the loop to flush/re-arm.
   std::mutex compl_mu_;

@@ -293,6 +293,52 @@ TEST_F(EngineCatalogTest, RefreshIsScopedToOneTenant) {
   EXPECT_NE(nd.error.find("delta"), std::string::npos) << nd.error;
 }
 
+TEST_F(EngineCatalogTest, PinResidentNeverOpensAndReleasesOnlyPublished) {
+  EngineCatalog catalog(/*max_engines=*/1);
+  std::string error;
+  ASSERT_TRUE(catalog.Register("alpha", SourceFor(0), &error)) << error;
+  ASSERT_TRUE(catalog.Register("beta", SourceFor(1), &error)) << error;
+
+  // Unknown and cold tenants: no pin, no open, nothing counted.
+  EXPECT_EQ(catalog.PinResident("nope"), nullptr);
+  EXPECT_EQ(catalog.PinResident("alpha"), nullptr);
+  CatalogStats s = catalog.Stats();
+  EXPECT_EQ(s.resident, 0u);
+  EXPECT_EQ(s.hits + s.misses, 0u);
+
+  // A resident tenant pins like Acquire's hit, "" resolving to the default.
+  ASSERT_NE(catalog.Acquire("alpha", &error), nullptr) << error;
+  std::shared_ptr<const EngineState> pin = catalog.PinResident("");
+  ASSERT_NE(pin, nullptr);
+  s = catalog.Stats();
+  EXPECT_EQ(s.misses, 1u);
+  EXPECT_EQ(s.hits, 1u);
+
+  // While the catalog publishes the pinned state, the release drops it.
+  std::weak_ptr<const EngineState> published = pin;
+  EXPECT_TRUE(catalog.ReleaseIfPublished("alpha", &pin));
+  EXPECT_EQ(pin, nullptr);
+  EXPECT_FALSE(published.expired());
+
+  // Once a refresh has replaced the state, the pin may be its last: the
+  // release leaves it to the caller.
+  pin = catalog.PinResident("alpha");
+  AppendTo(0, {{0, 3}});
+  ASSERT_TRUE(catalog.Refresh("alpha").ok);
+  EXPECT_FALSE(catalog.ReleaseIfPublished("alpha", &pin));
+  ASSERT_NE(pin, nullptr);
+  EXPECT_EQ(pin.use_count(), 1);
+
+  // Likewise once an eviction has dropped the catalog's reference.
+  pin = catalog.PinResident("alpha");
+  ASSERT_NE(pin, nullptr);
+  ASSERT_NE(catalog.Acquire("beta", &error), nullptr) << error;
+  EXPECT_EQ(catalog.PinResident("alpha"), nullptr);
+  EXPECT_FALSE(catalog.ReleaseIfPublished("alpha", &pin));
+  EXPECT_EQ(pin.use_count(), 1);
+  EXPECT_FALSE(catalog.ReleaseIfPublished("nope", &pin));
+}
+
 // ------------------------------------------------------ daemon (end-to-end)
 
 /// One daemon over the three tenant snapshots, catalog-backed.

@@ -69,6 +69,12 @@ TEST(Harness, EnvDefaults) {
   EXPECT_GT(MatchLimitFromEnv(), 0u);
   EXPECT_GT(TimeoutMsFromEnv(), 0.0);
   EXPECT_FALSE(FormatSeconds(1234.5).empty());
+  // Three significant digits under 10 ms, fixed decimals above.
+  EXPECT_EQ(FormatSeconds(0.123), "0.000123");
+  EXPECT_EQ(FormatSeconds(4.56), "0.00456");
+  EXPECT_EQ(FormatSeconds(0.0123), "0.0000123");
+  EXPECT_EQ(FormatSeconds(0.0), "0.0000");
+  EXPECT_EQ(FormatSeconds(250.0), "0.250");
   double ms = TimeMs([] {});
   EXPECT_GE(ms, 0.0);
 }

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <random>
 #include <set>
 #include <string>
@@ -192,6 +193,31 @@ TEST(CanonicalFingerprint, HighSymmetryPatternsStayCanonical) {
   for (uint32_t shift = 1; shift < 6; ++shift) {
     EXPECT_EQ(cycle(shift).CanonicalFingerprint(), fp) << shift;
   }
+}
+
+TEST(CanonicalFingerprint, BudgetedEncodingIsTheEncodingOrNothing) {
+  // Within a tie-break budget the bytes are CanonicalEncoding()'s; past it
+  // nothing comes back, never a different key for the same pattern.
+  std::mt19937 rng(77);
+  for (int trial = 0; trial < 80; ++trial) {
+    PatternQuery q = RandomPattern(&rng);
+    const std::vector<uint8_t> enc = q.CanonicalEncoding();
+    EXPECT_EQ(q.CanonicalEncodingWithin(PatternQuery::kMaxCanonicalPerms),
+              enc);
+    std::optional<std::vector<uint8_t>> tight = q.CanonicalEncodingWithin(1);
+    if (tight.has_value()) {
+      EXPECT_EQ(*tight, enc);
+    }
+  }
+  // One label on a 6-cycle leaves one class of six: 720 orderings.
+  std::vector<QueryEdge> edges;
+  for (uint32_t v = 0; v < 6; ++v) {
+    edges.push_back({v, (v + 1) % 6, EdgeKind::kChild, 0});
+  }
+  PatternQuery cycle =
+      PatternQuery::FromParts(std::vector<LabelId>(6, 1), std::move(edges));
+  EXPECT_FALSE(cycle.CanonicalEncodingWithin(719).has_value());
+  EXPECT_EQ(cycle.CanonicalEncodingWithin(720), cycle.CanonicalEncoding());
 }
 
 // ------------------------------------------------------ ResultCache unit

@@ -868,6 +868,232 @@ TEST_F(ServerTest, TaggedResponsesCarryTheirRequestId) {
   EXPECT_TRUE(sent.empty());
 }
 
+// ------------------------------------------- cache hits on the event loop
+
+TEST_F(ServerTest, CacheHitOvertakesAColdQueryOnTheOnlyWorker) {
+  // The loop answers a cache hit itself, so a hit never queues behind an
+  // evaluation. With one worker busy on a cold query B, a repeat of a
+  // warm query A must come back first; dispatched like a miss, A would
+  // wait in the dispatch queue until B finished.
+  server_->Stop();
+  GeneratorOptions gopts;
+  gopts.num_nodes = 700;
+  gopts.num_edges = 5600;
+  gopts.num_labels = 1;
+  gopts.seed = 5;
+  const Graph dense = GenerateErdosRenyi(gopts);
+  const GmEngine dense_engine(dense);
+  auto catalog = std::make_shared<EngineCatalog>();
+  catalog->AdoptEngine("paper", *engine_);
+  catalog->AdoptEngine("dense", dense_engine);
+  config_.num_workers = 1;
+  config_.unix_path = UniqueSocketPath();
+  QueryServer server(catalog, config_);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+
+  QueryClient client = Connect();
+  client.SetGraph("paper");
+  const QueryRequest a = PaperRequest();
+  auto warm = client.Query(a, &error);
+  ASSERT_TRUE(warm.has_value()) << error;
+  ASSERT_EQ(warm->status, StatusCode::kOk) << warm->error;
+
+  // B: 2-hop descendant paths in a dense one-label graph. Its RIG pairs
+  // every node with every node it reaches, and echoing a tuple gives the
+  // last search step a sink that visits each of kSlowLimit occurrences:
+  // about 130 ms on 4 vCPUs in an optimized build, against microseconds
+  // for a hit.
+  constexpr uint64_t kSlowLimit = 2'000'000;
+  QueryRequest b;
+  b.patterns = {"(x:0)=>(y:0), (y)=>(z:0)"};
+  b.limit = kSlowLimit;
+  b.max_return_tuples = 1;
+  client.SetGraph("dense");
+  auto id_b = client.SendTagged(b, &error);
+  ASSERT_TRUE(id_b.has_value()) << error;
+  client.SetGraph("paper");
+  auto id_a = client.SendTagged(a, &error);
+  ASSERT_TRUE(id_a.has_value()) << error;
+
+  auto first = client.ReceiveTagged(&error);
+  ASSERT_TRUE(first.has_value()) << error;
+  auto second = client.ReceiveTagged(&error);
+  ASSERT_TRUE(second.has_value()) << error;
+  EXPECT_EQ(first->request_id, *id_a);
+  EXPECT_EQ(second->request_id, *id_b);
+  ASSERT_EQ(first->response.status, StatusCode::kOk) << first->response.error;
+  ASSERT_EQ(second->response.status, StatusCode::kOk)
+      << second->response.error;
+  const QueryResponse& resp_a =
+      first->request_id == *id_a ? first->response : second->response;
+  const QueryResponse& resp_b =
+      first->request_id == *id_a ? second->response : first->response;
+  EXPECT_EQ(resp_a.results[0].num_occurrences, 4u);
+  EXPECT_EQ(resp_b.results[0].num_occurrences, kSlowLimit);
+  EXPECT_TRUE(resp_b.results[0].hit_limit);
+  server.Stop();
+}
+
+TEST_F(ServerTest, EveryRequestIsCountedOnce) {
+  // A pipelined mix passes through the loop, the workers or both: in the
+  // first round misses, three copies of one miss in flight at once, a
+  // template, a parse error, an unknown graph id and the cold open of a
+  // snapshot tenant; in the second, hits and another parse error.
+  // Whichever way each request goes, the serving, cache and catalog
+  // counters must each see it once.
+  server_->Stop();
+  const std::string snap_path = UniqueSocketPath() + ".snap";
+  std::string error;
+  ASSERT_TRUE(SaveEngineSnapshot(*engine_, snap_path, &error)) << error;
+  catalog_ = std::make_shared<EngineCatalog>();
+  catalog_->AdoptEngine("default", *engine_);
+  EngineSource source;
+  source.snapshot_path = snap_path;
+  ASSERT_TRUE(catalog_->Register("snap", source, &error)) << error;
+  config_.unix_path = UniqueSocketPath();
+  server_ = std::make_unique<QueryServer>(catalog_, config_);
+  ASSERT_TRUE(server_->Start(&error)) << error;
+
+  const std::string p1 = "(a:0)->(b:1)";
+  const std::string p2 = "(a:0)->(c:2)";
+  const std::string p3 = "(a:0)->(b:1), (a)->(c:2), (b)=>(c)";
+  struct Sent {
+    std::string graph;
+    QueryRequest req;
+    bool valid;  // well-formed and addressed to a known tenant
+  };
+  auto pattern = [](const std::string& graph, const std::string& text,
+                    bool valid) {
+    QueryRequest req;
+    req.patterns = {text};
+    return Sent{graph, req, valid};
+  };
+  QueryRequest tpl;
+  tpl.template_name = "HQ0";
+  const std::vector<Sent> cold_round = {
+      pattern("", p1, true),
+      pattern("", p2, true),
+      pattern("", p3, true),
+      pattern("", p3, true),
+      pattern("", p3, true),
+      pattern("", "not a pattern", false),
+      pattern("nope", p1, false),
+      pattern("snap", p1, true),
+      pattern("snap", p1, true),
+      Sent{"", tpl, true},
+  };
+  const std::vector<Sent> warm_round = {
+      pattern("", p1, true),
+      pattern("", p1, true),
+      pattern("", p3, true),
+      pattern("snap", p1, true),
+      Sent{"", tpl, true},
+      pattern("", "(a:0)->", false),
+  };
+
+  QueryClient client = Connect();
+  uint64_t frames = 0;
+  uint64_t valid = 0;
+  uint64_t failed = 0;
+  for (const std::vector<Sent>* round : {&cold_round, &warm_round}) {
+    for (const Sent& sent : *round) {
+      client.SetGraph(sent.graph);
+      ASSERT_TRUE(client.SendTagged(sent.req, &error).has_value()) << error;
+      ++frames;
+      if (sent.valid) ++valid;
+    }
+    for (size_t i = 0; i < round->size(); ++i) {
+      auto tagged = client.ReceiveTagged(&error);
+      ASSERT_TRUE(tagged.has_value()) << error;
+      if (tagged->response.status != StatusCode::kOk) ++failed;
+    }
+  }
+  client.SetGraph("");
+  ASSERT_TRUE(client.Ping(&error)) << error;
+  ++frames;
+
+  const StatsResponse stats = server_->Snapshot();
+  EXPECT_EQ(stats.requests_served, frames);
+  EXPECT_EQ(failed, frames - 1 - valid);
+  EXPECT_EQ(stats.errors, failed);
+  EXPECT_EQ(stats.queries_served, valid);
+  EXPECT_EQ(stats.cache_hits + stats.cache_misses +
+                stats.cache_singleflight_waits,
+            valid);
+  EXPECT_EQ(stats.catalog_hits + stats.catalog_misses, valid);
+  EXPECT_EQ(stats.catalog_misses, 1u);  // the one open of "snap"
+  server_->Stop();
+  std::remove(snap_path.c_str());
+}
+
+TEST_F(ServerTest, LargeFramesArePreparedAndServedByAWorker) {
+  // A request frame over the loop's 1 KiB bound is decoded, parsed and
+  // probed on a worker; its repeat is a cache hit served from there.
+  QueryRequest req;
+  const std::vector<std::string> distinct = {
+      "(a:0)->(b:1), (a)->(c:2), (b)=>(c)", "(a:0)->(b:1)", "(x:1)=>(y:2)"};
+  while (req.patterns.size() < 300) {
+    req.patterns.push_back(distinct[req.patterns.size() % distinct.size()]);
+  }
+  ByteSink body;
+  req.Serialize(body);
+  ASSERT_GT(body.size(), 1024u);
+
+  std::vector<uint64_t> expected;
+  for (const std::string& p : distinct) {
+    auto q = ParsePattern(p);
+    ASSERT_TRUE(q.has_value());
+    expected.push_back(engine_->Evaluate(*q, GmOptions{}).num_occurrences);
+  }
+  QueryClient client = Connect();
+  std::string error;
+  for (int round = 0; round < 2; ++round) {
+    auto resp = client.Query(req, &error);
+    ASSERT_TRUE(resp.has_value()) << error;
+    ASSERT_EQ(resp->status, StatusCode::kOk) << resp->error;
+    ASSERT_EQ(resp->results.size(), req.patterns.size());
+    for (size_t i = 0; i < resp->results.size(); ++i) {
+      EXPECT_EQ(resp->results[i].num_occurrences,
+                expected[i % distinct.size()])
+          << "round " << round << " pattern " << i;
+    }
+  }
+  const StatsResponse stats = server_->Snapshot();
+  EXPECT_EQ(stats.cache_misses, 1u);
+  EXPECT_EQ(stats.cache_hits, 1u);
+  EXPECT_EQ(stats.catalog_hits, 2u);
+  EXPECT_EQ(stats.queries_served, 2 * req.patterns.size());
+}
+
+TEST_F(ServerTest, SymmetricPatternIsKeyedByAWorker) {
+  // Eight interchangeable nodes make the canonical key try 8! orderings,
+  // milliseconds of work: the loop pins such a request but leaves its key
+  // to a worker, which resumes there. Both rounds still count each
+  // request once, and the repeat is a hit.
+  QueryRequest req;
+  req.patterns = {
+      "(a:0)->(b:0), (b)->(c:0), (c)->(d:0), (d)->(e:0), (e)->(f:0), "
+      "(f)->(g:0), (g)->(h:0), (h)->(a)"};
+  auto q = ParsePattern(req.patterns[0]);
+  ASSERT_TRUE(q.has_value());
+  ASSERT_FALSE(q->CanonicalEncodingWithin(24).has_value());
+  const uint64_t expected = engine_->Evaluate(*q).num_occurrences;
+
+  QueryClient client = Connect();
+  std::string error;
+  for (int round = 0; round < 2; ++round) {
+    auto resp = client.Query(req, &error);
+    ASSERT_TRUE(resp.has_value()) << error;
+    ASSERT_EQ(resp->status, StatusCode::kOk) << resp->error;
+    EXPECT_EQ(resp->results[0].num_occurrences, expected);
+  }
+  const StatsResponse stats = server_->Snapshot();
+  EXPECT_EQ(stats.cache_misses, 1u);
+  EXPECT_EQ(stats.cache_hits, 1u);
+  EXPECT_EQ(stats.catalog_hits, 2u);
+}
+
 TEST(ServerClient, MismatchedResponseIdFailsAndDisconnects) {
   // A peer that answers with another request's id: the blocking round trip
   // must not hand that answer to the caller, and the stream is dropped.
