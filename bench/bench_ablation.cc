@@ -1,7 +1,6 @@
 // Ablation benches for design choices beyond the paper's own figures:
-//  (a) early expansion termination on/off (the §4.5 interval-label cutoff),
-//  (b) simulation pass budget N = 1 / 3 (paper) / exact fixpoint,
-//  (c) descendant-edge pruning by one sweep over the SCC condensation
+//  (a) simulation pass budget N = 1 / 3 (paper) / exact fixpoint,
+//  (b) descendant-edge pruning by one sweep over the SCC condensation
 //      (SimOptions::batch_reachability) vs per-pair reachability probes.
 
 #include "bench_common.h"
@@ -10,8 +9,7 @@ using namespace rigpm;
 using namespace rigpm::bench;
 
 int main() {
-  PrintBenchHeader("Ablations — early termination / pass budget / batch "
-                   "reachability",
+  PrintBenchHeader("Ablations — pass budget / batch reachability",
                    "scale=" + std::to_string(DatasetScaleFromEnv()));
   Graph g = MakeDatasetByName("ep");
   std::printf("graph: %s\n", g.Summary().c_str());
@@ -19,27 +17,8 @@ int main() {
   auto queries = TemplateWorkload(g, {"HQ3", "HQ8", "HQ12", "HQ16"},
                                   QueryVariant::kHybrid);
 
-  // --- (a) Early expansion termination.
-  std::printf("\n-- (a) early expansion termination (matching time)\n");
-  {
-    TablePrinter table({"Query", "on(s)", "off(s)"});
-    for (const auto& nq : queries) {
-      GmOptions on;
-      on.limit = 1;
-      GmOptions off = on;
-      off.early_termination = false;
-      GmResult r_on, r_off;
-      engine.Evaluate(nq.query, on, nullptr);
-      r_on = engine.Evaluate(nq.query, on);
-      r_off = engine.Evaluate(nq.query, off);
-      table.AddRow({nq.name, FormatSeconds(r_on.MatchingMs()),
-                    FormatSeconds(r_off.MatchingMs())});
-    }
-    table.Print();
-  }
-
-  // --- (b) Simulation pass budget.
-  std::printf("\n-- (b) simulation pass budget (RIG size, total time)\n");
+  // --- (a) Simulation pass budget.
+  std::printf("\n-- (a) simulation pass budget (RIG size, total time)\n");
   {
     TablePrinter table({"Query", "N=1 RIG", "N=3 RIG", "exact RIG", "N=1(s)",
                         "N=3(s)", "exact(s)"});
@@ -60,9 +39,9 @@ int main() {
     table.Print();
   }
 
-  // --- (c) Condensation-sweep reachability pruning vs per-pair probes.
+  // --- (b) Condensation-sweep reachability pruning vs per-pair probes.
   std::printf(
-      "\n-- (c) descendant-edge pruning: condensation sweep vs per-pair "
+      "\n-- (b) descendant-edge pruning: condensation sweep vs per-pair "
       "(matching time)\n");
   {
     TablePrinter table({"Query", "sweep(s)", "per-pair(s)"});

@@ -38,10 +38,9 @@ overall=0
   printf '{\n'
   printf '  "scale": %s,\n' "${RIGPM_SCALE}"
   printf '  "limit": %s,\n' "${RIGPM_LIMIT}"
-  # Host metadata: parallel benches (bench_parallel_scale, bench_server)
-  # scale with the core count, so comparisons are only meaningful between
-  # runs on the same number of cores (scripts/bench_compare.py enforces
-  # this).
+  # Host metadata: the parallel bench (bench_parallel_scale) scales with
+  # the core count, so comparisons are only meaningful between runs on the
+  # same number of cores (scripts/bench_compare.py enforces this).
   printf '  "cores": %s,\n' "$(nproc)"
   printf '  "host": {"os": "%s", "arch": "%s"},\n' \
     "$(uname -s)" "$(uname -m)"

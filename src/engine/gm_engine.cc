@@ -33,7 +33,6 @@ RigBuildOptions RigOptionsFrom(const GmOptions& opts) {
   rig_opts.sim_algorithm = opts.sim_algorithm;
   rig_opts.sim = opts.sim;
   rig_opts.skip_simulation = !opts.use_double_simulation;
-  rig_opts.early_termination = opts.early_termination;
   return rig_opts;
 }
 
@@ -43,12 +42,10 @@ GmEngine::GmEngine(const Graph& g, ReachKind reach) : graph_(g) {
   auto t0 = Clock::now();
   reach_ = BuildReachabilityIndex(g, reach);
   reach_build_ms_ = MsSince(t0);
-  intervals_ = std::make_unique<IntervalLabels>(g, reach_->condensation());
 }
 
-GmEngine::GmEngine(const Graph& g, std::unique_ptr<ReachabilityIndex> reach,
-                   std::unique_ptr<IntervalLabels> intervals)
-    : graph_(g), reach_(std::move(reach)), intervals_(std::move(intervals)) {}
+GmEngine::GmEngine(const Graph& g, std::unique_ptr<ReachabilityIndex> reach)
+    : graph_(g), reach_(std::move(reach)) {}
 
 GmResult GmEngine::Run(const PatternQuery& query, const GmOptions& opts,
                        const OccurrenceSink& sink,
@@ -83,8 +80,7 @@ GmResult GmEngine::Run(const PatternQuery& query, const GmOptions& opts,
   // Procedure expand of Algorithm 4.
   std::optional<Rig> rig;
   TimePhase(&r, "BuildRig", [&] {
-    rig.emplace(ExpandRig(ctx, reduced, std::move(candidates), rig_opts,
-                          intervals_.get(), &r.rig_stats));
+    rig.emplace(ExpandRig(ctx, reduced, std::move(candidates), &r.rig_stats));
     r.rig_nodes = rig->TotalNodes();
     r.rig_edges = rig->TotalEdges();
     r.rig_memory_bytes = rig->MemoryBytes();

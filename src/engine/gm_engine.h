@@ -11,7 +11,6 @@
 
 #include "engine/gm_options.h"
 #include "enumerate/mjoin.h"
-#include "graph/interval_labels.h"
 #include "order/search_order.h"
 #include "query/pattern_query.h"
 #include "reach/reachability.h"
@@ -36,31 +35,27 @@ using BatchOccurrenceSink =
 ///   Order     — search-order selection over RIG statistics (Section 5.2),
 ///   Enumerate — MJoin (Section 5).
 /// An empty cos(q) proves the answer empty and stops after BuildRig. One
-/// engine instance amortizes the reachability index and interval labels
-/// across many queries on the same data graph; an evaluation keeps all of
-/// its mutable state on its own stack, so a single engine serves concurrent
-/// queries (Evaluate from several threads, or EvaluateBatch) without
-/// locking.
+/// engine instance amortizes the reachability index across many queries on
+/// the same data graph; an evaluation keeps all of its mutable state on its
+/// own stack, so a single engine serves concurrent queries (Evaluate from
+/// several threads, or EvaluateBatch) without locking.
 class GmEngine {
  public:
   /// Builds the reachability index (`reach`, default BFL as in the paper)
-  /// and the DFS interval labels over the index's condensation of `g`. The
-  /// graph must outlive the engine.
+  /// over `g`. The graph must outlive the engine.
   explicit GmEngine(const Graph& g, ReachKind reach = ReachKind::kBfl);
 
-  /// Warm start: adopts a pre-built reachability index and interval labels
-  /// (typically deserialized from a snapshot, storage/snapshot.h) instead
-  /// of rebuilding them from `g`. Index construction cost drops to zero;
+  /// Warm start: adopts a pre-built reachability index (typically
+  /// deserialized from a snapshot, storage/snapshot.h) instead of
+  /// rebuilding it from `g`. Index construction cost drops to zero;
   /// reach_build_ms() reports 0.
-  GmEngine(const Graph& g, std::unique_ptr<ReachabilityIndex> reach,
-           std::unique_ptr<IntervalLabels> intervals);
+  GmEngine(const Graph& g, std::unique_ptr<ReachabilityIndex> reach);
 
   GmEngine(const GmEngine&) = delete;
   GmEngine& operator=(const GmEngine&) = delete;
 
   const Graph& graph() const { return graph_; }
   const ReachabilityIndex& reach() const { return *reach_; }
-  const IntervalLabels& intervals() const { return *intervals_; }
   double reach_build_ms() const { return reach_build_ms_; }
 
   /// Evaluates `query`, streaming every occurrence into `sink` (may be
@@ -98,7 +93,6 @@ class GmEngine {
 
   const Graph& graph_;
   std::unique_ptr<ReachabilityIndex> reach_;
-  std::unique_ptr<IntervalLabels> intervals_;
   double reach_build_ms_ = 0.0;
 };
 

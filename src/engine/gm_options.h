@@ -30,7 +30,6 @@ struct GmOptions {
   SimOptions sim = {.max_passes = 3};
 
   OrderStrategy order = OrderStrategy::kJO;
-  bool early_termination = true;
 
   /// Enumeration cap (the experiments stop at 1e7 matches); 0 enumerates
   /// nothing.

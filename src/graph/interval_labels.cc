@@ -2,7 +2,7 @@
 
 namespace rigpm {
 
-IntervalLabels::IntervalLabels(const Graph& g, const Condensation& cond) {
+IntervalLabels::IntervalLabels(const Condensation& cond) {
   const uint32_t nc = cond.NumComponents();
   std::vector<uint32_t>& begin = begin_.Mutable();
   std::vector<uint32_t>& end = end_.Mutable();
@@ -39,24 +39,11 @@ IntervalLabels::IntervalLabels(const Graph& g, const Condensation& cond) {
       }
     }
   }
-
-  const uint32_t n = g.NumNodes();
-  std::vector<uint32_t>& begin_node = begin_node_.Mutable();
-  std::vector<uint32_t>& end_node = end_node_.Mutable();
-  begin_node.resize(n);
-  end_node.resize(n);
-  for (NodeId v = 0; v < n; ++v) {
-    uint32_t c = cond.Component(v);
-    begin_node[v] = begin[c];
-    end_node[v] = end[c];
-  }
 }
 
 void IntervalLabels::Serialize(ByteSink& sink) const {
   sink.WriteSpan<uint32_t>(begin_);
   sink.WriteSpan<uint32_t>(end_);
-  sink.WriteSpan<uint32_t>(begin_node_);
-  sink.WriteSpan<uint32_t>(end_node_);
 }
 
 IntervalLabels IntervalLabels::Deserialize(ByteSource& src) {
@@ -64,11 +51,8 @@ IntervalLabels IntervalLabels::Deserialize(ByteSource& src) {
   labels.storage_ = src.storage();  // keeps a zero-copy mapping alive
   src.ReadSpan(&labels.begin_);
   src.ReadSpan(&labels.end_);
-  src.ReadSpan(&labels.begin_node_);
-  src.ReadSpan(&labels.end_node_);
   if (!src.ok()) return IntervalLabels();
-  if (labels.end_.size() != labels.begin_.size() ||
-      labels.end_node_.size() != labels.begin_node_.size()) {
+  if (labels.end_.size() != labels.begin_.size()) {
     src.Fail("interval label snapshot structure is inconsistent");
     return IntervalLabels();
   }

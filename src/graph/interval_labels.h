@@ -3,53 +3,35 @@
 
 #include <cstdint>
 #include <memory>
-#include <vector>
 
-#include "graph/graph.h"
 #include "graph/scc.h"
 #include "util/owned_span.h"
 
 namespace rigpm {
 
-/// DFS interval labels (begin, end) over the SCC condensation of a data
-/// graph, projected back onto data nodes (Section 4.5, "Early expansion
-/// termination for dags").
+/// DFS interval labels (begin, end), one pair per component of the SCC
+/// condensation of a data graph (Section 4.5). BflIndex reads them for its
+/// interval cuts.
 ///
-/// Properties used by the framework (u, v data nodes in different SCCs):
-///  * negative cut:   End(u) <  Begin(v)  =>  u does NOT reach v.
-///  * positive cut:   Begin(u) < Begin(v) && End(v) <= End(u)
-///                    => u reaches v (v lies in u's DFS subtree).
-/// These hold because the DFS runs over the condensation DAG and a node
-/// undiscovered when `u` finishes can never be below `u` in the DFS forest.
+/// Properties (cu, cv distinct components):
+///  * negative cut:   CompEnd(cu) < CompBegin(cv)  =>  cu does NOT reach cv.
+///  * positive cut:   CompBegin(cu) < CompBegin(cv) &&
+///                    CompEnd(cv) <= CompEnd(cu)
+///                    => cu reaches cv (cv lies in cu's DFS subtree).
+/// These hold because the DFS runs over the condensation DAG and a
+/// component undiscovered when `cu` finishes can never be below `cu` in the
+/// DFS forest.
 class IntervalLabels {
  public:
-  /// Builds labels from a graph and its already-computed condensation.
-  IntervalLabels(const Graph& g, const Condensation& cond);
+  /// Builds labels over an already-computed condensation.
+  explicit IntervalLabels(const Condensation& cond);
 
-  /// Begin / end timestamps of a data node (those of its component).
-  uint32_t Begin(NodeId v) const { return begin_node_[v]; }
-  uint32_t End(NodeId v) const { return end_node_[v]; }
-
-  /// Component-level accessors.
   uint32_t CompBegin(uint32_t comp) const { return begin_[comp]; }
   uint32_t CompEnd(uint32_t comp) const { return end_[comp]; }
 
-  /// Sizes the labels were built over (validation on snapshot load: these
-  /// must match the condensation the labels are used with).
+  /// Component count the labels were built over (validation on snapshot
+  /// load: it must match the condensation the labels are used with).
   uint64_t NumComponents() const { return begin_.size(); }
-  uint64_t NumNodes() const { return begin_node_.size(); }
-
-  /// Necessary condition: returns true when the labels *prove* u cannot
-  /// reach v. False means "unknown".
-  bool DefinitelyNotReaches(NodeId u, NodeId v) const {
-    return end_node_[u] < begin_node_[v];
-  }
-
-  /// Sufficient condition: returns true when the labels *prove* u reaches v
-  /// via DFS-tree containment. False means "unknown".
-  bool DefinitelyReaches(NodeId u, NodeId v) const {
-    return begin_node_[u] < begin_node_[v] && end_node_[v] <= end_node_[u];
-  }
 
   /// Appends a binary image to `sink` (see storage/snapshot.h).
   void Serialize(ByteSink& sink) const;
@@ -59,14 +41,12 @@ class IntervalLabels {
   static IntervalLabels Deserialize(ByteSource& src);
 
  private:
-  IntervalLabels() = default;  // only Deserialize builds without a graph
+  IntervalLabels() = default;  // for Deserialize only
 
   // Owned when built; borrowed views into the snapshot mapping when loaded
   // zero-copy (storage_ keeps the mapping alive).
-  OwnedOrBorrowedSpan<uint32_t> begin_;       // per component
-  OwnedOrBorrowedSpan<uint32_t> end_;         // per component
-  OwnedOrBorrowedSpan<uint32_t> begin_node_;  // per data node
-  OwnedOrBorrowedSpan<uint32_t> end_node_;    // per data node
+  OwnedOrBorrowedSpan<uint32_t> begin_;  // per component
+  OwnedOrBorrowedSpan<uint32_t> end_;    // per component
   std::shared_ptr<const void> storage_;
 };
 

@@ -17,7 +17,7 @@ uint64_t Mix(uint64_t x) {
 }  // namespace
 
 BflIndex::BflIndex(const Graph& g, uint32_t bits, uint64_t seed)
-    : cond_(g), intervals_(g, cond_) {
+    : cond_(g), intervals_(cond_) {
   const uint32_t nc = cond_.NumComponents();
   words_ = std::max<uint32_t>(1, (bits + 63) / 64);
   const uint32_t total_bits = words_ * 64;
@@ -185,15 +185,13 @@ std::unique_ptr<BflIndex> BflIndex::Deserialize(ByteSource& src) {
   const uint32_t nc = index->cond_.NumComponents();
   const size_t label_words = static_cast<size_t>(nc) * index->words_;
   // The interval labels must cover exactly this condensation: every query
-  // indexes begin_/end_ by component id and begin_node_/end_node_ by data
-  // node id, so a size mismatch (corrupt or crafted but checksum-valid
-  // file) would read out of bounds at query time.
+  // indexes them by component id, so a size mismatch (corrupt or crafted
+  // but checksum-valid file) would read out of bounds at query time.
   if (index->words_ == 0 || index->l_out_.size() != label_words ||
       index->l_in_.size() != label_words || index->hash_.size() != nc ||
       index->pred_offsets_.size() != static_cast<uint64_t>(nc) + 1 ||
       (nc > 0 && index->pred_offsets_.back() != index->pred_targets_.size()) ||
-      index->intervals_.NumComponents() != nc ||
-      index->intervals_.NumNodes() != index->cond_.NumNodes()) {
+      index->intervals_.NumComponents() != nc) {
     src.Fail("BFL snapshot structure is inconsistent");
     return nullptr;
   }

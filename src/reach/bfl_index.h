@@ -31,6 +31,10 @@ namespace rigpm {
 /// pruning any component whose labels fail the necessary conditions
 ///   L_out(v) ⊆ L_out(c)   and   interval-negative-cut(c, v).
 /// The index is exact: the Bloom sets only ever prune true negatives.
+///
+/// These are the engine's only interval labels. RIG expansion probes each
+/// descendant pair through Reaches instead of cutting its scan of cos(q)
+/// with them (rig/rig_builder.h), so the interval cut is applied here.
 class BflIndex : public ReachabilityIndex {
  public:
   /// `bits` is the Bloom label width (default 256, as a few cache lines per
@@ -47,10 +51,6 @@ class BflIndex : public ReachabilityIndex {
   bool DecidedByCuts(NodeId u, NodeId v, bool* result) const;
 
   const Condensation& condensation() const override { return cond_; }
-
-  /// The interval labels the index was built over. A warm GmEngine reuses
-  /// them instead of recomputing them from the graph.
-  const IntervalLabels& intervals() const { return intervals_; }
 
   /// Appends a binary image (condensation, interval labels, and the packed
   /// Bloom label arrays) to `sink`; see storage/snapshot.h.

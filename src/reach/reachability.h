@@ -29,9 +29,8 @@ const char* ReachKindName(ReachKind kind);
 /// scratch on an internal mutex.
 ///
 /// Every implementation is built over the SCC condensation of the graph and
-/// exposes it, so the callers that need it — the batch descendant-edge
-/// prunes of sim/match_sets.h and the engine's interval labels — reuse it
-/// instead of running Tarjan again.
+/// exposes it, so the batch descendant-edge prunes of sim/match_sets.h
+/// reuse it instead of running Tarjan again.
 class ReachabilityIndex {
  public:
   virtual ~ReachabilityIndex() = default;

@@ -1,7 +1,5 @@
 #include "rig/rig_builder.h"
 
-#include <algorithm>
-
 namespace rigpm {
 
 namespace {
@@ -9,7 +7,6 @@ namespace {
 // Expands one query edge (Procedure expand): connects every vp in cos(p) to
 // its partners in cos(q).
 void ExpandEdge(const MatchContext& ctx, const PatternQuery& q, QueryEdgeId e,
-                const IntervalLabels* intervals, bool early_termination,
                 Rig* rig, RigBuildStats* stats) {
   const QueryEdge& edge = q.Edge(e);
   const Graph& g = ctx.graph();
@@ -29,28 +26,16 @@ void ExpandEdge(const MatchContext& ctx, const PatternQuery& q, QueryEdgeId e,
     return;
   }
 
-  // Reachability edge: probe pairs through the reachability index. With
-  // interval labels, scan cos(q) in ascending `begin` order and cut the
-  // scan at the first vq that starts after vp finished.
-  std::vector<NodeId> dst_nodes = dst.ToVector();
-  if (intervals != nullptr && early_termination) {
-    std::sort(dst_nodes.begin(), dst_nodes.end(), [&](NodeId a, NodeId b) {
-      return intervals->Begin(a) < intervals->Begin(b);
-    });
-  }
+  // Reachability edge: probe every pair through the reachability index
+  // (or the hop-limited BFS), both sides in ascending id order.
   src.ForEach([&](NodeId vp) {
-    for (NodeId vq : dst_nodes) {
-      if (intervals != nullptr && early_termination &&
-          intervals->End(vp) < intervals->Begin(vq)) {
-        if (stats != nullptr) ++stats->early_cutoffs;
-        break;  // every later vq has an even larger begin
-      }
+    dst.ForEach([&](NodeId vq) {
       if (stats != nullptr) ++stats->expand_pair_checks;
       bool reaches = (edge.max_hops > 0)
                          ? BoundedReaches(g, vp, vq, edge.max_hops)
                          : ctx.reach().Reaches(vp, vq);
       if (reaches) rig->AddEdge(e, vp, vq);
-    }
+    });
   });
 }
 
@@ -72,15 +57,14 @@ CandidateSets SelectRigNodes(const MatchContext& ctx, const PatternQuery& q,
 }
 
 Rig ExpandRig(const MatchContext& ctx, const PatternQuery& q,
-              CandidateSets cos, const RigBuildOptions& opts,
-              const IntervalLabels* intervals, RigBuildStats* stats) {
+              CandidateSets cos, RigBuildStats* stats) {
   Rig rig(q, std::move(cos));
 
   // Expansion is skipped entirely when some cos(q) is empty: the answer is
   // empty (early termination, Section 4.3).
   if (!rig.AnyEmpty()) {
     for (QueryEdgeId e = 0; e < q.NumEdges(); ++e) {
-      ExpandEdge(ctx, q, e, intervals, opts.early_termination, &rig, stats);
+      ExpandEdge(ctx, q, e, &rig, stats);
     }
   }
   return rig;
@@ -88,18 +72,15 @@ Rig ExpandRig(const MatchContext& ctx, const PatternQuery& q,
 
 Rig BuildRig(const MatchContext& ctx, const PatternQuery& q,
              CandidateSets initial, const RigBuildOptions& opts,
-             const IntervalLabels* intervals, RigBuildStats* stats) {
+             RigBuildStats* stats) {
   return ExpandRig(ctx, q,
                    SelectRigNodes(ctx, q, std::move(initial), opts, stats),
-                   opts, intervals, stats);
+                   stats);
 }
 
 Rig BuildRigFromMatchSets(const MatchContext& ctx, const PatternQuery& q,
-                          const RigBuildOptions& opts,
-                          const IntervalLabels* intervals,
-                          RigBuildStats* stats) {
-  return BuildRig(ctx, q, InitialMatchSets(ctx.graph(), q), opts, intervals,
-                  stats);
+                          const RigBuildOptions& opts, RigBuildStats* stats) {
+  return BuildRig(ctx, q, InitialMatchSets(ctx.graph(), q), opts, stats);
 }
 
 }  // namespace rigpm

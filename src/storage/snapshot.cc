@@ -429,14 +429,9 @@ std::optional<WarmEngine> LoadEngineSnapshot(const std::string& path,
     SetError(error, "engine snapshot index does not match its graph");
     return std::nullopt;
   }
-  // The engine keeps its own copy of the interval labels (identical to the
-  // index's, both being deterministic functions of the graph); copying
-  // vectors is memcpy-cheap next to rebuilding them.
-  auto intervals = std::make_unique<IntervalLabels>(bfl->intervals());
   WarmEngine warm;
   warm.graph = std::move(graph);
-  warm.engine = std::make_unique<GmEngine>(*warm.graph, std::move(bfl),
-                                           std::move(intervals));
+  warm.engine = std::make_unique<GmEngine>(*warm.graph, std::move(bfl));
   warm.stored_checksum = reader.stored_checksum();
   if (options.delta_path.empty()) return warm;
   DeltaRead read =

@@ -56,9 +56,10 @@ namespace rigpm {
 /// each with a descriptive error, never by crashing or silently returning a
 /// partial structure.
 
-/// Version 5: the graph image holds its adjacency as CSR rows only (no
-/// per-node bitmaps); bitmaps hold array and bitset containers only.
-inline constexpr uint32_t kSnapshotVersion = 5;
+/// Version 6: the graph image holds its adjacency as CSR rows only (no
+/// per-node bitmaps); bitmaps hold array and bitset containers only; the
+/// BFL image's interval labels are per component only (no per-node copy).
+inline constexpr uint32_t kSnapshotVersion = 6;
 
 /// Value 3 is retired and must not be reused: files that older builds
 /// stamped with it hold a graph-collection payload no loader decodes, and

@@ -667,6 +667,75 @@ TEST_F(MaintenanceTest, CrashBeforeHeadPublishLeavesOldLineageServing) {
   EXPECT_EQ(FileSize(c.delta_path), kDeltaFileHeaderBytes);
 }
 
+TEST_F(MaintenanceTest, AcquireDuringCompactionNeverFails) {
+  // A reader acquires the tenant and evaluates the pattern in a loop while
+  // the main thread runs append+compact cycles (drain refresh, snapshot
+  // re-dump, head publish, RCU re-point). Every Acquire must succeed, and
+  // every count must be the cold-rebuild count of some generation.
+  constexpr int kCycles = 4;  // TearDown sweeps generations 1 to 4
+  std::vector<std::vector<DeltaOp>> batches;
+  for (int cycle = 0; cycle < kCycles; ++cycle) {
+    batches.push_back({{static_cast<NodeId>(cycle), 40, DeltaOpKind::kAdd},
+                       FirstDeleteOrAdd(static_cast<NodeId>(cycle + 5))});
+  }
+  std::set<uint64_t> generation_counts = {OracleCount()};
+  {
+    std::vector<DeltaOp> prefix;
+    for (const std::vector<DeltaOp>& batch : batches) {
+      prefix.insert(prefix.end(), batch.begin(), batch.end());
+      Graph rebuilt = ApplyDeltaOps(graph_, prefix);
+      generation_counts.insert(
+          GmEngine(rebuilt).EvaluateCollect(query_).size());
+    }
+  }
+
+  EngineCatalog catalog;
+  ASSERT_TRUE(catalog.Register("g", Source()));
+  ASSERT_EQ(ServedCount(catalog), OracleCount());  // make it resident
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> evaluations{0};
+  std::atomic<uint64_t> failed_acquires{0};
+  std::atomic<uint64_t> wrong_counts{0};
+  std::string first_error;  // written by the reader, read after join
+  std::thread reader([&] {
+    while (!stop.load()) {
+      std::string error;
+      auto state = catalog.Acquire("g", &error);
+      if (state == nullptr) {
+        if (failed_acquires.fetch_add(1) == 0) first_error = error;
+      } else if (generation_counts.count(
+                     state->engine->EvaluateCollect(query_).size()) == 0) {
+        wrong_counts.fetch_add(1);
+      }
+      evaluations.fetch_add(1);
+    }
+  });
+  // Each cycle starts and ends with the reader a few evaluations further,
+  // so it runs across every append, compaction and swap.
+  auto let_reader_run = [&] {
+    const uint64_t until = evaluations.load() + 3;
+    while (evaluations.load() < until) std::this_thread::yield();
+  };
+
+  for (int cycle = 0; cycle < kCycles; ++cycle) {
+    let_reader_run();
+    AppendOps(batches[cycle]);
+    CatalogCompactionResult c = catalog.Compact("g");
+    EXPECT_TRUE(c.ok) << c.error;
+    EXPECT_FALSE(c.skipped);
+    EXPECT_EQ(c.generation, static_cast<uint64_t>(cycle + 1));
+  }
+  let_reader_run();
+  stop.store(true);
+  reader.join();
+
+  EXPECT_EQ(failed_acquires.load(), 0u) << first_error;
+  EXPECT_EQ(wrong_counts.load(), 0u);
+  EXPECT_GE(evaluations.load(), uint64_t{3 * (kCycles + 1)});
+  EXPECT_EQ(ServedCount(catalog), OracleCount());
+}
+
 TEST_F(MaintenanceTest, RunMaintenanceAppliesNewRecordsWithoutClientRefresh) {
   EngineCatalog catalog;
   catalog.SetMaintenancePolicy({.auto_compact_ratio = 0.0, .interval_ms = 1});

@@ -39,6 +39,7 @@ namespace {
 
 using ::rigpm::testing::BruteForceAnswer;
 using ::rigpm::testing::PaperExample;
+using ::rigpm::testing::WithSelfLoops;
 
 /// An MJoin sink that appends every occurrence to *out.
 OccurrenceSink CollectInto(std::vector<Occurrence>* out) {
@@ -54,22 +55,18 @@ class RigFixture : public ::testing::Test {
       : graph_(PaperExample::MakeGraph()),
         query_(PaperExample::MakeQuery()),
         reach_(BuildReachabilityIndex(graph_, ReachKind::kBfl)),
-        ctx_(graph_, *reach_),
-        cond_(graph_),
-        intervals_(graph_, cond_) {}
+        ctx_(graph_, *reach_) {}
 
   Graph graph_;
   PatternQuery query_;
   std::unique_ptr<ReachabilityIndex> reach_;
   MatchContext ctx_;
-  Condensation cond_;
-  IntervalLabels intervals_;
 };
 
 // The refined RIG of Fig. 2(e): node sets equal FB, and the (B,C) edge set
 // contains the redundant pair (b2, c1) that only MJoin filters out.
 TEST_F(RigFixture, PaperExampleRefinedRig) {
-  Rig rig = BuildRigFromMatchSets(ctx_, query_, RigBuildOptions{}, &intervals_);
+  Rig rig = BuildRigFromMatchSets(ctx_, query_, RigBuildOptions{});
   EXPECT_EQ(rig.Cos(0).ToVector(),
             (std::vector<NodeId>{PaperExample::a1, PaperExample::a2}));
   EXPECT_EQ(rig.Cos(1).ToVector(),
@@ -117,7 +114,7 @@ TEST_F(RigFixture, Proposition41Losslessness) {
 }
 
 TEST_F(RigFixture, MJoinProducesPaperAnswer) {
-  Rig rig = BuildRigFromMatchSets(ctx_, query_, RigBuildOptions{}, &intervals_);
+  Rig rig = BuildRigFromMatchSets(ctx_, query_, RigBuildOptions{});
   std::vector<QueryNodeId> order =
       ComputeSearchOrder(query_, rig, OrderStrategy::kJO);
   MJoinStats stats;
@@ -130,7 +127,7 @@ TEST_F(RigFixture, MJoinProducesPaperAnswer) {
 }
 
 TEST_F(RigFixture, MJoinAnswerIndependentOfOrderStrategy) {
-  Rig rig = BuildRigFromMatchSets(ctx_, query_, RigBuildOptions{}, &intervals_);
+  Rig rig = BuildRigFromMatchSets(ctx_, query_, RigBuildOptions{});
   std::set<std::vector<NodeId>> expected = PaperExample::ExpectedAnswer();
   for (OrderStrategy s :
        {OrderStrategy::kJO, OrderStrategy::kRI, OrderStrategy::kBJ}) {
@@ -177,19 +174,6 @@ TEST_F(RigFixture, MJoinSinkCanAbort) {
   EXPECT_EQ(seen, 1u);
 }
 
-TEST_F(RigFixture, EarlyTerminationMatchesPlainExpansion) {
-  RigBuildOptions with_cutoff;
-  with_cutoff.early_termination = true;
-  RigBuildOptions without;
-  without.early_termination = false;
-  Rig a = BuildRigFromMatchSets(ctx_, query_, with_cutoff, &intervals_);
-  Rig b = BuildRigFromMatchSets(ctx_, query_, without, nullptr);
-  EXPECT_EQ(a.TotalEdges(), b.TotalEdges());
-  for (QueryEdgeId e = 0; e < query_.NumEdges(); ++e) {
-    EXPECT_EQ(a.EdgeCount(e), b.EdgeCount(e)) << e;
-  }
-}
-
 TEST(Rig, EmptyCosShortCircuitsEverything) {
   // Query label 3 does not exist in the data.
   Graph g = Graph::FromEdges({0, 1}, {{0, 1}});
@@ -198,7 +182,7 @@ TEST(Rig, EmptyCosShortCircuitsEverything) {
   PatternQuery q = PatternQuery::FromParts(
       {0, 3}, {{0, 1, EdgeKind::kChild}});
   RigBuildStats stats;
-  Rig rig = BuildRigFromMatchSets(ctx, q, RigBuildOptions{}, nullptr, &stats);
+  Rig rig = BuildRigFromMatchSets(ctx, q, RigBuildOptions{}, &stats);
   EXPECT_TRUE(rig.AnyEmpty());
   EXPECT_EQ(rig.TotalEdges(), 0u);
   EXPECT_EQ(stats.expand_pair_checks, 0u);  // expansion was skipped
@@ -329,8 +313,6 @@ TEST_P(RigMJoinPropertyTest, MatchesBruteForce) {
   Graph g = p.dag_data ? GenerateRandomDag(gopts) : GeneratePowerLaw(gopts);
   auto reach = BuildReachabilityIndex(g, ReachKind::kBfl);
   MatchContext ctx(g, *reach);
-  Condensation cond(g);
-  IntervalLabels intervals(g, cond);
 
   PatternQuery q = GenerateRandomQuery({.num_nodes = p.q_nodes,
                                         .num_edges = p.q_edges,
@@ -379,7 +361,7 @@ TEST_P(RigMJoinPropertyTest, MatchesBruteForce) {
   for (bool skip_simulation : {false, true}) {
     RigBuildOptions opts;
     opts.skip_simulation = skip_simulation;
-    Rig rig = BuildRigFromMatchSets(ctx, q, opts, &intervals);
+    Rig rig = BuildRigFromMatchSets(ctx, q, opts);
     const std::string rig_name =
         skip_simulation ? "match-set RIG" : "simulated RIG";
     if (!rig.AnyEmpty()) {
@@ -423,70 +405,95 @@ TEST_P(RigMJoinPropertyTest, RigEdgesAreExactlyTheMatchingPairs) {
   // For every query edge e = (p, q) and every vp in cos(p), Forward(e, vp)
   // holds exactly the vq in cos(q) that e's pair test accepts, and for
   // every vq in cos(q), Backward(e, vq) exactly the vp in cos(p) (so both
-  // rows lie within cos, as MJoin assumes): the row walk
-  // for child edges, the index or the hop-limited BFS for descendant ones,
-  // with and without the interval cutoff, from simulated and from bare
-  // match sets.
+  // rows lie within cos, as MJoin assumes): the row walk for child edges,
+  // the index or the hop-limited BFS for descendant ones, from simulated
+  // and from bare match sets. The case's graph is checked as generated and
+  // with a self-loop on every third node, under the case's query and under
+  // one whose descendant edges join nodes of one label. A node then lies
+  // in both cos(p) and cos(q), so the pair (v, v) is probed: it is an edge
+  // iff v's component is cyclic.
   const EndToEndCase& p = GetParam();
   GeneratorOptions gopts{.num_nodes = 50, .num_edges = 170, .num_labels = 4,
                          .seed = p.seed};
-  Graph g = p.dag_data ? GenerateRandomDag(gopts) : GeneratePowerLaw(gopts);
-  auto reach = BuildReachabilityIndex(g, ReachKind::kBfl);
-  MatchContext ctx(g, *reach);
-  Condensation cond(g);
-  IntervalLabels intervals(g, cond);
-
-  PatternQuery base = GenerateRandomQuery({.num_nodes = p.q_nodes,
-                                           .num_edges = p.q_edges,
-                                           .num_labels = 4,
-                                           .variant = QueryVariant::kHybrid,
-                                           .seed = p.seed * 31 + 5});
+  const Graph generated =
+      p.dag_data ? GenerateRandomDag(gopts) : GeneratePowerLaw(gopts);
+  std::optional<PatternQuery> same_label =
+      ParsePattern("(x:0)=>(y:0), (y)=>(z:0), (x)->(w:1)");
+  ASSERT_TRUE(same_label.has_value());
+  std::vector<PatternQuery> queries = {
+      GenerateRandomQuery({.num_nodes = p.q_nodes,
+                           .num_edges = p.q_edges,
+                           .num_labels = 4,
+                           .variant = QueryVariant::kHybrid,
+                           .seed = p.seed * 31 + 5}),
+      *same_label};
   // Every other descendant edge is bounded to 2 hops.
-  std::vector<QueryEdge> edges = base.Edges();
-  bool bound = true;
-  for (QueryEdge& edge : edges) {
-    if (edge.kind != EdgeKind::kDescendant) continue;
-    if (bound) edge.max_hops = 2;
-    bound = !bound;
+  for (PatternQuery& q : queries) {
+    std::vector<QueryEdge> edges = q.Edges();
+    bool bound = true;
+    for (QueryEdge& edge : edges) {
+      if (edge.kind != EdgeKind::kDescendant) continue;
+      if (bound) edge.max_hops = 2;
+      bound = !bound;
+    }
+    q = PatternQuery::FromParts(q.Labels(), edges);
   }
-  PatternQuery q = PatternQuery::FromParts(base.Labels(), edges);
 
   uint64_t checked = 0;
-  for (bool skip_simulation : {false, true}) {
-    for (bool early_termination : {false, true}) {
-      RigBuildOptions opts;
-      opts.skip_simulation = skip_simulation;
-      opts.early_termination = early_termination;
-      Rig rig = BuildRigFromMatchSets(ctx, q, opts, &intervals);
-      if (rig.AnyEmpty()) continue;  // expansion is skipped altogether
-      for (QueryEdgeId e = 0; e < q.NumEdges(); ++e) {
-        const QueryEdge& edge = q.Edge(e);
-        rig.Cos(edge.from).ForEach([&](NodeId vp) {
-          Bitmap want;
-          rig.Cos(edge.to).ForEach([&](NodeId vq) {
-            if (ctx.EdgePairMatch(edge, vp, vq)) want.Add(vq);
-          });
-          EXPECT_EQ(rig.Forward(e, vp), want)
-              << "edge " << e << " vp " << vp
-              << (skip_simulation ? " match sets" : " simulated")
-              << (early_termination ? " cutoff" : " no cutoff");
-          ++checked;
-        });
-        rig.Cos(edge.to).ForEach([&](NodeId vq) {
-          Bitmap want;
+  bool saw_acyclic_self_pair = false;
+  bool saw_cyclic_self_pair = false;
+  for (bool self_loops : {false, true}) {
+    const Graph g = self_loops ? WithSelfLoops(generated, 3) : generated;
+    auto reach = BuildReachabilityIndex(g, ReachKind::kBfl);
+    MatchContext ctx(g, *reach);
+    const Condensation& cond = reach->condensation();
+    for (size_t qi = 0; qi < queries.size(); ++qi) {
+      const PatternQuery& q = queries[qi];
+      for (bool skip_simulation : {false, true}) {
+        RigBuildOptions opts;
+        opts.skip_simulation = skip_simulation;
+        Rig rig = BuildRigFromMatchSets(ctx, q, opts);
+        if (rig.AnyEmpty()) continue;  // expansion is skipped altogether
+        const std::string where =
+            std::string(self_loops ? "self-loops" : "generated") +
+            (qi == 0 ? " case query" : " same-label query") +
+            (skip_simulation ? " match sets" : " simulated");
+        for (QueryEdgeId e = 0; e < q.NumEdges(); ++e) {
+          const QueryEdge& edge = q.Edge(e);
           rig.Cos(edge.from).ForEach([&](NodeId vp) {
-            if (ctx.EdgePairMatch(edge, vp, vq)) want.Add(vp);
+            Bitmap want;
+            rig.Cos(edge.to).ForEach([&](NodeId vq) {
+              if (ctx.EdgePairMatch(edge, vp, vq)) want.Add(vq);
+            });
+            EXPECT_EQ(rig.Forward(e, vp), want)
+                << "edge " << e << " vp " << vp << ", " << where;
+            ++checked;
+            if (edge.kind == EdgeKind::kDescendant &&
+                rig.Cos(edge.to).Contains(vp)) {
+              bool& saw = cond.IsCyclic(cond.Component(vp))
+                              ? saw_cyclic_self_pair
+                              : saw_acyclic_self_pair;
+              saw = true;
+            }
           });
-          EXPECT_EQ(rig.Backward(e, vq), want)
-              << "edge " << e << " vq " << vq
-              << (skip_simulation ? " match sets" : " simulated")
-              << (early_termination ? " cutoff" : " no cutoff");
-          ++checked;
-        });
+          rig.Cos(edge.to).ForEach([&](NodeId vq) {
+            Bitmap want;
+            rig.Cos(edge.from).ForEach([&](NodeId vp) {
+              if (ctx.EdgePairMatch(edge, vp, vq)) want.Add(vp);
+            });
+            EXPECT_EQ(rig.Backward(e, vq), want)
+                << "edge " << e << " vq " << vq << ", " << where;
+            ++checked;
+          });
+        }
       }
     }
   }
   EXPECT_GT(checked, 0u);
+  // Some descendant edge's row was checked for a vp of cos(q) in an
+  // acyclic component (no self-pair) and one in a cyclic component.
+  EXPECT_TRUE(saw_acyclic_self_pair);
+  EXPECT_TRUE(saw_cyclic_self_pair);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -78,21 +78,32 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CondensationPropertyTest,
 
 // Interval labels: the negative cut must never contradict true reachability,
 // and the positive cut must never claim a false path.
+bool NegativeCut(const IntervalLabels& labels, uint32_t cu, uint32_t cv) {
+  return labels.CompEnd(cu) < labels.CompBegin(cv);
+}
+bool PositiveCut(const IntervalLabels& labels, uint32_t cu, uint32_t cv) {
+  return labels.CompBegin(cu) < labels.CompBegin(cv) &&
+         labels.CompEnd(cv) <= labels.CompEnd(cu);
+}
+
 class IntervalPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(IntervalPropertyTest, CutsAreSound) {
   Graph g = GeneratePowerLaw({.num_nodes = 80, .num_edges = 240,
                               .num_labels = 3, .seed = GetParam() * 13});
   Condensation c(g);
-  IntervalLabels labels(g, c);
+  IntervalLabels labels(c);
+  ASSERT_EQ(labels.NumComponents(), c.NumComponents());
   for (NodeId u = 0; u < g.NumNodes(); ++u) {
     for (NodeId v = 0; v < g.NumNodes(); ++v) {
-      if (c.Component(u) == c.Component(v)) continue;
+      const uint32_t cu = c.Component(u);
+      const uint32_t cv = c.Component(v);
+      if (cu == cv) continue;
       bool reaches = SlowReaches(g, u, v);
-      if (labels.DefinitelyNotReaches(u, v)) {
+      if (NegativeCut(labels, cu, cv)) {
         EXPECT_FALSE(reaches) << u << "->" << v;
       }
-      if (labels.DefinitelyReaches(u, v)) {
+      if (PositiveCut(labels, cu, cv)) {
         EXPECT_TRUE(reaches) << u << "->" << v;
       }
     }
@@ -106,12 +117,11 @@ TEST(IntervalLabels, PositiveCutCoversTreePaths) {
   // A path graph: every ancestor/descendant pair is decided positively.
   Graph g = Graph::FromEdges({0, 0, 0, 0}, {{0, 1}, {1, 2}, {2, 3}});
   Condensation c(g);
-  IntervalLabels labels(g, c);
-  EXPECT_TRUE(labels.DefinitelyReaches(0, 3));
-  EXPECT_TRUE(labels.DefinitelyReaches(1, 2));
-  EXPECT_FALSE(labels.DefinitelyReaches(3, 0));
-  EXPECT_TRUE(labels.DefinitelyNotReaches(3, 0) ||
-              !labels.DefinitelyReaches(3, 0));
+  IntervalLabels labels(c);
+  auto comp = [&](NodeId v) { return c.Component(v); };
+  EXPECT_TRUE(PositiveCut(labels, comp(0), comp(3)));
+  EXPECT_TRUE(PositiveCut(labels, comp(1), comp(2)));
+  EXPECT_FALSE(PositiveCut(labels, comp(3), comp(0)));
 }
 
 }  // namespace

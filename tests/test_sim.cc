@@ -19,6 +19,7 @@ namespace {
 
 using ::rigpm::testing::BruteForceAnswer;
 using ::rigpm::testing::PaperExample;
+using ::rigpm::testing::WithSelfLoops;
 
 std::vector<NodeId> Sorted(const Bitmap& b) { return b.ToVector(); }
 
@@ -170,20 +171,6 @@ TEST(Sim, BatchBfsHelpersMatchDefinition) {
 // Batch prune kernels: the CSR-mark child prune and the condensation sweep
 // must give exactly what the per-pair probes give.
 // ---------------------------------------------------------------------------
-
-// `g` plus a self-loop on every `every`-th node, so the condensation holds
-// cyclic singletons next to acyclic ones (and, in power-law graphs,
-// multi-node components).
-Graph WithSelfLoops(const Graph& g, uint32_t every) {
-  std::vector<LabelId> labels(g.NumNodes());
-  std::vector<std::pair<NodeId, NodeId>> edges;
-  for (NodeId v = 0; v < g.NumNodes(); ++v) {
-    labels[v] = g.Label(v);
-    for (NodeId w : g.OutNeighbors(v)) edges.emplace_back(v, w);
-    if (v % every == 0) edges.emplace_back(v, v);
-  }
-  return Graph::FromEdges(std::move(labels), std::move(edges));
-}
 
 // Empty, one node, a random half of the nodes, or every node.
 Bitmap RandomSet(uint32_t n, int shape, std::mt19937_64& rng) {

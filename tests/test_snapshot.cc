@@ -609,9 +609,9 @@ TEST_F(MalformedSnapshotTest, BadMagicIsRejected) {
 }
 
 TEST_F(MalformedSnapshotTest, WrongVersionIsRejected) {
-  // The reader knows one layout: the older versions 1 to 4 are as foreign
+  // The reader knows one layout: the older versions 1 to 5 are as foreign
   // as a future one.
-  for (uint32_t version : {1u, 2u, 3u, 4u, kSnapshotVersion + 7}) {
+  for (uint32_t version : {1u, 2u, 3u, 4u, 5u, kSnapshotVersion + 7}) {
     std::string corrupt = bytes_;
     corrupt[8] = static_cast<char>(version);
     ExpectRejected(corrupt, "unsupported snapshot version");
@@ -771,14 +771,14 @@ TEST_F(MalformedSnapshotTest, FifoWithLyingPayloadSizeIsRejectedBounded) {
 
 TEST(BflSnapshot, IntervalSizeMismatchIsRejected) {
   // A checksum-valid BFL image whose interval labels were built over a
-  // different (smaller) graph than its condensation: every per-component /
-  // per-node array the cuts index into would be too short, so Deserialize
-  // must reject the structure instead of serving OOB reachability reads.
+  // different (smaller) condensation: every per-component array the cuts
+  // index into would be too short, so Deserialize must reject the
+  // structure instead of serving OOB reachability reads.
   Graph big = PaperExample::MakeGraph();
   Condensation cond_big(big);
   Graph small = Graph::FromEdges({0}, {});
   Condensation cond_small(small);
-  IntervalLabels iv_small(small, cond_small);
+  IntervalLabels iv_small(cond_small);
 
   const uint32_t nc = cond_big.NumComponents();
   ASSERT_GT(nc, 1u);

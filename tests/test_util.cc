@@ -50,6 +50,17 @@ bool SlowReachesBounded(const Graph& g, NodeId u, NodeId v,
   return false;
 }
 
+Graph WithSelfLoops(const Graph& g, uint32_t every) {
+  std::vector<LabelId> labels(g.NumNodes());
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  for (NodeId v = 0; v < g.NumNodes(); ++v) {
+    labels[v] = g.Label(v);
+    for (NodeId w : g.OutNeighbors(v)) edges.emplace_back(v, w);
+    if (v % every == 0) edges.emplace_back(v, v);
+  }
+  return Graph::FromEdges(std::move(labels), std::move(edges));
+}
+
 std::set<std::vector<NodeId>> BruteForceAnswer(const Graph& g,
                                                const PatternQuery& q) {
   std::set<std::vector<NodeId>> answer;

@@ -62,6 +62,11 @@ bool SlowReaches(const Graph& g, NodeId u, NodeId v);
 bool SlowReachesBounded(const Graph& g, NodeId u, NodeId v,
                         uint32_t max_hops);
 
+/// `g` plus a self-loop on every `every`-th node, so the condensation holds
+/// cyclic singletons next to acyclic ones (and, in power-law graphs,
+/// multi-node components).
+Graph WithSelfLoops(const Graph& g, uint32_t every);
+
 }  // namespace rigpm::testing
 
 #endif  // RIGPM_TESTS_TEST_UTIL_H_
