@@ -2,10 +2,11 @@
 # End-to-end smoke of the generation-keyed result cache: start a delta-armed
 # daemon, replay the same queries (--repeat) so the second and later rounds
 # hit, verify hits via --stats, check that a permuted declaration of the
-# same pattern shares the cache entry, then append a delta batch and
-# kRefresh — the new generation must start with an EMPTY cache (counters
-# reset, counts equal a cold rebuild of base+delta, not the cached answer).
-# Finally --cache-bytes 0 must serve identically with the cache off.
+# same pattern is its own cache miss and gets the tuples a direct run of its
+# own text prints, then append a delta batch and kRefresh — the new
+# generation must start with an EMPTY cache (counters reset, counts equal a
+# cold rebuild of base+delta, not the cached answer). Finally
+# --cache-bytes 0 must serve identically with the cache off.
 #
 # usage: scripts/cache_smoke.sh BUILD_DIR
 set -eu
@@ -56,10 +57,13 @@ EOF
 
 QUERY="(a:0)->(b:1), (a)->(c:2), (b)=>(c)"
 # The same pattern with the clauses declared in a different order (node
-# numbering permuted by first appearance) — must share one cache entry.
+# numbering permuted by first appearance), so its tuples list the nodes in
+# another column order: the cache keys requests by their bytes, and the
+# twin must not receive QUERY's tuples.
 QUERY_PERMUTED="(b:1)=>(c:2), (x:0)->(c), (x)->(b)"
 
 count_of() { grep -Eo '^[0-9]+ occurrence' <<<"$1" | grep -Eo '[0-9]+'; }
+tuples_of() { grep -E '^\(' <<<"$1"; }
 # Pulls one counter out of the "result cache: ..." stats line, e.g.
 # cache_stat "$stats" 'miss\(es\)'.
 cache_stat() {
@@ -86,27 +90,37 @@ echo "== snapshot + start daemon"
 serve
 
 echo "== warm the cache: 5 rounds of the same query on one connection"
+# Tuples are asked for as the permuted twin asks for them below, so the
+# two requests differ only in their pattern text.
 out=$("${BUILD_DIR}/rigpm_cli" client --socket "${SOCK}" \
-        --pattern "${QUERY}" --repeat 5 --print 0)
+        --pattern "${QUERY}" --repeat 5 --tuples 10 --print 0)
 echo "${out}"
 cold_n=$(count_of "${out}")
 [ "${cold_n}" = "4" ] || { echo "FAIL: expected 4 occurrences" >&2; exit 1; }
 grep -q "repeat: 5 round(s) completed" <<<"${out}" || {
   echo "FAIL: --repeat summary missing" >&2; exit 1; }
 
-echo "== the permuted declaration must hit the same entry"
+echo "== the permuted declaration gets its own tuples"
 perm=$("${BUILD_DIR}/rigpm_cli" client --socket "${SOCK}" \
-         --pattern "${QUERY_PERMUTED}" --print 0)
+         --pattern "${QUERY_PERMUTED}" --tuples 10 --print 10)
+echo "${perm}"
 [ "$(count_of "${perm}")" = "4" ] || {
   echo "FAIL: permuted pattern served a different count" >&2; exit 1; }
+perm_direct=$("${BUILD_DIR}/rigpm_cli" --load-snapshot "${SNAP}" \
+                --pattern "${QUERY_PERMUTED}" --print 10)
+[ -n "$(tuples_of "${perm}")" ] || {
+  echo "FAIL: permuted pattern echoed no tuples" >&2; exit 1; }
+[ "$(tuples_of "${perm}")" = "$(tuples_of "${perm_direct}")" ] || {
+  echo "FAIL: permuted pattern's tuples differ from a direct run" >&2
+  exit 1; }
 
-echo "== stats: 1 miss, >= 5 hits (4 repeats + permuted twin)"
+echo "== stats: 2 misses (QUERY + permuted twin), >= 4 hits (4 repeats)"
 stats=$("${BUILD_DIR}/rigpm_cli" client --socket "${SOCK}" --stats)
 grep "result cache" <<<"${stats}"
 misses=$(cache_stat "${stats}" 'miss\(es\)')
 hits=$(cache_stat "${stats}" 'hit\(s\)')
-[ "${misses}" = "1" ] || { echo "FAIL: expected 1 miss" >&2; exit 1; }
-[ "${hits}" -ge 5 ] || { echo "FAIL: expected >= 5 hits" >&2; exit 1; }
+[ "${misses}" = "2" ] || { echo "FAIL: expected 2 misses" >&2; exit 1; }
+[ "${hits}" -ge 4 ] || { echo "FAIL: expected >= 4 hits" >&2; exit 1; }
 grep -qE 'flushes: [1-9][0-9]*' <<<"${stats}" || {
   echo "FAIL: no write flushes counted" >&2; exit 1; }
 

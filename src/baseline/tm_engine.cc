@@ -76,10 +76,10 @@ TmResult TmEvaluate(const MatchContext& ctx, const PatternQuery& q,
   CandidateSets seed = opts.use_prefilter
                            ? PreFilter(ctx, q, SimOptions{})
                            : InitialMatchSets(ctx.graph(), q);
-  RigBuildOptions rig_opts;
-  rig_opts.sim_algorithm = SimAlgorithm::kDagMap;
-  rig_opts.sim = SimOptions{};  // exact fixpoint; trees converge in one pass
-  Rig answer_graph = BuildRig(ctx, tree_q, std::move(seed), rig_opts);
+  // Exact fixpoint (default SimOptions): trees converge in one pass.
+  CandidateSets cos = ComputeDoubleSimulation(ctx, tree_q, std::move(seed),
+                                              SimAlgorithm::kDagMap);
+  Rig answer_graph = ExpandRig(ctx, tree_q, std::move(cos));
   result.aux_graph_nodes = answer_graph.TotalNodes();
   result.aux_graph_edges = answer_graph.TotalEdges();
   result.build_ms = MsSince(t0);

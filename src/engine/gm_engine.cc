@@ -28,14 +28,6 @@ void TimePhase(GmResult* r, const char* name, Fn&& phase) {
   r->phase_timings.push_back({name, MsSince(t0)});
 }
 
-RigBuildOptions RigOptionsFrom(const GmOptions& opts) {
-  RigBuildOptions rig_opts;
-  rig_opts.sim_algorithm = opts.sim_algorithm;
-  rig_opts.sim = opts.sim;
-  rig_opts.skip_simulation = !opts.use_double_simulation;
-  return rig_opts;
-}
-
 }  // namespace
 
 GmEngine::GmEngine(const Graph& g, ReachKind reach) : graph_(g) {
@@ -53,7 +45,6 @@ GmResult GmEngine::Run(const PatternQuery& query, const GmOptions& opts,
   GmResult r;
   r.phase_timings.reserve(6);
   const MatchContext ctx(graph_, *reach_);
-  const RigBuildOptions rig_opts = RigOptionsFrom(opts);
 
   PatternQuery reduced;
   TimePhase(&r, "Reduce", [&] {
@@ -71,10 +62,15 @@ GmResult GmEngine::Run(const PatternQuery& query, const GmOptions& opts,
   });
 
   // Procedure select of Algorithm 4: the double simulation refines the
-  // seeds into cos(q).
+  // seeds into cos(q). It starts from the seeds themselves, which is sound
+  // because every prune keeps os(q) when run from any superset of it. GM-F
+  // skips it and expands the seeds.
   TimePhase(&r, "Simulate", [&] {
-    candidates = SelectRigNodes(ctx, reduced, std::move(candidates), rig_opts,
-                                &r.rig_stats);
+    if (opts.use_double_simulation) {
+      candidates = ComputeDoubleSimulation(ctx, reduced, std::move(candidates),
+                                           opts.sim_algorithm, opts.sim,
+                                           &r.rig_stats.sim);
+    }
   });
 
   // Procedure expand of Algorithm 4.

@@ -122,11 +122,6 @@ bool PatternQuery::IsUndirectedAcyclic() const {
 }
 
 std::vector<uint8_t> PatternQuery::CanonicalEncoding() const {
-  return *CanonicalEncodingWithin(kMaxCanonicalPerms);
-}
-
-std::optional<std::vector<uint8_t>> PatternQuery::CanonicalEncodingWithin(
-    uint64_t max_orderings) const {
   const uint32_t n = NumNodes();
   // Child edges ignore max_hops (pattern_query.h); normalize it out so two
   // declarations differing only in a meaningless bound still collide.
@@ -228,7 +223,6 @@ std::optional<std::vector<uint8_t>> PatternQuery::CanonicalEncodingWithin(
     i = j;
   }
   if (groups.empty() || !bounded) return encode(order);
-  if (perms > max_orderings) return std::nullopt;
 
   std::vector<uint8_t> best = encode(order);
   while (true) {
@@ -245,11 +239,6 @@ std::optional<std::vector<uint8_t>> PatternQuery::CanonicalEncodingWithin(
     if (candidate < best) best = std::move(candidate);
   }
   return best;
-}
-
-uint64_t PatternQuery::CanonicalFingerprint() const {
-  std::vector<uint8_t> encoding = CanonicalEncoding();
-  return Checksum64(encoding.data(), encoding.size(), 0xa4093822299f31d0ull);
 }
 
 std::string PatternQuery::Summary() const {

@@ -2,7 +2,6 @@
 #define RIGPM_QUERY_PATTERN_QUERY_H_
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -109,24 +108,13 @@ class PatternQuery {
   /// (WL color refinement picks the node order; ties are broken by trying
   /// every within-class permutation and keeping the lexicographically
   /// smallest encoding). Distinct patterns always encode differently — the
-  /// encoding is a faithful serialization, so it is safe as an exact cache
-  /// key. For pathological patterns whose refined color classes admit more
-  /// than kMaxCanonicalPerms orderings the tie-break falls back to the
-  /// construction order: such twins may fail to collide (a cache miss),
-  /// never the reverse.
+  /// encoding is a faithful serialization. For pathological patterns whose
+  /// refined color classes admit more than kMaxCanonicalPerms orderings
+  /// the tie-break falls back to the construction order, so such twins may
+  /// encode apart. perfbench dedupes its generated key sets with it and
+  /// times it as `query.canon`; the daemon keys its result cache on request
+  /// bytes instead.
   std::vector<uint8_t> CanonicalEncoding() const;
-
-  /// CanonicalEncoding() when its tie-break tries at most `max_orderings`
-  /// orderings, else nullopt, so a caller that must stay fast (the server's
-  /// event loop) can leave a highly symmetric pattern to a thread that
-  /// affords the whole search. A pattern past kMaxCanonicalPerms takes
-  /// the construction-order fallback and is always returned.
-  std::optional<std::vector<uint8_t>> CanonicalEncodingWithin(
-      uint64_t max_orderings) const;
-
-  /// 64-bit digest of CanonicalEncoding() — the order-insensitive pattern
-  /// fingerprint the server's result cache keys on.
-  uint64_t CanonicalFingerprint() const;
 
   /// Tie-break budget of CanonicalEncoding(): the maximum number of
   /// within-color-class orderings tried before falling back (8! covers any

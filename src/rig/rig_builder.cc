@@ -18,7 +18,7 @@ void ExpandEdge(const MatchContext& ctx, const PatternQuery& q, QueryEdgeId e,
     // Direct connectivity, adjf(vp) ∩ cos(q) per source node (Section
     // 4.5): walk vp's sorted row and keep the nodes of cos(q).
     src.ForEach([&](NodeId vp) {
-      if (stats != nullptr) ++stats->expand_pair_checks;
+      if (stats != nullptr) stats->expand_pair_checks += g.OutDegree(vp);
       for (NodeId vq : g.OutNeighbors(vp)) {
         if (dst.Contains(vq)) rig->AddEdge(e, vp, vq);
       }
@@ -41,21 +41,6 @@ void ExpandEdge(const MatchContext& ctx, const PatternQuery& q, QueryEdgeId e,
 
 }  // namespace
 
-CandidateSets SelectRigNodes(const MatchContext& ctx, const PatternQuery& q,
-                             CandidateSets initial,
-                             const RigBuildOptions& opts,
-                             RigBuildStats* stats) {
-  CandidateSets cos = std::move(initial);
-  if (!opts.skip_simulation) {
-    // The simulation starts from the given sets: sound because every prune
-    // keeps os(q) when run from any superset of it.
-    cos = ComputeDoubleSimulation(ctx, q, std::move(cos), opts.sim_algorithm,
-                                  opts.sim,
-                                  stats != nullptr ? &stats->sim : nullptr);
-  }
-  return cos;
-}
-
 Rig ExpandRig(const MatchContext& ctx, const PatternQuery& q,
               CandidateSets cos, RigBuildStats* stats) {
   Rig rig(q, std::move(cos));
@@ -68,19 +53,6 @@ Rig ExpandRig(const MatchContext& ctx, const PatternQuery& q,
     }
   }
   return rig;
-}
-
-Rig BuildRig(const MatchContext& ctx, const PatternQuery& q,
-             CandidateSets initial, const RigBuildOptions& opts,
-             RigBuildStats* stats) {
-  return ExpandRig(ctx, q,
-                   SelectRigNodes(ctx, q, std::move(initial), opts, stats),
-                   stats);
-}
-
-Rig BuildRigFromMatchSets(const MatchContext& ctx, const PatternQuery& q,
-                          const RigBuildOptions& opts, RigBuildStats* stats) {
-  return BuildRig(ctx, q, InitialMatchSets(ctx.graph(), q), opts, stats);
 }
 
 }  // namespace rigpm

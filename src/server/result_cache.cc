@@ -14,8 +14,7 @@ ResultCache::ResultCache(uint64_t max_bytes, uint32_t num_shards)
       shards_(new Shard[std::max(1u, num_shards)]) {}
 
 ResultCache::Shard& ResultCache::ShardFor(const std::string& key) {
-  // Seeded away from CanonicalFingerprint so shard choice and any
-  // key-embedded digests stay independent.
+  // One digest of the whole key picks the shard.
   uint64_t h = Checksum64(key.data(), key.size(), 0x082efa98ec4e6c89ull);
   return shards_[h % num_shards_];
 }

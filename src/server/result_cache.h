@@ -35,12 +35,15 @@ struct ResultCacheStats {
 /// state — and with it a fresh empty cache — so invalidation is the RCU
 /// swap itself, with no epoch counter for a hit to race against.
 ///
-/// Keys are exact canonical byte strings (PatternQuery::CanonicalEncoding
-/// plus the result-relevant options; see CacheKey in server.cc), never
-/// bare hashes: a hash collision here would silently serve the wrong
-/// result, so the full key is compared on every probe. Values are shared
-/// immutable responses — a hit hands back the same QueryResponse object
-/// that was inserted, serialized fresh per connection.
+/// Keys are the query request's body bytes as received, followed by the
+/// tuple cap the server applied (see CacheKey in server.cc), never bare
+/// hashes: a hash collision here would silently serve the wrong result,
+/// so the full key is compared on every probe. Only a byte-identical
+/// request shares an entry; a permuted declaration of the same pattern
+/// numbers its nodes differently, so its tuples differ and it keys apart.
+/// Values are shared immutable responses — a hit hands back the same
+/// QueryResponse object that was inserted, serialized fresh per
+/// connection.
 ///
 /// Sharded LRU under a byte budget: each shard owns 1/num_shards of the
 /// budget, its own lock, its own LRU list, and its own singleflight map —

@@ -15,7 +15,7 @@
 #include <cerrno>
 #include <cstring>
 #include <limits>
-#include <optional>
+#include <span>
 #include <utility>
 
 #include "query/pattern_parser.h"
@@ -40,12 +40,8 @@ constexpr size_t kMaxReadPerEvent = 256 * 1024;
 constexpr double kDrainCapMs = 5000.0;
 /// The loop's share of preparing a request stays in the microseconds:
 /// request frames over kMaxLoopFrameBytes are decoded on a worker (a long
-/// pattern's parse and refinement grow with its size), and so is the key of
-/// a pattern whose canonical tie-break needs more than
-/// kMaxLoopKeyOrderings orderings (8 interchangeable nodes take 40320,
-/// about 10 ms).
+/// pattern's parse grows with its size).
 constexpr size_t kMaxLoopFrameBytes = 1024;
-constexpr uint64_t kMaxLoopKeyOrderings = 24;
 
 double MsSince(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(
@@ -87,38 +83,15 @@ std::vector<uint8_t> FrameBytes(const ByteSink& payload) {
   return framed;
 }
 
-/// The result-cache key: exact canonical bytes (compared in full on every
-/// probe — a digest collision could serve a wrong result, so no
-/// digest-only keys), plus the result-relevant options. A template's key
-/// needs only its name and seed, so a template hit skips instantiation.
-/// Empty when a pattern's canonical tie-break needs more than
-/// `max_orderings` orderings; a real key is never empty.
-std::string CacheKey(const QueryRequest& req,
-                     const std::vector<PatternQuery>& parsed,
-                     uint32_t tuple_cap, uint64_t max_orderings) {
-  ByteSink kb;
-  if (!req.template_name.empty()) {
-    kb.WriteU8('T');
-    kb.WriteString(req.template_name);
-    kb.WriteU64(req.template_seed);
-  } else {
-    // Per-pattern canonical encodings, concatenated in REQUEST order: a
-    // batch response carries one result row per request position, so
-    // batch order is result-relevant even though each pattern's own
-    // encoding is declaration-order-insensitive.
-    kb.WriteU8('P');
-    for (const PatternQuery& q : parsed) {
-      std::optional<std::vector<uint8_t>> enc =
-          q.CanonicalEncodingWithin(max_orderings);
-      if (!enc.has_value()) return {};
-      kb.WriteU64(enc->size());
-      kb.WriteRaw(enc->data(), enc->size());
-    }
-  }
-  kb.WriteU64(req.limit);
-  kb.WriteU32(tuple_cap);
-  return std::string(reinterpret_cast<const char*>(kb.data().data()),
-                     kb.size());
+/// The result-cache key: the query request's body exactly as received,
+/// then the tuple cap the server applied. Two requests share an answer only
+/// when their bytes match, so a hit returns exactly the answer computed for
+/// those bytes, its tuples in the request's own node order. The cache
+/// compares the whole key on every probe.
+std::string CacheKey(std::span<const uint8_t> body, uint32_t tuple_cap) {
+  std::string key(reinterpret_cast<const char*>(body.data()), body.size());
+  key.append(reinterpret_cast<const char*>(&tuple_cap), sizeof(tuple_cap));
+  return key;
 }
 
 }  // namespace
@@ -872,10 +845,8 @@ bool QueryServer::Prepare(Request& r, bool on_loop) {
   // a hit is always consistent with the engine this request would have
   // evaluated on. A key already built means the loop probed and missed.
   if (r.state->cache == nullptr || !r.cache_key.empty()) return false;
-  const uint64_t max_orderings =
-      on_loop ? kMaxLoopKeyOrderings : PatternQuery::kMaxCanonicalPerms;
-  r.cache_key = CacheKey(r.query, r.parsed, r.tuple_cap, max_orderings);
-  if (r.cache_key.empty()) return false;  // too costly to key on the loop
+  r.cache_key = CacheKey(std::span(r.frame).subspan(r.body_offset),
+                         r.tuple_cap);
   if (auto hit = r.state->cache->Lookup(r.cache_key)) {
     Serve(r, *hit);
     return true;
@@ -888,6 +859,7 @@ bool QueryServer::Decode(Request& r) {
   ByteSource src(r.frame.data(), r.frame.size());
   r.header = ReadRequestHeader(src);
   r.type = ReadMessageType(src);
+  r.body_offset = r.frame.size() - src.remaining();
   r.response.WriteU64(r.header.request_id);
   if (!src.ok()) {
     Reject(r, StatusCode::kBadRequest,
@@ -919,7 +891,7 @@ bool QueryServer::Decode(Request& r) {
   }
 
   // Validate and parse. A template is instantiated only on a miss
-  // (Evaluate): its key needs just the name and seed.
+  // (Evaluate): its key is the request's bytes.
   const QueryRequest& req = r.query;
   if (!req.template_name.empty()) {
     if (!req.patterns.empty()) {

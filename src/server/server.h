@@ -89,17 +89,18 @@ struct ServerConfig {
 /// The loop also prepares each complete request: it decodes and validates
 /// it, parses its patterns, pins the tenant if it is resident
 /// (EngineCatalog::PinResident), builds the cache key and probes the
-/// tenant's result cache. A cache hit, a ping and a request rejected while
+/// tenant's result cache. The key is the request's body exactly as
+/// received, so only byte-identical requests share an answer: two
+/// declarations of one pattern number their nodes differently, and each
+/// gets its own tuples. A cache hit, a ping and a request rejected while
 /// decoding are answered in place and leave in the same loop pass; they
 /// never wait for a worker. A fixed worker pool, fed over a dispatch
 /// queue, gets the rest:
 ///   - a cache miss, with its parsed patterns, key and pin, to evaluate;
 ///   - stats, refresh, list-graphs and shutdown requests;
-///   - a query for a tenant that is not resident, a frame over
-///     kMaxLoopFrameBytes (1 KiB), and a pattern whose canonical cache
-///     key needs more than a few tie-break orderings; the worker runs the
-///     same preparation from where the loop stopped, opening the tenant
-///     if it must.
+///   - a query for a tenant that is not resident and a frame over
+///     kMaxLoopFrameBytes (1 KiB); the worker runs the same preparation
+///     from where the loop stopped, opening the tenant if it must.
 /// The loop never opens a tenant, evaluates, or waits on a singleflight
 /// flight, and it never drops a pin that may be an engine's last: it
 /// releases a pin only while the catalog still publishes that state, and
@@ -213,6 +214,7 @@ class QueryServer {
     bool decoded = false;
     RequestHeader header;
     MessageType type = MessageType::kQueryRequest;
+    size_t body_offset = 0;            // where the body starts in `frame`
     QueryRequest query;                // body of a kQueryRequest
     std::vector<PatternQuery> parsed;  // its patterns, in request order
     uint32_t tuple_cap = 0;            // tuples echoed, server cap applied
@@ -220,7 +222,7 @@ class QueryServer {
     /// an idle worker holds no engine; the loop hands a pin that may be the
     /// state's last to a worker instead of dropping it.
     std::shared_ptr<const EngineState> state;
-    std::string cache_key;
+    std::string cache_key;  // the body's bytes, then tuple_cap
 
     // --- the answer ---
     ByteSink response;         // echoed id, then u32 type and body
@@ -259,11 +261,12 @@ class QueryServer {
 
   /// Runs `r`'s steps short of evaluation until it is answered (true) or
   /// what is left needs a worker (false): a cache miss to evaluate, or a
-  /// stats, refresh, list or shutdown request. With `on_loop` it also stops
-  /// before decoding a frame over kMaxLoopFrameBytes, before pinning a
-  /// tenant that is not resident and before a key whose canonical
-  /// tie-break exceeds kMaxLoopKeyOrderings; on a worker it opens that
-  /// tenant. It never waits on a singleflight flight.
+  /// stats, refresh, list or shutdown request. The key is the query body's
+  /// bytes followed by the tuple cap, so a hit is the answer computed for
+  /// those very bytes. With `on_loop` it also stops before decoding a frame
+  /// over kMaxLoopFrameBytes and before pinning a tenant that is not
+  /// resident; on a worker it opens that tenant. It never waits on a
+  /// singleflight flight.
   bool Prepare(Request& r, bool on_loop);
   /// Prepare's first step: header, type and body, then a query's
   /// validation and parse. Returns true when that answered the request (a

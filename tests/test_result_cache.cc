@@ -1,7 +1,8 @@
-// Result-cache tests (server/result_cache.h, query CanonicalFingerprint):
-// the fingerprint differential suite (permuted declarations collide,
+// Result-cache tests (server/result_cache.h, PatternQuery::CanonicalEncoding):
+// the canonical-encoding differential suite (permuted declarations collide,
 // semantic mutations separate), the sharded-LRU byte budget, singleflight
-// coalescing under thread fire, and the server-level guarantee that a warm
+// coalescing under thread fire, and the server-level guarantees that a
+// request shares an entry only with byte-identical requests and that a warm
 // cache never outlives the engine generation it was computed against.
 
 #include <atomic>
@@ -33,7 +34,7 @@ namespace {
 using rigpm::testing::PaperExample;
 using namespace rigpm::server;
 
-// ------------------------------------------------- canonical fingerprints
+// --------------------------------------------------- canonical encodings
 
 /// Renumbers a query's nodes by `perm` (old id -> new id) and shuffles the
 /// edge declaration order: the same pattern as the caller would have
@@ -84,52 +85,48 @@ PatternQuery RandomPattern(std::mt19937* rng) {
   return PatternQuery::FromParts(std::move(labels), std::move(edges));
 }
 
-TEST(CanonicalFingerprint, PermutedDeclarationOrdersCollide) {
+TEST(CanonicalEncoding, PermutedDeclarationOrdersCollide) {
   // The differential: for many random patterns and many random node
-  // renumberings, the fingerprint must not depend on declaration order.
+  // renumberings, the encoding must not depend on declaration order.
   std::mt19937 rng(20230907);
   for (int trial = 0; trial < 80; ++trial) {
     PatternQuery q = RandomPattern(&rng);
-    const uint64_t fp = q.CanonicalFingerprint();
     const std::vector<uint8_t> enc = q.CanonicalEncoding();
     std::vector<QueryNodeId> perm(q.NumNodes());
     std::iota(perm.begin(), perm.end(), 0);
     for (int round = 0; round < 4; ++round) {
       std::shuffle(perm.begin(), perm.end(), rng);
       PatternQuery twin = Permuted(q, perm, &rng);
-      EXPECT_EQ(twin.CanonicalFingerprint(), fp)
+      EXPECT_EQ(twin.CanonicalEncoding(), enc)
           << "trial " << trial << ": " << q.Summary() << " vs "
           << twin.Summary();
-      EXPECT_EQ(twin.CanonicalEncoding(), enc);
     }
   }
 }
 
-TEST(CanonicalFingerprint, TextDeclarationOrderIsIrrelevant) {
+TEST(CanonicalEncoding, TextDeclarationOrderIsIrrelevant) {
   // The same property end-to-end through the parser: comma-permuted clause
   // order renumbers nodes by first appearance, which must not show through.
   auto a = ParsePattern("(a:0)->(b:1), (a)->(c:2), (b)=>(c)");
   auto b = ParsePattern("(b:1)=>(c:2), (x:0)->(c), (x)->(b)");
   ASSERT_TRUE(a.has_value() && b.has_value());
-  EXPECT_EQ(a->CanonicalFingerprint(), b->CanonicalFingerprint());
   EXPECT_EQ(a->CanonicalEncoding(), b->CanonicalEncoding());
 }
 
-TEST(CanonicalFingerprint, SemanticMutationsSeparate) {
+TEST(CanonicalEncoding, SemanticMutationsSeparate) {
   // Mutations chosen so the label / kind / hops multiset provably changes —
   // the mutant cannot be isomorphic to the original, so a collision would
   // be a genuine cache-poisoning bug, not an isomorphism false alarm.
   std::mt19937 rng(424242);
   for (int trial = 0; trial < 80; ++trial) {
     PatternQuery q = RandomPattern(&rng);
-    const uint64_t fp = q.CanonicalFingerprint();
+    const std::vector<uint8_t> enc = q.CanonicalEncoding();
 
     std::uniform_int_distribution<QueryNodeId> node(0, q.NumNodes() - 1);
     std::vector<LabelId> labels = q.Labels();
     labels[node(rng)] = 9;  // a label the generator never emits
-    EXPECT_NE(
-        PatternQuery::FromParts(labels, q.Edges()).CanonicalFingerprint(),
-        fp);
+    EXPECT_NE(PatternQuery::FromParts(labels, q.Edges()).CanonicalEncoding(),
+              enc);
 
     std::uniform_int_distribution<QueryEdgeId> pick(0, q.NumEdges() - 1);
     std::vector<QueryEdge> kind_flip = q.Edges();
@@ -140,21 +137,20 @@ TEST(CanonicalFingerprint, SemanticMutationsSeparate) {
     PatternQuery mutant =
         PatternQuery::FromParts(q.Labels(), std::move(kind_flip));
     if (mutant.NumEdges() == q.NumEdges()) {  // flip may collide + dedup
-      EXPECT_NE(mutant.CanonicalFingerprint(), fp);
+      EXPECT_NE(mutant.CanonicalEncoding(), enc);
     }
 
     std::vector<QueryEdge> hops = q.Edges();
     QueryEdge& he = hops[pick(rng)];
     if (he.kind == EdgeKind::kDescendant) {
       he.max_hops = he.max_hops == 0 ? 7 : he.max_hops + 4;
-      EXPECT_NE(
-          PatternQuery::FromParts(q.Labels(), hops).CanonicalFingerprint(),
-          fp);
+      EXPECT_NE(PatternQuery::FromParts(q.Labels(), hops).CanonicalEncoding(),
+                enc);
     }
   }
 }
 
-TEST(CanonicalFingerprint, DirectionMattersOnAsymmetricPatterns) {
+TEST(CanonicalEncoding, DirectionMattersOnAsymmetricPatterns) {
   auto fwd = ParsePattern("(a:0)->(b:1), (b)->(c:1)");
   auto rev = ParsePattern("(a:0)<-(b:1), (b)<-(c:1)");
   if (!rev.has_value()) {  // the grammar may not have reverse arrows
@@ -163,20 +159,20 @@ TEST(CanonicalFingerprint, DirectionMattersOnAsymmetricPatterns) {
     rev = q;
   }
   ASSERT_TRUE(fwd.has_value());
-  EXPECT_NE(fwd->CanonicalFingerprint(), rev->CanonicalFingerprint());
+  EXPECT_NE(fwd->CanonicalEncoding(), rev->CanonicalEncoding());
 }
 
-TEST(CanonicalFingerprint, ChildHopsAreNormalized) {
+TEST(CanonicalEncoding, ChildHopsAreNormalized) {
   // max_hops is documented as ignored for child edges; two declarations
   // differing only there are the same query and must share a key.
   PatternQuery a = PatternQuery::FromParts(
       {0, 1}, {{0, 1, EdgeKind::kChild, 0}});
   PatternQuery b = PatternQuery::FromParts(
       {0, 1}, {{0, 1, EdgeKind::kChild, 5}});
-  EXPECT_EQ(a.CanonicalFingerprint(), b.CanonicalFingerprint());
+  EXPECT_EQ(a.CanonicalEncoding(), b.CanonicalEncoding());
 }
 
-TEST(CanonicalFingerprint, HighSymmetryPatternsStayCanonical) {
+TEST(CanonicalEncoding, HighSymmetryPatternsStayCanonical) {
   // A 6-cycle of one label is the worst case for refinement (every node is
   // in one color class); the bounded permutation search must still land on
   // one orbit representative for every rotation.
@@ -189,35 +185,10 @@ TEST(CanonicalFingerprint, HighSymmetryPatternsStayCanonical) {
     return PatternQuery::FromParts(std::vector<LabelId>(6, 1),
                                    std::move(edges));
   };
-  const uint64_t fp = cycle(0).CanonicalFingerprint();
+  const std::vector<uint8_t> enc = cycle(0).CanonicalEncoding();
   for (uint32_t shift = 1; shift < 6; ++shift) {
-    EXPECT_EQ(cycle(shift).CanonicalFingerprint(), fp) << shift;
+    EXPECT_EQ(cycle(shift).CanonicalEncoding(), enc) << shift;
   }
-}
-
-TEST(CanonicalFingerprint, BudgetedEncodingIsTheEncodingOrNothing) {
-  // Within a tie-break budget the bytes are CanonicalEncoding()'s; past it
-  // nothing comes back, never a different key for the same pattern.
-  std::mt19937 rng(77);
-  for (int trial = 0; trial < 80; ++trial) {
-    PatternQuery q = RandomPattern(&rng);
-    const std::vector<uint8_t> enc = q.CanonicalEncoding();
-    EXPECT_EQ(q.CanonicalEncodingWithin(PatternQuery::kMaxCanonicalPerms),
-              enc);
-    std::optional<std::vector<uint8_t>> tight = q.CanonicalEncodingWithin(1);
-    if (tight.has_value()) {
-      EXPECT_EQ(*tight, enc);
-    }
-  }
-  // One label on a 6-cycle leaves one class of six: 720 orderings.
-  std::vector<QueryEdge> edges;
-  for (uint32_t v = 0; v < 6; ++v) {
-    edges.push_back({v, (v + 1) % 6, EdgeKind::kChild, 0});
-  }
-  PatternQuery cycle =
-      PatternQuery::FromParts(std::vector<LabelId>(6, 1), std::move(edges));
-  EXPECT_FALSE(cycle.CanonicalEncodingWithin(719).has_value());
-  EXPECT_EQ(cycle.CanonicalEncodingWithin(720), cycle.CanonicalEncoding());
 }
 
 // ------------------------------------------------------ ResultCache unit
@@ -465,23 +436,36 @@ TEST_F(CacheRefreshTest, RepeatedQueriesHitAndStayByteIdentical) {
   EXPECT_EQ(stats.queries_served, 6u);  // hits still count as served
 }
 
-TEST_F(CacheRefreshTest, PermutedRequestTextSharesOneCacheEntry) {
+TEST_F(CacheRefreshTest, PermutedRequestTextGetsItsOwnTuples) {
+  // Two declarations of one pattern number their nodes differently, so a
+  // tuple of one lists its nodes in another column order than the other's.
+  // Each must get the tuples a cold evaluation of its own text gives, and
+  // so each is its own cache miss.
   QueryClient client;
   std::string error;
   ASSERT_TRUE(client.ConnectUnix(config_.unix_path, &error)) << error;
-  QueryRequest a;
-  a.patterns = {"(a:0)->(b:1), (a)->(c:2), (b)=>(c)"};
-  QueryRequest b;
-  b.patterns = {"(b:1)=>(c:2), (x:0)->(c), (x)->(b)"};
-  auto r1 = client.Query(a, &error);
-  auto r2 = client.Query(b, &error);
-  ASSERT_TRUE(r1.has_value() && r2.has_value());
-  ASSERT_EQ(r1->status, StatusCode::kOk);
-  ASSERT_EQ(r2->status, StatusCode::kOk);
-  EXPECT_EQ(r2->results[0].num_occurrences, r1->results[0].num_occurrences);
+  const GmEngine cold(base_graph_);
+  for (const std::string& text : {"(a:0)->(b:1), (a)->(c:2), (b)=>(c)",
+                                  "(b:1)=>(c:2), (x:0)->(c), (x)->(b)"}) {
+    QueryRequest req;
+    req.patterns = {text};
+    req.max_return_tuples = 100;
+    auto resp = client.Query(req, &error);
+    ASSERT_TRUE(resp.has_value()) << error;
+    ASSERT_EQ(resp->status, StatusCode::kOk) << resp->error;
+    auto q = ParsePattern(text);
+    ASSERT_TRUE(q.has_value());
+    std::vector<NodeId> want;
+    for (const Occurrence& t : cold.EvaluateCollect(*q)) {
+      want.insert(want.end(), t.begin(), t.end());
+    }
+    EXPECT_EQ(resp->tuple_arity, q->NumNodes()) << text;
+    EXPECT_EQ(resp->tuples, want) << text;
+    EXPECT_EQ(resp->results[0].num_occurrences, 4u) << text;
+  }
   StatsResponse stats = server_->Snapshot();
-  EXPECT_EQ(stats.cache_misses, 1u);
-  EXPECT_EQ(stats.cache_hits, 1u);
+  EXPECT_EQ(stats.cache_misses, 2u);
+  EXPECT_EQ(stats.cache_hits, 0u);
 }
 
 TEST_F(CacheRefreshTest, RefreshInvalidatesWholesaleAndMatchesColdRebuild) {

@@ -41,6 +41,21 @@ using ::rigpm::testing::BruteForceAnswer;
 using ::rigpm::testing::PaperExample;
 using ::rigpm::testing::WithSelfLoops;
 
+/// Algorithm 4 from the label match sets ms(q): the double simulation
+/// refines them into cos(q) (GM's defaults: dag-map, 3 passes), then
+/// expansion adds the RIG edges. Without `simulate` it expands ms(q) itself,
+/// the match RIG G^m_Q.
+Rig BuildTestRig(const MatchContext& ctx, const PatternQuery& q,
+                 bool simulate = true, RigBuildStats* stats = nullptr) {
+  CandidateSets cos = InitialMatchSets(ctx.graph(), q);
+  if (simulate) {
+    cos = ComputeDoubleSimulation(ctx, q, std::move(cos), SimAlgorithm::kDagMap,
+                                  {.max_passes = 3},
+                                  stats != nullptr ? &stats->sim : nullptr);
+  }
+  return ExpandRig(ctx, q, std::move(cos), stats);
+}
+
 /// An MJoin sink that appends every occurrence to *out.
 OccurrenceSink CollectInto(std::vector<Occurrence>* out) {
   return [out](const Occurrence& t) {
@@ -66,7 +81,7 @@ class RigFixture : public ::testing::Test {
 // The refined RIG of Fig. 2(e): node sets equal FB, and the (B,C) edge set
 // contains the redundant pair (b2, c1) that only MJoin filters out.
 TEST_F(RigFixture, PaperExampleRefinedRig) {
-  Rig rig = BuildRigFromMatchSets(ctx_, query_, RigBuildOptions{});
+  Rig rig = BuildTestRig(ctx_, query_);
   EXPECT_EQ(rig.Cos(0).ToVector(),
             (std::vector<NodeId>{PaperExample::a1, PaperExample::a2}));
   EXPECT_EQ(rig.Cos(1).ToVector(),
@@ -94,10 +109,8 @@ TEST_F(RigFixture, PaperExampleRefinedRig) {
 // Proposition 4.1 (losslessness): every homomorphism edge image is a RIG
 // edge, in both the refined and the match RIG.
 TEST_F(RigFixture, Proposition41Losslessness) {
-  RigBuildOptions match_only;
-  match_only.skip_simulation = true;  // match RIG G^m_Q
-  Rig match_rig = BuildRigFromMatchSets(ctx_, query_, match_only);
-  Rig refined = BuildRigFromMatchSets(ctx_, query_, RigBuildOptions{});
+  Rig match_rig = BuildTestRig(ctx_, query_, /*simulate=*/false);
+  Rig refined = BuildTestRig(ctx_, query_);
 
   auto answer = BruteForceAnswer(graph_, query_);
   ASSERT_FALSE(answer.empty());
@@ -113,8 +126,32 @@ TEST_F(RigFixture, Proposition41Losslessness) {
   EXPECT_LE(refined.Size(), match_rig.Size());
 }
 
+// expand_pair_checks counts every candidate expansion tests: on a child
+// edge each out-neighbour of each vp in cos(p), on a descendant edge each
+// pair of cos(p) x cos(q).
+TEST_F(RigFixture, ExpandPairChecksCountEveryCandidateTested) {
+  for (bool simulate : {true, false}) {
+    RigBuildStats stats;
+    Rig rig = BuildTestRig(ctx_, query_, simulate, &stats);
+    uint64_t want = 0;
+    for (const QueryEdge& edge : query_.Edges()) {
+      const Bitmap& src = rig.Cos(edge.from);
+      if (edge.kind == EdgeKind::kChild) {
+        src.ForEach([&](NodeId vp) { want += graph_.OutDegree(vp); });
+      } else {
+        want += src.Cardinality() * rig.Cos(edge.to).Cardinality();
+      }
+    }
+    EXPECT_EQ(stats.expand_pair_checks, want) << "simulate " << simulate;
+    // Simulated: cos(A) = {a1, a2}, out-degree 3 each, on the child edges
+    // (A,B) and (A,C); cos(B) x cos(C) is 2 x 3 on (B,C). Match sets:
+    // cos(A) adds a0 (out-degree 1), and cos(B) x cos(C) is 4 x 3.
+    EXPECT_EQ(want, simulate ? 6u + 6u + 6u : 7u + 7u + 12u);
+  }
+}
+
 TEST_F(RigFixture, MJoinProducesPaperAnswer) {
-  Rig rig = BuildRigFromMatchSets(ctx_, query_, RigBuildOptions{});
+  Rig rig = BuildTestRig(ctx_, query_);
   std::vector<QueryNodeId> order =
       ComputeSearchOrder(query_, rig, OrderStrategy::kJO);
   MJoinStats stats;
@@ -127,7 +164,7 @@ TEST_F(RigFixture, MJoinProducesPaperAnswer) {
 }
 
 TEST_F(RigFixture, MJoinAnswerIndependentOfOrderStrategy) {
-  Rig rig = BuildRigFromMatchSets(ctx_, query_, RigBuildOptions{});
+  Rig rig = BuildTestRig(ctx_, query_);
   std::set<std::vector<NodeId>> expected = PaperExample::ExpectedAnswer();
   for (OrderStrategy s :
        {OrderStrategy::kJO, OrderStrategy::kRI, OrderStrategy::kBJ}) {
@@ -141,7 +178,7 @@ TEST_F(RigFixture, MJoinAnswerIndependentOfOrderStrategy) {
 }
 
 TEST_F(RigFixture, MJoinLimitStopsEarly) {
-  Rig rig = BuildRigFromMatchSets(ctx_, query_, RigBuildOptions{});
+  Rig rig = BuildTestRig(ctx_, query_);
   std::vector<QueryNodeId> order =
       ComputeSearchOrder(query_, rig, OrderStrategy::kJO);
   MJoinOptions opts;
@@ -163,7 +200,7 @@ TEST_F(RigFixture, MJoinLimitStopsEarly) {
 }
 
 TEST_F(RigFixture, MJoinSinkCanAbort) {
-  Rig rig = BuildRigFromMatchSets(ctx_, query_, RigBuildOptions{});
+  Rig rig = BuildTestRig(ctx_, query_);
   std::vector<QueryNodeId> order =
       ComputeSearchOrder(query_, rig, OrderStrategy::kJO);
   uint64_t seen = 0;
@@ -182,7 +219,7 @@ TEST(Rig, EmptyCosShortCircuitsEverything) {
   PatternQuery q = PatternQuery::FromParts(
       {0, 3}, {{0, 1, EdgeKind::kChild}});
   RigBuildStats stats;
-  Rig rig = BuildRigFromMatchSets(ctx, q, RigBuildOptions{}, &stats);
+  Rig rig = BuildTestRig(ctx, q, /*simulate=*/true, &stats);
   EXPECT_TRUE(rig.AnyEmpty());
   EXPECT_EQ(rig.TotalEdges(), 0u);
   EXPECT_EQ(stats.expand_pair_checks, 0u);  // expansion was skipped
@@ -203,7 +240,7 @@ TEST(MJoin, WarmSearchStepsAllocateNothing) {
   std::optional<PatternQuery> q =
       ParsePattern("(a:0)->(b:1), (b)->(c:2), (a)=>(c), (c)=>(d:0), (b)=>(d)");
   ASSERT_TRUE(q.has_value());
-  Rig rig = BuildRigFromMatchSets(ctx, *q, RigBuildOptions{});
+  Rig rig = BuildTestRig(ctx, *q);
   auto order = ComputeSearchOrder(*q, rig, OrderStrategy::kJO);
   const uint64_t bound = 64 * uint64_t{q->NumNodes()};
 
@@ -230,7 +267,7 @@ TEST(MJoin, WarmSearchStepsAllocateNothing) {
 // --- Search orders.
 
 TEST_F(RigFixture, OrdersArePermutationsWithConnectedPrefixes) {
-  Rig rig = BuildRigFromMatchSets(ctx_, query_, RigBuildOptions{});
+  Rig rig = BuildTestRig(ctx_, query_);
   for (OrderStrategy s :
        {OrderStrategy::kJO, OrderStrategy::kRI, OrderStrategy::kBJ}) {
     auto order = ComputeSearchOrder(query_, rig, s);
@@ -252,7 +289,7 @@ TEST_F(RigFixture, OrdersArePermutationsWithConnectedPrefixes) {
 }
 
 TEST_F(RigFixture, JoStartsAtSmallestCandidateSet) {
-  Rig rig = BuildRigFromMatchSets(ctx_, query_, RigBuildOptions{});
+  Rig rig = BuildTestRig(ctx_, query_);
   auto order = ComputeSearchOrder(query_, rig, OrderStrategy::kJO);
   // cos(A) and cos(B) both have 2 nodes; cos(C) has 3. The start node must
   // be one of the minimum-cardinality ones.
@@ -261,7 +298,7 @@ TEST_F(RigFixture, JoStartsAtSmallestCandidateSet) {
 }
 
 TEST_F(RigFixture, BjReportsPlanCount) {
-  Rig rig = BuildRigFromMatchSets(ctx_, query_, RigBuildOptions{});
+  Rig rig = BuildTestRig(ctx_, query_);
   OrderStats stats;
   ComputeSearchOrder(query_, rig, OrderStrategy::kBJ, &stats);
   EXPECT_GT(stats.plans_considered, 0u);
@@ -279,7 +316,7 @@ TEST(SearchOrder, BjFallsBackOnHugeQueries) {
   Graph g = Graph::FromEdges({0, 0}, {{0, 1}});
   auto reach = BuildReachabilityIndex(g, ReachKind::kBfl);
   MatchContext ctx(g, *reach);
-  Rig rig = BuildRigFromMatchSets(ctx, q, RigBuildOptions{});
+  Rig rig = BuildTestRig(ctx, q);
   OrderStats stats;
   auto order = ComputeSearchOrder(q, rig, OrderStrategy::kBJ, &stats);
   EXPECT_TRUE(stats.fell_back_to_jo);
@@ -359,9 +396,7 @@ TEST_P(RigMJoinPropertyTest, MatchesBruteForce) {
   bool saw_full_row = false;
   bool saw_empty_row = false;
   for (bool skip_simulation : {false, true}) {
-    RigBuildOptions opts;
-    opts.skip_simulation = skip_simulation;
-    Rig rig = BuildRigFromMatchSets(ctx, q, opts);
+    Rig rig = BuildTestRig(ctx, q, !skip_simulation);
     const std::string rig_name =
         skip_simulation ? "match-set RIG" : "simulated RIG";
     if (!rig.AnyEmpty()) {
@@ -450,9 +485,7 @@ TEST_P(RigMJoinPropertyTest, RigEdgesAreExactlyTheMatchingPairs) {
     for (size_t qi = 0; qi < queries.size(); ++qi) {
       const PatternQuery& q = queries[qi];
       for (bool skip_simulation : {false, true}) {
-        RigBuildOptions opts;
-        opts.skip_simulation = skip_simulation;
-        Rig rig = BuildRigFromMatchSets(ctx, q, opts);
+        Rig rig = BuildTestRig(ctx, q, !skip_simulation);
         if (rig.AnyEmpty()) continue;  // expansion is skipped altogether
         const std::string where =
             std::string(self_loops ? "self-loops" : "generated") +

@@ -8,7 +8,6 @@
 
 #include "graph/generators.h"
 #include "query/query_generator.h"
-#include "rig/rig_builder.h"
 #include "sim/fbsim_bas.h"
 #include "sim/fbsim_dag.h"
 #include "sim/prefilter.h"
@@ -289,7 +288,7 @@ TEST(PruneKernels, SelfReachabilityNeedsACycle) {
 
 // The simulation starts from the sets it is given, not from ms(q): with c's
 // seed emptied, nothing can match a -> b -> c.
-TEST(Sim, SelectRigNodesStartsFromItsSeed) {
+TEST(Sim, DoubleSimulationStartsFromItsSeed) {
   // a1 -> b1 -> c1.
   Graph g = Graph::FromEdges({0, 1, 2}, {{0, 1}, {1, 2}});
   auto reach = BuildReachabilityIndex(g, ReachKind::kBfl);
@@ -298,7 +297,9 @@ TEST(Sim, SelectRigNodesStartsFromItsSeed) {
       {0, 1, 2}, {{0, 1, EdgeKind::kChild}, {1, 2, EdgeKind::kChild}});
   CandidateSets seed = InitialMatchSets(g, q);
   seed[2].Clear();
-  CandidateSets cos = SelectRigNodes(ctx, q, seed);
+  CandidateSets cos = ComputeDoubleSimulation(ctx, q, seed,
+                                              SimAlgorithm::kDagMap,
+                                              {.max_passes = 3});
   ASSERT_EQ(cos.size(), 3u);
   for (const Bitmap& b : cos) EXPECT_TRUE(b.Empty()) << b.Cardinality();
 }
