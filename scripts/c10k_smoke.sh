@@ -4,7 +4,9 @@
 # clients through a kRefresh engine swap, and diff every served count
 # against a cold rebuild of the merged graph. The idle flood must not cost
 # a single failed round trip — with only 2 workers, a thread-per-connection
-# core would deadlock instantly; the epoll core just holds the fds.
+# core would deadlock instantly; the epoll core just holds the fds. The
+# daemon runs with a 10-minute idle timeout, so its idle-connection scan
+# runs beside the flood and the pipelined clients while reaping nothing.
 #
 # usage: scripts/c10k_smoke.sh BUILD_DIR [IDLE_CONNS]
 set -eu
@@ -101,9 +103,10 @@ diff_served_vs_cold() {
 echo "== snapshot"
 "${BUILD_DIR}/rigpm_cli" snapshot --graph "${GRAPH}" --out "${SNAP}"
 
-echo "== start daemon (2 workers, delta-armed)"
+echo "== start daemon (2 workers, delta-armed, idle scan on)"
 "${BUILD_DIR}/rigpm_cli" serve --snapshot "${SNAP}" --delta "${DELTA}" \
-  --socket "${SOCK}" --workers 2 > "${WORK_DIR}/serve.log" 2>&1 &
+  --socket "${SOCK}" --workers 2 --idle-timeout-ms 600000 \
+  > "${WORK_DIR}/serve.log" 2>&1 &
 SERVER_PID=$!
 for _ in $(seq 1 50); do
   if "${BUILD_DIR}/rigpm_cli" client --socket "${SOCK}" --ping \

@@ -143,8 +143,14 @@ std::shared_ptr<const EngineState> EngineCatalog::Acquire(
 
 std::shared_ptr<const EngineState> EngineCatalog::PinResident(
     const std::string& id) {
-  std::shared_ptr<Entry> entry = FindAndTouch(id);
-  return entry == nullptr ? nullptr : PinIfResident(*entry);
+  std::shared_ptr<Entry> entry = Find(id);
+  return entry == nullptr ? nullptr : StateOf(*entry);
+}
+
+void EngineCatalog::CountHit(const std::string& id) {
+  if (FindAndTouch(id) != nullptr) {
+    hits_.fetch_add(1, std::memory_order_relaxed);
+  }
 }
 
 bool EngineCatalog::ReleaseIfPublished(

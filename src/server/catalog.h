@@ -84,7 +84,7 @@ struct TenantInfo {
 struct CatalogStats {
   uint64_t registered = 0;
   uint64_t resident = 0;
-  uint64_t hits = 0;       // Acquire found the engine open
+  uint64_t hits = 0;       // Acquire found the engine open, or CountHit
   uint64_t misses = 0;     // Acquire had to open (or reopen) the source
   uint64_t evictions = 0;  // resident engines dropped by the LRU cap
 };
@@ -193,11 +193,18 @@ class EngineCatalog {
                                              std::string* error = nullptr);
 
   /// Acquire for a thread that must never open a source (the server's
-  /// event loop): pins the tenant's served state only when it is resident,
-  /// counted as a catalog hit. Null, with nothing counted, for an unknown
-  /// id and for a tenant that is not open; the caller hands those to
-  /// Acquire.
+  /// event loop): pins the tenant's served state only when it is resident.
+  /// Null for an unknown id and for a tenant that is not open; the caller
+  /// hands those to Acquire. The pin is neither counted nor marked used:
+  /// its caller does both with CountHit, which the server calls once the
+  /// request is known valid, so a rejected request counts no hit and
+  /// leaves the LRU order as it was.
   std::shared_ptr<const EngineState> PinResident(const std::string& id);
+
+  /// Counts a PinResident pin that serves a request as one catalog hit on
+  /// the tenant ("" = default), and marks the tenant used for the LRU
+  /// evictor, as Acquire does.
+  void CountHit(const std::string& id);
 
   /// Drops `*pin` only when that cannot free the state: the tenant still
   /// publishes it, checked and dropped under the lock every swap of the

@@ -36,11 +36,13 @@ struct ResultCacheStats {
 /// swap itself, with no epoch counter for a hit to race against.
 ///
 /// Keys are the query request's body bytes as received, followed by the
-/// tuple cap the server applied (see CacheKey in server.cc), never bare
-/// hashes: a hash collision here would silently serve the wrong result,
-/// so the full key is compared on every probe. Only a byte-identical
-/// request shares an entry; a permuted declaration of the same pattern
-/// numbers its nodes differently, so its tuples differ and it keys apart.
+/// server's tuple cap, ServerConfig::max_return_tuples (see CacheKey in
+/// server.cc), never bare hashes: a hash collision here would silently
+/// serve the wrong result, so the full key is compared on every probe.
+/// The body holds the request's own cap, so no decoded field is needed:
+/// the server probes before it decodes. Only a byte-identical request
+/// shares an entry; a permuted declaration of the same pattern numbers its
+/// nodes differently, so its tuples differ and it keys apart.
 /// Values are shared immutable responses — a hit hands back the same
 /// QueryResponse object that was inserted, serialized fresh per
 /// connection.

@@ -84,13 +84,15 @@ std::vector<uint8_t> FrameBytes(const ByteSink& payload) {
 }
 
 /// The result-cache key: the query request's body exactly as received,
-/// then the tuple cap the server applied. Two requests share an answer only
-/// when their bytes match, so a hit returns exactly the answer computed for
-/// those bytes, its tuples in the request's own node order. The cache
-/// compares the whole key on every probe.
-std::string CacheKey(std::span<const uint8_t> body, uint32_t tuple_cap) {
+/// then the server's tuple cap (ServerConfig::max_return_tuples). The body
+/// holds the request's own cap, so within one server two requests share an
+/// answer exactly when their bytes match, and a hit returns exactly the
+/// answer computed for those bytes, its tuples in the request's own node
+/// order. The key needs no decoded field, so a hit is found before the
+/// body is decoded. The cache compares the whole key on every probe.
+std::string CacheKey(std::span<const uint8_t> body, uint32_t server_cap) {
   std::string key(reinterpret_cast<const char*>(body.data()), body.size());
-  key.append(reinterpret_cast<const char*>(&tuple_cap), sizeof(tuple_cap));
+  key.append(reinterpret_cast<const char*>(&server_cap), sizeof(server_cap));
   return key;
 }
 
@@ -444,6 +446,10 @@ void QueryServer::HandleReadable(const std::shared_ptr<Connection>& conn) {
       conn->rbuf.insert(conn->rbuf.end(), buf, buf + r);
       conn->last_activity = std::chrono::steady_clock::now();
       total += static_cast<size_t>(r);
+      // A short read took all the socket held; another recv could only
+      // return EAGAIN. A later byte or FIN fires the level-triggered
+      // EPOLLIN again once SettleConnection re-arms the connection.
+      if (static_cast<size_t>(r) < sizeof(buf)) break;
       continue;
     }
     if (r == 0) {
@@ -816,17 +822,31 @@ void QueryServer::FailQuery(Request& r, StatusCode status,
 bool QueryServer::Prepare(Request& r, bool on_loop) {
   if (!r.decoded) {
     if (on_loop && r.frame.size() > kMaxLoopFrameBytes) return false;
-    if (Decode(r)) return true;
+    if (DecodeHeader(r)) return true;
+    // The hit path needs only the header: the tenant's resident state (the
+    // one a refresh published last, or a reopen after an eviction) and the
+    // body's bytes. An entry exists only for a body that passed validation,
+    // so a hit counts the pin and marks the tenant used.
+    if (r.type == MessageType::kQueryRequest) {
+      r.state = catalog_->PinResident(r.header.graph_id);
+      if (r.state != nullptr && Probe(r)) {
+        catalog_->CountHit(r.header.graph_id);
+        return true;
+      }
+    }
   }
   if (r.type != MessageType::kQueryRequest) return false;
 
-  // Pin the tenant's current engine (the one a refresh published last, or
-  // a reopen after an eviction) for this request only.
-  if (r.state == nullptr && on_loop) {
-    r.state = catalog_->PinResident(r.header.graph_id);
-    if (r.state == nullptr) return false;  // a worker opens or rejects it
+  // A miss, or a tenant that is not resident: the body is decoded,
+  // validated and parsed before any tenant opens, so every rejection wins
+  // over the tenant's state, and an invalid request counts no catalog hit
+  // and leaves the tenant's LRU recency as it was.
+  if (!r.validated) {
+    if (DecodeQuery(r)) return true;
+    if (r.state != nullptr) catalog_->CountHit(r.header.graph_id);
   }
   if (r.state == nullptr) {
+    if (on_loop) return false;  // a worker opens or rejects the tenant
     std::string error;
     r.state = catalog_->Acquire(r.header.graph_id, &error);
     if (r.state == nullptr) {
@@ -840,21 +860,25 @@ bool QueryServer::Prepare(Request& r, bool on_loop) {
              error);
       return true;
     }
-  }
-  // Generation-scoped: the cache lives and dies with the pinned state, so
-  // a hit is always consistent with the engine this request would have
-  // evaluated on. A key already built means the loop probed and missed.
-  if (r.state->cache == nullptr || !r.cache_key.empty()) return false;
-  r.cache_key = CacheKey(std::span(r.frame).subspan(r.body_offset),
-                         r.tuple_cap);
-  if (auto hit = r.state->cache->Lookup(r.cache_key)) {
-    Serve(r, *hit);
-    return true;
+    if (Probe(r)) return true;
   }
   return false;
 }
 
-bool QueryServer::Decode(Request& r) {
+bool QueryServer::Probe(Request& r) {
+  // Generation-scoped: the cache lives and dies with the pinned state, so
+  // a hit is always consistent with the engine this request would have
+  // evaluated on.
+  if (r.state->cache == nullptr) return false;
+  r.cache_key = CacheKey(std::span(r.frame).subspan(r.body_offset),
+                         config_.max_return_tuples);
+  auto hit = r.state->cache->Lookup(r.cache_key);
+  if (hit == nullptr) return false;
+  Serve(r, *hit);
+  return true;
+}
+
+bool QueryServer::DecodeHeader(Request& r) {
   r.decoded = true;
   ByteSource src(r.frame.data(), r.frame.size());
   r.header = ReadRequestHeader(src);
@@ -868,7 +892,7 @@ bool QueryServer::Decode(Request& r) {
   }
   switch (r.type) {
     case MessageType::kQueryRequest:
-      break;
+      return false;
     case MessageType::kPingRequest:
       r.response.WriteU32(static_cast<uint32_t>(MessageType::kPingResponse));
       return true;
@@ -883,6 +907,12 @@ bool QueryServer::Decode(Request& r) {
                  std::to_string(static_cast<uint32_t>(r.type)));
       return true;
   }
+}
+
+bool QueryServer::DecodeQuery(Request& r) {
+  r.validated = true;
+  ByteSource src(r.frame.data() + r.body_offset,
+                 r.frame.size() - r.body_offset);
   r.query = QueryRequest::Deserialize(src);
   if (!src.ok() || src.remaining() != 0) {
     Reject(r, StatusCode::kBadRequest,
@@ -987,7 +1017,9 @@ void QueryServer::Evaluate(Request& r) {
 }
 
 void QueryServer::Serve(Request& r, const QueryResponse& resp) {
-  r.queries = r.query.template_name.empty() ? r.query.patterns.size() : 1;
+  // One result per pattern, or one for a template: a hit needs no decoded
+  // request to count its queries.
+  r.queries = resp.results.size();
   r.occurrences = resp.TotalOccurrences();
   catalog_->CountQuery(r.header.graph_id, r.queries);
   resp.Serialize(r.response);
@@ -1015,7 +1047,7 @@ void QueryServer::HandleAdmin(Request& r) {
       }
       break;
     default:
-      break;  // Decode answers every other type
+      break;  // DecodeHeader answers every other type
   }
 }
 

@@ -86,19 +86,20 @@ struct ServerConfig {
 /// Threading: one event-loop thread owns every socket — it accepts, does
 /// non-blocking frame reassembly per connection (epoll, level-triggered
 /// with EPOLLONESHOT re-arm), and flushes per-connection write queues.
-/// The loop also prepares each complete request: it decodes and validates
-/// it, parses its patterns, pins the tenant if it is resident
-/// (EngineCatalog::PinResident), builds the cache key and probes the
-/// tenant's result cache. The key is the request's body exactly as
+/// The loop also prepares each complete request. It reads the request
+/// header and type, pins the tenant if it is resident
+/// (EngineCatalog::PinResident), and probes the tenant's result cache with
+/// a key built from the raw body bytes: a hit needs nothing else. Only a
+/// miss, or a query for a tenant that is not resident, has its body
+/// decoded, validated and parsed. The key is the request's body exactly as
 /// received, so only byte-identical requests share an answer: two
 /// declarations of one pattern number their nodes differently, and each
-/// gets its own tuples. A cache hit, a ping and a request rejected while
-/// decoding are answered in place and leave in the same loop pass; they
-/// never wait for a worker. A fixed worker pool, fed over a dispatch
-/// queue, gets the rest:
+/// gets its own tuples. A cache hit, a ping and a rejected request are
+/// answered in place and leave in the same loop pass; they never wait for
+/// a worker. A fixed worker pool, fed over a dispatch queue, gets the rest:
 ///   - a cache miss, with its parsed patterns, key and pin, to evaluate;
 ///   - stats, refresh, list-graphs and shutdown requests;
-///   - a query for a tenant that is not resident and a frame over
+///   - a valid query for a tenant that is not resident and a frame over
 ///     kMaxLoopFrameBytes (1 KiB); the worker runs the same preparation
 ///     from where the loop stopped, opening the tenant if it must.
 /// The loop never opens a tenant, evaluates, or waits on a singleflight
@@ -201,20 +202,23 @@ class QueryServer {
   };
 
   /// One request frame on its way through the daemon. Prepare runs its
-  /// first steps in order: decode and validate, parse, pin the tenant, key
-  /// and probe the cache. The event loop runs them as far as it may, and a
-  /// worker resumes where the loop stopped; each step's output stays in its
-  /// field, so no step runs twice. Evaluate, on a worker, is the last step
-  /// of a cache miss.
+  /// first steps in one order wherever it runs: read the header and type;
+  /// pin the tenant if it is resident, and probe its cache with the body's
+  /// bytes; decode, validate and parse the body; open the tenant if no pin
+  /// was taken, and probe its cache. The event loop runs them as far as it
+  /// may, and a worker resumes where the loop stopped; each step's output
+  /// stays in its field, so no step runs twice. Evaluate, on a worker, is
+  /// the last step of a cache miss.
   struct Request {
     std::shared_ptr<Connection> conn;  // null: only a pin to drop
     std::vector<uint8_t> frame;        // payload (header + u32 type + body)
 
     // --- filled by Prepare ---
-    bool decoded = false;
+    bool decoded = false;              // header and type read
     RequestHeader header;
     MessageType type = MessageType::kQueryRequest;
     size_t body_offset = 0;            // where the body starts in `frame`
+    bool validated = false;            // body decoded, validated, parsed
     QueryRequest query;                // body of a kQueryRequest
     std::vector<PatternQuery> parsed;  // its patterns, in request order
     uint32_t tuple_cap = 0;            // tuples echoed, server cap applied
@@ -222,7 +226,7 @@ class QueryServer {
     /// an idle worker holds no engine; the loop hands a pin that may be the
     /// state's last to a worker instead of dropping it.
     std::shared_ptr<const EngineState> state;
-    std::string cache_key;  // the body's bytes, then tuple_cap
+    std::string cache_key;  // the body's bytes, then the server's cap
 
     // --- the answer ---
     ByteSink response;         // echoed id, then u32 type and body
@@ -261,17 +265,26 @@ class QueryServer {
 
   /// Runs `r`'s steps short of evaluation until it is answered (true) or
   /// what is left needs a worker (false): a cache miss to evaluate, or a
-  /// stats, refresh, list or shutdown request. The key is the query body's
-  /// bytes followed by the tuple cap, so a hit is the answer computed for
-  /// those very bytes. With `on_loop` it also stops before decoding a frame
-  /// over kMaxLoopFrameBytes and before pinning a tenant that is not
-  /// resident; on a worker it opens that tenant. It never waits on a
-  /// singleflight flight.
+  /// stats, refresh, list or shutdown request. A query is probed before
+  /// its body is decoded: the key is the body's bytes followed by the
+  /// server's tuple cap, so a hit is the answer computed for those very
+  /// bytes. The body is decoded only after a miss or for a tenant that is
+  /// not resident, and always before a tenant opens, so an invalid request
+  /// draws its rejection whatever its tenant's state, opens nothing,
+  /// counts no catalog hit and refreshes no tenant's LRU recency. With
+  /// `on_loop` it stops before reading a frame over kMaxLoopFrameBytes and
+  /// before opening a tenant that is not resident; on a worker it opens
+  /// that tenant. It never waits on a singleflight flight.
   bool Prepare(Request& r, bool on_loop);
-  /// Prepare's first step: header, type and body, then a query's
-  /// validation and parse. Returns true when that answered the request (a
-  /// malformed frame, an unknown type, a ping, an invalid query).
-  bool Decode(Request& r);
+  /// Prepare's first step: the header and type. Returns true when that
+  /// answered the request (a malformed frame, an unknown type, a ping).
+  bool DecodeHeader(Request& r);
+  /// A query's body: decode, validate and parse. Returns true when that
+  /// answered the request (a malformed body or an invalid query).
+  bool DecodeQuery(Request& r);
+  /// Probes the pinned state's cache with `r`'s key; on a hit serves the
+  /// cached response and returns true.
+  bool Probe(Request& r);
   /// Last step of a cache miss, on a worker: evaluates the pinned engine
   /// under the cache's singleflight.
   void Evaluate(Request& r);

@@ -2,8 +2,9 @@
 // server/server.h): catalog unit semantics — lazy opens, LRU eviction with
 // in-flight pins, per-tenant refresh — and the served behavior of one
 // daemon holding many graphs: scoped counts vs dedicated single-tenant
-// daemons, unknown-id rejection, eviction churn under --max-engines 1, and
-// unscoped sessions landing on the default tenant.
+// daemons, unknown-id rejection, eviction churn under --max-engines 1, an
+// LRU order that rejected requests leave alone, and unscoped sessions
+// landing on the default tenant.
 
 #include <unistd.h>
 
@@ -306,13 +307,18 @@ TEST_F(EngineCatalogTest, PinResidentNeverOpensAndReleasesOnlyPublished) {
   EXPECT_EQ(s.resident, 0u);
   EXPECT_EQ(s.hits + s.misses, 0u);
 
-  // A resident tenant pins like Acquire's hit, "" resolving to the default.
+  // A resident tenant pins like Acquire's hit, "" resolving to the default;
+  // the pin counts as a catalog hit once its caller counts it.
   ASSERT_NE(catalog.Acquire("alpha", &error), nullptr) << error;
   std::shared_ptr<const EngineState> pin = catalog.PinResident("");
   ASSERT_NE(pin, nullptr);
   s = catalog.Stats();
   EXPECT_EQ(s.misses, 1u);
-  EXPECT_EQ(s.hits, 1u);
+  EXPECT_EQ(s.hits, 0u);
+  catalog.CountHit("");
+  EXPECT_EQ(catalog.Stats().hits, 1u);
+  catalog.CountHit("nope");
+  EXPECT_EQ(catalog.Stats().hits, 1u);
 
   // While the catalog publishes the pinned state, the release drops it.
   std::weak_ptr<const EngineState> published = pin;
@@ -498,6 +504,56 @@ TEST_F(MultiTenantServerTest, EvictionChurnUnderCapOneServesExactCounts) {
   EXPECT_LE(s.resident, 1u);
   EXPECT_GE(s.evictions, 1u);
   EXPECT_GE(s.misses, 2u);
+}
+
+TEST_F(MultiTenantServerTest, OnlyServedRequestsKeepATenantResident) {
+  // The LRU evictor drops the tenant used longest ago. A request the daemon
+  // rejects is no use of its tenant: a client sending bad bodies to a
+  // resident tenant must not keep it resident and push out tenants that
+  // serve. A cache hit and a valid miss are uses.
+  StartServer(/*max_engines=*/2);
+  QueryClient alpha = Connect("alpha");
+  QueryClient beta = Connect("beta");
+  QueryClient gamma = Connect("gamma");
+  auto resident = [&] {
+    std::vector<std::string> ids;
+    for (const TenantInfo& info : catalog_->List()) {
+      if (info.resident) ids.push_back(info.id);
+    }
+    return ids;
+  };
+  using Ids = std::vector<std::string>;
+  const uint64_t expected[3] = {ColdCount(t_[0].graph, kPaperPattern),
+                                ColdCount(t_[1].graph, kPaperPattern),
+                                ColdCount(t_[2].graph, kPaperPattern)};
+  EXPECT_EQ(ServedCount(alpha, kPaperPattern), expected[0]);
+  EXPECT_EQ(ServedCount(beta, kPaperPattern), expected[1]);
+
+  // alpha is the older use; two rejected requests to it change nothing.
+  QueryRequest bad;
+  bad.patterns = {"not a pattern"};
+  std::string error;
+  for (int i = 0; i < 2; ++i) {
+    auto resp = alpha.Query(bad, &error);
+    ASSERT_TRUE(resp.has_value()) << error;
+    EXPECT_EQ(resp->status, StatusCode::kParseError);
+  }
+  EXPECT_EQ(ServedCount(gamma, kPaperPattern), expected[2]);
+  EXPECT_EQ(resident(), (Ids{"beta", "gamma"}));
+
+  // A cache hit on beta leaves gamma the older use.
+  const uint64_t hits_before = server_->Snapshot().cache_hits;
+  EXPECT_EQ(ServedCount(beta, kPaperPattern), expected[1]);
+  EXPECT_EQ(server_->Snapshot().cache_hits, hits_before + 1);
+  EXPECT_EQ(ServedCount(alpha, kPaperPattern), expected[0]);
+  EXPECT_EQ(resident(), (Ids{"alpha", "beta"}));
+
+  // So does a valid miss on beta for alpha.
+  const std::string edge = "(a:0)->(b:1)";
+  EXPECT_EQ(ServedCount(beta, edge), ColdCount(t_[1].graph, edge));
+  EXPECT_EQ(ServedCount(gamma, kPaperPattern), expected[2]);
+  EXPECT_EQ(resident(), (Ids{"beta", "gamma"}));
+  EXPECT_EQ(catalog_->Stats().evictions, 3u);
 }
 
 TEST_F(MultiTenantServerTest, RefreshIsIsolatedPerTenant) {

@@ -7,6 +7,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstring>
@@ -500,6 +501,14 @@ class RawConnection {
     ASSERT_TRUE(WriteFrame(fd_, payload, &error)) << error;
   }
 
+  /// Reads one response frame's payload; `status` gets how the read ended.
+  std::vector<uint8_t> ReadPayload(FrameReadStatus* status) {
+    std::vector<uint8_t> payload;
+    std::string error;
+    *status = ReadFrame(fd_, kDefaultMaxFrameBytes, &payload, &error);
+    return payload;
+  }
+
   struct Response {
     uint64_t id = 0;
     MessageType type{};
@@ -508,12 +517,9 @@ class RawConnection {
   /// Reads one response frame: the echoed id and the message type (plus the
   /// status of an error response); nullopt on EOF/error.
   std::optional<Response> ReadResponse() {
-    std::vector<uint8_t> payload;
-    std::string error;
-    if (ReadFrame(fd_, kDefaultMaxFrameBytes, &payload, &error) !=
-        FrameReadStatus::kOk) {
-      return std::nullopt;
-    }
+    FrameReadStatus status;
+    std::vector<uint8_t> payload = ReadPayload(&status);
+    if (status != FrameReadStatus::kOk) return std::nullopt;
     ByteSource src(payload.data(), payload.size());
     Response r;
     r.id = src.ReadU64();
@@ -681,6 +687,116 @@ TEST_F(ServerTest, ClientDisconnectMidFrameDoesNotKillServer) {
   ASSERT_TRUE(resp.has_value());
   EXPECT_EQ(resp->status, StatusCode::kOk);
   EXPECT_EQ(resp->results[0].num_occurrences, 4u);
+}
+
+/// A query request payload addressed to the default tenant.
+ByteSink QueryPayload(uint64_t id, const QueryRequest& req) {
+  ByteSink sink;
+  WriteRequestHeader(sink, id, "");
+  req.Serialize(sink);
+  return sink;
+}
+
+/// Splits a query response payload into its echoed id and its response.
+QueryResponse DecodeQueryPayload(const std::vector<uint8_t>& payload,
+                                 uint64_t* id) {
+  ByteSource src(payload.data(), payload.size());
+  *id = src.ReadU64();
+  EXPECT_EQ(ReadMessageType(src), MessageType::kQueryResponse);
+  QueryResponse resp = QueryResponse::Deserialize(src);
+  EXPECT_TRUE(src.ok()) << src.error();
+  EXPECT_EQ(src.remaining(), 0u);
+  return resp;
+}
+
+TEST_F(ServerTest, HitsReturnExactlyTheBytesOfTheirMiss) {
+  // A hit is found from the request's bytes before its body is decoded,
+  // and is served from the cached response: its payload must equal its
+  // miss's after the echoed id.
+  RawConnection raw(config_.unix_path);
+  ASSERT_TRUE(raw.ok());
+  auto round_trip = [&](uint64_t id, const QueryRequest& req) {
+    raw.SendFrame(QueryPayload(id, req));
+    FrameReadStatus status;
+    std::vector<uint8_t> payload = raw.ReadPayload(&status);
+    EXPECT_EQ(status, FrameReadStatus::kOk);
+    return payload;
+  };
+  const std::vector<uint8_t> miss = round_trip(1, PaperRequest());
+  const std::vector<uint8_t> hit = round_trip(2, PaperRequest());
+  ASSERT_GT(miss.size(), sizeof(uint64_t));
+  ASSERT_EQ(hit.size(), miss.size());
+  EXPECT_TRUE(std::equal(miss.begin() + sizeof(uint64_t), miss.end(),
+                         hit.begin() + sizeof(uint64_t)));
+  uint64_t id = 0;
+  const QueryResponse served = DecodeQueryPayload(hit, &id);
+  EXPECT_EQ(id, 2u);
+  ASSERT_EQ(served.status, StatusCode::kOk) << served.error;
+  ASSERT_EQ(served.results.size(), 1u);
+  EXPECT_EQ(served.results[0].num_occurrences, 4u);
+  EXPECT_EQ(served.tuples.size(), 4u * served.tuple_arity);
+  StatsResponse stats = server_->Snapshot();
+  EXPECT_EQ(stats.cache_misses, 1u);
+  EXPECT_EQ(stats.cache_hits, 1u);
+
+  // A copy that differs only in its tuple cap is its own miss, and echoes
+  // its own number of tuples.
+  const QueryResponse capped =
+      DecodeQueryPayload(round_trip(3, PaperRequest(2)), &id);
+  EXPECT_EQ(id, 3u);
+  ASSERT_EQ(capped.status, StatusCode::kOk) << capped.error;
+  EXPECT_EQ(capped.results[0].num_occurrences, 4u);
+  EXPECT_EQ(capped.tuples.size(), 2u * capped.tuple_arity);
+  stats = server_->Snapshot();
+  EXPECT_EQ(stats.cache_misses, 2u);
+  EXPECT_EQ(stats.cache_hits, 1u);
+  EXPECT_EQ(stats.catalog_hits, 3u);
+
+  // An unparsable pattern to the resident tenant is probed and missed, then
+  // rejected each time: no cache entry, no cache or catalog count.
+  QueryRequest bad;
+  bad.patterns = {"not a pattern"};
+  for (uint64_t bad_id : {4u, 5u}) {
+    const QueryResponse rejected =
+        DecodeQueryPayload(round_trip(bad_id, bad), &id);
+    EXPECT_EQ(id, bad_id);
+    EXPECT_EQ(rejected.status, StatusCode::kParseError);
+  }
+  const StatsResponse after = server_->Snapshot();
+  EXPECT_EQ(after.cache_hits, stats.cache_hits);
+  EXPECT_EQ(after.cache_misses, stats.cache_misses);
+  EXPECT_EQ(after.cache_singleflight_waits, stats.cache_singleflight_waits);
+  EXPECT_EQ(after.cache_entries, stats.cache_entries);
+  EXPECT_EQ(after.catalog_hits, stats.catalog_hits);
+  EXPECT_EQ(after.catalog_misses, stats.catalog_misses);
+  EXPECT_EQ(after.errors, 2u);
+}
+
+TEST_F(ServerTest, HalfClosedClientGetsItsAnswerThenEof) {
+  // The client writes one query and shuts its write side at once. The loop
+  // stops reading at the short read that brought the frame, so the FIN may
+  // only show on a later event: the answer must still be sent, then EOF,
+  // and the connection must be reaped.
+  RawConnection raw(config_.unix_path);
+  ASSERT_TRUE(raw.ok());
+  raw.SendFrame(QueryPayload(9, PaperRequest()));
+  ASSERT_EQ(::shutdown(raw.fd(), SHUT_WR), 0);
+  FrameReadStatus status;
+  std::vector<uint8_t> payload = raw.ReadPayload(&status);
+  ASSERT_EQ(status, FrameReadStatus::kOk);
+  uint64_t id = 0;
+  const QueryResponse resp = DecodeQueryPayload(payload, &id);
+  EXPECT_EQ(id, 9u);
+  ASSERT_EQ(resp.status, StatusCode::kOk) << resp.error;
+  EXPECT_EQ(resp.results[0].num_occurrences, 4u);
+  raw.ReadPayload(&status);
+  EXPECT_EQ(status, FrameReadStatus::kEof);
+  for (int spin = 0; spin < 200; ++spin) {
+    if (server_->Snapshot().active_connections == 0u) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(server_->Snapshot().active_connections, 0u);
+  EXPECT_EQ(server_->Snapshot().requests_served, 1u);
 }
 
 // ---------------------------- event loop: slow clients, idle connections
@@ -950,10 +1066,12 @@ TEST_F(ServerTest, CacheHitOvertakesAColdQueryOnTheOnlyWorker) {
 TEST_F(ServerTest, EveryRequestIsCountedOnce) {
   // A pipelined mix passes through the loop, the workers or both: in the
   // first round misses, three copies of one miss in flight at once, a
-  // template, a parse error, an unknown graph id and the cold open of a
-  // snapshot tenant; in the second, hits and another parse error.
-  // Whichever way each request goes, the serving, cache and catalog
-  // counters must each see it once.
+  // template, parse errors (one to the default tenant, one to the snapshot
+  // tenant before anything opens it, one to an unknown id), an unknown
+  // graph id and the cold open of a snapshot tenant; in the second, hits
+  // and another parse error. Whichever way each request goes, the serving,
+  // cache and catalog counters must each see it once, and a body's
+  // rejection wins over its tenant's state.
   server_->Stop();
   const std::string snap_path = UniqueSocketPath() + ".snap";
   std::string error;
@@ -973,35 +1091,39 @@ TEST_F(ServerTest, EveryRequestIsCountedOnce) {
   struct Sent {
     std::string graph;
     QueryRequest req;
-    bool valid;  // well-formed and addressed to a known tenant
+    StatusCode status;  // kOk: well-formed and addressed to a known tenant
   };
+  constexpr StatusCode kOk = StatusCode::kOk;
+  constexpr StatusCode kParse = StatusCode::kParseError;
   auto pattern = [](const std::string& graph, const std::string& text,
-                    bool valid) {
+                    StatusCode status) {
     QueryRequest req;
     req.patterns = {text};
-    return Sent{graph, req, valid};
+    return Sent{graph, req, status};
   };
   QueryRequest tpl;
   tpl.template_name = "HQ0";
   const std::vector<Sent> cold_round = {
-      pattern("", p1, true),
-      pattern("", p2, true),
-      pattern("", p3, true),
-      pattern("", p3, true),
-      pattern("", p3, true),
-      pattern("", "not a pattern", false),
-      pattern("nope", p1, false),
-      pattern("snap", p1, true),
-      pattern("snap", p1, true),
-      Sent{"", tpl, true},
+      pattern("", p1, kOk),
+      pattern("", p2, kOk),
+      pattern("", p3, kOk),
+      pattern("", p3, kOk),
+      pattern("", p3, kOk),
+      pattern("", "not a pattern", kParse),
+      pattern("snap", "not a pattern", kParse),
+      pattern("nope", "not a pattern", kParse),
+      pattern("nope", p1, StatusCode::kBadRequest),
+      pattern("snap", p1, kOk),
+      pattern("snap", p1, kOk),
+      Sent{"", tpl, kOk},
   };
   const std::vector<Sent> warm_round = {
-      pattern("", p1, true),
-      pattern("", p1, true),
-      pattern("", p3, true),
-      pattern("snap", p1, true),
-      Sent{"", tpl, true},
-      pattern("", "(a:0)->", false),
+      pattern("", p1, kOk),
+      pattern("", p1, kOk),
+      pattern("", p3, kOk),
+      pattern("snap", p1, kOk),
+      Sent{"", tpl, kOk},
+      pattern("", "(a:0)->", kParse),
   };
 
   QueryClient client = Connect();
@@ -1009,15 +1131,20 @@ TEST_F(ServerTest, EveryRequestIsCountedOnce) {
   uint64_t valid = 0;
   uint64_t failed = 0;
   for (const std::vector<Sent>* round : {&cold_round, &warm_round}) {
+    std::map<uint64_t, StatusCode> expected;
     for (const Sent& sent : *round) {
       client.SetGraph(sent.graph);
-      ASSERT_TRUE(client.SendTagged(sent.req, &error).has_value()) << error;
+      auto id = client.SendTagged(sent.req, &error);
+      ASSERT_TRUE(id.has_value()) << error;
+      expected[*id] = sent.status;
       ++frames;
-      if (sent.valid) ++valid;
+      if (sent.status == kOk) ++valid;
     }
     for (size_t i = 0; i < round->size(); ++i) {
       auto tagged = client.ReceiveTagged(&error);
       ASSERT_TRUE(tagged.has_value()) << error;
+      EXPECT_EQ(tagged->response.status, expected[tagged->request_id])
+          << tagged->response.error;
       if (tagged->response.status != StatusCode::kOk) ++failed;
     }
   }
