@@ -1,19 +1,20 @@
 #ifndef RIGPM_BENCH_BENCH_COMMON_H_
 #define RIGPM_BENCH_BENCH_COMMON_H_
 
-// Shared plumbing for the per-figure bench binaries: run one query through
-// GM / JM / TM / WCOJ with the environment-configured limit and timeout, and
-// format the outcome the way the paper's tables do (seconds, or "OM"/"TO").
+// Shared plumbing for the per-figure bench binaries. A figure lists the
+// engines it compares as NamedEngines, GM first (bench_util/count_gate.h);
+// Run evaluates each on a query with the environment's limit and timeout,
+// formats each outcome the way the paper's tables do (seconds, or
+// "OM"/"TO"/"NA"), and checks every count against GM's through the bench's
+// CountGate, whose Finish() prints the gate's summary line and makes the
+// bench's exit code 1 after a mismatch.
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 
-#include "baseline/iso_engine.h"
-#include "baseline/jm_engine.h"
-#include "baseline/tm_engine.h"
-#include "baseline/wcoj_engine.h"
+#include "bench_util/count_gate.h"
 #include "bench_util/datasets.h"
 #include "bench_util/harness.h"
 #include "bench_util/table_printer.h"
@@ -21,80 +22,6 @@
 #include "engine/gm_engine.h"
 
 namespace rigpm::bench {
-
-struct RunOutcome {
-  std::string formatted;  // seconds or failure marker
-  uint64_t matches = 0;
-  double ms = 0.0;
-  EvalStatus status = EvalStatus::kOk;
-};
-
-inline RunOutcome RunGm(const GmEngine& engine, const PatternQuery& q,
-                        GmOptions opts = {}) {
-  opts.limit = MatchLimitFromEnv();
-  RunOutcome out;
-  GmResult r;
-  out.ms = TimeMs([&] { r = engine.Evaluate(q, opts); });
-  out.matches = r.num_occurrences;
-  out.formatted = FormatSeconds(out.ms);
-  return out;
-}
-
-inline RunOutcome RunJm(const MatchContext& ctx, const PatternQuery& q,
-                        JmOptions opts = {}) {
-  opts.limit = MatchLimitFromEnv();
-  opts.timeout_ms = TimeoutMsFromEnv();
-  RunOutcome out;
-  JmResult r;
-  out.ms = TimeMs([&] { r = JmEvaluate(ctx, q, opts); });
-  out.matches = r.num_occurrences;
-  out.status = r.status;
-  out.formatted = (r.status == EvalStatus::kOk) ? FormatSeconds(out.ms)
-                                                : EvalStatusName(r.status);
-  return out;
-}
-
-inline RunOutcome RunTm(const MatchContext& ctx, const PatternQuery& q,
-                        TmOptions opts = {}) {
-  opts.limit = MatchLimitFromEnv();
-  opts.timeout_ms = TimeoutMsFromEnv();
-  RunOutcome out;
-  TmResult r;
-  out.ms = TimeMs([&] { r = TmEvaluate(ctx, q, opts); });
-  out.matches = r.num_occurrences;
-  out.status = r.status;
-  out.formatted = (r.status == EvalStatus::kOk) ? FormatSeconds(out.ms)
-                                                : EvalStatusName(r.status);
-  return out;
-}
-
-inline RunOutcome RunIso(const Graph& g, const PatternQuery& q,
-                         IsoOptions opts = {}) {
-  opts.limit = MatchLimitFromEnv();
-  opts.timeout_ms = TimeoutMsFromEnv();
-  RunOutcome out;
-  IsoResult r;
-  out.ms = TimeMs([&] { r = IsoEvaluate(g, q, opts); });
-  out.matches = r.num_embeddings;
-  out.status = r.status;
-  out.formatted = (r.status == EvalStatus::kOk) ? FormatSeconds(out.ms)
-                                                : EvalStatusName(r.status);
-  return out;
-}
-
-inline RunOutcome RunWcoj(const WcojEngine& engine, const PatternQuery& q,
-                          WcojOptions opts = {}) {
-  opts.limit = MatchLimitFromEnv();
-  opts.timeout_ms = TimeoutMsFromEnv();
-  RunOutcome out;
-  WcojResult r;
-  out.ms = TimeMs([&] { r = engine.Evaluate(q, opts); });
-  out.matches = r.num_occurrences;
-  out.status = r.status;
-  out.formatted = (r.status == EvalStatus::kOk) ? FormatSeconds(out.ms)
-                                                : EvalStatusName(r.status);
-  return out;
-}
 
 /// Reads a kB-valued field ("VmHWM", "VmRSS", ...) from /proc/self/status.
 /// Returns -1 when unavailable (non-Linux). VmHWM is the peak resident set

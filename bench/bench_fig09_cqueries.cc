@@ -1,7 +1,8 @@
 // Fig. 9: C-query (child-edge-only) evaluation time of GM, TM, JM and ISO on
 // ep, bs and hu. Expected shape: GM solves everything; JM is competitive on
 // ep but fails on the denser graphs; ISO is sometimes faster (injectivity
-// prunes harder) but fails on dense/low-label inputs.
+// prunes harder) but fails on dense/low-label inputs. Exits 1 when a
+// finished TM or JM count differs from GM's, or ISO's exceeds it.
 
 #include "bench_common.h"
 
@@ -10,52 +11,50 @@ using namespace rigpm::bench;
 
 namespace {
 
-void TemplatePart(const std::string& dataset) {
+// GM without pre-filtering (the paper does not apply it on C-queries: it
+// is not beneficial there), TM, JM and ISO.
+std::vector<NamedEngine> Engines(const GmEngine& engine, const Graph& g,
+                                 const MatchContext& ctx) {
+  return {GmVariant("GM", engine, {.use_prefilter = false}), Tm(ctx),
+          Jm(ctx), Iso(g)};
+}
+
+void AddRows(const std::vector<NamedEngine>& engines,
+             const std::vector<NamedQuery>& queries, CountGate* gate,
+             TablePrinter* table) {
+  for (const auto& nq : queries) {
+    auto runs = Run(engines, nq.name, nq.query, gate);
+    table->AddRow({nq.name, runs[0].formatted, runs[1].formatted,
+                   runs[2].formatted, runs[3].formatted});
+  }
+  table->Print();
+}
+
+void TemplatePart(const std::string& dataset, CountGate* gate) {
   Graph g = MakeDatasetByName(dataset);
   std::printf("\n-- %s: %s\n", dataset.c_str(), g.Summary().c_str());
   GmEngine engine(g);
   auto reach = BuildReachabilityIndex(g, ReachKind::kBfl);
   MatchContext ctx(g, *reach);
-
   TablePrinter table({"Query", "GM(s)", "TM(s)", "JM(s)", "ISO(s)"});
-  auto queries = TemplateWorkload(g, RepresentativeTemplateNames(),
-                                  QueryVariant::kChildOnly);
-  for (const auto& nq : queries) {
-    // The paper does not apply pre-filtering for GM on C-queries (it is not
-    // beneficial there).
-    GmOptions gopts;
-    gopts.use_prefilter = false;
-    auto gm = RunGm(engine, nq.query, gopts);
-    auto tm = RunTm(ctx, nq.query);
-    auto jm = RunJm(ctx, nq.query);
-    auto iso = RunIso(g, nq.query);
-    table.AddRow(
-        {nq.name, gm.formatted, tm.formatted, jm.formatted, iso.formatted});
-  }
-  table.Print();
+  AddRows(Engines(engine, g, ctx),
+          TemplateWorkload(g, RepresentativeTemplateNames(),
+                           QueryVariant::kChildOnly),
+          gate, &table);
 }
 
 void ExtractedPart(const std::string& dataset,
-                   const std::vector<uint32_t>& sizes) {
+                   const std::vector<uint32_t>& sizes, CountGate* gate) {
   Graph g = MakeDatasetByName(dataset);
   std::printf("\n-- %s (random C-queries): %s\n", dataset.c_str(),
               g.Summary().c_str());
   GmEngine engine(g);
   auto reach = BuildReachabilityIndex(g, ReachKind::kBfl);
   MatchContext ctx(g, *reach);
-
   TablePrinter table({"Query", "GM(s)", "TM(s)", "JM(s)", "ISO(s)"});
-  for (const auto& nq : ExtractedWorkload(g, sizes, QueryVariant::kChildOnly)) {
-    GmOptions gopts;
-    gopts.use_prefilter = false;
-    auto gm = RunGm(engine, nq.query, gopts);
-    auto tm = RunTm(ctx, nq.query);
-    auto jm = RunJm(ctx, nq.query);
-    auto iso = RunIso(g, nq.query);
-    table.AddRow(
-        {nq.name, gm.formatted, tm.formatted, jm.formatted, iso.formatted});
-  }
-  table.Print();
+  AddRows(Engines(engine, g, ctx),
+          ExtractedWorkload(g, sizes, QueryVariant::kChildOnly), gate,
+          &table);
 }
 
 }  // namespace
@@ -63,8 +62,9 @@ void ExtractedPart(const std::string& dataset,
 int main() {
   PrintBenchHeader("Fig. 9 — C-query evaluation time: GM vs TM vs JM vs ISO",
                    "scale=" + std::to_string(DatasetScaleFromEnv()));
-  TemplatePart("ep");
-  TemplatePart("bs");
-  ExtractedPart("hu", {4, 8, 12, 16, 20});
-  return 0;
+  CountGate gate;
+  TemplatePart("ep", &gate);
+  TemplatePart("bs", &gate);
+  ExtractedPart("hu", {4, 8, 12, 16, 20}, &gate);
+  return gate.Finish();
 }

@@ -2,7 +2,8 @@
 // the em graph with 5 / 10 / 15 / 20 labels (size fixed). Expected shape:
 // all algorithms slow down as labels decrease (bigger inverted lists), with
 // the steepest growth near 5; GM stays fastest throughout, TM times out on
-// the heavy patterns, JM runs out of memory on HQ18.
+// the heavy patterns, JM runs out of memory on HQ18. Exits 1 when a
+// finished TM or JM count differs from GM's.
 
 #include "bench_common.h"
 
@@ -14,6 +15,7 @@ int main() {
                    "scale=" + std::to_string(DatasetScaleFromEnv()));
   const DatasetSpec& em = DatasetByName("em");
   const double scale = DatasetScaleFromEnv();
+  CountGate gate;
 
   for (const std::string& qname : {"HQ2", "HQ4", "HQ7", "HQ18"}) {
     std::printf("\n-- %s\n", qname.c_str());
@@ -25,14 +27,13 @@ int main() {
       MatchContext ctx(g, *reach);
       auto queries =
           TemplateWorkload(g, {qname}, QueryVariant::kHybrid, /*seed=*/11);
-      const PatternQuery& q = queries.front().query;
-      auto gm = RunGm(engine, q);
-      auto tm = RunTm(ctx, q);
-      auto jm = RunJm(ctx, q);
-      table.AddRow({std::to_string(labels), gm.formatted, tm.formatted,
-                    jm.formatted});
+      const std::vector<NamedEngine> engines = {GmVariant("GM", engine),
+                                                Tm(ctx), Jm(ctx)};
+      auto runs = Run(engines, qname, queries.front().query, &gate);
+      table.AddRow({std::to_string(labels), runs[0].formatted,
+                    runs[1].formatted, runs[2].formatted});
     }
     table.Print();
   }
-  return 0;
+  return gate.Finish();
 }

@@ -2,6 +2,7 @@
 // subsets of the DBLP graph (50k..300k nodes at paper scale). Expected
 // shape: all engines grow with graph size; GM scales smoothly while TM and
 // JM blow up (timeouts / out-of-memory) well before the largest subset.
+// Exits 1 when a finished TM or JM count differs from GM's.
 
 #include "bench_common.h"
 
@@ -13,6 +14,7 @@ int main() {
                    "scale=" + std::to_string(DatasetScaleFromEnv()));
   const DatasetSpec& db = DatasetByName("db");
   const double scale = DatasetScaleFromEnv();
+  CountGate gate;
 
   for (const std::string& qname : {"HQ8", "HQ12"}) {
     std::printf("\n-- %s\n", qname.c_str());
@@ -26,14 +28,13 @@ int main() {
       MatchContext ctx(g, *reach);
       auto queries =
           TemplateWorkload(g, {qname}, QueryVariant::kHybrid, /*seed=*/17);
-      const PatternQuery& q = queries.front().query;
-      auto gm = RunGm(engine, q);
-      auto tm = RunTm(ctx, q);
-      auto jm = RunJm(ctx, q);
-      table.AddRow({std::to_string(nodes), gm.formatted, tm.formatted,
-                    jm.formatted});
+      const std::vector<NamedEngine> engines = {GmVariant("GM", engine),
+                                                Tm(ctx), Jm(ctx)};
+      auto runs = Run(engines, qname, queries.front().query, &gate);
+      table.AddRow({std::to_string(nodes), runs[0].formatted,
+                    runs[1].formatted, runs[2].formatted});
     }
     table.Print();
   }
-  return 0;
+  return gate.Finish();
 }

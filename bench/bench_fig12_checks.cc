@@ -4,7 +4,7 @@
 //  (b) double-simulation construction: Gra (FBSimBas) vs Dag (FBSim) vs
 //      DagMap (FBSim + change flags + batch ops), measured on H-queries.
 // Expected shape: bitBat >> bitIter >> binSearch; DagMap fastest, Gra
-// slowest.
+// slowest. Exits 1 when two check modes count a query differently.
 
 #include "bench_common.h"
 #include "sim/fbsim.h"
@@ -25,23 +25,27 @@ int main() {
   // --- (a) Child-constraint check modes, C-queries, matching time.
   std::printf(
       "\n-- (a) child-constraint check modes (C-queries, matching time)\n");
+  CountGate gate;
   {
+    std::vector<NamedEngine> engines;
+    for (ChildCheckMode mode :
+         {ChildCheckMode::kBinSearch, ChildCheckMode::kBitIter,
+          ChildCheckMode::kBitBat}) {
+      GmOptions opts;
+      opts.use_prefilter = false;
+      opts.sim.child_check = mode;
+      engines.push_back(GmVariant(ChildCheckModeName(mode), engine, opts));
+    }
     TablePrinter table({"Query", "binSearch(s)", "bitIter(s)", "bitBat(s)"});
     auto queries = TemplateWorkload(g, RepresentativeTemplateNames(),
                                     QueryVariant::kChildOnly);
     for (const auto& nq : queries) {
       std::vector<std::string> row = {nq.name};
-      for (ChildCheckMode mode :
-           {ChildCheckMode::kBinSearch, ChildCheckMode::kBitIter,
-            ChildCheckMode::kBitBat}) {
-        GmOptions opts;
-        opts.use_prefilter = false;
-        opts.sim.child_check = mode;
-        opts.limit = 1;  // isolate the matching (checking) phase
-        GmResult r;
-        double ms = TimeMs([&] { r = engine.Evaluate(nq.query, opts); });
-        (void)ms;
-        row.push_back(FormatSeconds(r.MatchingMs()));
+      // One occurrence isolates the matching (checking) phases.
+      for (const EngineRun& run :
+           Run(engines, nq.name, nq.query, &gate, {.limit = 1})) {
+        row.push_back(FormatSeconds(run.result.TotalMs() -
+                                    run.result.PhaseMs("Enumerate")));
       }
       table.AddRow(std::move(row));
     }
@@ -72,5 +76,5 @@ int main() {
     }
     table.Print();
   }
-  return 0;
+  return gate.Finish();
 }

@@ -5,6 +5,7 @@
 //  (b) query time GM vs GF on representative C-queries. Expected shape: GF
 //      can win on graphs with very few labels (am/bs/go shapes); GM wins —
 //      by orders of magnitude — when the label alphabet is larger (hu/yt).
+// Exits 1 when a finished GF count differs from GM's.
 
 #include "bench_common.h"
 #include "baseline/catalog.h"
@@ -35,10 +36,13 @@ int main() {
   // --- (b) C-query evaluation, GM vs GF.
   std::printf("\n-- (b) C-query time, GM vs GF\n");
   TablePrinter q_tab({"Dataset", "Query", "GM(s)", "GF(s)"});
+  CountGate gate;
   for (const std::string& name : {"am", "bs", "go", "hu", "yt"}) {
     Graph g = MakeDatasetByName(name);
     GmEngine engine(g);
     WcojEngine gf(g);
+    const std::vector<NamedEngine> engines = {
+        GmVariant("GM", engine, {.use_prefilter = false}), Wcoj("GF", gf)};
     // On the label-rich biology graphs, template instances are frequently
     // empty; use extracted queries (guaranteed matches) there instead, as
     // the paper's biology workloads do.
@@ -50,15 +54,12 @@ int main() {
                                  QueryVariant::kChildOnly);
     }
     for (const auto& nq : queries) {
-      GmOptions gopts;
-      gopts.use_prefilter = false;
-      auto gm = RunGm(engine, nq.query, gopts);
-      auto gf_run = RunWcoj(gf, nq.query);
+      auto runs = Run(engines, nq.name, nq.query, &gate);
       std::string label = (nq.name[0] == 'H') ? "C" + nq.name.substr(1)
                                               : nq.name;
-      q_tab.AddRow({name, label, gm.formatted, gf_run.formatted});
+      q_tab.AddRow({name, label, runs[0].formatted, runs[1].formatted});
     }
   }
   q_tab.Print();
-  return 0;
+  return gate.Finish();
 }

@@ -2,6 +2,7 @@
 // with a topology-driven order) on large dense and sparse C-query sets over
 // the Human graph. Expected shape: GM-JO wins on dense queries (cardinality
 // information pays off), GM-RI wins on sparse ones; RM sits in between.
+// Exits 1 when GM-RI's or a finished RM count differs from GM-JO's.
 
 #include "bench_common.h"
 #include "query/query_generator.h"
@@ -11,8 +12,8 @@ using namespace rigpm::bench;
 
 namespace {
 
-void RunSet(const Graph& g, const GmEngine& engine, const WcojEngine& rm,
-            bool dense) {
+void RunSet(const Graph& g, const std::vector<NamedEngine>& engines,
+            bool dense, CountGate* gate) {
   std::printf("\n-- %s query sets (mean time per size)\n",
               dense ? "dense" : "sparse");
   TablePrinter table({"Size", "GM-JO(ms)", "GM-RI(ms)", "RM(ms)", "#queries"});
@@ -29,16 +30,10 @@ void RunSet(const Graph& g, const GmEngine& engine, const WcojEngine& rm,
       auto q = ExtractQueryFromGraph(g, opts);
       if (!q.has_value()) continue;
       ++count;
-      GmOptions jo;
-      jo.use_prefilter = false;
-      jo.order = OrderStrategy::kJO;
-      jo_ms += RunGm(engine, *q, jo).ms;
-      GmOptions ri = jo;
-      ri.order = OrderStrategy::kRI;
-      ri_ms += RunGm(engine, *q, ri).ms;
-      WcojOptions ropts;
-      ropts.use_ri_order = true;
-      rm_ms += RunWcoj(rm, *q, ropts).ms;
+      auto runs = Run(engines, std::to_string(size) + "N", *q, gate);
+      jo_ms += runs[0].ms;
+      ri_ms += runs[1].ms;
+      rm_ms += runs[2].ms;
     }
     auto fmt = [&](double total) {
       char buf[32];
@@ -61,7 +56,13 @@ int main() {
   std::printf("graph: %s\n", g.Summary().c_str());
   GmEngine engine(g);
   WcojEngine rm(g);
-  RunSet(g, engine, rm, /*dense=*/true);
-  RunSet(g, engine, rm, /*dense=*/false);
-  return 0;
+  const std::vector<NamedEngine> engines = {
+      GmVariant("GM-JO", engine, {.use_prefilter = false}),
+      GmVariant("GM-RI", engine,
+                {.use_prefilter = false, .order = OrderStrategy::kRI}),
+      Wcoj("RM", rm, /*use_ri_order=*/true)};
+  CountGate gate;
+  RunSet(g, engines, /*dense=*/true, &gate);
+  RunSet(g, engines, /*dense=*/false, &gate);
+  return gate.Finish();
 }

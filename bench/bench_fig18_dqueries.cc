@@ -6,6 +6,7 @@
 //  (b) query time on 1k-node fragments with 5..20 labels: GM vs GF (with
 //      materialized closure; build time NOT charged, as in the paper) vs
 //      the Neo4j-style engine (binary joins, index-free reachability).
+//      Exits 1 when a finished GF or Neo4j count differs from GM's.
 
 #include "bench_common.h"
 #include "baseline/catalog.h"
@@ -55,6 +56,7 @@ int main() {
   std::printf("\n-- (b) D-query time on 1k-node Email fragments\n");
   TablePrinter q_tab({"Query", "Alg.", "#lbs=5", "#lbs=10", "#lbs=15",
                       "#lbs=20"});
+  CountGate gate;
   for (const std::string& name : {"DQ4", "DQ15", "DQ16"}) {
     std::string tpl = "HQ" + name.substr(2);
     std::vector<std::string> neo_row = {name, "Neo4j"};
@@ -70,20 +72,20 @@ int main() {
       MatchContext neo_ctx(g, *bfs);
       WcojEngine gf(g);
       gf.MaterializeClosure(512u << 20, nullptr);
+      const std::vector<NamedEngine> engines = {
+          GmVariant("GM", engine), Wcoj("GF", gf), Neo4j(neo_ctx)};
 
       auto queries =
           TemplateWorkload(g, {tpl}, QueryVariant::kDescendantOnly, 23);
-      const PatternQuery& q = queries.front().query;
-      JmOptions neo;
-      neo.use_prefilter = false;
-      neo_row.push_back(RunJm(neo_ctx, q, neo).formatted);
-      gf_row.push_back(RunWcoj(gf, q).formatted);
-      gm_row.push_back(RunGm(engine, q).formatted);
+      auto runs = Run(engines, name, queries.front().query, &gate);
+      gm_row.push_back(runs[0].formatted);
+      gf_row.push_back(runs[1].formatted);
+      neo_row.push_back(runs[2].formatted);
     }
     q_tab.AddRow(std::move(neo_row));
     q_tab.AddRow(std::move(gf_row));
     q_tab.AddRow(std::move(gm_row));
   }
   q_tab.Print();
-  return 0;
+  return gate.Finish();
 }

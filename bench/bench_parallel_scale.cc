@@ -4,6 +4,8 @@
 // Elapsed time and speedup vs worker count. Each query evaluates
 // sequentially inside its worker, so nothing is serial across workers and
 // the speedup should approach the worker count up to the core count.
+// Exits 1 when a query's count under N workers differs from its sequential
+// count (CountGate).
 
 #include <thread>
 
@@ -48,20 +50,32 @@ int main() {
   std::printf("\n-- batch of %zu queries (EvaluateBatch)\n", batch.size());
   TablePrinter table({"threads", "wall(s)", "speedup", "queries/s", "matches"});
   double base_ms = 0.0;
+  std::vector<GmResult> sequential;
+  CountGate gate;
   for (uint32_t threads : {1u, 2u, 4u, 8u}) {
     GmOptions opts;
     opts.limit = MatchLimitFromEnv();
     opts.num_threads = threads;
     std::vector<GmResult> results;
     double ms = TimeMs([&] { results = engine.EvaluateBatch(batch, opts); });
-    if (threads == 1) base_ms = ms;
+    if (threads == 1) {
+      base_ms = ms;
+      sequential = results;
+    }
     uint64_t matches = 0;
-    for (const GmResult& r : results) matches += r.num_occurrences;
+    for (size_t i = 0; i < results.size(); ++i) {
+      matches += results[i].num_occurrences;
+      if (threads == 1) continue;
+      gate.Check(named[i % base].name, std::to_string(threads) + " workers",
+                 CountKind::kHomomorphism, EvalStatus::kOk,
+                 results[i].num_occurrences, sequential[i].num_occurrences,
+                 opts.limit);
+    }
     char qps[32];
     std::snprintf(qps, sizeof(qps), "%.1f", batch.size() * 1000.0 / ms);
     table.AddRow({std::to_string(threads), FormatSeconds(ms),
                   Ratio(base_ms, ms), qps, std::to_string(matches)});
   }
   table.Print();
-  return 0;
+  return gate.Finish();
 }

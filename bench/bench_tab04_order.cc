@@ -1,7 +1,8 @@
 // Table 4: effectiveness of the search ordering strategies on em and ep —
 // GM with RI (topology only), JO (RIG cardinalities, the default) and BJ
 // (exact DP left-deep plan). Expected shape: JO best overall, BJ close
-// behind, RI noticeably worse on most H-queries.
+// behind, RI noticeably worse on most H-queries. Exits 1 when GM-RI's or
+// GM-BJ's count differs from GM-JO's.
 
 #include "bench_common.h"
 
@@ -12,22 +13,22 @@ int main() {
   PrintBenchHeader("Table 4 — search order strategies: GM-RI / GM-JO / GM-BJ",
                    "scale=" + std::to_string(DatasetScaleFromEnv()));
   TablePrinter table({"Dataset", "Query", "GM-RI(s)", "GM-JO(s)", "GM-BJ(s)"});
+  CountGate gate;
   for (const std::string& dataset : {"em", "ep"}) {
     Graph g = MakeDatasetByName(dataset);
     GmEngine engine(g);
+    const std::vector<NamedEngine> engines = {
+        GmVariant("GM-JO", engine),
+        GmVariant("GM-RI", engine, {.order = OrderStrategy::kRI}),
+        GmVariant("GM-BJ", engine, {.order = OrderStrategy::kBJ})};
     auto queries = TemplateWorkload(
         g, {"HQ2", "HQ3", "HQ4", "HQ15", "HQ18"}, QueryVariant::kHybrid);
     for (const auto& nq : queries) {
-      std::vector<std::string> row = {dataset, nq.name};
-      for (OrderStrategy s :
-           {OrderStrategy::kRI, OrderStrategy::kJO, OrderStrategy::kBJ}) {
-        GmOptions opts;
-        opts.order = s;
-        row.push_back(RunGm(engine, nq.query, opts).formatted);
-      }
-      table.AddRow(std::move(row));
+      auto runs = Run(engines, nq.name, nq.query, &gate);
+      table.AddRow({dataset, nq.name, runs[1].formatted, runs[0].formatted,
+                    runs[2].formatted});
     }
   }
   table.Print();
-  return 0;
+  return gate.Finish();
 }

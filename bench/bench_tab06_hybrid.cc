@@ -2,7 +2,8 @@
 // (binary joins + index-free reachability, the only system configuration
 // that can evaluate hybrid queries at all). Expected shape: GM faster on
 // every query, often by 3-4 orders of magnitude, with Neo4j timing out on
-// the heavy patterns.
+// the heavy patterns. Exits 1 when a finished Neo4j count differs from
+// GM's.
 
 #include "bench_common.h"
 
@@ -23,16 +24,16 @@ int main() {
   MatchContext neo_ctx(g, *bfs);
 
   TablePrinter table({"Class", "Query", "Neo4j(s)", "GM(s)"});
+  const std::vector<NamedEngine> engines = {GmVariant("GM", engine),
+                                            Neo4j(neo_ctx)};
+  CountGate gate;
   auto queries = TemplateWorkload(g, RepresentativeTemplateNames(),
                                   QueryVariant::kHybrid);
   for (const auto& nq : queries) {
-    JmOptions neo;
-    neo.use_prefilter = false;
-    auto neo4j = RunJm(neo_ctx, nq.query, neo);
-    auto gm = RunGm(engine, nq.query);
+    auto runs = Run(engines, nq.name, nq.query, &gate);
     table.AddRow({PatternClassName(TemplateByName(nq.name).cls), nq.name,
-                  neo4j.formatted, gm.formatted});
+                  runs[1].formatted, runs[0].formatted});
   }
   table.Print();
-  return 0;
+  return gate.Finish();
 }

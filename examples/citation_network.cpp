@@ -91,11 +91,12 @@ int main() {
   // Same query through the join-based baseline, for comparison.
   auto reach = BuildReachabilityIndex(g, ReachKind::kBfl);
   MatchContext ctx(g, *reach);
-  JmResult jm = JmEvaluate(ctx, q);
+  BaselineResult jm = JmEvaluate(ctx, q);
   std::printf("JM: %llu matches in %.2f ms (peak intermediate %llu tuples)\n",
               static_cast<unsigned long long>(jm.num_occurrences),
               jm.TotalMs(),
-              static_cast<unsigned long long>(jm.max_intermediate_size));
+              static_cast<unsigned long long>(
+                  jm.Counter("peak_intermediate")));
   if (jm.num_occurrences != stats.num_occurrences) {
     std::fprintf(stderr, "engines disagree!\n");
     return 1;

@@ -1,7 +1,11 @@
 #!/usr/bin/env bash
 # Smoke-runs every bench_* binary in its quick configuration and writes a
 # BENCH_ci.json summary (one record per bench: status, exit code, wall
-# seconds) so CI can track the perf trajectory per-PR.
+# seconds) so CI can track the perf trajectory per-PR. A bench that compares
+# engines ends its log with its count gate's summary (bench_util/
+# count_gate.h); the record copies it as "gate": comparisons made, how many
+# had both sides at the limit, skips by status (OM, TO, NA) and mismatches.
+# A mismatch makes the bench exit 1, so it fails this script too.
 #
 # usage: scripts/bench_smoke.sh BUILD_DIR [OUT_JSON]
 #
@@ -74,10 +78,16 @@ overall=0
     fi
     [ ${code} -eq 0 ] || overall=1
     echo "${name}: ${status} (${secs}s)" >&2
+    # "count gate: comparisons=3, mismatches=0" -> "comparisons": 3, ...
+    gate=$(sed -n 's/^count gate: \(comparisons=.*\)$/\1/p' \
+      "${LOG_DIR}/${name}.log" | tail -n 1 |
+      sed -E 's/([a-z_]+)=([0-9]+)/"\1": \2/g')
     [ ${first} -eq 0 ] && printf ',\n'
     first=0
-    printf '    {"name": "%s", "status": "%s", "exit_code": %d, "seconds": %s}' \
+    printf '    {"name": "%s", "status": "%s", "exit_code": %d, "seconds": %s' \
       "${name}" "${status}" "${code}" "${secs}"
+    [ -n "${gate}" ] && printf ', "gate": {%s}' "${gate}"
+    printf '}'
   done
   printf '\n  ]\n}\n'
 } >"${OUT_JSON}"

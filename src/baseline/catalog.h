@@ -3,7 +3,7 @@
 
 #include <cstdint>
 
-#include "baseline/eval_status.h"
+#include "baseline/baseline.h"
 #include "graph/graph.h"
 
 namespace rigpm {

@@ -1,40 +1,25 @@
 #ifndef RIGPM_BASELINE_ISO_ENGINE_H_
 #define RIGPM_BASELINE_ISO_ENGINE_H_
 
-#include <cstdint>
-#include <limits>
-
-#include "baseline/eval_status.h"
+#include "baseline/baseline.h"
 #include "enumerate/mjoin.h"
 #include "graph/graph.h"
 #include "query/pattern_query.h"
 
 namespace rigpm {
 
-/// Options for the subgraph-isomorphism baseline.
-struct IsoOptions {
-  /// Neighborhood-label-frequency filter (a standard candidate filter in
-  /// the in-memory isomorphism algorithms surveyed by [53]).
-  bool use_nlf_filter = true;
-  double timeout_ms = 0.0;
-  uint64_t limit = std::numeric_limits<uint64_t>::max();
-};
-
-struct IsoResult {
-  EvalStatus status = EvalStatus::kOk;
-  uint64_t num_embeddings = 0;
-  double total_ms = 0.0;
-};
-
 /// ISO: backtracking subgraph isomorphism for child-edge-only queries
 /// (Section 7.2, "Isomorphism vs homomorphism"). Enforces the injective
 /// node mapping that distinguishes isomorphisms from the homomorphisms the
-/// other engines compute; candidate sets are pruned with label, degree and
-/// (optionally) neighborhood-label-frequency filters. Returns kUnsupported
-/// for queries containing descendant edges.
-IsoResult IsoEvaluate(const Graph& g, const PatternQuery& q,
-                      const IsoOptions& opts = {},
-                      const OccurrenceSink& sink = nullptr);
+/// other engines compute, so its count never exceeds theirs. Candidate sets
+/// are pruned with label, degree and neighborhood-label-frequency filters
+/// (the standard candidate filters of the in-memory isomorphism algorithms
+/// surveyed by [53]) and searched along GM's JO order over their sizes
+/// (DataSearch). Returns kUnsupported for queries containing descendant
+/// edges. Phases: Filter, Enumerate.
+BaselineResult IsoEvaluate(const Graph& g, const PatternQuery& q,
+                           const BaselineOptions& opts = {},
+                           const OccurrenceSink& sink = nullptr);
 
 }  // namespace rigpm
 

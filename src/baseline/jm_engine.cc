@@ -1,7 +1,6 @@
 #include "baseline/jm_engine.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <unordered_map>
 #include <unordered_set>
@@ -12,15 +11,57 @@ namespace rigpm {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double MsSince(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start)
-      .count();
-}
+// Queries with at most this many edges get the exact DP plan.
+constexpr size_t kDpMaxEdges = 16;
 
 uint64_t PairKey(NodeId u, NodeId v) {
   return (static_cast<uint64_t>(u) << 32) | v;
+}
+
+// Materialized match set ms(e) of one query edge: the binary relation JM
+// evaluates over (Section 1: "JM first computes the occurrences for each
+// edge of the input query").
+struct EdgeRelation {
+  QueryEdgeId edge = 0;
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+};
+
+// Materializes every query edge's relation from the candidate sets. Stops
+// with kOutOfMemory once the total pair count exceeds `max_total_pairs`:
+// descendant edges can produce quadratically many pairs, which is exactly
+// JM's failure mode.
+EvalStatus BuildEdgeRelations(const MatchContext& ctx, const PatternQuery& q,
+                              const CandidateSets& candidates,
+                              uint64_t max_total_pairs,
+                              std::vector<EdgeRelation>* out) {
+  const Graph& g = ctx.graph();
+  uint64_t total = 0;
+  for (QueryEdgeId e = 0; e < q.NumEdges(); ++e) {
+    const QueryEdge& edge = q.Edge(e);
+    EdgeRelation rel;
+    rel.edge = e;
+    const Bitmap& dst = candidates[edge.to];
+    std::vector<NodeId> dst_nodes;
+    if (edge.kind != EdgeKind::kChild) dst_nodes = dst.ToVector();
+    bool overflow = false;
+    candidates[edge.from].ForEach([&](NodeId u) {
+      if (overflow) return;
+      if (edge.kind == EdgeKind::kChild) {
+        for (NodeId v : g.OutNeighbors(u)) {
+          if (dst.Contains(v)) rel.pairs.emplace_back(u, v);
+        }
+      } else {
+        for (NodeId v : dst_nodes) {
+          if (ctx.EdgePairMatch(edge, u, v)) rel.pairs.emplace_back(u, v);
+        }
+      }
+      if (total + rel.pairs.size() > max_total_pairs) overflow = true;
+    });
+    if (overflow) return EvalStatus::kOutOfMemory;
+    total += rel.pairs.size();
+    out->push_back(std::move(rel));
+  }
+  return EvalStatus::kOk;
 }
 
 // Greedy left-deep plan: start from the smallest relation, repeatedly append
@@ -155,53 +196,22 @@ std::vector<size_t> DpPlan(const PatternQuery& q,
   return plan;
 }
 
-}  // namespace
-
-JmResult JmEvaluate(const MatchContext& ctx, const PatternQuery& q,
-                    const JmOptions& opts, const OccurrenceSink& sink) {
-  JmResult result;
-  auto start = Clock::now();
-  auto timed_out = [&]() {
-    return opts.timeout_ms > 0.0 && MsSince(start) > opts.timeout_ms;
-  };
-
-  // --- Candidates + edge relations.
-  auto t0 = Clock::now();
-  CandidateSets candidates = opts.use_prefilter
-                                 ? PreFilter(ctx, q, SimOptions{})
-                                 : InitialMatchSets(ctx.graph(), q);
-  std::vector<EdgeRelation> rels;
-  result.status = BuildEdgeRelations(ctx, q, candidates,
-                                     opts.max_intermediate_tuples, &rels);
-  result.relations_ms = MsSince(t0);
-  if (result.status != EvalStatus::kOk) return result;
-  if (timed_out()) {
-    result.status = EvalStatus::kTimeout;
-    return result;
-  }
-
-  // --- Left-deep plan.
-  auto t1 = Clock::now();
-  std::vector<size_t> plan =
-      (rels.size() <= opts.dp_max_edges)
-          ? DpPlan(q, rels, candidates, &result.plans_considered)
-          : GreedyPlan(q, rels);
-  result.plan_ms = MsSince(t1);
-
-  // --- Execute binary joins, materializing every intermediate result.
-  auto t2 = Clock::now();
+// Executes the plan's binary joins, materializing every intermediate
+// result, into *out. Returns kOutOfMemory when a result outgrows
+// `max_tuples`, kTimeout when `clock` expires between two joins.
+EvalStatus ExecutePlan(const PatternQuery& q,
+                       const std::vector<EdgeRelation>& rels,
+                       const std::vector<size_t>& plan, uint64_t max_tuples,
+                       const RunClock& clock, uint64_t* peak,
+                       std::vector<std::vector<NodeId>>* out) {
   const uint32_t n = q.NumNodes();
-  std::vector<std::vector<NodeId>> intermediate;
+  std::vector<std::vector<NodeId>>& intermediate = *out;
   std::vector<uint8_t> covered(n, 0);
 
   for (size_t step = 0; step < plan.size(); ++step) {
     const EdgeRelation& rel = rels[plan[step]];
     const QueryEdge& e = q.Edge(rel.edge);
-    if (timed_out()) {
-      result.status = EvalStatus::kTimeout;
-      result.join_ms = MsSince(t2);
-      return result;
-    }
+    if (clock.Expired()) return EvalStatus::kTimeout;
 
     if (step == 0) {
       intermediate.reserve(rel.pairs.size());
@@ -243,11 +253,7 @@ JmResult JmEvaluate(const MatchContext& ctx, const PatternQuery& q,
             std::vector<NodeId> nt = t;
             nt[extend] = w;
             next.push_back(std::move(nt));
-            if (next.size() > opts.max_intermediate_tuples) {
-              result.status = EvalStatus::kOutOfMemory;
-              result.join_ms = MsSince(t2);
-              return result;
-            }
+            if (next.size() > max_tuples) return EvalStatus::kOutOfMemory;
           }
         }
       } else {
@@ -258,33 +264,64 @@ JmResult JmEvaluate(const MatchContext& ctx, const PatternQuery& q,
             nt[e.from] = u;
             nt[e.to] = v;
             next.push_back(std::move(nt));
-            if (next.size() > opts.max_intermediate_tuples) {
-              result.status = EvalStatus::kOutOfMemory;
-              result.join_ms = MsSince(t2);
-              return result;
-            }
+            if (next.size() > max_tuples) return EvalStatus::kOutOfMemory;
           }
         }
       }
       intermediate = std::move(next);
     }
     covered[e.from] = covered[e.to] = 1;
-    result.max_intermediate_size =
-        std::max<uint64_t>(result.max_intermediate_size, intermediate.size());
-    if (intermediate.size() > opts.max_intermediate_tuples) {
-      result.status = EvalStatus::kOutOfMemory;
-      result.join_ms = MsSince(t2);
-      return result;
-    }
+    *peak = std::max<uint64_t>(*peak, intermediate.size());
+    if (intermediate.size() > max_tuples) return EvalStatus::kOutOfMemory;
   }
+  return EvalStatus::kOk;
+}
 
-  // --- Emit.
-  for (const auto& t : intermediate) {
-    if (result.num_occurrences >= opts.limit) break;
+}  // namespace
+
+BaselineResult JmEvaluate(const MatchContext& ctx, const PatternQuery& q,
+                          const BaselineOptions& opts,
+                          const OccurrenceSink& sink, bool use_prefilter,
+                          uint64_t max_intermediate_tuples) {
+  BaselineResult result;
+  RunClock clock(opts.timeout_ms);
+
+  // --- Candidates + edge relations.
+  CandidateSets candidates = use_prefilter ? PreFilter(ctx, q, SimOptions{})
+                                           : InitialMatchSets(ctx.graph(), q);
+  std::vector<EdgeRelation> rels;
+  result.status = BuildEdgeRelations(ctx, q, candidates,
+                                     max_intermediate_tuples, &rels);
+  clock.EndPhase("Relations", &result);
+  if (result.status == EvalStatus::kOk && clock.Expired()) {
+    result.status = EvalStatus::kTimeout;
+  }
+  if (result.status != EvalStatus::kOk) return result;
+
+  // --- Left-deep plan.
+  uint64_t plans_considered = 0;
+  std::vector<size_t> plan =
+      rels.size() <= kDpMaxEdges
+          ? DpPlan(q, rels, candidates, &plans_considered)
+          : GreedyPlan(q, rels);
+  clock.EndPhase("Plan", &result);
+
+  // --- Joins, then emit.
+  uint64_t peak = 0;
+  std::vector<std::vector<NodeId>> tuples;
+  result.status = ExecutePlan(q, rels, plan, max_intermediate_tuples, clock,
+                              &peak, &tuples);
+  for (const auto& t : tuples) {
+    if (result.status != EvalStatus::kOk ||
+        result.num_occurrences >= opts.limit) {
+      break;
+    }
     ++result.num_occurrences;
     if (sink && !sink(t)) break;
   }
-  result.join_ms = MsSince(t2);
+  clock.EndPhase("Join", &result);
+  result.counters = {{"plans_considered", plans_considered},
+                     {"peak_intermediate", peak}};
   return result;
 }
 

@@ -2,55 +2,37 @@
 #define RIGPM_BASELINE_JM_ENGINE_H_
 
 #include <cstdint>
-#include <limits>
 
-#include "baseline/edge_relations.h"
-#include "baseline/eval_status.h"
+#include "baseline/baseline.h"
 #include "enumerate/mjoin.h"
 #include "sim/match_sets.h"
 
 namespace rigpm {
 
-/// Options for the join-based baseline.
-struct JmOptions {
-  /// Apply node pre-filtering [11, 63] before materializing edge relations
-  /// (the experiments always do for JM).
-  bool use_prefilter = true;
-
-  /// Memory budget: total tuples allowed across the edge relations plus the
-  /// largest intermediate result. Exceeding it aborts with kOutOfMemory,
-  /// reproducing JM's dominant failure mode (Section 7.2).
-  uint64_t max_intermediate_tuples = 20'000'000;
-
-  /// Wall-clock budget; 0 disables (the experiments use 10 minutes).
-  double timeout_ms = 0.0;
-
-  uint64_t limit = std::numeric_limits<uint64_t>::max();
-
-  /// Queries with at most this many edges get the exact dynamic-programming
-  /// left-deep plan; larger ones use a greedy plan (the paper observes the
-  /// DP enumerating millions of plans beyond 10 nodes).
-  uint32_t dp_max_edges = 16;
-};
-
-struct JmResult {
-  EvalStatus status = EvalStatus::kOk;
-  uint64_t num_occurrences = 0;
-  uint64_t max_intermediate_size = 0;  // peak tuple count
-  uint64_t plans_considered = 0;       // DP states expanded
-  double relations_ms = 0.0;
-  double plan_ms = 0.0;
-  double join_ms = 0.0;
-  double TotalMs() const { return relations_ms + plan_ms + join_ms; }
-};
+/// JM's default memory budget, in tuples.
+inline constexpr uint64_t kJmMaxIntermediateTuples = 20'000'000;
 
 /// JM: the join-based approach (Section 7.1). Materializes ms(e) for every
-/// query edge, picks a left-deep binary-join plan by dynamic programming,
-/// then executes Selinger-style hash joins, materializing every intermediate
-/// result (the behaviour whose cost GM avoids).
-JmResult JmEvaluate(const MatchContext& ctx, const PatternQuery& q,
-                    const JmOptions& opts = {},
-                    const OccurrenceSink& sink = nullptr);
+/// query edge, picks a left-deep binary-join plan by dynamic programming
+/// (a greedy plan beyond 16 edges: the paper observes the DP enumerating
+/// millions of plans beyond 10 nodes), then executes Selinger-style hash
+/// joins, materializing every intermediate result (the behaviour whose cost
+/// GM avoids).
+///
+/// `use_prefilter` applies node pre-filtering [11, 63] before the edge
+/// relations are materialized; the experiments always do for JM, and the
+/// Neo4j stand-in does not. `max_intermediate_tuples` is the memory budget:
+/// the total tuples of the edge relations, and the size of every
+/// intermediate result. Exceeding it aborts with kOutOfMemory, JM's
+/// dominant failure mode (Section 7.2).
+///
+/// Phases: Relations, Plan, Join. Counters: plans_considered (DP states
+/// expanded) and peak_intermediate (largest intermediate result).
+BaselineResult JmEvaluate(
+    const MatchContext& ctx, const PatternQuery& q,
+    const BaselineOptions& opts = {}, const OccurrenceSink& sink = nullptr,
+    bool use_prefilter = true,
+    uint64_t max_intermediate_tuples = kJmMaxIntermediateTuples);
 
 }  // namespace rigpm
 

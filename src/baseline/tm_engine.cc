@@ -1,6 +1,5 @@
 #include "baseline/tm_engine.h"
 
-#include <chrono>
 #include <vector>
 
 #include "order/search_order.h"
@@ -11,13 +10,6 @@
 namespace rigpm {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double MsSince(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start)
-      .count();
-}
 
 // BFS spanning tree over the undirected view; returns original edge indices.
 void SpanningTree(const PatternQuery& q, std::vector<QueryEdgeId>* tree,
@@ -53,13 +45,11 @@ void SpanningTree(const PatternQuery& q, std::vector<QueryEdgeId>* tree,
 
 }  // namespace
 
-TmResult TmEvaluate(const MatchContext& ctx, const PatternQuery& q,
-                    const TmOptions& opts, const OccurrenceSink& sink) {
-  TmResult result;
-  auto start = Clock::now();
-  auto timed_out = [&]() {
-    return opts.timeout_ms > 0.0 && MsSince(start) > opts.timeout_ms;
-  };
+BaselineResult TmEvaluate(const MatchContext& ctx, const PatternQuery& q,
+                          const BaselineOptions& opts,
+                          const OccurrenceSink& sink) {
+  BaselineResult result;
+  RunClock clock(opts.timeout_ms);
 
   // --- Spanning tree + residual edges of Q.
   std::vector<QueryEdgeId> tree_edges, non_tree_edges;
@@ -72,48 +62,41 @@ TmResult TmEvaluate(const MatchContext& ctx, const PatternQuery& q,
   // --- Tree evaluation after [59]: candidates are filtered with a tree
   // double simulation (one bottom-up + one top-down pass suffices on trees),
   // then the answer graph (a tree-restricted RIG) is built and enumerated.
-  auto t0 = Clock::now();
-  CandidateSets seed = opts.use_prefilter
-                           ? PreFilter(ctx, q, SimOptions{})
-                           : InitialMatchSets(ctx.graph(), q);
+  CandidateSets cos = PreFilter(ctx, q, SimOptions{});
+  clock.EndPhase("Prefilter", &result);
   // Exact fixpoint (default SimOptions): trees converge in one pass.
-  CandidateSets cos = ComputeDoubleSimulation(ctx, tree_q, std::move(seed),
-                                              SimAlgorithm::kDagMap);
+  cos = ComputeDoubleSimulation(ctx, tree_q, std::move(cos),
+                                SimAlgorithm::kDagMap);
+  clock.EndPhase("Simulate", &result);
   Rig answer_graph = ExpandRig(ctx, tree_q, std::move(cos));
-  result.aux_graph_nodes = answer_graph.TotalNodes();
-  result.aux_graph_edges = answer_graph.TotalEdges();
-  result.build_ms = MsSince(t0);
-  if (timed_out()) {
+  clock.EndPhase("BuildRig", &result);
+  result.counters = {{"rig_nodes", answer_graph.TotalNodes()},
+                     {"rig_edges", answer_graph.TotalEdges()}};
+  if (clock.Expired()) {
     result.status = EvalStatus::kTimeout;
     return result;
   }
 
   // --- Enumerate tree solutions; filter each against the non-tree edges.
-  auto t1 = Clock::now();
   std::vector<QueryNodeId> order =
       ComputeSearchOrder(tree_q, answer_graph, OrderStrategy::kJO);
-  bool timeout_hit = false;
-  uint64_t check_counter = 0;
-  MJoinOptions mopts;  // no limit on *tree* tuples; the answer cap applies
-  MJoin(
-      tree_q, answer_graph, order,
-      [&](const Occurrence& t) {
-        ++result.tree_solutions;
-        if (((++check_counter) & 0x3FF) == 0 && timed_out()) {
-          timeout_hit = true;
-          return false;
-        }
-        for (QueryEdgeId e : non_tree_edges) {
-          const QueryEdge& edge = q.Edge(e);
-          if (!ctx.EdgePairMatch(edge, t[edge.from], t[edge.to])) return true;
-        }
-        ++result.num_occurrences;
-        if (sink && !sink(t)) return false;
-        return result.num_occurrences < opts.limit;
-      },
-      mopts);
-  result.enumerate_ms = MsSince(t1);
-  if (timeout_hit) result.status = EvalStatus::kTimeout;
+  uint64_t tree_solutions = 0;
+  MJoin(tree_q, answer_graph, order, [&](const Occurrence& t) {
+    if (result.num_occurrences == opts.limit) return false;  // a limit of 0
+    if ((++tree_solutions & 0x3FF) == 0 && clock.Expired()) {
+      result.status = EvalStatus::kTimeout;
+      return false;
+    }
+    for (QueryEdgeId e : non_tree_edges) {
+      const QueryEdge& edge = q.Edge(e);
+      if (!ctx.EdgePairMatch(edge, t[edge.from], t[edge.to])) return true;
+    }
+    ++result.num_occurrences;
+    if (sink && !sink(t)) return false;
+    return result.num_occurrences < opts.limit;
+  });
+  clock.EndPhase("Enumerate", &result);
+  result.counters.push_back({"tree_solutions", tree_solutions});
   return result;
 }
 

@@ -1,32 +1,11 @@
 #ifndef RIGPM_BASELINE_TM_ENGINE_H_
 #define RIGPM_BASELINE_TM_ENGINE_H_
 
-#include <cstdint>
-#include <limits>
-
-#include "baseline/eval_status.h"
+#include "baseline/baseline.h"
 #include "enumerate/mjoin.h"
 #include "sim/match_sets.h"
 
 namespace rigpm {
-
-/// Options for the tree-based baseline.
-struct TmOptions {
-  bool use_prefilter = true;
-  double timeout_ms = 0.0;  // 0 disables
-  uint64_t limit = std::numeric_limits<uint64_t>::max();
-};
-
-struct TmResult {
-  EvalStatus status = EvalStatus::kOk;
-  uint64_t num_occurrences = 0;
-  uint64_t tree_solutions = 0;     // tuples produced for the spanning tree
-  uint64_t aux_graph_nodes = 0;    // the "answer graph" of [59] (Fig. 13)
-  uint64_t aux_graph_edges = 0;
-  double build_ms = 0.0;           // filtering + answer-graph construction
-  double enumerate_ms = 0.0;
-  double TotalMs() const { return build_ms + enumerate_ms; }
-};
 
 /// TM: the tree-based approach (Section 7.1). Extracts a spanning tree of
 /// the query, evaluates the tree pattern with the simulation-based algorithm
@@ -36,9 +15,13 @@ struct TmResult {
 /// Its weakness — shared with all TM algorithms — is that the number of
 /// tree solutions can dwarf the final answer, and each one pays a reachability
 /// check per missing edge; that is the behaviour the experiments measure.
-TmResult TmEvaluate(const MatchContext& ctx, const PatternQuery& q,
-                    const TmOptions& opts = {},
-                    const OccurrenceSink& sink = nullptr);
+///
+/// Phases: Prefilter, Simulate, BuildRig (the answer graph: GM's RIG over
+/// the tree query) and Enumerate. Counters: tree_solutions, and the answer
+/// graph's rig_nodes and rig_edges (Fig. 13).
+BaselineResult TmEvaluate(const MatchContext& ctx, const PatternQuery& q,
+                          const BaselineOptions& opts = {},
+                          const OccurrenceSink& sink = nullptr);
 
 }  // namespace rigpm
 

@@ -1,43 +1,26 @@
 #ifndef RIGPM_BASELINE_WCOJ_ENGINE_H_
 #define RIGPM_BASELINE_WCOJ_ENGINE_H_
 
-#include <cstdint>
-#include <limits>
+#include <cstddef>
 #include <vector>
 
-#include "baseline/eval_status.h"
+#include "baseline/baseline.h"
 #include "enumerate/mjoin.h"
 #include "graph/graph.h"
 #include "query/pattern_query.h"
 
 namespace rigpm {
 
-/// Options for the worst-case-optimal-join baseline.
-struct WcojOptions {
-  /// Order query nodes purely topologically (RI) instead of by inverted-list
-  /// cardinality (the GF-style default).
-  bool use_ri_order = false;
-  double timeout_ms = 0.0;
-  uint64_t limit = std::numeric_limits<uint64_t>::max();
-};
-
-struct WcojResult {
-  EvalStatus status = EvalStatus::kOk;
-  uint64_t num_occurrences = 0;
-  uint64_t intersections = 0;
-  double total_ms = 0.0;
-};
-
 /// A Graphflow/EmptyHeaded/RapidMatch-style engine: generic worst-case
 /// optimal joins executed *directly on the data graph* (no runtime index
 /// graph), matching one query node at a time by intersecting label inverted
-/// lists with the adjacency lists of already-matched neighbors.
+/// lists with the adjacency lists of already-matched neighbors (DataSearch).
 ///
 /// Like those systems it natively supports only child (edge-to-edge) edges.
 /// Descendant edges require `MaterializeClosure()` first — the per-node
 /// transitive-closure adjacency the paper had to feed GraphflowDB
 /// (Section 7.5, Fig. 18) — whose cost is exactly what that experiment
-/// charges the system with.
+/// charges the system with. Bounded descendant edges are unsupported.
 class WcojEngine {
  public:
   explicit WcojEngine(const Graph& g) : graph_(g) {}
@@ -48,8 +31,14 @@ class WcojEngine {
 
   bool HasClosure() const { return !closure_fwd_.empty(); }
 
-  WcojResult Evaluate(const PatternQuery& q, const WcojOptions& opts = {},
-                      const OccurrenceSink& sink = nullptr) const;
+  /// Matches the query nodes in the GF-style order, GM's JO rule over the
+  /// label counts (the cardinalities WCO-join systems take from their
+  /// catalogs), or with `use_ri_order` (RM) purely topologically: most
+  /// edges toward the order first. Phase: Enumerate.
+  BaselineResult Evaluate(const PatternQuery& q,
+                          const BaselineOptions& opts = {},
+                          const OccurrenceSink& sink = nullptr,
+                          bool use_ri_order = false) const;
 
  private:
   const Graph& graph_;

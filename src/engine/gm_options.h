@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -42,12 +43,28 @@ struct GmOptions {
   uint32_t num_threads = 1;
 };
 
-/// Name/duration pair for one GM phase. The name is a string literal, one
-/// of Reduce, Prefilter, Simulate, BuildRig, Order, Enumerate.
+/// Name/duration pair for one phase of an evaluation. The name is a string
+/// literal; GM's are Reduce, Prefilter, Simulate, BuildRig, Order and
+/// Enumerate.
 struct PhaseTiming {
   const char* name = "";
   double ms = 0.0;
 };
+
+/// The named phase's time in ms; 0 when it did not run.
+inline double PhaseMs(std::span<const PhaseTiming> phases,
+                      std::string_view name) {
+  for (const PhaseTiming& pt : phases) {
+    if (name == pt.name) return pt.ms;
+  }
+  return 0.0;
+}
+
+inline double TotalMs(std::span<const PhaseTiming> phases) {
+  double total = 0.0;
+  for (const PhaseTiming& pt : phases) total += pt.ms;
+  return total;
+}
 
 /// Everything one evaluation produces besides the occurrences themselves.
 struct GmResult {
@@ -59,18 +76,10 @@ struct GmResult {
   /// evaluation, and BuildRigOnly never runs them.
   std::vector<PhaseTiming> phase_timings;
 
-  /// The named phase's time in ms; 0 when it did not run.
   double PhaseMs(std::string_view name) const {
-    for (const PhaseTiming& pt : phase_timings) {
-      if (name == pt.name) return pt.ms;
-    }
-    return 0.0;
+    return rigpm::PhaseMs(phase_timings, name);
   }
-  double TotalMs() const {
-    double total = 0.0;
-    for (const PhaseTiming& pt : phase_timings) total += pt.ms;
-    return total;
-  }
+  double TotalMs() const { return rigpm::TotalMs(phase_timings); }
   /// "Matching" = every phase before the MJoin run, "enumeration" =
   /// PhaseMs("Enumerate"): the two components the paper's Metrics section
   /// reports.

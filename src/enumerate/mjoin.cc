@@ -7,15 +7,6 @@ namespace rigpm {
 
 namespace {
 
-// A constraint binding search step `i` to an earlier step: the candidate at
-// step i must appear in the RIG adjacency (forward or backward, depending on
-// the query edge's direction) of the node matched at `earlier_pos`.
-struct EarlierConstraint {
-  QueryEdgeId edge = 0;
-  uint32_t earlier_pos = 0;
-  bool earlier_is_tail = false;  // true: edge = (q_earlier -> q_i)
-};
-
 // What one search step keeps from visit to visit, so that a step makes no
 // heap allocation once its vectors have grown to the sizes it needs.
 struct StepBuffers {
@@ -33,20 +24,7 @@ class Enumerator {
       : q_(q), rig_(rig), order_(order), sink_(sink), opts_(opts),
         stats_(stats) {
     assert(order.size() == q.NumNodes());
-    // Precompute, per search step, the constraints toward earlier steps.
-    std::vector<uint32_t> pos(q.NumNodes());
-    for (uint32_t i = 0; i < order.size(); ++i) pos[order[i]] = i;
-    constraints_.resize(order.size());
-    for (QueryEdgeId e = 0; e < q.NumEdges(); ++e) {
-      const QueryEdge& edge = q.Edge(e);
-      uint32_t pf = pos[edge.from];
-      uint32_t pt = pos[edge.to];
-      if (pf < pt) {
-        constraints_[pt].push_back({e, pf, /*earlier_is_tail=*/true});
-      } else {
-        constraints_[pf].push_back({e, pt, /*earlier_is_tail=*/false});
-      }
-    }
+    constraints_ = EarlierConstraints(q, order);
     steps_.resize(order.size());
     for (uint32_t i = 0; i < order.size(); ++i) {
       steps_[i].rows.reserve(constraints_[i].size());
@@ -145,6 +123,23 @@ class Enumerator {
 };
 
 }  // namespace
+
+std::vector<std::vector<EarlierConstraint>> EarlierConstraints(
+    const PatternQuery& q, std::span<const QueryNodeId> order) {
+  std::vector<uint32_t> pos(q.NumNodes());
+  for (uint32_t i = 0; i < order.size(); ++i) pos[order[i]] = i;
+  std::vector<std::vector<EarlierConstraint>> constraints(order.size());
+  for (QueryEdgeId e = 0; e < q.NumEdges(); ++e) {
+    const uint32_t pf = pos[q.Edge(e).from];
+    const uint32_t pt = pos[q.Edge(e).to];
+    if (pf < pt) {
+      constraints[pt].push_back({e, pf, /*earlier_is_tail=*/true});
+    } else if (pt < pf) {
+      constraints[pf].push_back({e, pt, /*earlier_is_tail=*/false});
+    }
+  }
+  return constraints;
+}
 
 uint64_t MJoin(const PatternQuery& q, const Rig& rig,
                std::span<const QueryNodeId> order, const OccurrenceSink& sink,

@@ -21,6 +21,24 @@ using Occurrence = std::vector<NodeId>;
 /// it if it must outlive the callback.
 using OccurrenceSink = std::function<bool(const Occurrence&)>;
 
+/// A query edge binding search step i to an earlier step: the candidate at
+/// step i must be adjacent along `edge` (forward or backward, by the edge's
+/// direction) to the node matched at step `earlier_pos`.
+struct EarlierConstraint {
+  QueryEdgeId edge = 0;
+  uint32_t earlier_pos = 0;
+  bool earlier_is_tail = false;  // true: edge = (q_earlier -> q_i)
+};
+
+/// Per search step of `order`, the query edges toward earlier steps: each
+/// edge joins the step of whichever endpoint `order` places later. A loop
+/// (from == to) joins no step, since its one endpoint is never earlier than
+/// itself: ExpandRig gives it only the diagonal pairs of cos(p), and the
+/// ISO and WCOJ baselines test it on each candidate. MJoin and those
+/// baselines' shared search (baseline/data_search.h) use it.
+std::vector<std::vector<EarlierConstraint>> EarlierConstraints(
+    const PatternQuery& q, std::span<const QueryNodeId> order);
+
 struct MJoinOptions {
   /// Emit at most this many occurrences (the experiments cap at 1e7); 0
   /// emits none and never calls the sink.
@@ -42,8 +60,9 @@ struct MJoinStats {
 /// never materializes partial join results (space O(n * MaxCos),
 /// Theorem 5.1).
 ///
-/// Every RIG row is a subset of the cos set it points into (rig.h), so a
-/// step intersects only its matched neighbours' rows: a row as large as
+/// Every RIG row is a subset of the cos set it points into (rig.h), and
+/// ExpandRig already enforced each query loop on cos(p), so a step
+/// intersects only its matched neighbours' rows: a row as large as
 /// cos(q_i) is cos(q_i) and is left out, an empty row ends the step,
 /// cos(q_i) is walked only when no row is left, and a single row is walked
 /// in place. Two or more rows go smallest-first through

@@ -144,8 +144,8 @@ class Graph {
 /// The nodes present in every row of `rows` (sorted adjacency rows such as
 /// OutNeighbors) and in every bitmap of `sets`, ascending. Walks the
 /// shortest row, binary-searching the other rows and probing the bitmaps;
-/// with no row it is Bitmap::AndManyInto(sets). The ISO and WCOJ baselines
-/// extend a partial match with it.
+/// with no row it is Bitmap::AndManyInto(sets). DataSearch, the ISO and
+/// WCOJ baselines' search, extends a partial match with it.
 std::vector<NodeId> IntersectRows(std::span<const std::span<const NodeId>> rows,
                                   std::span<const Bitmap* const> sets);
 

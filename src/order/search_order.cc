@@ -36,49 +36,13 @@ std::vector<std::vector<QueryNodeId>> UndirectedNeighbors(
   return nbrs;
 }
 
-std::vector<QueryNodeId> JoOrder(const PatternQuery& q, const Rig& rig) {
-  const uint32_t n = q.NumNodes();
-  auto nbrs = UndirectedNeighbors(q);
-  std::vector<uint8_t> chosen(n, 0);
-  std::vector<QueryNodeId> order;
-  order.reserve(n);
-
-  // Start node: smallest candidate occurrence set.
-  QueryNodeId best = 0;
-  for (QueryNodeId v = 1; v < n; ++v) {
-    if (rig.Cos(v).Cardinality() < rig.Cos(best).Cardinality()) best = v;
+// |cos(q)| per query node, the cardinality JO orders GM by.
+std::vector<uint64_t> CosSizes(const Rig& rig) {
+  std::vector<uint64_t> card(rig.NumQueryNodes());
+  for (QueryNodeId v = 0; v < card.size(); ++v) {
+    card[v] = rig.Cos(v).Cardinality();
   }
-  order.push_back(best);
-  chosen[best] = 1;
-
-  while (order.size() < n) {
-    QueryNodeId next = kInvalidNode;
-    uint64_t best_card = std::numeric_limits<uint64_t>::max();
-    for (QueryNodeId in_order : order) {
-      for (QueryNodeId cand : nbrs[in_order]) {
-        if (chosen[cand]) continue;
-        uint64_t card = rig.Cos(cand).Cardinality();
-        if (card < best_card || (card == best_card && cand < next)) {
-          best_card = card;
-          next = cand;
-        }
-      }
-    }
-    if (next == kInvalidNode) {
-      // Disconnected query (should not happen per Definition 2.4): append
-      // the smallest remaining set to stay total.
-      for (QueryNodeId v = 0; v < n; ++v) {
-        if (!chosen[v] &&
-            (next == kInvalidNode ||
-             rig.Cos(v).Cardinality() < rig.Cos(next).Cardinality())) {
-          next = v;
-        }
-      }
-    }
-    order.push_back(next);
-    chosen[next] = 1;
-  }
-  return order;
+  return card;
 }
 
 std::vector<QueryNodeId> RiOrder(const PatternQuery& q) {
@@ -227,6 +191,51 @@ std::vector<QueryNodeId> BjOrder(const PatternQuery& q, const Rig& rig,
 
 }  // namespace
 
+std::vector<QueryNodeId> JoOrder(const PatternQuery& q,
+                                 std::span<const uint64_t> card) {
+  const uint32_t n = q.NumNodes();
+  auto nbrs = UndirectedNeighbors(q);
+  std::vector<uint8_t> chosen(n, 0);
+  std::vector<QueryNodeId> order;
+  if (n == 0) return order;
+  order.reserve(n);
+
+  // Start node: smallest cardinality.
+  QueryNodeId best = 0;
+  for (QueryNodeId v = 1; v < n; ++v) {
+    if (card[v] < card[best]) best = v;
+  }
+  order.push_back(best);
+  chosen[best] = 1;
+
+  while (order.size() < n) {
+    QueryNodeId next = kInvalidNode;
+    uint64_t best_card = std::numeric_limits<uint64_t>::max();
+    for (QueryNodeId in_order : order) {
+      for (QueryNodeId cand : nbrs[in_order]) {
+        if (chosen[cand]) continue;
+        if (card[cand] < best_card ||
+            (card[cand] == best_card && cand < next)) {
+          best_card = card[cand];
+          next = cand;
+        }
+      }
+    }
+    if (next == kInvalidNode) {
+      // Disconnected query (should not happen per Definition 2.4): append
+      // the smallest remaining node to stay total.
+      for (QueryNodeId v = 0; v < n; ++v) {
+        if (!chosen[v] && (next == kInvalidNode || card[v] < card[next])) {
+          next = v;
+        }
+      }
+    }
+    order.push_back(next);
+    chosen[next] = 1;
+  }
+  return order;
+}
+
 std::vector<QueryNodeId> ComputeSearchOrder(const PatternQuery& q,
                                             const Rig& rig,
                                             OrderStrategy strategy,
@@ -235,18 +244,18 @@ std::vector<QueryNodeId> ComputeSearchOrder(const PatternQuery& q,
   switch (strategy) {
     case OrderStrategy::kJO:
       if (stats != nullptr) stats->plans_considered = 1;
-      return JoOrder(q, rig);
+      return JoOrder(q, CosSizes(rig));
     case OrderStrategy::kRI:
       if (stats != nullptr) stats->plans_considered = 1;
       return RiOrder(q);
     case OrderStrategy::kBJ:
       if (q.NumNodes() > kBjMaxNodes) {
         if (stats != nullptr) stats->fell_back_to_jo = true;
-        return JoOrder(q, rig);
+        return JoOrder(q, CosSizes(rig));
       }
       return BjOrder(q, rig, stats);
   }
-  return JoOrder(q, rig);
+  return JoOrder(q, CosSizes(rig));
 }
 
 }  // namespace rigpm

@@ -2,6 +2,7 @@
 #define RIGPM_ORDER_SEARCH_ORDER_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "query/pattern_query.h"
@@ -30,6 +31,14 @@ struct OrderStats {
   uint64_t plans_considered = 0;  // DP states expanded (BJ) / 1 otherwise
   bool fell_back_to_jo = false;   // BJ refused an oversized query
 };
+
+/// JO's greedy rule over any per-node cardinality: start at the query node
+/// with the smallest `card`, then repeatedly append the neighbour of the
+/// order with the smallest, ties to the lower id. kJO passes |cos(q)|; the
+/// ISO baseline its filtered candidate counts, and the WCOJ engine its
+/// label counts.
+std::vector<QueryNodeId> JoOrder(const PatternQuery& q,
+                                 std::span<const uint64_t> card);
 
 /// Computes a permutation of the query nodes. Every prefix of the returned
 /// order induces a connected subquery (required to avoid Cartesian

@@ -26,6 +26,10 @@ namespace rigpm {
 /// (at most 4294967295); a number that does not is a parse error naming
 /// its offset, never a silently wrapped value.
 ///
+/// An edge may join a name to itself, a loop: `(x)->(x)` matches a node
+/// with an edge to itself, `(x)=>(x)` a node on a cycle, and `(x)=N>(x)` a
+/// node on a cycle of at most N edges.
+///
 /// Example — the paper's running example query (Fig. 2a):
 ///   (a:0)->(b:1), (a)->(c:2), (b)=>(c)
 std::optional<PatternQuery> ParsePattern(const std::string& text,

@@ -26,7 +26,8 @@ namespace rigpm {
 /// RIG losslessly encodes the query answer search space.
 ///
 /// Invariant (rows within cos): every edge of e = (p, q) joins cos(p) to
-/// cos(q), because expansion only pairs nodes of cos(p) x cos(q). So
+/// cos(q), because expansion only pairs nodes of cos(p) x cos(q) (a loop
+/// (p, p) only the diagonal pairs (v, v) of cos(p)). So
 /// Forward(e, vp) ⊆ cos(q) and Backward(e, vq) ⊆ cos(p), and a row with
 /// |cos(q)| (resp. |cos(p)|) members is that whole set. MJoin relies on
 /// this to leave full rows out of its intersections and to use a row in

@@ -14,6 +14,11 @@ void ExpandEdge(const MatchContext& ctx, const PatternQuery& q, QueryEdgeId e,
   const Bitmap& dst = rig->Cos(edge.to);
   if (src.Empty() || dst.Empty()) return;
 
+  if (edge.from == edge.to) {
+    // A loop: ExpandRig kept in cos(p) only the nodes it holds on.
+    src.ForEach([&](NodeId v) { rig->AddEdge(e, v, v); });
+    return;
+  }
   if (edge.kind == EdgeKind::kChild) {
     // Direct connectivity, adjf(vp) ∩ cos(q) per source node (Section
     // 4.5): walk vp's sorted row and keep the nodes of cos(q).
@@ -43,6 +48,17 @@ void ExpandEdge(const MatchContext& ctx, const PatternQuery& q, QueryEdgeId e,
 
 Rig ExpandRig(const MatchContext& ctx, const PatternQuery& q,
               CandidateSets cos, RigBuildStats* stats) {
+  // A loop (p, p) pairs each node with itself only, so cos(p) keeps the v
+  // with (v, v) matching it.
+  for (const QueryEdge& edge : q.Edges()) {
+    if (edge.from != edge.to) continue;
+    std::vector<NodeId> kept;
+    cos[edge.from].ForEach([&](NodeId v) {
+      if (stats != nullptr) ++stats->expand_pair_checks;
+      if (ctx.EdgePairMatch(edge, v, v)) kept.push_back(v);
+    });
+    cos[edge.from] = Bitmap::FromSorted(kept);
+  }
   Rig rig(q, std::move(cos));
 
   // Expansion is skipped entirely when some cos(q) is empty: the answer is

@@ -29,9 +29,11 @@ struct RigBuildStats {
 /// starts after vp finished) is not used: on perfbench's cold workloads it
 /// skipped under 0.2% of the probes, its begin order made each insert shift
 /// an array container, and BFL applies the same interval cut inside
-/// Reaches. Expansion is skipped when some cos(q) is empty (the answer is
-/// then provably empty). Fills stats->expand_pair_checks. GmEngine runs
-/// this as its BuildRig phase.
+/// Reaches. A loop (p, p) first narrows cos(p) to the nodes v whose pair
+/// (v, v) it accepts and then gets exactly those diagonal pairs, so MJoin
+/// never tests it. Expansion is skipped when some cos(q) is empty (the
+/// answer is then provably empty). Fills stats->expand_pair_checks.
+/// GmEngine runs this as its BuildRig phase.
 Rig ExpandRig(const MatchContext& ctx, const PatternQuery& q,
               CandidateSets cos, RigBuildStats* stats = nullptr);
 

@@ -7,8 +7,10 @@
 #include "baseline/jm_engine.h"
 #include "baseline/tm_engine.h"
 #include "baseline/wcoj_engine.h"
+#include "bench_util/count_gate.h"
 #include "engine/gm_engine.h"
 #include "graph/generators.h"
+#include "query/pattern_parser.h"
 #include "query/query_generator.h"
 #include "test_util.h"
 
@@ -17,9 +19,28 @@ namespace {
 
 using ::rigpm::testing::BruteForceAnswer;
 using ::rigpm::testing::PaperExample;
+using ::rigpm::testing::WithSelfLoops;
 
 std::set<std::vector<NodeId>> Collect(const std::vector<Occurrence>& v) {
   return {v.begin(), v.end()};
+}
+
+OccurrenceSink CollectInto(std::vector<Occurrence>* out) {
+  return [out](const Occurrence& t) {
+    out->push_back(t);
+    return true;
+  };
+}
+
+// The answers of `answer` that map no two query nodes to one data node:
+// what an isomorphism engine returns.
+std::set<std::vector<NodeId>> Injective(
+    const std::set<std::vector<NodeId>>& answer) {
+  std::set<std::vector<NodeId>> out;
+  for (const auto& t : answer) {
+    if (std::set<NodeId>(t.begin(), t.end()).size() == t.size()) out.insert(t);
+  }
+  return out;
 }
 
 class BaselineFixture : public ::testing::Test {
@@ -38,49 +59,68 @@ class BaselineFixture : public ::testing::Test {
 
 TEST_F(BaselineFixture, JmMatchesPaperAnswer) {
   std::vector<Occurrence> tuples;
-  JmResult r = JmEvaluate(ctx_, query_, JmOptions{},
-                          [&tuples](const Occurrence& t) {
-                            tuples.push_back(t);
-                            return true;
-                          });
+  BaselineResult r = JmEvaluate(ctx_, query_, {}, CollectInto(&tuples));
   EXPECT_EQ(r.status, EvalStatus::kOk);
   EXPECT_EQ(r.num_occurrences, 4u);
   EXPECT_EQ(Collect(tuples), PaperExample::ExpectedAnswer());
-  EXPECT_GT(r.max_intermediate_size, 0u);
+  EXPECT_GT(r.Counter("peak_intermediate"), 0u);
+  EXPECT_GT(r.Counter("plans_considered"), 0u);
+  std::string phases;
+  for (const PhaseTiming& pt : r.phase_timings) {
+    phases += pt.name + std::string(" ");
+  }
+  EXPECT_EQ(phases, "Relations Plan Join ");
 }
 
 TEST_F(BaselineFixture, TmMatchesPaperAnswer) {
   std::vector<Occurrence> tuples;
-  TmResult r = TmEvaluate(ctx_, query_, TmOptions{},
-                          [&tuples](const Occurrence& t) {
-                            tuples.push_back(t);
-                            return true;
-                          });
+  BaselineResult r = TmEvaluate(ctx_, query_, {}, CollectInto(&tuples));
   EXPECT_EQ(r.status, EvalStatus::kOk);
   EXPECT_EQ(r.num_occurrences, 4u);
   EXPECT_EQ(Collect(tuples), PaperExample::ExpectedAnswer());
   // Tree solutions >= final answers (the non-tree edge filters).
-  EXPECT_GE(r.tree_solutions, r.num_occurrences);
-  EXPECT_GT(r.aux_graph_nodes, 0u);
+  EXPECT_GE(r.Counter("tree_solutions"), r.num_occurrences);
+  EXPECT_GT(r.Counter("rig_nodes"), 0u);
+  std::string phases;
+  for (const PhaseTiming& pt : r.phase_timings) {
+    phases += pt.name + std::string(" ");
+  }
+  EXPECT_EQ(phases, "Prefilter Simulate BuildRig Enumerate ");
 }
 
 TEST_F(BaselineFixture, JmReportsOutOfMemory) {
-  JmOptions opts;
-  opts.max_intermediate_tuples = 2;  // absurdly small budget
-  JmResult r = JmEvaluate(ctx_, query_, opts);
+  BaselineResult r = JmEvaluate(ctx_, query_, {}, nullptr, true,
+                                /*max_intermediate_tuples=*/2);
   EXPECT_EQ(r.status, EvalStatus::kOutOfMemory);
 }
 
 TEST_F(BaselineFixture, JmHonorsLimit) {
-  JmOptions opts;
-  opts.limit = 2;
-  JmResult r = JmEvaluate(ctx_, query_, opts);
+  BaselineResult r = JmEvaluate(ctx_, query_, {.limit = 2});
   EXPECT_EQ(r.num_occurrences, 2u);
+}
+
+TEST_F(BaselineFixture, LimitZeroEmitsNothing) {
+  GmEngine gm(graph_);
+  WcojEngine wcoj(graph_);
+  ASSERT_EQ(wcoj.MaterializeClosure(1 << 26, nullptr), EvalStatus::kOk);
+  PatternQuery child = *ParsePattern("(a:0)->(b:1)");
+  const std::vector<NamedEngine> engines = {
+      GmVariant("GM", gm), Jm(ctx_), Tm(ctx_), Wcoj("WCOJ", wcoj),
+      Iso(graph_)};
+  for (const NamedEngine& engine : engines) {
+    for (const PatternQuery& q : {query_, child}) {
+      std::vector<Occurrence> tuples;
+      BaselineResult r =
+          engine.evaluate(q, {.limit = 0}, CollectInto(&tuples));
+      EXPECT_EQ(r.num_occurrences, 0u) << engine.name;
+      EXPECT_TRUE(tuples.empty()) << engine.name;
+    }
+  }
 }
 
 TEST_F(BaselineFixture, WcojUnsupportedWithoutClosure) {
   WcojEngine wcoj(graph_);
-  WcojResult r = wcoj.Evaluate(query_);  // has a descendant edge
+  BaselineResult r = wcoj.Evaluate(query_);  // has a descendant edge
   EXPECT_EQ(r.status, EvalStatus::kUnsupported);
 }
 
@@ -90,11 +130,7 @@ TEST_F(BaselineFixture, WcojWithClosureMatchesAnswer) {
   ASSERT_EQ(wcoj.MaterializeClosure(/*max_bytes=*/1 << 26, &build_ms),
             EvalStatus::kOk);
   std::vector<Occurrence> tuples;
-  WcojResult r = wcoj.Evaluate(query_, WcojOptions{},
-                               [&tuples](const Occurrence& t) {
-                                 tuples.push_back(t);
-                                 return true;
-                               });
+  BaselineResult r = wcoj.Evaluate(query_, {}, CollectInto(&tuples));
   EXPECT_EQ(r.status, EvalStatus::kOk);
   EXPECT_EQ(Collect(tuples), PaperExample::ExpectedAnswer());
 }
@@ -131,7 +167,7 @@ TEST(Catalog, CostGrowsWithLabelCount) {
 
 TEST(Iso, RejectsDescendantEdges) {
   Graph g = PaperExample::MakeGraph();
-  IsoResult r = IsoEvaluate(g, PaperExample::MakeQuery());
+  BaselineResult r = IsoEvaluate(g, PaperExample::MakeQuery());
   EXPECT_EQ(r.status, EvalStatus::kUnsupported);
 }
 
@@ -143,9 +179,9 @@ TEST(Iso, InjectivityExcludesFoldedMatches) {
   PatternQuery q = PatternQuery::FromParts(
       {0, 0, 1},
       {{0, 2, EdgeKind::kChild}, {1, 2, EdgeKind::kChild}});
-  IsoResult iso = IsoEvaluate(g, q);
+  BaselineResult iso = IsoEvaluate(g, q);
   EXPECT_EQ(iso.status, EvalStatus::kOk);
-  EXPECT_EQ(iso.num_embeddings, 2u);  // (a0,a1), (a1,a0)
+  EXPECT_EQ(iso.num_occurrences, 2u);  // (a0,a1), (a1,a0)
   // Homomorphic count includes the folded assignments.
   EXPECT_EQ(BruteForceAnswer(g, q).size(), 4u);
 }
@@ -158,21 +194,61 @@ TEST(Iso, AgreesWithInjectiveBruteForceOnRandomInputs) {
                                           .num_labels = 3,
                                           .variant = QueryVariant::kChildOnly,
                                           .seed = seed + 100});
-    IsoResult iso = IsoEvaluate(g, q);
+    BaselineResult iso = IsoEvaluate(g, q);
     ASSERT_EQ(iso.status, EvalStatus::kOk);
-    uint64_t expected = 0;
-    for (const auto& t : BruteForceAnswer(g, q)) {
-      std::set<NodeId> distinct(t.begin(), t.end());
-      if (distinct.size() == t.size()) ++expected;
+    EXPECT_EQ(iso.num_occurrences, Injective(BruteForceAnswer(g, q)).size())
+        << "seed " << seed;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Query loops: an edge from a query node to itself.
+// ---------------------------------------------------------------------------
+
+// Node 0 has label 0, nodes 1-3 label 1; 1 has a self-loop and 2, 3 form a
+// cycle, so all three lie on a cycle and only 1 has an edge to itself.
+Graph LoopGraph() {
+  return Graph::FromEdges({0, 1, 1, 1},
+                          {{0, 1}, {1, 1}, {0, 2}, {2, 3}, {3, 2}});
+}
+
+TEST(QueryLoops, EveryEngineMatchesBruteForceOnTheLoopGraph) {
+  Graph g = LoopGraph();
+  auto reach = BuildReachabilityIndex(g, ReachKind::kBfl);
+  MatchContext ctx(g, *reach);
+  GmEngine gm(g);
+  WcojEngine wcoj(g);
+  ASSERT_EQ(wcoj.MaterializeClosure(1 << 20, nullptr), EvalStatus::kOk);
+  const std::vector<NamedEngine> engines = {
+      GmVariant("GM", gm), Jm(ctx), Tm(ctx), Wcoj("WCOJ", wcoj), Iso(g)};
+  // Pattern -> brute-force count: 3 nodes on a cycle, 1 with a self-loop.
+  const std::vector<std::pair<std::string, size_t>> cases = {
+      {"(b:1)=>(b)", 3}, {"(b:1)->(b)", 1}, {"(a:0)->(b:1), (b)->(b)", 1},
+      {"(a:0)->(b:1), (b)=>(b)", 2}, {"(b:1)=2>(b)", 3}};
+  for (const auto& [pattern, count] : cases) {
+    PatternQuery q = *ParsePattern(pattern);
+    auto expected = BruteForceAnswer(g, q);
+    ASSERT_EQ(expected.size(), count) << pattern;
+    for (const NamedEngine& engine : engines) {
+      std::vector<Occurrence> tuples;
+      BaselineResult r = engine.evaluate(q, {}, CollectInto(&tuples));
+      if (r.status == EvalStatus::kUnsupported) continue;  // WCOJ, ISO
+      EXPECT_EQ(r.status, EvalStatus::kOk) << engine.name << " " << pattern;
+      EXPECT_EQ(Collect(tuples), engine.kind == CountKind::kInjective
+                                     ? Injective(expected)
+                                     : expected)
+          << engine.name << " " << pattern;
     }
-    EXPECT_EQ(iso.num_embeddings, expected) << "seed " << seed;
   }
 }
 
 // ---------------------------------------------------------------------------
 // Cross-engine differential property: GM == JM == TM == (WCOJ with closure)
-// == brute force on random hybrid queries.
+// == brute force, and ISO == the injective part of it, on random hybrid
+// queries, some with a loop on one node.
 // ---------------------------------------------------------------------------
+
+enum class Loop { kNone, kChild, kDescendant, kBounded };
 
 struct CrossCase {
   const char* label;
@@ -180,52 +256,62 @@ struct CrossCase {
   uint32_t q_nodes;
   uint32_t q_edges;
   QueryVariant variant;
+  Loop loop = Loop::kNone;
 };
 
-class CrossEngineTest : public ::testing::TestWithParam<CrossCase> {};
-
-TEST_P(CrossEngineTest, AllEnginesAgree) {
-  const CrossCase& p = GetParam();
-  Graph g = GeneratePowerLaw({.num_nodes = 60, .num_edges = 220,
-                              .num_labels = 4, .seed = p.seed});
-  auto reach = BuildReachabilityIndex(g, ReachKind::kBfl);
-  MatchContext ctx(g, *reach);
+// The case's random query, with a loop on node 1 when the case asks for one.
+PatternQuery CaseQuery(const CrossCase& p) {
   PatternQuery q = GenerateRandomQuery({.num_nodes = p.q_nodes,
                                         .num_edges = p.q_edges,
                                         .num_labels = 4,
                                         .variant = p.variant,
                                         .seed = p.seed * 3 + 11});
+  if (p.loop == Loop::kNone) return q;
+  std::vector<QueryEdge> edges = q.Edges();
+  edges.push_back({1, 1,
+                   p.loop == Loop::kChild ? EdgeKind::kChild
+                                          : EdgeKind::kDescendant,
+                   p.loop == Loop::kBounded ? 2u : 0u});
+  return PatternQuery::FromParts(q.Labels(), std::move(edges));
+}
 
+class CrossEngineTest : public ::testing::TestWithParam<CrossCase> {};
+
+TEST_P(CrossEngineTest, AllEnginesAgree) {
+  const CrossCase& p = GetParam();
+  Graph generated = GeneratePowerLaw({.num_nodes = 60, .num_edges = 220,
+                                      .num_labels = 4, .seed = p.seed});
+  // A self-loop on every third node gives a child loop something to match.
+  Graph g = p.loop == Loop::kNone ? generated : WithSelfLoops(generated, 3);
+  auto reach = BuildReachabilityIndex(g, ReachKind::kBfl);
+  MatchContext ctx(g, *reach);
+  PatternQuery q = CaseQuery(p);
   auto expected = BruteForceAnswer(g, q);
+  if (p.loop != Loop::kNone) ASSERT_FALSE(expected.empty());
+  bool bounded = false;
+  for (const QueryEdge& e : q.Edges()) bounded = bounded || e.max_hops > 0;
 
   GmEngine gm(g);
-  EXPECT_EQ(Collect(gm.EvaluateCollect(q)), expected) << "GM";
-
-  std::vector<Occurrence> jm_tuples;
-  JmResult jm = JmEvaluate(ctx, q, JmOptions{}, [&](const Occurrence& t) {
-    jm_tuples.push_back(t);
-    return true;
-  });
-  ASSERT_EQ(jm.status, EvalStatus::kOk);
-  EXPECT_EQ(Collect(jm_tuples), expected) << "JM";
-
-  std::vector<Occurrence> tm_tuples;
-  TmResult tm = TmEvaluate(ctx, q, TmOptions{}, [&](const Occurrence& t) {
-    tm_tuples.push_back(t);
-    return true;
-  });
-  ASSERT_EQ(tm.status, EvalStatus::kOk);
-  EXPECT_EQ(Collect(tm_tuples), expected) << "TM";
-
   WcojEngine wcoj(g);
   ASSERT_EQ(wcoj.MaterializeClosure(1 << 28, nullptr), EvalStatus::kOk);
-  std::vector<Occurrence> wcoj_tuples;
-  WcojResult wr = wcoj.Evaluate(q, WcojOptions{}, [&](const Occurrence& t) {
-    wcoj_tuples.push_back(t);
-    return true;
-  });
-  ASSERT_EQ(wr.status, EvalStatus::kOk);
-  EXPECT_EQ(Collect(wcoj_tuples), expected) << "WCOJ";
+  const std::vector<NamedEngine> engines = {
+      GmVariant("GM", gm), Jm(ctx), Tm(ctx), Wcoj("WCOJ", wcoj), Iso(g)};
+  for (const NamedEngine& engine : engines) {
+    std::vector<Occurrence> tuples;
+    BaselineResult r = engine.evaluate(q, {}, CollectInto(&tuples));
+    // WCOJ's closure ignores hop bounds; ISO takes child-only queries.
+    if ((engine.name == "WCOJ" && bounded) ||
+        (engine.name == "ISO" && q.NumDescendantEdges() > 0)) {
+      EXPECT_EQ(r.status, EvalStatus::kUnsupported) << engine.name;
+      continue;
+    }
+    ASSERT_EQ(r.status, EvalStatus::kOk) << engine.name;
+    EXPECT_EQ(r.num_occurrences, tuples.size()) << engine.name;
+    EXPECT_EQ(Collect(tuples), engine.kind == CountKind::kInjective
+                                   ? Injective(expected)
+                                   : expected)
+        << engine.name;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -236,10 +322,110 @@ INSTANTIATE_TEST_SUITE_P(
         CrossCase{"child_only", 3, 5, 6, QueryVariant::kChildOnly},
         CrossCase{"desc_only", 4, 4, 4, QueryVariant::kDescendantOnly},
         CrossCase{"hybrid_six", 5, 6, 8, QueryVariant::kHybrid},
-        CrossCase{"child_clique", 6, 4, 6, QueryVariant::kChildOnly}),
+        CrossCase{"child_clique", 6, 4, 6, QueryVariant::kChildOnly},
+        CrossCase{"child_loop", 7, 3, 2, QueryVariant::kChildOnly,
+                  Loop::kChild},
+        CrossCase{"hybrid_child_loop", 8, 4, 4, QueryVariant::kHybrid,
+                  Loop::kChild},
+        CrossCase{"desc_loop", 18, 4, 4, QueryVariant::kHybrid,
+                  Loop::kDescendant},
+        CrossCase{"bounded_loop", 10, 4, 4, QueryVariant::kHybrid,
+                  Loop::kBounded}),
     [](const ::testing::TestParamInfo<CrossCase>& info) {
       return info.param.label;
     });
+
+// ---------------------------------------------------------------------------
+// The paper benches' count gate (bench_util/count_gate.h).
+// ---------------------------------------------------------------------------
+
+// Inside a fixture, a bare Run names ::testing::Test::Run.
+class CountGateTest : public BaselineFixture {
+ protected:
+  CountGateTest() : gm_(graph_) {}
+
+  // GM's count plus `delta`, as an engine of the given kind.
+  NamedEngine OffBy(int64_t delta, CountKind kind) {
+    NamedEngine gm = GmVariant("GM", gm_);
+    auto evaluate = [gm, delta](const PatternQuery& q,
+                                const BaselineOptions& opts,
+                                const OccurrenceSink& sink) {
+      BaselineResult r = gm.evaluate(q, opts, sink);
+      r.num_occurrences += delta;
+      return r;
+    };
+    return {"fake", evaluate, kind};
+  }
+
+  GmEngine gm_;
+  CountGate gate_;
+};
+
+TEST_F(CountGateTest, AgreeingEnginesPass) {
+  const std::vector<NamedEngine> engines = {GmVariant("GM", gm_), Jm(ctx_),
+                                            Tm(ctx_)};
+  auto runs = rigpm::Run(engines, "paper", query_, &gate_, {});
+  ASSERT_EQ(runs.size(), 3u);
+  EXPECT_EQ(runs[2].result.num_occurrences, 4u);
+  EXPECT_EQ(gate_.comparisons(), 2u);
+  EXPECT_EQ(gate_.mismatches(), 0u);
+  EXPECT_EQ(gate_.Finish(), 0);
+}
+
+TEST_F(CountGateTest, EngineOffByOneFails) {
+  const std::vector<NamedEngine> engines = {
+      GmVariant("GM", gm_), OffBy(1, CountKind::kHomomorphism)};
+  rigpm::Run(engines, "paper", query_, &gate_, {});
+  EXPECT_EQ(gate_.mismatches(), 1u);
+  EXPECT_EQ(gate_.Finish(), 1);
+}
+
+TEST_F(CountGateTest, IsoAboveGmFailsAndBelowPasses) {
+  const std::vector<NamedEngine> below = {
+      GmVariant("GM", gm_), OffBy(-1, CountKind::kInjective)};
+  rigpm::Run(below, "paper", query_, &gate_, {});
+  EXPECT_EQ(gate_.mismatches(), 0u);
+  const std::vector<NamedEngine> above = {
+      GmVariant("GM", gm_), OffBy(1, CountKind::kInjective)};
+  rigpm::Run(above, "paper", query_, &gate_, {});
+  EXPECT_EQ(gate_.comparisons(), 2u);
+  EXPECT_EQ(gate_.mismatches(), 1u);
+  EXPECT_EQ(gate_.Finish(), 1);
+}
+
+TEST_F(CountGateTest, UnfinishedRunsAreSkippedAndCounted) {
+  for (EvalStatus status : {EvalStatus::kOutOfMemory, EvalStatus::kTimeout,
+                            EvalStatus::kTimeout, EvalStatus::kUnsupported}) {
+    // A wrong count does not matter when the run did not finish.
+    EXPECT_TRUE(gate_.Check("q", "x", CountKind::kHomomorphism, status, 7, 4,
+                            100));
+  }
+  EXPECT_EQ(gate_.skipped(EvalStatus::kOutOfMemory), 1u);
+  EXPECT_EQ(gate_.skipped(EvalStatus::kTimeout), 2u);
+  EXPECT_EQ(gate_.skipped(EvalStatus::kUnsupported), 1u);
+  EXPECT_EQ(gate_.comparisons(), 0u);
+  EXPECT_EQ(gate_.Summary(),
+            "count gate: comparisons=0, both_at_limit=0, skipped_om=1, "
+            "skipped_to=2, skipped_na=1, mismatches=0");
+  EXPECT_EQ(gate_.Finish(), 0);
+}
+
+TEST_F(CountGateTest, BothAtTheLimitPasses) {
+  // The paper query has 4 occurrences; a limit of 2 caps both sides.
+  const std::vector<NamedEngine> engines = {GmVariant("GM", gm_), Jm(ctx_)};
+  auto runs = rigpm::Run(engines, "paper", query_, &gate_, {.limit = 2});
+  EXPECT_EQ(runs[0].result.num_occurrences, 2u);
+  EXPECT_EQ(gate_.both_at_limit(), 1u);
+  EXPECT_EQ(gate_.Finish(), 0);
+}
+
+TEST_F(CountGateTest, GmBelowTheLimitWithTheOtherAtItFails) {
+  EXPECT_FALSE(gate_.Check("q", "x", CountKind::kHomomorphism,
+                           EvalStatus::kOk, /*count=*/10, /*gm_count=*/9,
+                           /*limit=*/10));
+  EXPECT_EQ(gate_.both_at_limit(), 0u);
+  EXPECT_EQ(gate_.Finish(), 1);
+}
 
 }  // namespace
 }  // namespace rigpm

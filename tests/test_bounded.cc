@@ -156,7 +156,7 @@ TEST(Bounded, WcojReportsUnsupported) {
   Graph g = PathGraph();
   WcojEngine wcoj(g);
   wcoj.MaterializeClosure(1 << 24, nullptr);
-  WcojResult r = wcoj.Evaluate(BoundedPair(2));
+  BaselineResult r = wcoj.Evaluate(BoundedPair(2));
   EXPECT_EQ(r.status, EvalStatus::kUnsupported);
 }
 
@@ -200,7 +200,7 @@ TEST_P(BoundedCrossEngineTest, EnginesAgree) {
   EXPECT_EQ(std::set<Occurrence>(gm.begin(), gm.end()), expected) << "GM";
 
   std::vector<Occurrence> jm_tuples;
-  JmResult jm = JmEvaluate(ctx, q, JmOptions{}, [&](const Occurrence& t) {
+  BaselineResult jm = JmEvaluate(ctx, q, {}, [&](const Occurrence& t) {
     jm_tuples.push_back(t);
     return true;
   });
@@ -209,7 +209,7 @@ TEST_P(BoundedCrossEngineTest, EnginesAgree) {
       << "JM";
 
   std::vector<Occurrence> tm_tuples;
-  TmResult tm = TmEvaluate(ctx, q, TmOptions{}, [&](const Occurrence& t) {
+  BaselineResult tm = TmEvaluate(ctx, q, {}, [&](const Occurrence& t) {
     tm_tuples.push_back(t);
     return true;
   });

@@ -5,6 +5,8 @@
 
 #include "baseline/jm_engine.h"
 #include "baseline/tm_engine.h"
+#include "baseline/wcoj_engine.h"
+#include "bench_util/count_gate.h"
 #include "bench_util/datasets.h"
 #include "bench_util/harness.h"
 #include "bench_util/table_printer.h"
@@ -91,43 +93,36 @@ TEST(TablePrinterTest, AlignsColumns) {
   EXPECT_NE(text.find("---"), std::string::npos);
 }
 
-// The main integration check: on a miniature "yeast", all three approaches
-// agree on counts for hybrid template workloads, with GM never slower
-// by an unreasonable factor on the matching phase (sanity, not performance).
+// The main integration check: on a miniature "yeast", every engine the
+// benches compare agrees with GM through the benches' own count gate on
+// template workloads of each variant: JM, TM and WCOJ (with its closure)
+// exactly, up to the limit, and ISO's injective count never above GM's.
 TEST(Integration, EnginesAgreeOnDatasetWorkload) {
   Graph g = MakeDataset(DatasetByName("yt"), 0.05, 4);
   GmEngine engine(g);
   auto reach = BuildReachabilityIndex(g, ReachKind::kBfl);
   MatchContext ctx(g, *reach);
+  WcojEngine wcoj(g);
+  ASSERT_EQ(wcoj.MaterializeClosure(1 << 28, nullptr), EvalStatus::kOk);
+  const std::vector<NamedEngine> engines = {
+      GmVariant("GM", engine), Jm(ctx), Tm(ctx), Wcoj("WCOJ", wcoj), Iso(g)};
 
-  const uint64_t kLimit = 20'000;
+  CountGate gate;
   for (QueryVariant variant :
        {QueryVariant::kChildOnly, QueryVariant::kHybrid,
         QueryVariant::kDescendantOnly}) {
     auto queries =
         TemplateWorkload(g, {"HQ0", "HQ6", "HQ8"}, variant, /*seed=*/9);
     for (const auto& nq : queries) {
-      GmOptions gopts;
-      gopts.limit = kLimit;
-      GmResult gm = engine.Evaluate(nq.query, gopts);
-
-      JmOptions jopts;
-      jopts.limit = kLimit;
-      JmResult jm = JmEvaluate(ctx, nq.query, jopts);
-
-      TmOptions topts;
-      topts.limit = kLimit;
-      TmResult tm = TmEvaluate(ctx, nq.query, topts);
-
-      if (!gm.hit_limit && jm.status == EvalStatus::kOk &&
-          tm.status == EvalStatus::kOk) {
-        EXPECT_EQ(gm.num_occurrences, jm.num_occurrences)
-            << nq.name << " variant " << QueryVariantName(variant);
-        EXPECT_EQ(gm.num_occurrences, tm.num_occurrences)
-            << nq.name << " variant " << QueryVariantName(variant);
-      }
+      // A bare Run here would name ::testing::Test::Run.
+      rigpm::Run(engines, nq.name, nq.query, &gate, {.limit = 20'000});
     }
   }
+  EXPECT_EQ(gate.mismatches(), 0u) << gate.Summary();
+  // Four comparisons per query, but ISO skips the six queries with
+  // descendant edges.
+  EXPECT_EQ(gate.skipped(EvalStatus::kUnsupported), 6u) << gate.Summary();
+  EXPECT_EQ(gate.comparisons(), 30u) << gate.Summary();
 }
 
 TEST(Integration, EmptyAnswerAcrossEngines) {

@@ -446,7 +446,9 @@ TEST_P(RigMJoinPropertyTest, RigEdgesAreExactlyTheMatchingPairs) {
   // with a self-loop on every third node, under the case's query and under
   // one whose descendant edges join nodes of one label. A node then lies
   // in both cos(p) and cos(q), so the pair (v, v) is probed: it is an edge
-  // iff v's component is cyclic.
+  // iff v's component is cyclic. A third query has a child, a descendant
+  // and a bounded loop: cos(p) of a loop (p, p) holds only nodes v whose
+  // pair (v, v) the loop accepts, and its edges are exactly those pairs.
   const EndToEndCase& p = GetParam();
   GeneratorOptions gopts{.num_nodes = 50, .num_edges = 170, .num_labels = 4,
                          .seed = p.seed};
@@ -454,15 +456,20 @@ TEST_P(RigMJoinPropertyTest, RigEdgesAreExactlyTheMatchingPairs) {
       p.dag_data ? GenerateRandomDag(gopts) : GeneratePowerLaw(gopts);
   std::optional<PatternQuery> same_label =
       ParsePattern("(x:0)=>(y:0), (y)=>(z:0), (x)->(w:1)");
-  ASSERT_TRUE(same_label.has_value());
+  std::optional<PatternQuery> loops = ParsePattern(
+      "(x:0)->(x), (x)=>(y:0), (y)=>(y), (y)->(z:1), (z)=>(z)");
+  ASSERT_TRUE(same_label.has_value() && loops.has_value());
   std::vector<PatternQuery> queries = {
       GenerateRandomQuery({.num_nodes = p.q_nodes,
                            .num_edges = p.q_edges,
                            .num_labels = 4,
                            .variant = QueryVariant::kHybrid,
                            .seed = p.seed * 31 + 5}),
-      *same_label};
-  // Every other descendant edge is bounded to 2 hops.
+      *same_label, *loops};
+  const char* const kQueryNames[] = {" case query", " same-label query",
+                                     " loop query"};
+  // Every other descendant edge is bounded to 2 hops: in the loop query,
+  // (x)=>(y) and (z)=>(z).
   for (PatternQuery& q : queries) {
     std::vector<QueryEdge> edges = q.Edges();
     bool bound = true;
@@ -475,6 +482,7 @@ TEST_P(RigMJoinPropertyTest, RigEdgesAreExactlyTheMatchingPairs) {
   }
 
   uint64_t checked = 0;
+  uint64_t checked_loop_rows = 0;
   bool saw_acyclic_self_pair = false;
   bool saw_cyclic_self_pair = false;
   for (bool self_loops : {false, true}) {
@@ -489,10 +497,22 @@ TEST_P(RigMJoinPropertyTest, RigEdgesAreExactlyTheMatchingPairs) {
         if (rig.AnyEmpty()) continue;  // expansion is skipped altogether
         const std::string where =
             std::string(self_loops ? "self-loops" : "generated") +
-            (qi == 0 ? " case query" : " same-label query") +
+            kQueryNames[qi] +
             (skip_simulation ? " match sets" : " simulated");
         for (QueryEdgeId e = 0; e < q.NumEdges(); ++e) {
           const QueryEdge& edge = q.Edge(e);
+          if (edge.from == edge.to) {
+            rig.Cos(edge.from).ForEach([&](NodeId v) {
+              EXPECT_TRUE(ctx.EdgePairMatch(edge, v, v))
+                  << "loop " << e << " v " << v << ", " << where;
+              Bitmap diagonal;
+              diagonal.Add(v);
+              EXPECT_EQ(rig.Forward(e, v), diagonal) << where;
+              EXPECT_EQ(rig.Backward(e, v), diagonal) << where;
+              ++checked_loop_rows;
+            });
+            continue;
+          }
           rig.Cos(edge.from).ForEach([&](NodeId vp) {
             Bitmap want;
             rig.Cos(edge.to).ForEach([&](NodeId vq) {
@@ -523,6 +543,7 @@ TEST_P(RigMJoinPropertyTest, RigEdgesAreExactlyTheMatchingPairs) {
     }
   }
   EXPECT_GT(checked, 0u);
+  EXPECT_GT(checked_loop_rows, 0u);
   // Some descendant edge's row was checked for a vp of cos(q) in an
   // acyclic component (no self-pair) and one in a cyclic component.
   EXPECT_TRUE(saw_acyclic_self_pair);

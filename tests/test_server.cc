@@ -210,6 +210,39 @@ TEST_F(ServerTest, SingleQueryMatchesInProcessEvaluation) {
   EXPECT_EQ(served, PaperExample::ExpectedAnswer());
 }
 
+TEST(ServerLoops, LoopPatternsServeTheBruteForceCount) {
+  // Node 0 has label 0, nodes 1-3 label 1; 1 has a self-loop and 2, 3 form
+  // a cycle.
+  Graph g = Graph::FromEdges({0, 1, 1, 1},
+                             {{0, 1}, {1, 1}, {0, 2}, {2, 3}, {3, 2}});
+  GmEngine engine(g);
+  auto catalog = std::make_shared<EngineCatalog>();
+  catalog->AdoptEngine("default", engine);
+  ServerConfig config;
+  config.unix_path = UniqueSocketPath();
+  config.num_workers = 2;
+  QueryServer server(catalog, config);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  QueryClient client;
+  ASSERT_TRUE(client.ConnectUnix(config.unix_path, &error)) << error;
+  // Pattern -> occurrences: three nodes on a cycle, one with a self-loop.
+  for (const auto& [pattern, count] :
+       std::vector<std::pair<std::string, size_t>>{
+           {"(b:1)=>(b)", 3}, {"(a:0)->(b:1), (b)->(b)", 1}}) {
+    ASSERT_EQ(testing::BruteForceAnswer(g, *ParsePattern(pattern)).size(),
+              count);
+    QueryRequest req;
+    req.patterns = {pattern};
+    auto resp = client.Query(req, &error);
+    ASSERT_TRUE(resp.has_value()) << error;
+    ASSERT_EQ(resp->status, StatusCode::kOk) << resp->error;
+    EXPECT_EQ(resp->results[0].num_occurrences, count) << pattern;
+  }
+  client.Close();
+  server.Stop();
+}
+
 TEST_F(ServerTest, TupleEchoIsCappedByRequest) {
   QueryClient client = Connect();
   auto resp = client.Query(PaperRequest(/*max_tuples=*/2));

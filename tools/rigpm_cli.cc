@@ -52,13 +52,15 @@
 //   --pattern STR     query in the inline syntax of pattern_parser.h
 //   --batch FILE      batch mode: one inline pattern per line ('#' comments
 //                     and blank lines skipped), served with EvaluateBatch
-//   --engine NAME     gm (default) | jm | tm
+//   --engine NAME     gm (default) | jm | tm (the join- and tree-based
+//                     baselines, baseline/baseline.h; they print a status)
 //   --order NAME      jo (default) | ri | bj           (gm engine)
 //   --threads N       --batch only: batch worker count (1 = sequential,
 //                     the default; 0 = hardware concurrency)
 //   --limit N         stop after N occurrences (default: all; 0 = none)
 //   --print N         print the first N occurrences (default 10)
-//   --stats           print per-phase statistics
+//   --stats           print each phase's time and their sum, then GM's RIG
+//                     size or the baseline's counters
 
 #include <chrono>
 #include <cstdio>
@@ -66,6 +68,7 @@
 #include <filesystem>
 #include <fstream>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -226,6 +229,15 @@ void PrintOccurrence(const Occurrence& t) {
     std::printf(i ? " %u" : "%u", t[i]);
   }
   std::printf(")\n");
+}
+
+// --stats: each phase an engine ran, with its time, and their sum.
+void PrintPipeline(std::span<const PhaseTiming> phases) {
+  std::printf("pipeline:");
+  for (const PhaseTiming& pt : phases) {
+    std::printf(" %s %.2f ms |", pt.name, pt.ms);
+  }
+  std::printf(" total %.2f ms\n", TotalMs(phases));
 }
 
 const char* SnapshotKindName(uint32_t kind_value) {
@@ -871,11 +883,7 @@ int main(int argc, char** argv) {
                 r.hit_limit ? " (limit reached)" : "");
     if (args.stats) {
       std::printf("reach index build: %.2f ms\n", engine.reach_build_ms());
-      std::printf("pipeline:");
-      for (const PhaseTiming& pt : r.phase_timings) {
-        std::printf(" %s %.2f ms |", pt.name, pt.ms);
-      }
-      std::printf(" total %.2f ms\n", r.TotalMs());
+      PrintPipeline(r.phase_timings);
       std::printf("RIG: %llu nodes, %llu edges (%zu bytes)\n",
                   static_cast<unsigned long long>(r.rig_nodes),
                   static_cast<unsigned long long>(r.rig_edges),
@@ -884,36 +892,21 @@ int main(int argc, char** argv) {
   } else if (args.engine == "jm" || args.engine == "tm") {
     auto reach = BuildReachabilityIndex(*graph, ReachKind::kBfl);
     MatchContext ctx(*graph, *reach);
-    if (args.engine == "jm") {
-      JmOptions opts;
-      opts.limit = args.limit;
-      JmResult r = JmEvaluate(ctx, *query, opts, sink);
-      std::printf("%llu occurrence(s), status=%s\n",
-                  static_cast<unsigned long long>(r.num_occurrences),
-                  EvalStatusName(r.status));
-      if (args.stats) {
-        std::printf("relations %.2f ms | plan %.2f ms (%llu plans) | joins "
-                    "%.2f ms | peak intermediate %llu\n",
-                    r.relations_ms, r.plan_ms,
-                    static_cast<unsigned long long>(r.plans_considered),
-                    r.join_ms,
-                    static_cast<unsigned long long>(r.max_intermediate_size));
+    const BaselineOptions opts{.limit = args.limit};
+    BaselineResult r = args.engine == "jm"
+                           ? JmEvaluate(ctx, *query, opts, sink)
+                           : TmEvaluate(ctx, *query, opts, sink);
+    std::printf("%llu occurrence(s), status=%s\n",
+                static_cast<unsigned long long>(r.num_occurrences),
+                EvalStatusName(r.status));
+    if (args.stats) {
+      PrintPipeline(r.phase_timings);
+      std::printf("counters:");
+      for (const EngineCounter& c : r.counters) {
+        std::printf(" %s %llu", c.name,
+                    static_cast<unsigned long long>(c.value));
       }
-    } else {
-      TmOptions opts;
-      opts.limit = args.limit;
-      TmResult r = TmEvaluate(ctx, *query, opts, sink);
-      std::printf("%llu occurrence(s), status=%s\n",
-                  static_cast<unsigned long long>(r.num_occurrences),
-                  EvalStatusName(r.status));
-      if (args.stats) {
-        std::printf("tree solutions %llu | answer graph %llu+%llu | build "
-                    "%.2f ms | enumerate %.2f ms\n",
-                    static_cast<unsigned long long>(r.tree_solutions),
-                    static_cast<unsigned long long>(r.aux_graph_nodes),
-                    static_cast<unsigned long long>(r.aux_graph_edges),
-                    r.build_ms, r.enumerate_ms);
-      }
+      std::printf("\n");
     }
   } else {
     std::fprintf(stderr, "unknown engine %s\n", args.engine.c_str());
