@@ -42,9 +42,9 @@ BaselineResult IsoEvaluate(const Graph& g, const PatternQuery& q,
     for (QueryEdgeId e : q.OutEdges(v)) bump(q_out, q.Edge(e).to);
     for (QueryEdgeId e : q.InEdges(v)) bump(q_in, q.Edge(e).from);
     std::vector<NodeId> kept;
-    for (NodeId u : g.LabelNodes(q.Label(v))) {
+    g.LabelBitmap(q.Label(v)).ForEach([&](NodeId u) {
       if (g.OutDegree(u) < q.OutDegree(v) || g.InDegree(u) < q.InDegree(v)) {
-        continue;
+        return;
       }
       auto out_hist = LabelHistogram(g, g.OutNeighbors(u));
       auto in_hist = LabelHistogram(g, g.InNeighbors(u));
@@ -53,7 +53,7 @@ BaselineResult IsoEvaluate(const Graph& g, const PatternQuery& q,
         ok = out_hist[a] >= q_out[a] && in_hist[a] >= q_in[a];
       }
       if (ok) kept.push_back(u);
-    }
+    });
     candidates[v] = Bitmap::FromSorted(kept);
     sizes[v] = kept.size();
   }

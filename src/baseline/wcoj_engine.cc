@@ -8,42 +8,6 @@
 
 namespace rigpm {
 
-namespace {
-
-std::vector<QueryNodeId> RiStyleOrder(const PatternQuery& q) {
-  const uint32_t n = q.NumNodes();
-  std::vector<uint8_t> chosen(n, 0);
-  std::vector<QueryNodeId> order;
-  QueryNodeId best = 0;
-  for (QueryNodeId v = 1; v < n; ++v) {
-    if (q.Degree(v) > q.Degree(best)) best = v;
-  }
-  order.push_back(best);
-  chosen[best] = 1;
-  while (order.size() < n) {
-    QueryNodeId next = kInvalidNode;
-    int best_back = -1;
-    for (QueryNodeId v = 0; v < n; ++v) {
-      if (chosen[v]) continue;
-      int back = 0;
-      for (QueryNodeId u : order) {
-        if (q.HasEdgeBetween(u, v) || q.HasEdgeBetween(v, u)) ++back;
-      }
-      if (back > best_back ||
-          (back == best_back && next != kInvalidNode &&
-           q.Degree(v) > q.Degree(next))) {
-        best_back = back;
-        next = v;
-      }
-    }
-    order.push_back(next);
-    chosen[next] = 1;
-  }
-  return order;
-}
-
-}  // namespace
-
 EvalStatus WcojEngine::MaterializeClosure(size_t max_bytes, double* build_ms) {
   const auto t0 = std::chrono::steady_clock::now();
   TransitiveClosure tc(graph_);
@@ -95,7 +59,7 @@ BaselineResult WcojEngine::Evaluate(const PatternQuery& q,
     label_counts[v] = graph_.LabelCount(q.Label(v));
   }
   std::vector<QueryNodeId> order =
-      use_ri_order ? RiStyleOrder(q) : JoOrder(q, label_counts);
+      use_ri_order ? RiOrder(q) : JoOrder(q, label_counts);
   DataSearch({.graph = graph_,
               .candidates = label_sets,
               .reach_fwd = closure_fwd_,

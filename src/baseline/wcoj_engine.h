@@ -33,8 +33,8 @@ class WcojEngine {
 
   /// Matches the query nodes in the GF-style order, GM's JO rule over the
   /// label counts (the cardinalities WCO-join systems take from their
-  /// catalogs), or with `use_ri_order` (RM) purely topologically: most
-  /// edges toward the order first. Phase: Enumerate.
+  /// catalogs), or with `use_ri_order` (RM) in GM's purely topological RI
+  /// order (RiOrder). Phase: Enumerate.
   BaselineResult Evaluate(const PatternQuery& q,
                           const BaselineOptions& opts = {},
                           const OccurrenceSink& sink = nullptr,

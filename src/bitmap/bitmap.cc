@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <cstring>
 
 namespace rigpm {
 
 namespace {
 
 constexpr uint32_t kWordsPerBitset = 1024;  // 1024 * 64 = 65536 bits
-constexpr uint32_t kBitsetBytes = kWordsPerBitset * sizeof(uint64_t);
 
 uint16_t HighBits(uint32_t value) { return static_cast<uint16_t>(value >> 16); }
 uint16_t LowBits(uint32_t value) {
@@ -31,29 +29,26 @@ bool Bitmap::Container::Contains(uint16_t low) const {
 }
 
 void Bitmap::Container::ToBitset() {
-  std::vector<uint64_t> w(kWordsPerBitset, 0);
+  words.assign(kWordsPerBitset, 0);
   for (uint16_t low : array) {
-    w[low >> 6] |= uint64_t{1} << (low & 63);
+    words[low >> 6] |= uint64_t{1} << (low & 63);
   }
-  words.Mutable() = std::move(w);
-  array.Reset();
+  array = std::vector<uint16_t>();
   kind = Kind::kBitset;
 }
 
 void Bitmap::Container::ToArrayIfSmall() {
   if (cardinality > kArrayCapacity) return;
-  std::vector<uint16_t> a;
-  a.reserve(cardinality);
+  array.reserve(cardinality);
   for (uint32_t w = 0; w < kWordsPerBitset; ++w) {
     uint64_t word = words[w];
     while (word != 0) {
       int bit = std::countr_zero(word);
-      a.push_back(static_cast<uint16_t>((w << 6) | bit));
+      array.push_back(static_cast<uint16_t>((w << 6) | bit));
       word &= word - 1;
     }
   }
-  array.Mutable() = std::move(a);
-  words.Reset();
+  words = std::vector<uint64_t>();
   kind = Kind::kArray;
 }
 
@@ -76,16 +71,16 @@ Bitmap Bitmap::FromSorted(std::span<const uint32_t> sorted_values) {
     c.key = key;
     c.cardinality = static_cast<uint32_t>(j - i);
     if (c.cardinality <= kArrayCapacity) {
-      std::vector<uint16_t>& arr = c.array.Mutable();
-      arr.reserve(c.cardinality);
-      for (size_t k = i; k < j; ++k) arr.push_back(LowBits(sorted_values[k]));
+      c.array.reserve(c.cardinality);
+      for (size_t k = i; k < j; ++k) {
+        c.array.push_back(LowBits(sorted_values[k]));
+      }
     } else {
       c.kind = Container::Kind::kBitset;
-      std::vector<uint64_t>& w = c.words.Mutable();
-      w.assign(kWordsPerBitset, 0);
+      c.words.assign(kWordsPerBitset, 0);
       for (size_t k = i; k < j; ++k) {
         uint16_t low = LowBits(sorted_values[k]);
-        w[low >> 6] |= uint64_t{1} << (low & 63);
+        c.words[low >> 6] |= uint64_t{1} << (low & 63);
       }
     }
     result.containers_.push_back(std::move(c));
@@ -122,19 +117,15 @@ Bitmap::Container& Bitmap::GetOrCreateContainer(uint16_t key) {
 void Bitmap::Add(uint32_t value) {
   Container& c = GetOrCreateContainer(HighBits(value));
   uint16_t low = LowBits(value);
-  // Mutable() up front keeps the hot path at a single binary search / word
-  // access, as before the span refactor; it is free for owned containers
-  // (everything the build path touches) and copies once for borrowed ones.
   if (c.kind == Container::Kind::kArray) {
-    std::vector<uint16_t>& arr = c.array.Mutable();
-    auto it = std::lower_bound(arr.begin(), arr.end(), low);
-    if (it != arr.end() && *it == low) return;
-    arr.insert(it, low);
+    auto it = std::lower_bound(c.array.begin(), c.array.end(), low);
+    if (it != c.array.end() && *it == low) return;
+    c.array.insert(it, low);
     ++c.cardinality;
     ++cardinality_;
     if (c.cardinality > kArrayCapacity) c.ToBitset();
   } else {
-    uint64_t& word = c.words.Mutable()[low >> 6];
+    uint64_t& word = c.words[low >> 6];
     uint64_t mask = uint64_t{1} << (low & 63);
     if (word & mask) return;
     word |= mask;
@@ -149,14 +140,13 @@ void Bitmap::Remove(uint32_t value) {
   Container& c = containers_[idx];
   uint16_t low = LowBits(value);
   if (c.kind == Container::Kind::kArray) {
-    std::vector<uint16_t>& arr = c.array.Mutable();
-    auto it = std::lower_bound(arr.begin(), arr.end(), low);
-    if (it == arr.end() || *it != low) return;
-    arr.erase(it);
+    auto it = std::lower_bound(c.array.begin(), c.array.end(), low);
+    if (it == c.array.end() || *it != low) return;
+    c.array.erase(it);
     --c.cardinality;
     --cardinality_;
   } else {
-    uint64_t& word = c.words.Mutable()[low >> 6];
+    uint64_t& word = c.words[low >> 6];
     uint64_t mask = uint64_t{1} << (low & 63);
     if (!(word & mask)) return;
     word &= ~mask;
@@ -225,17 +215,16 @@ Bitmap::Container Bitmap::AndContainers(const Container& a,
   out.key = a.key;
   using Kind = Container::Kind;
   if (a.kind == Kind::kArray && b.kind == Kind::kArray) {
-    IntersectArrays(a.array, b.array, &out.array.Mutable());
+    IntersectArrays(a.array, b.array, &out.array);
     out.cardinality = static_cast<uint32_t>(out.array.size());
     return out;
   }
   if (a.kind == Kind::kBitset && b.kind == Kind::kBitset) {
-    std::vector<uint64_t>& words = out.words.Mutable();
-    words.assign(kWordsPerBitset, 0);
+    out.words.assign(kWordsPerBitset, 0);
     uint32_t card = 0;
     for (uint32_t w = 0; w < kWordsPerBitset; ++w) {
-      words[w] = a.words[w] & b.words[w];
-      card += static_cast<uint32_t>(std::popcount(words[w]));
+      out.words[w] = a.words[w] & b.words[w];
+      card += static_cast<uint32_t>(std::popcount(out.words[w]));
     }
     out.cardinality = card;
     out.kind = Kind::kBitset;
@@ -245,12 +234,11 @@ Bitmap::Container Bitmap::AndContainers(const Container& a,
   // array x bitset: probe the bitset with each array element.
   const Container& arr = (a.kind == Kind::kArray) ? a : b;
   const Container& bits = (a.kind == Kind::kArray) ? b : a;
-  std::vector<uint16_t>& out_arr = out.array.Mutable();
-  out_arr.reserve(arr.array.size());
+  out.array.reserve(arr.array.size());
   for (uint16_t low : arr.array) {
-    if ((bits.words[low >> 6] >> (low & 63)) & 1) out_arr.push_back(low);
+    if ((bits.words[low >> 6] >> (low & 63)) & 1) out.array.push_back(low);
   }
-  out.cardinality = static_cast<uint32_t>(out_arr.size());
+  out.cardinality = static_cast<uint32_t>(out.array.size());
   return out;
 }
 
@@ -259,18 +247,17 @@ Bitmap::Container Bitmap::OrContainers(const Container& a, const Container& b) {
   out.key = a.key;
   using Kind = Container::Kind;
   if (a.kind == Kind::kArray && b.kind == Kind::kArray) {
-    std::vector<uint16_t>& out_arr = out.array.Mutable();
-    out_arr.reserve(a.array.size() + b.array.size());
+    out.array.reserve(a.array.size() + b.array.size());
     std::set_union(a.array.begin(), a.array.end(), b.array.begin(),
-                   b.array.end(), std::back_inserter(out_arr));
-    out.cardinality = static_cast<uint32_t>(out_arr.size());
+                   b.array.end(), std::back_inserter(out.array));
+    out.cardinality = static_cast<uint32_t>(out.array.size());
     if (out.cardinality > kArrayCapacity) out.ToBitset();
     return out;
   }
   // At least one bitset: the result holds more than kArrayCapacity values,
   // so it is a bitset too.
   out.kind = Kind::kBitset;
-  std::vector<uint64_t>& words = out.words.Mutable();
+  std::vector<uint64_t>& words = out.words;
   words.assign(kWordsPerBitset, 0);
   auto blend = [&words](const Container& c) {
     if (c.kind == Kind::kBitset) {
@@ -297,17 +284,16 @@ Bitmap::Container Bitmap::AndNotContainers(const Container& a,
   out.key = a.key;
   using Kind = Container::Kind;
   if (a.kind == Kind::kArray) {
-    std::vector<uint16_t>& out_arr = out.array.Mutable();
-    out_arr.reserve(a.array.size());
+    out.array.reserve(a.array.size());
     for (uint16_t low : a.array) {
-      if (!b.Contains(low)) out_arr.push_back(low);
+      if (!b.Contains(low)) out.array.push_back(low);
     }
-    out.cardinality = static_cast<uint32_t>(out_arr.size());
+    out.cardinality = static_cast<uint32_t>(out.array.size());
     return out;
   }
   out.kind = Kind::kBitset;
-  out.words = a.words;  // deep copy (a may borrow from a snapshot mapping)
-  std::vector<uint64_t>& words = out.words.Mutable();
+  out.words = a.words;
+  std::vector<uint64_t>& words = out.words;
   if (b.kind == Kind::kBitset) {
     for (uint32_t w = 0; w < kWordsPerBitset; ++w) words[w] &= ~b.words[w];
   } else {
@@ -414,8 +400,8 @@ void Bitmap::FilterByContainer(const Container& c, size_t begin,
   } else {
     // Both sides ascend: a merge walk, or galloping through `c` when it is
     // much longer than the range (as IntersectArrays does).
-    const uint16_t* probe = c.array.begin();
-    const uint16_t* const probe_end = c.array.end();
+    const uint16_t* probe = c.array.data();
+    const uint16_t* const probe_end = probe + c.array.size();
     const bool gallop = static_cast<size_t>(probe_end - probe) >
                         32 * static_cast<size_t>(last - first);
     for (const uint32_t* v = first; v != last && probe != probe_end; ++v) {
@@ -461,97 +447,6 @@ void Bitmap::AndManyInto(std::span<const Bitmap* const> inputs,
 }
 
 // ---------------------------------------------------------------------------
-// Serialization
-// ---------------------------------------------------------------------------
-
-void Bitmap::Serialize(ByteSink& sink) const {
-  // No total-cardinality word: it would only repeat the per-container
-  // cardinalities, each validated on its own.
-  sink.WriteU32(static_cast<uint32_t>(containers_.size()));
-  for (const Container& c : containers_) {
-    sink.WriteU16(c.key);
-    sink.WriteU8(static_cast<uint8_t>(c.kind));
-    sink.WriteU32(c.cardinality);
-    // Padding before each payload block lets the zero-copy loader borrow a
-    // correctly aligned typed pointer straight into the snapshot mapping.
-    sink.PadTo8();
-    if (c.kind == Container::Kind::kBitset) {
-      sink.WriteRaw(c.words.data(), c.words.size() * sizeof(uint64_t));
-    } else {
-      sink.WriteRaw(c.array.data(), c.array.size() * sizeof(uint16_t));
-    }
-  }
-}
-
-Bitmap Bitmap::Deserialize(ByteSource& src) {
-  // Each container starts with a 7-byte header (u16 key, u8 kind, u32
-  // cardinality), and keys are distinct 16-bit values.
-  constexpr size_t kContainerHeaderBytes = 7;
-  Bitmap out;
-  uint32_t num_containers = src.ReadU32();
-  if (!src.ok()) return Bitmap();
-  // Bound the count before reserving: a crafted count must fail softly,
-  // not abort the process with a huge allocation.
-  if (num_containers > 65536 ||
-      num_containers > src.remaining() / kContainerHeaderBytes) {
-    src.Fail("bitmap container count out of range");
-    return Bitmap();
-  }
-  out.containers_.reserve(num_containers);
-  uint64_t seen = 0;
-  for (uint32_t i = 0; i < num_containers; ++i) {
-    // One fused read of the container header — this loop runs once per
-    // container across millions of bitmaps on a big graph load.
-    uint8_t hdr[kContainerHeaderBytes];
-    if (!src.ReadRaw(hdr, sizeof(hdr))) return Bitmap();
-    Container c;
-    c.key = static_cast<uint16_t>(hdr[0] | (hdr[1] << 8));
-    uint8_t kind = hdr[2];
-    std::memcpy(&c.cardinality, hdr + 3, sizeof(uint32_t));
-    if (!out.containers_.empty() && c.key <= out.containers_.back().key) {
-      src.Fail("bitmap containers out of order");
-      return Bitmap();
-    }
-    if (c.cardinality == 0 || c.cardinality > 65536) {
-      src.Fail("bitmap container cardinality out of range");
-      return Bitmap();
-    }
-    if (kind == static_cast<uint8_t>(Container::Kind::kArray)) {
-      if (c.cardinality > kArrayCapacity) {
-        src.Fail("bitmap array container too large");
-        return Bitmap();
-      }
-      src.ReadBlock(c.cardinality, &c.array);
-    } else if (kind == static_cast<uint8_t>(Container::Kind::kBitset)) {
-      // The kernels rely on the kind following from the cardinality.
-      if (c.cardinality <= kArrayCapacity) {
-        src.Fail("non-canonical bitmap container (bitset of <= 4096 values)");
-        return Bitmap();
-      }
-      c.kind = Container::Kind::kBitset;
-      src.ReadBlock(kWordsPerBitset, &c.words);
-      if (!src.ok()) return Bitmap();
-      uint32_t card = 0;
-      for (uint64_t w : c.words) {
-        card += static_cast<uint32_t>(std::popcount(w));
-      }
-      if (card != c.cardinality) {
-        src.Fail("bitmap bitset cardinality mismatch");
-        return Bitmap();
-      }
-    } else {
-      src.Fail("unknown bitmap container kind");
-      return Bitmap();
-    }
-    if (!src.ok()) return Bitmap();
-    seen += c.cardinality;
-    out.containers_.push_back(std::move(c));
-  }
-  out.cardinality_ = seen;
-  return out;
-}
-
-// ---------------------------------------------------------------------------
 // Iteration and comparison
 // ---------------------------------------------------------------------------
 
@@ -570,7 +465,8 @@ bool Bitmap::operator==(const Bitmap& other) const {
     const Container& b = other.containers_[i];
     if (a.key != b.key || a.cardinality != b.cardinality) return false;
     // Equal cardinality means equal kind, and arrays are sorted, so payload
-    // equality is set equality.
+    // equality is set equality. A container of the wrong kind on either side
+    // has an empty payload of the kind compared, so it compares unequal.
     if (a.kind == Container::Kind::kBitset) {
       if (a.words != b.words) return false;
     } else {
@@ -583,24 +479,10 @@ bool Bitmap::operator==(const Bitmap& other) const {
 size_t Bitmap::MemoryBytes() const {
   size_t bytes = sizeof(Bitmap) + containers_.capacity() * sizeof(Container);
   for (const Container& c : containers_) {
-    bytes += c.array.OwnedHeapBytes();
-    bytes += c.words.OwnedHeapBytes();
+    bytes += c.array.capacity() * sizeof(uint16_t);
+    bytes += c.words.capacity() * sizeof(uint64_t);
   }
   return bytes;
-}
-
-void Bitmap::AccumulateStats(BitmapContainerStats* stats) const {
-  for (const Container& c : containers_) {
-    if (c.kind == Container::Kind::kArray) {
-      ++stats->array_containers;
-      stats->encoded_bytes += uint64_t{2} * c.cardinality;
-      if (c.array.borrowed()) ++stats->borrowed_containers;
-    } else {
-      ++stats->bitset_containers;
-      stats->encoded_bytes += kBitsetBytes;
-      if (c.words.borrowed()) ++stats->borrowed_containers;
-    }
-  }
 }
 
 }  // namespace rigpm

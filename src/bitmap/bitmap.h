@@ -8,26 +8,7 @@
 #include <type_traits>
 #include <vector>
 
-#include "util/owned_span.h"
-#include "util/serde.h"
-
 namespace rigpm {
-
-/// Per-kind container census of one or more bitmaps (Bitmap::AccumulateStats
-/// adds one bitmap's): how many containers of each representation, how many
-/// still borrow their payload from a snapshot mapping, and the payload bytes
-/// (what a snapshot stores and what a borrowed container costs in mapped
-/// bytes). Used by `rigpm_cli snapshot --inspect` and the tests.
-struct BitmapContainerStats {
-  uint64_t array_containers = 0;
-  uint64_t bitset_containers = 0;
-  uint64_t borrowed_containers = 0;  // payload borrowed from a mapping
-  uint64_t encoded_bytes = 0;
-
-  uint64_t TotalContainers() const {
-    return array_containers + bitset_containers;
-  }
-};
 
 /// A roaring-style compressed bitmap over 32-bit unsigned integers.
 ///
@@ -43,19 +24,15 @@ struct BitmapContainerStats {
 ///  * bitset — 1024 64-bit words (dense, > kArrayCapacity values, fixed
 ///             8 KiB).
 ///
-/// The kind follows from the cardinality alone: every constructor, kernel,
-/// point mutation and the decoder leave a container of <= kArrayCapacity
-/// values as an array and a larger one as a bitset (an array promotes when
-/// it grows past kArrayCapacity, a bitset demotes when it shrinks back to
-/// it). Equal cardinality therefore means equal kind, and the binary set
+/// As in the paper, every bitmap is built in memory and never persisted: a
+/// snapshot load rebuilds the label bitmaps from the labels.
+///
+/// The kind follows from the cardinality alone: every constructor, kernel
+/// and point mutation leave a container of <= kArrayCapacity values as an
+/// array and a larger one as a bitset (an array promotes when it grows past
+/// kArrayCapacity, a bitset demotes when it shrinks back to it). Equal cardinality therefore means equal kind, and the binary set
 /// operations need kernels for only three kind pairings: array x array,
 /// bitset x bitset and the mixed pair.
-///
-/// Zero-copy snapshots: a bitmap loaded from an mmap'd snapshot keeps its
-/// container payloads *borrowed inside the mapping* — reads operate on the
-/// mapped bytes directly, and the first mutating touch of a container makes
-/// a private copy of its payload (copy-on-write, util/owned_span.h). RSS
-/// therefore tracks the snapshot size until the bitmap is mutated.
 ///
 /// The class provides the operations the RIG framework needs:
 ///  * point updates and membership,
@@ -122,41 +99,16 @@ class Bitmap {
   bool operator==(const Bitmap& other) const;
   bool operator!=(const Bitmap& other) const { return !(*this == other); }
 
-  /// Appends a binary image to `sink`, container-at-a-time: each container
-  /// is dumped as a single raw block in its in-memory form, so
-  /// (de)serialization is memcpy-bound rather than element-at-a-time (the
-  /// property the RoaringBitmap design is built for). Read back with
-  /// Deserialize.
-  void Serialize(ByteSink& sink) const;
-
-  /// Decodes an image written by Serialize. On malformed input — including
-  /// a container whose kind does not match its cardinality — `src.ok()`
-  /// turns false (with a description in `src.error()`) and the returned
-  /// bitmap is empty. In zero-copy mode the container payloads borrow from
-  /// the source's storage: whoever owns this bitmap must retain
-  /// `src.storage()` (Graph and friends do). Reads work on the borrowed
-  /// bytes directly, mutating a borrowed container first copies its payload,
-  /// and copying a bitmap always deep-copies.
-  static Bitmap Deserialize(ByteSource& src);
-
-  /// Approximate *owned* heap footprint in bytes (used by RIG size
-  /// accounting and daemon RSS attribution). Borrowed container payloads —
-  /// views into a shared snapshot mapping — are accounted to the
-  /// mapping, not to this bitmap, so a freshly mmap-loaded bitmap reports
-  /// only its container-index overhead.
+  /// Approximate heap footprint in bytes (used by RIG size accounting and
+  /// daemon RSS attribution).
   size_t MemoryBytes() const;
 
   /// Number of internal containers (exposed for tests).
   size_t ContainerCount() const { return containers_.size(); }
 
-  /// Accumulates this bitmap's container census into `stats`.
-  void AccumulateStats(BitmapContainerStats* stats) const;
-
  private:
   // A single 2^16-element chunk. `kind` selects which representation is
-  // active; the inactive storage is kept empty. The payloads live in
-  // OwnedOrBorrowedSpan so a snapshot load can point them straight into the
-  // file mapping instead of copying (util/owned_span.h).
+  // active; the inactive storage is kept empty.
   //
   // kArray:  `array` holds `cardinality` <= kArrayCapacity sorted low bits.
   // kBitset: `words` holds 1024 words with `cardinality` > kArrayCapacity
@@ -167,8 +119,8 @@ class Bitmap {
     uint16_t key = 0;
     Kind kind = Kind::kArray;
     uint32_t cardinality = 0;
-    OwnedOrBorrowedSpan<uint16_t> array;  // when kind == kArray
-    OwnedOrBorrowedSpan<uint64_t> words;  // 1024 words, when kind == kBitset
+    std::vector<uint16_t> array;  // when kind == kArray
+    std::vector<uint64_t> words;  // 1024 words, when kind == kBitset
 
     bool Contains(uint16_t low) const;
 

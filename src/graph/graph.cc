@@ -2,9 +2,29 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
+#include <numeric>
 #include <sstream>
 
 namespace rigpm {
+
+namespace {
+
+// Offsets of the label inverted lists: entry a counts the nodes whose label
+// is below a, for a in [0, num_labels]. Empty if a label is not below
+// num_labels.
+std::vector<uint64_t> LabelOffsets(std::span<const LabelId> labels,
+                                   uint32_t num_labels) {
+  std::vector<uint64_t> offsets(uint64_t{num_labels} + 1, 0);
+  for (LabelId l : labels) {
+    if (l >= num_labels) return {};
+    ++offsets[l + 1];
+  }
+  std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
+  return offsets;
+}
+
+}  // namespace
 
 Graph Graph::FromEdges(std::vector<LabelId> labels,
                        std::vector<std::pair<NodeId, NodeId>> edges) {
@@ -12,7 +32,11 @@ Graph Graph::FromEdges(std::vector<LabelId> labels,
   g.labels_ = std::move(labels);
   const uint32_t n = g.NumNodes();
   g.num_labels_ = 0;
-  for (LabelId l : g.labels_) g.num_labels_ = std::max(g.num_labels_, l + 1);
+  for (LabelId l : g.labels_) {
+    // NumLabels() is the largest label plus one, so it must fit in 32 bits.
+    assert(l < std::numeric_limits<LabelId>::max());
+    g.num_labels_ = std::max(g.num_labels_, l + 1);
+  }
 
   std::sort(edges.begin(), edges.end());
   edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
@@ -47,26 +71,21 @@ Graph Graph::FromEdges(std::vector<LabelId> labels,
               bwd_targets.begin() + static_cast<ptrdiff_t>(bwd_offsets[v + 1]));
   }
 
-  g.BuildLabelLists();
+  g.label_offsets_ = LabelOffsets(g.labels_, g.num_labels_);
+  g.BuildLabelBitmaps();
   return g;
 }
 
-void Graph::BuildLabelLists() {
-  const uint32_t n = NumNodes();
-  std::vector<uint64_t>& label_offsets = label_offsets_.Mutable();
-  std::vector<NodeId>& label_nodes = label_nodes_.Mutable();
-  label_offsets.assign(num_labels_ + 1, 0);
-  for (LabelId l : labels_) ++label_offsets[l + 1];
-  for (uint32_t i = 0; i < num_labels_; ++i) {
-    label_offsets[i + 1] += label_offsets[i];
-  }
-  label_nodes.resize(n);
-  std::vector<uint64_t> pos(label_offsets.begin(), label_offsets.end() - 1);
-  for (NodeId v = 0; v < n; ++v) label_nodes[pos[labels_[v]]++] = v;
-
+void Graph::BuildLabelBitmaps() {
+  // Buckets the nodes by label, ascending within each bucket, then encodes
+  // each bucket.
+  std::vector<NodeId> nodes(NumNodes());
+  std::vector<uint64_t> pos(label_offsets_.begin(), label_offsets_.end() - 1);
+  for (NodeId v = 0; v < NumNodes(); ++v) nodes[pos[labels_[v]]++] = v;
   label_bitmaps_.resize(num_labels_);
   for (LabelId a = 0; a < num_labels_; ++a) {
-    label_bitmaps_[a] = Bitmap::FromSorted(LabelNodes(a));
+    label_bitmaps_[a] = Bitmap::FromSorted(
+        std::span(nodes).subspan(label_offsets_[a], LabelCount(a)));
   }
 }
 
@@ -91,8 +110,6 @@ void Graph::Serialize(ByteSink& sink) const {
   sink.WriteSpan<uint64_t>(bwd_offsets_);
   sink.WriteSpan<NodeId>(bwd_targets_);
   sink.WriteSpan<uint64_t>(label_offsets_);
-  sink.WriteSpan<NodeId>(label_nodes_);
-  for (const Bitmap& b : label_bitmaps_) b.Serialize(sink);
 }
 
 Graph Graph::Deserialize(ByteSource& src) {
@@ -105,22 +122,20 @@ Graph Graph::Deserialize(ByteSource& src) {
   src.ReadSpan(&g.bwd_offsets_);
   src.ReadSpan(&g.bwd_targets_);
   src.ReadSpan(&g.label_offsets_);
-  src.ReadSpan(&g.label_nodes_);
   if (!src.ok()) return Graph();
   const size_t n = g.labels_.size();
-  // Structural invariants: offset arrays bracket their target arrays and
-  // every projection array has one entry per node. Anything else would make
-  // the accessors read out of bounds. (The label count is widened before
-  // the +1: num_labels_ = 0xFFFFFFFF must not wrap to an expected size of
-  // 0 and slip an empty offsets array past the check.)
+  // Structural invariants: offset arrays bracket their target arrays, and
+  // the label offsets hold one word per label plus one. Anything else would
+  // make the accessors read out of bounds. (The label count is widened
+  // before the +1: num_labels_ = 0xFFFFFFFF must not wrap to an expected
+  // size of 0 and slip an empty offsets array past the check. The offsets
+  // come from the payload, so the label count can never make the decoder
+  // allocate more than the file holds.)
   if (g.fwd_offsets_.size() != n + 1 || g.bwd_offsets_.size() != n + 1 ||
       g.label_offsets_.size() != static_cast<uint64_t>(g.num_labels_) + 1 ||
       g.fwd_offsets_.front() != 0 || g.bwd_offsets_.front() != 0 ||
-      g.label_offsets_.front() != 0 ||
       g.fwd_offsets_.back() != g.fwd_targets_.size() ||
-      g.bwd_offsets_.back() != g.bwd_targets_.size() ||
-      g.label_offsets_.back() != g.label_nodes_.size() ||
-      g.label_nodes_.size() != n) {
+      g.bwd_offsets_.back() != g.bwd_targets_.size()) {
     src.Fail("graph snapshot structure is inconsistent");
     return Graph();
   }
@@ -131,11 +146,17 @@ Graph Graph::Deserialize(ByteSource& src) {
       return Graph();
     }
   }
-  for (LabelId l : g.labels_) {
-    if (l >= g.num_labels_) {
-      src.Fail("graph snapshot label out of range");
-      return Graph();
-    }
+  // One pass checks every label against the alphabet and counts it; the
+  // counts must be the ones the offsets declare, since LabelCount and the
+  // label bitmaps read those.
+  const std::vector<uint64_t> offsets = LabelOffsets(g.labels_, g.num_labels_);
+  if (offsets.empty()) {
+    src.Fail("graph snapshot label out of range");
+    return Graph();
+  }
+  if (!std::equal(offsets.begin(), offsets.end(), g.label_offsets_.begin())) {
+    src.Fail("graph snapshot label counts do not match its labels");
+    return Graph();
   }
   for (NodeId v : g.fwd_targets_) {
     if (v >= n) {
@@ -149,17 +170,7 @@ Graph Graph::Deserialize(ByteSource& src) {
       return Graph();
     }
   }
-  for (NodeId v : g.label_nodes_) {
-    if (v >= n) {
-      src.Fail("graph snapshot label list entry out of range");
-      return Graph();
-    }
-  }
-  g.label_bitmaps_.resize(g.num_labels_);
-  for (size_t a = 0; a < g.num_labels_ && src.ok(); ++a) {
-    g.label_bitmaps_[a] = Bitmap::Deserialize(src);
-  }
-  if (!src.ok()) return Graph();
+  g.BuildLabelBitmaps();
   return g;
 }
 
@@ -167,8 +178,7 @@ size_t Graph::OwnedHeapBytes() const {
   size_t bytes = labels_.OwnedHeapBytes() + fwd_offsets_.OwnedHeapBytes() +
                  fwd_targets_.OwnedHeapBytes() + bwd_offsets_.OwnedHeapBytes() +
                  bwd_targets_.OwnedHeapBytes() +
-                 label_offsets_.OwnedHeapBytes() +
-                 label_nodes_.OwnedHeapBytes();
+                 label_offsets_.OwnedHeapBytes();
   for (const Bitmap& b : label_bitmaps_) bytes += b.MemoryBytes();
   return bytes;
 }

@@ -9,6 +9,7 @@
 
 #include "bitmap/bitmap.h"
 #include "util/owned_span.h"
+#include "util/serde.h"
 
 namespace rigpm {
 
@@ -26,8 +27,8 @@ constexpr NodeId kInvalidNode = static_cast<NodeId>(-1);
 /// are the graph's only adjacency form; `BuildRIG`, the simulation's child
 /// checks and the baseline engines all walk them (Sections 4.5, 5). The
 /// bitmaps MJoin intersects are the RIG's, built per query. Label inverted
-/// lists `I_a` (Section 2) are exposed both as sorted vectors and as
-/// bitmaps: there is one per label, not one per node.
+/// lists `I_a` (Section 2) are bitmaps, one per label, not one per node;
+/// like the paper's index they are derived in memory, never persisted.
 ///
 /// Construct via `GraphBuilder` (graph_builder.h) or the generators.
 class Graph {
@@ -66,12 +67,7 @@ class Graph {
   /// True iff (u, v) is an edge. O(log OutDegree(u)).
   bool HasEdge(NodeId u, NodeId v) const;
 
-  /// Inverted list I_a: all nodes labeled `a`, sorted.
-  std::span<const NodeId> LabelNodes(LabelId a) const {
-    return {label_nodes_.data() + label_offsets_[a],
-            label_nodes_.data() + label_offsets_[a + 1]};
-  }
-  /// Inverted list I_a as a bitmap.
+  /// Inverted list I_a: all nodes labeled `a`.
   const Bitmap& LabelBitmap(LabelId a) const { return label_bitmaps_[a]; }
 
   uint32_t LabelCount(LabelId a) const {
@@ -89,15 +85,16 @@ class Graph {
   /// Human-readable one-line summary (|V|, |E|, |L|, d_avg).
   std::string Summary() const;
 
-  /// Appends a binary image of the whole graph — labels, both CSR
-  /// directions, and the label inverted lists as sorted arrays and as
-  /// bitmaps — to `sink` (storage/snapshot.h frames it into a snapshot
-  /// file). Loading is pure I/O: nothing is recomputed.
+  /// Appends a binary image of the graph to `sink` (storage/snapshot.h
+  /// frames it into a snapshot file): the labels, both CSR directions and
+  /// the label-list offsets, whose NumLabels() + 1 words declare the
+  /// alphabet. The label bitmaps are not stored.
   void Serialize(ByteSink& sink) const;
 
-  /// Decodes an image written by Serialize. On malformed input `src.ok()`
-  /// turns false and an empty graph is returned. In zero-copy mode the CSR
-  /// arrays, label lists, and label-bitmap container payloads borrow
+  /// Decodes an image written by Serialize, checks every label and the
+  /// label counts against the offsets, and rebuilds the label bitmaps. On
+  /// malformed input `src.ok()` turns false and an empty graph is returned.
+  /// In zero-copy mode the labels, CSR arrays and label-list offsets borrow
   /// directly from the source's backing storage; the graph retains the
   /// storage ownership token (`src.storage()`), so it stays valid for its
   /// whole lifetime and through moves. Copies deep-copy into private
@@ -106,8 +103,8 @@ class Graph {
 
   /// Heap bytes owned by this graph. Borrowed snapshot-mapping storage is
   /// excluded — it is shared between every process mapping the snapshot —
-  /// so an mmap-loaded graph owns only its label bitmaps' container tables,
-  /// which grow with the label count, not with |V|.
+  /// so an mmap-loaded graph owns only its label bitmaps, about 2 bytes per
+  /// node.
   size_t OwnedHeapBytes() const;
 
   /// Returns a copy with every edge also present in the reverse direction —
@@ -119,7 +116,9 @@ class Graph {
  private:
   friend class GraphBuilder;
 
-  void BuildLabelLists();
+  // Encodes label_bitmaps_ from labels_ and label_offsets_, which must
+  // agree.
+  void BuildLabelBitmaps();
 
   // Owned vectors when built in-process; borrowed views into the snapshot
   // mapping when loaded zero-copy (storage_ keeps the mapping alive).
@@ -132,8 +131,6 @@ class Graph {
   OwnedOrBorrowedSpan<NodeId> bwd_targets_;
 
   OwnedOrBorrowedSpan<uint64_t> label_offsets_;  // size NumLabels()+1
-  OwnedOrBorrowedSpan<NodeId> label_nodes_;
-
   std::vector<Bitmap> label_bitmaps_;
 
   // Ownership token for borrowed storage (null for built graphs); e.g. the

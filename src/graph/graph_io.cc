@@ -1,6 +1,7 @@
 #include "graph/graph_io.h"
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -43,9 +44,9 @@ std::optional<Graph> ReadGraph(std::istream& in, std::string* error) {
       if (!(ls >> declared_nodes >> declared_edges)) {
         return fail("malformed header at line " + std::to_string(line_no));
       }
+      // The counts are checked against the records at the end and reserve
+      // nothing, so one header line cannot ask for any amount of memory.
       have_header = true;
-      labels.reserve(declared_nodes);
-      edges.reserve(declared_edges);
     } else if (tag == 'v') {
       uint64_t id = 0, label = 0;
       if (!(ls >> id >> label)) {
@@ -54,6 +55,11 @@ std::optional<Graph> ReadGraph(std::istream& in, std::string* error) {
       if (id != labels.size()) {
         return fail("non-dense node id at line " + std::to_string(line_no));
       }
+      // NumLabels() is the largest label plus one, so it must fit in 32 bits.
+      if (label >= std::numeric_limits<LabelId>::max()) {
+        return fail("label " + std::to_string(label) +
+                    " out of range at line " + std::to_string(line_no));
+      }
       labels.push_back(static_cast<LabelId>(label));
     } else if (tag == 'e') {
       uint64_t u = 0, v = 0;
@@ -61,7 +67,7 @@ std::optional<Graph> ReadGraph(std::istream& in, std::string* error) {
         return fail("malformed edge at line " + std::to_string(line_no));
       }
       // Endpoints must name already-declared nodes, with or without a
-      // header: the header only pre-sizes, it declares nothing.
+      // header: the header declares nothing.
       if (u >= labels.size() || v >= labels.size()) {
         return fail("edge (" + std::to_string(u) + ", " + std::to_string(v) +
                     ") references an undeclared node at line " +

@@ -20,9 +20,10 @@ namespace rigpm {
 /// papers, so real datasets can be dropped in when available.
 ///
 /// The reader validates its input: node ids must be dense and declared
-/// before any edge references them (with or without a `t` header), and a
-/// header's node/edge counts must match the number of `v`/`e` records.
-/// Violations are reported through the `error` out-parameter.
+/// before any edge references them (with or without a `t` header), a label
+/// must be below 4294967295, and a header's node/edge counts must match the
+/// number of `v`/`e` records. Violations are reported through the `error`
+/// out-parameter.
 ///
 /// For restart-speed-critical paths prefer the binary snapshot format
 /// (storage/snapshot.h), which skips parsing entirely.

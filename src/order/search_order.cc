@@ -45,66 +45,6 @@ std::vector<uint64_t> CosSizes(const Rig& rig) {
   return card;
 }
 
-std::vector<QueryNodeId> RiOrder(const PatternQuery& q) {
-  const uint32_t n = q.NumNodes();
-  auto nbrs = UndirectedNeighbors(q);
-  std::vector<uint8_t> chosen(n, 0);
-  std::vector<QueryNodeId> order;
-  order.reserve(n);
-
-  // Start node: maximum degree (most constraints as early as possible).
-  QueryNodeId best = 0;
-  for (QueryNodeId v = 1; v < n; ++v) {
-    if (nbrs[v].size() > nbrs[best].size()) best = v;
-  }
-  order.push_back(best);
-  chosen[best] = 1;
-
-  while (order.size() < n) {
-    QueryNodeId next = kInvalidNode;
-    // RI scoring: (1) most neighbors already in the order, (2) most
-    // neighbors that are themselves adjacent to the order, (3) degree.
-    std::tuple<int, int, int> best_score{-1, -1, -1};
-    std::unordered_set<QueryNodeId> frontier;  // nodes adjacent to the order
-    for (QueryNodeId in_order : order) {
-      for (QueryNodeId w : nbrs[in_order]) {
-        if (!chosen[w]) frontier.insert(w);
-      }
-    }
-    for (QueryNodeId cand = 0; cand < n; ++cand) {
-      if (chosen[cand]) continue;
-      int s1 = 0, s2 = 0;
-      for (QueryNodeId w : nbrs[cand]) {
-        if (chosen[w]) {
-          ++s1;
-        } else if (frontier.count(w) > 0) {
-          ++s2;
-        }
-      }
-      if (s1 == 0 && !order.empty() && frontier.count(cand) == 0) {
-        continue;  // keep the prefix connected whenever possible
-      }
-      std::tuple<int, int, int> score{s1, s2,
-                                      static_cast<int>(nbrs[cand].size())};
-      if (score > best_score) {
-        best_score = score;
-        next = cand;
-      }
-    }
-    if (next == kInvalidNode) {
-      for (QueryNodeId v = 0; v < n; ++v) {
-        if (!chosen[v]) {
-          next = v;
-          break;
-        }
-      }
-    }
-    order.push_back(next);
-    chosen[next] = 1;
-  }
-  return order;
-}
-
 // BJ: exact DP over connected subsets. Cost model: the estimated number of
 // intermediate tuples after each extension, with per-edge selectivity
 // |cos(e)| / (|cos(p)| * |cos(q)|) and independence across edges.
@@ -227,6 +167,66 @@ std::vector<QueryNodeId> JoOrder(const PatternQuery& q,
       for (QueryNodeId v = 0; v < n; ++v) {
         if (!chosen[v] && (next == kInvalidNode || card[v] < card[next])) {
           next = v;
+        }
+      }
+    }
+    order.push_back(next);
+    chosen[next] = 1;
+  }
+  return order;
+}
+
+std::vector<QueryNodeId> RiOrder(const PatternQuery& q) {
+  const uint32_t n = q.NumNodes();
+  auto nbrs = UndirectedNeighbors(q);
+  std::vector<uint8_t> chosen(n, 0);
+  std::vector<QueryNodeId> order;
+  order.reserve(n);
+
+  // Start node: maximum degree (most constraints as early as possible).
+  QueryNodeId best = 0;
+  for (QueryNodeId v = 1; v < n; ++v) {
+    if (nbrs[v].size() > nbrs[best].size()) best = v;
+  }
+  order.push_back(best);
+  chosen[best] = 1;
+
+  while (order.size() < n) {
+    QueryNodeId next = kInvalidNode;
+    // RI scoring: (1) most neighbors already in the order, (2) most
+    // neighbors that are themselves adjacent to the order, (3) degree.
+    std::tuple<int, int, int> best_score{-1, -1, -1};
+    std::unordered_set<QueryNodeId> frontier;  // nodes adjacent to the order
+    for (QueryNodeId in_order : order) {
+      for (QueryNodeId w : nbrs[in_order]) {
+        if (!chosen[w]) frontier.insert(w);
+      }
+    }
+    for (QueryNodeId cand = 0; cand < n; ++cand) {
+      if (chosen[cand]) continue;
+      int s1 = 0, s2 = 0;
+      for (QueryNodeId w : nbrs[cand]) {
+        if (chosen[w]) {
+          ++s1;
+        } else if (frontier.count(w) > 0) {
+          ++s2;
+        }
+      }
+      if (s1 == 0 && !order.empty() && frontier.count(cand) == 0) {
+        continue;  // keep the prefix connected whenever possible
+      }
+      std::tuple<int, int, int> score{s1, s2,
+                                      static_cast<int>(nbrs[cand].size())};
+      if (score > best_score) {
+        best_score = score;
+        next = cand;
+      }
+    }
+    if (next == kInvalidNode) {
+      for (QueryNodeId v = 0; v < n; ++v) {
+        if (!chosen[v]) {
+          next = v;
+          break;
         }
       }
     }

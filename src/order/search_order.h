@@ -40,6 +40,13 @@ struct OrderStats {
 std::vector<QueryNodeId> JoOrder(const PatternQuery& q,
                                  std::span<const uint64_t> card);
 
+/// kRI's rule, which reads no data: start at the query node with the most
+/// neighbours, then repeatedly append the node, among those adjacent to the
+/// order, with the most neighbours in the order, then the most neighbours
+/// adjacent to the order, then the most neighbours. The WCOJ baseline's RM
+/// variant orders by it too.
+std::vector<QueryNodeId> RiOrder(const PatternQuery& q);
+
 /// Computes a permutation of the query nodes. Every prefix of the returned
 /// order induces a connected subquery (required to avoid Cartesian
 /// products), provided the query itself is connected.

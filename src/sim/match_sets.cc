@@ -21,8 +21,7 @@ CandidateSets InitialMatchSets(const Graph& g, const PatternQuery& q) {
   for (QueryNodeId i = 0; i < q.NumNodes(); ++i) {
     LabelId label = q.Label(i);
     if (label < g.NumLabels()) {
-      // Deep copy, container by container: a borrowed mmap'd payload
-      // becomes a private copy of the same bytes.
+      // A copy: the pruning phases shrink it in place.
       sets[i] = g.LabelBitmap(label);
     }  // else: label absent from the graph -> empty candidate set
   }

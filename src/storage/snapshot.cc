@@ -361,40 +361,6 @@ bool SnapshotReader::Finish() {
   return true;
 }
 
-// ------------------------------------------------------------------ graphs
-
-bool SaveGraphSnapshot(const Graph& g, const std::string& path,
-                       std::string* error) {
-  ByteSink sink;
-  g.Serialize(sink);
-  return WriteSnapshotFile(path, SnapshotKind::kGraph, sink, error);
-}
-
-std::optional<Graph> LoadGraphSnapshot(const std::string& path,
-                                       const LoadOptions& options,
-                                       std::string* error) {
-  SnapshotReader reader(path, SnapshotKind::kGraph, options.io_mode);
-  if (!reader.ok()) {
-    SetError(error, reader.error());
-    return std::nullopt;
-  }
-  Graph g = Graph::Deserialize(reader.source());
-  if (!reader.Finish()) {
-    SetError(error, reader.error());
-    return std::nullopt;
-  }
-  if (options.delta_path.empty()) return g;
-  DeltaRead read = ReadDeltaSince(options.delta_path, options.delta_io,
-                                  reader.stored_checksum(), g.NumNodes());
-  if (!read.ok) {
-    SetError(error, read.error);
-    return std::nullopt;
-  }
-  // A caught-up log keeps the base, and with it an mmap load's zero copy.
-  if (read.stats.records_applied == 0) return g;
-  return ApplyDeltaOps(g, read.ops);
-}
-
 // ----------------------------------------------------------------- engines
 
 bool SaveEngineSnapshot(const GmEngine& engine, const std::string& path,

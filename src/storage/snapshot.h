@@ -37,13 +37,10 @@ namespace rigpm {
 /// loader hand out typed pointers straight into the mapping.
 ///
 /// A graph image (Graph::Serialize) holds the labels, both CSR directions
-/// and the label inverted lists, the last also as bitmaps. Each bitmap
-/// container (bitmap/bitmap.h) is stored as its array or bitset payload in
-/// one raw block, and a bitmap carries no total-cardinality word (each
-/// container's cardinality is validated on its own, and so is its kind
-/// against that cardinality). An mmap'd load keeps those payloads
-/// *borrowed inside the mapping* and copies one only on its first mutating
-/// touch.
+/// and the label-list offsets; no bitmap is stored, and a load rebuilds the
+/// label bitmaps from the labels. An mmap'd load keeps the labels, the CSR
+/// arrays, the label offsets and the BFL index's arrays *borrowed inside
+/// the mapping*.
 ///
 /// Snapshots are a warm-start cache written and read by the same build, so
 /// the reader knows exactly one layout: kSnapshotVersion. A file of the
@@ -56,16 +53,16 @@ namespace rigpm {
 /// each with a descriptive error, never by crashing or silently returning a
 /// partial structure.
 
-/// Version 6: the graph image holds its adjacency as CSR rows only (no
-/// per-node bitmaps); bitmaps hold array and bitset containers only; the
-/// BFL image's interval labels are per component only (no per-node copy).
-inline constexpr uint32_t kSnapshotVersion = 6;
+/// Version 7: the graph image holds its adjacency as CSR rows only and its
+/// label index as the label-list offsets only (no label lists, no
+/// bitmaps); the BFL image's interval labels are per component only (no
+/// per-node copy).
+inline constexpr uint32_t kSnapshotVersion = 7;
 
-/// Value 3 is retired and must not be reused: files that older builds
-/// stamped with it hold a graph-collection payload no loader decodes, and
-/// every loader refuses them as a kind mismatch.
+/// Values 1 and 3 are retired and must not be reused: older builds stamped
+/// them on graph-only and graph-collection payloads, and every loader
+/// refuses them as a kind mismatch.
 enum class SnapshotKind : uint32_t {
-  kGraph = 1,   // Graph only
   kEngine = 2,  // Graph + BFL index (+ condensation/intervals)
   kDelta = 4,   // append-only edge-delta log (storage/delta_log.h);
                 // NOT a single-payload snapshot: the u64 header slot holds
@@ -100,9 +97,10 @@ std::optional<SnapshotInfo> InspectSnapshot(const std::string& path,
 /// Opens a snapshot file, validates the container header, gets the payload
 /// into memory per `mode`, and verifies the checksum *before* any decoding
 /// (so deserializers never see corrupt bytes). Usage:
-///   SnapshotReader reader(path, SnapshotKind::kGraph);
+///   SnapshotReader reader(path, SnapshotKind::kEngine);
 ///   if (!reader.ok()) ...;
 ///   Graph g = Graph::Deserialize(reader.source());
+///   auto bfl = BflIndex::Deserialize(reader.source());
 ///   if (!reader.Finish()) ...;   // decode succeeded + payload consumed
 ///
 /// In mmap mode the source is zero-copy: deserialized objects borrow spans
@@ -150,19 +148,6 @@ class SnapshotReader {
   std::optional<ByteSource> source_;
   std::string error_;
 };
-
-// ------------------------------------------------------------------ graphs
-
-bool SaveGraphSnapshot(const Graph& g, const std::string& path,
-                       std::string* error = nullptr);
-
-/// Loads a graph snapshot per `options` (storage/snapshot_io.h). With
-/// options.delta_path set, the log is read by ReadDeltaSince and the MERGED
-/// graph is returned (an owned copy — the overlay gives up the zero-copy
-/// borrow; an empty or missing log keeps it).
-std::optional<Graph> LoadGraphSnapshot(const std::string& path,
-                                       const LoadOptions& options = {},
-                                       std::string* error = nullptr);
 
 // ----------------------------------------------------------------- engines
 

@@ -27,18 +27,18 @@ enum class SnapshotIoMode : uint8_t {
 /// across a whole test run).
 SnapshotIoMode DefaultSnapshotIoMode();
 
-/// Options shared by every snapshot load entry point — LoadGraphSnapshot,
-/// LoadEngineSnapshot, and the server's engine catalog — so the next knob
-/// lands in one struct instead of fanning another positional parameter
-/// across every signature (io_mode already did that once).
+/// Options shared by every snapshot load entry point — LoadEngineSnapshot
+/// and the server's engine catalog — so the next knob lands in one struct
+/// instead of fanning another positional parameter across every signature
+/// (io_mode already did that once).
 struct LoadOptions {
   /// How the payload gets into memory (kMmap = zero-copy default).
   SnapshotIoMode io_mode = DefaultSnapshotIoMode();
 
   /// When non-empty, replay this append-only delta log (storage/delta_log.h)
-  /// over the loaded base and return the merged graph — for engine loads
-  /// the reachability index is rebuilt over it, and the result matches what
-  /// a daemon serves after a kRefresh against the same log. The log is read
+  /// over the loaded base and return the merged graph — the reachability
+  /// index is rebuilt over it, and the result matches what a daemon serves
+  /// after a kRefresh against the same log. The log is read
   /// by ReadDeltaSince: a missing or zero-length log is a caught-up no-op;
   /// a torn tail (crashed, never-acknowledged append) replays the valid
   /// prefix; a wrong base or corruption of acknowledged records fails the

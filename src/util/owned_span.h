@@ -65,8 +65,6 @@ class OwnedOrBorrowedSpan {
     size_ = n;
   }
 
-  bool borrowed() const { return data_ != nullptr; }
-
   /// Copy-on-write escape hatch: returns the owned vector, first
   /// materializing a private copy if the span is currently borrowed. The
   /// reference stays valid until the next Borrow()/copy/move of this span.
@@ -77,14 +75,6 @@ class OwnedOrBorrowedSpan {
       size_ = 0;
     }
     return vec_;
-  }
-
-  /// Drops all data (owned and borrowed) and frees owned capacity.
-  void Reset() {
-    vec_.clear();
-    vec_.shrink_to_fit();
-    data_ = nullptr;
-    size_ = 0;
   }
 
   const T* data() const { return data_ != nullptr ? data_ : vec_.data(); }
@@ -98,17 +88,6 @@ class OwnedOrBorrowedSpan {
   const T* end() const { return data() + size(); }
 
   operator std::span<const T>() const { return {data(), size()}; }
-
-  bool operator==(const OwnedOrBorrowedSpan& other) const {
-    if (size() != other.size()) return false;
-    for (size_t i = 0; i < size(); ++i) {
-      if (data()[i] != other.data()[i]) return false;
-    }
-    return true;
-  }
-  bool operator!=(const OwnedOrBorrowedSpan& other) const {
-    return !(*this == other);
-  }
 
   /// Heap bytes held by the owned vector (borrowed storage is accounted to
   /// its real owner — typically a file mapping shared between processes).

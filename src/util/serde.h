@@ -124,11 +124,11 @@ class ByteSink {
 /// can therefore run a straight-line decode and check `ok()` once at the
 /// end.
 ///
-/// Zero-copy mode (EnableZeroCopy): ReadSpan/ReadBlock hand out borrowed
-/// pointers into the payload instead of copying, and expose the storage
+/// Zero-copy mode (EnableZeroCopy): ReadSpan hands out borrowed pointers
+/// into the payload instead of copying, and the source exposes the storage
 /// ownership token deserialized objects must retain so the payload outlives
-/// every borrowed view. Without it (the default) they always copy, so the
-/// payload may be discarded after decoding.
+/// every borrowed view. Without it (the default) ReadSpan always copies, so
+/// the payload may be discarded after decoding.
 class ByteSource {
  public:
   /// The caller keeps `data` alive and unchanged while reading.
@@ -140,7 +140,7 @@ class ByteSource {
   ByteSource(const ByteSource&) = delete;
   ByteSource& operator=(const ByteSource&) = delete;
 
-  /// Allows ReadSpan/ReadBlock to borrow instead of copy. `storage` is the
+  /// Allows ReadSpan to borrow instead of copy. `storage` is the
   /// ownership token (e.g. a shared_ptr<MappedFile>) that keeps the payload
   /// alive; deserialized objects copy it via storage().
   void EnableZeroCopy(std::shared_ptr<const void> storage) {
@@ -214,20 +214,20 @@ class ByteSource {
     return true;
   }
 
-  /// Reads `count` elements whose count was transmitted out of band (e.g.
-  /// in a bitmap container header): skips alignment padding, then either
-  /// borrows a typed pointer into the payload (zero-copy mode, pointer
-  /// suitably aligned — guaranteed by the padding, checked at runtime
-  /// regardless) or copies into owned storage.
+  /// Mirror of ByteSink::WriteSpan: u64 count, alignment padding, then the
+  /// elements, which it either borrows as a typed pointer into the payload
+  /// (zero-copy mode, pointer suitably aligned — guaranteed by the padding,
+  /// checked at runtime regardless) or copies into owned storage.
   template <typename T>
-  bool ReadBlock(size_t count, OwnedOrBorrowedSpan<T>* out) {
+  bool ReadSpan(OwnedOrBorrowedSpan<T>* out) {
     static_assert(std::is_trivially_copyable_v<T>);
+    const uint64_t count = ReadU64();
     if (!SkipPad8()) return false;
     if (count > remaining_ / sizeof(T)) {
       Fail("array length exceeds snapshot payload");
       return false;
     }
-    const size_t bytes = count * sizeof(T);
+    const size_t bytes = static_cast<size_t>(count) * sizeof(T);
     if (zero_copy_ &&
         reinterpret_cast<uintptr_t>(cursor_) % alignof(T) == 0) {
       out->Borrow(reinterpret_cast<const T*>(cursor_), count);
@@ -238,18 +238,6 @@ class ByteSource {
     std::vector<T>& vec = out->Mutable();
     vec.resize(count);
     return ReadRaw(vec.data(), bytes);
-  }
-
-  /// Mirror of ByteSink::WriteSpan: u64 count, padding, raw block.
-  template <typename T>
-  bool ReadSpan(OwnedOrBorrowedSpan<T>* out) {
-    uint64_t count = ReadU64();
-    if (!ok_) return false;
-    if (count > remaining_ / sizeof(T)) {
-      Fail("array length exceeds snapshot payload");
-      return false;
-    }
-    return ReadBlock(static_cast<size_t>(count), out);
   }
 
  private:

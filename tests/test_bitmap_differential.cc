@@ -3,23 +3,18 @@
 // value distributions engineered to sit on the container-kind boundary — the
 // array<->bitset edge at kArrayCapacity — plus clustered and chunk-edge (low
 // bits 0x0000/0xFFFF) shapes and cross-kind operand pairings. Every result is
-// also round-tripped through Serialize/Deserialize, whose decoder refuses a
-// container whose kind does not follow from its cardinality, so a kernel
-// that breaks that invariant fails here. Operands are additionally exercised
-// in their *borrowed* form (serialized to a file, mmap'd back with zero-copy
-// enabled) so the borrowed read path and the owned path are differentially
-// equivalent too, under both snapshot IO modes. A final group covers graph
-// snapshot round trips.
+// also compared by == with Bitmap::FromSorted of the oracle's values, whose
+// containers have the kind their cardinality fixes; == compares payloads by
+// kind, so a kernel that leaves a container of the wrong kind fails here. A
+// final group covers graph snapshot round trips under both snapshot IO
+// modes.
 
-#include <fcntl.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <memory>
 #include <optional>
 #include <random>
 #include <set>
@@ -29,10 +24,9 @@
 #include <gtest/gtest.h>
 
 #include "bitmap/bitmap.h"
+#include "engine/gm_engine.h"
 #include "graph/generators.h"
 #include "storage/snapshot.h"
-#include "util/mapped_file.h"
-#include "util/serde.h"
 
 namespace rigpm {
 namespace {
@@ -181,25 +175,16 @@ Bitmap FromSet(const std::set<uint32_t>& s) {
 
 // ------------------------------------------------------------ the oracle
 
-// Decodes the Serialize image of `b`. The decoder refuses a container whose
-// kind does not follow from its cardinality, so this also checks the kind
-// invariant of every container of `b`.
-Bitmap RoundTrip(const Bitmap& b, const std::string& what) {
-  ByteSink sink;
-  b.Serialize(sink);
-  ByteSource src(sink.data().data(), sink.size());
-  Bitmap back = Bitmap::Deserialize(src);
-  EXPECT_TRUE(src.ok()) << what << ": " << src.error();
-  EXPECT_EQ(src.remaining(), 0u) << what;
-  return back;
-}
-
+// `got` must hold exactly `want`, and each of its containers must have the
+// kind its cardinality fixes: FromSorted builds every container in that
+// kind, and == compares payloads by kind, so a container of the wrong kind
+// makes the two differ.
 void ExpectMatches(const Bitmap& got, const std::set<uint32_t>& want,
                    const std::string& what) {
   const std::vector<uint32_t> values(want.begin(), want.end());
   EXPECT_EQ(got.Cardinality(), want.size()) << what;
   EXPECT_EQ(got.ToVector(), values) << what;
-  EXPECT_EQ(RoundTrip(got, what).ToVector(), values) << what << " (trip)";
+  EXPECT_EQ(got, Bitmap::FromSorted(values)) << what << " (kinds)";
 }
 
 // Runs the full operation matrix of one (a, b) pair against the oracle.
@@ -279,8 +264,8 @@ TEST(BitmapDifferential, AllDistributionPairings) {
 TEST(BitmapDifferential, MutationSequenceAcrossPromotionEdges) {
   // Random add/remove walk whose cardinality repeatedly crosses
   // kArrayCapacity. One chunk so every crossing is this container's, and a
-  // round trip after every step, so a promotion or demotion that leaves the
-  // wrong kind fails at the step that made it.
+  // comparison with the oracle after every step, so a promotion or demotion
+  // that leaves the wrong kind fails at the step that made it.
   std::mt19937_64 rng(99);
   std::uniform_int_distribution<uint32_t> val(0, 0xFFFF);
   std::uniform_int_distribution<int> coin(0, 99);
@@ -307,8 +292,7 @@ TEST(BitmapDifferential, MutationSequenceAcrossPromotionEdges) {
         b.Remove(v);
         ref.erase(v);
       }
-      ASSERT_EQ(RoundTrip(b, "mutation step"), b)
-          << "phase " << phase << " step " << step;
+      ASSERT_EQ(b, FromSet(ref)) << "phase " << phase << " step " << step;
     }
     EXPECT_EQ(b.Cardinality(), ref.size()) << "phase " << phase;
   }
@@ -320,96 +304,12 @@ TEST(BitmapDifferential, MutationSequenceAcrossPromotionEdges) {
   }
 }
 
-// ------------------------------------------ borrowed (mmap'd) operands
-
-// Serializes `b`, writes the bytes to a file, maps it, and deserializes
-// with zero-copy enabled — the returned bitmap borrows its container
-// payloads from the mapping. `keep_alive` holds the mapping.
-Bitmap BorrowedCopy(const Bitmap& b, const TempFile& file,
-                    std::shared_ptr<MappedFile>* keep_alive) {
-  ByteSink sink;
-  b.Serialize(sink);
-  {
-    std::ofstream out(file.path(), std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(sink.data().data()),
-              static_cast<std::streamsize>(sink.size()));
-  }
-  std::string error;
-  *keep_alive = MappedFile::Open(file.path(), &error);
-  EXPECT_NE(*keep_alive, nullptr) << error;
-  ByteSource src((*keep_alive)->data(), (*keep_alive)->size());
-  src.EnableZeroCopy(*keep_alive);
-  Bitmap out = Bitmap::Deserialize(src);
-  EXPECT_TRUE(src.ok()) << src.error();
-  return out;
-}
-
-TEST(BitmapDifferential, BorrowedOperandsBehaveLikeOwned) {
-  std::mt19937_64 rng(31337);
-  for (Dist da : {Dist::kSparseArray, Dist::kFewLongRuns, Dist::kDenseBitset,
-                  Dist::kFullChunk}) {
-    for (Dist db : {Dist::kSparseArray, Dist::kFewLongRuns,
-                    Dist::kAlternatingBits}) {
-      std::set<uint32_t> ra = Materialize(da, 0, 2, rng);
-      std::set<uint32_t> rb = Materialize(db, 1, 2, rng);
-      Bitmap owned_a = FromSet(ra);
-      Bitmap owned_b = FromSet(rb);
-      TempFile fa("rigpm_diff_a"), fb("rigpm_diff_b");
-      std::shared_ptr<MappedFile> ma, mb;
-      Bitmap borrowed_a = BorrowedCopy(owned_a, fa, &ma);
-      Bitmap borrowed_b = BorrowedCopy(owned_b, fb, &mb);
-      std::string tag = std::string("borrowed ") + DistName(da) + " x " +
-                        DistName(db);
-      DifferentialCheck(borrowed_a, borrowed_b, ra, rb, tag);
-      // Mixed ownership pairings.
-      DifferentialCheck(borrowed_a, owned_b, ra, rb, tag + " (a borrowed)");
-      DifferentialCheck(owned_a, borrowed_b, ra, rb, tag + " (b borrowed)");
-      EXPECT_EQ(borrowed_a, owned_a) << tag;
-    }
-  }
-}
-
-TEST(BitmapDifferential, BorrowedContainersCostNoOwnedHeapUntilMutated) {
-  // The copy-on-write accounting contract (daemon RSS): a bitmap whose
-  // payloads borrow from a mapping owns only its container table; the first
-  // mutating touch of a container makes a private copy of its payload and
-  // the owned footprint grows.
-  std::mt19937_64 rng(4242);
-  std::set<uint32_t> ref = Materialize(Dist::kFullChunk, 0, 4, rng);
-  Bitmap owned = FromSet(ref);
-  TempFile file("rigpm_diff_borrow");
-  std::shared_ptr<MappedFile> mapping;
-  Bitmap borrowed = BorrowedCopy(owned, file, &mapping);
-
-  BitmapContainerStats s;
-  borrowed.AccumulateStats(&s);
-  EXPECT_EQ(s.borrowed_containers, borrowed.ContainerCount());
-  const size_t before = borrowed.MemoryBytes();
-  // Borrowed payloads are excluded from the owned footprint: four
-  // full-chunk bitsets are 4 x 8 KiB, far above what the container table
-  // itself costs.
-  EXPECT_LT(before, 4096u);
-
-  // Reads do not copy.
-  EXPECT_TRUE(borrowed.Contains(*ref.begin()));
-  EXPECT_FALSE(borrowed.Contains(4u << 16));
-  EXPECT_EQ(borrowed.MemoryBytes(), before);
-
-  borrowed.Remove(100);        // mutation: private copy of one container
-  ref.erase(100);
-  BitmapContainerStats after_stats;
-  borrowed.AccumulateStats(&after_stats);
-  EXPECT_EQ(after_stats.borrowed_containers, borrowed.ContainerCount() - 1);
-  EXPECT_GT(borrowed.MemoryBytes(), before);
-  ExpectMatches(borrowed, ref, "borrowed after mutation");
-}
-
 // ----------------------------------------------- snapshot-layout trips
 
 TEST(BitmapDifferential, GraphSnapshotRoundTrips) {
-  // A graph snapshot loads back row-for-row and label-bitmap-for-bitmap,
-  // and re-saving the loaded (possibly borrowed) graph round-trips again,
-  // under both IO modes.
+  // An engine snapshot's graph loads back row-for-row and
+  // label-bitmap-for-bitmap, and re-saving the loaded (possibly borrowed)
+  // engine round-trips again, under both IO modes.
   GeneratorOptions gopts;
   gopts.num_nodes = 4000;
   gopts.num_edges = 60000;
@@ -419,12 +319,13 @@ TEST(BitmapDifferential, GraphSnapshotRoundTrips) {
 
   TempFile file("rigpm_diff_snap");
   std::string error;
-  ASSERT_TRUE(SaveGraphSnapshot(g, file.path(), &error)) << error;
+  ASSERT_TRUE(SaveEngineSnapshot(GmEngine(g), file.path(), &error)) << error;
 
   for (SnapshotIoMode mode : kBothModes) {
-    std::optional<Graph> loaded =
-        LoadGraphSnapshot(file.path(), {.io_mode = mode}, &error);
-    ASSERT_TRUE(loaded.has_value()) << error;
+    std::optional<WarmEngine> warm =
+        LoadEngineSnapshot(file.path(), {.io_mode = mode}, &error);
+    ASSERT_TRUE(warm.has_value()) << error;
+    const Graph* loaded = warm->graph.get();
     ASSERT_EQ(loaded->NumNodes(), g.NumNodes());
     for (NodeId v = 0; v < g.NumNodes(); ++v) {
       EXPECT_TRUE(std::ranges::equal(loaded->OutNeighbors(v),
@@ -437,12 +338,13 @@ TEST(BitmapDifferential, GraphSnapshotRoundTrips) {
     }
 
     TempFile resaved("rigpm_diff_resave");
-    ASSERT_TRUE(SaveGraphSnapshot(*loaded, resaved.path(), &error)) << error;
-    std::optional<Graph> again =
-        LoadGraphSnapshot(resaved.path(), {.io_mode = mode}, &error);
+    ASSERT_TRUE(SaveEngineSnapshot(*warm->engine, resaved.path(), &error))
+        << error;
+    std::optional<WarmEngine> again =
+        LoadEngineSnapshot(resaved.path(), {.io_mode = mode}, &error);
     ASSERT_TRUE(again.has_value()) << error;
     for (NodeId v = 0; v < g.NumNodes(); ++v) {
-      EXPECT_TRUE(std::ranges::equal(again->OutNeighbors(v),
+      EXPECT_TRUE(std::ranges::equal(again->graph->OutNeighbors(v),
                                      g.OutNeighbors(v)));
     }
   }

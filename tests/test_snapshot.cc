@@ -1,10 +1,11 @@
-// Persistence subsystem tests (storage/snapshot.h, util/serde.h): bitmap
-// and graph round trips, warm-start engine equivalence under both IO modes
-// (zero-copy mmap and streaming read) and batch thread counts, header
-// inspection, FIFO streaming fallback, and rejection of malformed input for
-// both the binary snapshot reader and the text graph reader. Every
-// malformed-file check runs under both IO modes — corrupt mapped files must
-// be rejected before any decode, exactly like corrupt slurped ones.
+// Persistence subsystem tests (storage/snapshot.h, util/serde.h): graph
+// round trips and the label index a load derives, warm-start engine
+// equivalence under both IO modes (zero-copy mmap and streaming read) and
+// batch thread counts, header inspection, FIFO streaming fallback, and
+// rejection of malformed input for the binary snapshot reader, the graph
+// image decoder and the text graph reader. Every malformed-file check runs
+// under both IO modes — corrupt mapped files must be rejected before any
+// decode, exactly like corrupt slurped ones.
 
 #include <fcntl.h>
 #include <sys/stat.h>
@@ -31,6 +32,7 @@
 #include "engine/gm_engine.h"
 #include "graph/generators.h"
 #include "graph/graph_io.h"
+#include "query/pattern_parser.h"
 #include "query/query_generator.h"
 #include "reach/bfl_index.h"
 #include "storage/delta_log.h"
@@ -79,16 +81,6 @@ void DumpFile(const std::string& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-Bitmap RoundTrip(const Bitmap& b) {
-  ByteSink sink;
-  b.Serialize(sink);
-  ByteSource src(sink.data().data(), sink.size());
-  Bitmap out = Bitmap::Deserialize(src);
-  EXPECT_TRUE(src.ok()) << src.error();
-  EXPECT_EQ(src.remaining(), 0u);
-  return out;
-}
-
 // ------------------------------------------------------------- checksum
 
 TEST(ChecksumStream, MatchesOneShotAcrossChunkings) {
@@ -106,108 +98,6 @@ TEST(ChecksumStream, MatchesOneShotAcrossChunkings) {
   }
   Checksum64Stream empty;
   EXPECT_EQ(empty.Finish(), Checksum64(nullptr, 0));
-}
-
-// --------------------------------------------------------------- bitmaps
-
-TEST(BitmapSerde, EmptyRoundTrips) {
-  Bitmap empty;
-  EXPECT_EQ(RoundTrip(empty), empty);
-}
-
-TEST(BitmapSerde, SparseDenseAndMultiContainerRoundTrip) {
-  // Sparse array container.
-  Bitmap sparse{1, 5, 100, 65535};
-  EXPECT_EQ(RoundTrip(sparse), sparse);
-
-  // Dense bitset container (cardinality > kArrayCapacity).
-  Bitmap dense;
-  for (uint32_t i = 0; i < 3 * Bitmap::kArrayCapacity; ++i) dense.Add(2 * i);
-  ASSERT_GT(dense.ContainerCount(), 0u);
-  EXPECT_EQ(RoundTrip(dense), dense);
-
-  // Mixed: array and bitset containers across several chunks.
-  Bitmap mixed = dense;
-  mixed.Add(10'000'000);
-  mixed.Add(4'000'000'000u);
-  EXPECT_EQ(RoundTrip(mixed), mixed);
-}
-
-TEST(BitmapSerde, RandomRoundTrips) {
-  std::mt19937_64 rng(7);
-  for (int round = 0; round < 10; ++round) {
-    Bitmap b;
-    std::uniform_int_distribution<uint32_t> dist(0, 1u << 20);
-    int n = 1 + static_cast<int>(rng() % 20000);
-    for (int i = 0; i < n; ++i) b.Add(dist(rng));
-    EXPECT_EQ(RoundTrip(b), b);
-  }
-}
-
-TEST(BitmapSerde, TruncatedPayloadFailsSoftly) {
-  Bitmap b{1, 2, 3, 70000};
-  ByteSink sink;
-  b.Serialize(sink);
-  for (size_t cut : {size_t{0}, size_t{3}, sink.size() / 2, sink.size() - 1}) {
-    ByteSource src(sink.data().data(), cut);
-    Bitmap out = Bitmap::Deserialize(src);
-    EXPECT_FALSE(src.ok());
-    EXPECT_TRUE(out.Empty());
-  }
-}
-
-// Decodes a hand-built bitmap image that must be refused: the decoder fails
-// softly, with `expect_substr` in its error and an empty result.
-void ExpectBitmapRefused(const ByteSink& sink, const char* expect_substr) {
-  ByteSource src(sink.data().data(), sink.size());
-  Bitmap out = Bitmap::Deserialize(src);
-  EXPECT_FALSE(src.ok());
-  EXPECT_NE(src.error().find(expect_substr), std::string::npos)
-      << src.error();
-  EXPECT_TRUE(out.Empty());
-}
-
-// One container header (u16 key, u8 kind, u32 cardinality) plus padding.
-void WriteContainerHeader(ByteSink& sink, uint8_t kind, uint32_t card) {
-  sink.WriteU16(0);
-  sink.WriteU8(kind);
-  sink.WriteU32(card);
-  sink.PadTo8();
-}
-
-TEST(BitmapSerde, OversizedContainerCountFailsSoftly) {
-  // A count is checked before anything is reserved for it: more than one
-  // container per 16-bit key, or more headers than the bytes left can hold.
-  for (uint32_t count : {0xFFFFFFFFu, 65537u}) {
-    ByteSink sink;
-    sink.WriteU32(count);
-    std::vector<uint8_t> headers(size_t{65537} * 7, 0);
-    sink.WriteRaw(headers.data(), headers.size());
-    ExpectBitmapRefused(sink, "container count");
-  }
-  ByteSink short_payload;
-  short_payload.WriteU32(2);
-  WriteContainerHeader(short_payload, 0, 1);
-  ExpectBitmapRefused(short_payload, "container count");
-}
-
-TEST(BitmapSerde, UnknownContainerKindIsRefused) {
-  ByteSink sink;
-  sink.WriteU32(1);
-  WriteContainerHeader(sink, 2, 1);
-  sink.WriteU16(7);
-  ExpectBitmapRefused(sink, "unknown bitmap container kind");
-}
-
-TEST(BitmapSerde, BitsetOfArraySizeIsRefused) {
-  // 4096 values fit an array, so a bitset holding them is non-canonical.
-  ByteSink sink;
-  sink.WriteU32(1);
-  WriteContainerHeader(sink, 1, Bitmap::kArrayCapacity);
-  std::vector<uint64_t> words(1024, 0);
-  std::fill(words.begin(), words.begin() + 64, ~uint64_t{0});
-  sink.WriteRaw(words.data(), words.size() * sizeof(uint64_t));
-  ExpectBitmapRefused(sink, "non-canonical");
 }
 
 // --------------------------------------------------------------- graphs
@@ -233,13 +123,30 @@ void ExpectSameGraph(const Graph& a, const Graph& b) {
   }
 }
 
+// The engine snapshot is the one snapshot kind that holds a graph.
+bool SaveGraph(const Graph& g, const std::string& path,
+               std::string* error = nullptr) {
+  GmEngine engine(g);
+  return SaveEngineSnapshot(engine, path, error);
+}
+
+// The graph of an engine snapshot loaded per `mode`; nullopt (with
+// *error) if it does not load.
+std::optional<Graph> LoadGraph(const std::string& path, SnapshotIoMode mode,
+                               std::string* error = nullptr) {
+  auto warm = LoadEngineSnapshot(path, {.io_mode = mode}, error);
+  if (!warm.has_value()) return std::nullopt;
+  warm->engine.reset();  // references the graph; drop it first
+  return std::move(*warm->graph);
+}
+
 TEST(GraphSnapshot, PaperExampleRoundTripsUnderBothIoModes) {
   Graph g = PaperExample::MakeGraph();
   TempFile file("graph_paper");
   std::string error;
-  ASSERT_TRUE(SaveGraphSnapshot(g, file.path(), &error)) << error;
+  ASSERT_TRUE(SaveGraph(g, file.path(), &error)) << error;
   for (SnapshotIoMode mode : kBothModes) {
-    auto loaded = LoadGraphSnapshot(file.path(), {.io_mode = mode}, &error);
+    auto loaded = LoadGraph(file.path(), mode, &error);
     ASSERT_TRUE(loaded.has_value()) << ModeName(mode) << ": " << error;
     ExpectSameGraph(g, *loaded);
   }
@@ -256,11 +163,48 @@ TEST(GraphSnapshot, GeneratedGraphsRoundTrip) {
                            GenerateRandomDag(opts)}) {
       TempFile file("graph_gen");
       std::string error;
-      ASSERT_TRUE(SaveGraphSnapshot(g, file.path(), &error)) << error;
+      ASSERT_TRUE(SaveGraph(g, file.path(), &error)) << error;
       for (SnapshotIoMode mode : kBothModes) {
-        auto loaded = LoadGraphSnapshot(file.path(), {.io_mode = mode}, &error);
+        auto loaded = LoadGraph(file.path(), mode, &error);
         ASSERT_TRUE(loaded.has_value()) << ModeName(mode) << ": " << error;
         ExpectSameGraph(g, *loaded);
+      }
+    }
+  }
+}
+
+TEST(GraphSnapshot, LoadedLabelBitmapsAreTheNodesOfEachLabel) {
+  // A load derives the label index instead of reading it, so it is checked
+  // against a scan of the labels, not against the index the saved graph
+  // built: every LabelBitmap(a) must be exactly the nodes v with
+  // Label(v) == a, and LabelCount(a) their number.
+  // Two labels over 70k nodes give bitset containers in the first 2^16
+  // chunk and arrays in the second; 40 labels over 3k nodes give arrays.
+  for (const auto& [nodes, labels] : {std::pair{70000u, 2u},
+                                      std::pair{3000u, 40u}}) {
+    GeneratorOptions opts;
+    opts.num_nodes = nodes;
+    opts.num_edges = uint64_t{nodes} * 2;
+    opts.num_labels = labels;
+    opts.seed = nodes;
+    for (const Graph& g : {GenerateErdosRenyi(opts), GeneratePowerLaw(opts),
+                           GenerateRandomDag(opts)}) {
+      TempFile file("graph_labels");
+      std::string error;
+      ASSERT_TRUE(SaveGraph(g, file.path(), &error)) << error;
+      for (SnapshotIoMode mode : kBothModes) {
+        auto loaded = LoadGraph(file.path(), mode, &error);
+        ASSERT_TRUE(loaded.has_value()) << ModeName(mode) << ": " << error;
+        ASSERT_EQ(loaded->NumLabels(), g.NumLabels());
+        std::vector<std::vector<NodeId>> labelled(loaded->NumLabels());
+        for (NodeId v = 0; v < loaded->NumNodes(); ++v) {
+          labelled[loaded->Label(v)].push_back(v);
+        }
+        for (LabelId a = 0; a < loaded->NumLabels(); ++a) {
+          EXPECT_EQ(loaded->LabelBitmap(a).ToVector(), labelled[a])
+              << ModeName(mode) << ", " << nodes << " nodes, label " << a;
+          EXPECT_EQ(loaded->LabelCount(a), labelled[a].size());
+        }
       }
     }
   }
@@ -273,42 +217,30 @@ TEST(GraphSnapshot, MmapLoadedGraphOutlivesReaderAndDeletedFile) {
   // CI turns any lifetime violation here into a hard failure.)
   Graph g = PaperExample::MakeGraph();
   TempFile file("graph_lifetime");
-  ASSERT_TRUE(SaveGraphSnapshot(g, file.path()));
-  std::optional<Graph> loaded =
-      LoadGraphSnapshot(file.path(), {.io_mode = SnapshotIoMode::kMmap});
+  ASSERT_TRUE(SaveGraph(g, file.path()));
+  std::optional<Graph> loaded = LoadGraph(file.path(), SnapshotIoMode::kMmap);
   ASSERT_TRUE(loaded.has_value());
   std::remove(file.path().c_str());  // mapping survives the unlink
 
   Graph moved = std::move(*loaded);
   loaded.reset();
   ExpectSameGraph(g, moved);
-
-  // Copies deep-copy: mutating a copied bitmap must not touch the original
-  // (which may be a borrowed view of the mapping).
-  Bitmap copy = moved.LabelBitmap(0);
-  Bitmap before = copy;
-  copy.Add(31);
-  copy.Remove(0);
-  EXPECT_NE(copy, moved.LabelBitmap(0));
-  EXPECT_EQ(before, moved.LabelBitmap(0));
 }
 
-// The container census of every label bitmap of `g`.
-BitmapContainerStats LabelBitmapStats(const Graph& g) {
-  BitmapContainerStats stats;
+// The heap the label bitmaps of `g` hold.
+size_t LabelBitmapBytes(const Graph& g) {
+  size_t bytes = 0;
   for (LabelId a = 0; a < g.NumLabels(); ++a) {
-    g.LabelBitmap(a).AccumulateStats(&stats);
+    bytes += g.LabelBitmap(a).MemoryBytes();
   }
-  return stats;
+  return bytes;
 }
 
-TEST(GraphSnapshot, MmapLoadKeepsContainersEncodedUntilMutation) {
-  // The daemon RSS accounting contract: after an mmap load the graph's CSR
-  // arrays and label-bitmap payloads stay *inside the mapping*, so
-  // OwnedHeapBytes must be far below the decoded footprint, borrowed
-  // container counts must equal total container counts, and reads must not
-  // change either. This is what makes resident memory track snapshot size
-  // in serving.
+TEST(GraphSnapshot, MmapLoadOwnsOnlyItsLabelBitmaps) {
+  // The daemon RSS accounting contract: after an mmap load the graph's
+  // labels, CSR arrays and label offsets stay *inside the mapping*, so the
+  // graph's owned heap is exactly its label bitmaps, which the load
+  // rebuilds; a streaming read owns the arrays too. Reads change neither.
   GeneratorOptions opts;
   opts.num_nodes = 3000;
   opts.num_edges = 40000;
@@ -317,24 +249,17 @@ TEST(GraphSnapshot, MmapLoadKeepsContainersEncodedUntilMutation) {
   Graph g = GenerateErdosRenyi(opts);
   TempFile file("graph_lazy");
   std::string error;
-  ASSERT_TRUE(SaveGraphSnapshot(g, file.path(), &error)) << error;
+  ASSERT_TRUE(SaveGraph(g, file.path(), &error)) << error;
 
-  auto mapped = LoadGraphSnapshot(
-      file.path(), {.io_mode = SnapshotIoMode::kMmap}, &error);
+  auto mapped = LoadGraph(file.path(), SnapshotIoMode::kMmap, &error);
   ASSERT_TRUE(mapped.has_value()) << error;
-  auto slurped = LoadGraphSnapshot(
-      file.path(), {.io_mode = SnapshotIoMode::kRead}, &error);
+  auto slurped = LoadGraph(file.path(), SnapshotIoMode::kRead, &error);
   ASSERT_TRUE(slurped.has_value()) << error;
 
-  const BitmapContainerStats mapped_stats = LabelBitmapStats(*mapped);
-  EXPECT_GT(mapped_stats.TotalContainers(), 0u);
-  EXPECT_EQ(mapped_stats.borrowed_containers, mapped_stats.TotalContainers());
+  EXPECT_EQ(mapped->OwnedHeapBytes(), LabelBitmapBytes(*mapped));
+  const size_t csr_bytes = 2 * slurped->NumEdges() * sizeof(NodeId);
+  EXPECT_GT(slurped->OwnedHeapBytes(), LabelBitmapBytes(*slurped) + csr_bytes);
 
-  // Owned heap: the mapped graph holds label-bitmap container tables but no
-  // arrays or payloads; the slurped graph owns everything it decoded.
-  EXPECT_LT(mapped->OwnedHeapBytes(), slurped->OwnedHeapBytes());
-
-  // Reads leave the accounting untouched.
   const size_t before = mapped->OwnedHeapBytes();
   uint64_t sum = 0;
   for (NodeId v = 0; v < mapped->NumNodes(); v += 7) {
@@ -345,8 +270,6 @@ TEST(GraphSnapshot, MmapLoadKeepsContainersEncodedUntilMutation) {
   }
   ASSERT_GT(sum, 0u);
   EXPECT_EQ(mapped->OwnedHeapBytes(), before);
-  EXPECT_EQ(LabelBitmapStats(*mapped).borrowed_containers,
-            mapped_stats.borrowed_containers);
 }
 
 // Heap owned by an mmap load of a 4-label random graph of `nodes` nodes and
@@ -360,12 +283,11 @@ std::optional<size_t> MappedGraphHeapBytes(uint32_t nodes) {
   Graph g = GenerateErdosRenyi(opts);
   TempFile file("graph_heap");
   std::string error;
-  if (!SaveGraphSnapshot(g, file.path(), &error)) {
+  if (!SaveGraph(g, file.path(), &error)) {
     ADD_FAILURE() << error;
     return std::nullopt;
   }
-  auto mapped = LoadGraphSnapshot(
-      file.path(), {.io_mode = SnapshotIoMode::kMmap}, &error);
+  auto mapped = LoadGraph(file.path(), SnapshotIoMode::kMmap, &error);
   if (!mapped.has_value()) {
     ADD_FAILURE() << error;
     return std::nullopt;
@@ -373,26 +295,28 @@ std::optional<size_t> MappedGraphHeapBytes(uint32_t nodes) {
   return mapped->OwnedHeapBytes();
 }
 
-TEST(GraphSnapshot, MmapLoadedHeapDoesNotGrowWithNodeCount) {
-  // A mapped graph borrows its CSR rows, label lists and label-bitmap
-  // payloads; it owns only the label bitmaps' container tables, which the
-  // label count sizes. Ten times the nodes over the same labels (all ids in
-  // one 2^16 chunk) must cost no more heap.
+TEST(GraphSnapshot, MmapLoadedHeapGrowsAtMostTwoBytesPerNode) {
+  // A mapped graph borrows its labels and CSR rows, whose size grows with
+  // the edges; it owns only its label bitmaps, which hold at most 2 bytes
+  // per node (an array container 2 bytes per value, a bitset 8 KiB for
+  // more than 4096). Ten times the nodes and edges over the same labels
+  // (all ids in one 2^16 chunk, so as many containers) cost at most 2
+  // bytes of heap per added node.
   const std::optional<size_t> small = MappedGraphHeapBytes(3000);
   const std::optional<size_t> large = MappedGraphHeapBytes(30000);
   ASSERT_TRUE(small.has_value() && large.has_value());
-  EXPECT_LE(*large, *small);
+  EXPECT_LE(*large, *small + 2 * (30000 - 3000));
 }
 
 TEST(GraphSnapshot, InspectReportsHeaderWithoutDecoding) {
   Graph g = PaperExample::MakeGraph();
   TempFile file("graph_inspect");
-  ASSERT_TRUE(SaveGraphSnapshot(g, file.path()));
+  ASSERT_TRUE(SaveGraph(g, file.path()));
   std::string error;
   auto info = InspectSnapshot(file.path(), &error);
   ASSERT_TRUE(info.has_value()) << error;
   EXPECT_EQ(info->version, kSnapshotVersion);
-  EXPECT_EQ(info->kind_value, static_cast<uint32_t>(SnapshotKind::kGraph));
+  EXPECT_EQ(info->kind_value, static_cast<uint32_t>(SnapshotKind::kEngine));
   EXPECT_EQ(info->file_size, info->payload_size + 24 + 8);
 
   // Inspect must work even when the payload itself is garbage (that is the
@@ -414,8 +338,8 @@ TEST(GraphSnapshot, InspectReportsHeaderWithoutDecoding) {
 TEST(GraphSnapshot, TextWriteOfLoadedGraphIsIdentical) {
   Graph g = PaperExample::MakeGraph();
   TempFile file("graph_text");
-  ASSERT_TRUE(SaveGraphSnapshot(g, file.path()));
-  auto loaded = LoadGraphSnapshot(file.path());
+  ASSERT_TRUE(SaveGraph(g, file.path()));
+  auto loaded = LoadGraph(file.path(), DefaultSnapshotIoMode());
   ASSERT_TRUE(loaded.has_value());
   std::ostringstream a, b;
   WriteGraph(g, a);
@@ -569,8 +493,7 @@ TEST(EngineSnapshot, BatchServingMatchesAcrossThreadCounts) {
 class MalformedSnapshotTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    Graph g = PaperExample::MakeGraph();
-    ASSERT_TRUE(SaveGraphSnapshot(g, file_.path()));
+    ASSERT_TRUE(SaveGraph(PaperExample::MakeGraph(), file_.path()));
     bytes_ = SlurpFile(file_.path());
     ASSERT_GT(bytes_.size(), 24u);
   }
@@ -583,7 +506,8 @@ class MalformedSnapshotTest : public ::testing::Test {
     DumpFile(file_.path(), contents);
     for (SnapshotIoMode mode : kBothModes) {
       std::string error;
-      EXPECT_FALSE(LoadGraphSnapshot(file_.path(), {.io_mode = mode}, &error).has_value())
+      EXPECT_FALSE(LoadEngineSnapshot(file_.path(), {.io_mode = mode}, &error)
+                       .has_value())
           << ModeName(mode);
       EXPECT_FALSE(error.empty()) << ModeName(mode);
       EXPECT_NE(error.find(expect_substr), std::string::npos)
@@ -609,9 +533,9 @@ TEST_F(MalformedSnapshotTest, BadMagicIsRejected) {
 }
 
 TEST_F(MalformedSnapshotTest, WrongVersionIsRejected) {
-  // The reader knows one layout: the older versions 1 to 5 are as foreign
+  // The reader knows one layout: the older versions 1 to 6 are as foreign
   // as a future one.
-  for (uint32_t version : {1u, 2u, 3u, 4u, 5u, kSnapshotVersion + 7}) {
+  for (uint32_t version : {1u, 2u, 3u, 4u, 5u, 6u, kSnapshotVersion + 7}) {
     std::string corrupt = bytes_;
     corrupt[8] = static_cast<char>(version);
     ExpectRejected(corrupt, "unsupported snapshot version");
@@ -619,36 +543,26 @@ TEST_F(MalformedSnapshotTest, WrongVersionIsRejected) {
 }
 
 TEST_F(MalformedSnapshotTest, KindMismatchIsRejected) {
-  // A graph snapshot is not an engine snapshot, and neither is a delta log.
-  // A delta log's header carries its own version number; the kind is
-  // checked first, so it is refused as a kind mismatch.
+  // A delta log is not an engine snapshot. Its header carries its own
+  // version number; the kind is checked first, so it is refused as a kind
+  // mismatch.
   TempFile delta("malformed_delta");
   std::string error;
   auto writer = DeltaWriter::Open(delta.path(), 1, 10, &error);
   ASSERT_NE(writer, nullptr) << error;
   ASSERT_TRUE(writer->Append({{0, 3}}, &error)) << error;
   writer.reset();
-  for (const std::string& path : {file_.path(), delta.path()}) {
-    for (SnapshotIoMode mode : kBothModes) {
-      EXPECT_FALSE(
-          LoadEngineSnapshot(path, {.io_mode = mode}, &error).has_value());
-      EXPECT_NE(error.find("kind"), std::string::npos) << error;
-    }
-  }
-  // Kind 3 is retired: a valid graph payload under that kind word (offset
-  // 12: magic 8 + version 4) is refused by both loaders.
-  TempFile retired("malformed_kind3");
-  std::string kind3 = bytes_;
-  const uint32_t retired_kind = 3;
-  std::memcpy(&kind3[12], &retired_kind, sizeof(retired_kind));
-  DumpFile(retired.path(), kind3);
   for (SnapshotIoMode mode : kBothModes) {
-    LoadOptions options;
-    options.io_mode = mode;
-    EXPECT_FALSE(LoadGraphSnapshot(retired.path(), options, &error));
+    EXPECT_FALSE(LoadEngineSnapshot(delta.path(), {.io_mode = mode}, &error)
+                     .has_value());
     EXPECT_NE(error.find("kind"), std::string::npos) << error;
-    EXPECT_FALSE(LoadEngineSnapshot(retired.path(), options, &error));
-    EXPECT_NE(error.find("kind"), std::string::npos) << error;
+  }
+  // Kinds 1 (graph only) and 3 are retired: a valid engine payload under
+  // either kind word (offset 12: magic 8 + version 4) is refused.
+  for (uint32_t retired_kind : {1u, 3u}) {
+    std::string corrupt = bytes_;
+    std::memcpy(&corrupt[12], &retired_kind, sizeof(retired_kind));
+    ExpectRejected(corrupt, "kind");
   }
 }
 
@@ -699,33 +613,6 @@ TEST_F(MalformedSnapshotTest, HeaderOnlyFileWithHugePayloadSizeIsRejected) {
   ExpectRejected(header_only, "truncated");
 }
 
-TEST_F(MalformedSnapshotTest, LabelCountOverflowIsRejected) {
-  // num_labels = 0xFFFFFFFF must not wrap the `label_offsets.size() ==
-  // num_labels + 1` structure check to "expected 0" and walk an empty
-  // offsets array (checksum-valid payload, so only the structural
-  // validation stands between this file and a crash).
-  ByteSink sink;
-  sink.WriteU32(0xFFFFFFFFu);  // num_labels
-  OwnedOrBorrowedSpan<uint32_t> empty_u32;
-  OwnedOrBorrowedSpan<uint64_t> zero_offsets(std::vector<uint64_t>{0});
-  sink.WriteSpan<uint32_t>(empty_u32);     // labels (0 nodes)
-  sink.WriteSpan<uint64_t>(zero_offsets);  // fwd_offsets = [0]
-  sink.WriteSpan<uint32_t>(empty_u32);     // fwd_targets
-  sink.WriteSpan<uint64_t>(zero_offsets);  // bwd_offsets = [0]
-  sink.WriteSpan<uint32_t>(empty_u32);     // bwd_targets
-  OwnedOrBorrowedSpan<uint64_t> empty_u64;
-  sink.WriteSpan<uint64_t>(empty_u64);     // label_offsets (empty!)
-  sink.WriteSpan<uint32_t>(empty_u32);     // label_nodes
-  ASSERT_TRUE(WriteSnapshotFile(file_.path(), SnapshotKind::kGraph, sink));
-  for (SnapshotIoMode mode : kBothModes) {
-    std::string error;
-    EXPECT_FALSE(LoadGraphSnapshot(file_.path(), {.io_mode = mode}, &error).has_value())
-        << ModeName(mode);
-    EXPECT_NE(error.find("inconsistent"), std::string::npos)
-        << ModeName(mode) << ": " << error;
-  }
-}
-
 // A FIFO cannot be mapped or seeked; the reader must fall back to the
 // bounded streaming path and still load a valid snapshot end-to-end.
 TEST_F(MalformedSnapshotTest, FifoStreamsViaReadFallback) {
@@ -740,7 +627,7 @@ TEST_F(MalformedSnapshotTest, FifoStreamsViaReadFallback) {
       out.write(bytes_.data(), static_cast<std::streamsize>(bytes_.size()));
     });
     std::string error;
-    auto loaded = LoadGraphSnapshot(fifo_path, {.io_mode = mode}, &error);
+    auto loaded = LoadGraph(fifo_path, mode, &error);
     writer.join();
     ASSERT_TRUE(loaded.has_value()) << ModeName(mode) << ": " << error;
     ExpectSameGraph(PaperExample::MakeGraph(), *loaded);
@@ -763,10 +650,134 @@ TEST_F(MalformedSnapshotTest, FifoWithLyingPayloadSizeIsRejectedBounded) {
     out.write(corrupt.data(), static_cast<std::streamsize>(corrupt.size()));
   });
   std::string error;
-  EXPECT_FALSE(LoadGraphSnapshot(fifo_path, {}, &error).has_value());
+  EXPECT_FALSE(LoadEngineSnapshot(fifo_path, {}, &error).has_value());
   writer.join();
   EXPECT_NE(error.find("truncated"), std::string::npos) << error;
   ::unlink(fifo_path.c_str());
+}
+
+// A label-index bitmap in the layout snapshots used to store: a container
+// count of one, then the container (key 0, array kind, cardinality),
+// padding and its sorted low bits.
+void WriteStoredLabelBitmap(ByteSink& sink, std::vector<uint16_t> lows) {
+  sink.WriteU32(1);
+  sink.WriteU16(0);
+  sink.WriteU8(0);
+  sink.WriteU32(static_cast<uint32_t>(lows.size()));
+  sink.PadTo8();
+  sink.WriteRaw(lows.data(), lows.size() * sizeof(uint16_t));
+}
+
+// Writes a checksum-valid engine snapshot of the graph 0:a->1:b, 0:a->2:b
+// (a = label 0, b = label 1) whose graph image has the version-6 layout:
+// labels, both CSR directions and label offsets, then the label index —
+// the sorted label lists and one bitmap per label, I_b's holding
+// `label_b` — and then the BFL index of the graph.
+void WriteSnapshotWithStoredLabelIndex(const std::string& path,
+                                       std::vector<uint16_t> label_b) {
+  ByteSink sink;
+  sink.WriteU32(2);                                              // labels
+  sink.WriteSpan<LabelId>(std::vector<LabelId>{0, 1, 1});
+  sink.WriteSpan<uint64_t>(std::vector<uint64_t>{0, 2, 2, 2});  // forward
+  sink.WriteSpan<NodeId>(std::vector<NodeId>{1, 2});
+  sink.WriteSpan<uint64_t>(std::vector<uint64_t>{0, 0, 1, 2});  // backward
+  sink.WriteSpan<NodeId>(std::vector<NodeId>{0, 0});
+  sink.WriteSpan<uint64_t>(std::vector<uint64_t>{0, 1, 3});     // offsets
+  sink.WriteSpan<NodeId>(std::vector<NodeId>{0, 1, 2});         // I_a, I_b
+  WriteStoredLabelBitmap(sink, {0});
+  WriteStoredLabelBitmap(sink, std::move(label_b));
+  BflIndex(Graph::FromEdges({0, 1, 1}, {{0, 1}, {0, 2}})).Serialize(sink);
+  ASSERT_TRUE(WriteSnapshotFile(path, SnapshotKind::kEngine, sink));
+}
+
+// The file at `path` must be refused, or load and answer from the labels:
+// (a:0)->(b:1) and (b:1) both have 2 occurrences.
+void ExpectRefusedOrAnsweredFromLabels(const std::string& path) {
+  for (SnapshotIoMode mode : kBothModes) {
+    std::string error;
+    auto warm = LoadEngineSnapshot(path, {.io_mode = mode}, &error);
+    if (!warm.has_value()) {
+      EXPECT_FALSE(error.empty()) << ModeName(mode);
+      continue;
+    }
+    for (const char* pattern : {"(a:0)->(b:1)", "(b:1)"}) {
+      auto q = ParsePattern(pattern, &error);
+      ASSERT_TRUE(q.has_value()) << error;
+      EXPECT_EQ(warm->engine->Evaluate(*q).num_occurrences, 2u)
+          << ModeName(mode) << ": " << pattern;
+    }
+  }
+}
+
+TEST(StoredLabelIndexSnapshot, BitmapNamingANodePastTheGraphIsHarmless) {
+  // I_b names node 40,000 of a 3-node graph: trusting it reads the CSR
+  // rows of a node that does not exist.
+  TempFile file("stored_index_far");
+  WriteSnapshotWithStoredLabelIndex(file.path(), {1, 2, 40000});
+  ExpectRefusedOrAnsweredFromLabels(file.path());
+}
+
+TEST(StoredLabelIndexSnapshot, BitmapNamingAWronglyLabelledNodeIsHarmless) {
+  // I_b names node 0, whose label is a: trusting it answers (b:1) with 3.
+  TempFile file("stored_index_wrong");
+  WriteSnapshotWithStoredLabelIndex(file.path(), {0, 1, 2});
+  ExpectRefusedOrAnsweredFromLabels(file.path());
+}
+
+// ------------------------------------------------------ malformed images
+
+// Decodes a hand-built graph image that must be refused, with
+// `expect_substr` in the error and an empty graph.
+void ExpectGraphImageRefused(const ByteSink& sink, const char* expect_substr) {
+  ByteSource src(sink.data().data(), sink.size());
+  Graph g = Graph::Deserialize(src);
+  EXPECT_FALSE(src.ok());
+  EXPECT_NE(src.error().find(expect_substr), std::string::npos)
+      << src.error();
+  EXPECT_EQ(g.NumNodes(), 0u);
+}
+
+// The image of an edgeless graph labelled `labels` under an alphabet of
+// `num_labels` labels, whose label offsets are `label_offsets`.
+ByteSink EdgelessGraphImage(uint32_t num_labels, std::vector<LabelId> labels,
+                            std::vector<uint64_t> label_offsets) {
+  ByteSink sink;
+  sink.WriteU32(num_labels);
+  sink.WriteSpan<LabelId>(labels);
+  const std::vector<uint64_t> zero_offsets(labels.size() + 1, 0);
+  sink.WriteSpan<uint64_t>(zero_offsets);  // forward
+  sink.WriteSpan<NodeId>(std::vector<NodeId>{});
+  sink.WriteSpan<uint64_t>(zero_offsets);  // backward
+  sink.WriteSpan<NodeId>(std::vector<NodeId>{});
+  sink.WriteSpan<uint64_t>(label_offsets);
+  return sink;
+}
+
+TEST(GraphImage, LabelCountOverflowIsRejected) {
+  // num_labels = 0xFFFFFFFF must not wrap the `label_offsets.size() ==
+  // num_labels + 1` structure check to "expected 0" and walk an empty
+  // offsets array, nor size anything by the label count.
+  ExpectGraphImageRefused(EdgelessGraphImage(0xFFFFFFFFu, {}, {}),
+                          "inconsistent");
+}
+
+TEST(GraphImage, LabelOutsideTheAlphabetIsRejected) {
+  ExpectGraphImageRefused(EdgelessGraphImage(2, {0, 2, 1}, {0, 1, 3}),
+                          "label out of range");
+}
+
+TEST(GraphImage, LabelOffsetsMustCountTheLabels) {
+  // Two nodes carry label 1, but the offsets declare one.
+  ExpectGraphImageRefused(EdgelessGraphImage(2, {0, 1, 1}, {0, 2, 3}),
+                          "label counts");
+  // An alphabet the labels do not use up is fine, trailing labels empty.
+  ByteSink sink = EdgelessGraphImage(4, {0, 1, 1}, {0, 1, 3, 3, 3});
+  ByteSource src(sink.data().data(), sink.size());
+  Graph g = Graph::Deserialize(src);
+  ASSERT_TRUE(src.ok()) << src.error();
+  EXPECT_EQ(g.NumLabels(), 4u);
+  EXPECT_EQ(g.LabelBitmap(1).ToVector(), (std::vector<NodeId>{1, 2}));
+  EXPECT_TRUE(g.LabelBitmap(3).Empty());
 }
 
 TEST(BflSnapshot, IntervalSizeMismatchIsRejected) {
@@ -870,6 +881,28 @@ TEST(ReadGraphValidation, NonDenseAndUnknownTagsStillFail) {
   EXPECT_FALSE(ParseText("v 1 0\n", &error).has_value());
   EXPECT_FALSE(ParseText("v 0 0\nx 1 2\n", &error).has_value());
   EXPECT_FALSE(ParseText("v 0 zero\n", &error).has_value());
+}
+
+TEST(ReadGraphValidation, HugeHeaderCountsAllocateNothing) {
+  // The header's counts are checked against the records, never reserved.
+  std::string error;
+  EXPECT_FALSE(ParseText("t 100000000000 0\n", &error).has_value());
+  EXPECT_NE(error.find("header declares"), std::string::npos) << error;
+}
+
+TEST(ReadGraphValidation, LabelWithoutRoomForTheLabelCountFails) {
+  // NumLabels() is the largest label plus one, so 4294967295 cannot be a
+  // label; the error names the line.
+  std::string error;
+  EXPECT_FALSE(ParseText("v 0 1\nv 1 4294967295\n", &error).has_value());
+  EXPECT_NE(error.find("out of range at line 2"), std::string::npos) << error;
+}
+
+TEST(ReadGraphValidation, LabelPast32BitsFailsInsteadOfWrapping) {
+  // 4294967296 must not wrap to label 0.
+  std::string error;
+  EXPECT_FALSE(ParseText("v 0 4294967296\n", &error).has_value());
+  EXPECT_NE(error.find("out of range at line 1"), std::string::npos) << error;
 }
 
 TEST(ReadGraphValidation, ValidInputStillParses) {

@@ -72,9 +72,9 @@ std::set<std::vector<NodeId>> BruteForceAnswer(const Graph& g,
       answer.insert(assign);
       return;
     }
-    LabelId label = q.Label(i);
-    if (label >= g.NumLabels()) return;
-    for (NodeId v : g.LabelNodes(label)) {
+    // Candidates come from the labels, not from the label index under test.
+    for (NodeId v = 0; v < g.NumNodes(); ++v) {
+      if (g.Label(v) != q.Label(i)) continue;
       assign[i] = v;
       bool ok = true;
       // Check every edge whose endpoints are both assigned.

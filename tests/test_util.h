@@ -49,8 +49,9 @@ struct PaperExample {
 };
 
 /// Exhaustive homomorphism enumeration by definition (Definition 2.5):
-/// assigns query nodes in id order over the label inverted lists and checks
-/// every edge with adjacency / DFS reachability. Exponential; use only on
+/// assigns query nodes in id order over the nodes of their label, found by
+/// scanning Label(v) rather than the label index, and checks every edge
+/// with adjacency / DFS reachability. Exponential; use only on
 /// tiny graphs. This is the oracle for the differential property tests.
 std::set<std::vector<NodeId>> BruteForceAnswer(const Graph& g,
                                                const PatternQuery& q);

@@ -242,8 +242,6 @@ void PrintPipeline(std::span<const PhaseTiming> phases) {
 
 const char* SnapshotKindName(uint32_t kind_value) {
   switch (static_cast<SnapshotKind>(kind_value)) {
-    case SnapshotKind::kGraph:
-      return "graph";
     case SnapshotKind::kEngine:
       return "engine";
     case SnapshotKind::kDelta:
@@ -252,40 +250,8 @@ const char* SnapshotKindName(uint32_t kind_value) {
   return "unknown";
 }
 
-// Deep view for graph-bearing snapshots: decode the graph part and report
-// the container census of its label bitmaps (array/bitset counts, how many
-// still borrow from the mapping, and their payload bytes). Purely additive
-// diagnostics — a payload that fails to decode only prints a note, because
-// inspect's primary job is debugging files that do NOT load.
-void TryInspectContainers(const std::string& path, const SnapshotInfo& info) {
-  SnapshotKind kind = static_cast<SnapshotKind>(info.kind_value);
-  if (kind != SnapshotKind::kGraph && kind != SnapshotKind::kEngine) return;
-  SnapshotReader reader(path, kind);
-  if (!reader.ok()) {
-    std::printf("containers: unavailable (%s)\n", reader.error().c_str());
-    return;
-  }
-  Graph g = Graph::Deserialize(reader.source());
-  if (!reader.source().ok()) {
-    std::printf("containers: unavailable (%s)\n",
-                reader.source().error().c_str());
-    return;
-  }
-  BitmapContainerStats s;
-  for (LabelId a = 0; a < g.NumLabels(); ++a) {
-    g.LabelBitmap(a).AccumulateStats(&s);
-  }
-  std::printf("containers (graph part):\n"
-              "  labels   %5llu array  %5llu bitset  (%llu borrowed)"
-              "  payload %llu B\n",
-              static_cast<unsigned long long>(s.array_containers),
-              static_cast<unsigned long long>(s.bitset_containers),
-              static_cast<unsigned long long>(s.borrowed_containers),
-              static_cast<unsigned long long>(s.encoded_bytes));
-}
-
-// snapshot --inspect: header fields always (payload never needs to decode);
-// for graph-bearing kinds, a best-effort container census on top.
+// snapshot --inspect: the header fields; the payload is never decoded, so
+// it works on files that do not load.
 int RunInspect(const std::string& path) {
   std::string error;
   auto info = InspectSnapshot(path, &error);
@@ -317,7 +283,6 @@ int RunInspect(const std::string& path) {
               static_cast<unsigned long long>(info->file_size));
   std::printf("checksum:  %016llx (stored; not re-verified by inspect)\n",
               static_cast<unsigned long long>(info->stored_checksum));
-  TryInspectContainers(path, *info);
   return 0;
 }
 
@@ -371,43 +336,23 @@ int DeltaUsage() {
   return 2;
 }
 
-// Loads the graph part of a base snapshot (graph or engine kind) and
-// reports its stored payload checksum — the value delta logs bind to. The
-// delta workflow needs only the graph (endpoint validation and replay), so
-// for engine snapshots the BFL index that follows it is never decoded —
-// `delta append` against a big base costs one graph decode, not a full
-// engine load.
+// Loads the graph part of a base engine snapshot and reports its stored
+// payload checksum — the value delta logs bind to, taken from the same
+// reader that decodes the graph. The delta workflow needs only the graph
+// (endpoint validation and replay), so the BFL index that follows it is
+// never decoded — `delta append` against a big base costs one graph
+// decode, not a full engine load.
 std::optional<Graph> LoadBaseGraph(const std::string& path,
                                    SnapshotIoMode mode, uint64_t* checksum,
                                    std::string* error) {
-  // The kind probe is a separate (header-only) read, but the reported
-  // checksum comes from the SAME reader that decodes the graph: a
-  // concurrent rename-replace between the two opens can only produce a
-  // kind-mismatch error, never a checksum bound to one file and a graph
-  // from another.
-  auto info = InspectSnapshot(path, error);
-  if (!info.has_value()) return std::nullopt;
-  const bool is_graph =
-      info->kind_value == static_cast<uint32_t>(SnapshotKind::kGraph);
-  const bool is_engine =
-      info->kind_value == static_cast<uint32_t>(SnapshotKind::kEngine);
-  if (!is_graph && !is_engine) {
-    *error =
-        std::string("base must be a graph or engine snapshot (file is ") +
-        SnapshotKindName(info->kind_value) + ")";
-    return std::nullopt;
-  }
-  SnapshotReader reader(
-      path, is_graph ? SnapshotKind::kGraph : SnapshotKind::kEngine, mode);
+  SnapshotReader reader(path, SnapshotKind::kEngine, mode);
   if (!reader.ok()) {
     *error = reader.error();
     return std::nullopt;
   }
   Graph g = Graph::Deserialize(reader.source());
-  // Graph snapshots must be fully consumed; engine snapshots legitimately
-  // have the (skipped) index payload remaining — check the decode only.
-  if (is_graph ? !reader.Finish() : !reader.source().ok()) {
-    *error = is_graph ? reader.error() : reader.source().error();
+  if (!reader.source().ok()) {
+    *error = reader.source().error();
     return std::nullopt;
   }
   *checksum = reader.stored_checksum();
