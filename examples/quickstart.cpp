@@ -1,13 +1,14 @@
 // Quickstart: build a small data graph, write a hybrid pattern query, and
 // evaluate it with the GM engine.
 //
-//   cmake --build build && ./build/examples/quickstart
+//   cmake --build build && ./build/quickstart
 
 #include <cstdio>
+#include <string>
 
 #include "engine/gm_engine.h"
 #include "graph/graph_builder.h"
-#include "query/query_io.h"
+#include "query/pattern_parser.h"
 
 int main() {
   using namespace rigpm;
@@ -31,22 +32,17 @@ int main() {
   Graph graph = std::move(builder).Build();
   std::printf("data graph: %s\n", graph.Summary().c_str());
 
-  // --- 2. Write a hybrid pattern query. The text format uses 'c' for child
-  //        (direct) edges and 'd' for descendant (reachability) edges:
-  //        find users whose post reaches (directly or transitively) a post
-  //        that is directly tagged with a topic.
-  auto query = ParseQuery(
-      "q 4\n"
-      "v 0 0\n"   // U : user
-      "v 1 1\n"   // P : post
-      "v 2 1\n"   // Q : post
-      "e 0 1 c\n" // U -> P   (wrote)
-      "v 3 2\n"   // T : topic
-      "e 1 2 d\n" // P => Q   (reaches through links)
-      "e 2 3 c\n" // Q -> T   (tagged)
-  );
+  // --- 2. Write a hybrid pattern query. The inline syntax uses '->' for
+  //        child (direct) edges and '=>' for descendant (reachability)
+  //        edges: find users whose post reaches (directly or transitively)
+  //        a post that is directly tagged with a topic.
+  //          (u:0)->(p:1)   user U wrote post P
+  //          (p)=>(q:1)     P reaches post Q through links
+  //          (q)->(t:2)     Q is tagged with topic T
+  std::string error;
+  auto query = ParsePattern("(u:0)->(p:1)=>(q:1)->(t:2)", &error);
   if (!query.has_value()) {
-    std::fprintf(stderr, "failed to parse query\n");
+    std::fprintf(stderr, "failed to parse query: %s\n", error.c_str());
     return 1;
   }
   std::printf("query: %s\n", query->Summary().c_str());

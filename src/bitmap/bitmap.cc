@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
 
 namespace rigpm {
 
@@ -35,21 +34,6 @@ void Bitmap::Container::ToBitset() {
   }
   array = std::vector<uint16_t>();
   kind = Kind::kBitset;
-}
-
-void Bitmap::Container::ToArrayIfSmall() {
-  if (cardinality > kArrayCapacity) return;
-  array.reserve(cardinality);
-  for (uint32_t w = 0; w < kWordsPerBitset; ++w) {
-    uint64_t word = words[w];
-    while (word != 0) {
-      int bit = std::countr_zero(word);
-      array.push_back(static_cast<uint16_t>((w << 6) | bit));
-      word &= word - 1;
-    }
-  }
-  words = std::vector<uint64_t>();
-  kind = Kind::kArray;
 }
 
 // ---------------------------------------------------------------------------
@@ -134,31 +118,6 @@ void Bitmap::Add(uint32_t value) {
   }
 }
 
-void Bitmap::Remove(uint32_t value) {
-  size_t idx = FindContainer(HighBits(value));
-  if (idx == containers_.size()) return;
-  Container& c = containers_[idx];
-  uint16_t low = LowBits(value);
-  if (c.kind == Container::Kind::kArray) {
-    auto it = std::lower_bound(c.array.begin(), c.array.end(), low);
-    if (it == c.array.end() || *it != low) return;
-    c.array.erase(it);
-    --c.cardinality;
-    --cardinality_;
-  } else {
-    uint64_t& word = c.words[low >> 6];
-    uint64_t mask = uint64_t{1} << (low & 63);
-    if (!(word & mask)) return;
-    word &= ~mask;
-    --c.cardinality;
-    --cardinality_;
-    c.ToArrayIfSmall();
-  }
-  if (c.cardinality == 0) {
-    containers_.erase(containers_.begin() + static_cast<ptrdiff_t>(idx));
-  }
-}
-
 bool Bitmap::Contains(uint32_t value) const {
   size_t idx = FindContainer(HighBits(value));
   if (idx == containers_.size()) return false;
@@ -173,74 +132,6 @@ void Bitmap::Clear() {
 // ---------------------------------------------------------------------------
 // Container-level set algebra
 // ---------------------------------------------------------------------------
-
-namespace {
-
-// Intersection of two sorted uint16 arrays, linear merge with galloping when
-// the sizes are lopsided.
-void IntersectArrays(std::span<const uint16_t> a, std::span<const uint16_t> b,
-                     std::vector<uint16_t>* out) {
-  std::span<const uint16_t> small = a;
-  std::span<const uint16_t> big = b;
-  if (small.size() > big.size()) std::swap(small, big);
-  if (big.size() > 32 * small.size()) {
-    // Galloping: binary-search each element of the small side.
-    auto begin = big.begin();
-    for (uint16_t v : small) {
-      begin = std::lower_bound(begin, big.end(), v);
-      if (begin == big.end()) break;
-      if (*begin == v) out->push_back(v);
-    }
-    return;
-  }
-  size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (a[i] > b[j]) {
-      ++j;
-    } else {
-      out->push_back(a[i]);
-      ++i;
-      ++j;
-    }
-  }
-}
-
-}  // namespace
-
-Bitmap::Container Bitmap::AndContainers(const Container& a,
-                                        const Container& b) {
-  Container out;
-  out.key = a.key;
-  using Kind = Container::Kind;
-  if (a.kind == Kind::kArray && b.kind == Kind::kArray) {
-    IntersectArrays(a.array, b.array, &out.array);
-    out.cardinality = static_cast<uint32_t>(out.array.size());
-    return out;
-  }
-  if (a.kind == Kind::kBitset && b.kind == Kind::kBitset) {
-    out.words.assign(kWordsPerBitset, 0);
-    uint32_t card = 0;
-    for (uint32_t w = 0; w < kWordsPerBitset; ++w) {
-      out.words[w] = a.words[w] & b.words[w];
-      card += static_cast<uint32_t>(std::popcount(out.words[w]));
-    }
-    out.cardinality = card;
-    out.kind = Kind::kBitset;
-    out.ToArrayIfSmall();
-    return out;
-  }
-  // array x bitset: probe the bitset with each array element.
-  const Container& arr = (a.kind == Kind::kArray) ? a : b;
-  const Container& bits = (a.kind == Kind::kArray) ? b : a;
-  out.array.reserve(arr.array.size());
-  for (uint16_t low : arr.array) {
-    if ((bits.words[low >> 6] >> (low & 63)) & 1) out.array.push_back(low);
-  }
-  out.cardinality = static_cast<uint32_t>(out.array.size());
-  return out;
-}
 
 Bitmap::Container Bitmap::OrContainers(const Container& a, const Container& b) {
   Container out;
@@ -278,64 +169,9 @@ Bitmap::Container Bitmap::OrContainers(const Container& a, const Container& b) {
   return out;
 }
 
-Bitmap::Container Bitmap::AndNotContainers(const Container& a,
-                                           const Container& b) {
-  Container out;
-  out.key = a.key;
-  using Kind = Container::Kind;
-  if (a.kind == Kind::kArray) {
-    out.array.reserve(a.array.size());
-    for (uint16_t low : a.array) {
-      if (!b.Contains(low)) out.array.push_back(low);
-    }
-    out.cardinality = static_cast<uint32_t>(out.array.size());
-    return out;
-  }
-  out.kind = Kind::kBitset;
-  out.words = a.words;
-  std::vector<uint64_t>& words = out.words;
-  if (b.kind == Kind::kBitset) {
-    for (uint32_t w = 0; w < kWordsPerBitset; ++w) words[w] &= ~b.words[w];
-  } else {
-    for (uint16_t low : b.array) {
-      words[low >> 6] &= ~(uint64_t{1} << (low & 63));
-    }
-  }
-  uint32_t card = 0;
-  for (uint32_t w = 0; w < kWordsPerBitset; ++w) {
-    card += static_cast<uint32_t>(std::popcount(words[w]));
-  }
-  out.cardinality = card;
-  out.ToArrayIfSmall();
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // Bitmap-level set algebra
 // ---------------------------------------------------------------------------
-
-Bitmap Bitmap::And(const Bitmap& a, const Bitmap& b) {
-  Bitmap out;
-  size_t i = 0, j = 0;
-  while (i < a.containers_.size() && j < b.containers_.size()) {
-    uint16_t ka = a.containers_[i].key;
-    uint16_t kb = b.containers_[j].key;
-    if (ka < kb) {
-      ++i;
-    } else if (ka > kb) {
-      ++j;
-    } else {
-      Container c = AndContainers(a.containers_[i], b.containers_[j]);
-      if (c.cardinality > 0) {
-        out.cardinality_ += c.cardinality;
-        out.containers_.push_back(std::move(c));
-      }
-      ++i;
-      ++j;
-    }
-  }
-  return out;
-}
 
 Bitmap Bitmap::Or(const Bitmap& a, const Bitmap& b) {
   Bitmap out;
@@ -363,28 +199,7 @@ Bitmap Bitmap::Or(const Bitmap& a, const Bitmap& b) {
   return out;
 }
 
-Bitmap Bitmap::AndNot(const Bitmap& a, const Bitmap& b) {
-  Bitmap out;
-  size_t j = 0;
-  for (const Container& c : a.containers_) {
-    while (j < b.containers_.size() && b.containers_[j].key < c.key) ++j;
-    if (j < b.containers_.size() && b.containers_[j].key == c.key) {
-      Container diff = AndNotContainers(c, b.containers_[j]);
-      if (diff.cardinality > 0) {
-        out.cardinality_ += diff.cardinality;
-        out.containers_.push_back(std::move(diff));
-      }
-    } else {
-      out.containers_.push_back(c);
-      out.cardinality_ += c.cardinality;
-    }
-  }
-  return out;
-}
-
-void Bitmap::AndWith(const Bitmap& other) { *this = And(*this, other); }
 void Bitmap::OrWith(const Bitmap& other) { *this = Or(*this, other); }
-void Bitmap::AndNotWith(const Bitmap& other) { *this = AndNot(*this, other); }
 
 void Bitmap::FilterByContainer(const Container& c, size_t begin,
                                std::vector<uint32_t>* out) {
@@ -399,7 +214,7 @@ void Bitmap::FilterByContainer(const Container& c, size_t begin,
     }
   } else {
     // Both sides ascend: a merge walk, or galloping through `c` when it is
-    // much longer than the range (as IntersectArrays does).
+    // much longer than the range.
     const uint16_t* probe = c.array.data();
     const uint16_t* const probe_end = probe + c.array.size();
     const bool gallop = static_cast<size_t>(probe_end - probe) >

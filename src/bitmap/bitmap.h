@@ -27,19 +27,21 @@ namespace rigpm {
 /// As in the paper, every bitmap is built in memory and never persisted: a
 /// snapshot load rebuilds the label bitmaps from the labels.
 ///
-/// The kind follows from the cardinality alone: every constructor, kernel
-/// and point mutation leave a container of <= kArrayCapacity values as an
-/// array and a larger one as a bitset (an array promotes when it grows past
-/// kArrayCapacity, a bitset demotes when it shrinks back to it). Equal cardinality therefore means equal kind, and the binary set
-/// operations need kernels for only three kind pairings: array x array,
-/// bitset x bitset and the mixed pair.
+/// The kind follows from the cardinality alone: a container of
+/// <= kArrayCapacity values is an array and a larger one a bitset. No
+/// operation takes a value out of a container: `Add` and `Or` only grow one,
+/// `Clear` drops them all, and a set that shrinks is rebuilt with
+/// `FromSorted`. So the only kind change is an array promoting to a bitset
+/// when it grows past kArrayCapacity. Equal cardinality therefore means
+/// equal kind, and the union needs kernels for only three kind pairings:
+/// array x array, bitset x bitset and the mixed pair.
 ///
 /// The class provides the operations the RIG framework needs:
-///  * point updates and membership,
-///  * destructive and non-destructive AND / OR / ANDNOT,
+///  * point insertion and membership,
+///  * OR, copying and in place (the TC baseline's closure rows),
 ///  * multiway AND into a caller-owned sorted vector (`AndManyInto`, the
-///    intersection behind each MJoin step: "FastAggregation" in the
-///    RoaringBitmap API, without an intermediate bitmap),
+///    only intersection: the one behind each MJoin step, "FastAggregation"
+///    in the RoaringBitmap API, without an intermediate bitmap),
 ///  * batch iteration (`ForEach`, `ToVector`) that decodes container-at-a-
 ///    time, mirroring the batch iterators the paper found 2-10x faster than
 ///    per-element iterators.
@@ -63,20 +65,14 @@ class Bitmap {
   static Bitmap FromSorted(std::span<const uint32_t> sorted_values);
 
   void Add(uint32_t value);
-  void Remove(uint32_t value);
   bool Contains(uint32_t value) const;
 
   uint64_t Cardinality() const { return cardinality_; }
   bool Empty() const { return cardinality_ == 0; }
   void Clear();
 
-  void AndWith(const Bitmap& other);
   void OrWith(const Bitmap& other);
-  void AndNotWith(const Bitmap& other);
-
-  static Bitmap And(const Bitmap& a, const Bitmap& b);
   static Bitmap Or(const Bitmap& a, const Bitmap& b);
-  static Bitmap AndNot(const Bitmap& a, const Bitmap& b);
 
   /// Multiway intersection: replaces `*out` with the values present in
   /// every input, ascending (empty for an empty input list). The input of
@@ -103,9 +99,6 @@ class Bitmap {
   /// daemon RSS attribution).
   size_t MemoryBytes() const;
 
-  /// Number of internal containers (exposed for tests).
-  size_t ContainerCount() const { return containers_.size(); }
-
  private:
   // A single 2^16-element chunk. `kind` selects which representation is
   // active; the inactive storage is kept empty.
@@ -124,11 +117,8 @@ class Bitmap {
 
     bool Contains(uint16_t low) const;
 
-    // Kind changes that restore the invariant after the cardinality
-    // crossed kArrayCapacity: ToBitset() converts an array, and
-    // ToArrayIfSmall() converts a bitset that holds <= kArrayCapacity values.
+    // The one kind change: converts an array that grew past kArrayCapacity.
     void ToBitset();
-    void ToArrayIfSmall();
   };
 
   // Returns the index of the container with `key`, or containers_.size().
@@ -140,13 +130,11 @@ class Bitmap {
   template <typename Visit>
   static bool VisitContainer(const Container& c, Visit& visit);
 
-  static Container AndContainers(const Container& a, const Container& b);
   // Keeps the values of (*out)[begin..] — one chunk's, ascending — that `c`
   // (the container of the same chunk) holds.
   static void FilterByContainer(const Container& c, size_t begin,
                                 std::vector<uint32_t>* out);
   static Container OrContainers(const Container& a, const Container& b);
-  static Container AndNotContainers(const Container& a, const Container& b);
 
   std::vector<Container> containers_;  // sorted by key
   uint64_t cardinality_ = 0;

@@ -30,13 +30,13 @@ void TimePhase(GmResult* r, const char* name, Fn&& phase) {
 
 }  // namespace
 
-GmEngine::GmEngine(const Graph& g, ReachKind reach) : graph_(g) {
+GmEngine::GmEngine(const Graph& g) : graph_(g) {
   auto t0 = Clock::now();
-  reach_ = BuildReachabilityIndex(g, reach);
+  reach_ = std::make_unique<BflIndex>(g);
   reach_build_ms_ = MsSince(t0);
 }
 
-GmEngine::GmEngine(const Graph& g, std::unique_ptr<ReachabilityIndex> reach)
+GmEngine::GmEngine(const Graph& g, std::unique_ptr<BflIndex> reach)
     : graph_(g), reach_(std::move(reach)) {}
 
 GmResult GmEngine::Run(const PatternQuery& query, const GmOptions& opts,

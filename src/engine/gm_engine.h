@@ -13,7 +13,7 @@
 #include "enumerate/mjoin.h"
 #include "order/search_order.h"
 #include "query/pattern_query.h"
-#include "reach/reachability.h"
+#include "reach/bfl_index.h"
 #include "rig/rig_builder.h"
 
 namespace rigpm {
@@ -41,21 +41,21 @@ using BatchOccurrenceSink =
 /// several threads, or EvaluateBatch) without locking.
 class GmEngine {
  public:
-  /// Builds the reachability index (`reach`, default BFL as in the paper)
-  /// over `g`. The graph must outlive the engine.
-  explicit GmEngine(const Graph& g, ReachKind reach = ReachKind::kBfl);
+  /// Builds the BFL reachability index over `g`, as the paper does. The
+  /// graph must outlive the engine.
+  explicit GmEngine(const Graph& g);
 
-  /// Warm start: adopts a pre-built reachability index (typically
+  /// Warm start: adopts a BFL index built over `g` earlier (typically
   /// deserialized from a snapshot, storage/snapshot.h) instead of
-  /// rebuilding it from `g`. Index construction cost drops to zero;
+  /// rebuilding it. Index construction cost drops to zero;
   /// reach_build_ms() reports 0.
-  GmEngine(const Graph& g, std::unique_ptr<ReachabilityIndex> reach);
+  GmEngine(const Graph& g, std::unique_ptr<BflIndex> reach);
 
   GmEngine(const GmEngine&) = delete;
   GmEngine& operator=(const GmEngine&) = delete;
 
   const Graph& graph() const { return graph_; }
-  const ReachabilityIndex& reach() const { return *reach_; }
+  const BflIndex& reach() const { return *reach_; }
   double reach_build_ms() const { return reach_build_ms_; }
 
   /// Evaluates `query`, streaming every occurrence into `sink` (may be
@@ -92,7 +92,7 @@ class GmEngine {
                const OccurrenceSink& sink, std::optional<Rig>* rig_out) const;
 
   const Graph& graph_;
-  std::unique_ptr<ReachabilityIndex> reach_;
+  std::unique_ptr<BflIndex> reach_;
   double reach_build_ms_ = 0.0;
 };
 

@@ -1,11 +1,19 @@
 #include "graph/graph_io.h"
 
+#include <algorithm>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <vector>
 
 namespace rigpm {
+
+namespace {
+
+// Labels below this load whatever the node count, so a small hand-written
+// graph may use sparse label ids.
+constexpr uint64_t kMinLabelBound = 65536;
+
+}  // namespace
 
 void WriteGraph(const Graph& g, std::ostream& out) {
   out << "t " << g.NumNodes() << ' ' << g.NumEdges() << '\n';
@@ -31,6 +39,11 @@ std::optional<Graph> ReadGraph(std::istream& in, std::string* error) {
   size_t line_no = 0;
   bool have_header = false;
   uint64_t declared_nodes = 0, declared_edges = 0;
+  // The largest label and the line that first names it: the label index
+  // takes about 40 bytes per label id up to it, so it is bounded by the
+  // node count, which is known only at the end.
+  uint64_t max_label = 0;
+  size_t max_label_line = 0;
   while (std::getline(in, line)) {
     ++line_no;
     if (line.empty() || line[0] == '#') continue;
@@ -55,12 +68,11 @@ std::optional<Graph> ReadGraph(std::istream& in, std::string* error) {
       if (id != labels.size()) {
         return fail("non-dense node id at line " + std::to_string(line_no));
       }
-      // NumLabels() is the largest label plus one, so it must fit in 32 bits.
-      if (label >= std::numeric_limits<LabelId>::max()) {
-        return fail("label " + std::to_string(label) +
-                    " out of range at line " + std::to_string(line_no));
+      if (label > max_label) {
+        max_label = label;
+        max_label_line = line_no;
       }
-      labels.push_back(static_cast<LabelId>(label));
+      labels.push_back(static_cast<LabelId>(label));  // checked below
     } else if (tag == 'e') {
       uint64_t u = 0, v = 0;
       if (!(ls >> u >> v)) {
@@ -77,6 +89,10 @@ std::optional<Graph> ReadGraph(std::istream& in, std::string* error) {
     } else {
       return fail("unknown record tag at line " + std::to_string(line_no));
     }
+  }
+  if (max_label >= std::max<uint64_t>(labels.size(), kMinLabelBound)) {
+    return fail("label " + std::to_string(max_label) +
+                " out of range at line " + std::to_string(max_label_line));
   }
   if (have_header && labels.size() != declared_nodes) {
     return fail("header declares " + std::to_string(declared_nodes) +

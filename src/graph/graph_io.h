@@ -21,9 +21,12 @@ namespace rigpm {
 ///
 /// The reader validates its input: node ids must be dense and declared
 /// before any edge references them (with or without a `t` header), a label
-/// must be below 4294967295, and a header's node/edge counts must match the
-/// number of `v`/`e` records. Violations are reported through the `error`
-/// out-parameter.
+/// must be below the larger of the node count and 65536, and a header's
+/// node/edge counts must match the number of `v`/`e` records. Violations are
+/// reported through the `error` out-parameter. The label rule bounds the
+/// label index, which costs about 40 bytes per label id up to the largest
+/// (graph/graph.h), by the node count; the 65536 floor keeps small graphs
+/// with sparse label ids loading.
 ///
 /// For restart-speed-critical paths prefer the binary snapshot format
 /// (storage/snapshot.h), which skips parsing entirely.

@@ -201,10 +201,12 @@ bool PruneEdgeSide(const MatchContext& ctx, const QueryEdge& e,
   } else if (e.kind == EdgeKind::kDescendant && opts.batch_reachability) {
     if (stats != nullptr) ++stats->pair_checks;
     if (e.max_hops > 0) {
-      // Hop counts do not survive condensation: hop-limited BFS.
-      pruned->AndWith(
+      // Hop counts do not survive condensation: keep the members of the
+      // hop-limited ball around `fixed`.
+      const Bitmap ball =
           forward ? NodesReaching(ctx.graph(), fixed, e.max_hops)
-                  : NodesReachableFrom(ctx.graph(), fixed, e.max_hops));
+                  : NodesReachableFrom(ctx.graph(), fixed, e.max_hops);
+      FilterInPlace(pruned, [&](NodeId v) { return ball.Contains(v); });
     } else {
       KeepReachRelated(ctx.reach().condensation(), fixed, forward, pruned);
     }

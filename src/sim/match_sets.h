@@ -57,8 +57,8 @@ struct SimStats {
 /// A candidate relation: one bitmap of data nodes per query node. Used for
 /// ms(q) (match sets), FB(q) (double simulation) and cos(q) (RIG node sets).
 /// The bitmaps are compressed (bitmap/bitmap.h): each 64K chunk is an array
-/// or a bitset by its cardinality, and the pruning kernels (And/Or/AndNot)
-/// take either kind as it is.
+/// or a bitset by its cardinality. Every prune walks a set with ForEach and
+/// rebuilds it from its survivors with FromSorted.
 using CandidateSets = std::vector<Bitmap>;
 
 /// True iff a path of 1..max_hops edges leads from u to v (depth-limited

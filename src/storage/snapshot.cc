@@ -365,15 +365,9 @@ bool SnapshotReader::Finish() {
 
 bool SaveEngineSnapshot(const GmEngine& engine, const std::string& path,
                         std::string* error) {
-  const auto* bfl = dynamic_cast<const BflIndex*>(&engine.reach());
-  if (bfl == nullptr) {
-    SetError(error, "only BFL-backed engines can be snapshotted (engine uses " +
-                        engine.reach().Name() + ")");
-    return false;
-  }
   ByteSink sink;
   engine.graph().Serialize(sink);
-  bfl->Serialize(sink);
+  engine.reach().Serialize(sink);
   return WriteSnapshotFile(path, SnapshotKind::kEngine, sink, error);
 }
 

@@ -175,8 +175,6 @@ struct WarmEngine {
 };
 
 /// Persists `engine`'s graph and its pre-built BFL reachability index.
-/// Only BFL-backed engines can be snapshotted (the paper's default); other
-/// reach kinds report an error.
 bool SaveEngineSnapshot(const GmEngine& engine, const std::string& path,
                         std::string* error = nullptr);
 

@@ -26,7 +26,7 @@ TEST(Bitmap, StartsEmpty) {
   EXPECT_EQ(b.ToVector(), std::vector<uint32_t>{});
 }
 
-TEST(Bitmap, AddContainsRemove) {
+TEST(Bitmap, AddContains) {
   Bitmap b;
   b.Add(5);
   b.Add(100000);
@@ -35,11 +35,6 @@ TEST(Bitmap, AddContainsRemove) {
   EXPECT_TRUE(b.Contains(5));
   EXPECT_TRUE(b.Contains(100000));
   EXPECT_FALSE(b.Contains(6));
-  b.Remove(5);
-  EXPECT_FALSE(b.Contains(5));
-  EXPECT_EQ(b.Cardinality(), 1u);
-  b.Remove(5);  // removing absent value is a no-op
-  EXPECT_EQ(b.Cardinality(), 1u);
 }
 
 TEST(Bitmap, InitializerListSortsValues) {
@@ -56,7 +51,7 @@ TEST(Bitmap, FromSortedMatchesAdds) {
   EXPECT_EQ(a, b);
 }
 
-TEST(Bitmap, ArrayPromotesToBitsetAndBack) {
+TEST(Bitmap, ArrayPromotesToBitset) {
   Bitmap b;
   for (uint32_t i = 0; i < Bitmap::kArrayCapacity + 10; ++i) b.Add(i * 2);
   EXPECT_EQ(b.Cardinality(), Bitmap::kArrayCapacity + 10);
@@ -64,20 +59,15 @@ TEST(Bitmap, ArrayPromotesToBitsetAndBack) {
     EXPECT_TRUE(b.Contains(i * 2));
     EXPECT_FALSE(b.Contains(i * 2 + 1));
   }
-  // Shrink back below the threshold; values must survive the conversion.
-  for (uint32_t i = 20; i < Bitmap::kArrayCapacity + 10; ++i) b.Remove(i * 2);
-  EXPECT_EQ(b.Cardinality(), 20u);
-  for (uint32_t i = 0; i < 20; ++i) EXPECT_TRUE(b.Contains(i * 2));
 }
 
-TEST(Bitmap, AndOrAndNotBasic) {
+TEST(Bitmap, OrBasic) {
   Bitmap a = {1, 2, 3, 100000};
   Bitmap b = {2, 3, 4, 200000};
-  EXPECT_EQ(Bitmap::And(a, b).ToVector(), (std::vector<uint32_t>{2, 3}));
-  EXPECT_EQ(Bitmap::Or(a, b).ToVector(),
-            (std::vector<uint32_t>{1, 2, 3, 4, 100000, 200000}));
-  EXPECT_EQ(Bitmap::AndNot(a, b).ToVector(),
-            (std::vector<uint32_t>{1, 100000}));
+  const std::vector<uint32_t> both = {1, 2, 3, 4, 100000, 200000};
+  EXPECT_EQ(Bitmap::Or(a, b).ToVector(), both);
+  a.OrWith(b);
+  EXPECT_EQ(a.ToVector(), both);
 }
 
 TEST(Bitmap, AndManyIntoIntersectsEveryInput) {
@@ -126,14 +116,20 @@ TEST(Bitmap, ForEachStopsWhenTheVisitorReturnsFalse) {
   EXPECT_TRUE(dense.ForEach([](uint32_t) { return true; }));
 }
 
-TEST(Bitmap, EqualityAcrossRepresentations) {
-  // Same contents, one built dense-then-shrunk (bitset path), one sparse.
-  Bitmap a;
-  for (uint32_t i = 0; i < 5000; ++i) a.Add(i);
-  for (uint32_t i = 10; i < 5000; ++i) a.Remove(i);
-  Bitmap b;
-  for (uint32_t i = 0; i < 10; ++i) b.Add(i);
-  EXPECT_EQ(a, b);
+TEST(Bitmap, EqualityAcrossConstructionPaths) {
+  // The same 5000 values (a bitset) built by Add, by FromSorted, and by the
+  // union of two arrays; and 10 values (an array) by Add and by FromSorted.
+  Bitmap added;
+  for (uint32_t i = 0; i < 5000; ++i) added.Add(i);
+  Bitmap low, high;
+  for (uint32_t i = 0; i < 2500; ++i) low.Add(i);
+  for (uint32_t i = 2500; i < 5000; ++i) high.Add(i);
+  EXPECT_EQ(added, Range(5000));
+  EXPECT_EQ(added, Bitmap::Or(low, high));
+  Bitmap small;
+  for (uint32_t i = 0; i < 10; ++i) small.Add(i);
+  EXPECT_EQ(small, Range(10));
+  EXPECT_NE(small, added);
 }
 
 TEST(Bitmap, MemoryBytesGrowsWithContent) {
@@ -169,13 +165,6 @@ TEST_P(BitmapPropertyTest, MatchesReferenceSet) {
     b_bm.Add(vb);
     b_ref.insert(vb);
   }
-  // Random deletions on a.
-  for (uint32_t i = 0; i < p.inserts / 4; ++i) {
-    uint32_t v = dist(rng);
-    a_bm.Remove(v);
-    a_ref.erase(v);
-  }
-
   EXPECT_EQ(a_bm.Cardinality(), a_ref.size());
   EXPECT_EQ(a_bm.ToVector(),
             std::vector<uint32_t>(a_ref.begin(), a_ref.end()));
@@ -183,27 +172,20 @@ TEST_P(BitmapPropertyTest, MatchesReferenceSet) {
   auto check = [](const Bitmap& got, const std::set<uint32_t>& want) {
     EXPECT_EQ(got.ToVector(), std::vector<uint32_t>(want.begin(), want.end()));
   };
-  std::set<uint32_t> and_ref, or_ref, andnot_ref;
+  std::vector<uint32_t> and_ref;
+  std::set<uint32_t> or_ref;
   std::set_intersection(a_ref.begin(), a_ref.end(), b_ref.begin(), b_ref.end(),
-                        std::inserter(and_ref, and_ref.begin()));
+                        std::back_inserter(and_ref));
   std::set_union(a_ref.begin(), a_ref.end(), b_ref.begin(), b_ref.end(),
                  std::inserter(or_ref, or_ref.begin()));
-  std::set_difference(a_ref.begin(), a_ref.end(), b_ref.begin(), b_ref.end(),
-                      std::inserter(andnot_ref, andnot_ref.begin()));
-  check(Bitmap::And(a_bm, b_bm), and_ref);
   check(Bitmap::Or(a_bm, b_bm), or_ref);
-  check(Bitmap::AndNot(a_bm, b_bm), andnot_ref);
-
-  // In-place ops agree with the static ones.
   Bitmap c = a_bm;
-  c.AndWith(b_bm);
-  check(c, and_ref);
-  c = a_bm;
   c.OrWith(b_bm);
   check(c, or_ref);
-  c = a_bm;
-  c.AndNotWith(b_bm);
-  check(c, andnot_ref);
+  const Bitmap* ab[] = {&a_bm, &b_bm};
+  std::vector<uint32_t> out;
+  Bitmap::AndManyInto(ab, &out);
+  EXPECT_EQ(out, and_ref);
 
   // Membership spot checks.
   for (uint32_t i = 0; i < 100; ++i) {
@@ -234,12 +216,16 @@ TEST(BitmapProperty, MultiwayAgreesWithFolds) {
   std::vector<const Bitmap*> ptrs;
   for (auto& b : bitmaps) ptrs.push_back(&b);
 
-  Bitmap and_fold = bitmaps[0];
-  for (size_t i = 1; i < bitmaps.size(); ++i) and_fold.AndWith(bitmaps[i]);
+  // The fold keeps the values of the first bitmap every other one holds.
+  std::vector<uint32_t> and_fold = bitmaps[0].ToVector();
+  for (size_t i = 1; i < bitmaps.size(); ++i) {
+    std::erase_if(and_fold,
+                  [&](uint32_t v) { return !bitmaps[i].Contains(v); });
+  }
   std::vector<uint32_t> out;
   Bitmap::AndManyInto(ptrs, &out);
-  EXPECT_EQ(out, and_fold.ToVector());
-  EXPECT_TRUE(and_fold.Contains(12345));
+  EXPECT_EQ(out, and_fold);
+  EXPECT_TRUE(std::ranges::binary_search(and_fold, 12345u));
 }
 
 }  // namespace

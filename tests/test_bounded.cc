@@ -1,11 +1,10 @@
 // Tests for bounded descendant edges (paths of length <= k): semantics,
-// parser/IO support, interaction with transitive reduction, and
+// parser support, interaction with transitive reduction, and
 // differential agreement of every engine.
 
 #include <gtest/gtest.h>
 
 #include <set>
-#include <sstream>
 
 #include "baseline/jm_engine.h"
 #include "baseline/tm_engine.h"
@@ -14,7 +13,6 @@
 #include "graph/generators.h"
 #include "query/pattern_parser.h"
 #include "query/query_generator.h"
-#include "query/query_io.h"
 #include "query/transitive_reduction.h"
 #include "test_util.h"
 
@@ -107,18 +105,6 @@ TEST(Bounded, ParserSupportsBoundSyntax) {
   EXPECT_EQ(*round, *q);
   // Malformed bound.
   EXPECT_FALSE(ParsePattern("(a:0)=3(b:1)").has_value());
-}
-
-TEST(Bounded, QueryIoRoundTrip) {
-  PatternQuery q = PatternQuery::FromParts(
-      {0, 1, 2},
-      {{0, 1, EdgeKind::kChild},
-       {1, 2, EdgeKind::kDescendant, 5}});
-  std::string text = QueryToString(q);
-  EXPECT_NE(text.find("d 5"), std::string::npos);
-  auto parsed = ParseQuery(text);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(*parsed, q);
 }
 
 TEST(Bounded, TransitiveReductionKeepsBoundedEdges) {

@@ -33,18 +33,6 @@ TEST(GmEngine, PaperExampleEndToEnd) {
   EXPECT_EQ(result.order_used.size(), 3u);
 }
 
-TEST(GmEngine, ReachIndexConfigurable) {
-  Graph g = PaperExample::MakeGraph();
-  for (ReachKind kind :
-       {ReachKind::kBfs, ReachKind::kTransitiveClosure, ReachKind::kBfl}) {
-    GmEngine engine(g, kind);
-    GmResult result;
-    engine.EvaluateCollect(PaperExample::MakeQuery(), GmOptions{}, &result);
-    EXPECT_EQ(result.num_occurrences, 4u) << ReachKindName(kind);
-    EXPECT_GE(engine.reach_build_ms(), 0.0);
-  }
-}
-
 TEST(GmEngine, LimitReported) {
   // The paper example has 4 occurrences; a limit never lets more through,
   // and 0 lets none through without ever calling the sink.

@@ -4,7 +4,6 @@
 
 #include "query/dag_decomposition.h"
 #include "query/query_generator.h"
-#include "query/query_io.h"
 #include "query/query_templates.h"
 #include "query/transitive_reduction.h"
 #include "test_util.h"
@@ -71,29 +70,6 @@ TEST(PatternQuery, ConnectivityAndDagChecks) {
   PatternQuery tree = PatternQuery::FromParts(
       {0, 1, 2}, {{0, 1, EdgeKind::kChild}, {0, 2, EdgeKind::kDescendant}});
   EXPECT_TRUE(tree.IsUndirectedAcyclic());
-}
-
-TEST(QueryIo, RoundTrip) {
-  PatternQuery q = Diamond();
-  std::string text = QueryToString(q);
-  std::string error;
-  auto parsed = ParseQuery(text, &error);
-  ASSERT_TRUE(parsed.has_value()) << error;
-  EXPECT_EQ(*parsed, q);
-}
-
-TEST(QueryIo, ParsesInlineText) {
-  auto q = ParseQuery("q 3\nv 0 5\nv 1 6\nv 2 7\ne 0 1 c\ne 1 2 d\n");
-  ASSERT_TRUE(q.has_value());
-  EXPECT_EQ(q->NumNodes(), 3u);
-  EXPECT_EQ(q->Edge(0).kind, EdgeKind::kChild);
-  EXPECT_EQ(q->Edge(1).kind, EdgeKind::kDescendant);
-}
-
-TEST(QueryIo, RejectsBadEdgeKind) {
-  std::string error;
-  EXPECT_FALSE(
-      ParseQuery("q 2\nv 0 0\nv 1 1\ne 0 1 x\n", &error).has_value());
 }
 
 // --- Transitive closure / reduction (Section 3, Fig. 3).

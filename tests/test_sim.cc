@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <random>
 #include <string>
+#include <utility>
 
 #include "graph/generators.h"
 #include "query/query_generator.h"
@@ -23,7 +24,7 @@ using ::rigpm::testing::WithSelfLoops;
 std::vector<NodeId> Sorted(const Bitmap& b) { return b.ToVector(); }
 
 bool IsSubset(const Bitmap& a, const Bitmap& b) {
-  return Bitmap::AndNot(a, b).Empty();
+  return a.ForEach([&b](NodeId v) { return b.Contains(v); });
 }
 
 class SimFixture : public ::testing::Test {
@@ -167,8 +168,8 @@ TEST(Sim, BatchBfsHelpersMatchDefinition) {
 }
 
 // ---------------------------------------------------------------------------
-// Batch prune kernels: the CSR-mark child prune and the condensation sweep
-// must give exactly what the per-pair probes give.
+// Batch prune kernels: the CSR-mark child prune, the condensation sweep and
+// the hop-limited ball must give exactly what the per-pair probes give.
 // ---------------------------------------------------------------------------
 
 // Empty, one node, a random half of the nodes, or every node.
@@ -182,22 +183,36 @@ Bitmap RandomSet(uint32_t n, int shape, std::mt19937_64& rng) {
   return Bitmap::FromSorted(nodes);
 }
 
+// a ∩ b, through the multiway intersection.
+Bitmap Intersect(const Bitmap& a, const Bitmap& b) {
+  const Bitmap* inputs[] = {&a, &b};
+  std::vector<uint32_t> values;
+  Bitmap::AndManyInto(inputs, &values);
+  return Bitmap::FromSorted(values);
+}
+
 struct PruneResult {
   Bitmap src;
   Bitmap dst;
 };
 
 // Forward-prunes a copy of `src` and backward-prunes a copy of `dst` along
-// a single edge 0 -> 1 of `kind`.
+// a single edge 0 -> 1 of `kind`, bounded to `max_hops` edges when > 0.
 PruneResult PruneBothSides(const MatchContext& ctx, EdgeKind kind,
-                           const Bitmap& src, const Bitmap& dst,
-                           const SimOptions& opts) {
-  QueryEdge e{.from = 0, .to = 1, .kind = kind};
+                           uint32_t max_hops, const Bitmap& src,
+                           const Bitmap& dst, const SimOptions& opts) {
+  QueryEdge e{.from = 0, .to = 1, .kind = kind, .max_hops = max_hops};
   PruneResult r{src, dst};
   ForwardPruneEdge(ctx, e, &r.src, dst, opts, nullptr);
   BackwardPruneEdge(ctx, e, src, &r.dst, opts, nullptr);
   return r;
 }
+
+// Child, unbounded descendant, and descendant bounded to 1, 2 and 3 hops.
+constexpr std::pair<EdgeKind, uint32_t> kEdgeCases[] = {
+    {EdgeKind::kChild, 0},      {EdgeKind::kDescendant, 0},
+    {EdgeKind::kDescendant, 1}, {EdgeKind::kDescendant, 2},
+    {EdgeKind::kDescendant, 3}};
 
 TEST(PruneKernels, BatchEqualsPerPairOnRandomGraphs) {
   const SimOptions batch;  // kBitBat + batch_reachability: the defaults
@@ -233,17 +248,25 @@ TEST(PruneKernels, BatchEqualsPerPairOnRandomGraphs) {
                 "seed " + std::to_string(seed) + (dag ? " dag " : " pl ") +
                 ReachKindName(kind) + " shapes " + std::to_string(src_shape) +
                 "/" + std::to_string(dst_shape);
-            for (EdgeKind ek : {EdgeKind::kChild, EdgeKind::kDescendant}) {
-              PruneResult fast = PruneBothSides(ctx, ek, src, dst, batch);
-              PruneResult slow = PruneBothSides(ctx, ek, src, dst, per_pair);
-              EXPECT_EQ(fast.src, slow.src) << where;
-              EXPECT_EQ(fast.dst, slow.dst) << where;
+            for (const auto& [ek, max_hops] : kEdgeCases) {
+              const std::string edge =
+                  where + (ek == EdgeKind::kChild
+                               ? " child"
+                               : " descendant, max_hops " +
+                                     std::to_string(max_hops));
+              PruneResult fast =
+                  PruneBothSides(ctx, ek, max_hops, src, dst, batch);
+              PruneResult slow =
+                  PruneBothSides(ctx, ek, max_hops, src, dst, per_pair);
+              EXPECT_EQ(fast.src, slow.src) << edge;
+              EXPECT_EQ(fast.dst, slow.dst) << edge;
               if (ek == EdgeKind::kDescendant) {
-                EXPECT_EQ(fast.src, Bitmap::And(src, NodesReaching(g, dst)))
-                    << where;
+                EXPECT_EQ(fast.src,
+                          Intersect(src, NodesReaching(g, dst, max_hops)))
+                    << edge;
                 EXPECT_EQ(fast.dst,
-                          Bitmap::And(dst, NodesReachableFrom(g, src)))
-                    << where;
+                          Intersect(dst, NodesReachableFrom(g, src, max_hops)))
+                    << edge;
               }
             }
           }

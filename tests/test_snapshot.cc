@@ -905,6 +905,26 @@ TEST(ReadGraphValidation, LabelPast32BitsFailsInsteadOfWrapping) {
   EXPECT_NE(error.find("out of range at line 1"), std::string::npos) << error;
 }
 
+TEST(ReadGraphValidation, HugeSparseLabelIsRefusedBeforeAllocating) {
+  // The label index takes about 40 bytes per label id up to the largest, so
+  // a label must be below max(node count, 65536); 4000000000 on a two-node
+  // graph would ask for about 160 GB.
+  std::string error;
+  EXPECT_FALSE(ParseText("v 0 0\nv 1 4000000000\n", &error).has_value());
+  EXPECT_NE(error.find("label 4000000000 out of range at line 2"),
+            std::string::npos)
+      << error;
+  // The 65536 floor: a one-node graph may use label 65535, and a two-node
+  // graph may not use 65536.
+  auto g = ParseText("v 0 65535\n", &error);
+  ASSERT_TRUE(g.has_value()) << error;
+  EXPECT_EQ(g->NumLabels(), 65536u);
+  EXPECT_FALSE(ParseText("v 0 0\nv 1 65536\n", &error).has_value());
+  EXPECT_NE(error.find("label 65536 out of range at line 2"),
+            std::string::npos)
+      << error;
+}
+
 TEST(ReadGraphValidation, ValidInputStillParses) {
   std::string error;
   auto g = ParseText("t 2 1\nv 0 0\nv 1 1\ne 0 1\n# comment\n", &error);

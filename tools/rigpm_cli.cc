@@ -1,7 +1,7 @@
 // rigpm_cli — evaluate hybrid graph pattern queries from the command line.
 //
 //   rigpm_cli --graph G.txt --pattern "(a:0)->(b:1), (b)=>(c:2)" [flags]
-//   rigpm_cli --graph G.txt --query Q.txt --engine jm --limit 100
+//   rigpm_cli --graph G.txt --pattern "(a:0)=>(b:1)" --engine jm --limit 100
 //   rigpm_cli --graph G.txt --batch QUERIES.txt --threads 8
 //   rigpm_cli snapshot --graph G.txt --out G.snap
 //   rigpm_cli snapshot --inspect G.snap
@@ -48,7 +48,6 @@
 //                     into private memory). Also settable process-wide via
 //                     the RIGPM_SNAPSHOT_IO environment variable
 //   --out FILE        snapshot output path (snapshot subcommand)
-//   --query FILE      query in the text format of query_io.h
 //   --pattern STR     query in the inline syntax of pattern_parser.h
 //   --batch FILE      batch mode: one inline pattern per line ('#' comments
 //                     and blank lines skipped), served with EvaluateBatch
@@ -79,7 +78,6 @@
 #include "engine/gm_engine.h"
 #include "graph/graph_io.h"
 #include "query/pattern_parser.h"
-#include "query/query_io.h"
 #include "server/tool_main.h"
 #include "storage/delta_log.h"
 #include "storage/lineage.h"
@@ -97,7 +95,6 @@ struct CliArgs {
   std::string out_path;       // snapshot subcommand --out
   std::string inspect_path;   // snapshot subcommand --inspect
   SnapshotIoMode io_mode = DefaultSnapshotIoMode();  // --snapshot-io
-  std::string query_path;
   std::string pattern;
   std::string batch_path;
   std::string engine = "gm";
@@ -111,7 +108,7 @@ struct CliArgs {
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s (--graph FILE | --load-snapshot FILE)\n"
-               "          (--query FILE | --pattern STR | --batch FILE)\n"
+               "          (--pattern STR | --batch FILE)\n"
                "          [--engine gm|jm|tm] [--order jo|ri|bj]\n"
                "          [--limit N] [--print N] [--stats]\n"
                "          [--batch FILE --threads N]\n"
@@ -162,10 +159,6 @@ bool ParseArgs(int argc, char** argv, int first, CliArgs* out) {
                      v);
         return false;
       }
-    } else if (std::strcmp(argv[i], "--query") == 0) {
-      const char* v = need_value("--query");
-      if (v == nullptr) return false;
-      out->query_path = v;
     } else if (std::strcmp(argv[i], "--pattern") == 0) {
       const char* v = need_value("--pattern");
       if (v == nullptr) return false;
@@ -219,8 +212,7 @@ bool HasEvalInputs(const CliArgs& args) {
     return false;
   }
   return (!args.graph_path.empty() || !args.snapshot_path.empty()) &&
-         (!args.query_path.empty() || !args.pattern.empty() ||
-          !args.batch_path.empty());
+         (!args.pattern.empty() || !args.batch_path.empty());
 }
 
 void PrintOccurrence(const Occurrence& t) {
@@ -783,17 +775,7 @@ int main(int argc, char** argv) {
     return RunBatch(*graph, warm.engine.get(), args);
   }
 
-  std::optional<PatternQuery> query;
-  if (!args.pattern.empty()) {
-    query = ParsePattern(args.pattern, &error);
-  } else {
-    std::ifstream in(args.query_path);
-    if (!in) {
-      std::fprintf(stderr, "cannot open query file\n");
-      return 1;
-    }
-    query = ReadQuery(in, &error);
-  }
+  std::optional<PatternQuery> query = ParsePattern(args.pattern, &error);
   if (!query.has_value()) {
     std::fprintf(stderr, "cannot parse query: %s\n", error.c_str());
     return 1;
