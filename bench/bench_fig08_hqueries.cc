@@ -17,8 +17,7 @@ void TemplatePart(const std::string& dataset, CountGate* gate) {
   Graph g = MakeDatasetByName(dataset);
   std::printf("\n-- %s: %s\n", dataset.c_str(), g.Summary().c_str());
   GmEngine engine(g);
-  auto reach = BuildReachabilityIndex(g, ReachKind::kBfl);
-  MatchContext ctx(g, *reach);
+  MatchContext ctx(g, engine.reach());
   const std::vector<NamedEngine> engines = {GmVariant("GM", engine), Tm(ctx),
                                             Jm(ctx)};
 
@@ -41,8 +40,7 @@ void ExtractedPart(const std::string& dataset,
   std::printf("\n-- %s (random H-queries): %s\n", dataset.c_str(),
               g.Summary().c_str());
   GmEngine engine(g);
-  auto reach = BuildReachabilityIndex(g, ReachKind::kBfl);
-  MatchContext ctx(g, *reach);
+  MatchContext ctx(g, engine.reach());
   const std::vector<NamedEngine> engines = {GmVariant("GM", engine), Tm(ctx),
                                             Jm(ctx)};
 

@@ -34,8 +34,7 @@ void TemplatePart(const std::string& dataset, CountGate* gate) {
   Graph g = MakeDatasetByName(dataset);
   std::printf("\n-- %s: %s\n", dataset.c_str(), g.Summary().c_str());
   GmEngine engine(g);
-  auto reach = BuildReachabilityIndex(g, ReachKind::kBfl);
-  MatchContext ctx(g, *reach);
+  MatchContext ctx(g, engine.reach());
   TablePrinter table({"Query", "GM(s)", "TM(s)", "JM(s)", "ISO(s)"});
   AddRows(Engines(engine, g, ctx),
           TemplateWorkload(g, RepresentativeTemplateNames(),
@@ -49,8 +48,7 @@ void ExtractedPart(const std::string& dataset,
   std::printf("\n-- %s (random C-queries): %s\n", dataset.c_str(),
               g.Summary().c_str());
   GmEngine engine(g);
-  auto reach = BuildReachabilityIndex(g, ReachKind::kBfl);
-  MatchContext ctx(g, *reach);
+  MatchContext ctx(g, engine.reach());
   TablePrinter table({"Query", "GM(s)", "TM(s)", "JM(s)", "ISO(s)"});
   AddRows(Engines(engine, g, ctx),
           ExtractedWorkload(g, sizes, QueryVariant::kChildOnly), gate,

@@ -23,8 +23,7 @@ int main() {
     for (uint32_t labels : {5u, 10u, 15u, 20u}) {
       Graph g = MakeDatasetWithLabels(em, scale, labels);
       GmEngine engine(g);
-      auto reach = BuildReachabilityIndex(g, ReachKind::kBfl);
-      MatchContext ctx(g, *reach);
+      MatchContext ctx(g, engine.reach());
       auto queries =
           TemplateWorkload(g, {qname}, QueryVariant::kHybrid, /*seed=*/11);
       const std::vector<NamedEngine> engines = {GmVariant("GM", engine),

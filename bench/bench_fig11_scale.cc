@@ -24,8 +24,7 @@ int main() {
       uint32_t nodes = static_cast<uint32_t>(base_nodes * scale);
       Graph g = MakeDatasetWithNodes(db, nodes);
       GmEngine engine(g);
-      auto reach = BuildReachabilityIndex(g, ReachKind::kBfl);
-      MatchContext ctx(g, *reach);
+      MatchContext ctx(g, engine.reach());
       auto queries =
           TemplateWorkload(g, {qname}, QueryVariant::kHybrid, /*seed=*/17);
       const std::vector<NamedEngine> engines = {GmVariant("GM", engine),

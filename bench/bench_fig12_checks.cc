@@ -19,8 +19,7 @@ int main() {
   Graph g = MakeDatasetByName("em");
   std::printf("graph: %s\n", g.Summary().c_str());
   GmEngine engine(g);
-  auto reach = BuildReachabilityIndex(g, ReachKind::kBfl);
-  MatchContext ctx(g, *reach);
+  MatchContext ctx(g, engine.reach());
 
   // --- (a) Child-constraint check modes, C-queries, matching time.
   std::printf(

@@ -20,8 +20,7 @@ int main() {
   Graph g = MakeDatasetByName("ep");
   std::printf("graph: %s\n", g.Summary().c_str());
   GmEngine engine(g);
-  auto reach = BuildReachabilityIndex(g, ReachKind::kBfl);
-  MatchContext ctx(g, *reach);
+  MatchContext ctx(g, engine.reach());
   // Every engine reports its summary graph as rig_nodes / rig_edges and
   // builds it in the Prefilter, Simulate and BuildRig phases.
   const std::vector<NamedEngine> engines = {

@@ -22,8 +22,7 @@ int main() {
     Graph g = MakeDatasetByName(dataset);
     std::printf("\n-- %s: %s\n", dataset.c_str(), g.Summary().c_str());
     GmEngine engine(g);
-    auto reach = BuildReachabilityIndex(g, ReachKind::kBfl);
-    MatchContext ctx(g, *reach);
+    MatchContext ctx(g, engine.reach());
     // GM reduces the bloated input itself (the default); GM-NR does not.
     auto tm = [&ctx](const PatternQuery& q, const BaselineOptions& opts,
                      const OccurrenceSink& sink) {

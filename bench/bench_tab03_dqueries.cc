@@ -19,8 +19,7 @@ int main() {
   for (const std::string& dataset : {"hu", "hp", "yt"}) {
     Graph g = MakeDatasetByName(dataset);
     GmEngine engine(g);
-    auto reach = BuildReachabilityIndex(g, ReachKind::kBfl);
-    MatchContext ctx(g, *reach);
+    MatchContext ctx(g, engine.reach());
     auto queries = ExtractedWorkload(g, {4, 6, 8, 10, 12, 14, 16, 20, 24, 28},
                                      QueryVariant::kDescendantOnly);
     const std::vector<NamedEngine> engines = {GmVariant("GM", engine),

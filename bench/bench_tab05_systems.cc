@@ -20,8 +20,7 @@ int main() {
   for (const std::string& dataset : {"em", "ep"}) {
     Graph g = MakeDatasetByName(dataset);
     GmEngine engine(g);
-    auto reach = BuildReachabilityIndex(g, ReachKind::kBfl);
-    MatchContext ctx(g, *reach);
+    MatchContext ctx(g, engine.reach());
     WcojEngine eh(g);
     // EH's per-query precomputation cost model: one catalog pass.
     CatalogResult pre = BuildCatalog(g, 2'000'000);

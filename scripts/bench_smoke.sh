@@ -60,10 +60,11 @@ overall=0
     timeout "${TIMEOUT_SECS}" "${bin}" "${args[@]+"${args[@]}"}" \
       >"${LOG_DIR}/${name}.log" 2>&1
     code=$?
-    # Older Google Benchmark rejects the suffixed min_time; retry bare.
+    # Google Benchmark before 1.8 takes min_time only as a bare number of
+    # seconds ("expected to be a double"); retry with that form.
     if [ ${code} -ne 0 ] && [ "${#args[@]}" -gt 0 ]; then
       start=$(date +%s.%N)
-      timeout "${TIMEOUT_SECS}" "${bin}" \
+      timeout "${TIMEOUT_SECS}" "${bin}" --benchmark_min_time=0.01 \
         >"${LOG_DIR}/${name}.log" 2>&1
       code=$?
     fi

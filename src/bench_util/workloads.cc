@@ -37,25 +37,7 @@ std::vector<NamedQuery> TemplateWorkload(const Graph& g,
     std::vector<LabelId> labels(tpl.num_nodes);
     std::uniform_int_distribution<size_t> pick(0, pool - 1);
     for (auto& l : labels) l = frequent[pick(rng)];
-    std::vector<QueryEdge> edges;
-    edges.reserve(tpl.edges.size());
-    for (size_t i = 0; i < tpl.edges.size(); ++i) {
-      EdgeKind kind = EdgeKind::kChild;
-      switch (variant) {
-        case QueryVariant::kChildOnly:
-          kind = EdgeKind::kChild;
-          break;
-        case QueryVariant::kDescendantOnly:
-          kind = EdgeKind::kDescendant;
-          break;
-        default:
-          kind = tpl.hybrid_kinds[i];
-          break;
-      }
-      edges.push_back({tpl.edges[i].first, tpl.edges[i].second, kind});
-    }
-    out.push_back(
-        {name, PatternQuery::FromParts(std::move(labels), std::move(edges))});
+    out.push_back({name, InstantiateTemplate(tpl, variant, std::move(labels))});
   }
   return out;
 }

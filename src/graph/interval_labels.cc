@@ -10,11 +10,12 @@ IntervalLabels::IntervalLabels(const Condensation& cond) {
   end.assign(nc, 0);
 
   // Iterative DFS over the condensation DAG, restarting at every unvisited
-  // component in topological order so sources are natural roots.
+  // component in id order, which is topological, so sources are natural
+  // roots.
   std::vector<uint8_t> visited(nc, 0);
   std::vector<std::pair<uint32_t, uint32_t>> stack;  // (comp, next child pos)
   uint32_t clock = 0;
-  for (uint32_t root : cond.TopologicalOrder()) {
+  for (uint32_t root = 0; root < nc; ++root) {
     if (visited[root]) continue;
     visited[root] = 1;
     begin[root] = clock++;

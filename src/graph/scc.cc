@@ -70,9 +70,8 @@ Condensation::Condensation(const Graph& g) {
     component[v] = num_components_ - 1 - component[v];
   }
 
-  std::vector<uint32_t>& comp_size = comp_size_.Mutable();
+  std::vector<uint32_t> comp_size(num_components_, 0);
   std::vector<uint8_t>& cyclic = cyclic_.Mutable();
-  comp_size.assign(num_components_, 0);
   cyclic.assign(num_components_, 0);
   for (NodeId v = 0; v < n; ++v) {
     ++comp_size[component[v]];
@@ -101,7 +100,6 @@ Condensation::Condensation(const Graph& g) {
 
   std::vector<uint64_t>& dag_offsets = dag_offsets_.Mutable();
   std::vector<uint32_t>& dag_targets = dag_targets_.Mutable();
-  std::vector<uint32_t>& topo_order = topo_order_.Mutable();
   dag_offsets.assign(num_components_ + 1, 0);
   for (const auto& [c, d] : dag_edges) ++dag_offsets[c + 1];
   for (uint32_t c = 0; c < num_components_; ++c) {
@@ -110,19 +108,14 @@ Condensation::Condensation(const Graph& g) {
   dag_targets.resize(dag_edges.size());
   std::vector<uint64_t> pos(dag_offsets.begin(), dag_offsets.end() - 1);
   for (const auto& [c, d] : dag_edges) dag_targets[pos[c]++] = d;
-
-  topo_order.resize(num_components_);
-  for (uint32_t c = 0; c < num_components_; ++c) topo_order[c] = c;
 }
 
 void Condensation::Serialize(ByteSink& sink) const {
   sink.WriteU32(num_components_);
   sink.WriteSpan<uint32_t>(component_);
   sink.WriteSpan<uint8_t>(cyclic_);
-  sink.WriteSpan<uint32_t>(comp_size_);
   sink.WriteSpan<uint64_t>(dag_offsets_);
   sink.WriteSpan<uint32_t>(dag_targets_);
-  sink.WriteSpan<uint32_t>(topo_order_);
 }
 
 Condensation Condensation::Deserialize(ByteSource& src) {
@@ -131,14 +124,11 @@ Condensation Condensation::Deserialize(ByteSource& src) {
   c.num_components_ = src.ReadU32();
   src.ReadSpan(&c.component_);
   src.ReadSpan(&c.cyclic_);
-  src.ReadSpan(&c.comp_size_);
   src.ReadSpan(&c.dag_offsets_);
   src.ReadSpan(&c.dag_targets_);
-  src.ReadSpan(&c.topo_order_);
   if (!src.ok()) return Condensation();
   const uint32_t nc = c.num_components_;
-  if (c.cyclic_.size() != nc || c.comp_size_.size() != nc ||
-      c.topo_order_.size() != nc ||
+  if (c.cyclic_.size() != nc ||
       c.dag_offsets_.size() != static_cast<uint64_t>(nc) + 1 ||
       c.dag_offsets_.front() != 0 ||
       c.dag_offsets_.back() != c.dag_targets_.size()) {

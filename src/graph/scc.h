@@ -34,17 +34,12 @@ class Condensation {
   /// True iff the component contains a cycle (size > 1 or a self-loop).
   bool IsCyclic(uint32_t comp) const { return cyclic_[comp] != 0; }
 
-  uint32_t ComponentSize(uint32_t comp) const { return comp_size_[comp]; }
-
   /// Successor components (deduplicated, sorted) in the condensation DAG.
   /// Component ids are topological: every successor has a larger id.
   std::span<const uint32_t> Successors(uint32_t comp) const {
     return {dag_targets_.data() + dag_offsets_[comp],
             dag_targets_.data() + dag_offsets_[comp + 1]};
   }
-
-  /// Components in topological order (sources first).
-  std::span<const uint32_t> TopologicalOrder() const { return topo_order_; }
 
   uint64_t NumDagEdges() const { return dag_targets_.size(); }
 
@@ -65,10 +60,8 @@ class Condensation {
   uint32_t num_components_ = 0;
   OwnedOrBorrowedSpan<uint32_t> component_;
   OwnedOrBorrowedSpan<uint8_t> cyclic_;
-  OwnedOrBorrowedSpan<uint32_t> comp_size_;
   OwnedOrBorrowedSpan<uint64_t> dag_offsets_;
   OwnedOrBorrowedSpan<uint32_t> dag_targets_;
-  OwnedOrBorrowedSpan<uint32_t> topo_order_;
   std::shared_ptr<const void> storage_;
 };
 

@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <cstdlib>
-#include <random>
 
 namespace rigpm {
 
@@ -180,13 +179,8 @@ const QueryTemplate& TemplateByName(const std::string& name) {
 }
 
 PatternQuery InstantiateTemplate(const QueryTemplate& tpl, QueryVariant variant,
-                                 uint32_t num_labels, uint64_t seed) {
-  std::mt19937_64 rng(seed);
-  std::uniform_int_distribution<uint32_t> label_dist(
-      0, num_labels > 0 ? num_labels - 1 : 0);
-  std::vector<LabelId> labels(tpl.num_nodes);
-  for (auto& l : labels) l = label_dist(rng);
-
+                                 std::vector<LabelId> labels) {
+  assert(labels.size() == tpl.num_nodes);
   std::vector<QueryEdge> edges;
   edges.reserve(tpl.edges.size());
   for (size_t i = 0; i < tpl.edges.size(); ++i) {

@@ -41,10 +41,10 @@ const std::vector<QueryTemplate>& HQueryTemplates();
 /// Template by name ("HQ7"); aborts on unknown names.
 const QueryTemplate& TemplateByName(const std::string& name);
 
-/// Instantiates a template: node labels are drawn uniformly from
-/// [0, num_labels) with the given seed; edge kinds follow the variant.
+/// Instantiates a template: query node i takes `labels[i]` (one label per
+/// template node); edge kinds follow the variant.
 PatternQuery InstantiateTemplate(const QueryTemplate& tpl, QueryVariant variant,
-                                 uint32_t num_labels, uint64_t seed);
+                                 std::vector<LabelId> labels);
 
 }  // namespace rigpm
 

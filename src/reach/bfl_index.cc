@@ -22,26 +22,11 @@ BflIndex::BflIndex(const Graph& g, uint32_t bits, uint64_t seed)
   words_ = std::max<uint32_t>(1, (bits + 63) / 64);
   const uint32_t total_bits = words_ * 64;
 
-  std::vector<uint32_t>& hash = hash_.Mutable();
-  hash.resize(nc);
+  // Each component's hash bit position, needed only while the labels are
+  // built.
+  std::vector<uint32_t> hash(nc);
   for (uint32_t c = 0; c < nc; ++c) {
     hash[c] = static_cast<uint32_t>(Mix(seed ^ c) % total_bits);
-  }
-
-  // Predecessor CSR of the condensation DAG.
-  std::vector<uint64_t>& pred_offsets = pred_offsets_.Mutable();
-  std::vector<uint32_t>& pred_targets = pred_targets_.Mutable();
-  pred_offsets.assign(nc + 1, 0);
-  for (uint32_t c = 0; c < nc; ++c) {
-    for (uint32_t d : cond_.Successors(c)) ++pred_offsets[d + 1];
-  }
-  for (uint32_t c = 0; c < nc; ++c) pred_offsets[c + 1] += pred_offsets[c];
-  pred_targets.resize(cond_.NumDagEdges());
-  {
-    std::vector<uint64_t> pos(pred_offsets.begin(), pred_offsets.end() - 1);
-    for (uint32_t c = 0; c < nc; ++c) {
-      for (uint32_t d : cond_.Successors(c)) pred_targets[pos[d]++] = c;
-    }
   }
 
   // L_out: reverse topological merge (component ids are topological, so a
@@ -59,16 +44,17 @@ BflIndex::BflIndex(const Graph& g, uint32_t bits, uint64_t seed)
     }
   }
 
-  // L_in: forward topological merge over predecessors.
+  // L_in: forward topological merge. An ascending scan reaches c after
+  // every predecessor has pushed its set into c's, so c's set is complete
+  // when c pushes it on to its successors.
   std::vector<uint64_t>& l_in = l_in_.Mutable();
   l_in.assign(static_cast<size_t>(nc) * words_, 0);
   for (uint32_t c = 0; c < nc; ++c) {
     uint64_t* in = &l_in[static_cast<size_t>(c) * words_];
     in[hash[c] >> 6] |= uint64_t{1} << (hash[c] & 63);
-    for (uint64_t p = pred_offsets[c]; p < pred_offsets[c + 1]; ++p) {
-      const uint64_t* parent =
-          &l_in[static_cast<size_t>(pred_targets[p]) * words_];
-      for (uint32_t w = 0; w < words_; ++w) in[w] |= parent[w];
+    for (uint32_t d : cond_.Successors(c)) {
+      uint64_t* child = &l_in[static_cast<size_t>(d) * words_];
+      for (uint32_t w = 0; w < words_; ++w) child[w] |= in[w];
     }
   }
 
@@ -163,9 +149,6 @@ void BflIndex::Serialize(ByteSink& sink) const {
   sink.WriteU32(words_);
   sink.WriteSpan<uint64_t>(l_out_);
   sink.WriteSpan<uint64_t>(l_in_);
-  sink.WriteSpan<uint32_t>(hash_);
-  sink.WriteSpan<uint64_t>(pred_offsets_);
-  sink.WriteSpan<uint32_t>(pred_targets_);
 }
 
 std::unique_ptr<BflIndex> BflIndex::Deserialize(ByteSource& src) {
@@ -178,9 +161,6 @@ std::unique_ptr<BflIndex> BflIndex::Deserialize(ByteSource& src) {
   index->words_ = src.ReadU32();
   src.ReadSpan(&index->l_out_);
   src.ReadSpan(&index->l_in_);
-  src.ReadSpan(&index->hash_);
-  src.ReadSpan(&index->pred_offsets_);
-  src.ReadSpan(&index->pred_targets_);
   if (!src.ok()) return nullptr;
   const uint32_t nc = index->cond_.NumComponents();
   const size_t label_words = static_cast<size_t>(nc) * index->words_;
@@ -188,9 +168,7 @@ std::unique_ptr<BflIndex> BflIndex::Deserialize(ByteSource& src) {
   // indexes them by component id, so a size mismatch (corrupt or crafted
   // but checksum-valid file) would read out of bounds at query time.
   if (index->words_ == 0 || index->l_out_.size() != label_words ||
-      index->l_in_.size() != label_words || index->hash_.size() != nc ||
-      index->pred_offsets_.size() != static_cast<uint64_t>(nc) + 1 ||
-      (nc > 0 && index->pred_offsets_.back() != index->pred_targets_.size()) ||
+      index->l_in_.size() != label_words ||
       index->intervals_.NumComponents() != nc) {
     src.Fail("BFL snapshot structure is inconsistent");
     return nullptr;
@@ -203,8 +181,6 @@ size_t BflIndex::MemoryBytes() const {
   // Owned heap only: borrowed label arrays live in the shared snapshot
   // mapping and are accounted there.
   return l_out_.OwnedHeapBytes() + l_in_.OwnedHeapBytes() +
-         hash_.OwnedHeapBytes() + pred_offsets_.OwnedHeapBytes() +
-         pred_targets_.OwnedHeapBytes() +
          visited_epoch_.capacity() * sizeof(uint32_t);
 }
 

@@ -77,11 +77,6 @@ class BflIndex : public ReachabilityIndex {
   // zero-copy (storage_ keeps the mapping alive).
   OwnedOrBorrowedSpan<uint64_t> l_out_;  // nc * words_
   OwnedOrBorrowedSpan<uint64_t> l_in_;   // nc * words_
-  OwnedOrBorrowedSpan<uint32_t> hash_;   // per-component hash bit position
-
-  // DAG predecessor lists (needed to propagate L_in).
-  OwnedOrBorrowedSpan<uint64_t> pred_offsets_;
-  OwnedOrBorrowedSpan<uint32_t> pred_targets_;
   std::shared_ptr<const void> storage_;
 
   // Scratch for the guided-DFS fallback. One engine's index is shared by

@@ -67,7 +67,7 @@ struct EngineSource {
   SnapshotIoMode delta_io = SnapshotIoMode::kRead;
 };
 
-/// Per-tenant row of ListGraphs / the stats tail.
+/// Per-tenant row of the stats response (StatsResponse::tenants).
 struct TenantInfo {
   std::string id;
   bool resident = false;     // engine currently open in the catalog

@@ -281,16 +281,6 @@ bool QueryClient::Ping(std::string* error) {
   return true;
 }
 
-std::optional<ListGraphsResponse> QueryClient::ListGraphs(std::string* error) {
-  std::vector<uint8_t> payload;
-  if (!RoundTrip(MessageType::kListGraphsRequest, nullptr, &payload, error)) {
-    return std::nullopt;
-  }
-  ByteSource src = BodyOf(payload);
-  return DecodeResponse<ListGraphsResponse>(
-      src, MessageType::kListGraphsResponse, "list-graphs response", error);
-}
-
 bool QueryClient::Shutdown(std::string* error) {
   std::vector<uint8_t> payload;
   if (!RoundTrip(MessageType::kShutdownRequest, nullptr, &payload, error)) {

@@ -20,7 +20,7 @@ namespace rigpm::server {
 /// addresses. SetGraph routes every query, pipelined query, and refresh at
 /// one of a multi-graph daemon's tenants; with no graph set the header
 /// carries "", which the daemon serves from its default graph.
-/// Ping/Stats/ListGraphs/Shutdown are daemon-wide and always carry "".
+/// Ping/Stats/Shutdown are daemon-wide and always carry "".
 /// A blocking round trip whose response echoes another id fails and
 /// closes the connection.
 class QueryClient {
@@ -79,6 +79,7 @@ class QueryClient {
       const std::vector<QueryRequest>& requests,
       std::string* error = nullptr);
 
+  /// The daemon's serving counters and its catalog: one row per tenant.
   std::optional<StatsResponse> Stats(std::string* error = nullptr);
 
   /// Asks the server to replay its delta log and swap the refreshed engine
@@ -89,9 +90,6 @@ class QueryClient {
 
   /// Liveness probe (also what scripts poll while the daemon starts up).
   bool Ping(std::string* error = nullptr);
-
-  /// The daemon's graph catalog (kListGraphsRequest).
-  std::optional<ListGraphsResponse> ListGraphs(std::string* error = nullptr);
 
   /// Asks the server to shut down gracefully (needs the server's
   /// allow_remote_shutdown). Returns true once the server acknowledges.

@@ -81,8 +81,6 @@ void QueryRequest::Serialize(ByteSink& sink) const {
   sink.WriteU32(static_cast<uint32_t>(MessageType::kQueryRequest));
   sink.WriteU32(static_cast<uint32_t>(patterns.size()));
   for (const std::string& p : patterns) sink.WriteString(p);
-  sink.WriteString(template_name);
-  sink.WriteU64(template_seed);
   sink.WriteU64(limit);
   sink.WriteU32(max_return_tuples);
 }
@@ -100,8 +98,6 @@ QueryRequest QueryRequest::Deserialize(ByteSource& src) {
   for (uint32_t i = 0; i < num_patterns && src.ok(); ++i) {
     req.patterns.push_back(src.ReadString());
   }
-  req.template_name = src.ReadString();
-  req.template_seed = src.ReadU64();
   req.limit = src.ReadU64();
   req.max_return_tuples = src.ReadU32();
   return req;
@@ -184,11 +180,10 @@ void StatsResponse::Serialize(ByteSink& sink) const {
   sink.WriteU64(dispatch_depth);
   WriteF64(sink, accept_p50_ms);
   WriteF64(sink, accept_p99_ms);
-  sink.WriteU64(graphs_registered);
-  sink.WriteU64(graphs_resident);
   sink.WriteU64(catalog_hits);
   sink.WriteU64(catalog_misses);
   sink.WriteU64(catalog_evictions);
+  sink.WriteString(default_id);
   sink.WriteU32(static_cast<uint32_t>(tenants.size()));
   for (const GraphInfoWire& t : tenants) t.Serialize(sink);
   sink.WriteU64(cache_hits);
@@ -200,8 +195,6 @@ void StatsResponse::Serialize(ByteSink& sink) const {
   sink.WriteU64(cache_entries);
   sink.WriteU64(flushes);
   sink.WriteU64(frames_flushed);
-  sink.WriteU32(static_cast<uint32_t>(tenant_caches.size()));
-  for (const TenantCacheWire& t : tenant_caches) t.Serialize(sink);
   sink.WriteU64(auto_refreshes);
   sink.WriteU64(auto_compactions);
   sink.WriteU64(maintenance_bytes_reclaimed);
@@ -224,11 +217,10 @@ StatsResponse StatsResponse::Deserialize(ByteSource& src) {
   s.dispatch_depth = src.ReadU64();
   s.accept_p50_ms = ReadF64(src);
   s.accept_p99_ms = ReadF64(src);
-  s.graphs_registered = src.ReadU64();
-  s.graphs_resident = src.ReadU64();
   s.catalog_hits = src.ReadU64();
   s.catalog_misses = src.ReadU64();
   s.catalog_evictions = src.ReadU64();
+  s.default_id = src.ReadString();
   uint32_t num_tenants = src.ReadU32();
   if (num_tenants > src.remaining() / sizeof(uint64_t)) {
     src.Fail("tenant count exceeds response size");
@@ -248,16 +240,6 @@ StatsResponse StatsResponse::Deserialize(ByteSource& src) {
   s.cache_entries = src.ReadU64();
   s.flushes = src.ReadU64();
   s.frames_flushed = src.ReadU64();
-  uint32_t num_caches = src.ReadU32();
-  if (num_caches > src.remaining() / sizeof(uint64_t)) {
-    src.Fail("tenant cache count exceeds response size");
-    return s;
-  }
-  s.tenant_caches.resize(num_caches);
-  for (TenantCacheWire& t : s.tenant_caches) {
-    if (!src.ok()) break;
-    t = TenantCacheWire::Deserialize(src);
-  }
   s.auto_refreshes = src.ReadU64();
   s.auto_compactions = src.ReadU64();
   s.maintenance_bytes_reclaimed = src.ReadU64();
@@ -274,20 +256,6 @@ void GraphInfoWire::Serialize(ByteSink& sink) const {
   WriteBool(sink, refreshable);
   sink.WriteU64(applied_seqno);
   sink.WriteU64(queries);
-}
-
-GraphInfoWire GraphInfoWire::Deserialize(ByteSource& src) {
-  GraphInfoWire g;
-  g.id = src.ReadString();
-  g.resident = ReadBool(src);
-  g.refreshable = ReadBool(src);
-  g.applied_seqno = src.ReadU64();
-  g.queries = src.ReadU64();
-  return g;
-}
-
-void TenantCacheWire::Serialize(ByteSink& sink) const {
-  sink.WriteString(id);
   sink.WriteU64(hits);
   sink.WriteU64(misses);
   sink.WriteU64(inserts);
@@ -297,44 +265,21 @@ void TenantCacheWire::Serialize(ByteSink& sink) const {
   sink.WriteU64(entries);
 }
 
-TenantCacheWire TenantCacheWire::Deserialize(ByteSource& src) {
-  TenantCacheWire t;
-  t.id = src.ReadString();
-  t.hits = src.ReadU64();
-  t.misses = src.ReadU64();
-  t.inserts = src.ReadU64();
-  t.evictions = src.ReadU64();
-  t.singleflight_waits = src.ReadU64();
-  t.bytes_used = src.ReadU64();
-  t.entries = src.ReadU64();
-  return t;
-}
-
-void ListGraphsResponse::Serialize(ByteSink& sink) const {
-  sink.WriteU32(static_cast<uint32_t>(MessageType::kListGraphsResponse));
-  sink.WriteU32(static_cast<uint32_t>(status));
-  sink.WriteString(error);
-  sink.WriteString(default_id);
-  sink.WriteU32(static_cast<uint32_t>(graphs.size()));
-  for (const GraphInfoWire& g : graphs) g.Serialize(sink);
-}
-
-ListGraphsResponse ListGraphsResponse::Deserialize(ByteSource& src) {
-  ListGraphsResponse resp;
-  resp.status = static_cast<StatusCode>(src.ReadU32());
-  resp.error = src.ReadString();
-  resp.default_id = src.ReadString();
-  uint32_t num_graphs = src.ReadU32();
-  if (num_graphs > src.remaining() / sizeof(uint64_t)) {
-    src.Fail("graph count exceeds response size");
-    return resp;
-  }
-  resp.graphs.resize(num_graphs);
-  for (GraphInfoWire& g : resp.graphs) {
-    if (!src.ok()) break;
-    g = GraphInfoWire::Deserialize(src);
-  }
-  return resp;
+GraphInfoWire GraphInfoWire::Deserialize(ByteSource& src) {
+  GraphInfoWire g;
+  g.id = src.ReadString();
+  g.resident = ReadBool(src);
+  g.refreshable = ReadBool(src);
+  g.applied_seqno = src.ReadU64();
+  g.queries = src.ReadU64();
+  g.hits = src.ReadU64();
+  g.misses = src.ReadU64();
+  g.inserts = src.ReadU64();
+  g.evictions = src.ReadU64();
+  g.singleflight_waits = src.ReadU64();
+  g.bytes_used = src.ReadU64();
+  g.entries = src.ReadU64();
+  return g;
 }
 
 // -------------------------------------------------------- RefreshResponse

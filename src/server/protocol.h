@@ -28,7 +28,11 @@ namespace rigpm::server {
 /// completion order, so a client with several requests in flight matches
 /// them by id. The graph id names the catalog tenant a query or refresh
 /// runs against; "" means the daemon's default graph, and daemon-wide
-/// requests (stats, ping, list-graphs, shutdown) ignore it.
+/// requests (stats, ping, shutdown) ignore it.
+///
+/// Each job has one message: patterns are the only query form a request
+/// can carry, and the stats response, one row per tenant, is the only
+/// listing of the catalog.
 ///
 /// A connection carries any number of request/response pairs; the server
 /// answers every frame with exactly one response frame, and a frame too
@@ -55,22 +59,18 @@ enum class MessageType : uint32_t {
   /// Empty body. Answered with kRefreshResponse (RefreshResponse below) or
   /// an error response when the daemon has no delta source configured.
   kRefreshRequest = 5,
-  /// Asks for the daemon's graph catalog (ids, residency, refreshability,
-  /// per-graph counters). Empty body; answered with kListGraphsResponse.
-  kListGraphsRequest = 8,
 
   kQueryResponse = 101,
   kStatsResponse = 102,
   kPingResponse = 103,  // empty body
   kShutdownResponse = 104,
   kRefreshResponse = 105,
-  kListGraphsResponse = 107,
   kErrorResponse = 199,
 };
 
 enum class StatusCode : uint32_t {
   kOk = 0,
-  kParseError = 1,     // pattern text / unknown template
+  kParseError = 1,     // pattern text
   kBadRequest = 2,     // malformed body, unknown type, oversize
   kShuttingDown = 3,   // server is draining
   kInternalError = 4,  // evaluation failed unexpectedly
@@ -92,15 +92,11 @@ void WriteRequestHeader(ByteSink& sink, uint64_t request_id,
 /// yields the empty header (id 0).
 RequestHeader ReadRequestHeader(ByteSource& src);
 
-/// One pattern-matching request. Either `patterns` (inline syntax of
-/// query_parser.h; evaluated one after another, in request order) or
-/// `template_name` (one of the paper's HQ0..HQ19, instantiated against the
-/// served graph's label alphabet with `template_seed`) must be set. The
-/// daemon evaluates with default GmOptions plus `limit`.
+/// One pattern-matching request: one or more patterns in the inline syntax
+/// of query/pattern_parser.h, evaluated one after another in request order.
+/// The daemon evaluates with default GmOptions plus `limit`.
 struct QueryRequest {
   std::vector<std::string> patterns;
-  std::string template_name;
-  uint64_t template_seed = 17;
   uint64_t limit = std::numeric_limits<uint64_t>::max();
 
   /// Echo up to this many occurrence tuples back (single-query requests
@@ -142,23 +138,16 @@ struct QueryResponse {
   static QueryResponse Deserialize(ByteSource& src);
 };
 
-/// One catalog row, as listed by kListGraphsResponse and StatsResponse.
+/// One catalog tenant's row of StatsResponse: its catalog fields, then the
+/// result-cache counters of its CURRENT engine generation (all zero when it
+/// is not resident; the cache is generation-scoped, so a refresh resets
+/// them; see server/result_cache.h).
 struct GraphInfoWire {
   std::string id;
   bool resident = false;     // engine currently open in the daemon
   bool refreshable = false;  // has a delta source (kRefresh will act)
   uint64_t applied_seqno = 0;
   uint64_t queries = 0;  // queries served for this graph since start
-
-  void Serialize(ByteSink& sink) const;
-  static GraphInfoWire Deserialize(ByteSource& src);
-};
-
-/// Per-tenant result-cache row of StatsResponse: counters of the tenant's
-/// CURRENT engine generation (the cache is generation-scoped, so a refresh
-/// resets them; see server/result_cache.h).
-struct TenantCacheWire {
-  std::string id;
   uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t inserts = 0;
@@ -168,7 +157,7 @@ struct TenantCacheWire {
   uint64_t entries = 0;
 
   void Serialize(ByteSink& sink) const;
-  static TenantCacheWire Deserialize(ByteSource& src);
+  static GraphInfoWire Deserialize(ByteSource& src);
 };
 
 struct StatsResponse {
@@ -188,16 +177,17 @@ struct StatsResponse {
   double accept_p50_ms = 0.0;   // accept() to first response byte
   double accept_p99_ms = 0.0;
 
-  // Engine catalog. Single-tenant daemons report one tenant.
-  uint64_t graphs_registered = 0;
-  uint64_t graphs_resident = 0;
+  // Engine catalog: one row per registered tenant, sorted by id, and the
+  // tenant that serves unaddressed requests. Single-tenant daemons report
+  // one row.
   uint64_t catalog_hits = 0;
   uint64_t catalog_misses = 0;
   uint64_t catalog_evictions = 0;
+  std::string default_id;
   std::vector<GraphInfoWire> tenants;
 
-  // Result cache and write coalescing. The cache_* totals sum every
-  // resident tenant's current-generation cache.
+  // Result cache and write coalescing. The cache_* totals sum the rows'
+  // cache counters.
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   uint64_t cache_inserts = 0;
@@ -207,7 +197,6 @@ struct StatsResponse {
   uint64_t cache_entries = 0;
   uint64_t flushes = 0;         // sendmsg gather calls that moved bytes
   uint64_t frames_flushed = 0;  // whole response frames those calls retired
-  std::vector<TenantCacheWire> tenant_caches;
   // Maintenance counters (zero when the daemon runs without a maintenance
   // thread/policy).
   uint64_t auto_refreshes = 0;
@@ -218,18 +207,6 @@ struct StatsResponse {
 
   void Serialize(ByteSink& sink) const;
   static StatsResponse Deserialize(ByteSource& src);
-};
-
-/// Answer to kListGraphsRequest: every registered graph, sorted by id,
-/// plus which one serves unaddressed requests.
-struct ListGraphsResponse {
-  StatusCode status = StatusCode::kOk;
-  std::string error;
-  std::string default_id;
-  std::vector<GraphInfoWire> graphs;
-
-  void Serialize(ByteSink& sink) const;
-  static ListGraphsResponse Deserialize(ByteSource& src);
 };
 
 /// Result of one kRefreshRequest. `records_applied` == 0 with status kOk

@@ -19,7 +19,6 @@
 #include <utility>
 
 #include "query/pattern_parser.h"
-#include "query/query_templates.h"
 #include "util/concurrency.h"
 
 namespace rigpm::server {
@@ -42,18 +41,14 @@ constexpr double kDrainCapMs = 5000.0;
 /// request frames over kMaxLoopFrameBytes are decoded on a worker (a long
 /// pattern's parse grows with its size).
 constexpr size_t kMaxLoopFrameBytes = 1024;
+/// Per-connection cap on requests with the workers at once (Pipelining in
+/// the QueryServer class comment).
+constexpr uint32_t kMaxPipeline = 64;
 
 double MsSince(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - t0)
       .count();
-}
-
-bool KnownTemplateName(const std::string& name) {
-  for (const QueryTemplate& tpl : HQueryTemplates()) {
-    if (tpl.name == name) return true;
-  }
-  return false;
 }
 
 /// Percentile over an unsorted sample copy (nearest-rank).
@@ -103,7 +98,6 @@ QueryServer::QueryServer(std::shared_ptr<EngineCatalog> catalog,
     : config_(std::move(config)), catalog_(std::move(catalog)) {
   latency_ring_.resize(kLatencyRingCapacity, 0.0);
   accept_ring_.resize(kLatencyRingCapacity, 0.0);
-  if (config_.max_pipeline == 0) config_.max_pipeline = 1;
 }
 
 QueryServer::~QueryServer() { Stop(); }
@@ -517,7 +511,7 @@ void QueryServer::PumpDispatch(const std::shared_ptr<Connection>& conn) {
   while (!conn->ready.empty()) {
     {
       std::lock_guard<std::mutex> lock(conn->mu);
-      if (conn->inflight >= config_.max_pipeline) break;
+      if (conn->inflight >= kMaxPipeline) break;
     }
     Request r;
     r.conn = conn;
@@ -667,7 +661,7 @@ void QueryServer::UpdateInterest(const std::shared_ptr<Connection>& conn) {
     // simply stops being read until completions drain it — the client
     // blocks in its send() instead of ballooning server memory.
     bool backpressured =
-        conn->ready.size() >= 2 * static_cast<size_t>(config_.max_pipeline) ||
+        conn->ready.size() >= 2 * static_cast<size_t>(kMaxPipeline) ||
         conn->wq_bytes > 2 * static_cast<size_t>(config_.max_frame_bytes);
     want_read = !conn->poisoned && !conn->eof && !conn->close_after_flush &&
                 !backpressured && !stop_.load();
@@ -898,7 +892,6 @@ bool QueryServer::DecodeHeader(Request& r) {
       return true;
     case MessageType::kStatsRequest:
     case MessageType::kRefreshRequest:
-    case MessageType::kListGraphsRequest:
     case MessageType::kShutdownRequest:
       return false;
     default:
@@ -920,41 +913,25 @@ bool QueryServer::DecodeQuery(Request& r) {
     return true;
   }
 
-  // Validate and parse. A template is instantiated only on a miss
-  // (Evaluate): its key is the request's bytes.
   const QueryRequest& req = r.query;
-  if (!req.template_name.empty()) {
-    if (!req.patterns.empty()) {
-      FailQuery(r, StatusCode::kBadRequest,
-                "request has both patterns and a template");
-      return true;
-    }
-    if (!KnownTemplateName(req.template_name)) {
+  if (req.patterns.empty()) {
+    FailQuery(r, StatusCode::kBadRequest, "request has no patterns");
+    return true;
+  }
+  std::string parse_error;
+  for (const std::string& text : req.patterns) {
+    auto q = ParsePattern(text, &parse_error);
+    if (!q.has_value()) {
       FailQuery(r, StatusCode::kParseError,
-                "unknown query template " + req.template_name);
+                "cannot parse pattern '" + text + "': " + parse_error);
       return true;
     }
-  } else {
-    if (req.patterns.empty()) {
-      FailQuery(r, StatusCode::kBadRequest,
-                "request has neither patterns nor a template");
+    if (!q->IsConnected()) {
+      FailQuery(r, StatusCode::kParseError,
+                "pattern '" + text + "' must be connected");
       return true;
     }
-    std::string parse_error;
-    for (const std::string& text : req.patterns) {
-      auto q = ParsePattern(text, &parse_error);
-      if (!q.has_value()) {
-        FailQuery(r, StatusCode::kParseError,
-                  "cannot parse pattern '" + text + "': " + parse_error);
-        return true;
-      }
-      if (!q->IsConnected()) {
-        FailQuery(r, StatusCode::kParseError,
-                  "pattern '" + text + "' must be connected");
-        return true;
-      }
-      r.parsed.push_back(std::move(*q));
-    }
+    r.parsed.push_back(std::move(*q));
   }
   r.tuple_cap = std::min(req.max_return_tuples, config_.max_return_tuples);
   return false;
@@ -962,15 +939,8 @@ bool QueryServer::DecodeQuery(Request& r) {
 
 void QueryServer::Evaluate(Request& r) {
   const GmEngine& engine = *r.state->engine;
-  const QueryRequest& req = r.query;
-  if (!req.template_name.empty()) {
-    r.parsed.push_back(InstantiateTemplate(TemplateByName(req.template_name),
-                                           QueryVariant::kHybrid,
-                                           engine.graph().NumLabels(),
-                                           req.template_seed));
-  }
   GmOptions opts;
-  opts.limit = req.limit;
+  opts.limit = r.query.limit;
   auto evaluate = [&]() -> std::shared_ptr<const QueryResponse> {
     auto resp = std::make_shared<QueryResponse>();
     // Tuples are echoed for single-pattern requests only.
@@ -1017,8 +987,8 @@ void QueryServer::Evaluate(Request& r) {
 }
 
 void QueryServer::Serve(Request& r, const QueryResponse& resp) {
-  // One result per pattern, or one for a template: a hit needs no decoded
-  // request to count its queries.
+  // One result per pattern: a hit needs no decoded request to count its
+  // queries.
   r.queries = resp.results.size();
   r.occurrences = resp.TotalOccurrences();
   catalog_->CountQuery(r.header.graph_id, r.queries);
@@ -1032,9 +1002,6 @@ void QueryServer::HandleAdmin(Request& r) {
       break;
     case MessageType::kRefreshRequest:
       HandleRefresh(r.header.graph_id, r.response);
-      break;
-    case MessageType::kListGraphsRequest:
-      HandleListGraphs(r.response);
       break;
     case MessageType::kShutdownRequest:
       if (config_.allow_remote_shutdown) {
@@ -1078,18 +1045,6 @@ void QueryServer::HandleRefresh(const std::string& graph_id, ByteSink& out) {
   resp.Serialize(out);
 }
 
-void QueryServer::HandleListGraphs(ByteSink& out) const {
-  ListGraphsResponse resp;
-  resp.default_id = catalog_->default_id();
-  std::vector<TenantInfo> tenants = catalog_->List();
-  resp.graphs.reserve(tenants.size());
-  for (const TenantInfo& t : tenants) {
-    resp.graphs.push_back(GraphInfoWire{t.id, t.resident, t.refreshable,
-                                        t.applied_seqno, t.queries});
-  }
-  resp.Serialize(out);
-}
-
 void QueryServer::RecordAcceptLatency(double ms) {
   std::lock_guard<std::mutex> lock(stats_mu_);
   accept_ring_[accept_next_] = ms;
@@ -1103,25 +1058,20 @@ StatsResponse QueryServer::Snapshot() const {
     std::lock_guard<std::mutex> lock(queue_mu_);
     stats.dispatch_depth = dispatch_q_.size();
   }
-  // Catalog rows, plus cache totals summed over every resident tenant's
-  // current generation (the catalog walk takes its own locks, so it stays
-  // outside stats_mu_).
+  // One row per tenant, plus cache totals summed over the rows (the
+  // catalog walk takes its own locks, so it stays outside stats_mu_).
   CatalogStats cstats = catalog_->Stats();
-  stats.graphs_registered = cstats.registered;
-  stats.graphs_resident = cstats.resident;
   stats.catalog_hits = cstats.hits;
   stats.catalog_misses = cstats.misses;
   stats.catalog_evictions = cstats.evictions;
+  stats.default_id = catalog_->default_id();
   std::vector<TenantInfo> tenants = catalog_->List();
   stats.tenants.reserve(tenants.size());
-  stats.tenant_caches.reserve(tenants.size());
   for (const TenantInfo& t : tenants) {
-    stats.tenants.push_back(GraphInfoWire{t.id, t.resident, t.refreshable,
-                                          t.applied_seqno, t.queries});
-    stats.tenant_caches.push_back(TenantCacheWire{
-        t.id, t.cache.hits, t.cache.misses, t.cache.inserts,
-        t.cache.evictions, t.cache.singleflight_waits, t.cache.bytes_used,
-        t.cache.entries});
+    stats.tenants.push_back(GraphInfoWire{
+        t.id, t.resident, t.refreshable, t.applied_seqno, t.queries,
+        t.cache.hits, t.cache.misses, t.cache.inserts, t.cache.evictions,
+        t.cache.singleflight_waits, t.cache.bytes_used, t.cache.entries});
     stats.cache_hits += t.cache.hits;
     stats.cache_misses += t.cache.misses;
     stats.cache_inserts += t.cache.inserts;

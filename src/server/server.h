@@ -42,11 +42,6 @@ struct ServerConfig {
   /// deployment that only trusts signals can turn it off).
   bool allow_remote_shutdown = true;
 
-  /// Per-connection cap on requests with the workers at once; frames past
-  /// the cap wait in the connection's ready queue (the client is never
-  /// errored, just back-pressured via paused reads).
-  uint32_t max_pipeline = 64;
-
   /// Open-connection ceiling (0 = unlimited). Accepts past the cap are
   /// closed immediately — cheaper than letting an fd flood exhaust the
   /// process's descriptor table.
@@ -98,7 +93,7 @@ struct ServerConfig {
 /// answered in place and leave in the same loop pass; they never wait for
 /// a worker. A fixed worker pool, fed over a dispatch queue, gets the rest:
 ///   - a cache miss, with its parsed patterns, key and pin, to evaluate;
-///   - stats, refresh, list-graphs and shutdown requests;
+///   - stats, refresh and shutdown requests;
 ///   - a valid query for a tenant that is not resident and a frame over
 ///     kMaxLoopFrameBytes (1 KiB); the worker runs the same preparation
 ///     from where the loop stopped, opening the tenant if it must.
@@ -115,9 +110,15 @@ struct ServerConfig {
 /// thousands of idle or slow connections coexist with a handful of
 /// workers.
 ///
-/// Pipelining: up to max_pipeline requests per connection are with the
-/// workers at once; they complete in any order, and answers the loop gives
-/// in place can overtake them. Each response echoes its request's id.
+/// Pipelining: up to kMaxPipeline (64) requests per connection are with the
+/// workers at once; frames past the cap wait in the connection's ready
+/// queue, and reads pause when that queue fills (back-pressure, never an
+/// error). They complete in any order, and answers the loop gives in place
+/// can overtake them. Each response echoes its request's id.
+///
+/// Stats: a kStatsRequest is the one listing of the catalog. It returns the
+/// serving counters and one row per tenant (StatsResponse::tenants) holding
+/// the tenant's catalog fields and its current generation's cache counters.
 ///
 /// Live refresh: every served engine lives behind a shared_ptr<EngineState>
 /// that each request pins anew (RCU-style). A kRefreshRequest replays the
@@ -265,7 +266,7 @@ class QueryServer {
 
   /// Runs `r`'s steps short of evaluation until it is answered (true) or
   /// what is left needs a worker (false): a cache miss to evaluate, or a
-  /// stats, refresh, list or shutdown request. A query is probed before
+  /// stats, refresh or shutdown request. A query is probed before
   /// its body is decoded: the key is the body's bytes followed by the
   /// server's tuple cap, so a hit is the answer computed for those very
   /// bytes. The body is decoded only after a miss or for a tenant that is
@@ -296,7 +297,7 @@ class QueryServer {
   /// Answers `r` with a failed QueryResponse (an invalid query).
   static void FailQuery(Request& r, StatusCode status,
                         const std::string& message);
-  /// The worker-only requests: stats, refresh, list and shutdown.
+  /// The worker-only requests: stats, refresh and shutdown.
   void HandleAdmin(Request& r);
   /// Worker side: finishes `r` and queues its answer.
   void ProcessRequest(Request r);
@@ -313,7 +314,6 @@ class QueryServer {
   /// Replays the tenant's new delta records and swaps its engine
   /// (per-tenant serialized inside the catalog).
   void HandleRefresh(const std::string& graph_id, ByteSink& out);
-  void HandleListGraphs(ByteSink& out) const;
 
   void RecordAcceptLatency(double ms);
 

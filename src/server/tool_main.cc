@@ -63,10 +63,10 @@ int ClientUsage() {
   std::fprintf(
       stderr,
       "usage: client (--socket PATH | --host ADDR --port N)\n"
-      "              (--pattern STR | --batch FILE | --template NAME\n"
-      "               | --stats | --ping | --refresh | --shutdown\n"
-      "               | --list-graphs | --idle-hold N [--hold-secs S])\n"
-      "              [--graph NAME] [--seed N] [--limit N] [--tuples N]\n"
+      "              (--pattern STR | --batch FILE | --stats | --ping\n"
+      "               | --refresh | --shutdown | --list-graphs\n"
+      "               | --idle-hold N [--hold-secs S])\n"
+      "              [--graph NAME] [--limit N] [--tuples N]\n"
       "              [--print N] [--pipeline N] [--repeat N]\n"
       "  --repeat re-issues the same query N times on one connection\n"
       "  (composes with --pipeline: N rounds of M pipelined copies) —\n"
@@ -112,6 +112,26 @@ void PrintTuples(const QueryResponse& resp, uint64_t max_print) {
       std::printf(j ? " %u" : "%u", resp.tuples[i * resp.tuple_arity + j]);
     }
     std::printf(")\n");
+  }
+}
+
+/// One line per catalog tenant of a stats response; with `cache`, each is
+/// followed by the tenant's result-cache counters.
+void PrintTenantRows(const StatsResponse& stats, bool cache) {
+  for (const GraphInfoWire& t : stats.tenants) {
+    std::printf("  %s: %s%s, seqno %llu, %llu query(ies)\n", t.id.c_str(),
+                t.resident ? "resident" : "cold",
+                t.refreshable ? ", refreshable" : "",
+                static_cast<unsigned long long>(t.applied_seqno),
+                static_cast<unsigned long long>(t.queries));
+    if (!cache) continue;
+    std::printf("  %s cache: %llu hit(s), %llu miss(es), %llu eviction(s), "
+                "%llu entry(ies), %llu byte(s)\n",
+                t.id.c_str(), static_cast<unsigned long long>(t.hits),
+                static_cast<unsigned long long>(t.misses),
+                static_cast<unsigned long long>(t.evictions),
+                static_cast<unsigned long long>(t.entries),
+                static_cast<unsigned long long>(t.bytes_used));
   }
 }
 
@@ -387,15 +407,6 @@ int ClientToolMain(int argc, char** argv) {
       if ((v = NeedValue(argc, argv, &i, "--batch")) == nullptr)
         return ClientUsage();
       batch_path = v;
-    } else if (std::strcmp(argv[i], "--template") == 0) {
-      if ((v = NeedValue(argc, argv, &i, "--template")) == nullptr)
-        return ClientUsage();
-      req.template_name = v;
-    } else if (std::strcmp(argv[i], "--seed") == 0) {
-      if ((v = NeedValue(argc, argv, &i, "--seed")) == nullptr)
-        return ClientUsage();
-      if (!ParseNumericFlag("--seed", v, &req.template_seed))
-        return ClientUsage();
     } else if (std::strcmp(argv[i], "--limit") == 0) {
       if ((v = NeedValue(argc, argv, &i, "--limit")) == nullptr)
         return ClientUsage();
@@ -460,7 +471,7 @@ int ClientToolMain(int argc, char** argv) {
       req.patterns.push_back(line);
     }
   }
-  const bool has_query = !req.patterns.empty() || !req.template_name.empty();
+  const bool has_query = !req.patterns.empty();
   if (!has_query && !want_stats && !want_ping && !want_refresh &&
       !want_list_graphs && !want_shutdown && idle_hold == 0) {
     std::fprintf(stderr, "client has nothing to do\n");
@@ -524,25 +535,14 @@ int ClientToolMain(int argc, char** argv) {
   }
 
   if (want_list_graphs) {
-    auto list = client.ListGraphs(&error);
-    if (!list.has_value()) {
+    auto stats = client.Stats(&error);
+    if (!stats.has_value()) {
       std::fprintf(stderr, "list-graphs failed: %s\n", error.c_str());
       return 1;
     }
-    if (list->status != StatusCode::kOk) {
-      std::fprintf(stderr, "server rejected list-graphs (%s): %s\n",
-                   StatusCodeName(list->status), list->error.c_str());
-      return 1;
-    }
-    std::printf("graphs: %zu registered (default: %s)\n", list->graphs.size(),
-                list->default_id.c_str());
-    for (const GraphInfoWire& g : list->graphs) {
-      std::printf("  %s: %s%s, seqno %llu, %llu query(ies)\n", g.id.c_str(),
-                  g.resident ? "resident" : "cold",
-                  g.refreshable ? ", refreshable" : "",
-                  static_cast<unsigned long long>(g.applied_seqno),
-                  static_cast<unsigned long long>(g.queries));
-    }
+    std::printf("graphs: %zu registered (default: %s)\n",
+                stats->tenants.size(), stats->default_id.c_str());
+    PrintTenantRows(*stats, /*cache=*/false);
   }
 
   if (want_refresh) {
@@ -686,31 +686,15 @@ int ClientToolMain(int argc, char** argv) {
                     stats->cache_singleflight_waits),
                 static_cast<unsigned long long>(stats->cache_entries),
                 static_cast<unsigned long long>(stats->cache_bytes_used));
-    if (stats->graphs_registered > 0) {
-      std::printf("catalog: %llu graph(s), %llu resident, %llu hit(s), "
-                  "%llu miss(es), %llu eviction(s)\n",
-                  static_cast<unsigned long long>(stats->graphs_registered),
-                  static_cast<unsigned long long>(stats->graphs_resident),
-                  static_cast<unsigned long long>(stats->catalog_hits),
-                  static_cast<unsigned long long>(stats->catalog_misses),
-                  static_cast<unsigned long long>(stats->catalog_evictions));
-      for (const GraphInfoWire& t : stats->tenants) {
-        std::printf("  %s: %s%s, seqno %llu, %llu query(ies)\n", t.id.c_str(),
-                    t.resident ? "resident" : "cold",
-                    t.refreshable ? ", refreshable" : "",
-                    static_cast<unsigned long long>(t.applied_seqno),
-                    static_cast<unsigned long long>(t.queries));
-      }
-      for (const TenantCacheWire& c : stats->tenant_caches) {
-        std::printf("  %s cache: %llu hit(s), %llu miss(es), %llu "
-                    "eviction(s), %llu entry(ies), %llu byte(s)\n",
-                    c.id.c_str(), static_cast<unsigned long long>(c.hits),
-                    static_cast<unsigned long long>(c.misses),
-                    static_cast<unsigned long long>(c.evictions),
-                    static_cast<unsigned long long>(c.entries),
-                    static_cast<unsigned long long>(c.bytes_used));
-      }
-    }
+    size_t resident = 0;
+    for (const GraphInfoWire& t : stats->tenants) resident += t.resident;
+    std::printf("catalog: %zu graph(s), %zu resident, %llu hit(s), "
+                "%llu miss(es), %llu eviction(s)\n",
+                stats->tenants.size(), resident,
+                static_cast<unsigned long long>(stats->catalog_hits),
+                static_cast<unsigned long long>(stats->catalog_misses),
+                static_cast<unsigned long long>(stats->catalog_evictions));
+    PrintTenantRows(*stats, /*cache=*/true);
   }
 
   if (want_shutdown) {

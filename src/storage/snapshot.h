@@ -53,11 +53,13 @@ namespace rigpm {
 /// each with a descriptive error, never by crashing or silently returning a
 /// partial structure.
 
-/// Version 7: the graph image holds its adjacency as CSR rows only and its
+/// Version 8: the graph image holds its adjacency as CSR rows only and its
 /// label index as the label-list offsets only (no label lists, no
-/// bitmaps); the BFL image's interval labels are per component only (no
-/// per-node copy).
-inline constexpr uint32_t kSnapshotVersion = 7;
+/// bitmaps); the BFL image holds the condensation (components, cyclic
+/// flags, DAG rows), the interval labels per component and the two Bloom
+/// label arrays, and nothing used only to build them (no component sizes,
+/// topological order, hash positions or predecessor rows).
+inline constexpr uint32_t kSnapshotVersion = 8;
 
 /// Values 1 and 3 are retired and must not be reused: older builds stamped
 /// them on graph-only and graph-collection payloads, and every loader

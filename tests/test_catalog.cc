@@ -581,10 +581,10 @@ TEST_F(MultiTenantServerTest, RefreshIsIsolatedPerTenant) {
   EXPECT_EQ(rb->status, StatusCode::kOk) << rb->error;
   EXPECT_EQ(rb->records_applied, 0u);
 
-  // The stats tail reports the divergent per-tenant seqnos.
+  // The stats rows report the divergent per-tenant seqnos.
   auto stats = alpha.Stats(&error);
   ASSERT_TRUE(stats.has_value()) << error;
-  EXPECT_EQ(stats->graphs_registered, 3u);
+  EXPECT_EQ(stats->tenants.size(), 3u);
   bool saw_alpha = false, saw_beta = false;
   for (const GraphInfoWire& g : stats->tenants) {
     if (g.id == "alpha") {
@@ -611,11 +611,73 @@ TEST_F(MultiTenantServerTest, UnscopedClientsServeTheDefaultTenant) {
   std::string error;
   EXPECT_TRUE(unscoped.Ping(&error)) << error;
 
-  auto graphs = unscoped.ListGraphs(&error);
-  ASSERT_TRUE(graphs.has_value()) << error;
-  EXPECT_EQ(graphs->status, StatusCode::kOk) << graphs->error;
-  EXPECT_EQ(graphs->default_id, "alpha");
-  ASSERT_EQ(graphs->graphs.size(), 3u);
+  auto stats = unscoped.Stats(&error);
+  ASSERT_TRUE(stats.has_value()) << error;
+  EXPECT_EQ(stats->default_id, "alpha");
+  ASSERT_EQ(stats->tenants.size(), 3u);
+}
+
+TEST_F(MultiTenantServerTest, StatsRowsCarryEachTenantsCacheCounters) {
+  StartServer(/*max_engines=*/0);
+  QueryClient alpha = Connect("alpha");
+  QueryClient beta = Connect("beta");
+  const std::string edge = "(a:0)->(b:1)";
+  EXPECT_EQ(ServedCount(alpha, kPaperPattern),
+            ColdCount(t_[0].graph, kPaperPattern));
+  EXPECT_EQ(ServedCount(alpha, kPaperPattern),
+            ColdCount(t_[0].graph, kPaperPattern));
+  EXPECT_EQ(ServedCount(beta, edge), ColdCount(t_[1].graph, edge));
+
+  std::string error;
+  auto stats = alpha.Stats(&error);
+  ASSERT_TRUE(stats.has_value()) << error;
+  EXPECT_EQ(stats->default_id, "alpha");
+  ASSERT_EQ(stats->tenants.size(), 3u);
+  const GraphInfoWire& a = stats->tenants[0];
+  const GraphInfoWire& b = stats->tenants[1];
+  const GraphInfoWire& g = stats->tenants[2];
+  EXPECT_EQ(a.id, "alpha");
+  EXPECT_TRUE(a.resident);
+  EXPECT_EQ(a.queries, 2u);
+  EXPECT_EQ(a.misses, 1u);
+  EXPECT_EQ(a.hits, 1u);
+  EXPECT_EQ(a.inserts, 1u);
+  EXPECT_EQ(a.entries, 1u);
+  EXPECT_GT(a.bytes_used, 0u);
+  EXPECT_EQ(b.id, "beta");
+  EXPECT_TRUE(b.resident);
+  EXPECT_EQ(b.queries, 1u);
+  EXPECT_EQ(b.misses, 1u);
+  EXPECT_EQ(b.hits, 0u);
+
+  // gamma was never opened: a cold row with nothing counted.
+  EXPECT_EQ(g.id, "gamma");
+  EXPECT_FALSE(g.resident);
+  EXPECT_TRUE(g.refreshable);
+  for (uint64_t counter :
+       {g.applied_seqno, g.queries, g.hits, g.misses, g.inserts, g.evictions,
+        g.singleflight_waits, g.bytes_used, g.entries}) {
+    EXPECT_EQ(counter, 0u);
+  }
+
+  // The cache totals are the sums of the rows.
+  GraphInfoWire sum;
+  for (const GraphInfoWire& t : stats->tenants) {
+    sum.hits += t.hits;
+    sum.misses += t.misses;
+    sum.inserts += t.inserts;
+    sum.evictions += t.evictions;
+    sum.singleflight_waits += t.singleflight_waits;
+    sum.bytes_used += t.bytes_used;
+    sum.entries += t.entries;
+  }
+  EXPECT_EQ(stats->cache_hits, sum.hits);
+  EXPECT_EQ(stats->cache_misses, sum.misses);
+  EXPECT_EQ(stats->cache_inserts, sum.inserts);
+  EXPECT_EQ(stats->cache_evictions, sum.evictions);
+  EXPECT_EQ(stats->cache_singleflight_waits, sum.singleflight_waits);
+  EXPECT_EQ(stats->cache_bytes_used, sum.bytes_used);
+  EXPECT_EQ(stats->cache_entries, sum.entries);
 }
 
 TEST_F(MultiTenantServerTest, MalformedHeaderIsRejectedInPlace) {

@@ -184,8 +184,8 @@ class TemplateInstantiationTest
 
 TEST_P(TemplateInstantiationTest, InstancesAreWellFormed) {
   for (const QueryTemplate& tpl : HQueryTemplates()) {
-    PatternQuery q = InstantiateTemplate(tpl, GetParam(), /*num_labels=*/10,
-                                         /*seed=*/5);
+    PatternQuery q = InstantiateTemplate(
+        tpl, GetParam(), std::vector<LabelId>(tpl.num_nodes, 5));
     EXPECT_EQ(q.NumNodes(), tpl.num_nodes) << tpl.name;
     EXPECT_EQ(q.NumEdges(), tpl.edges.size()) << tpl.name;
     EXPECT_TRUE(q.IsConnected()) << tpl.name;
@@ -224,8 +224,8 @@ INSTANTIATE_TEST_SUITE_P(Variants, TemplateInstantiationTest,
 TEST(Templates, HybridVariantMixesKindsSomewhere) {
   uint32_t child = 0, desc = 0;
   for (const QueryTemplate& tpl : HQueryTemplates()) {
-    PatternQuery q =
-        InstantiateTemplate(tpl, QueryVariant::kHybrid, 10, /*seed=*/1);
+    PatternQuery q = InstantiateTemplate(
+        tpl, QueryVariant::kHybrid, std::vector<LabelId>(tpl.num_nodes, 1));
     child += q.NumChildEdges();
     desc += q.NumDescendantEdges();
   }

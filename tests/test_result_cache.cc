@@ -628,8 +628,8 @@ TEST_F(CacheRefreshTest, StatsResponseCarriesCacheAndFlushCounters) {
   EXPECT_GT(stats->cache_bytes_used, 0u);
   EXPECT_GT(stats->flushes, 0u);
   EXPECT_GE(stats->frames_flushed, stats->flushes);
-  ASSERT_EQ(stats->tenant_caches.size(), 1u);
-  EXPECT_EQ(stats->tenant_caches[0].misses, 1u);
+  ASSERT_EQ(stats->tenants.size(), 1u);
+  EXPECT_EQ(stats->tenants[0].misses, 1u);
 }
 
 }  // namespace

@@ -26,7 +26,6 @@
 #include "engine/gm_engine.h"
 #include "graph/generators.h"
 #include "query/pattern_parser.h"
-#include "query/query_templates.h"
 #include "server/client.h"
 #include "server/server.h"
 #include "storage/delta_log.h"
@@ -92,8 +91,6 @@ class ServerTest : public ::testing::Test {
 TEST(ServerProtocol, QueryRequestRoundTrips) {
   QueryRequest req;
   req.patterns = {"(a:0)->(b:1)", "(a:0)=>(b:2)"};
-  req.template_name = "HQ3";
-  req.template_seed = 99;
   req.limit = 12345;
   req.max_return_tuples = 7;
 
@@ -109,8 +106,6 @@ TEST(ServerProtocol, QueryRequestRoundTrips) {
   ASSERT_TRUE(src.ok()) << src.error();
   EXPECT_EQ(src.remaining(), 0u);
   EXPECT_EQ(back.patterns, req.patterns);
-  EXPECT_EQ(back.template_name, req.template_name);
-  EXPECT_EQ(back.template_seed, req.template_seed);
   EXPECT_EQ(back.limit, req.limit);
   EXPECT_EQ(back.max_return_tuples, req.max_return_tuples);
 }
@@ -159,8 +154,8 @@ TEST(ServerProtocol, ShortStatsPayloadsFailToDecode) {
   // payload missing any of them is malformed, never an older daemon's.
   StatsResponse stats;
   stats.uptime_ms = 7;
-  stats.tenants.push_back({"default", true, true, 2, 9});
-  stats.tenant_caches.push_back({"default", 1, 2, 3, 4, 5, 6, 7});
+  stats.default_id = "default";
+  stats.tenants.push_back({"default", true, true, 2, 9, 1, 2, 3, 4, 5, 6, 7});
   stats.deletes_applied = 11;
   stats.maintenance_failures = 13;
   ByteSink sink;
@@ -173,7 +168,11 @@ TEST(ServerProtocol, ShortStatsPayloadsFailToDecode) {
     EXPECT_EQ(src.remaining(), 0u);
     EXPECT_EQ(back.deletes_applied, 11u);
     EXPECT_EQ(back.maintenance_failures, 13u);
-    ASSERT_EQ(back.tenant_caches.size(), 1u);
+    EXPECT_EQ(back.default_id, "default");
+    ASSERT_EQ(back.tenants.size(), 1u);
+    EXPECT_EQ(back.tenants[0].queries, 9u);
+    EXPECT_EQ(back.tenants[0].hits, 1u);
+    EXPECT_EQ(back.tenants[0].entries, 7u);
   }
   for (size_t cut = 0; cut < sink.size(); ++cut) {
     ByteSource src(sink.data().data(), cut);
@@ -271,23 +270,6 @@ TEST_F(ServerTest, MultiPatternRequestKeepsOrder) {
     EXPECT_EQ(resp->results[i].num_occurrences, direct.num_occurrences)
         << "query " << i;
   }
-}
-
-TEST_F(ServerTest, TemplateRequestMatchesDirectInstantiation) {
-  QueryRequest req;
-  req.template_name = "HQ0";
-  req.template_seed = 17;
-  QueryClient client = Connect();
-  auto resp = client.Query(req);
-  ASSERT_TRUE(resp.has_value());
-  ASSERT_EQ(resp->status, StatusCode::kOk) << resp->error;
-
-  PatternQuery q =
-      InstantiateTemplate(TemplateByName("HQ0"), QueryVariant::kHybrid,
-                          graph_->NumLabels(), 17);
-  GmResult direct = engine_->Evaluate(q);
-  ASSERT_EQ(resp->results.size(), 1u);
-  EXPECT_EQ(resp->results[0].num_occurrences, direct.num_occurrences);
 }
 
 TEST_F(ServerTest, StatsCountServedQueries) {
@@ -476,20 +458,12 @@ TEST_F(ServerTest, ParseErrorIsReportedNotFatal) {
   EXPECT_EQ(after->results[0].num_occurrences, 4u);
 }
 
-TEST_F(ServerTest, UnknownTemplateIsRejected) {
-  QueryClient client = Connect();
-  QueryRequest req;
-  req.template_name = "HQ99";
-  auto resp = client.Query(req);
-  ASSERT_TRUE(resp.has_value());
-  EXPECT_EQ(resp->status, StatusCode::kParseError);
-}
-
 TEST_F(ServerTest, EmptyRequestIsRejected) {
   QueryClient client = Connect();
   auto resp = client.Query(QueryRequest{});
   ASSERT_TRUE(resp.has_value());
   EXPECT_EQ(resp->status, StatusCode::kBadRequest);
+  EXPECT_EQ(resp->error, "request has no patterns");
 }
 
 /// A bodiless request payload, built with the protocol's own header writer.
@@ -574,15 +548,18 @@ class RawConnection {
 TEST_F(ServerTest, UnknownRequestTypeGetsErrorResponse) {
   RawConnection raw(config_.unix_path);
   ASSERT_TRUE(raw.ok());
-  raw.SendFrame(RequestPayload(5, static_cast<MessageType>(0xBEEF)));
-  auto resp = raw.ReadResponse();
-  ASSERT_TRUE(resp.has_value());
-  EXPECT_EQ(resp->id, 5u);
-  EXPECT_EQ(resp->type, MessageType::kErrorResponse);
+  // 8 is a retired type number (a tenant listing, now the stats rows).
+  for (uint32_t type : {0xBEEFu, 8u}) {
+    raw.SendFrame(RequestPayload(type, static_cast<MessageType>(type)));
+    auto resp = raw.ReadResponse();
+    ASSERT_TRUE(resp.has_value());
+    EXPECT_EQ(resp->id, type);
+    EXPECT_EQ(resp->type, MessageType::kErrorResponse);
+  }
 
   // The connection survives: a valid ping on the same socket still works.
   raw.SendFrame(RequestPayload(6, MessageType::kPingRequest));
-  resp = raw.ReadResponse();
+  auto resp = raw.ReadResponse();
   ASSERT_TRUE(resp.has_value());
   EXPECT_EQ(resp->id, 6u);
   EXPECT_EQ(resp->type, MessageType::kPingResponse);
@@ -1098,11 +1075,11 @@ TEST_F(ServerTest, CacheHitOvertakesAColdQueryOnTheOnlyWorker) {
 
 TEST_F(ServerTest, EveryRequestIsCountedOnce) {
   // A pipelined mix passes through the loop, the workers or both: in the
-  // first round misses, three copies of one miss in flight at once, a
-  // template, parse errors (one to the default tenant, one to the snapshot
-  // tenant before anything opens it, one to an unknown id), an unknown
-  // graph id and the cold open of a snapshot tenant; in the second, hits
-  // and another parse error. Whichever way each request goes, the serving,
+  // first round misses, three copies of one miss in flight at once, parse
+  // errors (one to the default tenant, one to the snapshot tenant before
+  // anything opens it, one to an unknown id), an unknown graph id and the
+  // cold open of a snapshot tenant; in the second, hits and another parse
+  // error. Whichever way each request goes, the serving,
   // cache and catalog counters must each see it once, and a body's
   // rejection wins over its tenant's state.
   server_->Stop();
@@ -1134,8 +1111,6 @@ TEST_F(ServerTest, EveryRequestIsCountedOnce) {
     req.patterns = {text};
     return Sent{graph, req, status};
   };
-  QueryRequest tpl;
-  tpl.template_name = "HQ0";
   const std::vector<Sent> cold_round = {
       pattern("", p1, kOk),
       pattern("", p2, kOk),
@@ -1148,14 +1123,12 @@ TEST_F(ServerTest, EveryRequestIsCountedOnce) {
       pattern("nope", p1, StatusCode::kBadRequest),
       pattern("snap", p1, kOk),
       pattern("snap", p1, kOk),
-      Sent{"", tpl, kOk},
   };
   const std::vector<Sent> warm_round = {
       pattern("", p1, kOk),
       pattern("", p1, kOk),
       pattern("", p3, kOk),
       pattern("snap", p1, kOk),
-      Sent{"", tpl, kOk},
       pattern("", "(a:0)->", kParse),
   };
 

@@ -533,9 +533,9 @@ TEST_F(MalformedSnapshotTest, BadMagicIsRejected) {
 }
 
 TEST_F(MalformedSnapshotTest, WrongVersionIsRejected) {
-  // The reader knows one layout: the older versions 1 to 6 are as foreign
+  // The reader knows one layout: the older versions 1 to 7 are as foreign
   // as a future one.
-  for (uint32_t version : {1u, 2u, 3u, 4u, 5u, 6u, kSnapshotVersion + 7}) {
+  for (uint32_t version : {1u, 2u, 3u, 4u, 5u, 6u, 7u, kSnapshotVersion + 7}) {
     std::string corrupt = bytes_;
     corrupt[8] = static_cast<char>(version);
     ExpectRejected(corrupt, "unsupported snapshot version");
@@ -800,13 +800,6 @@ TEST(BflSnapshot, IntervalSizeMismatchIsRejected) {
   OwnedOrBorrowedSpan<uint64_t> labels(std::vector<uint64_t>(nc, 0));
   sink.WriteSpan<uint64_t>(labels);  // l_out
   sink.WriteSpan<uint64_t>(labels);  // l_in
-  OwnedOrBorrowedSpan<uint32_t> hash(std::vector<uint32_t>(nc, 0));
-  sink.WriteSpan<uint32_t>(hash);
-  OwnedOrBorrowedSpan<uint64_t> pred_offsets(
-      std::vector<uint64_t>(nc + 1, 0));
-  sink.WriteSpan<uint64_t>(pred_offsets);
-  OwnedOrBorrowedSpan<uint32_t> pred_targets;
-  sink.WriteSpan<uint32_t>(pred_targets);
 
   ByteSource src(sink.data().data(), sink.size());
   EXPECT_EQ(BflIndex::Deserialize(src), nullptr);
@@ -827,10 +820,8 @@ TEST(CondensationSnapshot, NonTopologicalDagEdgeIsRejected) {
     sink.WriteU32(2);  // components
     sink.WriteSpan<uint32_t>(std::vector<uint32_t>{0, 1});  // node -> comp
     sink.WriteSpan<uint8_t>(std::vector<uint8_t>{0, 0});    // cyclic
-    sink.WriteSpan<uint32_t>(std::vector<uint32_t>{1, 1});  // sizes
     sink.WriteSpan<uint64_t>(offsets);
     sink.WriteSpan<uint32_t>(std::vector<uint32_t>{to});  // DAG targets
-    sink.WriteSpan<uint32_t>(std::vector<uint32_t>{0, 1});  // topo order
 
     ByteSource src(sink.data().data(), sink.size());
     Condensation cond = Condensation::Deserialize(src);
