@@ -8,7 +8,9 @@
 # log: it must serve base + both records from its first query, before any
 # refresh. The daemon deliberately runs FEWER workers (2) than concurrent
 # clients (4): the event loop multiplexes, so the old "size the pool above
-# the client count" caveat must stay dead. Last, `delta replay --out` must
+# the client count" caveat must stay dead. `delta append` must refuse an
+# edge file line that is not exactly '[+|-] src dst' and leave the log as
+# it was. Last, `delta replay --out` must
 # write a snapshot that serves what snapshot + log serve, and must refuse
 # a log with a flipped byte in an acknowledged record and a log bound to
 # another base.
@@ -173,6 +175,23 @@ grep -qE ", 0 error" <<<"$(grep requests: <<<"${stats}")" || {
 
 echo "== delta inspect"
 "${BUILD_DIR}/rigpm_cli" delta inspect --delta "${DELTA}"
+
+echo "== append refuses a malformed op line and journals nothing"
+records_before=$("${BUILD_DIR}/rigpm_cli" delta inspect --delta "${DELTA}" |
+                   grep '^records:')
+for line in "0 3 7" "0 3x" "+0 3"; do
+  printf '%s\n' "${line}" > "${WORK_DIR}/bad_batch.txt"
+  code=0
+  "${BUILD_DIR}/rigpm_cli" delta append --base "${SNAP}" --delta "${DELTA}" \
+    --edges "${WORK_DIR}/bad_batch.txt" || code=$?
+  [ "${code}" = "1" ] || {
+    echo "FAIL: op line '${line}' exited ${code}, expected 1" >&2; exit 1; }
+done
+records_after=$("${BUILD_DIR}/rigpm_cli" delta inspect --delta "${DELTA}" |
+                  grep '^records:')
+echo "${records_after}"
+[ "${records_after}" = "${records_before}" ] || {
+  echo "FAIL: a refused append changed the log" >&2; exit 1; }
 
 echo "== clean shutdown"
 stop_daemon "${WORK_DIR}/serve.log"

@@ -215,7 +215,10 @@ stats=$("${CLI}" client --socket "${SOCK}" --stats)
 echo "${stats}"
 grep -q "catalog: 3 graph(s)" <<<"${stats}" || {
   echo "FAIL: expected 3 graphs in the catalog stats" >&2; exit 1; }
-evictions=$(grep -Eo '[0-9]+ eviction' <<<"${stats}" | grep -Eo '[0-9]+')
+# The catalog line's own count: the result-cache and tenant lines print
+# eviction counts too.
+evictions=$(grep '^catalog:' <<<"${stats}" | grep -Eo '[0-9]+ eviction' |
+              grep -Eo '[0-9]+')
 if [ -z "${evictions}" ] || [ "${evictions}" -lt 1 ]; then
   echo "FAIL: expected LRU evictions under --max-engines 2" >&2; exit 1
 fi

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -39,9 +40,8 @@ GmEngine::GmEngine(const Graph& g) : graph_(g) {
 GmEngine::GmEngine(const Graph& g, std::unique_ptr<BflIndex> reach)
     : graph_(g), reach_(std::move(reach)) {}
 
-GmResult GmEngine::Run(const PatternQuery& query, const GmOptions& opts,
-                       const OccurrenceSink& sink,
-                       std::optional<Rig>* rig_out) const {
+GmResult GmEngine::Evaluate(const PatternQuery& query, const GmOptions& opts,
+                            const OccurrenceSink& sink) const {
   GmResult r;
   r.phase_timings.reserve(6);
   const MatchContext ctx(graph_, *reach_);
@@ -83,10 +83,6 @@ GmResult GmEngine::Run(const PatternQuery& query, const GmOptions& opts,
     // Empty RIG: the answer is provably empty; skip ordering + enumeration.
     r.empty_rig_shortcut = rig->AnyEmpty();
   });
-  if (rig_out != nullptr) {
-    *rig_out = std::move(rig);
-    return r;
-  }
   if (r.empty_rig_shortcut) return r;
 
   TimePhase(&r, "Order", [&] {
@@ -102,11 +98,6 @@ GmResult GmEngine::Run(const PatternQuery& query, const GmOptions& opts,
     r.hit_limit = r.num_occurrences >= opts.limit;
   });
   return r;
-}
-
-GmResult GmEngine::Evaluate(const PatternQuery& query, const GmOptions& opts,
-                            const OccurrenceSink& sink) const {
-  return Run(query, opts, sink, nullptr);
 }
 
 std::vector<GmResult> GmEngine::EvaluateBatch(
@@ -153,14 +144,6 @@ std::vector<Occurrence> GmEngine::EvaluateCollect(const PatternQuery& query,
   });
   if (result != nullptr) *result = std::move(r);
   return out;
-}
-
-Rig GmEngine::BuildRigOnly(const PatternQuery& query, const GmOptions& opts,
-                           GmResult* result) const {
-  std::optional<Rig> rig;
-  GmResult r = Run(query, opts, nullptr, &rig);
-  if (result != nullptr) *result = std::move(r);
-  return std::move(*rig);
 }
 
 }  // namespace rigpm

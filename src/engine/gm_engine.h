@@ -5,7 +5,6 @@
 #include <functional>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -80,17 +79,7 @@ class GmEngine {
                                           const GmOptions& opts = {},
                                           GmResult* result = nullptr) const;
 
-  /// Builds the RIG for a query without enumerating (Fig. 13 measurements,
-  /// EXPLAIN): runs Reduce through BuildRig only.
-  Rig BuildRigOnly(const PatternQuery& query, const GmOptions& opts,
-                   GmResult* result) const;
-
  private:
-  /// The six phases, straight through. With `rig_out` set, stops after
-  /// BuildRig and moves the RIG there.
-  GmResult Run(const PatternQuery& query, const GmOptions& opts,
-               const OccurrenceSink& sink, std::optional<Rig>* rig_out) const;
-
   const Graph& graph_;
   std::unique_ptr<BflIndex> reach_;
   double reach_build_ms_ = 0.0;

@@ -73,7 +73,7 @@ struct GmResult {
 
   /// Wall-clock per executed phase, in execution order. Phases after
   /// BuildRig are absent when the empty-RIG shortcut stopped the
-  /// evaluation, and BuildRigOnly never runs them.
+  /// evaluation.
   std::vector<PhaseTiming> phase_timings;
 
   double PhaseMs(std::string_view name) const {

@@ -133,8 +133,8 @@ class Graph {
   OwnedOrBorrowedSpan<uint64_t> label_offsets_;  // size NumLabels()+1
   std::vector<Bitmap> label_bitmaps_;
 
-  // Ownership token for borrowed storage (null for built graphs); e.g. the
-  // shared_ptr<MappedFile> of the snapshot the graph was loaded from.
+  // Ownership token for borrowed storage (null for built graphs): the
+  // mapping (a FileBytes) of the snapshot the graph was loaded from.
   std::shared_ptr<const void> storage_;
 };
 

@@ -62,8 +62,8 @@ struct EngineSource {
   SnapshotIoMode io_mode = DefaultSnapshotIoMode();
   /// kRead by default: a live log can be tail-truncated in place by a
   /// recovering DeltaWriter, and shrinking a file under a live mapping
-  /// raises SIGBUS in the reader — a slurped copy of a small log cannot
-  /// be yanked away mid-replay.
+  /// raises SIGBUS in the reader — a read copy of a small log cannot be
+  /// yanked away mid-replay.
   SnapshotIoMode delta_io = SnapshotIoMode::kRead;
 };
 

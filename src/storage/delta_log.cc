@@ -8,8 +8,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <fstream>
-#include <iterator>
 #include <limits>
 #include <unordered_map>
 
@@ -21,11 +19,9 @@ namespace rigpm {
 
 namespace {
 
-constexpr char kMagic[8] = {'R', 'I', 'G', 'P', 'M', 'S', 'N', 'P'};
-// 24-byte snapshot container head + u32 base node count + u32 reserved.
+// 24-byte container head + u32 base node count + u32 reserved.
 constexpr uint64_t kFileHeaderBytes = kDeltaFileHeaderBytes;
-static_assert(kFileHeaderBytes == sizeof(kMagic) + 2 * sizeof(uint32_t) +
-                                      sizeof(uint64_t) + 2 * sizeof(uint32_t));
+static_assert(kFileHeaderBytes == kContainerHeadBytes + 2 * sizeof(uint32_t));
 // base checksum + seqno + edge count + flags (the fields the header
 // checksum covers).
 constexpr uint64_t kRecordFieldsBytes = 2 * sizeof(uint64_t) +
@@ -41,44 +37,29 @@ void SetError(std::string* error, const std::string& msg) {
 /// Serializes the delta file header into `sink`.
 void WriteFileHeader(ByteSink& sink, uint64_t base_checksum,
                      uint32_t base_num_nodes) {
-  sink.WriteRaw(kMagic, sizeof(kMagic));
-  sink.WriteU32(kDeltaFormatOps);
-  sink.WriteU32(static_cast<uint32_t>(SnapshotKind::kDelta));
-  sink.WriteU64(base_checksum);
+  EncodeContainerHead(
+      sink, {.version = kDeltaFormatOps,
+             .kind_value = static_cast<uint32_t>(SnapshotKind::kDelta),
+             .word = base_checksum});
   sink.WriteU32(base_num_nodes);
   sink.WriteU32(0);  // reserved
 }
 
-/// Validates a delta file header in `data` (at least kFileHeaderBytes).
-/// Returns false with *error on anything but a well-formed delta header.
-bool ParseFileHeader(const uint8_t* data, uint64_t* base_checksum,
+/// Validates the delta file header at the front of `file`. Returns false
+/// with *error on anything but a well-formed delta header.
+bool ParseFileHeader(std::span<const uint8_t> file, uint64_t* base_checksum,
                      uint32_t* base_num_nodes, std::string* error) {
-  if (std::memcmp(data, kMagic, sizeof(kMagic)) != 0) {
-    SetError(error, "bad delta log magic (not a rigpm delta log)");
+  ContainerHead head;
+  if (!DecodeContainerHead(file, "delta log", SnapshotKind::kDelta,
+                           kDeltaFormatOps, &head, error)) {
     return false;
   }
-  uint32_t version = 0;
-  uint32_t kind = 0;
-  std::memcpy(&version, data + sizeof(kMagic), sizeof(version));
-  std::memcpy(&kind, data + sizeof(kMagic) + sizeof(uint32_t), sizeof(kind));
-  // Kind before version: a snapshot shares this container head, and "not
-  // a delta log" is the useful diagnosis for one passed by mistake.
-  if (kind != static_cast<uint32_t>(SnapshotKind::kDelta)) {
-    SetError(error, "file has snapshot kind " + std::to_string(kind) +
-                        ", not a delta log");
+  if (file.size() < kFileHeaderBytes) {
+    SetError(error, "truncated delta log (smaller than header)");
     return false;
   }
-  if (version != kDeltaFormatOps) {
-    SetError(error,
-             "unsupported delta log version " + std::to_string(version) +
-                 " (this build reads version " +
-                 std::to_string(kDeltaFormatOps) + " only)");
-    return false;
-  }
-  std::memcpy(base_checksum, data + sizeof(kMagic) + 2 * sizeof(uint32_t),
-              sizeof(*base_checksum));
-  std::memcpy(base_num_nodes,
-              data + sizeof(kMagic) + 2 * sizeof(uint32_t) + sizeof(uint64_t),
+  *base_checksum = head.word;
+  std::memcpy(base_num_nodes, file.data() + kContainerHeadBytes,
               sizeof(*base_num_nodes));
   return true;
 }
@@ -247,12 +228,9 @@ std::unique_ptr<DeltaWriter> DeltaWriter::Open(const std::string& path,
   // Read whatever is there: a fresh file gets a header; an existing log is
   // validated and scanned so appends continue the chain. The scan doubles
   // as crash recovery — an invalid tail (a torn append) is truncated away.
-  off_t end = ::lseek(fd, 0, SEEK_END);
-  if (end < 0) {
-    SetError(error, "cannot seek " + path + ": " + std::strerror(errno));
-    return nullptr;
-  }
-  if (end == 0) {
+  auto file = ReadRegularFile(fd, path, /*map=*/false, error);
+  if (file == nullptr) return nullptr;
+  if (file->size() == 0) {
     // Truly empty (just created, or a zero-length leftover): initialize.
     // The directory fsync makes the new entry itself durable — without it
     // a crash after an "acknowledged" first append could lose the whole
@@ -279,29 +257,24 @@ std::unique_ptr<DeltaWriter> DeltaWriter::Open(const std::string& path,
     }
     return writer;
   }
-  if (static_cast<uint64_t>(end) < kFileHeaderBytes) {
+  if (file->size() < kFileHeaderBytes) {
     // Nonempty but too short to be a delta log. This is NOT ours to
     // repair: a torn header write can only exist for a log that never
     // acknowledged an append, and the far likelier cause is a mistyped
     // path pointing at some other small file — refuse instead of
     // truncating someone's data away.
     SetError(error, path + " exists but is not a delta log (" +
-                        std::to_string(end) + " bytes); refusing to "
-                        "overwrite it");
+                        std::to_string(file->size()) + " bytes); refusing "
+                        "to overwrite it");
     return nullptr;
   }
 
-  std::vector<uint8_t> bytes(static_cast<size_t>(end));
-  ssize_t got = ::pread(fd, bytes.data(), bytes.size(), 0);
-  if (got != static_cast<ssize_t>(bytes.size())) {
-    SetError(error, "cannot read " + path + ": " + std::strerror(errno));
-    return nullptr;
-  }
+  const std::span<const uint8_t> bytes(file->data(), file->size());
   uint64_t file_base = 0;
   uint32_t file_num_nodes = 0;
   // The header (version included) is decided before any chain validation,
   // so a foreign version reads as a version error, not a checksum failure.
-  if (!ParseFileHeader(bytes.data(), &file_base, &file_num_nodes, error)) {
+  if (!ParseFileHeader(bytes, &file_base, &file_num_nodes, error)) {
     return nullptr;
   }
   if (file_base != base_checksum) {
@@ -441,35 +414,10 @@ bool DeltaWriter::Append(std::span<const std::pair<NodeId, NodeId>> edges,
 // ----------------------------------------------------------- DeltaReader
 
 DeltaReader::DeltaReader(const std::string& path, SnapshotIoMode mode) {
-  if (mode == SnapshotIoMode::kMmap) {
-    std::string map_error;
-    mapping_ = MappedFile::Open(path, &map_error);
-    if (mapping_ != nullptr) {
-      data_ = mapping_->data();
-      size_ = mapping_->size();
-    }
-    // Unmappable: fall through to the streaming read, like SnapshotReader.
-  }
-  if (data_ == nullptr) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-      error_ = "cannot open " + path;
-      return;
-    }
-    buffer_.assign(std::istreambuf_iterator<char>(in),
-                   std::istreambuf_iterator<char>());
-    if (!in.good() && !in.eof()) {
-      error_ = "cannot read " + path;
-      return;
-    }
-    data_ = buffer_.data();
-    size_ = buffer_.size();
-  }
-  if (size_ < kFileHeaderBytes) {
-    error_ = "truncated delta log (smaller than header)";
-    return;
-  }
-  if (!ParseFileHeader(data_, &base_checksum_, &base_num_nodes_, &error_)) {
+  file_ = ReadRegularFile(path, mode == SnapshotIoMode::kMmap, &error_);
+  if (file_ == nullptr) return;
+  if (!ParseFileHeader({file_->data(), file_->size()}, &base_checksum_,
+                       &base_num_nodes_, &error_)) {
     return;
   }
   chain_checksum_ = base_checksum_;
@@ -478,17 +426,19 @@ DeltaReader::DeltaReader(const std::string& path, SnapshotIoMode mode) {
 
 bool DeltaReader::Next(DeltaRecord* out) {
   if (!ok() || truncated_) return false;
-  if (offset_ >= size_) return false;  // clean end of log
+  const uint8_t* data = file_->data();
+  const uint64_t size = file_->size();
+  if (offset_ >= size) return false;  // clean end of log
   std::string why;
   uint64_t consumed =
-      ParseRecord(data_, size_, offset_, base_checksum_, last_seqno_ + 1,
+      ParseRecord(data, size, offset_, base_checksum_, last_seqno_ + 1,
                   chain_checksum_, out, &why, &tail_torn_);
   if (consumed == 0) {
     truncated_ = true;
     tail_error_ = why;
     return false;
   }
-  AdvanceChain(data_, offset_, consumed, &chain_checksum_);
+  AdvanceChain(data, offset_, consumed, &chain_checksum_);
   offset_ += consumed;
   ++last_seqno_;
   ++records_read_;
@@ -623,9 +573,12 @@ DeltaRead ReadDeltaSince(const std::string& path, SnapshotIoMode io,
   DeltaRead read;
   // The log is created lazily by the first append; reading before that (or
   // after a crash between open(O_CREAT) and the header write) is a healthy
-  // caught-up state.
+  // caught-up state. Any other path that is not a regular file is refused
+  // by the reader.
   struct stat st{};
-  if (::stat(path.c_str(), &st) != 0 ? errno == ENOENT : st.st_size == 0) {
+  if (::stat(path.c_str(), &st) != 0
+          ? errno == ENOENT
+          : S_ISREG(st.st_mode) && st.st_size == 0) {
     read.ok = true;
     return read;
   }

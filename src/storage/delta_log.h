@@ -24,10 +24,10 @@ namespace rigpm {
 /// rebuilds the current graph the same way: ReadDeltaSince, then
 /// ApplyDeltaOps over the base.
 ///
-/// File layout (the 24-byte container head of storage/snapshot.h plus an
-/// 8-byte delta extension; the body is an unbounded record sequence rather
-/// than one checksummed payload — an append must not have to rewrite a
-/// trailing footer):
+/// File layout (the 24-byte container head of storage/snapshot.h, read by
+/// its one decoder, plus an 8-byte delta extension; the body is an
+/// unbounded record sequence rather than one checksummed payload — an
+/// append must not have to rewrite a trailing footer):
 ///   8 bytes  magic "RIGPMSNP"
 ///   u32      format version (kDeltaFormatOps)
 ///   u32      kind (SnapshotKind::kDelta)
@@ -204,9 +204,11 @@ class DeltaWriter {
 /// (`truncated()` reports it). Readers that serve a graph go through
 /// ReadDeltaSince, which decides what such a tail means.
 ///
-/// IO: mmap mode maps the file read-only (MappedFile, the same mechanism
-/// SnapshotReader uses); read mode slurps it into private memory. Delta
-/// logs are small next to their base snapshot, so both are cheap. Caveat:
+/// IO: the whole log comes into memory through ReadRegularFile
+/// (util/mapped_file.h), as a snapshot does: mmap mode maps it read-only,
+/// read mode reads it into one private buffer, and anything but a regular
+/// file is refused. Delta logs are small next to their base snapshot, so
+/// both are cheap. Caveat:
 /// unlike snapshots (immutable, replaced by rename), a delta log mutates
 /// in place — a concurrently recovering writer may ftruncate a torn tail,
 /// and shrinking a mapped file SIGBUSes readers of the vanished pages.
@@ -259,11 +261,8 @@ class DeltaReader {
   uint64_t offset() const { return offset_; }
 
  private:
-  const uint8_t* data_ = nullptr;  // whole file
-  uint64_t size_ = 0;
-  uint64_t offset_ = 0;  // next unread byte
-  std::shared_ptr<MappedFile> mapping_;  // mmap mode keeps the file alive
-  std::vector<uint8_t> buffer_;          // read mode owns the bytes
+  std::shared_ptr<const FileBytes> file_;  // the whole log
+  uint64_t offset_ = 0;                    // next unread byte
   uint64_t base_checksum_ = 0;
   uint32_t base_num_nodes_ = 0;
   uint64_t chain_checksum_ = 0;

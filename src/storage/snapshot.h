@@ -2,11 +2,10 @@
 #define RIGPM_STORAGE_SNAPSHOT_H_
 
 #include <cstdint>
-#include <fstream>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
-#include <vector>
 
 #include "engine/gm_engine.h"
 #include "graph/graph.h"
@@ -18,9 +17,9 @@ namespace rigpm {
 
 /// Versioned binary snapshot files — the persistence layer that turns
 /// process restarts from recompute-bound into I/O-bound (cold start parses
-/// text and rebuilds the BFL index; warm start streams pre-built structures
-/// back in, or — the default — maps the file and serves straight out of the
-/// page cache).
+/// text and rebuilds the BFL index; warm start decodes pre-built structures
+/// out of the file's bytes, or — the default — maps the file and serves
+/// straight out of the page cache).
 ///
 /// Container layout (all integers host-endian, see util/serde.h):
 ///   8 bytes  magic "RIGPMSNP"
@@ -29,10 +28,13 @@ namespace rigpm {
 ///   u64      payload size in bytes
 ///   payload  kind-specific body written via ByteSink
 ///   u64      Checksum64 of the payload
+/// The first 24 bytes are the container head; a delta log
+/// (storage/delta_log.h) starts with the same head, and both are decoded by
+/// DecodeContainerHead.
 ///
 /// Every bulk array inside the payload is padded to an 8-byte boundary
-/// (relative to the payload start; the 24-byte header keeps payload offsets
-/// congruent to file offsets mod 8, and both the mmap base and the slurp
+/// (relative to the payload start; the 24-byte head keeps payload offsets
+/// congruent to file offsets mod 8, and both the mapping and the read
 /// buffer are at least 8-byte aligned). That is what lets the zero-copy
 /// loader hand out typed pointers straight into the mapping.
 ///
@@ -48,10 +50,10 @@ namespace rigpm {
 /// "unsupported snapshot version"; the kind is checked first, so a delta
 /// log (which carries its own version) reads as a kind mismatch.
 ///
-/// Readers reject bad magic, unknown versions, kind mismatches, payload
-/// sizes inconsistent with the file, truncation, and checksum mismatches —
-/// each with a descriptive error, never by crashing or silently returning a
-/// partial structure.
+/// Readers accept regular files only, and reject bad magic, unknown
+/// versions, kind mismatches, payload sizes inconsistent with the file,
+/// truncation, and checksum mismatches — each with a descriptive error,
+/// never by crashing or silently returning a partial structure.
 
 /// Version 8: the graph image holds its adjacency as CSR rows only and its
 /// label index as the label-list offsets only (no label lists, no
@@ -72,16 +74,36 @@ enum class SnapshotKind : uint32_t {
                 // sequence with per-record checksums
 };
 
+/// The 24-byte head every container file starts with, snapshot or delta
+/// log (layout above).
+struct ContainerHead {
+  uint32_t version = 0;
+  uint32_t kind_value = 0;  // SnapshotKind, raw (may be unknown to us)
+  uint64_t word = 0;  // a snapshot's payload size, a delta log's base checksum
+};
+inline constexpr size_t kContainerHeadBytes = 24;
+
+/// Appends `head`, magic first, to `sink`.
+void EncodeContainerHead(ByteSink& sink, const ContainerHead& head);
+
+/// The one decoder of the container head, at the front of `file`. Refuses
+/// a file shorter than the head ("truncated NAME (smaller than header)") or
+/// without the magic. With `kind` set it then refuses any other kind, and
+/// any version but `version`: kind first, because a snapshot and a delta
+/// log share the head and "not a delta log" is the useful diagnosis for a
+/// snapshot passed as one. `name` ("snapshot", "delta log") words the
+/// errors.
+bool DecodeContainerHead(std::span<const uint8_t> file, const char* name,
+                         std::optional<SnapshotKind> kind, uint32_t version,
+                         ContainerHead* out, std::string* error);
+
 /// Frames `payload` with the header (stamped kSnapshotVersion) and
 /// checksum and writes it to `path`.
 bool WriteSnapshotFile(const std::string& path, SnapshotKind kind,
                        const ByteSink& payload, std::string* error = nullptr);
 
 /// Header fields of a snapshot file, readable without touching the payload
-/// (`rigpm_cli snapshot --inspect`). For kind kDelta the header's u64 slot
-/// is the BASE snapshot checksum, not a payload size: payload_size is
-/// reported as the record-area byte count and stored_checksum as that base
-/// binding (use `rigpm_cli delta inspect` for per-record detail).
+/// (`rigpm_cli snapshot --inspect`).
 struct SnapshotInfo {
   uint32_t version = 0;
   uint32_t kind_value = 0;  // SnapshotKind, raw (may be unknown to us)
@@ -90,29 +112,31 @@ struct SnapshotInfo {
   uint64_t file_size = 0;
 };
 
-/// Reads and validates only the container header + footer (magic, size
-/// consistency). Never decodes or checksums the payload, and reports the
-/// version even when this build cannot load it.
+/// Reads and validates only the container head and footer (magic, size
+/// consistency) of the regular file at `path`. Never decodes or checksums
+/// the payload, and reports the version even when this build cannot load
+/// it. A delta log is refused: `rigpm_cli delta inspect` reads those.
 std::optional<SnapshotInfo> InspectSnapshot(const std::string& path,
                                             std::string* error = nullptr);
 
-/// Opens a snapshot file, validates the container header, gets the payload
-/// into memory per `mode`, and verifies the checksum *before* any decoding
-/// (so deserializers never see corrupt bytes). Usage:
+/// Brings a snapshot file into memory per `mode` (ReadRegularFile,
+/// util/mapped_file.h), validates the container head, and verifies the
+/// payload size and checksum *before* any decoding (so deserializers never
+/// see corrupt bytes). Usage:
 ///   SnapshotReader reader(path, SnapshotKind::kEngine);
 ///   if (!reader.ok()) ...;
 ///   Graph g = Graph::Deserialize(reader.source());
 ///   auto bfl = BflIndex::Deserialize(reader.source());
 ///   if (!reader.Finish()) ...;   // decode succeeded + payload consumed
 ///
-/// In mmap mode the source is zero-copy: deserialized objects borrow spans
-/// from the mapping and retain a shared ownership token for it, so they
-/// stay valid after the reader is destroyed; the mapping is unmapped when
-/// the last such object goes away.
+/// When the file is mapped the source is zero-copy: deserialized objects
+/// borrow spans from the mapping and retain a shared ownership token for
+/// it, so they stay valid after the reader is destroyed; the mapping is
+/// unmapped when the last such object goes away. A read buffer is decoded
+/// by copying and dies with the reader.
 class SnapshotReader {
  public:
-  /// A file whose header names any kind but `kind` is refused ("snapshot
-  /// kind mismatch").
+  /// A file whose header names any kind but `kind` is refused.
   SnapshotReader(const std::string& path, SnapshotKind kind,
                  SnapshotIoMode mode = DefaultSnapshotIoMode());
 
@@ -121,9 +145,6 @@ class SnapshotReader {
 
   bool ok() const { return error_.empty(); }
   const std::string& error() const { return error_; }
-
-  /// True when the payload is served from a file mapping (zero-copy mode).
-  bool mapped() const { return mapping_ != nullptr; }
 
   /// The file's stored payload checksum (valid once ok(); verified against
   /// the payload). This is the value delta logs bind to — callers that
@@ -139,13 +160,7 @@ class SnapshotReader {
   bool Finish();
 
  private:
-  void InitFromMapping(SnapshotKind kind);
-  void InitFromStream(const std::string& path, SnapshotKind kind);
-
-  std::shared_ptr<MappedFile> mapping_;   // mmap mode
-  std::unique_ptr<uint8_t[]> payload_raw_;  // read mode, size known up front
-  std::vector<uint8_t> payload_buf_;        // read mode, unseekable source
-  uint64_t payload_size_ = 0;
+  std::shared_ptr<const FileBytes> file_;
   uint64_t stored_checksum_ = 0;
   std::optional<ByteSource> source_;
   std::string error_;

@@ -7,18 +7,19 @@
 
 namespace rigpm {
 
-/// How SnapshotReader gets the payload into memory (split out of
+/// How a snapshot or delta log gets into memory (split out of
 /// storage/snapshot.h so lightweight headers can take a mode parameter
-/// without pulling in the engine).
+/// without pulling in the engine). Both modes go through ReadRegularFile
+/// (util/mapped_file.h), take regular files only, and differ in whether
+/// it maps.
 enum class SnapshotIoMode : uint8_t {
   /// mmap the file read-only MAP_SHARED, checksum it in place, and decode
   /// into borrowed views — warm start is page-fault-lazy and N processes
-  /// serving the same snapshot share one physical copy. Falls back to kRead
-  /// for sources that cannot be mapped (FIFOs, exotic filesystems).
+  /// serving the same snapshot share one physical copy. A regular file
+  /// that cannot be mapped is read as in kRead.
   kMmap,
-  /// Stream the payload into a private buffer in bounded chunks (checksum
-  /// verified incrementally), then decode by copying. Works for any
-  /// readable source; uses private anonymous memory for everything.
+  /// Read the file into one private buffer the size of the file,
+  /// checksum it once, then decode by copying.
   kRead,
 };
 

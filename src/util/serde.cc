@@ -1,7 +1,5 @@
 #include "util/serde.h"
 
-#include <algorithm>
-
 namespace rigpm {
 
 namespace {
@@ -28,56 +26,28 @@ constexpr uint64_t kPrime = 0x9DDFEA08EB382D69ull;
 }  // namespace
 
 uint64_t Checksum64(const void* data, size_t n, uint64_t seed) {
-  Checksum64Stream stream(seed);
-  stream.Update(data, n);
-  return stream.Finish();
-}
-
-Checksum64Stream::Checksum64Stream(uint64_t seed) {
-  for (int i = 0; i < 4; ++i) lanes_[i] = kLaneInit[i] ^ seed;
-}
-
-void Checksum64Stream::Block(const uint8_t* chunk_bytes) {
-  uint64_t chunk[4];
-  std::memcpy(chunk, chunk_bytes, 32);
-  for (int i = 0; i < 4; ++i) {
-    lanes_[i] = Rotl((lanes_[i] ^ chunk[i]) * kPrime, 29);
-  }
-}
-
-void Checksum64Stream::Update(const void* data, size_t n) {
   const auto* bytes = static_cast<const uint8_t*>(data);
-  total_ += n;
-  if (tail_len_ > 0) {
-    size_t take = std::min(n, 32 - tail_len_);
-    std::memcpy(tail_ + tail_len_, bytes, take);
-    tail_len_ += take;
-    bytes += take;
-    n -= take;
-    if (tail_len_ < 32) return;
-    Block(tail_);
-    tail_len_ = 0;
+  uint64_t lanes[4];
+  for (int i = 0; i < 4; ++i) lanes[i] = kLaneInit[i] ^ seed;
+  // One 32-byte block per round, a lane per 8 bytes; a short last block is
+  // zero-padded.
+  auto block = [&lanes](const uint8_t* block_bytes) {
+    uint64_t words[4];
+    std::memcpy(words, block_bytes, 32);
+    for (int i = 0; i < 4; ++i) {
+      lanes[i] = Rotl((lanes[i] ^ words[i]) * kPrime, 29);
+    }
+  };
+  size_t done = 0;
+  for (; n - done >= 32; done += 32) block(bytes + done);
+  if (done < n) {
+    uint8_t tail[32] = {};
+    std::memcpy(tail, bytes + done, n - done);
+    block(tail);
   }
-  while (n >= 32) {
-    Block(bytes);
-    bytes += 32;
-    n -= 32;
-  }
-  if (n > 0) {
-    std::memcpy(tail_, bytes, n);
-    tail_len_ = n;
-  }
-}
-
-uint64_t Checksum64Stream::Finish() {
-  if (tail_len_ > 0) {
-    std::memset(tail_ + tail_len_, 0, 32 - tail_len_);
-    Block(tail_);
-    tail_len_ = 0;
-  }
-  uint64_t h = Rotl(lanes_[0], 1) ^ Rotl(lanes_[1], 7) ^ Rotl(lanes_[2], 12) ^
-               Rotl(lanes_[3], 18);
-  return Mix(h ^ total_);
+  const uint64_t h = Rotl(lanes[0], 1) ^ Rotl(lanes[1], 7) ^
+                     Rotl(lanes[2], 12) ^ Rotl(lanes[3], 18);
+  return Mix(h ^ n);
 }
 
 std::string ByteSource::ReadString() {

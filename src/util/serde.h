@@ -30,28 +30,6 @@ static_assert(std::endian::native == std::endian::little,
 /// dev box and dominated warm-start latency).
 uint64_t Checksum64(const void* data, size_t n, uint64_t seed = 0);
 
-/// Incremental form of Checksum64 for data that arrives in chunks (the
-/// snapshot reader's streaming fallback checksums bounded blocks as they
-/// land instead of requiring the whole payload in memory first). Feeding
-/// the same bytes in any chunking yields exactly the one-shot result.
-class Checksum64Stream {
- public:
-  explicit Checksum64Stream(uint64_t seed = 0);
-
-  void Update(const void* data, size_t n);
-
-  /// Folds in the total length and returns the digest. May be called once.
-  uint64_t Finish();
-
- private:
-  void Block(const uint8_t* chunk);  // exactly 32 bytes
-
-  uint64_t lanes_[4];
-  uint64_t total_ = 0;
-  uint8_t tail_[32];     // carry-over bytes not yet forming a 32-byte block
-  size_t tail_len_ = 0;
-};
-
 /// Growable in-memory byte buffer that the Serialize() methods append to.
 /// The snapshot writer frames the finished buffer with a header and CRC.
 /// There is one layout (storage/snapshot.h): bulk arrays are 8-byte padded
@@ -88,7 +66,7 @@ class ByteSink {
 
   /// Zero-pads the buffer to the next 8-byte boundary. Offsets are
   /// relative to the buffer start, which the snapshot container guarantees
-  /// lands 8-byte aligned in both the file mapping and the slurp buffer, so
+  /// lands 8-byte aligned in both the file mapping and the read buffer, so
   /// "aligned in the buffer" means "aligned in memory" on the load side.
   void PadTo8() {
     static constexpr uint8_t kZeros[8] = {0};
@@ -115,9 +93,9 @@ class ByteSink {
   std::vector<uint8_t> buffer_;
 };
 
-/// Bounded reader over an in-memory payload — either a buffer the snapshot
-/// reader slurped (checksummed in one pass before any decoding, so decode
-/// itself is pure memcpy) or a borrowed view of a file mapping. Every
+/// Bounded reader over an in-memory payload — the bytes of a snapshot file,
+/// mapped or read into one buffer (util/mapped_file.h) and checksummed in
+/// one pass before any decoding, so decode itself is pure memcpy. Every
 /// accessor fails softly: after the first error (truncation, overrun,
 /// caller-reported corruption) `ok()` turns false, subsequent reads return
 /// zero values, and `error()` describes the first failure. Deserializers
@@ -141,8 +119,8 @@ class ByteSource {
   ByteSource& operator=(const ByteSource&) = delete;
 
   /// Allows ReadSpan to borrow instead of copy. `storage` is the
-  /// ownership token (e.g. a shared_ptr<MappedFile>) that keeps the payload
-  /// alive; deserialized objects copy it via storage().
+  /// ownership token (the snapshot file's mapping, a FileBytes) that keeps
+  /// the payload alive; deserialized objects copy it via storage().
   void EnableZeroCopy(std::shared_ptr<const void> storage) {
     zero_copy_ = true;
     storage_ = std::move(storage);

@@ -3,8 +3,8 @@
 // in-flight pins, per-tenant refresh — and the served behavior of one
 // daemon holding many graphs: scoped counts vs dedicated single-tenant
 // daemons, unknown-id rejection, eviction churn under --max-engines 1, an
-// LRU order that rejected requests leave alone, and unscoped sessions
-// landing on the default tenant.
+// LRU order that rejected requests leave alone, unscoped sessions landing
+// on the default tenant, and a tenant that cannot open failing alone.
 
 #include <unistd.h>
 
@@ -678,6 +678,43 @@ TEST_F(MultiTenantServerTest, StatsRowsCarryEachTenantsCacheCounters) {
   EXPECT_EQ(stats->cache_singleflight_waits, sum.singleflight_waits);
   EXPECT_EQ(stats->cache_bytes_used, sum.bytes_used);
   EXPECT_EQ(stats->cache_entries, sum.entries);
+}
+
+TEST_F(MultiTenantServerTest, UnreadableDeltaPathFailsOnlyItsTenant) {
+  // Tenant b (the default) serves its snapshot alone; tenant a names a
+  // directory as its delta log. A query to a is the server's failure, and
+  // the daemon goes on serving b.
+  const std::string dir = UniquePath() + ".dir";
+  ASSERT_TRUE(std::filesystem::create_directory(dir));
+  catalog_ = std::make_shared<EngineCatalog>();
+  std::string error;
+  EngineSource b;
+  b.snapshot_path = t_[1].snap;
+  ASSERT_TRUE(catalog_->Register("b", b, &error)) << error;
+  EngineSource a = SourceFor(0);
+  a.delta_path = dir;
+  ASSERT_TRUE(catalog_->Register("a", a, &error)) << error;
+  config_.unix_path = UniquePath() + ".sock";
+  config_.num_workers = 4;
+  server_ = std::make_unique<QueryServer>(catalog_, config_);
+  ASSERT_TRUE(server_->Start(&error)) << error;
+
+  QueryClient client = Connect("a");
+  QueryRequest req;
+  req.patterns = {kPaperPattern};
+  auto resp = client.Query(req, &error);
+  ASSERT_TRUE(resp.has_value()) << error;
+  EXPECT_EQ(resp->status, StatusCode::kInternalError);
+  EXPECT_NE(resp->error.find("not a regular file"), std::string::npos)
+      << resp->error;
+
+  client.SetGraph("b");
+  EXPECT_EQ(ServedCount(client, kPaperPattern),
+            ColdCount(t_[1].graph, kPaperPattern));
+  QueryClient unscoped = Connect();
+  EXPECT_EQ(ServedCount(unscoped, kPaperPattern),
+            ColdCount(t_[1].graph, kPaperPattern));
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(MultiTenantServerTest, MalformedHeaderIsRejectedInPlace) {

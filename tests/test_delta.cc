@@ -1,12 +1,15 @@
 // Delta-log persistence tests (storage/delta_log.h): record round trips,
 // the seeded checksum chain, crash recovery (torn tails replay their valid
-// prefix; the writer truncates them), base-binding enforcement, and both
+// prefix; the writer truncates them), every prefix of a log, refusal of
+// paths that are not regular files, base-binding enforcement, and both
 // snapshot IO modes.
 
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdint>
+#include <cstring>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -301,6 +304,93 @@ TEST_P(DeltaIoTest, OutOfRangeEndpointFailsReplayHard) {
   EXPECT_FALSE(merged.has_value());
   EXPECT_NE(error.find("log does not match this base"), std::string::npos)
       << error;
+}
+
+TEST_P(DeltaIoTest, EveryPrefixReadsTheRecordsBeforeTheCut) {
+  // A prefix shorter than the 32-byte header is no log; any longer one
+  // holds exactly the records that end at or before the cut, and the bytes
+  // of a record cut short read as a torn tail.
+  TempDir tmp;
+  const std::string path = tmp.Path("g.delta");
+  const std::vector<std::vector<DeltaOp>> records = {
+      {{0, 3, DeltaOpKind::kAdd}},
+      {{6, 9, DeltaOpKind::kAdd}, {1, 3, DeltaOpKind::kDelete}},
+      {{0, 7, DeltaOpKind::kAdd}, {1, 5, DeltaOpKind::kAdd}}};
+  std::vector<uint64_t> record_ends;
+  std::string error;
+  {
+    auto writer = DeltaWriter::Open(path, kBase, 10, &error);
+    ASSERT_NE(writer, nullptr) << error;
+    for (const std::vector<DeltaOp>& ops : records) {
+      ASSERT_TRUE(writer->AppendOps(ops, &error)) << error;
+      record_ends.push_back(FileSize(path));
+    }
+  }
+  std::ifstream in(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  ASSERT_EQ(bytes.size(), record_ends.back());
+
+  const std::string cut_path = tmp.Path("cut.delta");
+  for (size_t keep = 0; keep <= bytes.size(); ++keep) {
+    {
+      std::ofstream out(cut_path, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(keep));
+    }
+    DeltaReader reader(cut_path, GetParam());
+    if (keep < kDeltaFileHeaderBytes) {
+      EXPECT_FALSE(reader.ok()) << keep;
+      EXPECT_FALSE(reader.error().empty()) << keep;
+      continue;
+    }
+    ASSERT_TRUE(reader.ok()) << keep << ": " << reader.error();
+    size_t whole = 0;
+    while (whole < record_ends.size() && record_ends[whole] <= keep) ++whole;
+    DeltaRecord rec;
+    for (size_t i = 0; i < whole; ++i) {
+      ASSERT_TRUE(reader.Next(&rec)) << keep << ": " << reader.tail_error();
+      EXPECT_EQ(rec.seqno, i + 1) << keep;
+      EXPECT_EQ(rec.ops, records[i]) << keep;
+    }
+    EXPECT_FALSE(reader.Next(&rec)) << keep;
+    const bool bytes_remain =
+        keep > (whole == 0 ? kDeltaFileHeaderBytes : record_ends[whole - 1]);
+    EXPECT_EQ(reader.truncated(), bytes_remain) << keep;
+    EXPECT_EQ(reader.tail_torn(), bytes_remain) << keep;
+  }
+}
+
+TEST_P(DeltaIoTest, DirectoryAndFifoAreRefusedWithoutBlocking) {
+  // The readers take regular files only: a directory or a FIFO given as
+  // the log is refused, never read as an empty, caught-up log, and nothing
+  // blocks in the open of the FIFO (each check runs in a child that is
+  // killed after a few seconds). A missing log is still caught up.
+  TempDir tmp;
+  const std::string fifo = tmp.Path("fifo");
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0) << std::strerror(errno);
+  const SnapshotIoMode mode = GetParam();
+  for (const std::string& path : {tmp.Path(""), fifo}) {
+    EXPECT_TRUE(rigpm::testing::ChildReturnsTrueWithin(
+        [&] {
+          DeltaReader reader(path, mode);
+          DeltaRead read = ReadDeltaSince(path, mode, kBase, 10);
+          if (!reader.ok() &&
+              reader.error().find("not a regular file") != std::string::npos &&
+              !read.ok &&
+              read.error.find("not a regular file") != std::string::npos) {
+            return true;
+          }
+          std::fprintf(stderr, "reader: %s; ReadDeltaSince: %s\n",
+                       reader.ok() ? "ok" : reader.error().c_str(),
+                       read.ok ? "ok" : read.error.c_str());
+          return false;
+        },
+        /*seconds=*/5))
+        << path;
+  }
+  DeltaRead missing = ReadDeltaSince(tmp.Path("nope.delta"), mode, kBase, 10);
+  EXPECT_TRUE(missing.ok) << missing.error;
+  EXPECT_EQ(missing.stats.records_applied, 0u);
 }
 
 // ------------------------------------------------------- writer semantics

@@ -1,7 +1,7 @@
 // Unit tests for GmEngine's phase timings: every evaluation books the six
 // GM phases into GmResult::phase_timings, in order, under the names the
-// wire and the serving benchmark match on; the empty-RIG shortcut and
-// BuildRigOnly stop after BuildRig.
+// wire and the serving benchmark match on; the empty-RIG shortcut stops
+// after BuildRig.
 
 #include <gtest/gtest.h>
 
@@ -62,23 +62,6 @@ TEST(GmPhases, EmptyRigShortcutStopsAfterBuildRig) {
   EXPECT_EQ(r.PhaseMs("Enumerate"), 0.0);
   EXPECT_DOUBLE_EQ(r.MatchingMs(), r.TotalMs());
   EXPECT_TRUE(r.order_used.empty());
-}
-
-TEST(GmPhases, BuildRigOnlyTimesTheMatchingPhasesAndKeepsTheRig) {
-  Graph g = PaperExample::MakeGraph();
-  GmEngine engine(g);
-  GmResult rig_only;
-  Rig rig = engine.BuildRigOnly(PaperExample::MakeQuery(), GmOptions{},
-                                &rig_only);
-  EXPECT_EQ(PhaseNames(rig_only), MatchingPhases());
-  EXPECT_FALSE(rig_only.empty_rig_shortcut);
-
-  GmResult full = engine.Evaluate(PaperExample::MakeQuery());
-  EXPECT_EQ(rig.TotalNodes(), full.rig_nodes);
-  EXPECT_EQ(rig.TotalEdges(), full.rig_edges);
-  EXPECT_EQ(rig_only.rig_nodes, full.rig_nodes);
-  EXPECT_EQ(rig_only.rig_edges, full.rig_edges);
-  EXPECT_EQ(rig_only.reduced_query_edges, full.reduced_query_edges);
 }
 
 }  // namespace

@@ -1,20 +1,20 @@
 // Persistence subsystem tests (storage/snapshot.h, util/serde.h): graph
 // round trips and the label index a load derives, warm-start engine
-// equivalence under both IO modes (zero-copy mmap and streaming read) and
-// batch thread counts, header inspection, FIFO streaming fallback, and
-// rejection of malformed input for the binary snapshot reader, the graph
-// image decoder and the text graph reader. Every malformed-file check runs
-// under both IO modes — corrupt mapped files must be rejected before any
-// decode, exactly like corrupt slurped ones.
+// equivalence under both IO modes (zero-copy mmap and read) and batch
+// thread counts, header inspection, refusal of paths that are not regular
+// files, and rejection of malformed input for the binary snapshot reader,
+// the graph image decoder and the text graph reader. Every malformed-file
+// check runs under both IO modes — corrupt mapped files must be rejected
+// before any decode, exactly like corrupt read ones.
 
 #include <fcntl.h>
+#include <sys/resource.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <cstdint>
-#include <thread>
 #include <cstring>
 #include <cstdio>
 #include <filesystem>
@@ -83,21 +83,32 @@ void DumpFile(const std::string& path, const std::string& bytes) {
 
 // ------------------------------------------------------------- checksum
 
-TEST(ChecksumStream, MatchesOneShotAcrossChunkings) {
-  std::mt19937_64 rng(99);
-  std::vector<uint8_t> data(100'000);
-  for (auto& b : data) b = static_cast<uint8_t>(rng());
-  const uint64_t expected = Checksum64(data.data(), data.size());
-  for (size_t chunk : {size_t{1}, size_t{7}, size_t{31}, size_t{32},
-                       size_t{33}, size_t{4096}, data.size()}) {
-    Checksum64Stream stream;
-    for (size_t off = 0; off < data.size(); off += chunk) {
-      stream.Update(data.data() + off, std::min(chunk, data.size() - off));
-    }
-    EXPECT_EQ(stream.Finish(), expected) << "chunk " << chunk;
+TEST(Checksum64, KeepsItsDigestsForFixedInputs) {
+  // Snapshot footers and delta-log chains store these digests, so they
+  // must never change: every length class (empty, short, one 32-byte block,
+  // a block and a tail, many blocks), seeded and unseeded.
+  struct Digest {
+    size_t n;
+    uint64_t unseeded;
+    uint64_t seeded;  // seed 0x1234abcd5678ef01
+  };
+  constexpr Digest kDigests[] = {
+      {0, 0xaa8a3e25186a2c44ull, 0x46b7695ab3f3696full},
+      {1, 0xf00bff476e18bc35ull, 0x999753f51c028f44ull},
+      {31, 0x279ef18cda58b47aull, 0xd4d96def03ab3c3full},
+      {32, 0xb2f91f93f94e3253ull, 0x3fa7bb644989de2dull},
+      {33, 0x80d20ac5b6a34c82ull, 0x5173cf6b89dc84ebull},
+      {100000, 0x610aa6fbed412305ull, 0xad1eb82c75ff09e4ull},
+  };
+  std::vector<uint8_t> data(100000);
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<uint8_t>(i * 131 + 7);
   }
-  Checksum64Stream empty;
-  EXPECT_EQ(empty.Finish(), Checksum64(nullptr, 0));
+  for (const Digest& d : kDigests) {
+    EXPECT_EQ(Checksum64(data.data(), d.n), d.unseeded) << d.n << " bytes";
+    EXPECT_EQ(Checksum64(data.data(), d.n, 0x1234abcd5678ef01ull), d.seeded)
+        << d.n << " bytes, seeded";
+  }
 }
 
 // --------------------------------------------------------------- graphs
@@ -520,8 +531,8 @@ class MalformedSnapshotTest : public ::testing::Test {
 };
 
 TEST_F(MalformedSnapshotTest, TruncatedFileIsRejected) {
-  for (size_t keep : {size_t{0}, size_t{4}, size_t{20}, bytes_.size() / 2,
-                      bytes_.size() - 1}) {
+  // Every proper prefix: the whole file is checked before any decode.
+  for (size_t keep = 0; keep < bytes_.size(); ++keep) {
     ExpectRejected(bytes_.substr(0, keep));
   }
 }
@@ -613,47 +624,107 @@ TEST_F(MalformedSnapshotTest, HeaderOnlyFileWithHugePayloadSizeIsRejected) {
   ExpectRejected(header_only, "truncated");
 }
 
-// A FIFO cannot be mapped or seeked; the reader must fall back to the
-// bounded streaming path and still load a valid snapshot end-to-end.
-TEST_F(MalformedSnapshotTest, FifoStreamsViaReadFallback) {
-  std::string fifo_path = file_.path() + ".fifo";
-  ASSERT_EQ(::mkfifo(fifo_path.c_str(), 0600), 0) << std::strerror(errno);
-  for (SnapshotIoMode mode : kBothModes) {
-    // Feed the snapshot through the FIFO from a writer thread (a FIFO's
-    // kernel buffer is smaller than the snapshot, so a blocking writer is
-    // required).
-    std::thread writer([&] {
-      std::ofstream out(fifo_path, std::ios::binary);
-      out.write(bytes_.data(), static_cast<std::streamsize>(bytes_.size()));
-    });
-    std::string error;
-    auto loaded = LoadGraph(fifo_path, mode, &error);
-    writer.join();
-    ASSERT_TRUE(loaded.has_value()) << ModeName(mode) << ": " << error;
-    ExpectSameGraph(PaperExample::MakeGraph(), *loaded);
+TEST_F(MalformedSnapshotTest, EveryByteFlipIsRejected) {
+  // A single-byte change anywhere, in the head, the payload or the footer,
+  // is refused before any decode.
+  for (size_t at = 0; at < bytes_.size(); ++at) {
+    std::string flipped = bytes_;
+    flipped[at] = static_cast<char>(flipped[at] ^ 0xFF);
+    ExpectRejected(flipped);
   }
-  ::unlink(fifo_path.c_str());
 }
 
-TEST_F(MalformedSnapshotTest, FifoWithLyingPayloadSizeIsRejectedBounded) {
-  // Through a FIFO the payload_size header cannot be cross-checked against
-  // a file size; a corrupt ~2^60 value must hit the bounded chunk loop and
-  // fail with `truncated` after the real bytes run out — never a giant
-  // up-front allocation.
-  std::string corrupt = bytes_;
-  const uint64_t huge = uint64_t{1} << 60;
-  std::memcpy(&corrupt[16], &huge, sizeof(huge));
-  std::string fifo_path = file_.path() + ".fifo2";
-  ASSERT_EQ(::mkfifo(fifo_path.c_str(), 0600), 0) << std::strerror(errno);
-  std::thread writer([&] {
-    std::ofstream out(fifo_path, std::ios::binary);
-    out.write(corrupt.data(), static_cast<std::streamsize>(corrupt.size()));
-  });
-  std::string error;
-  EXPECT_FALSE(LoadEngineSnapshot(fifo_path, {}, &error).has_value());
-  writer.join();
-  EXPECT_NE(error.find("truncated"), std::string::npos) << error;
-  ::unlink(fifo_path.c_str());
+// Snapshot and delta paths that name a directory or a FIFO are refused as
+// "not a regular file" by every reader under both IO modes, and nothing
+// blocks in the open of the FIFO (each check runs in a child that is
+// killed after a few seconds).
+TEST(NonRegularSnapshotPath, DirectoryAndFifoAreRefusedWithoutBlocking) {
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("rigpm_nonregular_" + std::to_string(::getpid())))
+          .string();
+  ASSERT_TRUE(std::filesystem::create_directory(dir));
+  const std::string snap = dir + "/g.snap";
+  const std::string fifo = dir + "/fifo";
+  ASSERT_TRUE(SaveGraph(PaperExample::MakeGraph(), snap));
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0) << std::strerror(errno);
+
+  auto refused = [](const char* what, bool loaded, const std::string& error) {
+    if (!loaded && error.find("not a regular file") != std::string::npos) {
+      return true;
+    }
+    std::fprintf(stderr, "%s: %s\n", what,
+                 loaded ? "loaded" : error.c_str());
+    return false;
+  };
+  for (const std::string& path : {dir, fifo}) {
+    EXPECT_TRUE(rigpm::testing::ChildReturnsTrueWithin(
+        [&] {
+          bool all = true;
+          std::string error;
+          all &= refused("inspect", InspectSnapshot(path, &error).has_value(),
+                         error);
+          for (SnapshotIoMode mode : kBothModes) {
+            error.clear();
+            all &= refused(
+                "snapshot path",
+                LoadEngineSnapshot(path, {.io_mode = mode}, &error).has_value(),
+                error);
+            error.clear();
+            all &= refused("delta path",
+                           LoadEngineSnapshot(snap,
+                                              {.io_mode = mode,
+                                               .delta_path = path,
+                                               .delta_io = mode},
+                                              &error)
+                               .has_value(),
+                           error);
+          }
+          return all;
+        },
+        /*seconds=*/5))
+        << path;
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// A sparse 64 GiB file behind a valid engine-snapshot head that declares
+// the rest as payload: under a 4 GiB address-space limit neither mode can
+// hold it, and both refuse it instead of ending the process. The sanitizers
+// reserve far more address space than that limit, so they skip this test.
+TEST(HugeSnapshotFile, IsRefusedWhenItCannotBeHeld) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizer builds cannot run under an address-space limit";
+#endif
+  constexpr uint64_t kFileBytes = uint64_t{64} << 30;
+  TempFile file("huge");
+  ByteSink head;
+  EncodeContainerHead(
+      head, {.version = kSnapshotVersion,
+             .kind_value = static_cast<uint32_t>(SnapshotKind::kEngine),
+             .word = kFileBytes - kContainerHeadBytes - sizeof(uint64_t)});
+  DumpFile(file.path(), std::string(head.data().begin(), head.data().end()));
+  ASSERT_EQ(::truncate(file.path().c_str(), static_cast<off_t>(kFileBytes)),
+            0)
+      << std::strerror(errno);
+  for (SnapshotIoMode mode : kBothModes) {
+    EXPECT_TRUE(rigpm::testing::ChildReturnsTrueWithin(
+        [&] {
+          const rlimit limit = {uint64_t{4} << 30, uint64_t{4} << 30};
+          if (::setrlimit(RLIMIT_AS, &limit) != 0) return false;
+          std::string error;
+          if (!LoadEngineSnapshot(file.path(), {.io_mode = mode}, &error)
+                   .has_value() &&
+              error.find("cannot allocate") != std::string::npos) {
+            return true;
+          }
+          std::fprintf(stderr, "%s\n",
+                       error.empty() ? "loaded" : error.c_str());
+          return false;
+        },
+        /*seconds=*/10))
+        << ModeName(mode);
+  }
 }
 
 // A label-index bitmap in the layout snapshots used to store: a container

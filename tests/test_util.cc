@@ -1,6 +1,13 @@
 #include "test_util.h"
 
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <chrono>
+#include <cstdio>
 #include <functional>
+#include <thread>
 
 namespace rigpm::testing {
 
@@ -101,6 +108,27 @@ std::set<std::vector<NodeId>> BruteForceAnswer(const Graph& g,
   };
   recurse(0);
   return answer;
+}
+
+bool ChildReturnsTrueWithin(const std::function<bool()>& check, int seconds) {
+  std::fflush(nullptr);
+  const pid_t pid = ::fork();
+  if (pid < 0) return false;
+  if (pid == 0) ::_exit(check() ? 0 : 1);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(seconds);
+  int status = 0;
+  while (::waitpid(pid, &status, WNOHANG) == 0) {
+    if (std::chrono::steady_clock::now() >= deadline) {
+      ::kill(pid, SIGKILL);
+      ::waitpid(pid, &status, 0);
+      std::fprintf(stderr, "child still running after %d s: killed\n",
+                   seconds);
+      return false;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return WIFEXITED(status) && WEXITSTATUS(status) == 0;
 }
 
 }  // namespace rigpm::testing

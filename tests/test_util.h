@@ -1,6 +1,7 @@
 #ifndef RIGPM_TESTS_TEST_UTIL_H_
 #define RIGPM_TESTS_TEST_UTIL_H_
 
+#include <functional>
 #include <set>
 #include <vector>
 
@@ -67,6 +68,14 @@ bool SlowReachesBounded(const Graph& g, NodeId u, NodeId v,
 /// cyclic singletons next to acyclic ones (and, in power-law graphs,
 /// multi-node components).
 Graph WithSelfLoops(const Graph& g, uint32_t every);
+
+/// Runs `check` in a forked child and returns true iff it returned true
+/// within `seconds`. A child still running then is killed and counts as
+/// false, so a reader that blocks (say, in the open of a FIFO) fails a
+/// test instead of hanging it, and one that crashes fails it instead of
+/// ending the test binary. `check` reports through its return value and
+/// stderr only.
+bool ChildReturnsTrueWithin(const std::function<bool()>& check, int seconds);
 
 }  // namespace rigpm::testing
 

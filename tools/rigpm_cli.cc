@@ -44,9 +44,9 @@
 //                     the reachability index is rebuilt over the merged
 //                     graph)
 //   --snapshot-io M   how to load snapshots: mmap (default; zero-copy, the
-//                     mapping is shared across processes) or read (stream
-//                     into private memory). Also settable process-wide via
-//                     the RIGPM_SNAPSHOT_IO environment variable
+//                     mapping is shared across processes) or read (one
+//                     private buffer). Also settable process-wide via the
+//                     RIGPM_SNAPSHOT_IO environment variable
 //   --out FILE        snapshot output path (snapshot subcommand)
 //   --pattern STR     query in the inline syntax of pattern_parser.h
 //   --batch FILE      batch mode: one inline pattern per line ('#' comments
@@ -68,6 +68,7 @@
 #include <fstream>
 #include <optional>
 #include <span>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -232,18 +233,9 @@ void PrintPipeline(std::span<const PhaseTiming> phases) {
   std::printf(" total %.2f ms\n", TotalMs(phases));
 }
 
-const char* SnapshotKindName(uint32_t kind_value) {
-  switch (static_cast<SnapshotKind>(kind_value)) {
-    case SnapshotKind::kEngine:
-      return "engine";
-    case SnapshotKind::kDelta:
-      return "delta-log";
-  }
-  return "unknown";
-}
-
 // snapshot --inspect: the header fields; the payload is never decoded, so
-// it works on files that do not load.
+// it works on files that do not load. Delta logs are refused (see
+// `delta inspect`).
 int RunInspect(const std::string& path) {
   std::string error;
   auto info = InspectSnapshot(path, &error);
@@ -256,18 +248,9 @@ int RunInspect(const std::string& path) {
   std::printf("version:   %u%s\n", info->version,
               info->version == kSnapshotVersion ? " (current)" : "");
   std::printf("kind:      %u (%s)\n", info->kind_value,
-              SnapshotKindName(info->kind_value));
-  if (info->kind_value == static_cast<uint32_t>(SnapshotKind::kDelta)) {
-    // Delta logs have no single payload/footer; the u64 slot is the base
-    // binding. Per-record detail: `rigpm_cli delta inspect`.
-    std::printf("records:   %llu byte(s) of per-record-checksummed data\n",
-                static_cast<unsigned long long>(info->payload_size));
-    std::printf("base:      %016llx (stored checksum of the base snapshot)\n",
-                static_cast<unsigned long long>(info->stored_checksum));
-    std::printf("file:      %llu byte(s)\n",
-                static_cast<unsigned long long>(info->file_size));
-    return 0;
-  }
+              info->kind_value == static_cast<uint32_t>(SnapshotKind::kEngine)
+                  ? "engine"
+                  : "unknown");
   std::printf("payload:   %llu byte(s)\n",
               static_cast<unsigned long long>(info->payload_size));
   std::printf("file:      %llu byte(s) (24-byte header + payload + 8-byte "
@@ -352,7 +335,8 @@ std::optional<Graph> LoadBaseGraph(const std::string& path,
 }
 
 // Op batch file: one op per line — "src dst" or "+ src dst" adds the
-// edge, "- src dst" deletes it; '#' comments and blank lines skipped.
+// edge, "- src dst" deletes it, blank-separated with nothing else on the
+// line; '#' comments and blank lines skipped.
 bool ReadOpFile(const std::string& path, std::vector<DeltaOp>* out,
                 std::string* error) {
   std::ifstream in(path);
@@ -364,24 +348,24 @@ bool ReadOpFile(const std::string& path, std::vector<DeltaOp>* out,
   size_t line_no = 0;
   while (std::getline(in, line)) {
     ++line_no;
-    size_t first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos || line[first] == '#') continue;
+    std::istringstream words(line);
+    std::vector<std::string> fields;
+    for (std::string word; words >> word;) fields.push_back(word);
+    if (fields.empty() || fields[0][0] == '#') continue;
     DeltaOpKind kind = DeltaOpKind::kAdd;
-    const char* text = line.c_str() + first;
-    if (*text == '+' || *text == '-') {
-      if (*text == '-') kind = DeltaOpKind::kDelete;
-      ++text;
+    if (fields.size() == 3 && (fields[0] == "+" || fields[0] == "-")) {
+      if (fields[0] == "-") kind = DeltaOpKind::kDelete;
+      fields.erase(fields.begin());
     }
-    unsigned long long src = 0, dst = 0;
-    if (std::sscanf(text, "%llu %llu", &src, &dst) != 2 ||
-        src > std::numeric_limits<NodeId>::max() ||
-        dst > std::numeric_limits<NodeId>::max()) {
+    NodeId src = 0;
+    NodeId dst = 0;
+    if (fields.size() != 2 || !ParseUnsigned(fields[0], &src) ||
+        !ParseUnsigned(fields[1], &dst)) {
       *error = "edge file line " + std::to_string(line_no) +
                " is not '[+|-] src dst'";
       return false;
     }
-    out->push_back(DeltaOp{static_cast<NodeId>(src),
-                           static_cast<NodeId>(dst), kind});
+    out->push_back(DeltaOp{src, dst, kind});
   }
   return true;
 }
